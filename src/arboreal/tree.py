@@ -113,26 +113,19 @@ def other_side(side: str) -> str:
 def coset_canonical(pres: Presentation, word: Word, subset: Iterable[str]) -> Word:
     """Canonical minimal-length representative of the coset gG_S.
 
-    Repeatedly strips the rightmost strippable syllable whose vertex lies in
-    last_vertices(g) and in S, smallest vertex first, then canonicalizes.
+    One reverse sweep over the heap of the reduced word (see words.py) drops
+    the largest successor-closed set of S-labelled syllables: a syllable goes
+    iff its vertex is in S and all its successors go. That set is unique, so
+    this equals stripping S-labelled last syllables until none is left. The
+    rest is canonicalized once; O(L*|V| + L log L) beyond ``reduce``.
     """
     subset = pres.graph.check_vertices(subset)
-    g = pres.canonical(word)
-    while True:
-        strippable = sorted(
-            pres.last_vertices(g) & subset, key=pres.graph.sort_key
-        )
-        if not strippable:
-            return g
-        v = strippable[0]
-        # remove the last v-syllable; it shuffles to the end, so dropping it
-        # multiplies on the right by an element of G_S
-        sylls = list(g)
-        for i in range(len(sylls) - 1, -1, -1):
-            if sylls[i].vertex == v:
-                del sylls[i]
-                break
-        g = pres.canonical(tuple(sylls))
+    sylls = pres.reduce(word)
+    succ, _ = pres._heap(sylls)
+    deleted = [False] * len(sylls)
+    for i in range(len(sylls) - 1, -1, -1):
+        deleted[i] = sylls[i].vertex in subset and all(deleted[j] for j in succ[i])
+    return pres.canonical(tuple(s for s, gone in zip(sylls, deleted) if not gone))
 
 
 def make_vertex(splitting: SplittingSpec, word: Word, side: str) -> TreeVertex:

@@ -1,17 +1,25 @@
 """Algebra of graph products of cyclic groups.
 
-Elements are syllable sequences ``(vertex, exponent)``. Reduction deletes
-identity syllables and joins same-vertex syllables that can see each other
-through commuting material; the canonical form is the greedy
-smallest-vertex-first representative of the shuffle orbit, which coincides
-with the lexicographic minimum of the orbit. Two words represent the same
-group element iff their canonical forms are identical sequences.
+Elements are syllable sequences ``(vertex, exponent)``. Graph products have a
+complete rewriting system (Hermiller and Meier, J. Algebra 171, 1995): delete
+identity syllables, join two syllables at one vertex when everything between
+them commutes with it, shuffle adjacent commuting syllables. Two words are the
+same element iff their canonical forms are identical sequences.
+
+One engine serves every normal form. ``reduce`` is one left-to-right pass. The
+dependency heap of a reduced word has an arc into each syllable from the last
+earlier syllable at each vertex outside its link, its own included; its
+linearizations are the word's shuffle orbit. ``canonical`` is the one taking
+the smallest available vertex first (Kahn's algorithm), the orbit's
+lexicographic minimum; ``first_vertices``/``last_vertices`` are the heap's
+sources and sinks. Cost for L syllables over |V| vertices: O(L*|V| + L log L),
+plus ``reduce``'s backward scans: linear on typical words, O(L^2) at worst.
 """
 
 from __future__ import annotations
 
-import math
 import re
+from heapq import heapify, heappop, heappush
 from typing import Iterable, NamedTuple
 
 from .errors import DegeneratePresentationError, InputError, ResourceCapError
@@ -90,48 +98,57 @@ class Presentation:
     # --- reduction and canonical form -------------------------------------
 
     def reduce(self, word: Word) -> Word:
-        """Reduced word for the same element (identity deletions + joins)."""
-        sylls = list(self.make_word(word))
+        """Reduced word for the same element, in one left-to-right pass: a
+        syllable at v scans back over syllables in link(v) and joins a
+        v-syllable met there. No join cascades: if P v^e S is reduced and
+        S lies in link(v)*, then P S is reduced."""
         adjacency = self.graph.adjacency
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(sylls)):
-                v = sylls[i].vertex
-                lk = adjacency[v]
-                for j in range(i + 1, len(sylls)):
-                    u = sylls[j].vertex
-                    if u == v:
-                        e = self.normalize_exponent(v, sylls[i].exponent + sylls[j].exponent)
-                        del sylls[j]
-                        if e == 0:
-                            del sylls[i]
-                        else:
-                            sylls[i] = Syllable(v, e)
-                        changed = True
-                        break
-                    if u not in lk:
-                        break
-                if changed:
-                    break
-        return tuple(sylls)
+        out: list[Syllable] = []
+        for s in self.make_word(word):
+            v, lk = s.vertex, adjacency[s.vertex]
+            i = len(out) - 1
+            while i >= 0 and out[i].vertex in lk:
+                i -= 1
+            if i < 0 or out[i].vertex != v:
+                out.append(s)
+            elif e := self.normalize_exponent(v, out[i].exponent + s.exponent):
+                out[i] = Syllable(v, e)
+            else:
+                del out[i]
+        return tuple(out)
+
+    def _heap(self, sylls: Word) -> tuple[list[list[int]], list[int]]:
+        """Successor lists and in-degrees of a reduced word's dependency heap."""
+        adjacency = self.graph.adjacency
+        last: dict[str, int] = {}
+        succ: list[list[int]] = []
+        indeg = []
+        for j, (v, _) in enumerate(sylls):
+            lk = adjacency[v]
+            before = [i for u, i in last.items() if u not in lk]
+            for i in before:
+                succ[i].append(j)
+            succ.append([])
+            indeg.append(len(before))
+            last[v] = j
+        return succ, indeg
 
     def canonical(self, word: Word) -> Word:
-        """Greedy smallest-movable-vertex-first shuffle of the reduced word."""
-        rem = list(self.reduce(word))
-        adjacency = self.graph.adjacency
+        """Lexicographically least linearization of the reduced word's heap; at
+        most one syllable per vertex is ready at a time, so vertex index decides."""
+        sylls = self.reduce(word)
+        succ, indeg = self._heap(sylls)
         index = self.graph.index
+        ready = [(index[v], j) for j, (v, _) in enumerate(sylls) if not indeg[j]]
+        heapify(ready)
         out = []
-        while rem:
-            best = None
-            blocked: set[str] = set()
-            for pos, syll in enumerate(rem):
-                v = syll.vertex
-                if v not in blocked and all(s.vertex in adjacency[v] for s in rem[:pos]):
-                    if best is None or index[v] < index[rem[best].vertex]:
-                        best = pos
-                blocked.add(v)
-            out.append(rem.pop(best))
+        while ready:
+            _, i = heappop(ready)
+            out.append(sylls[i])
+            for j in succ[i]:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    heappush(ready, (index[sylls[j].vertex], j))
         return tuple(out)
 
     def is_canonical(self, word: Word) -> bool:
@@ -160,27 +177,16 @@ class Presentation:
         return {s.vertex for s in self.reduce(word)}
 
     def first_vertices(self, word: Word) -> set[str]:
-        """Vertices whose syllable can begin some reduced word for the element."""
+        """Vertices that can begin a reduced word for the element: heap sources."""
         sylls = self.reduce(word)
-        adjacency = self.graph.adjacency
-        out = set()
-        for pos, syll in enumerate(sylls):
-            v = syll.vertex
-            if v not in out and all(s.vertex in adjacency[v] for s in sylls[:pos]):
-                out.add(v)
-        return out
+        _, indeg = self._heap(sylls)
+        return {v for (v, _), d in zip(sylls, indeg) if not d}
 
     def last_vertices(self, word: Word) -> set[str]:
+        """Vertices that can end a reduced word for the element: heap sinks."""
         sylls = self.reduce(word)
-        adjacency = self.graph.adjacency
-        out = set()
-        for pos, syll in enumerate(reversed(sylls)):
-            v = syll.vertex
-            if v not in out and all(
-                s.vertex in adjacency[v] for s in sylls[len(sylls) - pos:]
-            ):
-                out.add(v)
-        return out
+        succ, _ = self._heap(sylls)
+        return {v for (v, _), after in zip(sylls, succ) if not after}
 
     # --- full subgroups --------------------------------------------------------
 
@@ -256,18 +262,18 @@ class Presentation:
         gens = self.generators(exp_bound, subset=subset)
         seen = {()}
         frontier = [()]
-        for _ in range(radius):
+        for depth in range(1, radius + 1):
             new = []
             for g in frontier:
                 for s in gens:
                     h = self.canonical(g + s)
                     if h not in seen:
                         seen.add(h)
+                        if len(seen) > cap:
+                            raise ResourceCapError(
+                                f"ball exceeded cap of {cap} elements at radius {depth}"
+                            )
                         new.append(h)
-            if len(seen) > cap:
-                raise ResourceCapError(
-                    f"ball exceeded cap of {cap} elements at radius {radius}"
-                )
             frontier = new
             if not frontier:
                 return seen, True

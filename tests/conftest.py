@@ -1,7 +1,10 @@
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from arboreal.classify import SeparatedPair, build_splitting
 from arboreal.graphs import SimpleGraph
@@ -10,6 +13,12 @@ from arboreal.words import INFINITY, Presentation
 sys.path.insert(0, str(Path(__file__).parent))
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+
+# Same examples on every run, and nothing written into the checkout: no example
+# database, and hypothesis's cache of source constants goes to the temp dir.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "arboreal-hypothesis")
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to check the fast implementations.
 
-These deliberately avoid the code paths they verify: the shuffle-closure
-oracle works by exhaustive BFS over adjacent commuting swaps, and the
-first/last-vertex oracles read the answer off the whole orbit.
+These deliberately avoid the code paths they verify: reduction applies the
+rewriting rules in a random order, the shuffle-closure oracle works by
+exhaustive BFS over adjacent commuting swaps, and the first/last-vertex and
+coset oracles read the answer off the whole orbit.
 """
 
 import random
@@ -40,15 +41,30 @@ def lex_min_of_orbit(pres, reduced_word):
     return min(shuffle_closure(pres, reduced_word), key=lambda w: word_key(pres, w))
 
 
-def first_vertices_brute(pres, word):
+def first_vertices_brute(pres, word, rng: random.Random):
     """First-syllable vertices found by inspecting the whole shuffle orbit."""
-    orbit = shuffle_closure(pres, pres.reduce(word))
+    orbit = shuffle_closure(pres, reduce_randomized(pres, word, rng))
     return {w[0].vertex for w in orbit if w}
 
 
-def last_vertices_brute(pres, word):
-    orbit = shuffle_closure(pres, pres.reduce(word))
+def last_vertices_brute(pres, word, rng: random.Random):
+    orbit = shuffle_closure(pres, reduce_randomized(pres, word, rng))
     return {w[-1].vertex for w in orbit if w}
+
+
+def coset_canonical_by_stripping(pres, word, subset, rng: random.Random):
+    """Coset representative of gG_S by iterated stripping, on the oracles:
+    drop the last syllable at the smallest vertex of S that can end the
+    word, re-canonicalize, and repeat until no vertex of S can end it."""
+    subset = set(subset)
+    g = lex_min_of_orbit(pres, reduce_randomized(pres, word, rng))
+    while True:
+        strippable = last_vertices_brute(pres, g, rng) & subset
+        if not strippable:
+            return g
+        v = min(strippable, key=pres.graph.index.__getitem__)
+        i = max(i for i, s in enumerate(g) if s.vertex == v)
+        g = lex_min_of_orbit(pres, reduce_randomized(pres, g[:i] + g[i + 1:], rng))
 
 
 def random_presentation(rng: random.Random, max_vertices=5, orders=(2, 3, INFINITY)):
@@ -84,10 +100,7 @@ def reduce_randomized(pres, word, rng: random.Random):
     Independent re-statement of the rewriting system, used to check that the
     deterministic reducer is confluent.
     """
-    sylls = [
-        Syllable(s.vertex, pres.normalize_exponent(s.vertex, s.exponent))
-        for s in word
-    ]
+    sylls = [Syllable(v, pres.normalize_exponent(v, e)) for v, e in word]
     sylls = [s for s in sylls if s.exponent != 0]
     adjacency = pres.graph.adjacency
     while True:

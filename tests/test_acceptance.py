@@ -30,7 +30,7 @@ from arboreal.tree import (
 from arboreal.words import Presentation, parse_word
 
 from conftest import FIXTURES
-from oracles import lex_min_of_orbit, random_presentation, random_word
+from oracles import lex_min_of_orbit, random_presentation, random_word, reduce_randomized
 from arboreal.formats import load_presentation
 
 
@@ -107,11 +107,12 @@ def test_criterion_3_quantitative_audit():
 def test_criterion_4_normal_form_oracle():
     started = time.time()
     rng = random.Random(20240823)
+    order_rng = random.Random(4)  # rewriting order only; inputs stay as drawn from rng
     mismatches = 0
     for _ in range(1000):
         pres = random_presentation(rng, max_vertices=5, orders=(2, 3, INFINITY))
         w = random_word(rng, pres, max_len=8)
-        if pres.canonical(w) != lex_min_of_orbit(pres, pres.reduce(w)):
+        if pres.canonical(w) != lex_min_of_orbit(pres, reduce_randomized(pres, w, order_rng)):
             mismatches += 1
     assert mismatches == 0
     elapsed = time.time() - started

@@ -82,12 +82,12 @@ class TestCanonical:
         assert p4_racg.canonical(parse_word(p4_racg, "d a")) == parse_word(p4_racg, "d a")
 
     def test_matches_lex_min_oracle(self):
-        rng = random.Random(42)
+        rng, order_rng = random.Random(42), random.Random(43)
         for _ in range(150):
             pres = random_presentation(rng)
             w = random_word(rng, pres, max_len=6)
             got = pres.canonical(w)
-            expected = lex_min_of_orbit(pres, pres.reduce(w))
+            expected = lex_min_of_orbit(pres, reduce_randomized(pres, w, order_rng))
             assert got == expected
 
     def test_confluence_under_randomized_reduction(self):
@@ -187,12 +187,12 @@ class TestSupports:
         assert p4_racg.last_vertices(g) == {"d"}
 
     def test_first_last_against_orbit_brute_force(self):
-        rng = random.Random(19)
+        rng, order_rng = random.Random(19), random.Random(20)
         for _ in range(80):
             pres = random_presentation(rng)
-            w = pres.canonical(random_word(rng, pres, max_len=6))
-            assert pres.first_vertices(w) == first_vertices_brute(pres, w)
-            assert pres.last_vertices(w) == last_vertices_brute(pres, w)
+            w = random_word(rng, pres, max_len=6)
+            assert pres.first_vertices(w) == first_vertices_brute(pres, w, order_rng)
+            assert pres.last_vertices(w) == last_vertices_brute(pres, w, order_rng)
 
 
 class TestFullSubgroups:
@@ -278,6 +278,16 @@ class TestEnumerateBall:
     def test_cap_enforced(self, p4_racg):
         with pytest.raises(ResourceCapError):
             p4_racg.enumerate_ball(8, cap=10)
+
+    def test_cap_stops_at_the_insert_that_passes_it(self, p4_racg):
+        # radius 1 holds 5 elements; the first new element of radius 2 is
+        # the 6th, found by the 6th canonicalization
+        calls = []
+        canonical = p4_racg.canonical
+        p4_racg.canonical = lambda w: calls.append(w) or canonical(w)
+        with pytest.raises(ResourceCapError, match="at radius 2$"):
+            p4_racg.enumerate_ball(10, cap=5)
+        assert len(calls) == 6
 
     def test_deterministic_contents(self, p3_raag):
         a = p3_raag.enumerate_ball(3)
