@@ -16,7 +16,7 @@ import sys
 import networkx as nx
 
 from arboreal.classify import Arboreality, classify
-from arboreal.graphs import INFINITY, SimpleGraph, diameter
+from arboreal.graphs import INFINITY, SimpleGraph
 from arboreal.words import Presentation
 
 
@@ -43,7 +43,7 @@ def main(argv=None):
         relabel = dict(zip(sorted(g.nodes()), names))
         graph = SimpleGraph(names, [(relabel[u], relabel[v]) for u, v in g.edges()])
         verdict = classify(Presentation(graph, {v: order for v in names}))
-        d = diameter(graph)
+        d = verdict.diameter
         tally[verdict.arboreality.value] += 1
         by_diameter[(d, verdict.arboreality == Arboreality.ACYL_ARBOREAL)] += 1
         if args.json:

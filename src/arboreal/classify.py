@@ -5,6 +5,10 @@ acylindrically arboreal iff it is not virtually cyclic and some pair of
 vertices is separated (edge distance >= 2, finite common-link subgroup).
 Complete graphs (diam <= 1) are fully decidable under the cyclic
 vertex-group restriction and are never acylindrically arboreal.
+
+Distinct non-adjacent vertices are at edge distance >= 2, so the pair search
+is link intersection with no distance computation, and ``classify`` stops at
+the first pair. A verdict's only BFS is for its ``diameter`` field.
 """
 
 from __future__ import annotations
@@ -12,10 +16,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import InputError
-from .graphs import INFINITY, diameter, edge_distance, is_complete, is_irreducible, link
+from .graphs import INFINITY, SimpleGraph, diameter, is_irreducible
 from .words import Presentation
 
 
@@ -143,21 +147,26 @@ class Verdict:
         }
 
 
-def separated_pairs(pres: Presentation):
+def _separated_pairs(pres: Presentation) -> Iterator[SeparatedPair]:
+    """Separated pairs in vertex order, lazily: non-adjacent pairs whose
+    common link spans a finite full subgroup."""
+    graph = pres.graph
+    adjacency = graph.adjacency
+    for i, a in enumerate(graph.vertices):
+        link_a = adjacency[a]
+        for b in graph.vertices[i + 1:]:
+            if b in link_a:
+                continue
+            common = link_a & adjacency[b]
+            order = pres.full_subgroup_order(common)
+            if order != INFINITY:
+                yield SeparatedPair(a, b, tuple(sorted(common, key=graph.sort_key)), order)
+
+
+def separated_pairs(pres: Presentation) -> list[SeparatedPair]:
     """All separated pairs (edge distance >= 2, finite common-link subgroup),
     sorted by vertex order. An empty list is an exhaustive negative."""
-    graph = pres.graph
-    out = []
-    for a, b in combinations(graph.vertices, 2):
-        if edge_distance(graph, a, b) < 2:
-            continue
-        common = link(graph, {a}) & link(graph, {b})
-        order = pres.full_subgroup_order(common)
-        if order != INFINITY:
-            out.append(
-                SeparatedPair(a, b, tuple(sorted(common, key=graph.sort_key)), order)
-            )
-    return out
+    return list(_separated_pairs(pres))
 
 
 def _non_adjacent_pair_count(pres: Presentation) -> int:
@@ -168,13 +177,10 @@ def _non_adjacent_pair_count(pres: Presentation) -> int:
 
 def _complete_minus_one_edge(pres: Presentation):
     """The missing edge if the graph is complete minus exactly one edge."""
-    graph = pres.graph
-    missing = [
-        (u, v)
-        for u, v in combinations(graph.vertices, 2)
-        if frozenset((u, v)) not in graph.edges
-    ]
-    return missing[0] if len(missing) == 1 else None
+    if _non_adjacent_pair_count(pres) != 1:
+        return None
+    adjacency = pres.graph.adjacency
+    return next((u, v) for u, v in combinations(pres.graph.vertices, 2) if v not in adjacency[u])
 
 
 def is_virtually_cyclic(pres: Presentation) -> VirtuallyCyclic:
@@ -187,18 +193,15 @@ def is_virtually_cyclic(pres: Presentation) -> VirtuallyCyclic:
     infinite.
     """
     orders = pres.orders
-    if is_complete(pres.graph):
-        infinite = [v for v in pres.graph.vertices if orders[v] == INFINITY]
-        return VirtuallyCyclic.YES if len(infinite) <= 1 else VirtuallyCyclic.NO
-    missing = _complete_minus_one_edge(pres)
-    if missing is None:
-        return VirtuallyCyclic.NO
-    u, v = missing
-    if any(orders[w] == INFINITY for w in pres.graph.vertices):
-        return VirtuallyCyclic.NO
-    if orders[u] == 2 and orders[v] == 2:
-        return VirtuallyCyclic.YES
-    return VirtuallyCyclic.NO
+    infinite = sum(n == INFINITY for n in orders.values())
+    missing = _non_adjacent_pair_count(pres)
+    if not missing:
+        yes = infinite <= 1
+    else:
+        yes = missing == 1 and not infinite and all(
+            orders[v] == 2 for v in _complete_minus_one_edge(pres)
+        )
+    return VirtuallyCyclic.YES if yes else VirtuallyCyclic.NO
 
 
 def ah_criterion(pres: Presentation) -> AHCriterion:
@@ -207,11 +210,13 @@ def ah_criterion(pres: Presentation) -> AHCriterion:
     An irreducible non-degenerate product is either virtually cyclic or
     acylindrically hyperbolic; for reducible graphs the criterion is silent.
     """
-    if is_virtually_cyclic(pres) == VirtuallyCyclic.YES:
+    return _ah_criterion(pres.graph, is_virtually_cyclic(pres))
+
+
+def _ah_criterion(graph: SimpleGraph, vc: VirtuallyCyclic) -> AHCriterion:
+    if vc == VirtuallyCyclic.YES:
         return AHCriterion.VIRTUALLY_CYCLIC
-    if is_irreducible(pres.graph):
-        return AHCriterion.AH_BY_IRREDUCIBILITY
-    return AHCriterion.INCONCLUSIVE
+    return AHCriterion.AH_BY_IRREDUCIBILITY if is_irreducible(graph) else AHCriterion.INCONCLUSIVE
 
 
 def build_splitting(pres: Presentation, pair: SeparatedPair) -> SplittingSpec:
@@ -236,7 +241,7 @@ def classify(pres: Presentation) -> Verdict:
     """Full acylindrical-arboreality verdict with a checkable certificate."""
     diam = diameter(pres.graph)
     vc = is_virtually_cyclic(pres)
-    ah = ah_criterion(pres)
+    ah = _ah_criterion(pres.graph, vc)
     if diam <= 1:
         cert = CompleteGraphCase(
             "complete graph of cyclic groups: direct product Z^k x finite is "
@@ -244,15 +249,13 @@ def classify(pres: Presentation) -> Verdict:
             "none of which act acylindrically non-elementarily on a tree"
         )
         return Verdict(Arboreality.NOT_ACYL_ARBOREAL, vc, ah, cert, None, diam)
-    pairs = separated_pairs(pres)
-    if pairs and vc == VirtuallyCyclic.NO:
-        first = pairs[0]
+    if vc == VirtuallyCyclic.YES:
+        cert = VirtuallyCyclicWitness(_complete_minus_one_edge(pres))
+        return Verdict(Arboreality.NOT_ACYL_ARBOREAL, vc, ah, cert, None, diam)
+    first = next(_separated_pairs(pres), None)
+    if first is not None:
         splitting = build_splitting(pres, first)
         return Verdict(Arboreality.ACYL_ARBOREAL, vc, ah, first, splitting, diam)
-    if vc == VirtuallyCyclic.YES:
-        missing = _complete_minus_one_edge(pres)
-        cert = VirtuallyCyclicWitness(missing)
-        return Verdict(Arboreality.NOT_ACYL_ARBOREAL, vc, ah, cert, None, diam)
     cert = NoSeparatedPair(_non_adjacent_pair_count(pres))
     return Verdict(Arboreality.NOT_ACYL_ARBOREAL, vc, ah, cert, None, diam)
 
@@ -265,4 +268,4 @@ def full_subgroup_check(pres: Presentation, subset) -> SubgroupVerdict:
     if len(subset) <= 1:
         raise InputError("full subgroup check needs at least two vertices")
     sub = pres.induced(subset)
-    return SubgroupVerdict.AA_OR_VC if separated_pairs(sub) else SubgroupVerdict.UNKNOWN
+    return SubgroupVerdict.AA_OR_VC if any(_separated_pairs(sub)) else SubgroupVerdict.UNKNOWN

@@ -1,8 +1,8 @@
 """Batch CLI: classify presentations, normalize words, audit tree actions.
 
-Exit codes: 0 success / audit clean, 2 parse or word error, 3 degenerate
-presentation, 4 no splitting available to audit, 5 resource cap exceeded.
-Audit violations also exit nonzero (1).
+Exit codes: 0 success / audit clean, 2 parse or word error, bad option or
+unwritable output file, 3 degenerate presentation, 4 no splitting available
+to audit, 5 resource cap exceeded. Audit violations also exit nonzero (1).
 """
 
 from __future__ import annotations
@@ -35,13 +35,19 @@ EXIT_NO_SPLITTING = 4
 EXIT_RESOURCE = 5
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n" if args.json else human
-    if args.out:
+def _write(args, text: str) -> None:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc.strerror}") from exc
+
+
+def _emit(args, payload: dict, human: str) -> None:
+    _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n" if args.json else human)
 
 
 def _describe(verdict) -> str:
@@ -130,6 +136,15 @@ def cmd_tree_dist(args) -> int:
 
 
 def cmd_tree_audit(args) -> int:
+    for name in ("k", "tree_radius", "element_radius", "local_radius", "ball_cap"):
+        value = getattr(args, name)
+        if value < 1:
+            raise InputError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+    if args.k > 2 * args.tree_radius:
+        raise InputError(
+            f"--k {args.k} is more than twice --tree-radius {args.tree_radius}: "
+            "no path of that many edges fits in the tree ball, so nothing would be audited"
+        )
     pres, _ = load_presentation(args.file)
     splitting = _require_splitting(pres)
     report = audit_acylindricity(
@@ -166,11 +181,7 @@ def cmd_export_dot(args) -> int:
             splitting, args.tree_radius, args.local_radius, args.ball_cap
         )
         text = tree_ball_to_dot(ball)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
     return EXIT_OK
 
 

@@ -31,12 +31,14 @@ def presentation_from_dict(data: dict) -> tuple[Presentation, dict[str, Word]]:
     """Build a presentation (and any named words) from parsed JSON."""
     if not isinstance(data, dict):
         raise InputError("presentation file must be a JSON object")
-    try:
-        raw_vertices = data["vertices"]
-    except KeyError:
-        raise InputError("missing \"vertices\" key") from None
+    if "vertices" not in data:
+        raise InputError("missing \"vertices\" key")
+    for key, kind, name in (("vertices", list, "array"), ("edges", list, "array"),
+                            ("words", dict, "object")):
+        if key in data and not isinstance(data[key], kind):
+            raise InputError(f"\"{key}\" must be a JSON {name}, got {type(data[key]).__name__}")
     names, orders = [], {}
-    for i, entry in enumerate(raw_vertices):
+    for i, entry in enumerate(data["vertices"]):
         if not isinstance(entry, dict) or "name" not in entry or "order" not in entry:
             raise InputError(f"vertices[{i}]: expected {{\"name\", \"order\"}}")
         name = str(entry["name"])

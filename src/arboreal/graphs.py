@@ -54,7 +54,7 @@ class SimpleGraph:
 
     def check_vertices(self, subset: Iterable[str]) -> set[str]:
         subset = set(subset)
-        unknown = subset - set(self.vertices)
+        unknown = subset.difference(self.index)
         if unknown:
             raise InputError(f"unknown vertices: {sorted(unknown)}")
         return subset
@@ -77,11 +77,7 @@ def link(graph: SimpleGraph, subset: Iterable[str]) -> set[str]:
     subset = graph.check_vertices(subset)
     if not subset:
         raise InputError("link of the empty set is not defined")
-    result = None
-    for v in subset:
-        nbrs = graph.adjacency[v]
-        result = set(nbrs) if result is None else result & nbrs
-    return result - subset
+    return set.intersection(*(graph.adjacency[v] for v in subset)) - subset
 
 
 def neighbourhood(graph: SimpleGraph, subset: Iterable[str]) -> set[str]:
@@ -132,17 +128,23 @@ def is_connected(graph: SimpleGraph) -> bool:
 
 
 def complement(graph: SimpleGraph) -> SimpleGraph:
-    edges = [
-        (u, v)
-        for u, v in combinations(graph.vertices, 2)
-        if frozenset((u, v)) not in graph.edges
-    ]
+    adjacency = graph.adjacency
+    edges = [(u, v) for u, v in combinations(graph.vertices, 2) if v not in adjacency[u]]
     return SimpleGraph(graph.vertices, edges)
 
 
 def is_irreducible(graph: SimpleGraph) -> bool:
-    """True iff the graph-theoretical complement is connected."""
-    return is_connected(complement(graph))
+    """True iff the graph-theoretical complement is connected: a search over
+    non-edges that steps from u to every unseen vertex outside its link."""
+    if not graph.vertices:
+        raise InputError("connectivity of the empty graph is not defined")
+    unseen = set(graph.vertices[1:])
+    frontier = [graph.vertices[0]]
+    while frontier and unseen:
+        reached = unseen - graph.adjacency[frontier.pop()]
+        unseen -= reached
+        frontier.extend(reached)
+    return not unseen
 
 
 def is_complete(graph: SimpleGraph) -> bool:

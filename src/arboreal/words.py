@@ -23,7 +23,7 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable, NamedTuple
 
 from .errors import DegeneratePresentationError, InputError, ResourceCapError
-from .graphs import INFINITY, SimpleGraph, induced_subgraph, is_complete
+from .graphs import INFINITY, SimpleGraph, induced_subgraph
 
 DEFAULT_BALL_CAP = 200_000
 
@@ -151,9 +151,6 @@ class Presentation:
                     heappush(ready, (index[sylls[j].vertex], j))
         return tuple(out)
 
-    def is_canonical(self, word: Word) -> bool:
-        return tuple(word) == self.canonical(word)
-
     # --- group operations --------------------------------------------------
 
     def multiply(self, *words: Word) -> Word:
@@ -195,16 +192,15 @@ class Presentation:
         return self.support(word) <= self.graph.check_vertices(subset)
 
     def full_subgroup_order(self, subset: Iterable[str]) -> int | float:
-        """|G_S|: finite iff S induces a complete graph of finite-order vertices."""
+        """|G_S|: finite iff S is a clique of finite-order vertices, and then
+        the product of their orders. ``S - link(v)`` is ``{v}`` for every v
+        of a clique, since no vertex lies in its own link."""
         subset = self.graph.check_vertices(subset)
-        if not subset:
-            return 1
-        if not is_complete(induced_subgraph(self.graph, subset)):
-            return INFINITY
+        adjacency = self.graph.adjacency
         total = 1
         for v in subset:
             n = self.orders[v]
-            if n == INFINITY:
+            if n == INFINITY or len(subset - adjacency[v]) > 1:
                 return INFINITY
             total *= n
         return total
@@ -334,10 +330,6 @@ def word_from_json(pres: Presentation, data: list) -> Word:
     return pres.make_word(pairs)
 
 
-def order_is_finite(n: int | float) -> bool:
-    return n != INFINITY
-
-
 __all__ = [
     "DEFAULT_BALL_CAP",
     "INFINITY",
@@ -345,7 +337,6 @@ __all__ = [
     "Syllable",
     "Word",
     "format_word",
-    "order_is_finite",
     "parse_word",
     "word_from_json",
     "word_to_json",

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from arboreal.classify import SeparatedPair, build_splitting
@@ -19,6 +20,16 @@ FIXTURES = Path(__file__).parent.parent / "fixtures"
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "arboreal-hypothesis")
+
+
+@st.composite
+def presentations(draw, max_vertices=5):
+    """Graph products on 2..max_vertices (at most 9) vertices, orders in {2, 3, inf}."""
+    names = "abcdefghi"[: draw(st.integers(2, max_vertices))]
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    edges = [p for p in pairs if draw(st.booleans())]
+    orders = {v: draw(st.sampled_from((2, 3, INFINITY))) for v in names}
+    return Presentation(SimpleGraph(names, edges), orders)
 
 
 @pytest.fixture

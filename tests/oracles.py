@@ -2,13 +2,17 @@
 
 These deliberately avoid the code paths they verify: reduction applies the
 rewriting rules in a random order, the shuffle-closure oracle works by
-exhaustive BFS over adjacent commuting swaps, and the first/last-vertex and
-coset oracles read the answer off the whole orbit.
+exhaustive BFS over adjacent commuting swaps, the first/last-vertex and
+coset oracles read the answer off the whole orbit, and separated pairs come
+from BFS distances and induced subgraphs.
 """
 
+import math
 import random
+from itertools import combinations
 
-from arboreal.graphs import SimpleGraph
+from arboreal.classify import SeparatedPair
+from arboreal.graphs import SimpleGraph, edge_distance, induced_subgraph, is_complete
 from arboreal.words import INFINITY, Presentation, Syllable
 
 
@@ -124,3 +128,18 @@ def reduce_randomized(pres, word, rng: random.Random):
             del sylls[i]
         else:
             sylls[i] = Syllable(v, e)
+
+
+def separated_pairs_by_definition(pres):
+    """Separated pairs in vertex order, by the definition: BFS edge distance
+    >= 2, and a common link inducing a complete graph of finite-order vertices."""
+    graph, orders = pres.graph, pres.orders
+    out = []
+    for a, b in combinations(graph.vertices, 2):
+        if edge_distance(graph, a, b) < 2:
+            continue
+        common = [v for v in graph.vertices if {a, b} <= graph.adjacency[v]]
+        finite = all(orders[v] != INFINITY for v in common)
+        if finite and is_complete(induced_subgraph(graph, common)):
+            out.append(SeparatedPair(a, b, tuple(common), math.prod(orders[v] for v in common)))
+    return out

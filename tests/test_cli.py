@@ -171,3 +171,55 @@ def test_classify_out_file(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(target.read_text())["arboreality"] == "AcylArboreal"
+
+
+TWO_VERTICES = [{"name": "a", "order": 2}, {"name": "b", "order": 2}]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"vertices": 5}, '"vertices" must be a JSON array'),
+        ({"vertices": TWO_VERTICES, "edges": 7}, '"edges" must be a JSON array'),
+        ({"vertices": TWO_VERTICES, "words": ["a"]}, '"words" must be a JSON object'),
+        ({"vertices": {"a": 2}}, '"vertices" must be a JSON array'),
+        ({"vertices": TWO_VERTICES, "edges": None}, '"edges" must be a JSON array'),
+    ],
+    ids=["vertices", "edges", "words", "vertices-object", "edges-null"],
+)
+def test_wrongly_typed_field_exits_2(capsys, tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "classify", path)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--k", "-1"), ("--tree-radius", "0"), ("--element-radius", "-3"),
+     ("--local-radius", "0"), ("--ball-cap", "0")],
+)
+def test_tree_audit_rejects_values_below_one(capsys, flag, value):
+    code, out, err = run(capsys, "tree-audit", FIXTURES / "p4_racg.json", flag, value)
+    assert code == 2
+    assert not out
+    assert f"error: {flag} must be at least 1, got {value}" in err
+
+
+def test_tree_audit_rejects_k_longer_than_any_path_in_the_ball(capsys):
+    code, out, err = run(
+        capsys, "tree-audit", FIXTURES / "p4_racg.json", "--k", "5", "--tree-radius", "2"
+    )
+    assert code == 2
+    assert not out
+    assert "more than twice --tree-radius" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "export-dot"])
+def test_unwritable_out_path_exits_2(capsys, tmp_path, command):
+    target = tmp_path / "missing-dir" / "x.json"
+    code, out, err = run(capsys, command, FIXTURES / "p4_racg.json", "--out", target)
+    assert code == 2
+    assert not out
+    assert err.startswith(f"error: cannot write {target}")

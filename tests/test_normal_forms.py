@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arboreal.classify import build_splitting, separated_pairs
-from arboreal.graphs import INFINITY, SimpleGraph
 from arboreal.tree import coset_canonical
-from arboreal.words import Presentation, Syllable
+from arboreal.words import Syllable
 
+from conftest import presentations
 from oracles import (
     coset_canonical_by_stripping,
     first_vertices_brute,
@@ -19,15 +19,6 @@ from oracles import (
     lex_min_of_orbit,
     reduce_randomized,
 )
-
-
-@st.composite
-def presentations(draw):
-    names = "abcde"[: draw(st.integers(2, 5))]
-    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
-    edges = [p for p in pairs if draw(st.booleans())]
-    orders = {v: draw(st.sampled_from((2, 3, INFINITY))) for v in names}
-    return Presentation(SimpleGraph(names, edges), orders)
 
 
 @st.composite
