@@ -5,15 +5,21 @@ presentation, not just the first one the classifier picks.
 Example:
 
     python3 scripts/run_audit.py fixtures/p4_racg.json --tree-radius 5 --element-radius 6
+
+Limits under which nothing would be audited (any below 1, or --k above
+twice --tree-radius) print an ``error:`` line and exit 2.
 """
 
 import argparse
 import json
+import sys
 import time
 
 from arboreal.classify import build_splitting, separated_pairs
+from arboreal.cli import AUDIT_FLAGS, EXIT_PARSE
+from arboreal.errors import InputError
 from arboreal.formats import load_presentation
-from arboreal.tree import audit_acylindricity
+from arboreal.tree import audit_acylindricity, check_audit_limits
 
 
 def parse_args(argv):
@@ -29,6 +35,14 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
+    try:
+        check_audit_limits(
+            args.k, args.tree_radius, args.element_radius, args.local_radius, args.ball_cap,
+            names=AUDIT_FLAGS,
+        )
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     pres, _ = load_presentation(args.file)
     pairs = separated_pairs(pres)
     if not pairs:

@@ -19,6 +19,7 @@ from .tree import (
     SIDE_A,
     TreeVertex,
     audit_acylindricity,
+    check_audit_limits,
     coset_canonical,
     side_set,
     tree_ball,
@@ -33,6 +34,16 @@ EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_NO_SPLITTING = 4
 EXIT_RESOURCE = 5
+
+# How audit-limit errors name each parameter: by its flag, here and in
+# scripts/run_audit.py.
+AUDIT_FLAGS = {
+    "k": "--k",
+    "tree_radius": "--tree-radius",
+    "element_radius": "--element-radius",
+    "local_radius": "--local-radius",
+    "cap": "--ball-cap",
+}
 
 
 def _write(args, text: str) -> None:
@@ -136,15 +147,10 @@ def cmd_tree_dist(args) -> int:
 
 
 def cmd_tree_audit(args) -> int:
-    for name in ("k", "tree_radius", "element_radius", "local_radius", "ball_cap"):
-        value = getattr(args, name)
-        if value < 1:
-            raise InputError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
-    if args.k > 2 * args.tree_radius:
-        raise InputError(
-            f"--k {args.k} is more than twice --tree-radius {args.tree_radius}: "
-            "no path of that many edges fits in the tree ball, so nothing would be audited"
-        )
+    check_audit_limits(
+        args.k, args.tree_radius, args.element_radius, args.local_radius, args.ball_cap,
+        names=AUDIT_FLAGS,
+    )
     pres, _ = load_presentation(args.file)
     splitting = _require_splitting(pres)
     report = audit_acylindricity(

@@ -12,11 +12,16 @@ Format:
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from .errors import InputError
 from .graphs import INFINITY, SimpleGraph
 from .words import Presentation, Word, format_word, parse_word
+
+# Names that parse_word and format_word round-trip: not empty, not the
+# identity "1", and free of whitespace and "^".
+_VERTEX_NAME = re.compile(r"(?!1\Z)[^\s^]+")
 
 
 def _parse_order(name: str, raw) -> int | float:
@@ -42,6 +47,11 @@ def presentation_from_dict(data: dict) -> tuple[Presentation, dict[str, Word]]:
         if not isinstance(entry, dict) or "name" not in entry or "order" not in entry:
             raise InputError(f"vertices[{i}]: expected {{\"name\", \"order\"}}")
         name = str(entry["name"])
+        if not _VERTEX_NAME.fullmatch(name):
+            raise InputError(
+                f"vertices[{i}]: name {name!r} cannot be written in a word; names must be "
+                "non-empty, not \"1\", and contain no whitespace or \"^\""
+            )
         names.append(name)
         orders[name] = _parse_order(name, entry["order"])
     edges = []

@@ -3,11 +3,18 @@
 Vertices are cosets gG_A and gG_B, edges cosets gG_C, each held as the
 canonical minimal-length representative obtained by right-stripping. The
 tree is infinite; every exploration here is bounded and reports truncation.
+
+What depends only on the splitting and the radii is enumerated once per
+tree ball or audit, not once per tree vertex or edge: each side's subgroup
+ball, collapsed to its G_C cosets; the element ball; G_C when it is finite;
+and otherwise the element ball's kernel of rho, the homomorphism killing the
+vertices of C, which holds every conjugate of G_C and so every edge fixer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .classify import SplittingSpec
@@ -152,6 +159,34 @@ def act_edge(splitting: SplittingSpec, g: Word, e: TreeEdge) -> TreeEdge:
     return make_edge(splitting, pres.multiply(g, e.rep))
 
 
+def _side_cosets(
+    splitting: SplittingSpec, side: str, local_radius: int, cap: int
+) -> tuple[list[Word], bool]:
+    """Sorted distinct G_C-coset representatives of the side subgroup's ball of
+    radius ``local_radius``, and whether that ball may be truncated."""
+    pres = splitting.presentation
+    ball, saturated = pres.enumerate_ball_info(
+        local_radius, cap=cap, subset=side_set(splitting, side)
+    )
+    reps = sorted({coset_canonical(pres, s, splitting.c_side) for s in ball})
+    return reps, not saturated
+
+
+def _neighbors(
+    splitting: SplittingSpec, v: TreeVertex, reps: list[Word]
+) -> list[tuple[TreeEdge, TreeVertex]]:
+    """The (edge, opposite vertex) pairs v.rep*t*G_C, v.rep*t*G_opp for the
+    side cosets t*G_C, sorted by edge. Distinct cosets give distinct edges;
+    ``coset_canonical`` reduces the concatenation itself."""
+    opp = other_side(v.side)
+    out = [
+        (make_edge(splitting, v.rep + t), make_vertex(splitting, v.rep + t, opp))
+        for t in reps
+    ]
+    out.sort(key=lambda pair: pair[0].rep)
+    return out
+
+
 def neighbors(
     splitting: SplittingSpec,
     v: TreeVertex,
@@ -165,18 +200,8 @@ def neighbors(
     (edge, opposite vertex) pairs plus a flag marking whether the coset
     enumeration may be truncated.
     """
-    pres = splitting.presentation
-    this_side = side_set(splitting, v.side)
-    reps, saturated = pres.enumerate_ball_info(local_radius, cap=cap, subset=this_side)
-    opp = other_side(v.side)
-    found: dict[Word, tuple[TreeEdge, TreeVertex]] = {}
-    for s in sorted(reps):
-        g = pres.multiply(v.rep, s)
-        edge = make_edge(splitting, g)
-        if edge.rep not in found:
-            found[edge.rep] = (edge, make_vertex(splitting, g, opp))
-    out = sorted(found.values(), key=lambda pair: pair[0].rep)
-    return out, not saturated
+    reps, truncated = _side_cosets(splitting, v.side, local_radius, cap)
+    return _neighbors(splitting, v, reps), truncated
 
 
 def tree_ball(
@@ -186,20 +211,33 @@ def tree_ball(
     cap: int = DEFAULT_BALL_CAP,
     vertex_cap: int = DEFAULT_BALL_CAP,
 ) -> TreeBall:
-    """BFS exploration of the tree around the base vertex G_A."""
+    """BFS exploration of the tree around the base vertex G_A.
+
+    The edges at gG_A are gsG_C, and the far vertex of each is gsG_B, for s
+    in the side ball of G_A; both depend on s only through the coset sG_C,
+    because G_C <= G_B. So each side's ball is enumerated once, at the first
+    vertex of that side, and collapsed to its G_C-coset representatives; a
+    vertex then costs one ``make_edge`` and one ``make_vertex`` per coset.
+    Raises InputError for a negative radius, or a local radius or cap below 1.
+    """
+    if radius < 0:
+        raise InputError(f"radius must be at least 0, got {radius}")
+    for name, value in (("local_radius", local_radius), ("cap", cap)):
+        if value < 1:
+            raise InputError(f"{name} must be at least 1, got {value}")
     base = base_vertex(splitting)
     adjacency: dict[TreeVertex, list[tuple[TreeEdge, TreeVertex]]] = {base: []}
     edges: dict[Word, TreeEdge] = {}
+    cosets: dict[str, list[Word]] = {}
     truncated = False
     frontier = [base]
     for _ in range(radius):
         new = []
         for v in frontier:
-            nbrs, trunc = neighbors(splitting, v, local_radius, cap)
-            truncated = truncated or trunc
-            for edge, w in nbrs:
-                if w == v:
-                    continue
+            if v.side not in cosets:
+                cosets[v.side], trunc = _side_cosets(splitting, v.side, local_radius, cap)
+                truncated = truncated or trunc
+            for edge, w in _neighbors(splitting, v, cosets[v.side]):
                 if edge.rep not in edges:
                     edges[edge.rep] = edge
                     adjacency[v].append((edge, w))
@@ -258,31 +296,60 @@ def element_action(splitting: SplittingSpec, g: Word) -> ElementAction:
     return ElementAction("Elliptic")
 
 
-def _edge_fixers(
-    splitting: SplittingSpec,
-    edge: TreeEdge,
-    ball: set[Word],
-    cap: int,
-) -> set[Word]:
-    """Ball elements stabilizing the coset gG_C (= ball intersect gG_Cg^-1)."""
-    pres = splitting.presentation
-    c_set = set(splitting.c_side)
-    c_order = pres.full_subgroup_order(c_set)
-    g = edge.rep
-    g_inv = pres.inverse(g)
-    if c_order != INFINITY:
-        # enumerate the full conjugate g G_C g^-1 and intersect with the ball
-        if not c_set:
-            elements: set[Word] = {()}
-        else:
-            elements, saturated = pres.enumerate_ball_info(
-                c_order, cap=cap, subset=c_set
-            )
-            assert saturated
-        return {pres.multiply(g, x, g_inv) for x in elements} & ball
-    return {
-        s for s in ball if pres.support(pres.multiply(g_inv, s, g)) <= c_set
-    }
+class _Fixers:
+    """What an audit enumerates once: the element ball, then, at the first
+    edge, G_C if it is finite or else the ball's rho-kernel, and the fixers of
+    each edge met so far.
+
+    The fixers of the edge gG_C are the ball elements in gG_Cg^-1. For finite
+    G_C they are the conjugates g x g^-1, x in G_C, that lie in the ball. For
+    infinite G_C, killing the vertices of C is a homomorphism rho onto
+    G_{V-C} (= G_a * G_b), and rho(g c g^-1) = 1, so only ball elements whose
+    syllables outside C reduce to the identity can fix an edge: each edge
+    scans that kernel, not the whole ball.
+    """
+
+    def __init__(self, splitting: SplittingSpec, element_radius: int, cap: int):
+        pres = self.pres = splitting.presentation
+        self.cap = cap
+        self.c_set = set(splitting.c_side)
+        self.c_order = pres.full_subgroup_order(self.c_set)
+        self.ball, self.exhaustive = pres.enumerate_ball_info(element_radius, cap=cap)
+        self.cache: dict[Word, set[Word]] = {}
+
+    @cached_property
+    def c_elements(self) -> set[Word]:
+        elements, saturated = self.pres.enumerate_ball_info(
+            self.c_order, cap=self.cap, subset=self.c_set
+        )
+        assert saturated
+        return elements
+
+    @cached_property
+    def kernel(self) -> list[Word]:
+        c_set, reduce = self.c_set, self.pres.reduce
+        return [
+            s for s in self.ball if not reduce(tuple(x for x in s if x.vertex not in c_set))
+        ]
+
+    def edge(self, edge: TreeEdge) -> set[Word]:
+        """Ball elements stabilizing the coset gG_C (= ball intersect gG_Cg^-1)."""
+        if edge.rep not in self.cache:
+            pres, g = self.pres, edge.rep
+            g_inv = pres.inverse(g)
+            if self.c_order != INFINITY:
+                fixers = {pres.multiply(g, x, g_inv) for x in self.c_elements} & self.ball
+            else:
+                c_set = self.c_set
+                fixers = {s for s in self.kernel if pres.support(g_inv + s + g) <= c_set}
+            self.cache[edge.rep] = fixers
+        return self.cache[edge.rep]
+
+    def path(self, path: list[TreeEdge]) -> set[Word]:
+        result = set(self.edge(path[0]))
+        for edge in path[1:]:
+            result &= self.edge(edge)
+        return result
 
 
 def path_pointwise_stabilizer_bounded(
@@ -290,8 +357,6 @@ def path_pointwise_stabilizer_bounded(
     path: list[TreeEdge],
     element_radius: int,
     cap: int = DEFAULT_BALL_CAP,
-    _ball: Optional[set[Word]] = None,
-    _fixer_cache: Optional[dict] = None,
 ) -> set[Word]:
     """Elements of the radius-bounded group ball fixing every edge of the path.
 
@@ -300,16 +365,7 @@ def path_pointwise_stabilizer_bounded(
     """
     if not path:
         raise InputError("path must contain at least one edge")
-    pres = splitting.presentation
-    ball = _ball if _ball is not None else pres.enumerate_ball(element_radius, cap=cap)
-    cache = _fixer_cache if _fixer_cache is not None else {}
-    result = None
-    for edge in path:
-        if edge.rep not in cache:
-            cache[edge.rep] = _edge_fixers(splitting, edge, ball, cap)
-        fixers = cache[edge.rep]
-        result = set(fixers) if result is None else result & fixers
-    return result
+    return _Fixers(splitting, element_radius, cap).path(path)
 
 
 def vertex_stabilizer_bounded(
@@ -344,6 +400,36 @@ def _paths_of_length(ball: TreeBall, k: int):
                 stack.append((w, edges + [edge]))
 
 
+def check_audit_limits(
+    k: int,
+    tree_radius: int,
+    element_radius: int,
+    local_radius: int,
+    cap: int,
+    names: Optional[dict[str, str]] = None,
+) -> None:
+    """Raise InputError for audit limits under which nothing would be audited:
+    any of them below 1, or k above 2 * tree_radius, the longest path in the
+    tree ball. ``names`` maps a parameter name to how messages spell it."""
+    names = names or {}
+    limits = {
+        "k": k,
+        "tree_radius": tree_radius,
+        "element_radius": element_radius,
+        "local_radius": local_radius,
+        "cap": cap,
+    }
+    for key, value in limits.items():
+        if value < 1:
+            raise InputError(f"{names.get(key, key)} must be at least 1, got {value}")
+    if k > 2 * tree_radius:
+        raise InputError(
+            f"{names.get('k', 'k')} {k} is more than twice "
+            f"{names.get('tree_radius', 'tree_radius')} {tree_radius}: no path of that "
+            "many edges fits in the tree ball, so nothing would be audited"
+        )
+
+
 def audit_acylindricity(
     splitting: SplittingSpec,
     k: int = 3,
@@ -356,22 +442,23 @@ def audit_acylindricity(
 
     Enumerates every k-edge path in the bounded tree ball, computes the
     bounded pointwise stabilizer of each, and reports the maximum size
-    against the bound |G_N|.
+    against the bound |G_N|. Each audit enumerates every subgroup ball once:
+    each side's ball, collapsed to G_C cosets (see ``tree_ball``); the
+    element ball; and, at the first edge, G_C if finite or else the part of
+    the element ball in the kernel of killing C, which holds every fixer
+    g c g^-1 (see ``_Fixers``). Each edge's fixers are found once.
+    Raises InputError for limits under which no path would be checked.
     """
-    pres = splitting.presentation
+    check_audit_limits(k, tree_radius, element_radius, local_radius, cap)
     ball = tree_ball(splitting, tree_radius, local_radius, cap)
-    elements, exhaustive = pres.enumerate_ball_info(element_radius, cap=cap)
+    fixers = _Fixers(splitting, element_radius, cap)
     bound = splitting.acyl_c
-    cache: dict = {}
     max_size = 0
     paths_checked = 0
     violations = []
     for path in _paths_of_length(ball, k):
-        stab = path_pointwise_stabilizer_bounded(
-            splitting, path, element_radius, cap, _ball=elements, _fixer_cache=cache
-        )
+        size = len(fixers.path(path))
         paths_checked += 1
-        size = len(stab)
         max_size = max(max_size, size)
         if size > bound:
             violations.append((list(path), size))
@@ -385,7 +472,7 @@ def audit_acylindricity(
         max_stabilizer_size=max_size,
         bound=bound,
         truncated=ball.truncated,
-        exhaustive_elements=exhaustive,
+        exhaustive_elements=fixers.exhaustive,
         violations=violations,
     )
 

@@ -3,8 +3,10 @@
 These deliberately avoid the code paths they verify: reduction applies the
 rewriting rules in a random order, the shuffle-closure oracle works by
 exhaustive BFS over adjacent commuting swaps, the first/last-vertex and
-coset oracles read the answer off the whole orbit, and separated pairs come
-from BFS distances and induced subgraphs.
+coset oracles read the answer off the whole orbit, separated pairs come
+from BFS distances and induced subgraphs, and the tree ball and the audit
+enumerate a side ball at every tree vertex and scan the whole element ball
+(or enumerate G_C) at every tree edge.
 """
 
 import math
@@ -13,6 +15,16 @@ from itertools import combinations
 
 from arboreal.classify import SeparatedPair
 from arboreal.graphs import SimpleGraph, edge_distance, induced_subgraph, is_complete
+from arboreal.tree import (
+    AuditReport,
+    TreeBall,
+    _paths_of_length,
+    base_vertex,
+    make_edge,
+    make_vertex,
+    other_side,
+    side_set,
+)
 from arboreal.words import INFINITY, Presentation, Syllable
 
 
@@ -143,3 +155,91 @@ def separated_pairs_by_definition(pres):
         if finite and is_complete(induced_subgraph(graph, common)):
             out.append(SeparatedPair(a, b, tuple(common), math.prod(orders[v] for v in common)))
     return out
+
+
+def neighbors_by_side_ball(splitting, v, local_radius, cap):
+    """Edges at v from its own enumeration of the side ball: v.rep * s for
+    every s in it, first s per edge kept. Returns (pairs, truncated)."""
+    pres = splitting.presentation
+    reps, saturated = pres.enumerate_ball_info(
+        local_radius, cap=cap, subset=side_set(splitting, v.side)
+    )
+    opp = other_side(v.side)
+    found = {}
+    for s in sorted(reps):
+        g = pres.multiply(v.rep, s)
+        edge = make_edge(splitting, g)
+        if edge.rep not in found:
+            found[edge.rep] = (edge, make_vertex(splitting, g, opp))
+    return sorted(found.values(), key=lambda pair: pair[0].rep), not saturated
+
+
+def tree_ball_by_vertex(splitting, radius, local_radius, cap):
+    """BFS tree ball calling ``neighbors_by_side_ball`` at every vertex."""
+    base = base_vertex(splitting)
+    adjacency = {base: []}
+    edges = {}
+    truncated = False
+    frontier = [base]
+    for _ in range(radius):
+        new = []
+        for v in frontier:
+            nbrs, trunc = neighbors_by_side_ball(splitting, v, local_radius, cap)
+            truncated = truncated or trunc
+            for edge, w in nbrs:
+                if edge.rep not in edges:
+                    edges[edge.rep] = edge
+                    adjacency[v].append((edge, w))
+                    if w not in adjacency:
+                        adjacency[w] = []
+                        new.append(w)
+                    adjacency[w].append((edge, v))
+        frontier = new
+    return TreeBall(base, radius, list(adjacency), list(edges.values()), adjacency, truncated)
+
+
+def edge_fixers_by_scan(splitting, edge, ball, cap):
+    """Ball elements in gG_Cg^-1: for finite G_C, its conjugates enumerated
+    afresh and intersected with the ball; else every ball element s with
+    g^-1 s g supported in C."""
+    pres = splitting.presentation
+    c_set = set(splitting.c_side)
+    c_order = pres.full_subgroup_order(c_set)
+    g = edge.rep
+    g_inv = pres.inverse(g)
+    if c_order != INFINITY:
+        elements, _ = pres.enumerate_ball_info(c_order, cap=cap, subset=c_set)
+        return {pres.multiply(g, x, g_inv) for x in elements} & ball
+    return {s for s in ball if pres.support(pres.multiply(g_inv, s, g)) <= c_set}
+
+
+def audit_by_scan(splitting, k, tree_radius, element_radius, local_radius, cap):
+    """``audit_acylindricity`` on ``tree_ball_by_vertex`` and ``edge_fixers_by_scan``."""
+    pres = splitting.presentation
+    ball = tree_ball_by_vertex(splitting, tree_radius, local_radius, cap)
+    elements, exhaustive = pres.enumerate_ball_info(element_radius, cap=cap)
+    fixers = {}
+    sizes = []
+    violations = []
+    for path in _paths_of_length(ball, k):
+        stab = None
+        for edge in path:
+            if edge.rep not in fixers:
+                fixers[edge.rep] = edge_fixers_by_scan(splitting, edge, elements, cap)
+            stab = set(fixers[edge.rep]) if stab is None else stab & fixers[edge.rep]
+        sizes.append(len(stab))
+        if len(stab) > splitting.acyl_c:
+            violations.append((list(path), len(stab)))
+    return AuditReport(
+        splitting=splitting,
+        k=k,
+        tree_radius=tree_radius,
+        element_radius=element_radius,
+        local_radius=local_radius,
+        paths_checked=len(sizes),
+        max_stabilizer_size=max(sizes, default=0),
+        bound=splitting.acyl_c,
+        truncated=ball.truncated,
+        exhaustive_elements=exhaustive,
+        violations=violations,
+    )

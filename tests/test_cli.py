@@ -1,10 +1,13 @@
 import json
+import runpy
 
 import pytest
 
 from arboreal.cli import main
 
 from conftest import FIXTURES
+
+RUN_AUDIT = FIXTURES.parent / "scripts" / "run_audit.py"
 
 
 def run(capsys, *argv):
@@ -154,6 +157,28 @@ class TestExportDot:
         assert code == 0
         assert "A:1" in out and "B:1" in out
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--tree-radius", "-1", "radius must be at least 0, got -1"),
+         ("--local-radius", "0", "local_radius must be at least 1, got 0"),
+         ("--ball-cap", "0", "cap must be at least 1, got 0")],
+    )
+    def test_tree_ball_out_of_range_exits_2(self, capsys, flag, value, message):
+        code, out, err = run(
+            capsys, "export-dot", FIXTURES / "p4_racg.json", "--target", "tree-ball", flag, value
+        )
+        assert code == 2
+        assert not out
+        assert f"error: {message}" in err
+
+    def test_tree_ball_cap_hit_exits_5(self, capsys):
+        code, _, err = run(
+            capsys, "export-dot", FIXTURES / "p4_racg.json", "--target", "tree-ball",
+            "--ball-cap", "3",
+        )
+        assert code == 5
+        assert "resource cap exceeded" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "graph.dot"
         code, out, _ = run(
@@ -214,6 +239,30 @@ def test_tree_audit_rejects_k_longer_than_any_path_in_the_ball(capsys):
     assert code == 2
     assert not out
     assert "more than twice --tree-radius" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--k", "7", "--tree-radius", "3"], "--k 7 is more than twice --tree-radius 3"),
+     (["--ball-cap", "0"], "--ball-cap must be at least 1, got 0")],
+)
+def test_run_audit_script_rejects_vacuous_limits(capsys, argv, message):
+    script_main = runpy.run_path(str(RUN_AUDIT))["main"]
+    code = script_main([str(FIXTURES / "p4_racg.json")] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not captured.out
+    assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("name", ["", "1", "a b", "a^2"])
+def test_vertex_name_that_cannot_round_trip_exits_2(capsys, tmp_path, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": [{"name": name, "order": 2}, *TWO_VERTICES]}))
+    code, out, err = run(capsys, "classify", path)
+    assert code == 2
+    assert not out
+    assert f"name {name!r} cannot be written in a word" in err
 
 
 @pytest.mark.parametrize("command", ["classify", "export-dot"])

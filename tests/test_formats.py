@@ -10,7 +10,7 @@ from arboreal.formats import (
     save_presentation,
 )
 from arboreal.graphs import INFINITY
-from arboreal.words import format_word
+from arboreal.words import format_word, parse_word
 
 
 FIXTURE_NAMES = [
@@ -62,6 +62,26 @@ def test_degenerate_order_has_own_type():
         presentation_from_dict(
             {"vertices": [{"name": "a", "order": 1}, {"name": "b", "order": 2}]}
         )
+
+
+@pytest.mark.parametrize("name", ["", "1", " a", "a\tb", "a\n", "x^", "^"])
+def test_vertex_name_that_cannot_round_trip_rejected(name):
+    with pytest.raises(InputError, match="cannot be written in a word"):
+        presentation_from_dict(
+            {"vertices": [{"name": name, "order": 2}, {"name": "b", "order": 2}]}
+        )
+
+
+def test_vertex_names_round_trip_through_words():
+    names = ["x1", "11", "-1", "a_b", "é"]
+    pres, words = presentation_from_dict(
+        {
+            "vertices": [{"name": n, "order": "inf"} for n in names],
+            "words": {"g": " ".join(f"{n}^2" for n in names)},
+        }
+    )
+    assert parse_word(pres, format_word(words["g"])) == words["g"]
+    assert {v for v, _ in words["g"]} == set(names)
 
 
 def test_missing_vertices_key():

@@ -271,6 +271,21 @@ class TestAudit:
                 p4_splitting, k=3, tree_radius=5, element_radius=6, cap=10
             )
 
+    @pytest.mark.parametrize(
+        "limits, message",
+        [
+            (dict(k=0), "k must be at least 1, got 0"),
+            (dict(tree_radius=0), "tree_radius must be at least 1, got 0"),
+            (dict(element_radius=-1), "element_radius must be at least 1, got -1"),
+            (dict(local_radius=0), "local_radius must be at least 1, got 0"),
+            (dict(cap=0), "cap must be at least 1, got 0"),
+            (dict(k=5, tree_radius=2), "k 5 is more than twice tree_radius 2"),
+        ],
+    )
+    def test_vacuous_limits_rejected(self, p4_splitting, limits, message):
+        with pytest.raises(InputError, match=message):
+            audit_acylindricity(p4_splitting, **limits)
+
     def test_report_serializes(self, p4_splitting):
         import json
 
@@ -306,6 +321,22 @@ class TestTreeBallExport:
         for v in ball.vertices:
             s = side_set(p4_splitting, v.side)
             assert coset_canonical(p4_racg, v.rep, s) == v.rep
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((-1, 2, 10), "radius must be at least 0, got -1"),
+            ((2, 0, 10), "local_radius must be at least 1, got 0"),
+            ((2, 2, 0), "cap must be at least 1, got 0"),
+        ],
+    )
+    def test_out_of_range_limits_rejected(self, p4_splitting, args, message):
+        with pytest.raises(InputError, match=message):
+            tree_ball(p4_splitting, *args)
+
+    def test_radius_zero_is_the_base_vertex(self, p4_splitting):
+        ball = tree_ball(p4_splitting, 0)
+        assert ball.vertices == [base_vertex(p4_splitting)] and not ball.edges
 
     def test_make_vertex_canonicalizes(self, p4_racg, p4_splitting):
         v = make_vertex(p4_splitting, parse_word(p4_racg, "d a"), SIDE_A)

@@ -1,0 +1,90 @@
+"""Property tests of the tree layer's once-per-audit enumerations against the
+per-vertex and per-edge oracles.
+
+Presentations have at most five vertices with orders in {2, 3, inf}; every
+separated-pair splitting is checked at tree and element radii up to 3 under
+a low ball cap, so that cap errors are compared too.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arboreal.classify import build_splitting, separated_pairs
+from arboreal.errors import ResourceCapError
+from arboreal.graphs import INFINITY
+from arboreal.tree import audit_acylindricity, tree_ball
+
+from conftest import presentations
+from oracles import audit_by_scan, edge_fixers_by_scan, reduce_randomized, tree_ball_by_vertex
+
+CAP = 300
+
+
+@st.composite
+def limits(draw):
+    """(k, tree_radius, element_radius, local_radius); a local radius of 2
+    only up to tree radius 2, which keeps the balls small."""
+    tree_radius = draw(st.integers(1, 3))
+    local_radius = draw(st.integers(1, 2 if tree_radius <= 2 else 1))
+    k = draw(st.integers(1, min(3, 2 * tree_radius)))
+    return k, tree_radius, draw(st.integers(1, 3)), local_radius
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ResourceCapError as exc:
+        return str(exc)
+
+
+def ball_shape(ball):
+    if isinstance(ball, str):
+        return ball
+    return (
+        ball.vertices,
+        [e.rep for e in ball.edges],
+        {v: [(e.rep, w) for e, w in nbrs] for v, nbrs in ball.adjacency.items()},
+        ball.truncated,
+    )
+
+
+def report_dict(report):
+    return report if isinstance(report, str) else report.to_dict()
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(), limits())
+def test_tree_ball_and_audit_match_oracles(pres, lims):
+    k, tree_radius, element_radius, local_radius = lims
+    for pair in separated_pairs(pres):
+        sp = build_splitting(pres, pair)
+        assert ball_shape(outcome(tree_ball, sp, tree_radius, local_radius, CAP)) == ball_shape(
+            outcome(tree_ball_by_vertex, sp, tree_radius, local_radius, CAP)
+        )
+        args = (sp, k, tree_radius, element_radius, local_radius, CAP)
+        assert report_dict(outcome(audit_acylindricity, *args)) == report_dict(
+            outcome(audit_by_scan, *args)
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations(), st.integers(1, 2), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_infinite_edge_group_fixers_die_with_c(pres, tree_radius, element_radius, rng):
+    """Every fixer of an edge with infinite G_C maps to the identity when
+    the vertices of C are killed: the premise of the kernel scan."""
+    for pair in separated_pairs(pres):
+        sp = build_splitting(pres, pair)
+        if pres.full_subgroup_order(sp.c_side) != INFINITY:
+            continue
+        try:
+            ball = tree_ball_by_vertex(sp, tree_radius, 1, CAP)
+            elements = pres.enumerate_ball(element_radius, cap=CAP)
+        except ResourceCapError:
+            continue
+        c_set = set(sp.c_side)
+        for edge in ball.edges:
+            for s in edge_fixers_by_scan(sp, edge, elements, CAP):
+                killed = [x for x in s if x.vertex not in c_set]
+                assert reduce_randomized(pres, killed, random.Random(rng.random())) == ()
