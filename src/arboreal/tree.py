@@ -4,6 +4,10 @@ Vertices are cosets gG_A and gG_B, edges cosets gG_C, each held as the
 canonical minimal-length representative obtained by right-stripping. The
 tree is infinite; every exploration here is bounded and reports truncation.
 
+Distances need no representatives in normal form: the alternating strips
+that measure one are rounds of a single reverse pass over the heap of the
+relative word (see ``tree_distance``).
+
 What depends only on the splitting and the radii is enumerated once per
 tree ball or audit, not once per tree vertex or edge: each side's subgroup
 ball, collapsed to its G_C cosets; the element ball; G_C when it is finite;
@@ -150,13 +154,7 @@ def base_vertex(splitting: SplittingSpec) -> TreeVertex:
 
 
 def act(splitting: SplittingSpec, g: Word, v: TreeVertex) -> TreeVertex:
-    pres = splitting.presentation
-    return make_vertex(splitting, pres.multiply(g, v.rep), v.side)
-
-
-def act_edge(splitting: SplittingSpec, g: Word, e: TreeEdge) -> TreeEdge:
-    pres = splitting.presentation
-    return make_edge(splitting, pres.multiply(g, e.rep))
+    return make_vertex(splitting, tuple(g) + tuple(v.rep), v.side)
 
 
 def _side_cosets(
@@ -187,29 +185,11 @@ def _neighbors(
     return out
 
 
-def neighbors(
-    splitting: SplittingSpec,
-    v: TreeVertex,
-    local_radius: int = 2,
-    cap: int = DEFAULT_BALL_CAP,
-) -> tuple[list[tuple[TreeEdge, TreeVertex]], bool]:
-    """Incident edges found within the side-subgroup generator ball.
-
-    Edges at gG_A are the cosets gsG_C for s ranging over G_C-coset
-    representatives in G_A (symmetrically for B). Returns the discovered
-    (edge, opposite vertex) pairs plus a flag marking whether the coset
-    enumeration may be truncated.
-    """
-    reps, truncated = _side_cosets(splitting, v.side, local_radius, cap)
-    return _neighbors(splitting, v, reps), truncated
-
-
 def tree_ball(
     splitting: SplittingSpec,
     radius: int,
     local_radius: int = 2,
     cap: int = DEFAULT_BALL_CAP,
-    vertex_cap: int = DEFAULT_BALL_CAP,
 ) -> TreeBall:
     """BFS exploration of the tree around the base vertex G_A.
 
@@ -218,6 +198,7 @@ def tree_ball(
     because G_C <= G_B. So each side's ball is enumerated once, at the first
     vertex of that side, and collapsed to its G_C-coset representatives; a
     vertex then costs one ``make_edge`` and one ``make_vertex`` per coset.
+    ``cap`` bounds the side balls and the ball's vertex count alike.
     Raises InputError for a negative radius, or a local radius or cap below 1.
     """
     if radius < 0:
@@ -245,10 +226,8 @@ def tree_ball(
                         adjacency[w] = []
                         new.append(w)
                     adjacency[w].append((edge, v))
-            if len(adjacency) > vertex_cap:
-                raise ResourceCapError(
-                    f"tree ball exceeded cap of {vertex_cap} vertices"
-                )
+            if len(adjacency) > cap:
+                raise ResourceCapError(f"tree ball exceeded cap of {cap} vertices")
         frontier = new
         if not frontier:
             break
@@ -263,20 +242,28 @@ def tree_ball(
 
 
 def tree_distance(splitting: SplittingSpec, v1: TreeVertex, v2: TreeVertex) -> int:
-    """Edge-metric distance, via alternating right-stripping of the relative
-    word through the two sides of the amalgam."""
+    """Edge-metric distance between two vertices, whose representatives may
+    be any words.
+
+    Right-stripping h = v1.rep^-1 v2.rep through the sides in turn, v2's side
+    first, measures it: each round deletes the largest successor-closed set of
+    syllables of h's heap on that round's side. One reverse pass over the heap
+    gives every syllable its round: the largest round r of its successors (0
+    if none) when its vertex is on round r's side, else r + 1, because every
+    vertex is on side A or B. The distance is the last round, plus one when
+    that round's side is not v1's. O(L*|V|) beyond ``reduce``.
+    """
     pres = splitting.presentation
-    h = pres.multiply(pres.inverse(v1.rep), v2.rep)
-    side = v2.side
-    h = coset_canonical(pres, h, side_set(splitting, side))
-    dist = 0
-    while h:
-        side = other_side(side)
-        h = coset_canonical(pres, h, side_set(splitting, side))
-        dist += 1
-    if side != v1.side:
-        dist += 1
-    return dist
+    sylls = pres.reduce(tuple((v, -e) for v, e in reversed(v1.rep)) + tuple(v2.rep))
+    succ, _ = pres._heap(sylls)
+    sides = [v2.side, other_side(v2.side)]
+    vertex_sets = [set(side_set(splitting, side)) for side in sides]
+    rounds = [0] * len(sylls)
+    for i in range(len(sylls) - 1, -1, -1):
+        r = max((rounds[j] for j in succ[i]), default=0)
+        rounds[i] = r if sylls[i].vertex in vertex_sets[r % 2] else r + 1
+    last = max(rounds, default=0)
+    return last + (sides[last % 2] != v1.side)
 
 
 def element_action(splitting: SplittingSpec, g: Word) -> ElementAction:
@@ -284,13 +271,12 @@ def element_action(splitting: SplittingSpec, g: Word) -> ElementAction:
 
     For a simplicial tree isometry without inversion, d(x, g^2 x) exceeds
     d(x, gx) exactly by the translation length when g is loxodromic, and
-    never exceeds it when g is elliptic.
+    never exceeds it when g is elliptic. gx and g^2 x are the vertices gG_A
+    and ggG_A, whatever words g and gg are.
     """
-    pres = splitting.presentation
-    g = pres.canonical(g)
-    x = base_vertex(splitting)
-    d1 = tree_distance(splitting, x, act(splitting, g, x))
-    d2 = tree_distance(splitting, x, act(splitting, pres.multiply(g, g), x))
+    x, g = base_vertex(splitting), tuple(g)
+    d1 = tree_distance(splitting, x, TreeVertex(SIDE_A, g))
+    d2 = tree_distance(splitting, x, TreeVertex(SIDE_A, g + g))
     if d2 > d1:
         return ElementAction("Loxodromic", d2 - d1)
     return ElementAction("Elliptic")
@@ -381,17 +367,15 @@ def vertex_stabilizer_bounded(
 
 
 def _paths_of_length(ball: TreeBall, k: int):
-    """Non-backtracking k-edge paths in the ball, deduplicated by edge set
-    (a path in a tree is determined by the set of edges it uses)."""
-    seen: set[frozenset] = set()
+    """Non-backtracking k-edge paths in the ball, each walked from the end
+    listed first in ``ball.vertices`` (a tree path has two distinct ends)."""
+    order = {v: i for i, v in enumerate(ball.vertices)}
     for start in ball.vertices:
         stack = [(start, [])]
         while stack:
             v, edges = stack.pop()
             if len(edges) == k:
-                key = frozenset(e.rep for e in edges)
-                if key not in seen:
-                    seen.add(key)
+                if order[start] < order[v]:
                     yield edges
                 continue
             for edge, w in ball.adjacency[v]:

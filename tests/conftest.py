@@ -32,6 +32,59 @@ def presentations(draw, max_vertices=5):
     return Presentation(SimpleGraph(names, edges), orders)
 
 
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 6)
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(["a", "b", "c", "inf", "1", "", "a b", "a^2", "b a^-1", "a^0"])
+    | st.text(max_size=4)
+)
+JSON_KEYS = st.sampled_from(["vertices", "edges", "words", "name", "order"]) | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(JSON_KEYS, children, max_size=4),
+    max_leaves=20,
+)
+
+
+def _slots(value):
+    """(container, key) for every position inside a JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in list(items):
+        yield value, key
+        yield from _slots(child)
+
+
+@st.composite
+def json_documents(draw):
+    """Any JSON value, or a well-formed presentation with at most one position
+    replaced by any JSON value: random values mostly fail the first type
+    check, these reach the later ones and the valid path."""
+    if draw(st.booleans()):
+        return draw(JSON_VALUES)
+    names = draw(st.lists(st.sampled_from("abcd"), unique=True, max_size=4))
+    pairs = [[u, v] for i, u in enumerate(names) for v in names[i + 1:]] or [["a", "b"]]
+    doc = {
+        "vertices": [{"name": v, "order": draw(st.sampled_from([2, 3, "inf"]))} for v in names],
+        "edges": draw(st.lists(st.sampled_from(pairs), max_size=4)),
+        "words": draw(st.dictionaries(st.sampled_from("gh"), st.sampled_from(
+            ["a", "b^-1 a", "a^0", "a^2 b", "", "1", "c^3", "a^", "e", "a b a^-1 b^-1"]
+        ), max_size=2)),
+    }
+    if draw(st.booleans()):
+        container, key = draw(st.sampled_from(list(_slots(doc))))
+        container[key] = draw(JSON_VALUES)
+    return doc
+
+
 @pytest.fixture
 def fixtures_dir():
     return FIXTURES

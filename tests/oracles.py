@@ -4,22 +4,26 @@ These deliberately avoid the code paths they verify: reduction applies the
 rewriting rules in a random order, the shuffle-closure oracle works by
 exhaustive BFS over adjacent commuting swaps, the first/last-vertex and
 coset oracles read the answer off the whole orbit, separated pairs come
-from BFS distances and induced subgraphs, and the tree ball and the audit
+from BFS distances and induced subgraphs, the tree ball and the audit
 enumerate a side ball at every tree vertex and scan the whole element ball
-(or enumerate G_C) at every tree edge.
+(or enumerate G_C) at every tree edge, and tree distances come from
+re-canonicalizing stripping rounds or from BFS on a materialized ball.
 """
 
 import math
 import random
+from collections import deque
 from itertools import combinations
 
 from arboreal.classify import SeparatedPair
 from arboreal.graphs import SimpleGraph, edge_distance, induced_subgraph, is_complete
 from arboreal.tree import (
     AuditReport,
+    ElementAction,
     TreeBall,
-    _paths_of_length,
+    act,
     base_vertex,
+    coset_canonical,
     make_edge,
     make_vertex,
     other_side,
@@ -213,15 +217,35 @@ def edge_fixers_by_scan(splitting, edge, ball, cap):
     return {s for s in ball if pres.support(pres.multiply(g_inv, s, g)) <= c_set}
 
 
+def paths_by_edge_set(ball, k):
+    """Non-backtracking k-edge walks from every vertex, in ball order, keeping
+    the first walk over each edge set (a tree path is determined by its edges)."""
+    seen = set()
+    for start in ball.vertices:
+        stack = [(start, [])]
+        while stack:
+            v, edges = stack.pop()
+            if len(edges) == k:
+                key = frozenset(e.rep for e in edges)
+                if key not in seen:
+                    seen.add(key)
+                    yield edges
+                continue
+            for edge, w in ball.adjacency[v]:
+                if not edges or edge.rep != edges[-1].rep:
+                    stack.append((w, edges + [edge]))
+
+
 def audit_by_scan(splitting, k, tree_radius, element_radius, local_radius, cap):
-    """``audit_acylindricity`` on ``tree_ball_by_vertex`` and ``edge_fixers_by_scan``."""
+    """``audit_acylindricity`` on ``tree_ball_by_vertex``, ``paths_by_edge_set``
+    and ``edge_fixers_by_scan``."""
     pres = splitting.presentation
     ball = tree_ball_by_vertex(splitting, tree_radius, local_radius, cap)
     elements, exhaustive = pres.enumerate_ball_info(element_radius, cap=cap)
     fixers = {}
     sizes = []
     violations = []
-    for path in _paths_of_length(ball, k):
+    for path in paths_by_edge_set(ball, k):
         stab = None
         for edge in path:
             if edge.rep not in fixers:
@@ -243,3 +267,43 @@ def audit_by_scan(splitting, k, tree_radius, element_radius, local_radius, cap):
         exhaustive_elements=exhaustive,
         violations=violations,
     )
+
+
+def bfs_distances(ball, source):
+    """Edge distances from ``source`` to every vertex of a tree ball, by BFS."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for _, w in ball.adjacency[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def tree_distance_by_stripping(splitting, v1, v2):
+    """Tree distance by alternating right-stripping, re-canonicalizing every
+    round: strip v2's side from h = v1.rep^-1 v2.rep, then the other side,
+    and so on until h is empty; one more edge if the last side is not v1's."""
+    pres = splitting.presentation
+    h = pres.multiply(pres.inverse(v1.rep), v2.rep)
+    side = v2.side
+    h = coset_canonical(pres, h, side_set(splitting, side))
+    dist = 0
+    while h:
+        side = other_side(side)
+        h = coset_canonical(pres, h, side_set(splitting, side))
+        dist += 1
+    return dist + (side != v1.side)
+
+
+def element_action_by_stripping(splitting, g):
+    """Displacement test at the base vertex x on ``act`` and
+    ``tree_distance_by_stripping``: loxodromic iff d(x, g^2 x) > d(x, gx)."""
+    pres = splitting.presentation
+    g = pres.canonical(g)
+    x = base_vertex(splitting)
+    d1 = tree_distance_by_stripping(splitting, x, act(splitting, g, x))
+    d2 = tree_distance_by_stripping(splitting, x, act(splitting, pres.multiply(g, g), x))
+    return ElementAction("Loxodromic", d2 - d1) if d2 > d1 else ElementAction("Elliptic")

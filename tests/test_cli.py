@@ -1,11 +1,16 @@
+import io
 import json
 import runpy
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from arboreal.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, json_documents
 
 RUN_AUDIT = FIXTURES.parent / "scripts" / "run_audit.py"
 
@@ -130,6 +135,23 @@ class TestTreeAudit:
             capsys, "tree-audit", FIXTURES / "p4_racg.json", "--ball-cap", "10"
         )
         assert code == 5
+
+    def test_ball_cap_bounds_the_tree_ball(self, capsys, tmp_path):
+        """Z2*Z5*Z3*Z3 without edges, pair (a, b): the radius-2 tree ball at
+        local radius 3 has 2,107 vertices, so --ball-cap 3000 stops the audit
+        while the ball is built."""
+        path = tmp_path / "z2_z5_z3_z3.json"
+        orders = {"a": 2, "b": 5, "c": 3, "d": 3}
+        path.write_text(json.dumps(
+            {"vertices": [{"name": v, "order": n} for v, n in orders.items()]}
+        ))
+        code, out, err = run(
+            capsys, "tree-audit", path, "--ball-cap", "3000", "--local-radius", "3",
+            "--tree-radius", "3", "--element-radius", "1", "--k", "2",
+        )
+        assert code == 5
+        assert not out
+        assert "tree ball exceeded cap of 3000 vertices" in err
 
 
 class TestExportDot:
@@ -272,3 +294,16 @@ def test_unwritable_out_path_exits_2(capsys, tmp_path, command):
     assert code == 2
     assert not out
     assert err.startswith(f"error: cannot write {target}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_documents())
+def test_classify_on_any_json_file_exits_0_2_or_3(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["classify", str(path)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

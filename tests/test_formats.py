@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from arboreal.errors import DegeneratePresentationError, InputError
 from arboreal.formats import (
@@ -10,7 +11,9 @@ from arboreal.formats import (
     save_presentation,
 )
 from arboreal.graphs import INFINITY
-from arboreal.words import format_word, parse_word
+from arboreal.words import Presentation, format_word, parse_word
+
+from conftest import json_documents
 
 
 FIXTURE_NAMES = [
@@ -107,3 +110,14 @@ def test_serialization_is_deterministic(fixtures_dir):
     a = json.dumps(presentation_to_dict(pres, words), sort_keys=True)
     b = json.dumps(presentation_to_dict(pres, words), sort_keys=True)
     assert a == b
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents())
+def test_any_json_value_loads_or_raises_input_error(data):
+    try:
+        pres, words = presentation_from_dict(data)
+    except InputError:
+        return
+    assert isinstance(pres, Presentation)
+    assert isinstance(words, dict)

@@ -1,5 +1,4 @@
 import random
-from collections import deque
 
 import pytest
 
@@ -10,7 +9,6 @@ from arboreal.tree import (
     SIDE_B,
     TreeVertex,
     act,
-    act_edge,
     audit_acylindricity,
     base_vertex,
     coset_canonical,
@@ -18,7 +16,6 @@ from arboreal.tree import (
     elliptic_generation_check,
     make_edge,
     make_vertex,
-    neighbors,
     path_pointwise_stabilizer_bounded,
     side_set,
     tree_ball,
@@ -26,21 +23,10 @@ from arboreal.tree import (
     tree_distance,
     vertex_stabilizer_bounded,
 )
-from arboreal.words import parse_word
+from arboreal.graphs import SimpleGraph
+from arboreal.words import Presentation, parse_word
 
-from oracles import random_presentation, random_word
-
-
-def bfs_distances(ball, source):
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for _, w in ball.adjacency[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+from oracles import bfs_distances, random_presentation, random_word
 
 
 class TestCosetCanonical:
@@ -84,26 +70,32 @@ class TestCosetCanonical:
                 assert pres.support(rel) <= s_set
 
 
+def base_neighbors(splitting, local_radius):
+    """The base vertex's (edge, vertex) pairs and truncation, from the radius-1 ball."""
+    ball = tree_ball(splitting, 1, local_radius=local_radius)
+    return ball.adjacency[ball.base], ball.truncated
+
+
 class TestNeighbors:
     def test_base_edge_shared(self, p4_splitting):
-        nbrs, _ = neighbors(p4_splitting, base_vertex(p4_splitting), local_radius=2)
+        nbrs, _ = base_neighbors(p4_splitting, local_radius=2)
         reps = {edge.rep for edge, _ in nbrs}
         assert () in reps  # the base edge G_C
         opposite = dict((edge.rep, v) for edge, v in nbrs)
         assert opposite[()] == TreeVertex(SIDE_B, ())
 
     def test_includes_a_translate(self, p4_racg, p4_splitting):
-        nbrs, _ = neighbors(p4_splitting, base_vertex(p4_splitting), local_radius=2)
+        nbrs, _ = base_neighbors(p4_splitting, local_radius=2)
         reps = {edge.rep for edge, _ in nbrs}
         assert parse_word(p4_racg, "a") in reps
 
     def test_degree_at_least_two(self, p4_splitting):
-        nbrs, _ = neighbors(p4_splitting, base_vertex(p4_splitting), local_radius=2)
+        nbrs, _ = base_neighbors(p4_splitting, local_radius=2)
         assert len(nbrs) >= 2
 
     def test_finite_sides_saturate(self, z2_z5):
         sp = build_splitting(z2_z5, SeparatedPair("a", "b", (), 1))
-        nbrs, truncated = neighbors(sp, base_vertex(sp), local_radius=3)
+        nbrs, truncated = base_neighbors(sp, local_radius=3)
         assert not truncated
         assert len(nbrs) == 2  # [Z2 : 1] cosets
 
@@ -240,12 +232,6 @@ class TestStabilizers:
         }
         assert stab == expected
 
-    def test_edge_translation_consistent(self, p4_racg, p4_splitting):
-        g = parse_word(p4_racg, "a d")
-        e = make_edge(p4_splitting, ())
-        moved = act_edge(p4_splitting, g, e)
-        assert moved != e
-
 
 class TestAudit:
     def test_p4_bound_holds(self, p4_splitting):
@@ -269,6 +255,17 @@ class TestAudit:
         with pytest.raises(ResourceCapError):
             audit_acylindricity(
                 p4_splitting, k=3, tree_radius=5, element_radius=6, cap=10
+            )
+
+    def test_cap_bounds_the_tree_ball_too(self):
+        """A wide tree ball stops at the audit's cap, not at the default one:
+        the radius-2 ball of Z2*Z3*Z3*Z5 over (a, d) at local radius 3
+        already has 2,107 vertices."""
+        pres = Presentation(SimpleGraph("abcd"), {"a": 2, "b": 3, "c": 3, "d": 5})
+        sp = build_splitting(pres, SeparatedPair("a", "d", (), 1))
+        with pytest.raises(ResourceCapError, match="tree ball exceeded cap of 3000 vertices"):
+            audit_acylindricity(
+                sp, k=2, tree_radius=3, element_radius=1, local_radius=3, cap=3000
             )
 
     @pytest.mark.parametrize(

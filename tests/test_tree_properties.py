@@ -1,5 +1,6 @@
-"""Property tests of the tree layer's once-per-audit enumerations against the
-per-vertex and per-edge oracles.
+"""Property tests of the tree layer against its oracles: the once-per-audit
+enumerations against the per-vertex and per-edge ones, and the one-pass tree
+distance against re-canonicalizing stripping and BFS.
 
 Presentations have at most five vertices with orders in {2, 3, inf}; every
 separated-pair splitting is checked at tree and element radii up to 3 under
@@ -14,10 +15,27 @@ from hypothesis import strategies as st
 from arboreal.classify import build_splitting, separated_pairs
 from arboreal.errors import ResourceCapError
 from arboreal.graphs import INFINITY
-from arboreal.tree import audit_acylindricity, tree_ball
+from arboreal.tree import (
+    SIDE_A,
+    SIDE_B,
+    TreeVertex,
+    audit_acylindricity,
+    element_action,
+    tree_ball,
+    tree_distance,
+)
 
 from conftest import presentations
-from oracles import audit_by_scan, edge_fixers_by_scan, reduce_randomized, tree_ball_by_vertex
+from oracles import (
+    audit_by_scan,
+    bfs_distances,
+    edge_fixers_by_scan,
+    element_action_by_stripping,
+    random_word,
+    reduce_randomized,
+    tree_ball_by_vertex,
+    tree_distance_by_stripping,
+)
 
 CAP = 300
 
@@ -88,3 +106,28 @@ def test_infinite_edge_group_fixers_die_with_c(pres, tree_radius, element_radius
             for s in edge_fixers_by_scan(sp, edge, elements, CAP):
                 killed = [x for x in s if x.vertex not in c_set]
                 assert reduce_randomized(pres, killed, random.Random(rng.random())) == ()
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(), st.randoms(use_true_random=False))
+def test_tree_distance_matches_stripping_and_bfs(pres, rng):
+    """On raw, unreduced representatives of up to 20 syllables on either side,
+    the one-pass distance and the element action equal the stripping oracles;
+    on a radius-2 tree ball, distances equal BFS distances."""
+    for pair in separated_pairs(pres):
+        sp = build_splitting(pres, pair)
+        for _ in range(5):
+            v1, v2 = (
+                TreeVertex(rng.choice((SIDE_A, SIDE_B)), random_word(rng, pres, max_len=20))
+                for _ in range(2)
+            )
+            assert tree_distance(sp, v1, v2) == tree_distance_by_stripping(sp, v1, v2)
+            g = random_word(rng, pres, max_len=20)
+            assert element_action(sp, g) == element_action_by_stripping(sp, g)
+        try:
+            ball = tree_ball(sp, 2, 1, CAP)
+        except ResourceCapError:
+            continue
+        for src in rng.sample(ball.vertices, min(4, len(ball.vertices))):
+            for tgt, d in bfs_distances(ball, src).items():
+                assert tree_distance(sp, src, tgt) == d
