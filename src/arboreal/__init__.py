@@ -39,6 +39,7 @@ from .tree import (
     base_vertex,
     element_action,
     elliptic_generation_check,
+    path_stabilizer,
     tree_ball,
     tree_distance,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "classify",
     "element_action",
     "elliptic_generation_check",
+    "path_stabilizer",
     "tree_ball",
     "tree_distance",
     "complement",

@@ -8,22 +8,23 @@ Distances need no representatives in normal form: the alternating strips
 that measure one are rounds of a single reverse pass over the heap of the
 relative word (see ``tree_distance``).
 
+The pointwise stabilizer of a path is one conjugate f G_R f^-1 of a
+parabolic subgroup, read off the heap of the word joining its end edges
+(see ``path_stabilizer``).
+
 What depends only on the splitting and the radii is enumerated once per
-tree ball or audit, not once per tree vertex or edge: each side's subgroup
-ball, collapsed to its G_C cosets; the element ball; G_C when it is finite;
-and otherwise the element ball's kernel of rho, the homomorphism killing the
-vertices of C, which holds every conjugate of G_C and so every edge fixer.
+tree ball or audit, not once per tree vertex or path: each side's subgroup
+ball, collapsed to its G_C cosets; the element ball; and the ball of each
+G_R that some path's stabilizer is conjugate to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional
 
 from .classify import SplittingSpec
 from .errors import InputError, ResourceCapError
-from .graphs import INFINITY
 from .words import DEFAULT_BALL_CAP, Presentation, Word, format_word
 
 SIDE_A = "A"
@@ -282,88 +283,42 @@ def element_action(splitting: SplittingSpec, g: Word) -> ElementAction:
     return ElementAction("Elliptic")
 
 
-class _Fixers:
-    """What an audit enumerates once: the element ball, then, at the first
-    edge, G_C if it is finite or else the ball's rho-kernel, and the fixers of
-    each edge met so far.
+def path_stabilizer(
+    splitting: SplittingSpec, path: list[TreeEdge]
+) -> tuple[Word, tuple[str, ...]]:
+    """(f, R) with the pointwise stabilizer of the path equal to f G_R f^-1.
 
-    The fixers of the edge gG_C are the ball elements in gG_Cg^-1. For finite
-    G_C they are the conjugates g x g^-1, x in G_C, that lie in the ball. For
-    infinite G_C, killing the vertices of C is a homomorphism rho onto
-    G_{V-C} (= G_a * G_b), and rho(g c g^-1) = 1, so only ball elements whose
-    syllables outside C reduce to the identity can fix an edge: each edge
-    scans that kernel, not the whole ball.
-    """
-
-    def __init__(self, splitting: SplittingSpec, element_radius: int, cap: int):
-        pres = self.pres = splitting.presentation
-        self.cap = cap
-        self.c_set = set(splitting.c_side)
-        self.c_order = pres.full_subgroup_order(self.c_set)
-        self.ball, self.exhaustive = pres.enumerate_ball_info(element_radius, cap=cap)
-        self.cache: dict[Word, set[Word]] = {}
-
-    @cached_property
-    def c_elements(self) -> set[Word]:
-        elements, saturated = self.pres.enumerate_ball_info(
-            self.c_order, cap=self.cap, subset=self.c_set
-        )
-        assert saturated
-        return elements
-
-    @cached_property
-    def kernel(self) -> list[Word]:
-        c_set, reduce = self.c_set, self.pres.reduce
-        return [
-            s for s in self.ball if not reduce(tuple(x for x in s if x.vertex not in c_set))
-        ]
-
-    def edge(self, edge: TreeEdge) -> set[Word]:
-        """Ball elements stabilizing the coset gG_C (= ball intersect gG_Cg^-1)."""
-        if edge.rep not in self.cache:
-            pres, g = self.pres, edge.rep
-            g_inv = pres.inverse(g)
-            if self.c_order != INFINITY:
-                fixers = {pres.multiply(g, x, g_inv) for x in self.c_elements} & self.ball
-            else:
-                c_set = self.c_set
-                fixers = {s for s in self.kernel if pres.support(g_inv + s + g) <= c_set}
-            self.cache[edge.rep] = fixers
-        return self.cache[edge.rep]
-
-    def path(self, path: list[TreeEdge]) -> set[Word]:
-        result = set(self.edge(path[0]))
-        for edge in path[1:]:
-            result &= self.edge(edge)
-        return result
-
-
-def path_pointwise_stabilizer_bounded(
-    splitting: SplittingSpec,
-    path: list[TreeEdge],
-    element_radius: int,
-    cap: int = DEFAULT_BALL_CAP,
-) -> set[Word]:
-    """Elements of the radius-bounded group ball fixing every edge of the path.
-
-    A certified subset of the true pointwise stabilizer; exhaustive exactly
-    when the group ball saturates at the given radius.
+    An element fixing the end edges g_1G_C and g_kG_C of a tree path fixes
+    every edge between them, so the stabilizer is g_1(G_C ∩ hG_Ch^-1)g_1^-1
+    for h = g_1^-1 g_k. Split h's heap as p d q: p the largest
+    predecessor-closed set of C-syllables, q the largest successor-closed set
+    of the other C-syllables. Then d has no source or sink in C, and
+    G_C ∩ dG_Cd^-1 = G_R for R = C ∩ lk(supp d), a parabolic intersection
+    (Antolín-Minasyan, J. reine angew. Math. 2015). f is the canonical
+    representative of g_1 p G_R, so no R-syllable ends f.
+    Raises InputError for an empty path.
     """
     if not path:
         raise InputError("path must contain at least one edge")
-    return _Fixers(splitting, element_radius, cap).path(path)
-
-
-def vertex_stabilizer_bounded(
-    splitting: SplittingSpec,
-    v: TreeVertex,
-    element_radius: int,
-    cap: int = DEFAULT_BALL_CAP,
-) -> set[Word]:
-    """Ball elements fixing the vertex (the path-of-length-0 case)."""
     pres = splitting.presentation
-    ball = pres.enumerate_ball(element_radius, cap=cap)
-    return {s for s in ball if act(splitting, s, v) == v}
+    c_set = set(splitting.c_side)
+    g1 = path[0].rep
+    sylls = pres.reduce(tuple((v, -e) for v, e in reversed(g1)) + tuple(path[-1].rep))
+    succ, _ = pres._heap(sylls)
+    n = len(sylls)
+    in_p, in_q, blocked = [False] * n, [False] * n, [False] * n
+    for i in range(n):
+        in_p[i] = sylls[i].vertex in c_set and not blocked[i]
+        if not in_p[i]:
+            for j in succ[i]:
+                blocked[j] = True
+    for i in range(n - 1, -1, -1):
+        in_q[i] = not in_p[i] and sylls[i].vertex in c_set and all(in_q[j] for j in succ[i])
+    adjacency = pres.graph.adjacency
+    d_support = {s.vertex for s, p, q in zip(sylls, in_p, in_q) if not (p or q)}
+    r = tuple(c for c in splitting.c_side if all(c in adjacency[v] for v in d_support))
+    p_word = tuple(s for s, p in zip(sylls, in_p) if p)
+    return coset_canonical(pres, g1 + p_word, r), r
 
 
 def _paths_of_length(ball: TreeBall, k: int):
@@ -424,24 +379,37 @@ def audit_acylindricity(
 ) -> AuditReport:
     """Empirical check of the (k, |G_N|) acylindricity bound.
 
-    Enumerates every k-edge path in the bounded tree ball, computes the
-    bounded pointwise stabilizer of each, and reports the maximum size
-    against the bound |G_N|. Each audit enumerates every subgroup ball once:
-    each side's ball, collapsed to G_C cosets (see ``tree_ball``); the
-    element ball; and, at the first edge, G_C if finite or else the part of
-    the element ball in the kernel of killing C, which holds every fixer
-    g c g^-1 (see ``_Fixers``). Each edge's fixers are found once.
+    Enumerates every k-edge path in the bounded tree ball and counts the
+    elements of the element ball in its pointwise stabilizer f G_R f^-1 (see
+    ``path_stabilizer``), reporting the maximum against the bound |G_N|.
+    Since no R-syllable ends f, none of x cancels in f x f^-1 for x in G_R, so
+    |x| <= |f x f^-1| and the count ranges over the radius-r ball of G_R,
+    enumerated once per distinct R; each distinct (f, R) is counted once.
+    Each side's ball is enumerated once too, collapsed to G_C cosets (see
+    ``tree_ball``).
     Raises InputError for limits under which no path would be checked.
     """
     check_audit_limits(k, tree_radius, element_radius, local_radius, cap)
+    pres = splitting.presentation
     ball = tree_ball(splitting, tree_radius, local_radius, cap)
-    fixers = _Fixers(splitting, element_radius, cap)
+    elements, exhaustive = pres.enumerate_ball_info(element_radius, cap=cap)
+    subgroup_balls: dict[tuple[str, ...], set[Word]] = {}
+    sizes: dict[tuple[Word, tuple[str, ...]], int] = {}
     bound = splitting.acyl_c
     max_size = 0
     paths_checked = 0
     violations = []
     for path in _paths_of_length(ball, k):
-        size = len(fixers.path(path))
+        stabilizer = path_stabilizer(splitting, path)
+        if stabilizer not in sizes:
+            f, r = stabilizer
+            if r not in subgroup_balls:
+                subgroup_balls[r] = pres.enumerate_ball(element_radius, cap=cap, subset=r)
+            f_inv = pres.inverse(f)
+            sizes[stabilizer] = sum(
+                pres.multiply(f, x, f_inv) in elements for x in subgroup_balls[r]
+            )
+        size = sizes[stabilizer]
         paths_checked += 1
         max_size = max(max_size, size)
         if size > bound:
@@ -456,7 +424,7 @@ def audit_acylindricity(
         max_stabilizer_size=max_size,
         bound=bound,
         truncated=ball.truncated,
-        exhaustive_elements=fixers.exhaustive,
+        exhaustive_elements=exhaustive,
         violations=violations,
     )
 

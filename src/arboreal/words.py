@@ -215,47 +215,34 @@ class Presentation:
 
     # --- bounded enumeration ------------------------------------------------
 
-    def generators(self, exp_bound: int = 1, subset: Iterable[str] | None = None) -> list[Word]:
-        """Single-syllable generators: all nontrivial exponents for finite
-        vertices, exponents in {-exp_bound..-1, 1..exp_bound} for infinite ones.
-
-        With ``subset`` given, only generators of the full subgroup G_S.
-        """
-        allowed = self.graph.check_vertices(subset) if subset is not None else None
-        gens = []
-        for v in self.graph.vertices:
-            if allowed is not None and v not in allowed:
-                continue
-            n = self.orders[v]
-            if n == INFINITY:
-                exps = [e for k in range(1, exp_bound + 1) for e in (k, -k)]
-            else:
-                exps = range(1, n)
-            gens.extend((Syllable(v, e),) for e in exps)
-        return gens
-
     def enumerate_ball(
         self,
         radius: int,
-        exp_bound: int = 1,
         cap: int = DEFAULT_BALL_CAP,
         subset: Iterable[str] | None = None,
     ) -> set[Word]:
         """Canonical forms reachable in <= radius generator multiplications."""
-        return self.enumerate_ball_info(radius, exp_bound=exp_bound, cap=cap, subset=subset)[0]
+        return self.enumerate_ball_info(radius, cap=cap, subset=subset)[0]
 
     def enumerate_ball_info(
         self,
         radius: int,
-        exp_bound: int = 1,
         cap: int = DEFAULT_BALL_CAP,
         subset: Iterable[str] | None = None,
     ) -> tuple[set[Word], bool]:
         """Ball plus a saturation flag (True iff the whole subgroup was reached).
 
-        With ``subset`` given, the ball of the full subgroup G_S.
+        The generators are the single syllables: every nontrivial exponent at a
+        finite vertex, exponents +-1 at an infinite one. With ``subset`` given,
+        only those of the full subgroup G_S, and the ball is G_S's.
         """
-        gens = self.generators(exp_bound, subset=subset)
+        allowed = self.graph.check_vertices(self.graph.vertices if subset is None else subset)
+        gens = [
+            (Syllable(v, e),)
+            for v in self.graph.vertices
+            if v in allowed
+            for e in ((1, -1) if self.orders[v] == INFINITY else range(1, self.orders[v]))
+        ]
         seen = {()}
         frontier = [()]
         for depth in range(1, radius + 1):

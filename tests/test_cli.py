@@ -126,6 +126,23 @@ class TestTreeAudit:
         assert report["max_stabilizer_size"] <= report["bound"]
         assert report["violations"] == []
 
+    def test_single_edges_exceed_the_bound_exits_1(self, capsys):
+        """k = 1 is below the paper's k = 3: an edge's stabilizer is a conjugate
+        of G_C, larger than |G_N| = 2."""
+        code, out, _ = run(
+            capsys,
+            "tree-audit",
+            FIXTURES / "p4_racg.json",
+            "--k", "1",
+            "--tree-radius", "2",
+            "--element-radius", "3",
+            "--json",
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert report["violations"]
+        assert report["max_stabilizer_size"] > report["bound"]
+
     def test_fig2_no_splitting_exits_4(self, capsys):
         code, _, _ = run(capsys, "tree-audit", FIXTURES / "fig2_raag.json")
         assert code == 4

@@ -16,12 +16,11 @@ from arboreal.tree import (
     elliptic_generation_check,
     make_edge,
     make_vertex,
-    path_pointwise_stabilizer_bounded,
+    path_stabilizer,
     side_set,
     tree_ball,
     tree_ball_to_dot,
     tree_distance,
-    vertex_stabilizer_bounded,
 )
 from arboreal.graphs import SimpleGraph
 from arboreal.words import Presentation, parse_word
@@ -188,16 +187,9 @@ class TestElementAction:
 
 
 class TestStabilizers:
-    def test_base_edge_stabilized_by_edge_group(self, p4_racg, p4_splitting):
-        stab = path_pointwise_stabilizer_bounded(
-            p4_splitting, [make_edge(p4_splitting, ())], element_radius=4
-        )
-        expected = {
-            g
-            for g in p4_racg.enumerate_ball(4)
-            if p4_racg.support(g) <= set(p4_splitting.c_side)
-        }
-        assert stab == expected
+    def test_base_edge_stabilized_by_edge_group(self, p4_splitting):
+        base = make_edge(p4_splitting, ())
+        assert path_stabilizer(p4_splitting, [base]) == ((), p4_splitting.c_side)
 
     def test_three_edge_paths_trivial_stabilizer(self, p4_splitting):
         ball = tree_ball(p4_splitting, 3, local_radius=2)
@@ -214,23 +206,25 @@ class TestStabilizers:
             )
             path.append(edge)
             cur = nxt
-        stab = path_pointwise_stabilizer_bounded(p4_splitting, path, element_radius=6)
-        assert stab == {()}
+        _, r = path_stabilizer(p4_splitting, path)
+        assert r == ()
+
+    def test_c_syllables_at_either_end_of_the_relative_word(self):
+        """On the path a - c - b - u split over C = {c, u}, the word joining the
+        edges cuaG_C and G_C is auc one way, its C-syllables all in q, and cua
+        the other, all in p. Either way the stabilizer is {1, cucuc}."""
+        pres = Presentation(
+            SimpleGraph("abcu", [("a", "c"), ("b", "c"), ("b", "u")]),
+            {v: 2 for v in "abcu"},
+        )
+        sp = build_splitting(pres, SeparatedPair("a", "b", ("c",), 2))
+        far, base = make_edge(sp, parse_word(pres, "c u a")), make_edge(sp, ())
+        assert path_stabilizer(sp, [far, base]) == (parse_word(pres, "c u a"), ("c",))
+        assert path_stabilizer(sp, [base, far]) == (parse_word(pres, "c u"), ("c",))
 
     def test_empty_path_rejected(self, p4_splitting):
         with pytest.raises(InputError):
-            path_pointwise_stabilizer_bounded(p4_splitting, [], element_radius=2)
-
-    def test_vertex_stabilizer_is_side_subgroup(self, p4_racg, p4_splitting):
-        stab = vertex_stabilizer_bounded(
-            p4_splitting, base_vertex(p4_splitting), element_radius=4
-        )
-        expected = {
-            g
-            for g in p4_racg.enumerate_ball(4)
-            if p4_racg.support(g) <= set(p4_splitting.a_side)
-        }
-        assert stab == expected
+            path_stabilizer(p4_splitting, [])
 
 
 class TestAudit:
@@ -267,6 +261,21 @@ class TestAudit:
             audit_acylindricity(
                 sp, k=2, tree_radius=3, element_radius=1, local_radius=3, cap=3000
             )
+
+    def test_cap_counts_only_balls_within_the_element_radius(self):
+        """G_C = Z5^3 has 125 elements, more than the cap of 100, but the audit
+        needs only the radius-1 balls: 15 elements, 13 of them in G_C."""
+        cs = ["c1", "c2", "c3"]
+        edges = [("c1", "c2"), ("c1", "c3"), ("c2", "c3")]
+        edges += [(x, c) for x in "ab" for c in cs]
+        pres = Presentation(
+            SimpleGraph(["a", "b"] + cs, edges), {"a": 2, "b": 2, "c1": 5, "c2": 5, "c3": 5}
+        )
+        sp = build_splitting(pres, SeparatedPair("a", "b", tuple(cs), 125))
+        report = audit_acylindricity(
+            sp, k=1, tree_radius=1, element_radius=1, local_radius=1, cap=100
+        )
+        assert report.max_stabilizer_size == 13
 
     @pytest.mark.parametrize(
         "limits, message",

@@ -1,5 +1,6 @@
 """Property tests of the tree layer against its oracles: the once-per-audit
-enumerations against the per-vertex and per-edge ones, and the one-pass tree
+enumerations against the per-vertex and per-edge ones, each path's
+stabilizer formula against the per-edge fixer scan, and the one-pass tree
 distance against re-canonicalizing stripping and BFS.
 
 Presentations have at most five vertices with orders in {2, 3, inf}; every
@@ -7,20 +8,18 @@ separated-pair splitting is checked at tree and element radii up to 3 under
 a low ball cap, so that cap errors are compared too.
 """
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arboreal.classify import build_splitting, separated_pairs
 from arboreal.errors import ResourceCapError
-from arboreal.graphs import INFINITY
 from arboreal.tree import (
     SIDE_A,
     SIDE_B,
     TreeVertex,
     audit_acylindricity,
     element_action,
+    path_stabilizer,
     tree_ball,
     tree_distance,
 )
@@ -31,8 +30,8 @@ from oracles import (
     bfs_distances,
     edge_fixers_by_scan,
     element_action_by_stripping,
+    paths_by_edge_set,
     random_word,
-    reduce_randomized,
     tree_ball_by_vertex,
     tree_distance_by_stripping,
 )
@@ -87,25 +86,39 @@ def test_tree_ball_and_audit_match_oracles(pres, lims):
         )
 
 
+@st.composite
+def small_balls(draw):
+    """(tree_radius, local_radius): local radius at least 2, so that edge
+    representatives carry C-syllables; 3 only on a radius-1 ball."""
+    tree_radius = draw(st.integers(1, 2))
+    return tree_radius, draw(st.integers(2, 4 - tree_radius))
+
+
 @settings(max_examples=40, deadline=None)
-@given(presentations(), st.integers(1, 2), st.integers(1, 3), st.randoms(use_true_random=False))
-def test_infinite_edge_group_fixers_die_with_c(pres, tree_radius, element_radius, rng):
-    """Every fixer of an edge with infinite G_C maps to the identity when
-    the vertices of C are killed: the premise of the kernel scan."""
+@given(presentations(), small_balls(), st.integers(1, 3))
+def test_path_stabilizer_is_the_conjugate_of_its_parabolic(pres, radii, element_radius):
+    """On every k-edge path, k 1 to 3, of a small tree ball, the element-ball
+    elements fixing each edge by scan are exactly those s with f^-1 s f
+    supported in R, for (f, R) = path_stabilizer."""
+    tree_radius, local_radius = radii
     for pair in separated_pairs(pres):
         sp = build_splitting(pres, pair)
-        if pres.full_subgroup_order(sp.c_side) != INFINITY:
-            continue
         try:
-            ball = tree_ball_by_vertex(sp, tree_radius, 1, CAP)
+            ball = tree_ball_by_vertex(sp, tree_radius, local_radius, CAP)
             elements = pres.enumerate_ball(element_radius, cap=CAP)
         except ResourceCapError:
             continue
-        c_set = set(sp.c_side)
-        for edge in ball.edges:
-            for s in edge_fixers_by_scan(sp, edge, elements, CAP):
-                killed = [x for x in s if x.vertex not in c_set]
-                assert reduce_randomized(pres, killed, random.Random(rng.random())) == ()
+        fixers = {e.rep: edge_fixers_by_scan(sp, e, elements, CAP) for e in ball.edges}
+        conjugates = {}
+        for k in range(1, min(3, 2 * tree_radius) + 1):
+            for path in paths_by_edge_set(ball, k):
+                f, r = path_stabilizer(sp, path)
+                if (f, r) not in conjugates:
+                    f_inv = pres.inverse(f)
+                    conjugates[f, r] = {
+                        s for s in elements if pres.support(f_inv + s + f) <= set(r)
+                    }
+                assert set.intersection(*(fixers[e.rep] for e in path)) == conjugates[f, r]
 
 
 @settings(max_examples=60, deadline=None)
