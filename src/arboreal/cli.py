@@ -26,7 +26,7 @@ from .tree import (
     tree_ball_to_dot,
     tree_distance,
 )
-from .words import format_word, parse_word
+from .words import DEFAULT_BALL_CAP, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -101,8 +101,8 @@ def cmd_classify(args) -> int:
 def cmd_nf(args) -> int:
     pres, named = load_presentation(args.file)
     word = named[args.word] if args.word in named else parse_word(pres, args.word)
-    _emit(args, {"canonical": format_word(pres.canonical(word))},
-          format_word(pres.canonical(word)) + "\n")
+    text = format_word(pres.canonical(word))
+    _emit(args, {"canonical": text}, text + "\n")
     return EXIT_OK
 
 
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree-radius", type=int, default=5)
     p.add_argument("--element-radius", type=int, default=6)
     p.add_argument("--local-radius", type=int, default=2)
-    p.add_argument("--ball-cap", type=int, default=200_000)
+    p.add_argument("--ball-cap", type=int, default=DEFAULT_BALL_CAP)
     p.set_defaults(func=cmd_tree_audit)
 
     p = sub.add_parser("export-dot", help="DOT export of graph, complement or tree ball")
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tree-radius", type=int, default=2)
     p.add_argument("--local-radius", type=int, default=2)
-    p.add_argument("--ball-cap", type=int, default=200_000)
+    p.add_argument("--ball-cap", type=int, default=DEFAULT_BALL_CAP)
     p.set_defaults(func=cmd_export_dot)
 
     return parser

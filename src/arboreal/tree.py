@@ -129,15 +129,29 @@ def coset_canonical(pres: Presentation, word: Word, subset: Iterable[str]) -> Wo
     the largest successor-closed set of S-labelled syllables: a syllable goes
     iff its vertex is in S and all its successors go. That set is unique, so
     this equals stripping S-labelled last syllables until none is left. The
-    rest is canonicalized once; O(L*|V| + L log L) beyond ``reduce``.
+    kept syllables are predecessor-closed: a reduced word whose heap is the
+    induced sub-heap. So they are linearized on the same heap, with no second
+    ``reduce``; O(L*|V| + L log L) beyond the first.
     """
     subset = pres.graph.check_vertices(subset)
     sylls = pres.reduce(word)
-    succ, _ = pres._heap(sylls)
-    deleted = [False] * len(sylls)
-    for i in range(len(sylls) - 1, -1, -1):
-        deleted[i] = sylls[i].vertex in subset and all(deleted[j] for j in succ[i])
-    return pres.canonical(tuple(s for s, gone in zip(sylls, deleted) if not gone))
+    succ, indeg = pres._heap(sylls)
+    return _strip(pres, sylls, succ, indeg, subset)
+
+
+def _strip(
+    pres: Presentation, sylls: Word, succ: list[list[int]], indeg: list[int], subset: set[str]
+) -> Word:
+    """``coset_canonical`` of the reduced word ``sylls`` from its heap, which
+    is left as it was."""
+    indeg = list(indeg)
+    n = len(sylls)
+    for i in range(n - 1, -1, -1):
+        # a dropped syllable gets in-degree n, more than it has predecessors,
+        # so it never becomes ready
+        if sylls[i].vertex in subset and all(indeg[j] == n for j in succ[i]):
+            indeg[i] = n
+    return pres._linearize(sylls, succ, indeg)
 
 
 def make_vertex(splitting: SplittingSpec, word: Word, side: str) -> TreeVertex:
@@ -175,13 +189,20 @@ def _neighbors(
     splitting: SplittingSpec, v: TreeVertex, reps: list[Word]
 ) -> list[tuple[TreeEdge, TreeVertex]]:
     """The (edge, opposite vertex) pairs v.rep*t*G_C, v.rep*t*G_opp for the
-    side cosets t*G_C, sorted by edge. Distinct cosets give distinct edges;
-    ``coset_canonical`` reduces the concatenation itself."""
+    side cosets t*G_C, sorted by edge. Distinct cosets give distinct edges.
+    One heap per incident edge: v.rep*t is reduced once, and both cosets are
+    stripped from its heap."""
+    pres = splitting.presentation
     opp = other_side(v.side)
-    out = [
-        (make_edge(splitting, v.rep + t), make_vertex(splitting, v.rep + t, opp))
-        for t in reps
-    ]
+    c_set, opp_set = set(splitting.c_side), set(side_set(splitting, opp))
+    out = []
+    for t in reps:
+        sylls = pres.reduce(v.rep + t)
+        succ, indeg = pres._heap(sylls)
+        out.append((
+            TreeEdge(_strip(pres, sylls, succ, indeg, c_set)),
+            TreeVertex(opp, _strip(pres, sylls, succ, indeg, opp_set)),
+        ))
     out.sort(key=lambda pair: pair[0].rep)
     return out
 
@@ -198,7 +219,8 @@ def tree_ball(
     in the side ball of G_A; both depend on s only through the coset sG_C,
     because G_C <= G_B. So each side's ball is enumerated once, at the first
     vertex of that side, and collapsed to its G_C-coset representatives; a
-    vertex then costs one ``make_edge`` and one ``make_vertex`` per coset.
+    vertex then costs one heap per coset, from which both the edge and the
+    far vertex are read (see ``_neighbors``).
     ``cap`` bounds the side balls and the ball's vertex count alike.
     Raises InputError for a negative radius, or a local radius or cap below 1.
     """

@@ -14,6 +14,11 @@ the smallest available vertex first (Kahn's algorithm), the orbit's
 lexicographic minimum; ``first_vertices``/``last_vertices`` are the heap's
 sources and sinks. Cost for L syllables over |V| vertices: O(L*|V| + L log L),
 plus ``reduce``'s backward scans: linear on typical words, O(L^2) at worst.
+The same linearizer serves any predecessor-closed set of a heap (see
+``tree.coset_canonical``).
+
+Ball enumeration grows normal forms one syllable at a time: ``_append`` is
+the insertion step of heaps of pieces (Viennot), O(L) with no heap built.
 """
 
 from __future__ import annotations
@@ -133,11 +138,11 @@ class Presentation:
             last[v] = j
         return succ, indeg
 
-    def canonical(self, word: Word) -> Word:
-        """Lexicographically least linearization of the reduced word's heap; at
-        most one syllable per vertex is ready at a time, so vertex index decides."""
-        sylls = self.reduce(word)
-        succ, indeg = self._heap(sylls)
+    def _linearize(self, sylls: Word, succ: list[list[int]], indeg: list[int]) -> Word:
+        """Lexicographically least linearization of a heap, consuming ``indeg``;
+        at most one syllable per vertex is ready at a time, so vertex index
+        decides. A syllable whose in-degree cannot reach 0 is left out, and so
+        are its successors."""
         index = self.graph.index
         ready = [(index[v], j) for j, (v, _) in enumerate(sylls) if not indeg[j]]
         heapify(ready)
@@ -150,6 +155,35 @@ class Presentation:
                 if not indeg[j]:
                     heappush(ready, (index[sylls[j].vertex], j))
         return tuple(out)
+
+    def canonical(self, word: Word) -> Word:
+        """Lexicographically least linearization of the reduced word's heap."""
+        sylls = self.reduce(word)
+        return self._linearize(sylls, *self._heap(sylls))
+
+    def _append(self, g: Word, s: Syllable) -> Word:
+        """canonical(g + (s,)) for a canonical g and a normalized syllable s.
+
+        Scan back over syllables in link(v), v = s.vertex. A v-syllable met
+        there absorbs s, or goes when the exponent vanishes: it is a sink of
+        g's heap, so the others keep their order. Otherwise s is a new sink
+        whose last predecessor is the scan's stop, and Kahn's algorithm takes
+        it at the first later position whose vertex index is larger than v's.
+        O(L), with no heap built."""
+        v = s.vertex
+        lk = self.graph.adjacency[v]
+        i = len(g) - 1
+        while i >= 0 and g[i].vertex in lk:
+            i -= 1
+        if i >= 0 and g[i].vertex == v:
+            e = self.normalize_exponent(v, g[i].exponent + s.exponent)
+            return g[:i] + ((Syllable(v, e),) if e else ()) + g[i + 1:]
+        index = self.graph.index
+        rank = index[v]
+        j = i + 1
+        while j < len(g) and index[g[j].vertex] < rank:
+            j += 1
+        return g[:j] + (s,) + g[j:]
 
     # --- group operations --------------------------------------------------
 
@@ -238,7 +272,7 @@ class Presentation:
         """
         allowed = self.graph.check_vertices(self.graph.vertices if subset is None else subset)
         gens = [
-            (Syllable(v, e),)
+            Syllable(v, e)
             for v in self.graph.vertices
             if v in allowed
             for e in ((1, -1) if self.orders[v] == INFINITY else range(1, self.orders[v]))
@@ -249,7 +283,7 @@ class Presentation:
             new = []
             for g in frontier:
                 for s in gens:
-                    h = self.canonical(g + s)
+                    h = self._append(g, s)
                     if h not in seen:
                         seen.add(h)
                         if len(seen) > cap:
@@ -263,7 +297,7 @@ class Presentation:
         # saturated iff one more step adds nothing
         for g in frontier:
             for s in gens:
-                if self.canonical(g + s) not in seen:
+                if self._append(g, s) not in seen:
                     return seen, False
         return seen, True
 

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they verify: reduction applies the
 rewriting rules in a random order, the shuffle-closure oracle works by
 exhaustive BFS over adjacent commuting swaps, the first/last-vertex and
-coset oracles read the answer off the whole orbit, separated pairs come
+coset oracles read the answer off the whole orbit, balls grow by whole-word
+canonical forms rather than by appending a syllable, separated pairs come
 from BFS distances and induced subgraphs, the tree ball and the audit
 enumerate a side ball at every tree vertex and scan the whole element ball
 (or enumerate G_C) at every tree edge, and tree distances come from
@@ -16,6 +17,7 @@ from collections import deque
 from itertools import combinations
 
 from arboreal.classify import SeparatedPair
+from arboreal.errors import ResourceCapError
 from arboreal.graphs import SimpleGraph, edge_distance, induced_subgraph, is_complete
 from arboreal.tree import (
     AuditReport,
@@ -85,6 +87,42 @@ def coset_canonical_by_stripping(pres, word, subset, rng: random.Random):
         v = min(strippable, key=pres.graph.index.__getitem__)
         i = max(i for i, s in enumerate(g) if s.vertex == v)
         g = lex_min_of_orbit(pres, reduce_randomized(pres, g[:i] + g[i + 1:], rng))
+
+
+def ball_generators(pres, subset):
+    """The single-syllable generators of G_S: every nontrivial exponent at a
+    finite vertex, exponents +-1 at an infinite one."""
+    return [
+        Syllable(v, e)
+        for v in pres.graph.vertices
+        if v in subset
+        for e in ((1, -1) if pres.orders[v] == INFINITY else range(1, pres.orders[v]))
+    ]
+
+
+def enumerate_ball_by_canonical(pres, radius, cap, subset):
+    """Ball of G_S and its saturation flag, each element the whole-word
+    ``canonical(g + (s,))`` of an element g one step nearer; raises
+    ResourceCapError at the element that passes ``cap``."""
+    gens = ball_generators(pres, subset)
+    seen = {()}
+    frontier = [()]
+    for depth in range(1, radius + 1):
+        new = []
+        for g in frontier:
+            for s in gens:
+                h = pres.canonical(g + (s,))
+                if h not in seen:
+                    seen.add(h)
+                    if len(seen) > cap:
+                        raise ResourceCapError(
+                            f"ball exceeded cap of {cap} elements at radius {depth}"
+                        )
+                    new.append(h)
+        frontier = new
+        if not frontier:
+            return seen, True
+    return seen, all(pres.canonical(g + (s,)) in seen for g in frontier for s in gens)
 
 
 def random_presentation(rng: random.Random, max_vertices=5, orders=(2, 3, INFINITY)):

@@ -294,6 +294,32 @@ def test_run_audit_script_rejects_vacuous_limits(capsys, argv, message):
     assert f"error: {message}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "contents, argv, expected_code, message",
+    [
+        (None, [], 2, "error: "),
+        ("not json", [], 2, "error: "),
+        (json.dumps({"vertices": [{"name": "a", "order": 1}, TWO_VERTICES[1]]}), [], 3,
+         "error: degenerate presentation"),
+        (FIXTURES / "p3_raag.json", [], 4, "error: no separated pairs"),
+        (FIXTURES / "p4_racg.json", ["--ball-cap", "5"], 5, "error: resource cap exceeded"),
+    ],
+    ids=["missing-file", "bad-json", "degenerate", "no-separated-pair", "cap-hit"],
+)
+def test_run_audit_script_exit_codes(capsys, tmp_path, contents, argv, expected_code, message):
+    path = tmp_path / "p.json"
+    if isinstance(contents, Path):
+        path = contents
+    elif contents is not None:
+        path.write_text(contents)
+    script_main = runpy.run_path(str(RUN_AUDIT))["main"]
+    code = script_main([str(path)] + argv)
+    captured = capsys.readouterr()
+    assert code == expected_code
+    assert captured.err.startswith(message)
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("name", ["", "1", "a b", "a^2"])
 def test_vertex_name_that_cannot_round_trip_exits_2(capsys, tmp_path, name):
     path = tmp_path / "bad.json"

@@ -2,18 +2,23 @@
 
 Presentations have at most five vertices with orders in {2, 3, inf}; words
 have at most ten syllables, given as plain ``(vertex, exponent)`` tuples.
+Balls go up to radius 3 under caps low enough that cap errors are compared
+too.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arboreal.classify import build_splitting, separated_pairs
+from arboreal.errors import ResourceCapError
 from arboreal.tree import coset_canonical
 from arboreal.words import Syllable
 
 from conftest import presentations
 from oracles import (
+    ball_generators,
     coset_canonical_by_stripping,
+    enumerate_ball_by_canonical,
     first_vertices_brute,
     last_vertices_brute,
     lex_min_of_orbit,
@@ -62,3 +67,29 @@ class TestEngine:
             for side in (sp.a_side, sp.b_side, sp.c_side):
                 expected = coset_canonical_by_stripping(pres, w, side, rng)
                 assert coset_canonical(pres, w, side) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(presentations_and_words())
+    def test_append_is_canonical_of_concatenation(self, case):
+        pres, w = case
+        g = pres.canonical(w)
+        # every generator, and the inverse of each syllable of g, so that
+        # joins whose exponent vanishes are met on every nonempty g
+        steps = ball_generators(pres, pres.graph.vertices) + [pres.syllable(v, -e) for v, e in g]
+        for s in steps:
+            assert pres._append(g, s) == pres.canonical(w + (s,))
+
+    @settings(max_examples=100, deadline=None)
+    @given(presentations(), st.integers(0, 3), st.sampled_from((4, 30, 1000)), st.data())
+    def test_ball_matches_whole_word_oracle(self, pres, radius, cap, data):
+        subset = data.draw(st.sets(st.sampled_from(pres.graph.vertices)))
+
+        def outcome(enumerate_ball, *args):
+            try:
+                return enumerate_ball(*args)
+            except ResourceCapError as exc:
+                return str(exc)
+
+        assert outcome(pres.enumerate_ball_info, radius, cap, subset) == outcome(
+            enumerate_ball_by_canonical, pres, radius, cap, subset
+        )

@@ -281,10 +281,10 @@ class TestEnumerateBall:
 
     def test_cap_stops_at_the_insert_that_passes_it(self, p4_racg):
         # radius 1 holds 5 elements; the first new element of radius 2 is
-        # the 6th, found by the 6th canonicalization
+        # the 6th, found by the 6th append step
         calls = []
-        canonical = p4_racg.canonical
-        p4_racg.canonical = lambda w: calls.append(w) or canonical(w)
+        append = p4_racg._append
+        p4_racg._append = lambda g, s: calls.append((g, s)) or append(g, s)
         with pytest.raises(ResourceCapError, match="at radius 2$"):
             p4_racg.enumerate_ball(10, cap=5)
         assert len(calls) == 6
