@@ -26,13 +26,11 @@ from .words import Presentation
 class Arboreality(enum.Enum):
     ACYL_ARBOREAL = "AcylArboreal"
     NOT_ACYL_ARBOREAL = "NotAcylArboreal"
-    OUT_OF_SCOPE = "OutOfScope"
 
 
 class VirtuallyCyclic(enum.Enum):
     YES = "Yes"
     NO = "No"
-    NOT_COVERED = "NotCovered"
 
 
 class AHCriterion(enum.Enum):
@@ -88,17 +86,6 @@ class CompleteGraphCase:
 
 
 @dataclass(frozen=True)
-class Degenerate:
-    reason: str
-
-    def to_dict(self):
-        return {"kind": "Degenerate", "reason": self.reason}
-
-
-Certificate = object  # one of the dataclasses above
-
-
-@dataclass(frozen=True)
 class SplittingSpec:
     """The witnessing amalgam G_A *_{G_C} G_B for a separated pair (a, b).
 
@@ -132,7 +119,7 @@ class Verdict:
     arboreality: Arboreality
     virtually_cyclic: VirtuallyCyclic
     ah_criterion: AHCriterion
-    certificate: Certificate
+    certificate: SeparatedPair | NoSeparatedPair | VirtuallyCyclicWitness | CompleteGraphCase
     splitting: Optional[SplittingSpec] = None
     diameter: int | float = 0
 

@@ -17,11 +17,9 @@ from .formats import load_presentation
 from .graphs import complement, to_dot
 from .tree import (
     SIDE_A,
-    TreeVertex,
     audit_acylindricity,
     check_audit_limits,
-    coset_canonical,
-    side_set,
+    make_vertex,
     tree_ball,
     tree_ball_to_dot,
     tree_distance,
@@ -84,23 +82,29 @@ def _describe(verdict) -> str:
     return cert.reason
 
 
+def _word(pres, named: dict, text: str):
+    """A named word of the presentation file, or else ``text`` parsed."""
+    return named[text] if text in named else parse_word(pres, text)
+
+
 def cmd_classify(args) -> int:
     pres, _ = load_presentation(args.file)
     verdict = classify(pres)
+    payload = verdict.to_dict()
     human = (
-        f"arboreality:      {verdict.arboreality.value}\n"
-        f"virtually cyclic: {verdict.virtually_cyclic.value}\n"
-        f"AH criterion:     {verdict.ah_criterion.value}\n"
-        f"diameter:         {'inf' if verdict.diameter == float('inf') else verdict.diameter}\n"
+        f"arboreality:      {payload['arboreality']}\n"
+        f"virtually cyclic: {payload['virtually_cyclic']}\n"
+        f"AH criterion:     {payload['ah_criterion']}\n"
+        f"diameter:         {payload['diameter']}\n"
         f"reason:           {_describe(verdict)}\n"
     )
-    _emit(args, verdict.to_dict(), human)
+    _emit(args, payload, human)
     return EXIT_OK
 
 
 def cmd_nf(args) -> int:
     pres, named = load_presentation(args.file)
-    word = named[args.word] if args.word in named else parse_word(pres, args.word)
+    word = _word(pres, named, args.word)
     text = format_word(pres.canonical(word))
     _emit(args, {"canonical": text}, text + "\n")
     return EXIT_OK
@@ -108,10 +112,7 @@ def cmd_nf(args) -> int:
 
 def cmd_mul(args) -> int:
     pres, named = load_presentation(args.file)
-    words = [
-        named[w] if w in named else parse_word(pres, w) for w in (args.word1, args.word2)
-    ]
-    product = pres.multiply(*words)
+    product = pres.multiply(_word(pres, named, args.word1), _word(pres, named, args.word2))
     _emit(args, {"product": format_word(product)}, format_word(product) + "\n")
     return EXIT_OK
 
@@ -130,13 +131,8 @@ def _require_splitting(pres):
 def cmd_tree_dist(args) -> int:
     pres, named = load_presentation(args.file)
     splitting = _require_splitting(pres)
-
-    def vertex(text: str, side: str) -> TreeVertex:
-        word = named[text] if text in named else parse_word(pres, text)
-        return TreeVertex(side, coset_canonical(pres, word, side_set(splitting, side)))
-
-    v1 = vertex(args.word1, args.side1)
-    v2 = vertex(args.word2, args.side2)
+    v1 = make_vertex(splitting, _word(pres, named, args.word1), args.side1)
+    v2 = make_vertex(splitting, _word(pres, named, args.word2), args.side2)
     dist = tree_distance(splitting, v1, v2)
     _emit(
         args,

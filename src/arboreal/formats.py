@@ -96,6 +96,10 @@ def load_presentation(path: str | Path) -> tuple[Presentation, dict[str, Word]]:
         raise InputError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, nesting deeper than the decoder recurses,
+        # or an integer longer than Python converts from a string
+        raise InputError(f"{path}: {exc}") from exc
     try:
         return presentation_from_dict(data)
     except InputError as exc:

@@ -4,12 +4,17 @@ Vertices are cosets gG_A and gG_B, edges cosets gG_C, each held as the
 canonical minimal-length representative obtained by right-stripping. The
 tree is infinite; every exploration here is bounded and reports truncation.
 
+Coset representatives, distances and stabilizers are questions about the
+dependency heap of a reduced word (see words.py), which is never built: a
+later syllable outside the link of a v-syllable is its descendant, so each
+question is a scan over the word with per-vertex state.
+
 Distances need no representatives in normal form: the alternating strips
-that measure one are rounds of a single reverse pass over the heap of the
-relative word (see ``tree_distance``).
+that measure one are rounds of a single reverse pass over the relative word
+(see ``tree_distance``).
 
 The pointwise stabilizer of a path is one conjugate f G_R f^-1 of a
-parabolic subgroup, read off the heap of the word joining its end edges
+parabolic subgroup, read off two scans of the word joining its end edges
 (see ``path_stabilizer``).
 
 What depends only on the splitting and the radii is enumerated once per
@@ -125,33 +130,34 @@ def other_side(side: str) -> str:
 def coset_canonical(pres: Presentation, word: Word, subset: Iterable[str]) -> Word:
     """Canonical minimal-length representative of the coset gG_S.
 
-    One reverse sweep over the heap of the reduced word (see words.py) drops
-    the largest successor-closed set of S-labelled syllables: a syllable goes
-    iff its vertex is in S and all its successors go. That set is unique, so
-    this equals stripping S-labelled last syllables until none is left. The
-    kept syllables are predecessor-closed: a reduced word whose heap is the
-    induced sub-heap. So they are linearized on the same heap, with no second
-    ``reduce``; O(L*|V| + L log L) beyond the first.
+    Strips S from ``canonical(word)`` (see ``_strip``), which equals
+    stripping S-labelled last syllables until none is left. O(L*|V|) beyond
+    ``canonical``.
     """
-    subset = pres.graph.check_vertices(subset)
-    sylls = pres.reduce(word)
-    succ, indeg = pres._heap(sylls)
-    return _strip(pres, sylls, succ, indeg, subset)
+    return _strip(pres, pres.canonical(word), pres.graph.check_vertices(subset))
 
 
-def _strip(
-    pres: Presentation, sylls: Word, succ: list[list[int]], indeg: list[int], subset: set[str]
-) -> Word:
-    """``coset_canonical`` of the reduced word ``sylls`` from its heap, which
-    is left as it was."""
-    indeg = list(indeg)
-    n = len(sylls)
-    for i in range(n - 1, -1, -1):
-        # a dropped syllable gets in-degree n, more than it has predecessors,
-        # so it never becomes ready
-        if sylls[i].vertex in subset and all(indeg[j] == n for j in succ[i]):
-            indeg[i] = n
-    return pres._linearize(sylls, succ, indeg)
+def _strip(pres: Presentation, word: Word, subset: set[str]) -> Word:
+    """``coset_canonical`` of the canonical word ``word``.
+
+    One reverse scan drops the largest successor-closed set of S-labelled
+    syllables of the word's heap (see words.py): a syllable goes iff its
+    vertex is in S and all its successors go. Every later syllable outside
+    its link is a descendant, so that is: no kept later syllable lies outside
+    its link. That set is unique. The kept syllables are predecessor-closed,
+    and Kahn's choice among those ready never depends on the dropped ones, so
+    the kept subsequence is already canonical.
+    """
+    adjacency = pres.graph.adjacency
+    kept = []
+    kept_vertices: set[str] = set()
+    for s in reversed(word):
+        if s.vertex in subset and kept_vertices <= adjacency[s.vertex]:
+            continue
+        kept.append(s)
+        kept_vertices.add(s.vertex)
+    kept.reverse()
+    return tuple(kept)
 
 
 def make_vertex(splitting: SplittingSpec, word: Word, side: str) -> TreeVertex:
@@ -190,19 +196,15 @@ def _neighbors(
 ) -> list[tuple[TreeEdge, TreeVertex]]:
     """The (edge, opposite vertex) pairs v.rep*t*G_C, v.rep*t*G_opp for the
     side cosets t*G_C, sorted by edge. Distinct cosets give distinct edges.
-    One heap per incident edge: v.rep*t is reduced once, and both cosets are
-    stripped from its heap."""
+    v.rep*t is made canonical once per incident edge, and both cosets are
+    stripped from it."""
     pres = splitting.presentation
     opp = other_side(v.side)
     c_set, opp_set = set(splitting.c_side), set(side_set(splitting, opp))
     out = []
     for t in reps:
-        sylls = pres.reduce(v.rep + t)
-        succ, indeg = pres._heap(sylls)
-        out.append((
-            TreeEdge(_strip(pres, sylls, succ, indeg, c_set)),
-            TreeVertex(opp, _strip(pres, sylls, succ, indeg, opp_set)),
-        ))
+        g = pres.canonical(v.rep + t)
+        out.append((TreeEdge(_strip(pres, g, c_set)), TreeVertex(opp, _strip(pres, g, opp_set))))
     out.sort(key=lambda pair: pair[0].rep)
     return out
 
@@ -219,8 +221,8 @@ def tree_ball(
     in the side ball of G_A; both depend on s only through the coset sG_C,
     because G_C <= G_B. So each side's ball is enumerated once, at the first
     vertex of that side, and collapsed to its G_C-coset representatives; a
-    vertex then costs one heap per coset, from which both the edge and the
-    far vertex are read (see ``_neighbors``).
+    vertex then costs one canonical form per coset, from which both the edge
+    and the far vertex are stripped (see ``_neighbors``).
     ``cap`` bounds the side balls and the ball's vertex count alike.
     Raises InputError for a negative radius, or a local radius or cap below 1.
     """
@@ -270,22 +272,27 @@ def tree_distance(splitting: SplittingSpec, v1: TreeVertex, v2: TreeVertex) -> i
 
     Right-stripping h = v1.rep^-1 v2.rep through the sides in turn, v2's side
     first, measures it: each round deletes the largest successor-closed set of
-    syllables of h's heap on that round's side. One reverse pass over the heap
-    gives every syllable its round: the largest round r of its successors (0
-    if none) when its vertex is on round r's side, else r + 1, because every
-    vertex is on side A or B. The distance is the last round, plus one when
-    that round's side is not v1's. O(L*|V|) beyond ``reduce``.
+    syllables of h's heap on that round's side. One reverse pass over the
+    reduced h gives every syllable its round: the largest round r of its
+    successors (0 if none) when its vertex is on round r's side, else r + 1,
+    because every vertex is on side A or B. Rounds never increase along heap
+    arcs, and every later syllable outside a syllable's link is a descendant,
+    so r is the largest round held by a vertex outside the link, each vertex
+    holding the round of its latest syllable. The distance is the largest
+    round, plus one when that round's side is not v1's. O(L*|V|) beyond
+    ``reduce``.
     """
     pres = splitting.presentation
+    adjacency = pres.graph.adjacency
     sylls = pres.reduce(tuple((v, -e) for v, e in reversed(v1.rep)) + tuple(v2.rep))
-    succ, _ = pres._heap(sylls)
     sides = [v2.side, other_side(v2.side)]
     vertex_sets = [set(side_set(splitting, side)) for side in sides]
-    rounds = [0] * len(sylls)
-    for i in range(len(sylls) - 1, -1, -1):
-        r = max((rounds[j] for j in succ[i]), default=0)
-        rounds[i] = r if sylls[i].vertex in vertex_sets[r % 2] else r + 1
-    last = max(rounds, default=0)
+    rounds: dict[str, int] = {}
+    for v, _ in reversed(sylls):
+        lk = adjacency[v]
+        r = max((ru for u, ru in rounds.items() if u not in lk), default=0)
+        rounds[v] = r if v in vertex_sets[r % 2] else r + 1
+    last = max(rounds.values(), default=0)
     return last + (sides[last % 2] != v1.side)
 
 
@@ -318,26 +325,30 @@ def path_stabilizer(
     G_C ∩ dG_Cd^-1 = G_R for R = C ∩ lk(supp d), a parabolic intersection
     (Antolín-Minasyan, J. reine angew. Math. 2015). f is the canonical
     representative of g_1 p G_R, so no R-syllable ends f.
+    Every earlier (later) syllable outside a syllable's link is an ancestor
+    (descendant), so a forward scan over the reduced h finds p: a C-syllable
+    joins it iff every earlier syllable outside p lies in its link. A reverse
+    scan finds q and supp d the same way; a later p-syllable lies in the link
+    of any syllable outside p.
     Raises InputError for an empty path.
     """
     if not path:
         raise InputError("path must contain at least one edge")
     pres = splitting.presentation
+    adjacency = pres.graph.adjacency
     c_set = set(splitting.c_side)
     g1 = path[0].rep
     sylls = pres.reduce(tuple((v, -e) for v, e in reversed(g1)) + tuple(path[-1].rep))
-    succ, _ = pres._heap(sylls)
-    n = len(sylls)
-    in_p, in_q, blocked = [False] * n, [False] * n, [False] * n
-    for i in range(n):
-        in_p[i] = sylls[i].vertex in c_set and not blocked[i]
-        if not in_p[i]:
-            for j in succ[i]:
-                blocked[j] = True
-    for i in range(n - 1, -1, -1):
-        in_q[i] = not in_p[i] and sylls[i].vertex in c_set and all(in_q[j] for j in succ[i])
-    adjacency = pres.graph.adjacency
-    d_support = {s.vertex for s, p, q in zip(sylls, in_p, in_q) if not (p or q)}
+    in_p = []
+    outside_p: set[str] = set()
+    for v, _ in sylls:
+        in_p.append(v in c_set and outside_p <= adjacency[v])
+        if not in_p[-1]:
+            outside_p.add(v)
+    d_support: set[str] = set()
+    for (v, _), p in zip(reversed(sylls), reversed(in_p)):
+        if not (p or v in c_set and d_support <= adjacency[v]):
+            d_support.add(v)
     r = tuple(c for c in splitting.c_side if all(c in adjacency[v] for v in d_support))
     p_word = tuple(s for s, p in zip(sylls, in_p) if p)
     return coset_canonical(pres, g1 + p_word, r), r

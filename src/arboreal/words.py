@@ -6,25 +6,26 @@ identity syllables, join two syllables at one vertex when everything between
 them commutes with it, shuffle adjacent commuting syllables. Two words are the
 same element iff their canonical forms are identical sequences.
 
-One engine serves every normal form. ``reduce`` is one left-to-right pass. The
-dependency heap of a reduced word has an arc into each syllable from the last
-earlier syllable at each vertex outside its link, its own included; its
-linearizations are the word's shuffle orbit. ``canonical`` is the one taking
-the smallest available vertex first (Kahn's algorithm), the orbit's
-lexicographic minimum; ``first_vertices``/``last_vertices`` are the heap's
-sources and sinks. Cost for L syllables over |V| vertices: O(L*|V| + L log L),
-plus ``reduce``'s backward scans: linear on typical words, O(L^2) at worst.
-The same linearizer serves any predecessor-closed set of a heap (see
-``tree.coset_canonical``).
+The dependency heap of a reduced word has an arc into each syllable from the
+last earlier syllable at each vertex outside its link, its own included; its
+linearizations are the word's shuffle orbit, and the canonical form is the one
+taking the smallest available vertex first (Kahn's algorithm), the orbit's
+lexicographic minimum. The heap is a proof device only and is never built: a
+later syllable whose vertex is outside lk(v), or is v, is a descendant of a
+v-syllable, so every heap query is a scan with per-vertex state.
 
-Ball enumeration grows normal forms one syllable at a time: ``_append`` is
-the insertion step of heaps of pieces (Viennot), O(L) with no heap built.
+One primitive gives every normal form: ``_insert`` is the insertion step of
+heaps of pieces (Viennot), canonical(g + [s]) from a canonical g, in place.
+``canonical`` is its fold over the word, and ball enumeration applies it once
+per step. Cost for L syllables: O(L*b), b the length of the trailing block
+that commutes with each new syllable; O(L^2) at worst, the bound of
+``reduce``'s one left-to-right pass, with no word copied per syllable.
+``first_vertices``/``last_vertices`` are the heap's sources and sinks.
 """
 
 from __future__ import annotations
 
 import re
-from heapq import heapify, heappop, heappush
 from typing import Iterable, NamedTuple
 
 from .errors import DegeneratePresentationError, InputError, ResourceCapError
@@ -122,68 +123,40 @@ class Presentation:
                 del out[i]
         return tuple(out)
 
-    def _heap(self, sylls: Word) -> tuple[list[list[int]], list[int]]:
-        """Successor lists and in-degrees of a reduced word's dependency heap."""
-        adjacency = self.graph.adjacency
-        last: dict[str, int] = {}
-        succ: list[list[int]] = []
-        indeg = []
-        for j, (v, _) in enumerate(sylls):
-            lk = adjacency[v]
-            before = [i for u, i in last.items() if u not in lk]
-            for i in before:
-                succ[i].append(j)
-            succ.append([])
-            indeg.append(len(before))
-            last[v] = j
-        return succ, indeg
-
-    def _linearize(self, sylls: Word, succ: list[list[int]], indeg: list[int]) -> Word:
-        """Lexicographically least linearization of a heap, consuming ``indeg``;
-        at most one syllable per vertex is ready at a time, so vertex index
-        decides. A syllable whose in-degree cannot reach 0 is left out, and so
-        are its successors."""
-        index = self.graph.index
-        ready = [(index[v], j) for j, (v, _) in enumerate(sylls) if not indeg[j]]
-        heapify(ready)
-        out = []
-        while ready:
-            _, i = heappop(ready)
-            out.append(sylls[i])
-            for j in succ[i]:
-                indeg[j] -= 1
-                if not indeg[j]:
-                    heappush(ready, (index[sylls[j].vertex], j))
+    def canonical(self, word: Word) -> Word:
+        """Lexicographically least member of the reduced word's shuffle orbit:
+        the syllables inserted one at a time (see ``_insert``)."""
+        out: list[Syllable] = []
+        for s in self.make_word(word):
+            self._insert(out, s)
         return tuple(out)
 
-    def canonical(self, word: Word) -> Word:
-        """Lexicographically least linearization of the reduced word's heap."""
-        sylls = self.reduce(word)
-        return self._linearize(sylls, *self._heap(sylls))
-
-    def _append(self, g: Word, s: Syllable) -> Word:
-        """canonical(g + (s,)) for a canonical g and a normalized syllable s.
+    def _insert(self, g: list[Syllable], s: Syllable) -> None:
+        """Turn the canonical word ``g`` into canonical(g + [s]) in place, for
+        a normalized syllable s.
 
         Scan back over syllables in link(v), v = s.vertex. A v-syllable met
         there absorbs s, or goes when the exponent vanishes: it is a sink of
         g's heap, so the others keep their order. Otherwise s is a new sink
         whose last predecessor is the scan's stop, and Kahn's algorithm takes
-        it at the first later position whose vertex index is larger than v's.
-        O(L), with no heap built."""
+        it at the first later position whose vertex index is larger than v's."""
         v = s.vertex
         lk = self.graph.adjacency[v]
         i = len(g) - 1
         while i >= 0 and g[i].vertex in lk:
             i -= 1
         if i >= 0 and g[i].vertex == v:
-            e = self.normalize_exponent(v, g[i].exponent + s.exponent)
-            return g[:i] + ((Syllable(v, e),) if e else ()) + g[i + 1:]
+            if e := self.normalize_exponent(v, g[i].exponent + s.exponent):
+                g[i] = Syllable(v, e)
+            else:
+                del g[i]
+            return
         index = self.graph.index
         rank = index[v]
         j = i + 1
         while j < len(g) and index[g[j].vertex] < rank:
             j += 1
-        return g[:j] + (s,) + g[j:]
+        g.insert(j, s)
 
     # --- group operations --------------------------------------------------
 
@@ -209,15 +182,24 @@ class Presentation:
 
     def first_vertices(self, word: Word) -> set[str]:
         """Vertices that can begin a reduced word for the element: heap sources."""
-        sylls = self.reduce(word)
-        _, indeg = self._heap(sylls)
-        return {v for (v, _), d in zip(sylls, indeg) if not d}
+        return self._sources(self.reduce(word))
 
     def last_vertices(self, word: Word) -> set[str]:
-        """Vertices that can end a reduced word for the element: heap sinks."""
-        sylls = self.reduce(word)
-        succ, _ = self._heap(sylls)
-        return {v for (v, _), after in zip(sylls, succ) if not after}
+        """Vertices that can end a reduced word for the element: heap sinks,
+        the sources of the reversed word."""
+        return self._sources(reversed(self.reduce(word)))
+
+    def _sources(self, sylls: Iterable[Syllable]) -> set[str]:
+        """Vertices of the syllables of a reduced word with no earlier
+        syllable outside their link: the heap's sources."""
+        adjacency = self.graph.adjacency
+        seen: set[str] = set()
+        out = set()
+        for v, _ in sylls:
+            if seen <= adjacency[v]:
+                out.add(v)
+            seen.add(v)
+        return out
 
     # --- full subgroups --------------------------------------------------------
 
@@ -277,13 +259,19 @@ class Presentation:
             if v in allowed
             for e in ((1, -1) if self.orders[v] == INFINITY else range(1, self.orders[v]))
         ]
+
+        def step(g: Word, s: Syllable) -> Word:
+            h = list(g)
+            self._insert(h, s)
+            return tuple(h)
+
         seen = {()}
         frontier = [()]
         for depth in range(1, radius + 1):
             new = []
             for g in frontier:
                 for s in gens:
-                    h = self._append(g, s)
+                    h = step(g, s)
                     if h not in seen:
                         seen.add(h)
                         if len(seen) > cap:
@@ -297,7 +285,7 @@ class Presentation:
         # saturated iff one more step adds nothing
         for g in frontier:
             for s in gens:
-                if self._append(g, s) not in seen:
+                if step(g, s) not in seen:
                     return seen, False
         return seen, True
 
@@ -321,7 +309,11 @@ def parse_word(pres: Presentation, text: str) -> Word:
         if not m:
             raise InputError(f"bad syllable syntax: {token!r}")
         vertex = m.group("vertex")
-        exp = int(m.group("exp")) if m.group("exp") is not None else 1
+        try:
+            exp = int(m.group("exp")) if m.group("exp") is not None else 1
+        except ValueError as exc:
+            # more digits than Python converts from a string
+            raise InputError(f"exponent at vertex {vertex} is too long: {exc}") from exc
         if exp == 0:
             raise InputError(f"zero exponent in syllable {token!r}")
         if vertex not in pres.graph.index:

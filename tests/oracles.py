@@ -3,8 +3,10 @@
 These deliberately avoid the code paths they verify: reduction applies the
 rewriting rules in a random order, the shuffle-closure oracle works by
 exhaustive BFS over adjacent commuting swaps, the first/last-vertex and
-coset oracles read the answer off the whole orbit, balls grow by whole-word
-canonical forms rather than by appending a syllable, separated pairs come
+coset oracles read the answer off the whole orbit, canonical forms also come
+from linearizing the dependency heap of the whole reduced word, balls grow
+by those whole-word forms rather than by inserting a syllable, separated
+pairs come
 from BFS distances and induced subgraphs, the tree ball and the audit
 enumerate a side ball at every tree vertex and scan the whole element ball
 (or enumerate G_C) at every tree edge, and tree distances come from
@@ -14,6 +16,7 @@ re-canonicalizing stripping rounds or from BFS on a materialized ball.
 import math
 import random
 from collections import deque
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from arboreal.classify import SeparatedPair
@@ -89,6 +92,34 @@ def coset_canonical_by_stripping(pres, word, subset, rng: random.Random):
         g = lex_min_of_orbit(pres, reduce_randomized(pres, g[:i] + g[i + 1:], rng))
 
 
+def canonical_by_heap(pres, word):
+    """Canonical form as the lexicographically least linearization of the
+    reduced word's dependency heap: an arc into each syllable from the last
+    earlier syllable at each vertex outside its link, linearized by Kahn's
+    algorithm taking the smallest ready vertex first."""
+    sylls = pres.reduce(word)
+    adjacency, index = pres.graph.adjacency, pres.graph.index
+    last, succ, indeg = {}, [], []
+    for j, (v, _) in enumerate(sylls):
+        before = [i for u, i in last.items() if u not in adjacency[v]]
+        for i in before:
+            succ[i].append(j)
+        succ.append([])
+        indeg.append(len(before))
+        last[v] = j
+    ready = [(index[v], j) for j, (v, _) in enumerate(sylls) if not indeg[j]]
+    heapify(ready)
+    out = []
+    while ready:
+        _, i = heappop(ready)
+        out.append(sylls[i])
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                heappush(ready, (index[sylls[j].vertex], j))
+    return tuple(out)
+
+
 def ball_generators(pres, subset):
     """The single-syllable generators of G_S: every nontrivial exponent at a
     finite vertex, exponents +-1 at an infinite one."""
@@ -102,7 +133,7 @@ def ball_generators(pres, subset):
 
 def enumerate_ball_by_canonical(pres, radius, cap, subset):
     """Ball of G_S and its saturation flag, each element the whole-word
-    ``canonical(g + (s,))`` of an element g one step nearer; raises
+    ``canonical_by_heap(g + (s,))`` of an element g one step nearer; raises
     ResourceCapError at the element that passes ``cap``."""
     gens = ball_generators(pres, subset)
     seen = {()}
@@ -111,7 +142,7 @@ def enumerate_ball_by_canonical(pres, radius, cap, subset):
         new = []
         for g in frontier:
             for s in gens:
-                h = pres.canonical(g + (s,))
+                h = canonical_by_heap(pres, g + (s,))
                 if h not in seen:
                     seen.add(h)
                     if len(seen) > cap:
@@ -122,7 +153,7 @@ def enumerate_ball_by_canonical(pres, radius, cap, subset):
         frontier = new
         if not frontier:
             return seen, True
-    return seen, all(pres.canonical(g + (s,)) in seen for g in frontier for s in gens)
+    return seen, all(canonical_by_heap(pres, g + (s,)) in seen for g in frontier for s in gens)
 
 
 def random_presentation(rng: random.Random, max_vertices=5, orders=(2, 3, INFINITY)):

@@ -350,3 +350,51 @@ def test_classify_on_any_json_file_exits_0_2_or_3(data):
             code = main(["classify", str(path)])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+MALFORMED_FILES = {
+    "not-utf8": b"\xff\xfe\x00garbage",
+    "deep-nesting": b"[" * 100_000,
+    "long-integer": b'{"vertices": [{"name": "a", "order": %s}, {"name": "b", "order": 2}]}'
+    % (b"9" * 5000),
+}
+
+
+@pytest.mark.parametrize("contents", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+def test_malformed_file_exits_2(capsys, tmp_path, contents):
+    path = tmp_path / "bad.json"
+    path.write_bytes(contents)
+    code, out, err = run(capsys, "classify", path)
+    assert code == 2
+    assert not out
+    assert err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("contents", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+def test_run_audit_script_malformed_file_exits_2(capsys, tmp_path, contents):
+    path = tmp_path / "bad.json"
+    path.write_bytes(contents)
+    code = runpy.run_path(str(RUN_AUDIT))["main"]([str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not captured.out
+    assert captured.err.startswith(f"error: {path}: ")
+
+
+LONG_EXPONENT = "a^" + "9" * 5000
+
+
+def test_long_exponent_argument_exits_2(capsys):
+    code, out, err = run(capsys, "nf", FIXTURES / "p4_racg.json", LONG_EXPONENT)
+    assert code == 2
+    assert not out
+    assert err.startswith("error: exponent at vertex a is too long")
+
+
+def test_long_exponent_in_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "words.json"
+    path.write_text(json.dumps({"vertices": TWO_VERTICES, "words": {"g": LONG_EXPONENT}}))
+    code, out, err = run(capsys, "classify", path)
+    assert code == 2
+    assert not out
+    assert err.startswith(f"error: {path}: exponent at vertex a is too long")

@@ -1,7 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arboreal.errors import DegeneratePresentationError, InputError
 from arboreal.formats import (
@@ -119,5 +122,19 @@ def test_any_json_value_loads_or_raises_input_error(data):
         pres, words = presentation_from_dict(data)
     except InputError:
         return
+    assert isinstance(pres, Presentation)
+    assert isinstance(words, dict)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=200))
+def test_any_bytes_load_or_raise_input_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.json"
+        path.write_bytes(data)
+        try:
+            pres, words = load_presentation(path)
+        except InputError:
+            return
     assert isinstance(pres, Presentation)
     assert isinstance(words, dict)

@@ -1,7 +1,8 @@
 """Property tests of the normal-form engine against the brute-force oracles.
 
 Presentations have at most five vertices with orders in {2, 3, inf}; words
-have at most ten syllables, given as plain ``(vertex, exponent)`` tuples.
+have at most ten syllables, given as plain ``(vertex, exponent)`` tuples,
+except against the heap oracle, which takes words of 20 to 200.
 Balls go up to radius 3 under caps low enough that cap errors are compared
 too.
 """
@@ -17,6 +18,7 @@ from arboreal.words import Syllable
 from conftest import presentations
 from oracles import (
     ball_generators,
+    canonical_by_heap,
     coset_canonical_by_stripping,
     enumerate_ball_by_canonical,
     first_vertices_brute,
@@ -27,10 +29,10 @@ from oracles import (
 
 
 @st.composite
-def presentations_and_words(draw):
+def presentations_and_words(draw, min_size=0, max_size=10):
     pres = draw(presentations())
     syllable = st.tuples(st.sampled_from(pres.graph.vertices), st.integers(-3, 3))
-    return pres, tuple(draw(st.lists(syllable, max_size=10)))
+    return pres, tuple(draw(st.lists(syllable, min_size=min_size, max_size=max_size)))
 
 
 randoms = st.randoms(use_true_random=False)
@@ -42,6 +44,12 @@ class TestEngine:
     def test_canonical_is_lex_min_of_orbit(self, case, rng):
         pres, w = case
         assert pres.canonical(w) == lex_min_of_orbit(pres, reduce_randomized(pres, w, rng))
+
+    @settings(max_examples=150, deadline=None)
+    @given(presentations_and_words(min_size=20, max_size=200))
+    def test_canonical_matches_heap_on_long_words(self, case):
+        pres, w = case
+        assert pres.canonical(w) == canonical_by_heap(pres, w)
 
     @settings(max_examples=150, deadline=None)
     @given(presentations_and_words(), randoms)
@@ -70,14 +78,16 @@ class TestEngine:
 
     @settings(max_examples=150, deadline=None)
     @given(presentations_and_words())
-    def test_append_is_canonical_of_concatenation(self, case):
+    def test_insert_is_canonical_of_concatenation(self, case):
         pres, w = case
-        g = pres.canonical(w)
+        g = canonical_by_heap(pres, w)
         # every generator, and the inverse of each syllable of g, so that
         # joins whose exponent vanishes are met on every nonempty g
         steps = ball_generators(pres, pres.graph.vertices) + [pres.syllable(v, -e) for v, e in g]
         for s in steps:
-            assert pres._append(g, s) == pres.canonical(w + (s,))
+            h = list(g)
+            pres._insert(h, s)
+            assert tuple(h) == canonical_by_heap(pres, w + (s,))
 
     @settings(max_examples=100, deadline=None)
     @given(presentations(), st.integers(0, 3), st.sampled_from((4, 30, 1000)), st.data())

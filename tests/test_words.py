@@ -281,10 +281,10 @@ class TestEnumerateBall:
 
     def test_cap_stops_at_the_insert_that_passes_it(self, p4_racg):
         # radius 1 holds 5 elements; the first new element of radius 2 is
-        # the 6th, found by the 6th append step
+        # the 6th, found by the 6th insertion step
         calls = []
-        append = p4_racg._append
-        p4_racg._append = lambda g, s: calls.append((g, s)) or append(g, s)
+        insert = p4_racg._insert
+        p4_racg._insert = lambda g, s: calls.append(s) or insert(g, s)
         with pytest.raises(ResourceCapError, match="at radius 2$"):
             p4_racg.enumerate_ball(10, cap=5)
         assert len(calls) == 6
