@@ -160,15 +160,21 @@ def induced_subgraph(graph: SimpleGraph, subset: Iterable[str]) -> SimpleGraph:
     return SimpleGraph(vertices, edges)
 
 
+def dot_quoted(text: str) -> str:
+    """``text`` as a quoted DOT string, with its backslashes and double
+    quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(graph: SimpleGraph, name: str = "G") -> str:
     """DOT rendering with deterministic vertex and edge order."""
     lines = [f"graph {name} {{"]
     for v in graph.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {dot_quoted(v)};")
     for u, v in sorted(
         (tuple(sorted(e, key=graph.index.get)) for e in graph.edges),
         key=lambda e: (graph.index[e[0]], graph.index[e[1]]),
     ):
-        lines.append(f'  "{u}" -- "{v}";')
+        lines.append(f"  {dot_quoted(u)} -- {dot_quoted(v)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -30,6 +30,7 @@ from typing import Iterable, Optional
 
 from .classify import SplittingSpec
 from .errors import InputError, ResourceCapError
+from .graphs import dot_quoted
 from .words import DEFAULT_BALL_CAP, Presentation, Word, format_word
 
 SIDE_A = "A"
@@ -187,7 +188,8 @@ def _side_cosets(
     ball, saturated = pres.enumerate_ball_info(
         local_radius, cap=cap, subset=side_set(splitting, side)
     )
-    reps = sorted({coset_canonical(pres, s, splitting.c_side) for s in ball})
+    c_set = set(splitting.c_side)
+    reps = sorted({_strip(pres, s, c_set) for s in ball})
     return reps, not saturated
 
 
@@ -196,14 +198,14 @@ def _neighbors(
 ) -> list[tuple[TreeEdge, TreeVertex]]:
     """The (edge, opposite vertex) pairs v.rep*t*G_C, v.rep*t*G_opp for the
     side cosets t*G_C, sorted by edge. Distinct cosets give distinct edges.
-    v.rep*t is made canonical once per incident edge, and both cosets are
-    stripped from it."""
+    The canonical v.rep is extended by t once per incident edge, never
+    canonicalized again, and both cosets are stripped from the result."""
     pres = splitting.presentation
     opp = other_side(v.side)
     c_set, opp_set = set(splitting.c_side), set(side_set(splitting, opp))
     out = []
     for t in reps:
-        g = pres.canonical(v.rep + t)
+        g = pres._extend(v.rep, t)
         out.append((TreeEdge(_strip(pres, g, c_set)), TreeVertex(opp, _strip(pres, g, opp_set))))
     out.sort(key=lambda pair: pair[0].rep)
     return out
@@ -220,9 +222,11 @@ def tree_ball(
     The edges at gG_A are gsG_C, and the far vertex of each is gsG_B, for s
     in the side ball of G_A; both depend on s only through the coset sG_C,
     because G_C <= G_B. So each side's ball is enumerated once, at the first
-    vertex of that side, and collapsed to its G_C-coset representatives; a
-    vertex then costs one canonical form per coset, from which both the edge
-    and the far vertex are stripped (see ``_neighbors``).
+    vertex of that side, and collapsed to its G_C-coset representatives by
+    stripping its canonical elements; a vertex then costs one extension of its
+    canonical representative per coset, from which both the edge and the far
+    vertex are stripped (see ``_neighbors``). No concatenation of canonical
+    words is canonicalized again.
     ``cap`` bounds the side balls and the ball's vertex count alike.
     Raises InputError for a negative radius, or a local radius or cap below 1.
     """
@@ -324,7 +328,8 @@ def path_stabilizer(
     of the other C-syllables. Then d has no source or sink in C, and
     G_C ∩ dG_Cd^-1 = G_R for R = C ∩ lk(supp d), a parabolic intersection
     (Antolín-Minasyan, J. reine angew. Math. 2015). f is the canonical
-    representative of g_1 p G_R, so no R-syllable ends f.
+    representative of g_1 p G_R, so no R-syllable ends f: the canonical g_1 is
+    extended by p, not canonicalized again, and R is stripped.
     Every earlier (later) syllable outside a syllable's link is an ancestor
     (descendant), so a forward scan over the reduced h finds p: a C-syllable
     joins it iff every earlier syllable outside p lies in its link. A reverse
@@ -351,7 +356,7 @@ def path_stabilizer(
             d_support.add(v)
     r = tuple(c for c in splitting.c_side if all(c in adjacency[v] for v in d_support))
     p_word = tuple(s for s, p in zip(sylls, in_p) if p)
-    return coset_canonical(pres, g1 + p_word, r), r
+    return _strip(pres, pres._extend(g1, p_word), set(r)), r
 
 
 def _paths_of_length(ball: TreeBall, k: int):
@@ -418,6 +423,8 @@ def audit_acylindricity(
     Since no R-syllable ends f, none of x cancels in f x f^-1 for x in G_R, so
     |x| <= |f x f^-1| and the count ranges over the radius-r ball of G_R,
     enumerated once per distinct R; each distinct (f, R) is counted once.
+    f x f^-1 is f extended by x and then by f^-1, all three canonical, so no
+    concatenation of canonical words is canonicalized again.
     Each side's ball is enumerated once too, collapsed to G_C cosets (see
     ``tree_ball``).
     Raises InputError for limits under which no path would be checked.
@@ -440,7 +447,8 @@ def audit_acylindricity(
                 subgroup_balls[r] = pres.enumerate_ball(element_radius, cap=cap, subset=r)
             f_inv = pres.inverse(f)
             sizes[stabilizer] = sum(
-                pres.multiply(f, x, f_inv) in elements for x in subgroup_balls[r]
+                pres._extend(pres._extend(f, x), f_inv) in elements
+                for x in subgroup_balls[r]
             )
         size = sizes[stabilizer]
         paths_checked += 1
@@ -481,7 +489,7 @@ def tree_ball_to_dot(ball: TreeBall, name: str = "T") -> str:
     lines = [f"graph {name} {{"]
     order = {v: i for i, v in enumerate(ball.vertices)}
     for v in ball.vertices:
-        lines.append(f'  v{order[v]} [label="{v.label()}"];')
+        lines.append(f"  v{order[v]} [label={dot_quoted(v.label())}];")
     seen = set()
     for v in ball.vertices:
         for edge, w in ball.adjacency[v]:
@@ -489,6 +497,6 @@ def tree_ball_to_dot(ball: TreeBall, name: str = "T") -> str:
             if key in seen:
                 continue
             seen.add(key)
-            lines.append(f'  v{order[v]} -- v{order[w]} [label="{edge.label()}"];')
+            lines.append(f"  v{order[v]} -- v{order[w]} [label={dot_quoted(edge.label())}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -16,10 +16,13 @@ v-syllable, so every heap query is a scan with per-vertex state.
 
 One primitive gives every normal form: ``_insert`` is the insertion step of
 heaps of pieces (Viennot), canonical(g + [s]) from a canonical g, in place.
-``canonical`` is its fold over the word, and ball enumeration applies it once
-per step. Cost for L syllables: O(L*b), b the length of the trailing block
-that commutes with each new syllable; O(L^2) at worst, the bound of
-``reduce``'s one left-to-right pass, with no word copied per syllable.
+Its one entry point is ``_extend(g, sylls)``, canonical(g + sylls) for a
+canonical g: ``canonical`` extends the empty word, ball enumeration extends
+each ball element by one syllable, and the tree layer extends canonical
+words instead of canonicalizing their concatenation again. Cost: O(|sylls|*b)
+beyond copying g, b the length of the trailing block that commutes with each
+new syllable; O(L^2) at worst for L syllables, the bound of ``reduce``'s one
+left-to-right pass, with no word copied per syllable.
 ``first_vertices``/``last_vertices`` are the heap's sources and sinks.
 """
 
@@ -93,11 +96,17 @@ class Presentation:
         return Syllable(vertex, e)
 
     def make_word(self, pairs: Iterable[tuple[str, int]]) -> Word:
-        """Word from (vertex, exponent) pairs, dropping identity syllables."""
+        """Word from (vertex, exponent) pairs, dropping identity syllables.
+        Exponents are reduced as in ``normalize_exponent``, inline."""
+        orders = self.orders
         out = []
         for v, e in pairs:
-            e = self.normalize_exponent(v, e)
-            if e != 0:
+            n = orders.get(v)
+            if n is None:
+                raise InputError(f"unknown vertex: {v}")
+            if n != INFINITY:
+                e %= n
+            if e:
                 out.append(Syllable(v, e))
         return tuple(out)
 
@@ -125,15 +134,22 @@ class Presentation:
 
     def canonical(self, word: Word) -> Word:
         """Lexicographically least member of the reduced word's shuffle orbit:
-        the syllables inserted one at a time (see ``_insert``)."""
-        out: list[Syllable] = []
-        for s in self.make_word(word):
-            self._insert(out, s)
-        return tuple(out)
+        the syllables inserted one at a time into the empty word (see
+        ``_extend``)."""
+        return self._extend((), self.make_word(word))
+
+    def _extend(self, g: Word, sylls: Iterable[Syllable]) -> Word:
+        """canonical(g + sylls) for a canonical g and normalized syllables,
+        each inserted in turn into a copy of g (see ``_insert``): the entry
+        point of the normal-form engine, O(|sylls|*b) beyond copying g."""
+        h = list(g)
+        for s in sylls:
+            self._insert(h, s)
+        return tuple(h)
 
     def _insert(self, g: list[Syllable], s: Syllable) -> None:
         """Turn the canonical word ``g`` into canonical(g + [s]) in place, for
-        a normalized syllable s.
+        a normalized syllable s. Called through ``_extend`` only.
 
         Scan back over syllables in link(v), v = s.vertex. A v-syllable met
         there absorbs s, or goes when the exponent vanishes: it is a sink of
@@ -260,18 +276,13 @@ class Presentation:
             for e in ((1, -1) if self.orders[v] == INFINITY else range(1, self.orders[v]))
         ]
 
-        def step(g: Word, s: Syllable) -> Word:
-            h = list(g)
-            self._insert(h, s)
-            return tuple(h)
-
         seen = {()}
         frontier = [()]
         for depth in range(1, radius + 1):
             new = []
             for g in frontier:
                 for s in gens:
-                    h = step(g, s)
+                    h = self._extend(g, (s,))
                     if h not in seen:
                         seen.add(h)
                         if len(seen) > cap:
@@ -285,7 +296,7 @@ class Presentation:
         # saturated iff one more step adds nothing
         for g in frontier:
             for s in gens:
-                if step(g, s) not in seen:
+                if self._extend(g, (s,)) not in seen:
                     return seen, False
         return seen, True
 
@@ -323,10 +334,17 @@ def parse_word(pres: Presentation, text: str) -> Word:
 
 
 def format_word(word: Word) -> str:
-    """Inverse of parse_word on canonical forms; identity prints as ``1``."""
+    """Inverse of parse_word on canonical forms; identity prints as ``1``.
+    Raises InputError for an exponent with more digits than Python prints."""
     if not word:
         return "1"
-    return " ".join(v if e == 1 else f"{v}^{e}" for v, e in word)
+    parts = []
+    for v, e in word:
+        try:
+            parts.append(v if e == 1 else f"{v}^{e}")
+        except ValueError as exc:
+            raise InputError(f"exponent at vertex {v} is too long to print: {exc}") from exc
+    return " ".join(parts)
 
 
 def word_to_json(word: Word) -> list[list]:

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import runpy
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -218,6 +219,20 @@ class TestExportDot:
         assert code == 5
         assert "resource cap exceeded" in err
 
+    @pytest.mark.parametrize("target", ["graph", "complement", "tree-ball"])
+    def test_quoted_vertex_names_are_escaped(self, capsys, tmp_path, target):
+        path = tmp_path / "quoted.json"
+        names = ['a"b', "c\\d", "e"]
+        path.write_text(json.dumps({
+            "vertices": [{"name": n, "order": 2} for n in names],
+            "edges": [names[:2]],
+        }))
+        code, out, _ = run(capsys, "export-dot", path, "--target", target, "--tree-radius", "2")
+        assert code == 0
+        assert 'a\\"b' in out and "c\\\\d" in out
+        # with every well-formed quoted string removed, no quote or backslash is left
+        assert not re.search(r'["\\]', re.sub(r'"(?:[^"\\]|\\.)*"', "", out))
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "graph.dot"
         code, out, _ = run(
@@ -398,3 +413,20 @@ def test_long_exponent_in_file_exits_2(capsys, tmp_path):
     assert code == 2
     assert not out
     assert err.startswith(f"error: {path}: exponent at vertex a is too long")
+
+
+HUGE_POWER = "a^" + "9" * 4300
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["nf", HUGE_POWER + " " + HUGE_POWER], ["nf", "--json", HUGE_POWER + " " + HUGE_POWER],
+     ["mul", HUGE_POWER, HUGE_POWER]],
+    ids=["nf", "nf-json", "mul"],
+)
+def test_exponent_too_long_to_print_exits_2(capsys, argv):
+    # each exponent parses, but the joined one has 4,301 digits
+    code, out, err = run(capsys, argv[0], FIXTURES / "p3_raag.json", *argv[1:])
+    assert code == 2
+    assert not out
+    assert err.startswith("error: exponent at vertex a is too long to print")

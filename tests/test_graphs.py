@@ -184,6 +184,10 @@ class TestDot:
         dot = to_dot(complement(complete_graph(3)))
         assert "--" not in dot
 
+    def test_quotes_and_backslashes_in_names_are_escaped(self):
+        dot = to_dot(SimpleGraph(['a"b', "c\\d"], [('a"b', "c\\d")]))
+        assert dot.splitlines()[1:4] == ['  "a\\"b";', '  "c\\\\d";', '  "a\\"b" -- "c\\\\d";']
+
 
 def test_edge_distance_infinite_across_components():
     assert edge_distance(SimpleGraph("ab"), "a", "b") == INFINITY

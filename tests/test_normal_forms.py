@@ -89,6 +89,22 @@ class TestEngine:
             pres._insert(h, s)
             assert tuple(h) == canonical_by_heap(pres, w + (s,))
 
+    @settings(max_examples=150, deadline=None)
+    @given(presentations_and_words(), st.data())
+    def test_extend_is_canonical_of_concatenation(self, case, data):
+        pres, w = case
+        g = canonical_by_heap(pres, w)
+        # u mixes fresh syllables with inverses of w's, and may begin by
+        # undoing w entirely, so joins whose exponent vanishes are met
+        inverses = [(v, -e) for v, e in reversed(w)]
+        syllable = st.tuples(st.sampled_from(pres.graph.vertices), st.integers(-3, 3))
+        if inverses:
+            syllable |= st.sampled_from(inverses)
+        u = tuple(data.draw(st.lists(syllable, max_size=10)))
+        if data.draw(st.booleans()):
+            u = tuple(inverses) + u
+        assert pres._extend(g, pres.make_word(u)) == canonical_by_heap(pres, w + u)
+
     @settings(max_examples=100, deadline=None)
     @given(presentations(), st.integers(0, 3), st.sampled_from((4, 30, 1000)), st.data())
     def test_ball_matches_whole_word_oracle(self, pres, radius, cap, data):

@@ -322,6 +322,14 @@ class TestTreeBallExport:
         assert "A:1" in dot and "B:1" in dot
         assert dot.count("--") == len(ball.edges)
 
+    def test_dot_escapes_quoted_vertex_names(self):
+        names = ['a"b', "c\\d", "e"]
+        pres = Presentation(SimpleGraph(names, [names[:2]]), dict.fromkeys(names, 2))
+        sp = build_splitting(pres, SeparatedPair('a"b', "e", (), 1))
+        dot = tree_ball_to_dot(tree_ball(sp, 2, local_radius=2))
+        assert '[label="B:a\\"b"]' in dot
+        assert '[label="A:c\\\\d e"]' in dot
+
     def test_vertex_reps_are_minimal(self, p4_racg, p4_splitting):
         ball = tree_ball(p4_splitting, 3, local_radius=2)
         for v in ball.vertices:
