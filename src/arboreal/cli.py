@@ -17,8 +17,10 @@ from .formats import load_presentation
 from .graphs import complement, to_dot
 from .tree import (
     SIDE_A,
+    SIDE_B,
     audit_acylindricity,
     check_audit_limits,
+    check_tree_ball_limits,
     make_vertex,
     tree_ball,
     tree_ball_to_dot,
@@ -33,10 +35,11 @@ EXIT_DEGENERATE = 3
 EXIT_NO_SPLITTING = 4
 EXIT_RESOURCE = 5
 
-# How audit-limit errors name each parameter: by its flag, here and in
-# scripts/run_audit.py.
+# How audit-limit and tree-ball-limit errors name each parameter: by its
+# flag, here and in scripts/run_audit.py. tree_ball's radius is the tree radius.
 AUDIT_FLAGS = {
     "k": "--k",
+    "radius": "--tree-radius",
     "tree_radius": "--tree-radius",
     "element_radius": "--element-radius",
     "local_radius": "--local-radius",
@@ -172,6 +175,8 @@ def cmd_tree_audit(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
+    if args.target == "tree-ball":
+        check_tree_ball_limits(args.tree_radius, args.local_radius, args.ball_cap, AUDIT_FLAGS)
     pres, _ = load_presentation(args.file)
     if args.target == "graph":
         text = to_dot(pres.graph)
@@ -218,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("word1")
     p.add_argument("word2")
-    p.add_argument("--side1", choices="AB", default=SIDE_A)
-    p.add_argument("--side2", choices="AB", default=SIDE_A)
+    p.add_argument("--side1", choices=[SIDE_A, SIDE_B], default=SIDE_A)
+    p.add_argument("--side2", choices=[SIDE_A, SIDE_B], default=SIDE_A)
     p.set_defaults(func=cmd_tree_dist)
 
     p = sub.add_parser("tree-audit", help="empirical (k, |G_N|) acylindricity audit")

@@ -227,17 +227,15 @@ def tree_ball(
     canonical representative per coset, from which both the edge and the far
     vertex are stripped (see ``_neighbors``). No concatenation of canonical
     words is canonicalized again.
+    The ball is a tree, so the one neighbour of a frontier vertex already in
+    the ball is its parent; every other neighbour is new.
     ``cap`` bounds the side balls and the ball's vertex count alike.
-    Raises InputError for a negative radius, or a local radius or cap below 1.
+    Raises InputError for limits ``check_tree_ball_limits`` rejects.
     """
-    if radius < 0:
-        raise InputError(f"radius must be at least 0, got {radius}")
-    for name, value in (("local_radius", local_radius), ("cap", cap)):
-        if value < 1:
-            raise InputError(f"{name} must be at least 1, got {value}")
+    check_tree_ball_limits(radius, local_radius, cap)
     base = base_vertex(splitting)
     adjacency: dict[TreeVertex, list[tuple[TreeEdge, TreeVertex]]] = {base: []}
-    edges: dict[Word, TreeEdge] = {}
+    edges: list[TreeEdge] = []
     cosets: dict[str, list[Word]] = {}
     truncated = False
     frontier = [base]
@@ -248,23 +246,19 @@ def tree_ball(
                 cosets[v.side], trunc = _side_cosets(splitting, v.side, local_radius, cap)
                 truncated = truncated or trunc
             for edge, w in _neighbors(splitting, v, cosets[v.side]):
-                if edge.rep not in edges:
-                    edges[edge.rep] = edge
+                if w not in adjacency:
+                    edges.append(edge)
                     adjacency[v].append((edge, w))
-                    if w not in adjacency:
-                        adjacency[w] = []
-                        new.append(w)
-                    adjacency[w].append((edge, v))
+                    adjacency[w] = [(edge, v)]
+                    new.append(w)
             if len(adjacency) > cap:
                 raise ResourceCapError(f"tree ball exceeded cap of {cap} vertices")
         frontier = new
-        if not frontier:
-            break
     return TreeBall(
         base=base,
         radius=radius,
         vertices=list(adjacency),
-        edges=list(edges.values()),
+        edges=edges,
         adjacency=adjacency,
         truncated=truncated,
     )
@@ -284,11 +278,11 @@ def tree_distance(splitting: SplittingSpec, v1: TreeVertex, v2: TreeVertex) -> i
     so r is the largest round held by a vertex outside the link, each vertex
     holding the round of its latest syllable. The distance is the largest
     round, plus one when that round's side is not v1's. O(L*|V|) beyond
-    ``reduce``.
+    ``canonical``, whose output is reduced.
     """
     pres = splitting.presentation
     adjacency = pres.graph.adjacency
-    sylls = pres.reduce(tuple((v, -e) for v, e in reversed(v1.rep)) + tuple(v2.rep))
+    sylls = pres.canonical(tuple((v, -e) for v, e in reversed(v1.rep)) + tuple(v2.rep))
     sides = [v2.side, other_side(v2.side)]
     vertex_sets = [set(side_set(splitting, side)) for side in sides]
     rounds: dict[str, int] = {}
@@ -331,10 +325,10 @@ def path_stabilizer(
     representative of g_1 p G_R, so no R-syllable ends f: the canonical g_1 is
     extended by p, not canonicalized again, and R is stripped.
     Every earlier (later) syllable outside a syllable's link is an ancestor
-    (descendant), so a forward scan over the reduced h finds p: a C-syllable
-    joins it iff every earlier syllable outside p lies in its link. A reverse
-    scan finds q and supp d the same way; a later p-syllable lies in the link
-    of any syllable outside p.
+    (descendant), so a forward scan over canonical(h), a reduced word, finds
+    p: a C-syllable joins it iff every earlier syllable outside p lies in its
+    link. A reverse scan finds q and supp d the same way; a later p-syllable
+    lies in the link of any syllable outside p.
     Raises InputError for an empty path.
     """
     if not path:
@@ -343,7 +337,7 @@ def path_stabilizer(
     adjacency = pres.graph.adjacency
     c_set = set(splitting.c_side)
     g1 = path[0].rep
-    sylls = pres.reduce(tuple((v, -e) for v, e in reversed(g1)) + tuple(path[-1].rep))
+    sylls = pres.canonical(tuple((v, -e) for v, e in reversed(g1)) + tuple(path[-1].rep))
     in_p = []
     outside_p: set[str] = set()
     for v, _ in sylls:
@@ -377,6 +371,24 @@ def _paths_of_length(ball: TreeBall, k: int):
                 stack.append((w, edges + [edge]))
 
 
+def _check_at_least(least: int, limits: dict[str, int], names: dict[str, str]) -> None:
+    """Raise InputError for the first of ``limits`` (name: value) below
+    ``least``, named as ``names`` spells it."""
+    for key, value in limits.items():
+        if value < least:
+            raise InputError(f"{names.get(key, key)} must be at least {least}, got {value}")
+
+
+def check_tree_ball_limits(
+    radius: int, local_radius: int, cap: int, names: Optional[dict[str, str]] = None
+) -> None:
+    """Raise InputError for a negative radius, or a local radius or cap below
+    1. ``names`` maps a parameter name to how messages spell it."""
+    names = names or {}
+    _check_at_least(0, {"radius": radius}, names)
+    _check_at_least(1, {"local_radius": local_radius, "cap": cap}, names)
+
+
 def check_audit_limits(
     k: int,
     tree_radius: int,
@@ -389,16 +401,10 @@ def check_audit_limits(
     any of them below 1, or k above 2 * tree_radius, the longest path in the
     tree ball. ``names`` maps a parameter name to how messages spell it."""
     names = names or {}
-    limits = {
-        "k": k,
-        "tree_radius": tree_radius,
-        "element_radius": element_radius,
-        "local_radius": local_radius,
-        "cap": cap,
-    }
-    for key, value in limits.items():
-        if value < 1:
-            raise InputError(f"{names.get(key, key)} must be at least 1, got {value}")
+    _check_at_least(
+        1, {"k": k, "tree_radius": tree_radius, "element_radius": element_radius}, names
+    )
+    check_tree_ball_limits(tree_radius, local_radius, cap, names)
     if k > 2 * tree_radius:
         raise InputError(
             f"{names.get('k', 'k')} {k} is more than twice "
@@ -472,14 +478,12 @@ def audit_acylindricity(
 
 def elliptic_generation_check(splitting: SplittingSpec, generators: list[Word]) -> bool:
     """True iff every s_i, s_j and s_i s_j acts elliptically."""
-    pres = splitting.presentation
-    gens = [pres.canonical(g) for g in generators]
-    for g in gens:
+    for g in generators:
         if element_action(splitting, g).is_loxodromic:
             return False
-    for i, g in enumerate(gens):
-        for h in gens[i + 1:]:
-            if element_action(splitting, pres.multiply(g, h)).is_loxodromic:
+    for i, g in enumerate(generators):
+        for h in generators[i + 1:]:
+            if element_action(splitting, tuple(g) + tuple(h)).is_loxodromic:
                 return False
     return True
 
@@ -490,13 +494,9 @@ def tree_ball_to_dot(ball: TreeBall, name: str = "T") -> str:
     order = {v: i for i, v in enumerate(ball.vertices)}
     for v in ball.vertices:
         lines.append(f"  v{order[v]} [label={dot_quoted(v.label())}];")
-    seen = set()
     for v in ball.vertices:
         for edge, w in ball.adjacency[v]:
-            key = edge.rep
-            if key in seen:
-                continue
-            seen.add(key)
-            lines.append(f"  v{order[v]} -- v{order[w]} [label={dot_quoted(edge.label())}];")
+            if order[v] < order[w]:
+                lines.append(f"  v{order[v]} -- v{order[w]} [label={dot_quoted(edge.label())}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

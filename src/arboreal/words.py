@@ -21,8 +21,8 @@ canonical g: ``canonical`` extends the empty word, ball enumeration extends
 each ball element by one syllable, and the tree layer extends canonical
 words instead of canonicalizing their concatenation again. Cost: O(|sylls|*b)
 beyond copying g, b the length of the trailing block that commutes with each
-new syllable; O(L^2) at worst for L syllables, the bound of ``reduce``'s one
-left-to-right pass, with no word copied per syllable.
+new syllable; O(L^2) at worst for L syllables, with no word copied per
+syllable. ``reduce`` is ``canonical``: ``_insert`` alone joins syllables.
 ``first_vertices``/``last_vertices`` are the heap's sources and sinks.
 """
 
@@ -113,24 +113,9 @@ class Presentation:
     # --- reduction and canonical form -------------------------------------
 
     def reduce(self, word: Word) -> Word:
-        """Reduced word for the same element, in one left-to-right pass: a
-        syllable at v scans back over syllables in link(v) and joins a
-        v-syllable met there. No join cascades: if P v^e S is reduced and
-        S lies in link(v)*, then P S is reduced."""
-        adjacency = self.graph.adjacency
-        out: list[Syllable] = []
-        for s in self.make_word(word):
-            v, lk = s.vertex, adjacency[s.vertex]
-            i = len(out) - 1
-            while i >= 0 and out[i].vertex in lk:
-                i -= 1
-            if i < 0 or out[i].vertex != v:
-                out.append(s)
-            elif e := self.normalize_exponent(v, out[i].exponent + s.exponent):
-                out[i] = Syllable(v, e)
-            else:
-                del out[i]
-        return tuple(out)
+        """A reduced word for the same element: its canonical form, so every
+        join goes through ``_insert``."""
+        return self.canonical(word)
 
     def canonical(self, word: Word) -> Word:
         """Lexicographically least member of the reduced word's shuffle orbit:
@@ -188,22 +173,19 @@ class Presentation:
             g, n = self.inverse(g), -n
         return self.multiply(*([g] * n)) if n else ()
 
-    def identity(self) -> Word:
-        return ()
-
     # --- supports ------------------------------------------------------------
 
     def support(self, word: Word) -> set[str]:
-        return {s.vertex for s in self.reduce(word)}
+        return {s.vertex for s in self.canonical(word)}
 
     def first_vertices(self, word: Word) -> set[str]:
         """Vertices that can begin a reduced word for the element: heap sources."""
-        return self._sources(self.reduce(word))
+        return self._sources(self.canonical(word))
 
     def last_vertices(self, word: Word) -> set[str]:
         """Vertices that can end a reduced word for the element: heap sinks,
         the sources of the reversed word."""
-        return self._sources(reversed(self.reduce(word)))
+        return self._sources(reversed(self.canonical(word)))
 
     def _sources(self, sylls: Iterable[Syllable]) -> set[str]:
         """Vertices of the syllables of a reduced word with no earlier
@@ -278,12 +260,18 @@ class Presentation:
 
         seen = {()}
         frontier = [()]
-        for depth in range(1, radius + 1):
+        depth = 0
+        # a depth that adds nothing ends the loop with the ball saturated; a
+        # new element past the radius shows that it is not
+        while frontier:
+            depth += 1
             new = []
             for g in frontier:
                 for s in gens:
                     h = self._extend(g, (s,))
                     if h not in seen:
+                        if depth > radius:
+                            return seen, False
                         seen.add(h)
                         if len(seen) > cap:
                             raise ResourceCapError(
@@ -291,13 +279,6 @@ class Presentation:
                             )
                         new.append(h)
             frontier = new
-            if not frontier:
-                return seen, True
-        # saturated iff one more step adds nothing
-        for g in frontier:
-            for s in gens:
-                if self._extend(g, (s,)) not in seen:
-                    return seen, False
         return seen, True
 
 
@@ -347,20 +328,6 @@ def format_word(word: Word) -> str:
     return " ".join(parts)
 
 
-def word_to_json(word: Word) -> list[list]:
-    return [[v, e] for v, e in word]
-
-
-def word_from_json(pres: Presentation, data: list) -> Word:
-    try:
-        pairs = [(str(v), int(e)) for v, e in data]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad word JSON: {data!r}") from exc
-    if any(e == 0 for _, e in pairs):
-        raise InputError("zero exponent in word JSON")
-    return pres.make_word(pairs)
-
-
 __all__ = [
     "DEFAULT_BALL_CAP",
     "INFINITY",
@@ -369,6 +336,4 @@ __all__ = [
     "Word",
     "format_word",
     "parse_word",
-    "word_from_json",
-    "word_to_json",
 ]

@@ -96,8 +96,9 @@ def canonical_by_heap(pres, word):
     """Canonical form as the lexicographically least linearization of the
     reduced word's dependency heap: an arc into each syllable from the last
     earlier syllable at each vertex outside its link, linearized by Kahn's
-    algorithm taking the smallest ready vertex first."""
-    sylls = pres.reduce(word)
+    algorithm taking the smallest ready vertex first. The word is reduced by
+    ``reduce_randomized``, since ``reduce`` is the canonical form itself."""
+    sylls = reduce_randomized(pres, word, random.Random(0))
     adjacency, index = pres.graph.adjacency, pres.graph.index
     last, succ, indeg = {}, [], []
     for j, (v, _) in enumerate(sylls):

@@ -110,6 +110,15 @@ class TestTreeDist:
         assert code == 4
         assert "no splitting" in err
 
+    @pytest.mark.parametrize("side", ["AB", ""])
+    def test_side_outside_a_and_b_exits_2(self, capsys, side):
+        with pytest.raises(SystemExit) as exc:
+            main(["tree-dist", str(FIXTURES / "p4_racg.json"), "1", "a", "--side1", side])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "invalid choice" in err
+        assert "Traceback" not in err
+
 
 class TestTreeAudit:
     def test_p4_passes(self, capsys):
@@ -199,9 +208,9 @@ class TestExportDot:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--tree-radius", "-1", "radius must be at least 0, got -1"),
-         ("--local-radius", "0", "local_radius must be at least 1, got 0"),
-         ("--ball-cap", "0", "cap must be at least 1, got 0")],
+        [("--tree-radius", "-1", "--tree-radius must be at least 0, got -1"),
+         ("--local-radius", "0", "--local-radius must be at least 1, got 0"),
+         ("--ball-cap", "0", "--ball-cap must be at least 1, got 0")],
     )
     def test_tree_ball_out_of_range_exits_2(self, capsys, flag, value, message):
         code, out, err = run(

@@ -46,6 +46,14 @@ class TestEngine:
         assert pres.canonical(w) == lex_min_of_orbit(pres, reduce_randomized(pres, w, rng))
 
     @settings(max_examples=150, deadline=None)
+    @given(presentations_and_words(), randoms)
+    def test_reduce_is_a_reduced_word_for_the_element(self, case, rng):
+        pres, w = case
+        reduced = pres.reduce(w)
+        assert len(reduced) == len(reduce_randomized(pres, w, rng))
+        assert pres.canonical(reduced) == pres.canonical(w)
+
+    @settings(max_examples=150, deadline=None)
     @given(presentations_and_words(min_size=20, max_size=200))
     def test_canonical_matches_heap_on_long_words(self, case):
         pres, w = case

@@ -1,7 +1,8 @@
 """Property tests of the tree layer against its oracles: the once-per-audit
 enumerations against the per-vertex and per-edge ones, each path's
 stabilizer formula against the per-edge fixer scan, and the one-pass tree
-distance against re-canonicalizing stripping and BFS.
+distance against re-canonicalizing stripping and BFS; and that the tree ball
+is a tree.
 
 Presentations have at most five vertices with orders in {2, 3, inf}; every
 separated-pair splitting is checked at tree and element radii up to 3 under
@@ -84,6 +85,24 @@ def test_tree_ball_and_audit_match_oracles(pres, lims):
         assert report_dict(outcome(audit_acylindricity, *args)) == report_dict(
             outcome(audit_by_scan, *args)
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(), st.integers(0, 3), st.integers(1, 2))
+def test_tree_ball_is_a_tree(pres, radius, local_radius):
+    """One edge per vertex but the base, to a vertex listed before it, and no
+    edge twice."""
+    for pair in separated_pairs(pres):
+        try:
+            ball = tree_ball(build_splitting(pres, pair), radius, local_radius, CAP)
+        except ResourceCapError:
+            continue
+        assert ball.vertices[0] == ball.base
+        assert len(ball.edges) == len(ball.vertices) - 1
+        assert len({e.rep for e in ball.edges}) == len(ball.edges)
+        order = {v: i for i, v in enumerate(ball.vertices)}
+        for v in ball.vertices[1:]:
+            assert sum(order[w] < order[v] for _, w in ball.adjacency[v]) == 1
 
 
 @st.composite
