@@ -59,7 +59,7 @@ def audit_all(args):
     all_ok = True
     for pair in pairs:
         splitting = build_splitting(pres, pair)
-        started = time.time()
+        started = time.perf_counter()
         report = audit_acylindricity(
             splitting,
             k=args.k,
@@ -68,7 +68,7 @@ def audit_all(args):
             local_radius=args.local_radius,
             cap=args.ball_cap,
         )
-        elapsed = time.time() - started
+        elapsed = time.perf_counter() - started
         status = "ok" if report.passed else "VIOLATION"
         print(
             f"pair ({pair.a}, {pair.b}): {status}  "

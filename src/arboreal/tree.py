@@ -20,7 +20,10 @@ parabolic subgroup, read off two scans of the word joining its end edges
 What depends only on the splitting and the radii is enumerated once per
 tree ball or audit, not once per tree vertex or path: each side's subgroup
 ball, collapsed to its G_C cosets; the element ball; and the ball of each
-G_R that some path's stabilizer is conjugate to.
+G_R that some path's stabilizer is conjugate to. The audit inverts each
+first edge's representative once, and walks each path once, from its end
+listed first, cutting walks that can only end at an earlier-listed vertex
+(see ``_paths_of_length``).
 """
 
 from __future__ import annotations
@@ -317,58 +320,84 @@ def path_stabilizer(
 
     An element fixing the end edges g_1G_C and g_kG_C of a tree path fixes
     every edge between them, so the stabilizer is g_1(G_C ∩ hG_Ch^-1)g_1^-1
-    for h = g_1^-1 g_k. Split h's heap as p d q: p the largest
-    predecessor-closed set of C-syllables, q the largest successor-closed set
-    of the other C-syllables. Then d has no source or sink in C, and
-    G_C ∩ dG_Cd^-1 = G_R for R = C ∩ lk(supp d), a parabolic intersection
-    (Antolín-Minasyan, J. reine angew. Math. 2015). f is the canonical
-    representative of g_1 p G_R, so no R-syllable ends f: the canonical g_1 is
-    extended by p, not canonicalized again, and R is stripped.
-    Every earlier (later) syllable outside a syllable's link is an ancestor
-    (descendant), so a forward scan over canonical(h), a reduced word, finds
-    p: a C-syllable joins it iff every earlier syllable outside p lies in its
-    link. A reverse scan finds q and supp d the same way; a later p-syllable
-    lies in the link of any syllable outside p.
+    for h = g_1^-1 g_k, which the canonical inverse of g_1 extended by g_k
+    gives (see ``_stabilizer_scan``). The edge representatives must be
+    canonical, as ``make_edge`` and ``tree_ball`` build them.
     Raises InputError for an empty path.
     """
     if not path:
         raise InputError("path must contain at least one edge")
     pres = splitting.presentation
+    g1 = path[0].rep
+    return _stabilizer_scan(splitting, g1, pres._extend(pres.inverse(g1), path[-1].rep))
+
+
+def _stabilizer_scan(
+    splitting: SplittingSpec, g1: Word, h: Word
+) -> tuple[Word, tuple[str, ...]]:
+    """``path_stabilizer`` of a path from the edge g_1G_C to g_1hG_C, for
+    canonical g_1 and h.
+
+    Split h's heap as p d q: p the largest predecessor-closed set of
+    C-syllables, q the largest successor-closed set of the other C-syllables.
+    Then d has no source or sink in C, and G_C ∩ dG_Cd^-1 = G_R for
+    R = C ∩ lk(supp d), a parabolic intersection (Antolín-Minasyan, J. reine
+    angew. Math. 2015). f is the canonical representative of g_1 p G_R, so no
+    R-syllable ends f: g_1 is extended by p, not canonicalized again, and R
+    is stripped.
+    Every earlier (later) syllable outside a syllable's link is an ancestor
+    (descendant), so a forward scan over h, a reduced word, finds p: a
+    C-syllable joins it iff every earlier syllable outside p lies in its link.
+    A reverse scan finds q and supp d the same way; a later p-syllable lies
+    in the link of any syllable outside p.
+    """
+    pres = splitting.presentation
     adjacency = pres.graph.adjacency
     c_set = set(splitting.c_side)
-    g1 = path[0].rep
-    sylls = pres.canonical(tuple((v, -e) for v, e in reversed(g1)) + tuple(path[-1].rep))
     in_p = []
     outside_p: set[str] = set()
-    for v, _ in sylls:
+    for v, _ in h:
         in_p.append(v in c_set and outside_p <= adjacency[v])
         if not in_p[-1]:
             outside_p.add(v)
     d_support: set[str] = set()
-    for (v, _), p in zip(reversed(sylls), reversed(in_p)):
+    for (v, _), p in zip(reversed(h), reversed(in_p)):
         if not (p or v in c_set and d_support <= adjacency[v]):
             d_support.add(v)
     r = tuple(c for c in splitting.c_side if all(c in adjacency[v] for v in d_support))
-    p_word = tuple(s for s, p in zip(sylls, in_p) if p)
+    p_word = tuple(s for s, p in zip(h, in_p) if p)
     return _strip(pres, pres._extend(g1, p_word), set(r)), r
 
 
 def _paths_of_length(ball: TreeBall, k: int):
-    """Non-backtracking k-edge paths in the ball, each walked from the end
-    listed first in ``ball.vertices`` (a tree path has two distinct ends)."""
-    order = {v: i for i, v in enumerate(ball.vertices)}
-    for start in ball.vertices:
-        stack = [(start, [])]
+    """Non-backtracking k-edge paths in the ball, each walked once, from the
+    end listed first in ``ball.vertices`` (a tree path has two distinct ends).
+
+    The walk runs over vertex indices, with neighbour lists built once, and
+    hashes no vertex. ``ball.vertices`` is listed by BFS level, so a walk
+    that can no longer climb back to its start's level, at vertex v with j
+    edges to go and level(v) + j < level(start), can only end at a vertex
+    listed before its start; it is cut there.
+    """
+    index = {v: i for i, v in enumerate(ball.vertices)}
+    nbrs = [[(edge, index[w]) for edge, w in ball.adjacency[v]] for v in ball.vertices]
+    level = [0] * len(nbrs)
+    for v, out in enumerate(nbrs):
+        for _, w in out:
+            if w > v:
+                level[w] = level[v] + 1
+    for start, floor in enumerate(level):
+        stack = [(start, -1, [])]
         while stack:
-            v, edges = stack.pop()
+            v, prev, edges = stack.pop()
             if len(edges) == k:
-                if order[start] < order[v]:
+                if start < v:
                     yield edges
                 continue
-            for edge, w in ball.adjacency[v]:
-                if edges and edge.rep == edges[-1].rep:
-                    continue
-                stack.append((w, edges + [edge]))
+            to_go = k - len(edges) - 1
+            for edge, w in nbrs[v]:
+                if w != prev and level[w] + to_go >= floor:
+                    stack.append((w, v, edges + [edge]))
 
 
 def _check_at_least(least: int, limits: dict[str, int], names: dict[str, str]) -> None:
@@ -426,6 +455,10 @@ def audit_acylindricity(
     Enumerates every k-edge path in the bounded tree ball and counts the
     elements of the element ball in its pointwise stabilizer f G_R f^-1 (see
     ``path_stabilizer``), reporting the maximum against the bound |G_N|.
+    Each path is walked once (see ``_paths_of_length``). The canonical
+    inverse of a first edge's representative g_1 is computed once per audit
+    and shared by every path that starts with that edge: the word g_1^-1 g_k
+    joining the end edges is that inverse extended by g_k.
     Since no R-syllable ends f, none of x cancels in f x f^-1 for x in G_R, so
     |x| <= |f x f^-1| and the count ranges over the radius-r ball of G_R,
     enumerated once per distinct R; each distinct (f, R) is counted once.
@@ -439,6 +472,7 @@ def audit_acylindricity(
     pres = splitting.presentation
     ball = tree_ball(splitting, tree_radius, local_radius, cap)
     elements, exhaustive = pres.enumerate_ball_info(element_radius, cap=cap)
+    inverses: dict[Word, Word] = {}
     subgroup_balls: dict[tuple[str, ...], set[Word]] = {}
     sizes: dict[tuple[Word, tuple[str, ...]], int] = {}
     bound = splitting.acyl_c
@@ -446,7 +480,10 @@ def audit_acylindricity(
     paths_checked = 0
     violations = []
     for path in _paths_of_length(ball, k):
-        stabilizer = path_stabilizer(splitting, path)
+        g1 = path[0].rep
+        if g1 not in inverses:
+            inverses[g1] = pres.inverse(g1)
+        stabilizer = _stabilizer_scan(splitting, g1, pres._extend(inverses[g1], path[-1].rep))
         if stabilizer not in sizes:
             f, r = stabilizer
             if r not in subgroup_balls:

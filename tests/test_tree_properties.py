@@ -1,5 +1,6 @@
 """Property tests of the tree layer against its oracles: the once-per-audit
-enumerations against the per-vertex and per-edge ones, each path's
+enumerations against the per-vertex and per-edge ones, the audit's path walk
+against the one that keeps the first walk over each edge set, each path's
 stabilizer formula against the per-edge fixer scan, and the one-pass tree
 distance against re-canonicalizing stripping and BFS; and that the tree ball
 is a tree.
@@ -18,6 +19,7 @@ from arboreal.tree import (
     SIDE_A,
     SIDE_B,
     TreeVertex,
+    _paths_of_length,
     audit_acylindricity,
     element_action,
     path_stabilizer,
@@ -41,12 +43,19 @@ CAP = 300
 
 
 @st.composite
-def limits(draw):
-    """(k, tree_radius, element_radius, local_radius); a local radius of 2
-    only up to tree radius 2, which keeps the balls small."""
+def ball_radii(draw):
+    """(tree_radius, local_radius) up to (3, 1); a local radius of 2 only up
+    to tree radius 2, which keeps the balls small."""
     tree_radius = draw(st.integers(1, 3))
-    local_radius = draw(st.integers(1, 2 if tree_radius <= 2 else 1))
-    k = draw(st.integers(1, min(3, 2 * tree_radius)))
+    return tree_radius, draw(st.integers(1, 2 if tree_radius <= 2 else 1))
+
+
+@st.composite
+def limits(draw):
+    """(k, tree_radius, element_radius, local_radius), the radii from
+    ``ball_radii``. k reaches 4, where the path walk cuts most of its walks."""
+    tree_radius, local_radius = draw(ball_radii())
+    k = draw(st.integers(1, min(4, 2 * tree_radius)))
     return k, tree_radius, draw(st.integers(1, 3)), local_radius
 
 
@@ -103,6 +112,23 @@ def test_tree_ball_is_a_tree(pres, radius, local_radius):
         order = {v: i for i, v in enumerate(ball.vertices)}
         for v in ball.vertices[1:]:
             assert sum(order[w] < order[v] for _, w in ball.adjacency[v]) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(), ball_radii())
+def test_path_walk_matches_first_walk_per_edge_set(pres, radii):
+    """For every k from 1 to 2 * tree_radius, the audit's walk yields the same
+    paths as the oracle, in the same order and orientation: each path once,
+    from its end listed first, and no path lost to the level cut."""
+    tree_radius, local_radius = radii
+    for pair in separated_pairs(pres):
+        try:
+            ball = tree_ball(build_splitting(pres, pair), tree_radius, local_radius, CAP)
+        except ResourceCapError:
+            continue
+        for k in range(1, 2 * tree_radius + 1):
+            walked = [[e.rep for e in path] for path in _paths_of_length(ball, k)]
+            assert walked == [[e.rep for e in path] for path in paths_by_edge_set(ball, k)]
 
 
 @st.composite
