@@ -20,9 +20,22 @@ from arboreal.graphs import INFINITY, SimpleGraph
 from arboreal.words import Presentation
 
 
+def vertex_order(text):
+    """An --order value: 'inf' or an integer >= 2."""
+    if text == "inf":
+        return INFINITY
+    try:
+        order = int(text)
+    except ValueError:
+        order = None
+    if order is None or order < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2 or 'inf', got {text!r}")
+    return order
+
+
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--order", default="inf",
+    ap.add_argument("--order", type=vertex_order, default="inf",
                     help="uniform vertex group order (integer >= 2 or 'inf')")
     ap.add_argument("--max-vertices", type=int, default=6)
     ap.add_argument("--json", action="store_true", help="emit one JSON line per graph")
@@ -31,7 +44,6 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
-    order = INFINITY if args.order == "inf" else int(args.order)
 
     tally = collections.Counter()
     by_diameter = collections.Counter()
@@ -42,7 +54,7 @@ def main(argv=None):
         names = [chr(ord("a") + i) for i in range(n)]
         relabel = dict(zip(sorted(g.nodes()), names))
         graph = SimpleGraph(names, [(relabel[u], relabel[v]) for u, v in g.edges()])
-        verdict = classify(Presentation(graph, {v: order for v in names}))
+        verdict = classify(Presentation(graph, {v: args.order for v in names}))
         d = verdict.diameter
         tally[verdict.arboreality.value] += 1
         by_diameter[(d, verdict.arboreality == Arboreality.ACYL_ARBOREAL)] += 1

@@ -10,13 +10,10 @@ from .classify import (
     Arboreality,
     SeparatedPair,
     SplittingSpec,
-    SubgroupVerdict,
     Verdict,
     VirtuallyCyclic,
-    ah_criterion,
     build_splitting,
     classify,
-    full_subgroup_check,
     is_virtually_cyclic,
     separated_pairs,
 )
@@ -26,11 +23,9 @@ from .graphs import (
     SimpleGraph,
     complement,
     diameter,
-    edge_distance,
     induced_subgraph,
     is_irreducible,
     link,
-    neighbourhood,
     to_dot,
 )
 from .tree import (
@@ -56,12 +51,10 @@ __all__ = [
     "SeparatedPair",
     "SimpleGraph",
     "SplittingSpec",
-    "SubgroupVerdict",
     "Syllable",
     "Verdict",
     "VirtuallyCyclic",
     "act",
-    "ah_criterion",
     "audit_acylindricity",
     "base_vertex",
     "build_splitting",
@@ -73,14 +66,11 @@ __all__ = [
     "tree_distance",
     "complement",
     "diameter",
-    "edge_distance",
     "format_word",
-    "full_subgroup_check",
     "induced_subgraph",
     "is_irreducible",
     "is_virtually_cyclic",
     "link",
-    "neighbourhood",
     "parse_word",
     "separated_pairs",
     "to_dot",

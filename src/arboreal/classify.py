@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .errors import InputError
 from .graphs import INFINITY, SimpleGraph, diameter, is_irreducible
 from .words import Presentation
 
@@ -37,11 +36,6 @@ class AHCriterion(enum.Enum):
     AH_BY_IRREDUCIBILITY = "AHByIrreducibility"
     VIRTUALLY_CYCLIC = "VirtuallyCyclic"
     INCONCLUSIVE = "Inconclusive"
-
-
-class SubgroupVerdict(enum.Enum):
-    AA_OR_VC = "AAorVC"
-    UNKNOWN = "Unknown"
 
 
 @dataclass(frozen=True)
@@ -191,16 +185,10 @@ def is_virtually_cyclic(pres: Presentation) -> VirtuallyCyclic:
     return VirtuallyCyclic.YES if yes else VirtuallyCyclic.NO
 
 
-def ah_criterion(pres: Presentation) -> AHCriterion:
-    """Acylindrical hyperbolicity via graph irreducibility.
-
-    An irreducible non-degenerate product is either virtually cyclic or
-    acylindrically hyperbolic; for reducible graphs the criterion is silent.
-    """
-    return _ah_criterion(pres.graph, is_virtually_cyclic(pres))
-
-
 def _ah_criterion(graph: SimpleGraph, vc: VirtuallyCyclic) -> AHCriterion:
+    """Acylindrical hyperbolicity via graph irreducibility: an irreducible
+    non-degenerate product is either virtually cyclic or acylindrically
+    hyperbolic; for reducible graphs the criterion is silent."""
     if vc == VirtuallyCyclic.YES:
         return AHCriterion.VIRTUALLY_CYCLIC
     return AHCriterion.AH_BY_IRREDUCIBILITY if is_irreducible(graph) else AHCriterion.INCONCLUSIVE
@@ -245,14 +233,3 @@ def classify(pres: Presentation) -> Verdict:
         return Verdict(Arboreality.ACYL_ARBOREAL, vc, ah, first, splitting, diam)
     cert = NoSeparatedPair(_non_adjacent_pair_count(pres))
     return Verdict(Arboreality.NOT_ACYL_ARBOREAL, vc, ah, cert, None, diam)
-
-
-def full_subgroup_check(pres: Presentation, subset) -> SubgroupVerdict:
-    """Sufficient condition for a full subgroup G_S: if the induced
-    sub-presentation contains a separated pair then G_S is acylindrically
-    arboreal or virtually cyclic; otherwise no verdict is offered."""
-    subset = pres.graph.check_vertices(subset)
-    if len(subset) <= 1:
-        raise InputError("full subgroup check needs at least two vertices")
-    sub = pres.induced(subset)
-    return SubgroupVerdict.AA_OR_VC if any(_separated_pairs(sub)) else SubgroupVerdict.UNKNOWN

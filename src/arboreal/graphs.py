@@ -59,10 +59,6 @@ class SimpleGraph:
             raise InputError(f"unknown vertices: {sorted(unknown)}")
         return subset
 
-    def adjacent(self, u: str, v: str) -> bool:
-        self.check_vertices((u, v))
-        return v in self.adjacency[u]
-
     def sort_key(self, v: str) -> int:
         return self.index[v]
 
@@ -80,16 +76,6 @@ def link(graph: SimpleGraph, subset: Iterable[str]) -> set[str]:
     return set.intersection(*(graph.adjacency[v] for v in subset)) - subset
 
 
-def neighbourhood(graph: SimpleGraph, subset: Iterable[str]) -> set[str]:
-    """Union over v in subset of link(v) | {v}; empty for the empty subset."""
-    subset = graph.check_vertices(subset)
-    result = set()
-    for v in subset:
-        result |= graph.adjacency[v]
-        result.add(v)
-    return result
-
-
 def _bfs_distances(graph: SimpleGraph, source: str) -> dict[str, int]:
     dist = {source: 0}
     queue = deque([source])
@@ -100,12 +86,6 @@ def _bfs_distances(graph: SimpleGraph, source: str) -> dict[str, int]:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
-
-
-def edge_distance(graph: SimpleGraph, u: str, v: str) -> int | float:
-    """BFS edge distance; INFINITY if u and v are in different components."""
-    graph.check_vertices((u, v))
-    return _bfs_distances(graph, u).get(v, INFINITY)
 
 
 def diameter(graph: SimpleGraph) -> int | float:
@@ -119,12 +99,6 @@ def diameter(graph: SimpleGraph) -> int | float:
             return INFINITY
         best = max(best, max(dist.values()))
     return best
-
-
-def is_connected(graph: SimpleGraph) -> bool:
-    if not graph.vertices:
-        raise InputError("connectivity of the empty graph is not defined")
-    return len(_bfs_distances(graph, graph.vertices[0])) == len(graph.vertices)
 
 
 def complement(graph: SimpleGraph) -> SimpleGraph:
@@ -145,11 +119,6 @@ def is_irreducible(graph: SimpleGraph) -> bool:
         unseen -= reached
         frontier.extend(reached)
     return not unseen
-
-
-def is_complete(graph: SimpleGraph) -> bool:
-    n = len(graph.vertices)
-    return len(graph.edges) == n * (n - 1) // 2
 
 
 def induced_subgraph(graph: SimpleGraph, subset: Iterable[str]) -> SimpleGraph:

@@ -22,8 +22,8 @@ each ball element by one syllable, and the tree layer extends canonical
 words instead of canonicalizing their concatenation again. Cost: O(|sylls|*b)
 beyond copying g, b the length of the trailing block that commutes with each
 new syllable; O(L^2) at worst for L syllables, with no word copied per
-syllable. ``reduce`` is ``canonical``: ``_insert`` alone joins syllables.
-``first_vertices``/``last_vertices`` are the heap's sources and sinks.
+syllable. ``_insert`` alone joins syllables. ``first_vertices``/
+``last_vertices`` are the heap's sources and sinks.
 """
 
 from __future__ import annotations
@@ -80,24 +80,11 @@ class Presentation:
     def __repr__(self):
         return f"Presentation({self.graph!r}, {self.orders!r})"
 
-    # --- syllables -------------------------------------------------------
-
-    def normalize_exponent(self, vertex: str, exponent: int) -> int:
-        """Exponent reduced into {1,...,n-1} for finite order n; 0 = identity."""
-        if vertex not in self.graph.index:
-            raise InputError(f"unknown vertex: {vertex}")
-        n = self.orders[vertex]
-        return exponent % n if n != INFINITY else exponent
-
-    def syllable(self, vertex: str, exponent: int) -> Syllable:
-        e = self.normalize_exponent(vertex, exponent)
-        if e == 0:
-            raise InputError(f"identity syllable at vertex {vertex}")
-        return Syllable(vertex, e)
+    # --- words and canonical form ----------------------------------------
 
     def make_word(self, pairs: Iterable[tuple[str, int]]) -> Word:
-        """Word from (vertex, exponent) pairs, dropping identity syllables.
-        Exponents are reduced as in ``normalize_exponent``, inline."""
+        """Word from (vertex, exponent) pairs: exponents reduced into
+        {1,...,n-1} at a vertex of finite order n, identity syllables dropped."""
         orders = self.orders
         out = []
         for v, e in pairs:
@@ -109,13 +96,6 @@ class Presentation:
             if e:
                 out.append(Syllable(v, e))
         return tuple(out)
-
-    # --- reduction and canonical form -------------------------------------
-
-    def reduce(self, word: Word) -> Word:
-        """A reduced word for the same element: its canonical form, so every
-        join goes through ``_insert``."""
-        return self.canonical(word)
 
     def canonical(self, word: Word) -> Word:
         """Lexicographically least member of the reduced word's shuffle orbit:
@@ -147,7 +127,10 @@ class Presentation:
         while i >= 0 and g[i].vertex in lk:
             i -= 1
         if i >= 0 and g[i].vertex == v:
-            if e := self.normalize_exponent(v, g[i].exponent + s.exponent):
+            e = g[i].exponent + s.exponent
+            if (n := self.orders[v]) != INFINITY:
+                e %= n
+            if e:
                 g[i] = Syllable(v, e)
             else:
                 del g[i]

@@ -6,8 +6,8 @@ exhaustive BFS over adjacent commuting swaps, the first/last-vertex and
 coset oracles read the answer off the whole orbit, canonical forms also come
 from linearizing the dependency heap of the whole reduced word, balls grow
 by those whole-word forms rather than by inserting a syllable, separated
-pairs come
-from BFS distances and induced subgraphs, the tree ball and the audit
+pairs come from BFS distances and pairwise adjacency, exponents are reduced
+here rather than by the library, the tree ball and the audit
 enumerate a side ball at every tree vertex and scan the whole element ball
 (or enumerate G_C) at every tree edge, and tree distances come from
 re-canonicalizing stripping rounds or from BFS on a materialized ball.
@@ -21,7 +21,7 @@ from itertools import combinations
 
 from arboreal.classify import SeparatedPair
 from arboreal.errors import ResourceCapError
-from arboreal.graphs import SimpleGraph, edge_distance, induced_subgraph, is_complete
+from arboreal.graphs import SimpleGraph
 from arboreal.tree import (
     AuditReport,
     ElementAction,
@@ -97,7 +97,8 @@ def canonical_by_heap(pres, word):
     reduced word's dependency heap: an arc into each syllable from the last
     earlier syllable at each vertex outside its link, linearized by Kahn's
     algorithm taking the smallest ready vertex first. The word is reduced by
-    ``reduce_randomized``, since ``reduce`` is the canonical form itself."""
+    ``reduce_randomized``, since the library's reduced words are its
+    canonical forms."""
     sylls = reduce_randomized(pres, word, random.Random(0))
     adjacency, index = pres.graph.adjacency, pres.graph.index
     last, succ, indeg = {}, [], []
@@ -184,13 +185,19 @@ def random_word(rng: random.Random, pres, max_len=8, exp_bound=2):
     return tuple(out)
 
 
+def reduce_exponent(pres, v, e):
+    """``e`` reduced mod the order of ``v`` when it is finite; 0 = identity."""
+    n = pres.orders[v]
+    return e if n == INFINITY else e % n
+
+
 def reduce_randomized(pres, word, rng: random.Random):
     """Reduction applying join/delete rules in a random order.
 
     Independent re-statement of the rewriting system, used to check that the
     deterministic reducer is confluent.
     """
-    sylls = [Syllable(v, pres.normalize_exponent(v, e)) for v, e in word]
+    sylls = [Syllable(v, reduce_exponent(pres, v, e)) for v, e in word]
     sylls = [s for s in sylls if s.exponent != 0]
     adjacency = pres.graph.adjacency
     while True:
@@ -208,12 +215,29 @@ def reduce_randomized(pres, word, rng: random.Random):
             return tuple(sylls)
         i, j = rng.choice(moves)
         v = sylls[i].vertex
-        e = pres.normalize_exponent(v, sylls[i].exponent + sylls[j].exponent)
+        e = reduce_exponent(pres, v, sylls[i].exponent + sylls[j].exponent)
         del sylls[j]
         if e == 0:
             del sylls[i]
         else:
             sylls[i] = Syllable(v, e)
+
+
+def graph_distances(graph, source):
+    """Edge distances from ``source`` to every vertex of its component, by BFS."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in graph.adjacency[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def is_connected_by_bfs(graph):
+    return len(graph_distances(graph, graph.vertices[0])) == len(graph.vertices)
 
 
 def separated_pairs_by_definition(pres):
@@ -222,11 +246,12 @@ def separated_pairs_by_definition(pres):
     graph, orders = pres.graph, pres.orders
     out = []
     for a, b in combinations(graph.vertices, 2):
-        if edge_distance(graph, a, b) < 2:
+        if graph_distances(graph, a).get(b, INFINITY) < 2:
             continue
         common = [v for v in graph.vertices if {a, b} <= graph.adjacency[v]]
         finite = all(orders[v] != INFINITY for v in common)
-        if finite and is_complete(induced_subgraph(graph, common)):
+        clique = all(v in graph.adjacency[u] for u, v in combinations(common, 2))
+        if finite and clique:
             out.append(SeparatedPair(a, b, tuple(common), math.prod(orders[v] for v in common)))
     return out
 

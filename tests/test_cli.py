@@ -14,6 +14,7 @@ from arboreal.cli import main
 from conftest import FIXTURES, json_documents
 
 RUN_AUDIT = FIXTURES.parent / "scripts" / "run_audit.py"
+SMALL_GRAPHS = FIXTURES.parent / "scripts" / "classify_small_graphs.py"
 
 
 def run(capsys, *argv):
@@ -43,13 +44,14 @@ class TestClassify:
         assert "separated pair" in out
 
     def test_degenerate_exits_3(self, capsys, tmp_path):
+        # a vertex of order 1, one vertex, no vertices
         path = tmp_path / "bad.json"
-        path.write_text(
-            '{"vertices": [{"name": "a", "order": 1}, {"name": "b", "order": 2}]}'
-        )
-        code, _, err = run(capsys, "classify", path)
-        assert code == 3
-        assert "degenerate" in err
+        for vertices in ([{"name": "a", "order": 1}, {"name": "b", "order": 2}],
+                         [{"name": "a", "order": 2}], []):
+            path.write_text(json.dumps({"vertices": vertices}))
+            code, _, err = run(capsys, "classify", path)
+            assert code == 3, vertices
+            assert err.startswith("degenerate presentation: "), vertices
 
     def test_parse_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -439,3 +441,42 @@ def test_exponent_too_long_to_print_exits_2(capsys, argv):
     assert code == 2
     assert not out
     assert err.startswith("error: exponent at vertex a is too long to print")
+
+
+@pytest.mark.parametrize("order", ["x", "1", "-2", "2.5"])
+def test_small_graph_script_rejects_bad_order(capsys, order):
+    script_main = runpy.run_path(str(SMALL_GRAPHS))["main"]
+    with pytest.raises(SystemExit) as exc:
+        script_main(["--order", order, "--max-vertices", "3"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert not captured.out
+    assert captured.err.startswith("usage: ")
+    assert f"argument --order: must be an integer >= 2 or 'inf', got '{order}'" in captured.err
+
+
+@pytest.mark.parametrize("order", ["inf", "3"])
+def test_small_graph_script_accepts_inf_and_integers(capsys, order):
+    code = runpy.run_path(str(SMALL_GRAPHS))["main"](["--order", order, "--max-vertices", "3"])
+    assert code == 0
+    assert f"# graphs checked: 3 (order = {order})" in capsys.readouterr().err
+
+
+def test_package_exports_are_pinned():
+    import arboreal
+
+    exported = {
+        "AHCriterion", "Arboreality", "DegeneratePresentationError", "INFINITY", "InputError",
+        "Presentation", "ResourceCapError", "SeparatedPair", "SimpleGraph", "SplittingSpec",
+        "Syllable", "Verdict", "VirtuallyCyclic", "act", "audit_acylindricity", "base_vertex",
+        "build_splitting", "classify", "complement", "diameter", "element_action",
+        "elliptic_generation_check", "format_word", "induced_subgraph", "is_irreducible",
+        "is_virtually_cyclic", "link", "parse_word", "path_stabilizer", "separated_pairs",
+        "to_dot", "tree_ball", "tree_distance",
+    }
+    assert len(arboreal.__all__) == len(set(arboreal.__all__))
+    assert set(arboreal.__all__) == exported
+    assert all(hasattr(arboreal, name) for name in exported)
+    deleted = {"SubgroupVerdict", "ah_criterion", "full_subgroup_check", "edge_distance",
+               "neighbourhood"}
+    assert not deleted & set(vars(arboreal))

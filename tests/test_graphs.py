@@ -11,17 +11,14 @@ from arboreal.graphs import (
     SimpleGraph,
     complement,
     diameter,
-    edge_distance,
     induced_subgraph,
-    is_complete,
-    is_connected,
     is_irreducible,
     link,
-    neighbourhood,
     to_dot,
 )
 
 from conftest import fig2_graph, p3_graph, p4_graph
+from oracles import is_connected_by_bfs
 
 
 def complete_graph(n):
@@ -78,17 +75,6 @@ class TestLink:
     def test_unknown_vertex_rejected(self):
         with pytest.raises(InputError):
             link(p3_graph(), {"z"})
-
-
-class TestNeighbourhood:
-    def test_p3_centre(self):
-        assert neighbourhood(p3_graph(), {"b"}) == {"a", "b", "c"}
-
-    def test_empty_subset(self):
-        assert neighbourhood(p4_graph(), set()) == set()
-
-    def test_p4_endpoints(self):
-        assert neighbourhood(p4_graph(), {"a", "d"}) == {"a", "b", "c", "d"}
 
 
 class TestDiameter:
@@ -159,7 +145,7 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(graphs(max_vertices=8))
     def test_irreducible_matches_complement_bfs(self, g):
-        assert is_irreducible(g) == is_connected(complement(g))
+        assert is_irreducible(g) == is_connected_by_bfs(complement(g))
 
     def test_isolated_vertex_gives_infinite_diameter(self):
         rng = random.Random(7)
@@ -188,11 +174,3 @@ class TestDot:
         dot = to_dot(SimpleGraph(['a"b', "c\\d"], [('a"b', "c\\d")]))
         assert dot.splitlines()[1:4] == ['  "a\\"b";', '  "c\\\\d";', '  "a\\"b" -- "c\\\\d";']
 
-
-def test_edge_distance_infinite_across_components():
-    assert edge_distance(SimpleGraph("ab"), "a", "b") == INFINITY
-
-
-def test_is_complete():
-    assert is_complete(complete_graph(4))
-    assert not is_complete(p4_graph())
