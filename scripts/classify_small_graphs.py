@@ -19,6 +19,9 @@ from arboreal.classify import Arboreality, classify
 from arboreal.graphs import INFINITY, SimpleGraph
 from arboreal.words import Presentation
 
+# networkx's graph atlas lists every graph on up to 7 vertices.
+ATLAS_MAX_VERTICES = 7
+
 
 def vertex_order(text):
     """An --order value: 'inf' or an integer >= 2."""
@@ -33,11 +36,25 @@ def vertex_order(text):
     return order
 
 
+def max_vertices(text):
+    """A --max-vertices value: an integer from 2 to ATLAS_MAX_VERTICES."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or not 2 <= n <= ATLAS_MAX_VERTICES:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer from 2 to {ATLAS_MAX_VERTICES}, got {text!r}"
+        )
+    return n
+
+
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--order", type=vertex_order, default="inf",
                     help="uniform vertex group order (integer >= 2 or 'inf')")
-    ap.add_argument("--max-vertices", type=int, default=6)
+    ap.add_argument("--max-vertices", type=max_vertices, default=6,
+                    help=f"largest graph size (2 to {ATLAS_MAX_VERTICES})")
     ap.add_argument("--json", action="store_true", help="emit one JSON line per graph")
     return ap.parse_args(argv)
 

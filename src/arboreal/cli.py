@@ -3,6 +3,8 @@
 Exit codes: 0 success / audit clean, 2 parse or word error, bad option or
 unwritable output file, 3 degenerate presentation, 4 no splitting available
 to audit, 5 resource cap exceeded. Audit violations also exit nonzero (1).
+Exits 2 to 5 print one ``error: `` line on stderr. scripts/run_audit.py
+shares the audit flags, their checks and the exit codes.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ EXIT_NO_SPLITTING = 4
 EXIT_RESOURCE = 5
 
 # How audit-limit and tree-ball-limit errors name each parameter: by its
-# flag, here and in scripts/run_audit.py. tree_ball's radius is the tree radius.
+# flag. tree_ball's radius is the tree radius.
 AUDIT_FLAGS = {
     "k": "--k",
     "radius": "--tree-radius",
@@ -124,7 +126,7 @@ def _require_splitting(pres):
     verdict = classify(pres)
     if verdict.arboreality != Arboreality.ACYL_ARBOREAL:
         sys.stderr.write(
-            "no splitting to audit: presentation is not acylindrically "
+            "error: no splitting to audit: presentation is not acylindrically "
             f"arboreal ({_describe(verdict)})\n"
         )
         raise SystemExit(EXIT_NO_SPLITTING)
@@ -145,21 +147,30 @@ def cmd_tree_dist(args) -> int:
     return EXIT_OK
 
 
+def add_audit_arguments(parser) -> None:
+    """The audit limits, with their defaults, on ``parser``."""
+    parser.add_argument("--k", type=int, default=3)
+    parser.add_argument("--tree-radius", type=int, default=5)
+    parser.add_argument("--element-radius", type=int, default=6)
+    parser.add_argument("--local-radius", type=int, default=2)
+    parser.add_argument("--ball-cap", type=int, default=DEFAULT_BALL_CAP)
+
+
+def audit_limits(args) -> dict:
+    """The limits parsed by ``add_audit_arguments`` as ``audit_acylindricity``
+    keywords; InputError, naming the flag, if nothing would be audited."""
+    limits = dict(
+        k=args.k, tree_radius=args.tree_radius, element_radius=args.element_radius,
+        local_radius=args.local_radius, cap=args.ball_cap,
+    )
+    check_audit_limits(**limits, names=AUDIT_FLAGS)
+    return limits
+
+
 def cmd_tree_audit(args) -> int:
-    check_audit_limits(
-        args.k, args.tree_radius, args.element_radius, args.local_radius, args.ball_cap,
-        names=AUDIT_FLAGS,
-    )
+    limits = audit_limits(args)
     pres, _ = load_presentation(args.file)
-    splitting = _require_splitting(pres)
-    report = audit_acylindricity(
-        splitting,
-        k=args.k,
-        tree_radius=args.tree_radius,
-        element_radius=args.element_radius,
-        local_radius=args.local_radius,
-        cap=args.ball_cap,
-    )
+    report = audit_acylindricity(_require_splitting(pres), **limits)
     human = (
         f"pair:           {report.splitting.pair}\n"
         f"k:              {report.k}\n"
@@ -229,11 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree-audit", help="empirical (k, |G_N|) acylindricity audit")
     common(p)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--tree-radius", type=int, default=5)
-    p.add_argument("--element-radius", type=int, default=6)
-    p.add_argument("--local-radius", type=int, default=2)
-    p.add_argument("--ball-cap", type=int, default=DEFAULT_BALL_CAP)
+    add_audit_arguments(p)
     p.set_defaults(func=cmd_tree_audit)
 
     p = sub.add_parser("export-dot", help="DOT export of graph, complement or tree ball")
@@ -249,21 +256,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def run(func, args) -> int:
+    """``func(args)``'s exit code, or an error's code and ``error: `` line."""
     try:
-        return args.func(args)
+        return func(args)
     except DegeneratePresentationError as exc:
-        sys.stderr.write(f"degenerate presentation: {exc}\n")
-        return EXIT_DEGENERATE
+        message, code = f"degenerate presentation: {exc}", EXIT_DEGENERATE
     except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+        message, code = str(exc), EXIT_PARSE
     except ResourceCapError as exc:
-        sys.stderr.write(f"resource cap exceeded: {exc}\n")
-        return EXIT_RESOURCE
+        message, code = f"resource cap exceeded: {exc}", EXIT_RESOURCE
     except SystemExit as exc:
         return exc.code
+    sys.stderr.write(f"error: {message}\n")
+    return code
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return run(args.func, args)
 
 
 if __name__ == "__main__":

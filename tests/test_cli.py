@@ -51,7 +51,7 @@ class TestClassify:
             path.write_text(json.dumps({"vertices": vertices}))
             code, _, err = run(capsys, "classify", path)
             assert code == 3, vertices
-            assert err.startswith("degenerate presentation: "), vertices
+            assert err.startswith("error: degenerate presentation: "), vertices
 
     def test_parse_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -111,6 +111,7 @@ class TestTreeDist:
         code, _, err = run(capsys, "tree-dist", FIXTURES / "fig2_raag.json", "1", "a")
         assert code == 4
         assert "no splitting" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("side", ["AB", ""])
     def test_side_outside_a_and_b_exits_2(self, capsys, side):
@@ -160,10 +161,11 @@ class TestTreeAudit:
         assert code == 4
 
     def test_tiny_cap_exits_5(self, capsys):
-        code, _, _ = run(
+        code, _, err = run(
             capsys, "tree-audit", FIXTURES / "p4_racg.json", "--ball-cap", "10"
         )
         assert code == 5
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_ball_cap_bounds_the_tree_ball(self, capsys, tmp_path):
         """Z2*Z5*Z3*Z3 without edges, pair (a, b): the radius-2 tree ball at
@@ -320,6 +322,17 @@ def test_run_audit_script_rejects_vacuous_limits(capsys, argv, message):
     assert f"error: {message}" in captured.err
 
 
+def test_run_audit_script_defaults_are_tree_audits(capsys):
+    """With no limit flags, the script audits the classifier's pair (a, c)
+    under the same limits as ``tree-audit``."""
+    code, out, _ = run(capsys, "tree-audit", FIXTURES / "p4_racg.json", "--json")
+    assert code == 0
+    paths_checked = json.loads(out)["paths_checked"]
+    assert runpy.run_path(str(RUN_AUDIT))["main"]([str(FIXTURES / "p4_racg.json")]) == 0
+    line = re.search(r"^pair \(a, c\): .*", capsys.readouterr().out, re.M).group()
+    assert f", {paths_checked} paths, " in line
+
+
 @pytest.mark.parametrize(
     "contents, argv, expected_code, message",
     [
@@ -453,6 +466,18 @@ def test_small_graph_script_rejects_bad_order(capsys, order):
     assert not captured.out
     assert captured.err.startswith("usage: ")
     assert f"argument --order: must be an integer >= 2 or 'inf', got '{order}'" in captured.err
+
+
+@pytest.mark.parametrize("value", ["1", "8", "x"])
+def test_small_graph_script_rejects_max_vertices_outside_the_atlas(capsys, value):
+    script_main = runpy.run_path(str(SMALL_GRAPHS))["main"]
+    with pytest.raises(SystemExit) as exc:
+        script_main(["--max-vertices", value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert not captured.out
+    assert captured.err.startswith("usage: ")
+    assert f"argument --max-vertices: must be an integer from 2 to 7, got '{value}'" in captured.err
 
 
 @pytest.mark.parametrize("order", ["inf", "3"])
