@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Sweep all connected graphs on up to 6 vertices (up to isomorphism) and
-tabulate the arboreality verdicts for a chosen uniform vertex-group order.
+"""Sweep all connected graphs on up to --max-vertices vertices (6 by default,
+at most 7; up to isomorphism) and tabulate the arboreality verdicts for a
+chosen uniform vertex-group order.
 
 Requires networkx (for the graph atlas). Example:
 

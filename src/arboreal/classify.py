@@ -8,7 +8,11 @@ vertex-group restriction and are never acylindrically arboreal.
 
 Distinct non-adjacent vertices are at edge distance >= 2, so the pair search
 is link intersection with no distance computation, and ``classify`` stops at
-the first pair. A verdict's only BFS is for its ``diameter`` field.
+the first pair. The search runs on the graph's vertex masks: a pair is
+non-adjacent when bit j of ``masks[i]`` is clear, its common link is
+``masks[i] & masks[j]``, and the link's order comes from the same clique test
+as ``Presentation.full_subgroup_order``. A verdict's only search over paths
+is the frontier-mask search for its ``diameter`` field.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .graphs import INFINITY, SimpleGraph, diameter, is_irreducible
+from .graphs import INFINITY, SimpleGraph, bit_indices, diameter, is_irreducible
 from .words import Presentation
 
 
@@ -130,18 +134,18 @@ class Verdict:
 
 def _separated_pairs(pres: Presentation) -> Iterator[SeparatedPair]:
     """Separated pairs in vertex order, lazily: non-adjacent pairs whose
-    common link spans a finite full subgroup."""
-    graph = pres.graph
-    adjacency = graph.adjacency
-    for i, a in enumerate(graph.vertices):
-        link_a = adjacency[a]
-        for b in graph.vertices[i + 1:]:
-            if b in link_a:
+    common link ``masks[i] & masks[j]`` spans a finite full subgroup."""
+    vertices, masks = pres.graph.vertices, pres.graph.masks
+    for i, a in enumerate(vertices):
+        mask_a = masks[i]
+        for j in range(i + 1, len(vertices)):
+            if mask_a >> j & 1:
                 continue
-            common = link_a & adjacency[b]
-            order = pres.full_subgroup_order(common)
+            common = mask_a & masks[j]
+            order = pres._mask_order(common)
             if order != INFINITY:
-                yield SeparatedPair(a, b, tuple(sorted(common, key=graph.sort_key)), order)
+                link_set = tuple(vertices[k] for k in bit_indices(common))
+                yield SeparatedPair(a, vertices[j], link_set, order)
 
 
 def separated_pairs(pres: Presentation) -> list[SeparatedPair]:

@@ -46,7 +46,11 @@ def presentation_from_dict(data: dict) -> tuple[Presentation, dict[str, Word]]:
     for i, entry in enumerate(data["vertices"]):
         if not isinstance(entry, dict) or "name" not in entry or "order" not in entry:
             raise InputError(f"vertices[{i}]: expected {{\"name\", \"order\"}}")
-        name = str(entry["name"])
+        name = entry["name"]
+        if not isinstance(name, str):
+            raise InputError(
+                f"vertices[{i}]: name must be a JSON string, got {type(name).__name__}"
+            )
         if not _VERTEX_NAME.fullmatch(name):
             raise InputError(
                 f"vertices[{i}]: name {name!r} cannot be written in a word; names must be "
@@ -58,7 +62,12 @@ def presentation_from_dict(data: dict) -> tuple[Presentation, dict[str, Word]]:
     for i, pair in enumerate(data.get("edges", [])):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InputError(f"edges[{i}]: expected a two-element list")
-        edges.append((str(pair[0]), str(pair[1])))
+        for end in pair:
+            if not isinstance(end, str):
+                raise InputError(
+                    f"edges[{i}]: endpoints must be JSON strings, got {type(end).__name__}"
+                )
+        edges.append(tuple(pair))
     graph = SimpleGraph(names, edges)
     pres = Presentation(graph, orders)
     words = {}

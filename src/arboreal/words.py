@@ -32,7 +32,7 @@ import re
 from typing import Iterable, NamedTuple
 
 from .errors import DegeneratePresentationError, InputError, ResourceCapError
-from .graphs import INFINITY, SimpleGraph, induced_subgraph
+from .graphs import INFINITY, SimpleGraph, bit_indices, induced_subgraph
 
 DEFAULT_BALL_CAP = 200_000
 
@@ -190,14 +190,19 @@ class Presentation:
 
     def full_subgroup_order(self, subset: Iterable[str]) -> int | float:
         """|G_S|: finite iff S is a clique of finite-order vertices, and then
-        the product of their orders. ``S - link(v)`` is ``{v}`` for every v
-        of a clique, since no vertex lies in its own link."""
-        subset = self.graph.check_vertices(subset)
-        adjacency = self.graph.adjacency
+        the product of their orders (see ``_mask_order``)."""
+        index = self.graph.index
+        return self._mask_order(sum(1 << index[v] for v in self.graph.check_vertices(subset)))
+
+    def _mask_order(self, mask: int) -> int | float:
+        """``full_subgroup_order`` of the vertex set with mask ``mask``. S is
+        a clique iff ``S & ~masks[v]`` is v's own bit for every v in S, since
+        no vertex lies in its own link."""
+        vertices, masks, orders = self.graph.vertices, self.graph.masks, self.orders
         total = 1
-        for v in subset:
-            n = self.orders[v]
-            if n == INFINITY or len(subset - adjacency[v]) > 1:
+        for i in bit_indices(mask):
+            n = orders[vertices[i]]
+            if n == INFINITY or mask & ~masks[i] != 1 << i:
                 return INFINITY
             total *= n
         return total

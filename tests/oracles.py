@@ -6,7 +6,8 @@ exhaustive BFS over adjacent commuting swaps, the first/last-vertex and
 coset oracles read the answer off the whole orbit, canonical forms also come
 from linearizing the dependency heap of the whole reduced word, balls grow
 by those whole-word forms rather than by inserting a syllable, separated
-pairs come from BFS distances and pairwise adjacency, exponents are reduced
+pairs come from BFS distances and pairwise adjacency, full-subgroup orders
+from pairwise adjacency on the adjacency sets, exponents are reduced
 here rather than by the library, the tree ball and the audit
 enumerate a side ball at every tree vertex and scan the whole element ball
 (or enumerate G_C) at every tree edge, and tree distances come from
@@ -240,19 +241,28 @@ def is_connected_by_bfs(graph):
     return len(graph_distances(graph, graph.vertices[0])) == len(graph.vertices)
 
 
+def full_subgroup_order_by_definition(pres, subset):
+    """|G_S|: the product of the orders when S induces a complete graph of
+    finite-order vertices, checked pair by pair on the adjacency sets, else
+    INFINITY."""
+    orders, adjacency = pres.orders, pres.graph.adjacency
+    finite = all(orders[v] != INFINITY for v in subset)
+    clique = all(v in adjacency[u] for u, v in combinations(subset, 2))
+    return math.prod(orders[v] for v in subset) if finite and clique else INFINITY
+
+
 def separated_pairs_by_definition(pres):
     """Separated pairs in vertex order, by the definition: BFS edge distance
     >= 2, and a common link inducing a complete graph of finite-order vertices."""
-    graph, orders = pres.graph, pres.orders
+    graph = pres.graph
     out = []
     for a, b in combinations(graph.vertices, 2):
         if graph_distances(graph, a).get(b, INFINITY) < 2:
             continue
         common = [v for v in graph.vertices if {a, b} <= graph.adjacency[v]]
-        finite = all(orders[v] != INFINITY for v in common)
-        clique = all(v in graph.adjacency[u] for u, v in combinations(common, 2))
-        if finite and clique:
-            out.append(SeparatedPair(a, b, tuple(common), math.prod(orders[v] for v in common)))
+        order = full_subgroup_order_by_definition(pres, common)
+        if order != INFINITY:
+            out.append(SeparatedPair(a, b, tuple(common), order))
     return out
 
 

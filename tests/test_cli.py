@@ -369,6 +369,18 @@ def test_vertex_name_that_cannot_round_trip_exits_2(capsys, tmp_path, name):
     assert f"name {name!r} cannot be written in a word" in err
 
 
+def test_non_string_vertex_names_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "vertices": [{"name": None, "order": 2}, {"name": 1.5, "order": 2}],
+        "edges": [[None, "True"]],
+    }))
+    code, out, err = run(capsys, "classify", path)
+    assert code == 2
+    assert not out
+    assert err == f"error: {path}: vertices[0]: name must be a JSON string, got NoneType\n"
+
+
 @pytest.mark.parametrize("command", ["classify", "export-dot"])
 def test_unwritable_out_path_exits_2(capsys, tmp_path, command):
     target = tmp_path / "missing-dir" / "x.json"

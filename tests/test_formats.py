@@ -78,6 +78,27 @@ def test_vertex_name_that_cannot_round_trip_rejected(name):
         )
 
 
+@pytest.mark.parametrize("name", [None, True, 1.5, 5, []], ids=repr)
+def test_non_string_vertex_name_rejected(name):
+    with pytest.raises(InputError, match=r"vertices\[1\]: name must be a JSON string"):
+        presentation_from_dict(
+            {"vertices": [{"name": "a", "order": 2}, {"name": name, "order": 2}]}
+        )
+
+
+@pytest.mark.parametrize("end", [None, True, 1.5, 5, []], ids=repr)
+def test_non_string_edge_endpoint_rejected(end):
+    """A non-string endpoint is rejected, not matched to the vertex that its
+    str() names."""
+    with pytest.raises(InputError, match=r"edges\[1\]: endpoints must be JSON strings"):
+        presentation_from_dict(
+            {
+                "vertices": [{"name": v, "order": 2} for v in ("a", "b", "None", "True")],
+                "edges": [["a", "b"], [end, "a"]],
+            }
+        )
+
+
 def test_vertex_names_round_trip_through_words():
     names = ["x1", "11", "-1", "a_b", "é"]
     pres, words = presentation_from_dict(

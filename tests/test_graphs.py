@@ -18,12 +18,17 @@ from arboreal.graphs import (
 )
 
 from conftest import fig2_graph, p3_graph, p4_graph
-from oracles import is_connected_by_bfs
+from oracles import graph_distances, is_connected_by_bfs
 
 
 def complete_graph(n):
     names = [chr(ord("a") + i) for i in range(n)]
     return SimpleGraph(names, combinations(names, 2))
+
+
+def path_graph(n):
+    names = [chr(ord("a") + i) for i in range(n)]
+    return SimpleGraph(names, zip(names, names[1:]))
 
 
 def cycle_graph(n):
@@ -95,6 +100,19 @@ class TestDiameter:
     def test_p4(self):
         assert diameter(p4_graph()) == 3
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 127, 128, 129, 130])
+    def test_path(self, n):
+        # one frontier round per edge, past one and two 64-bit words of mask
+        assert diameter(path_graph(n)) == n - 1
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 64, 65, 129, 130])
+    def test_cycle(self, n):
+        assert diameter(cycle_graph(n)) == n // 2
+
+    def test_path_plus_isolated_vertex_is_infinite(self):
+        g = path_graph(130)
+        assert diameter(SimpleGraph(g.vertices + ("0",), g.edges)) == INFINITY
+
 
 class TestIrreducibility:
     def test_fig2_is_irreducible(self):
@@ -146,6 +164,26 @@ class TestProperties:
     @given(graphs(max_vertices=8))
     def test_irreducible_matches_complement_bfs(self, g):
         assert is_irreducible(g) == is_connected_by_bfs(complement(g))
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_vertices=10))
+    def test_diameter_matches_bfs_distances(self, g):
+        dists = [graph_distances(g, v) for v in g.vertices]
+        if any(len(d) < len(g.vertices) for d in dists):
+            assert diameter(g) == INFINITY
+        else:
+            assert diameter(g) == max(max(d.values()) for d in dists)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(max_vertices=10))
+    def test_masks_match_adjacency(self, g):
+        n = len(g.vertices)
+        for i, u in enumerate(g.vertices):
+            assert 0 <= g.masks[i] < 1 << n
+            assert not g.masks[i] >> i & 1
+            for j, v in enumerate(g.vertices):
+                assert bool(g.masks[i] >> j & 1) == (v in g.adjacency[u])
+                assert g.masks[i] >> j & 1 == g.masks[j] >> i & 1
 
     def test_isolated_vertex_gives_infinite_diameter(self):
         rng = random.Random(7)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from arboreal.errors import DegeneratePresentationError, InputError, ResourceCapError
 from arboreal.graphs import INFINITY, SimpleGraph
@@ -11,9 +12,10 @@ from arboreal.words import (
     parse_word,
 )
 
-from conftest import p4_graph
+from conftest import p4_graph, presentations
 from oracles import (
     first_vertices_brute,
+    full_subgroup_order_by_definition,
     last_vertices_brute,
     lex_min_of_orbit,
     random_presentation,
@@ -229,6 +231,14 @@ class TestFullSubgroups:
 
     def test_infinite_order_vertex(self, p3_raag):
         assert p3_raag.full_subgroup_order({"a"}) == INFINITY
+
+    @settings(max_examples=60, deadline=None)
+    @given(presentations(max_vertices=7))
+    def test_order_matches_pairwise_clique_definition(self, pres):
+        verts = pres.graph.vertices
+        for mask in range(2 ** len(verts)):
+            s = [v for i, v in enumerate(verts) if mask >> i & 1]
+            assert pres.full_subgroup_order(s) == full_subgroup_order_by_definition(pres, s)
 
     def test_finiteness_rule_matches_ball_stabilization(self):
         # |G_S| finite <=> the G_S ball stops growing; exhaustive over
