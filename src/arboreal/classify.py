@@ -42,45 +42,38 @@ class AHCriterion(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
+class Certificate:
+    """Base of the verdict certificates. ``to_dict`` writes ``kind``, the
+    class name, then each field in declaration order, tuples as lists."""
+
+    def to_dict(self):
+        out = {"kind": type(self).__name__}
+        for key, value in vars(self).items():
+            out[key] = list(value) if isinstance(value, tuple) else value
+        return out
+
+
 @dataclass(frozen=True)
-class SeparatedPair:
+class SeparatedPair(Certificate):
     a: str
     b: str
     link_set: tuple[str, ...]
     link_order: int
 
-    def to_dict(self):
-        return {
-            "kind": "SeparatedPair",
-            "a": self.a,
-            "b": self.b,
-            "link_set": list(self.link_set),
-            "link_order": self.link_order,
-        }
-
 
 @dataclass(frozen=True)
-class NoSeparatedPair:
+class NoSeparatedPair(Certificate):
     checked_pair_count: int
 
-    def to_dict(self):
-        return {"kind": "NoSeparatedPair", "checked_pair_count": self.checked_pair_count}
-
 
 @dataclass(frozen=True)
-class VirtuallyCyclicWitness:
+class VirtuallyCyclicWitness(Certificate):
     missing_edge: tuple[str, str]
 
-    def to_dict(self):
-        return {"kind": "VirtuallyCyclicWitness", "missing_edge": list(self.missing_edge)}
-
 
 @dataclass(frozen=True)
-class CompleteGraphCase:
+class CompleteGraphCase(Certificate):
     reason: str
-
-    def to_dict(self):
-        return {"kind": "CompleteGraphCase", "reason": self.reason}
 
 
 @dataclass(frozen=True)

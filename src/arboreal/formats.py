@@ -1,4 +1,4 @@
-"""Presentation files: JSON serialization of graphs, orders and named words.
+"""Presentation files: loading graphs, orders and named words from JSON.
 
 Format:
 
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import InputError
 from .graphs import INFINITY, SimpleGraph
-from .words import Presentation, Word, format_word, parse_word
+from .words import Presentation, Word, parse_word
 
 # Names that parse_word and format_word round-trip: not empty, not the
 # identity "1", and free of whitespace and "^".
@@ -78,25 +78,6 @@ def presentation_from_dict(data: dict) -> tuple[Presentation, dict[str, Word]]:
     return pres, words
 
 
-def presentation_to_dict(pres: Presentation, words: dict[str, Word] | None = None) -> dict:
-    out = {
-        "vertices": [
-            {
-                "name": v,
-                "order": "inf" if pres.orders[v] == INFINITY else pres.orders[v],
-            }
-            for v in pres.graph.vertices
-        ],
-        "edges": sorted(
-            (sorted(e, key=pres.graph.sort_key) for e in pres.graph.edges),
-            key=lambda e: (pres.graph.index[e[0]], pres.graph.index[e[1]]),
-        ),
-    }
-    if words:
-        out["words"] = {k: format_word(w) for k, w in sorted(words.items())}
-    return out
-
-
 def load_presentation(path: str | Path) -> tuple[Presentation, dict[str, Word]]:
     path = Path(path)
     try:
@@ -114,11 +95,3 @@ def load_presentation(path: str | Path) -> tuple[Presentation, dict[str, Word]]:
     except InputError as exc:
         # preserve the subtype so degeneracy keeps its own exit code
         raise type(exc)(f"{path}: {exc}") from exc
-
-
-def save_presentation(
-    pres: Presentation, path: str | Path, words: dict[str, Word] | None = None
-) -> None:
-    Path(path).write_text(
-        json.dumps(presentation_to_dict(pres, words), indent=2, sort_keys=True) + "\n"
-    )

@@ -69,9 +69,6 @@ class SimpleGraph:
             raise InputError(f"unknown vertices: {sorted(unknown)}")
         return subset
 
-    def sort_key(self, v: str) -> int:
-        return self.index[v]
-
 
 def link(graph: SimpleGraph, subset: Iterable[str]) -> set[str]:
     """Common link: vertices adjacent to every vertex of ``subset``.
@@ -170,15 +167,15 @@ def dot_quoted(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(graph: SimpleGraph, name: str = "G") -> str:
-    """DOT rendering with deterministic vertex and edge order."""
-    lines = [f"graph {name} {{"]
-    for v in graph.vertices:
-        lines.append(f"  {dot_quoted(v)};")
-    for u, v in sorted(
-        (tuple(sorted(e, key=graph.index.get)) for e in graph.edges),
-        key=lambda e: (graph.index[e[0]], graph.index[e[1]]),
-    ):
-        lines.append(f"  {dot_quoted(u)} -- {dot_quoted(v)};")
+def to_dot(graph: SimpleGraph) -> str:
+    """DOT rendering as ``graph G``: the vertices in vertex order, then each
+    edge as (u, v) with u before v, ordered by u and then by v."""
+    vertices = graph.vertices
+    lines = ["graph G {"]
+    lines += [f"  {dot_quoted(v)};" for v in vertices]
+    for i, mask in enumerate(graph.masks):
+        for j in bit_indices(mask):
+            if i < j:
+                lines.append(f"  {dot_quoted(vertices[i])} -- {dot_quoted(vertices[j])};")
     lines.append("}")
     return "\n".join(lines) + "\n"

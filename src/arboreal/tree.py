@@ -283,6 +283,7 @@ def tree_distance(splitting: SplittingSpec, v1: TreeVertex, v2: TreeVertex) -> i
     round, plus one when that round's side is not v1's. O(L*|V|) beyond
     ``canonical``, whose output is reduced.
     """
+    side_set(splitting, v1.side)  # rejects an unknown side, as side_set(v2.side) below does
     pres = splitting.presentation
     adjacency = pres.graph.adjacency
     sylls = pres.canonical(tuple((v, -e) for v, e in reversed(v1.rep)) + tuple(v2.rep))
@@ -525,9 +526,10 @@ def elliptic_generation_check(splitting: SplittingSpec, generators: list[Word]) 
     return True
 
 
-def tree_ball_to_dot(ball: TreeBall, name: str = "T") -> str:
-    """DOT rendering of a tree ball, vertices labeled side:representative."""
-    lines = [f"graph {name} {{"]
+def tree_ball_to_dot(ball: TreeBall) -> str:
+    """DOT rendering of a tree ball as ``graph T``: vertices labeled
+    side:representative, in ball order; edges labeled C:representative."""
+    lines = ["graph T {"]
     order = {v: i for i, v in enumerate(ball.vertices)}
     for v in ball.vertices:
         lines.append(f"  v{order[v]} [label={dot_quoted(v.label())}];")

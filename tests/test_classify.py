@@ -1,5 +1,8 @@
+import json
 import random
 from itertools import combinations
+
+import pytest
 
 from arboreal.classify import (
     AHCriterion,
@@ -13,6 +16,7 @@ from arboreal.classify import (
     is_virtually_cyclic,
     separated_pairs,
 )
+from arboreal.formats import load_presentation
 from arboreal.graphs import INFINITY, SimpleGraph, diameter, link
 from arboreal.words import Presentation
 
@@ -194,6 +198,47 @@ class TestClassify:
     def test_disconnected_free_products(self, z2_z3, o2_racg):
         assert classify(z2_z3).arboreality == Arboreality.ACYL_ARBOREAL
         assert classify(o2_racg).arboreality == Arboreality.NOT_ACYL_ARBOREAL
+
+
+# The exact verdict JSON, key order included: json.dumps without sort_keys,
+# as the benchmark hashes it. One case per certificate class.
+VERDICT_JSON = {
+    "p4_racg.json": (
+        '{"arboreality": "AcylArboreal", "virtually_cyclic": "No", "ah_criterion": '
+        '"AHByIrreducibility", "certificate": {"kind": "SeparatedPair", "a": "a", "b": "c", '
+        '"link_set": ["b"], "link_order": 2}, "splitting": {"pair": ["a", "c"], '
+        '"A": ["a", "b", "d"], "B": ["b", "c", "d"], "C": ["b", "d"], "N": ["b"], '
+        '"acyl_k": 3, "acyl_C": 2}, "diameter": 3}'
+    ),
+    "o2_racg.json": (
+        '{"arboreality": "NotAcylArboreal", "virtually_cyclic": "Yes", "ah_criterion": '
+        '"VirtuallyCyclic", "certificate": {"kind": "VirtuallyCyclicWitness", '
+        '"missing_edge": ["a", "b"]}, "splitting": null, "diameter": "inf"}'
+    ),
+    "c5_raag.json": (
+        '{"arboreality": "NotAcylArboreal", "virtually_cyclic": "No", "ah_criterion": '
+        '"AHByIrreducibility", "certificate": {"kind": "NoSeparatedPair", '
+        '"checked_pair_count": 5}, "splitting": null, "diameter": 2}'
+    ),
+    "complete": (
+        '{"arboreality": "NotAcylArboreal", "virtually_cyclic": "Yes", "ah_criterion": '
+        '"VirtuallyCyclic", "certificate": {"kind": "CompleteGraphCase", "reason": '
+        '"complete graph of cyclic groups: direct product Z^k x finite is finite, virtually '
+        'cyclic, or a product of two infinite groups, none of which act acylindrically '
+        'non-elementarily on a tree"}, "splitting": null, "diameter": 1}'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VERDICT_JSON)
+def test_verdict_json_is_pinned(fixtures_dir, name):
+    if name == "complete":
+        pres = Presentation(SimpleGraph("ab", [("a", "b")]), {"a": 2, "b": 3})
+    else:
+        pres, _ = load_presentation(fixtures_dir / name)
+    verdict = classify(pres).to_dict()
+    assert json.dumps(verdict) == VERDICT_JSON[name]
+    assert verdict == json.loads(VERDICT_JSON[name])  # lists, not tuples
 
 
 class TestAHCriterion:

@@ -212,3 +212,11 @@ class TestDot:
         dot = to_dot(SimpleGraph(['a"b', "c\\d"], [('a"b', "c\\d")]))
         assert dot.splitlines()[1:4] == ['  "a\\"b";', '  "c\\\\d";', '  "a\\"b" -- "c\\\\d";']
 
+    def test_edges_in_vertex_order(self):
+        # vertex order not alphabetical; input edges reversed and repeated
+        g = SimpleGraph(["c", "a", "d", "b"], [("b", "a"), ("a", "c"), ("d", "c"), ("a", "b")])
+        head = 'graph G {\n  "c";\n  "a";\n  "d";\n  "b";\n'
+        assert to_dot(g) == head + '  "c" -- "a";\n  "c" -- "d";\n  "a" -- "b";\n}\n'
+        assert to_dot(complement(g)) == (
+            head + '  "c" -- "b";\n  "a" -- "d";\n  "d" -- "b";\n}\n'
+        )

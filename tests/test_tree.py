@@ -145,6 +145,13 @@ class TestTreeDistance:
                 p4_splitting, act(p4_splitting, g, u), act(p4_splitting, g, v)
             )
 
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_unknown_side_rejected_in_either_position(self, p4_splitting, position):
+        vertices = [TreeVertex(SIDE_A, ()), TreeVertex(SIDE_A, ())]
+        vertices[position] = TreeVertex("C", ())
+        with pytest.raises(InputError, match="unknown side: C"):
+            tree_distance(p4_splitting, *vertices)
+
 
 class TestElementAction:
     def test_identity_elliptic(self, p4_splitting):
@@ -319,6 +326,7 @@ class TestTreeBallExport:
     def test_dot_contains_labels(self, p4_splitting):
         ball = tree_ball(p4_splitting, 1, local_radius=2)
         dot = tree_ball_to_dot(ball)
+        assert dot.startswith("graph T {\n")
         assert "A:1" in dot and "B:1" in dot
         assert dot.count("--") == len(ball.edges)
 
