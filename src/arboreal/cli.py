@@ -3,8 +3,7 @@
 Exit codes: 0 success / audit clean, 2 parse or word error, bad option or
 unwritable output file, 3 degenerate presentation, 4 no splitting available
 to audit, 5 resource cap exceeded. Audit violations also exit nonzero (1).
-Exits 2 to 5 print one ``error: `` line on stderr. scripts/run_audit.py
-shares the audit flags, their checks and the exit codes.
+Exits 2 to 5 print one ``error: `` line on stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +12,15 @@ import argparse
 import json
 import sys
 
-from .classify import Arboreality, NoSeparatedPair, SeparatedPair, VirtuallyCyclicWitness, classify
+from .classify import (
+    Arboreality,
+    NoSeparatedPair,
+    SeparatedPair,
+    VirtuallyCyclicWitness,
+    build_splitting,
+    classify,
+    separated_pairs,
+)
 from .errors import DegeneratePresentationError, InputError, ResourceCapError
 from .formats import load_presentation
 from .graphs import complement, to_dot
@@ -60,7 +67,7 @@ def _write(args, text: str) -> None:
         raise InputError(f"cannot write {args.out}: {exc.strerror}") from exc
 
 
-def _emit(args, payload: dict, human: str) -> None:
+def _emit(args, payload, human: str) -> None:
     _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n" if args.json else human)
 
 
@@ -122,14 +129,15 @@ def cmd_mul(args) -> int:
     return EXIT_OK
 
 
+def _no_splitting(reason: str):
+    sys.stderr.write(f"error: no splitting to audit: {reason}\n")
+    raise SystemExit(EXIT_NO_SPLITTING)
+
+
 def _require_splitting(pres):
     verdict = classify(pres)
     if verdict.arboreality != Arboreality.ACYL_ARBOREAL:
-        sys.stderr.write(
-            "error: no splitting to audit: presentation is not acylindrically "
-            f"arboreal ({_describe(verdict)})\n"
-        )
-        raise SystemExit(EXIT_NO_SPLITTING)
+        _no_splitting(f"presentation is not acylindrically arboreal ({_describe(verdict)})")
     return verdict.splitting
 
 
@@ -147,31 +155,21 @@ def cmd_tree_dist(args) -> int:
     return EXIT_OK
 
 
-def add_audit_arguments(parser) -> None:
-    """The audit limits, with their defaults, on ``parser``."""
-    parser.add_argument("--k", type=int, default=3)
-    parser.add_argument("--tree-radius", type=int, default=5)
-    parser.add_argument("--element-radius", type=int, default=6)
-    parser.add_argument("--local-radius", type=int, default=2)
-    parser.add_argument("--ball-cap", type=int, default=DEFAULT_BALL_CAP)
-
-
-def audit_limits(args) -> dict:
-    """The limits parsed by ``add_audit_arguments`` as ``audit_acylindricity``
-    keywords; InputError, naming the flag, if nothing would be audited."""
+def cmd_tree_audit(args) -> int:
     limits = dict(
         k=args.k, tree_radius=args.tree_radius, element_radius=args.element_radius,
         local_radius=args.local_radius, cap=args.ball_cap,
     )
     check_audit_limits(**limits, names=AUDIT_FLAGS)
-    return limits
-
-
-def cmd_tree_audit(args) -> int:
-    limits = audit_limits(args)
     pres, _ = load_presentation(args.file)
-    report = audit_acylindricity(_require_splitting(pres), **limits)
-    human = (
+    if args.all_pairs:
+        splittings = [build_splitting(pres, p) for p in separated_pairs(pres)]
+        if not splittings:
+            _no_splitting("no separated pair")
+    else:
+        splittings = [_require_splitting(pres)]
+    reports = [audit_acylindricity(sp, **limits) for sp in splittings]
+    human = "\n".join(
         f"pair:           {report.splitting.pair}\n"
         f"k:              {report.k}\n"
         f"paths checked:  {report.paths_checked}\n"
@@ -180,9 +178,11 @@ def cmd_tree_audit(args) -> int:
         f"truncated:      {report.truncated}\n"
         f"exhaustive:     {report.exhaustive_elements}\n"
         f"violations:     {len(report.violations)}\n"
+        for report in reports
     )
-    _emit(args, report.to_dict(), human)
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+    payload = [report.to_dict() for report in reports]
+    _emit(args, payload if args.all_pairs else payload[0], human)
+    return EXIT_OK if all(report.passed for report in reports) else EXIT_VIOLATION
 
 
 def cmd_export_dot(args) -> int:
@@ -240,7 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree-audit", help="empirical (k, |G_N|) acylindricity audit")
     common(p)
-    add_audit_arguments(p)
+    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--tree-radius", type=int, default=5)
+    p.add_argument("--element-radius", type=int, default=6)
+    p.add_argument("--local-radius", type=int, default=2)
+    p.add_argument("--ball-cap", type=int, default=DEFAULT_BALL_CAP)
+    p.add_argument(
+        "--all-pairs", action="store_true",
+        help="audit every separated pair, not just the one classify picks",
+    )
     p.set_defaults(func=cmd_tree_audit)
 
     p = sub.add_parser("export-dot", help="DOT export of graph, complement or tree ball")
@@ -256,10 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(func, args) -> int:
-    """``func(args)``'s exit code, or an error's code and ``error: `` line."""
+def main(argv=None) -> int:
+    """The subcommand's exit code, or an error's code and ``error: `` line."""
+    args = build_parser().parse_args(argv)
     try:
-        return func(args)
+        return args.func(args)
     except DegeneratePresentationError as exc:
         message, code = f"degenerate presentation: {exc}", EXIT_DEGENERATE
     except InputError as exc:
@@ -270,11 +279,6 @@ def run(func, args) -> int:
         return exc.code
     sys.stderr.write(f"error: {message}\n")
     return code
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(args.func, args)
 
 
 if __name__ == "__main__":

@@ -322,15 +322,16 @@ def path_stabilizer(
     An element fixing the end edges g_1G_C and g_kG_C of a tree path fixes
     every edge between them, so the stabilizer is g_1(G_C ∩ hG_Ch^-1)g_1^-1
     for h = g_1^-1 g_k, which the canonical inverse of g_1 extended by g_k
-    gives (see ``_stabilizer_scan``). The edge representatives must be
-    canonical, as ``make_edge`` and ``tree_ball`` build them.
+    gives (see ``_stabilizer_scan``). The end edges' representatives may be
+    any words: each is read as its coset's canonical one, as ``make_edge``
+    builds it.
     Raises InputError for an empty path.
     """
     if not path:
         raise InputError("path must contain at least one edge")
     pres = splitting.presentation
-    g1 = path[0].rep
-    return _stabilizer_scan(splitting, g1, pres._extend(pres.inverse(g1), path[-1].rep))
+    g1, gk = (coset_canonical(pres, e.rep, splitting.c_side) for e in (path[0], path[-1]))
+    return _stabilizer_scan(splitting, g1, pres._extend(pres.inverse(g1), gk))
 
 
 def _stabilizer_scan(

@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from arboreal.classify import build_splitting, separated_pairs
 from arboreal.cli import main
+from arboreal.formats import load_presentation
+from arboreal.tree import audit_acylindricity
 
 from conftest import FIXTURES, json_documents
 
-RUN_AUDIT = FIXTURES.parent / "scripts" / "run_audit.py"
 SMALL_GRAPHS = FIXTURES.parent / "scripts" / "classify_small_graphs.py"
 
 
@@ -312,25 +314,80 @@ def test_tree_audit_rejects_k_longer_than_any_path_in_the_ball(capsys):
     "argv, message",
     [(["--k", "7", "--tree-radius", "3"], "--k 7 is more than twice --tree-radius 3"),
      (["--ball-cap", "0"], "--ball-cap must be at least 1, got 0")],
+    ids=["k-above-twice-tree-radius", "zero-ball-cap"],
 )
-def test_run_audit_script_rejects_vacuous_limits(capsys, argv, message):
-    script_main = runpy.run_path(str(RUN_AUDIT))["main"]
-    code = script_main([str(FIXTURES / "p4_racg.json")] + argv)
-    captured = capsys.readouterr()
+def test_tree_audit_all_pairs_rejects_vacuous_limits(capsys, argv, message):
+    code, out, err = run(capsys, "tree-audit", FIXTURES / "p4_racg.json", "--all-pairs", *argv)
     assert code == 2
-    assert not captured.out
-    assert f"error: {message}" in captured.err
+    assert not out
+    assert f"error: {message}" in err
 
 
-def test_run_audit_script_defaults_are_tree_audits(capsys):
-    """With no limit flags, the script audits the classifier's pair (a, c)
-    under the same limits as ``tree-audit``."""
+def test_tree_audit_all_pairs_defaults_are_tree_audits(capsys):
+    """With no limit flags, the first report of --all-pairs is the plain
+    audit of the classifier's pair (a, c), under the same limits."""
     code, out, _ = run(capsys, "tree-audit", FIXTURES / "p4_racg.json", "--json")
     assert code == 0
-    paths_checked = json.loads(out)["paths_checked"]
-    assert runpy.run_path(str(RUN_AUDIT))["main"]([str(FIXTURES / "p4_racg.json")]) == 0
-    line = re.search(r"^pair \(a, c\): .*", capsys.readouterr().out, re.M).group()
-    assert f", {paths_checked} paths, " in line
+    single = json.loads(out)
+    code, out, _ = run(capsys, "tree-audit", FIXTURES / "p4_racg.json", "--all-pairs", "--json")
+    assert code == 0
+    reports = json.loads(out)
+    assert reports[0]["splitting"]["pair"] == ["a", "c"]
+    assert reports[0] == single
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_tree_audit_all_pairs_lists_every_separated_pair(capsys, path):
+    """One report per separated pair, in ``separated_pairs`` order, each the
+    library's audit of that pair's splitting at the same default limits."""
+    pres, _ = load_presentation(path)
+    pairs = separated_pairs(pres)
+    code, out, err = run(capsys, "tree-audit", path, "--all-pairs", "--json")
+    if not pairs:
+        assert code == 4
+        assert not out
+        assert err == "error: no splitting to audit: no separated pair\n"
+        return
+    reports = [audit_acylindricity(build_splitting(pres, pair)) for pair in pairs]
+    assert code == (0 if all(r.passed for r in reports) else 1)
+    payload = json.loads(out)
+    assert [tuple(entry["splitting"]["pair"]) for entry in payload] == [
+        (pair.a, pair.b) for pair in pairs
+    ]
+    assert payload == [json.loads(json.dumps(r.to_dict())) for r in reports]
+
+
+def test_tree_audit_all_pairs_audits_a_virtually_cyclic_product(capsys):
+    """Z2 * Z2 is virtually cyclic, so classify offers no splitting, but its
+    one pair (a, b) is separated and --all-pairs audits it."""
+    code, out, _ = run(capsys, "tree-audit", FIXTURES / "o2_racg.json", "--all-pairs")
+    assert code == 0
+    assert out.startswith("pair:           ('a', 'b')\n")
+    code, _, err = run(capsys, "tree-audit", FIXTURES / "o2_racg.json")
+    assert code == 4
+    assert err.startswith("error: no splitting to audit: ")
+
+
+def test_tree_audit_all_pairs_human_blocks(capsys):
+    """One human block per pair, blank lines between them."""
+    code, out, _ = run(
+        capsys, "tree-audit", FIXTURES / "p4_racg.json", "--all-pairs",
+        "--tree-radius", "3", "--element-radius", "4",
+    )
+    assert code == 0
+    blocks = out.split("\n\n")
+    assert [b.splitlines()[0] for b in blocks] == [
+        "pair:           ('a', 'c')", "pair:           ('a', 'd')", "pair:           ('b', 'd')",
+    ]
+
+
+def test_tree_audit_all_pairs_exits_1_on_any_violation(capsys):
+    code, out, _ = run(
+        capsys, "tree-audit", FIXTURES / "p4_racg.json", "--k", "1", "--tree-radius", "2",
+        "--element-radius", "3", "--all-pairs", "--json",
+    )
+    assert code == 1
+    assert any(report["violations"] for report in json.loads(out))
 
 
 @pytest.mark.parametrize(
@@ -340,23 +397,23 @@ def test_run_audit_script_defaults_are_tree_audits(capsys):
         ("not json", [], 2, "error: "),
         (json.dumps({"vertices": [{"name": "a", "order": 1}, TWO_VERTICES[1]]}), [], 3,
          "error: degenerate presentation"),
-        (FIXTURES / "p3_raag.json", [], 4, "error: no separated pairs"),
+        (FIXTURES / "p3_raag.json", [], 4, "error: no splitting to audit: no separated pair"),
         (FIXTURES / "p4_racg.json", ["--ball-cap", "5"], 5, "error: resource cap exceeded"),
     ],
     ids=["missing-file", "bad-json", "degenerate", "no-separated-pair", "cap-hit"],
 )
-def test_run_audit_script_exit_codes(capsys, tmp_path, contents, argv, expected_code, message):
+def test_tree_audit_all_pairs_exit_codes(capsys, tmp_path, contents, argv, expected_code, message):
     path = tmp_path / "p.json"
     if isinstance(contents, Path):
         path = contents
     elif contents is not None:
         path.write_text(contents)
-    script_main = runpy.run_path(str(RUN_AUDIT))["main"]
-    code = script_main([str(path)] + argv)
-    captured = capsys.readouterr()
+    code, out, err = run(capsys, "tree-audit", path, "--all-pairs", *argv)
     assert code == expected_code
-    assert captured.err.startswith(message)
-    assert "Traceback" not in captured.err
+    assert not out
+    assert err.startswith(message)
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("name", ["", "1", "a b", "a^2"])
@@ -390,16 +447,25 @@ def test_unwritable_out_path_exits_2(capsys, tmp_path, command):
     assert err.startswith(f"error: cannot write {target}")
 
 
+TINY_AUDIT = ["--k", "1", "--tree-radius", "1", "--element-radius", "1", "--local-radius", "1",
+              "--ball-cap", "300"]
+
+
+@pytest.mark.parametrize(
+    "argv, codes",
+    [(["classify"], {0, 2, 3}), (["tree-audit", "--all-pairs"] + TINY_AUDIT, {0, 1, 2, 3, 4, 5})],
+    ids=["classify", "tree-audit-all-pairs"],
+)
 @settings(max_examples=100, deadline=None)
-@given(json_documents())
-def test_classify_on_any_json_file_exits_0_2_or_3(data):
+@given(data=json_documents())
+def test_classify_on_any_json_file_exits_0_2_or_3(argv, codes, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.json"
         path.write_text(json.dumps(data))
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(["classify", str(path)])
-    assert code in (0, 2, 3)
+            code = main([argv[0], str(path)] + argv[1:])
+    assert code in codes
     assert "Traceback" not in err.getvalue()
 
 
@@ -422,14 +488,13 @@ def test_malformed_file_exits_2(capsys, tmp_path, contents):
 
 
 @pytest.mark.parametrize("contents", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
-def test_run_audit_script_malformed_file_exits_2(capsys, tmp_path, contents):
+def test_tree_audit_all_pairs_malformed_file_exits_2(capsys, tmp_path, contents):
     path = tmp_path / "bad.json"
     path.write_bytes(contents)
-    code = runpy.run_path(str(RUN_AUDIT))["main"]([str(path)])
-    captured = capsys.readouterr()
+    code, out, err = run(capsys, "tree-audit", path, "--all-pairs")
     assert code == 2
-    assert not captured.out
-    assert captured.err.startswith(f"error: {path}: ")
+    assert not out
+    assert err.startswith(f"error: {path}: ")
 
 
 LONG_EXPONENT = "a^" + "9" * 5000

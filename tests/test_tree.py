@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from arboreal.classify import Arboreality, SeparatedPair, build_splitting, classify
+from arboreal.classify import Arboreality, SeparatedPair, build_splitting, classify, separated_pairs
 from arboreal.errors import InputError, ResourceCapError
+from arboreal.formats import load_presentation
 from arboreal.tree import (
     SIDE_A,
     SIDE_B,
+    TreeEdge,
     TreeVertex,
     act,
     audit_acylindricity,
@@ -23,8 +25,9 @@ from arboreal.tree import (
     tree_distance,
 )
 from arboreal.graphs import SimpleGraph
-from arboreal.words import Presentation, parse_word
+from arboreal.words import Presentation, Syllable, parse_word
 
+from conftest import FIXTURES
 from oracles import bfs_distances, random_presentation, random_word
 
 
@@ -232,6 +235,35 @@ class TestStabilizers:
     def test_empty_path_rejected(self, p4_splitting):
         with pytest.raises(InputError):
             path_stabilizer(p4_splitting, [])
+
+    def test_unreduced_edge_rep_reads_as_its_coset(self):
+        """a^2 = 1 in the right-angled Coxeter group on P4, so over the pair
+        (a, c) the edge a^2 G_C is G_C, whose stabilizer is G_C = G_{b, d}."""
+        pres, _ = load_presentation(FIXTURES / "p4_racg.json")
+        sp = build_splitting(pres, separated_pairs(pres)[0])
+        assert sp.pair == ("a", "c")
+        assert path_stabilizer(sp, [TreeEdge((Syllable("a", 2),))]) == ((), ("b", "d"))
+
+    @pytest.mark.parametrize("name", ["p4_racg", "z2_z3", "z2_z5"])
+    def test_any_edge_words_give_their_cosets_stabilizer(self, name):
+        """End edges held as raw words, unreduced or not canonical, give what
+        ``make_edge`` of the same words gives."""
+        pres, _ = load_presentation(FIXTURES / f"{name}.json")
+        rng = random.Random(71)
+
+        def word():
+            return tuple(
+                Syllable(rng.choice(pres.graph.vertices), rng.choice((-1, 1, 2, 3)))
+                for _ in range(rng.randint(0, 5))
+            )
+
+        for pair in separated_pairs(pres):
+            sp = build_splitting(pres, pair)
+            for _ in range(300):
+                w1, w2 = word(), word()
+                assert path_stabilizer(sp, [TreeEdge(w1), TreeEdge(w2)]) == path_stabilizer(
+                    sp, [make_edge(sp, w1), make_edge(sp, w2)]
+                ), (pair, w1, w2)
 
 
 class TestAudit:
