@@ -18,9 +18,8 @@ is the frontier-mask search for its ``diameter`` field.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .graphs import INFINITY, SimpleGraph, bit_indices, diameter, is_irreducible
 from .words import Presentation
@@ -42,49 +41,43 @@ class AHCriterion(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-class Certificate:
-    """Base of the verdict certificates. ``to_dict`` writes ``kind``, the
-    class name, then each field in declaration order, tuples as lists."""
-
-    def to_dict(self):
-        out = {"kind": type(self).__name__}
-        for key, value in vars(self).items():
-            out[key] = list(value) if isinstance(value, tuple) else value
-        return out
-
-
-@dataclass(frozen=True)
-class SeparatedPair(Certificate):
+class SeparatedPair(NamedTuple):
     a: str
     b: str
     link_set: tuple[str, ...]
     link_order: int
 
 
-@dataclass(frozen=True)
-class NoSeparatedPair(Certificate):
+class NoSeparatedPair(NamedTuple):
     checked_pair_count: int
 
 
-@dataclass(frozen=True)
-class VirtuallyCyclicWitness(Certificate):
+class VirtuallyCyclicWitness(NamedTuple):
     missing_edge: tuple[str, str]
 
 
-@dataclass(frozen=True)
-class CompleteGraphCase(Certificate):
+class CompleteGraphCase(NamedTuple):
     reason: str
 
 
-@dataclass(frozen=True)
-class SplittingSpec:
+def _certificate_dict(cert) -> dict:
+    """``kind``, the certificate's class name, then each field in declaration
+    order, tuples as lists."""
+    out = {"kind": type(cert).__name__}
+    for key, value in cert._asdict().items():
+        out[key] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+class SplittingSpec(NamedTuple):
     """The witnessing amalgam G_A *_{G_C} G_B for a separated pair (a, b).
 
     A = V - {b}, B = V - {a}, C = V - {a, b}, N = link({a, b}); the action
-    on the Bass-Serre tree is (3, |G_N|)-acylindrical.
+    on the Bass-Serre tree is (3, |G_N|)-acylindrical. Equality includes the
+    presentation: equal sides over different groups are different amalgams.
     """
 
-    presentation: Presentation = field(compare=False, repr=False)
+    presentation: Presentation
     pair: tuple[str, str]
     a_side: tuple[str, ...]
     b_side: tuple[str, ...]
@@ -105,8 +98,7 @@ class SplittingSpec:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     arboreality: Arboreality
     virtually_cyclic: VirtuallyCyclic
     ah_criterion: AHCriterion
@@ -119,7 +111,7 @@ class Verdict:
             "arboreality": self.arboreality.value,
             "virtually_cyclic": self.virtually_cyclic.value,
             "ah_criterion": self.ah_criterion.value,
-            "certificate": self.certificate.to_dict(),
+            "certificate": _certificate_dict(self.certificate),
             "splitting": self.splitting.to_dict() if self.splitting else None,
             "diameter": "inf" if self.diameter == INFINITY else self.diameter,
         }

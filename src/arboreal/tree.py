@@ -28,8 +28,7 @@ listed first, cutting walks that can only end at an earlier-listed vertex
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .classify import SplittingSpec
 from .errors import InputError, ResourceCapError
@@ -40,8 +39,7 @@ SIDE_A = "A"
 SIDE_B = "B"
 
 
-@dataclass(frozen=True)
-class TreeVertex:
+class TreeVertex(NamedTuple):
     side: str  # SIDE_A or SIDE_B
     rep: Word
 
@@ -49,16 +47,14 @@ class TreeVertex:
         return f"{self.side}:{format_word(self.rep)}"
 
 
-@dataclass(frozen=True)
-class TreeEdge:
+class TreeEdge(NamedTuple):
     rep: Word
 
     def label(self) -> str:
         return f"C:{format_word(self.rep)}"
 
 
-@dataclass(frozen=True)
-class ElementAction:
+class ElementAction(NamedTuple):
     kind: str  # "Elliptic" or "Loxodromic"
     translation_length: int = 0
 
@@ -67,8 +63,7 @@ class ElementAction:
         return self.kind == "Loxodromic"
 
 
-@dataclass
-class TreeBall:
+class TreeBall(NamedTuple):
     """Explicit radius-bounded piece of the tree around the base vertex."""
 
     base: TreeVertex
@@ -79,8 +74,7 @@ class TreeBall:
     truncated: bool
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     splitting: SplittingSpec
     k: int
     tree_radius: int
@@ -91,7 +85,7 @@ class AuditReport:
     bound: int
     truncated: bool
     exhaustive_elements: bool
-    violations: list = field(default_factory=list)
+    violations: list
 
     @property
     def passed(self) -> bool:

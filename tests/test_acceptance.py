@@ -24,10 +24,11 @@ from arboreal.tree import (
     base_vertex,
     coset_canonical,
     element_action,
+    path_stabilizer,
     tree_ball,
     tree_distance,
 )
-from arboreal.words import Presentation, parse_word
+from arboreal.words import Presentation, format_word, parse_word
 
 from conftest import FIXTURES
 from oracles import lex_min_of_orbit, random_presentation, random_word, reduce_randomized
@@ -212,3 +213,18 @@ def test_criterion_7_property_suites():
             splitting, act(splitting, g, u), act(splitting, g, v)
         )
     report(7, "property suites (intersection, axioms, cosets, equivariance)", started)
+
+
+def test_readme_library_tour():
+    # the README's library tour, each result checked against its comment
+    graph = SimpleGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    pres = Presentation(graph, {v: 2 for v in "abcd"})
+    verdict = classify(pres)
+    assert verdict.arboreality == Arboreality.ACYL_ARBOREAL
+    assert repr(verdict.certificate) == "SeparatedPair(a='a', b='c', link_set=('b',), link_order=2)"
+    sp = verdict.splitting
+    assert (sp.acyl_k, sp.acyl_c) == (3, 2)
+    assert format_word(pres.canonical(parse_word(pres, "b a c b"))) == "a c"
+    assert element_action(sp, parse_word(pres, "a d")).kind in ("Elliptic", "Loxodromic")
+    assert audit_acylindricity(sp, k=3, tree_radius=4, element_radius=5).passed
+    assert path_stabilizer(sp, tree_ball(sp, 1).edges[:2]) == ((), ("b",))

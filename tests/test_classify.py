@@ -12,12 +12,15 @@ from arboreal.classify import (
     SeparatedPair,
     VirtuallyCyclic,
     VirtuallyCyclicWitness,
+    build_splitting,
     classify,
     is_virtually_cyclic,
     separated_pairs,
 )
+from arboreal.cli import main
 from arboreal.formats import load_presentation
 from arboreal.graphs import INFINITY, SimpleGraph, diameter, link
+from arboreal.tree import audit_acylindricity
 from arboreal.words import Presentation
 
 from conftest import fig2_graph, p4_graph
@@ -239,6 +242,56 @@ def test_verdict_json_is_pinned(fixtures_dir, name):
     verdict = classify(pres).to_dict()
     assert json.dumps(verdict) == VERDICT_JSON[name]
     assert verdict == json.loads(VERDICT_JSON[name])  # lists, not tuples
+
+
+# The exact audit JSON and human block for p4_racg's first splitting at k = 1.
+# A single edge's stabilizer is a conjugate of the infinite G_C = <b, d>, so
+# the audit has violations and pins their format too.
+AUDIT_JSON = (
+    '{"splitting": {"pair": ["a", "c"], "A": ["a", "b", "d"], "B": ["b", "c", "d"], '
+    '"C": ["b", "d"], "N": ["b"], "acyl_k": 3, "acyl_C": 2}, "k": 1, "tree_radius": 2, '
+    '"element_radius": 3, "local_radius": 2, "paths_checked": 6, "max_stabilizer_size": 7, '
+    '"bound": 2, "tree_truncated": true, "exhaustive_elements": false, "violations": '
+    '[{"path": ["C:a"], "stabilizer_size": 3}, {"path": ["C:1"], "stabilizer_size": 7}, '
+    '{"path": ["C:c"], "stabilizer_size": 7}, {"path": ["C:a c"], "stabilizer_size": 3}]}'
+)
+AUDIT_HUMAN = (
+    "pair:           ('a', 'c')\n"
+    "k:              1\n"
+    "paths checked:  6\n"
+    "max stabilizer: 7\n"
+    "bound |G_N|:    2\n"
+    "truncated:      True\n"
+    "exhaustive:     False\n"
+    "violations:     4\n"
+)
+
+
+def test_audit_report_is_pinned(fixtures_dir, capsys):
+    path = fixtures_dir / "p4_racg.json"
+    pres, _ = load_presentation(path)
+    report = audit_acylindricity(classify(pres).splitting, k=1, tree_radius=2, element_radius=3)
+    assert json.dumps(report.to_dict()) == AUDIT_JSON
+    argv = ["tree-audit", str(path), "--k", "1", "--tree-radius", "2", "--element-radius", "3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == AUDIT_HUMAN
+
+
+def test_splitting_equality_sees_the_group(fixtures_dir):
+    racg = Presentation(p4_graph(), {v: 2 for v in "abcd"})
+    other = Presentation(p4_graph(), {"a": 3, "b": 2, "c": 3, "d": 2})
+    pair = SeparatedPair("a", "c", ("b",), 2)
+    assert pair in separated_pairs(racg) and pair in separated_pairs(other)
+    # same sides, N and |G_N|, different amalgams
+    assert build_splitting(racg, pair) != build_splitting(other, pair)
+    checked = 0
+    for path in sorted(fixtures_dir.glob("*.json")):
+        pres, _ = load_presentation(path)
+        verdict = classify(pres)
+        if isinstance(verdict.certificate, SeparatedPair):
+            assert build_splitting(pres, verdict.certificate) == verdict.splitting, path.name
+            checked += 1
+    assert checked
 
 
 class TestAHCriterion:

@@ -1,7 +1,10 @@
 import io
 import json
+import os
 import re
 import runpy
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -582,3 +585,12 @@ def test_package_exports_are_pinned():
     deleted = {"SubgroupVerdict", "ah_criterion", "full_subgroup_check", "edge_distance",
                "neighbourhood"}
     assert not deleted & set(vars(arboreal))
+
+
+def test_cli_import_loads_no_dataclasses():
+    # -S: no site hooks of the machine running the test can load them either
+    code = "import sys, arboreal.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
