@@ -19,20 +19,23 @@ parabolic subgroup, read off two scans of the word joining its end edges
 
 What depends only on the splitting and the radii is enumerated once per
 tree ball or audit, not once per tree vertex or path: each side's subgroup
-ball, collapsed to its G_C cosets; the element ball; and the ball of each
-G_R that some path's stabilizer is conjugate to. The audit inverts each
-first edge's representative once, and walks each path once, from its end
-listed first, cutting walks that can only end at an earlier-listed vertex
-(see ``_paths_of_length``).
+ball, collapsed to its G_C cosets; the element ball, read only for its cap
+and saturation; and the ball of each G_R a path stabilizer is conjugate
+to, kept as length counts per support: the audit sizes f G_R f^-1 by
+|f x f^-1| = |x| + 2|f stripped of lk(supp x)|, x in G_R, and gives an
+empty R size 1. It inverts each first edge's representative once, and
+walks each path once, from its end listed first, cutting walks that can
+only end at an earlier-listed vertex (see ``_paths_of_length``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from itertools import accumulate
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .classify import SplittingSpec
 from .errors import InputError, ResourceCapError
-from .graphs import dot_quoted
+from .graphs import INFINITY, dot_quoted
 from .words import DEFAULT_BALL_CAP, Presentation, Word, format_word
 
 SIDE_A = "A"
@@ -325,30 +328,27 @@ def path_stabilizer(
         raise InputError("path must contain at least one edge")
     pres = splitting.presentation
     g1, gk = (coset_canonical(pres, e.rep, splitting.c_side) for e in (path[0], path[-1]))
-    return _stabilizer_scan(splitting, g1, pres._extend(pres.inverse(g1), gk))
+    p, r = _stabilizer_scan(splitting, pres._extend(pres.inverse(g1), gk))
+    return _strip(pres, pres._extend(g1, p), set(r)), r
 
 
-def _stabilizer_scan(
-    splitting: SplittingSpec, g1: Word, h: Word
-) -> tuple[Word, tuple[str, ...]]:
-    """``path_stabilizer`` of a path from the edge g_1G_C to g_1hG_C, for
-    canonical g_1 and h.
+def _stabilizer_scan(splitting: SplittingSpec, h: Word) -> tuple[Word, tuple[str, ...]]:
+    """(p, R) for the path from the edge g_1G_C to g_1hG_C, h canonical: its
+    stabilizer is f G_R f^-1 for f the canonical representative of g_1 p G_R.
 
     Split h's heap as p d q: p the largest predecessor-closed set of
     C-syllables, q the largest successor-closed set of the other C-syllables.
     Then d has no source or sink in C, and G_C ∩ dG_Cd^-1 = G_R for
     R = C ∩ lk(supp d), a parabolic intersection (Antolín-Minasyan, J. reine
-    angew. Math. 2015). f is the canonical representative of g_1 p G_R, so no
-    R-syllable ends f: g_1 is extended by p, not canonicalized again, and R
-    is stripped.
+    angew. Math. 2015). f is g_1 extended by p, not canonicalized again, and
+    stripped of R, so no R-syllable ends f.
     Every earlier (later) syllable outside a syllable's link is an ancestor
     (descendant), so a forward scan over h, a reduced word, finds p: a
     C-syllable joins it iff every earlier syllable outside p lies in its link.
     A reverse scan finds q and supp d the same way; a later p-syllable lies
     in the link of any syllable outside p.
     """
-    pres = splitting.presentation
-    adjacency = pres.graph.adjacency
+    adjacency = splitting.presentation.graph.adjacency
     c_set = set(splitting.c_side)
     in_p = []
     outside_p: set[str] = set()
@@ -361,8 +361,29 @@ def _stabilizer_scan(
         if not (p or v in c_set and d_support <= adjacency[v]):
             d_support.add(v)
     r = tuple(c for c in splitting.c_side if all(c in adjacency[v] for v in d_support))
-    p_word = tuple(s for s, p in zip(h, in_p) if p)
-    return _strip(pres, pres._extend(g1, p_word), set(r)), r
+    return tuple(s for s, p in zip(h, in_p) if p), r
+
+
+def _conjugate_counter(pres: Presentation, radius: int, cap: int, r: tuple[str, ...]):
+    """f -> the number of elements of length at most ``radius`` in f G_R f^-1,
+    f with no R-syllable at its end, by the length rule of
+    ``audit_acylindricity``: G_R's ball, enumerated once under ``cap``, kept
+    per support S as lk(S) and the number of its elements of length <= t."""
+    counts: dict[frozenset[str], list[int]] = {}
+    for x in pres.enumerate_ball(radius, cap=cap, subset=r):
+        counts.setdefault(frozenset(v for v, _ in x), [0] * (radius + 1))[_length(pres, x)] += 1
+    adjacency = pres.graph.adjacency
+    lks = {s: {u for u in pres.graph.vertices if s <= adjacency[u]} for s in counts}
+    table = [(lks[s], list(accumulate(c))) for s, c in counts.items()]
+    return lambda f: sum(
+        n[t] for lk, n in table if (t := radius - 2 * _length(pres, _strip(pres, f, lk))) >= 0
+    )
+
+
+def _length(pres: Presentation, word: Word) -> int:
+    """Length of a reduced word in the ball's generators, for which it is
+    geodesic (Hermiller-Meier): 1 per finite syllable, |e| per infinite one."""
+    return sum(1 if pres.orders[v] != INFINITY else abs(e) for v, e in word)
 
 
 def _paths_of_length(ball: TreeBall, k: int):
@@ -455,11 +476,14 @@ def audit_acylindricity(
     inverse of a first edge's representative g_1 is computed once per audit
     and shared by every path that starts with that edge: the word g_1^-1 g_k
     joining the end edges is that inverse extended by g_k.
-    Since no R-syllable ends f, none of x cancels in f x f^-1 for x in G_R, so
-    |x| <= |f x f^-1| and the count ranges over the radius-r ball of G_R,
-    enumerated once per distinct R; each distinct (f, R) is counted once.
-    f x f^-1 is f extended by x and then by f^-1, all three canonical, so no
-    concatenation of canonical words is canonicalized again.
+    Each distinct (f, R) is sized once, from word lengths (see ``_length``):
+    for x in G_R with support S, |f x f^-1| = |x| + 2|f_0|, f_0 = f stripped
+    of lk(S). f_0 x f_0^-1 is the same element, and reduced: no R-syllable
+    ends f, so no sink of f_0 is in S or lk(S). So the size is the number
+    of x with |x| <= r - 2|f_0|, read per support from the radius-r ball of
+    G_R, enumerated once per distinct R (see ``_conjugate_counter``). An empty R
+    gives size 1, and f is then not formed. The element ball is enumerated
+    only for its cap and ``exhaustive_elements``.
     Each side's ball is enumerated once too, collapsed to G_C cosets (see
     ``tree_ball``).
     Raises InputError for limits under which no path would be checked.
@@ -467,9 +491,9 @@ def audit_acylindricity(
     check_audit_limits(k, tree_radius, element_radius, local_radius, cap)
     pres = splitting.presentation
     ball = tree_ball(splitting, tree_radius, local_radius, cap)
-    elements, exhaustive = pres.enumerate_ball_info(element_radius, cap=cap)
+    _, exhaustive = pres.enumerate_ball_info(element_radius, cap=cap)
     inverses: dict[Word, Word] = {}
-    subgroup_balls: dict[tuple[str, ...], set[Word]] = {}
+    counters: dict[tuple[str, ...], Callable[[Word], int]] = {}
     sizes: dict[tuple[Word, tuple[str, ...]], int] = {}
     bound = splitting.acyl_c
     max_size = 0
@@ -479,17 +503,15 @@ def audit_acylindricity(
         g1 = path[0].rep
         if g1 not in inverses:
             inverses[g1] = pres.inverse(g1)
-        stabilizer = _stabilizer_scan(splitting, g1, pres._extend(inverses[g1], path[-1].rep))
-        if stabilizer not in sizes:
-            f, r = stabilizer
-            if r not in subgroup_balls:
-                subgroup_balls[r] = pres.enumerate_ball(element_radius, cap=cap, subset=r)
-            f_inv = pres.inverse(f)
-            sizes[stabilizer] = sum(
-                pres._extend(pres._extend(f, x), f_inv) in elements
-                for x in subgroup_balls[r]
-            )
-        size = sizes[stabilizer]
+        p, r = _stabilizer_scan(splitting, pres._extend(inverses[g1], path[-1].rep))
+        size = 1
+        if r:
+            f = _strip(pres, pres._extend(g1, p), set(r))
+            if (f, r) not in sizes:
+                if r not in counters:
+                    counters[r] = _conjugate_counter(pres, element_radius, cap, r)
+                sizes[f, r] = counters[r](f)
+            size = sizes[f, r]
         paths_checked += 1
         max_size = max(max_size, size)
         if size > bound:

@@ -236,9 +236,15 @@ class Presentation:
 
         The generators are the single syllables: every nontrivial exponent at a
         finite vertex, exponents +-1 at an infinite one. With ``subset`` given,
-        only those of the full subgroup G_S, and the ball is G_S's.
+        only those of the full subgroup G_S, and the ball is G_S's. Radius 1
+        holds them all, so ``cap`` is checked there before any is built.
         """
         allowed = self.graph.check_vertices(self.graph.vertices if subset is None else subset)
+        count = sum(2 if self.orders[v] == INFINITY else self.orders[v] - 1 for v in allowed)
+        if count and radius < 1:
+            return {()}, False
+        if count and count >= cap:
+            raise ResourceCapError(f"ball exceeded cap of {cap} elements at radius 1")
         gens = [
             Syllable(v, e)
             for v in self.graph.vertices

@@ -10,7 +10,8 @@ pairs come from BFS distances and pairwise adjacency, full-subgroup orders
 from pairwise adjacency on the adjacency sets, exponents are reduced
 here rather than by the library, the tree ball and the audit
 enumerate a side ball at every tree vertex and scan the whole element ball
-(or enumerate G_C) at every tree edge, and tree distances come from
+(or enumerate G_C) at every tree edge, stabilizer sizes come from looking
+conjugates up in the element ball, and tree distances come from
 re-canonicalizing stripping rounds or from BFS on a materialized ball.
 """
 
@@ -371,6 +372,19 @@ def audit_by_scan(splitting, k, tree_radius, element_radius, local_radius, cap):
         truncated=ball.truncated,
         exhaustive_elements=exhaustive,
         violations=violations,
+    )
+
+
+def conjugate_count_by_lookup(splitting, f, r, elements, element_radius, cap):
+    """Members of the element ball ``elements`` among f x f^-1, x in the
+    radius-``element_radius`` ball of G_R: f extended by x, then by f^-1,
+    looked up in the ball. No R-syllable ends f, so |x| <= |f x f^-1| and
+    that ball holds every x that counts."""
+    pres = splitting.presentation
+    f_inv = pres.inverse(f)
+    return sum(
+        pres._extend(pres._extend(f, x), f_inv) in elements
+        for x in pres.enumerate_ball(element_radius, cap=cap, subset=r)
     )
 
 

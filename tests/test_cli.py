@@ -190,6 +190,20 @@ class TestTreeAudit:
         assert "tree ball exceeded cap of 3000 vertices" in err
 
 
+    def test_huge_vertex_order_stops_at_the_cap(self, capsys, tmp_path):
+        """A vertex of order 10**12: its side ball's 10**12 - 1 generators are
+        counted, not built, so --ball-cap 100 ends the audit at radius 1."""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"vertices": [{"name": "a", "order": 2}, {"name": "b", "order": 10**12}]}
+        ))
+        code, out, err = run(capsys, "tree-audit", path, "--ball-cap", "100")
+        assert (code, out) == (5, "")
+        assert err == (
+            "error: resource cap exceeded: ball exceeded cap of 100 elements at radius 1\n"
+        )
+
+
 class TestExportDot:
     def test_fig2_graph_counts(self, capsys):
         code, out, _ = run(capsys, "export-dot", FIXTURES / "fig2_raag.json")

@@ -10,6 +10,8 @@ from arboreal.tree import (
     SIDE_B,
     TreeEdge,
     TreeVertex,
+    _conjugate_counter,
+    _paths_of_length,
     act,
     audit_acylindricity,
     base_vertex,
@@ -28,7 +30,12 @@ from arboreal.graphs import SimpleGraph
 from arboreal.words import Presentation, Syllable, parse_word
 
 from conftest import FIXTURES
-from oracles import bfs_distances, random_presentation, random_word
+from oracles import (
+    bfs_distances,
+    conjugate_count_by_lookup,
+    random_presentation,
+    random_word,
+)
 
 
 class TestCosetCanonical:
@@ -315,6 +322,28 @@ class TestAudit:
             sp, k=1, tree_radius=1, element_radius=1, local_radius=1, cap=100
         )
         assert report.max_stabilizer_size == 13
+
+    @pytest.mark.parametrize("pair", ["ac", "ad", "bd"])
+    def test_length_count_matches_lookup_count(self, p4_racg, pair):
+        """On every distinct (f, R) of the P4 RACG audits at tree radius 5,
+        k 1 to 3, the count from word lengths equals the count of conjugates
+        found in the radius-6 element ball; an empty R counts 1."""
+        sp = build_splitting(
+            p4_racg, next(p for p in separated_pairs(p4_racg) if p.a + p.b == pair)
+        )
+        cap = 10_000
+        elements = p4_racg.enumerate_ball(6, cap=cap)
+        ball = tree_ball(sp, 5, 2, cap)
+        stabilizers = {
+            path_stabilizer(sp, path) for k in (1, 2, 3) for path in _paths_of_length(ball, k)
+        }
+        counters = {}
+        for f, r in stabilizers:
+            if r not in counters:
+                counters[r] = _conjugate_counter(p4_racg, 6, cap, r)
+            count = counters[r](f) if r else 1
+            assert count == conjugate_count_by_lookup(sp, f, r, elements, 6, cap)
+        assert {bool(r) for _, r in stabilizers} == {False, True}
 
     @pytest.mark.parametrize(
         "limits, message",

@@ -1,9 +1,10 @@
 """Property tests of the tree layer against its oracles: the once-per-audit
 enumerations against the per-vertex and per-edge ones, the audit's path walk
 against the one that keeps the first walk over each edge set, each path's
-stabilizer formula against the per-edge fixer scan, and the one-pass tree
-distance against re-canonicalizing stripping and BFS; and that the tree ball
-is a tree.
+stabilizer formula against the per-edge fixer scan, the length rule that
+sizes stabilizers against the lengths of canonical conjugates, and the
+one-pass tree distance against re-canonicalizing stripping and BFS; and that
+the tree ball is a tree.
 
 Presentations have at most five vertices with orders in {2, 3, inf}; every
 separated-pair splitting is checked at tree and element radii up to 3 under
@@ -15,12 +16,14 @@ from hypothesis import strategies as st
 
 from arboreal.classify import build_splitting, separated_pairs
 from arboreal.errors import ResourceCapError
+from arboreal.words import INFINITY
 from arboreal.tree import (
     SIDE_A,
     SIDE_B,
     TreeVertex,
     _paths_of_length,
     audit_acylindricity,
+    coset_canonical,
     element_action,
     path_stabilizer,
     tree_ball,
@@ -33,6 +36,7 @@ from oracles import (
     bfs_distances,
     edge_fixers_by_scan,
     element_action_by_stripping,
+    enumerate_ball_by_canonical,
     paths_by_edge_set,
     random_word,
     tree_ball_by_vertex,
@@ -164,6 +168,59 @@ def test_path_stabilizer_is_the_conjugate_of_its_parabolic(pres, radii, element_
                         s for s in elements if pres.support(f_inv + s + f) <= set(r)
                     }
                 assert set.intersection(*(fixers[e.rep] for e in path)) == conjugates[f, r]
+
+
+def word_length(pres, word):
+    """Generator count of a reduced word: 1 per syllable at a finite vertex,
+    |e| per syllable at an infinite one."""
+    return sum(1 if pres.orders[v] != INFINITY else abs(e) for v, e in word)
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations(), st.integers(0, 3))
+def test_word_length_is_the_ball_radius(pres, radius):
+    """Reduced words are geodesic: the radius-r ball holds exactly the
+    elements of the radius-3 ball of length at most r."""
+    try:
+        ball = enumerate_ball_by_canonical(pres, 3, CAP, set(pres.graph.vertices))[0]
+    except ResourceCapError:
+        return
+    assert pres.enumerate_ball(radius, cap=CAP) == {
+        w for w in ball if word_length(pres, w) <= radius
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations(), small_balls(), st.integers(1, 4))
+def test_conjugate_length_rule(pres, radii, radius):
+    """For (f, R) = path_stabilizer on every k-edge path, k 1 to 3, of a small
+    tree ball, and x in the G_R ball of radius up to 4:
+    |canonical(f x f^-1)| = |x| + 2 |f stripped of lk(supp x)|."""
+    tree_radius, local_radius = radii
+    adjacency = pres.graph.adjacency
+    for pair in separated_pairs(pres):
+        sp = build_splitting(pres, pair)
+        try:
+            ball = tree_ball(sp, tree_radius, local_radius, CAP)
+        except ResourceCapError:
+            continue
+        stabilizers = {
+            path_stabilizer(sp, path)
+            for k in range(1, min(3, 2 * tree_radius) + 1)
+            for path in _paths_of_length(ball, k)
+        }
+        for f, r in stabilizers:
+            try:
+                xs = pres.enumerate_ball(radius, cap=CAP, subset=r)
+            except ResourceCapError:
+                continue
+            f_inv = pres.inverse(f)
+            for x in xs:
+                support = {v for v, _ in x}
+                lk = [u for u in pres.graph.vertices if support <= adjacency[u]]
+                assert word_length(pres, pres.multiply(f, x, f_inv)) == word_length(
+                    pres, x
+                ) + 2 * word_length(pres, coset_canonical(pres, f, lk))
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,6 +14,7 @@ from arboreal.words import (
 
 from conftest import p4_graph, presentations
 from oracles import (
+    enumerate_ball_by_canonical,
     first_vertices_brute,
     full_subgroup_order_by_definition,
     last_vertices_brute,
@@ -294,6 +295,46 @@ class TestEnumerateBall:
         with pytest.raises(ResourceCapError, match="at radius 2$"):
             p4_racg.enumerate_ball(10, cap=5)
         assert len(calls) == 6
+
+    def test_huge_order_stops_at_the_cap_before_building_generators(self):
+        """A vertex of order 10**12 has 10**12 - 1 generators: they are
+        counted, not built, so cap 100 stops the ball at radius 1, and
+        radius 0 needs none of them."""
+        pres = Presentation(SimpleGraph("ab"), {"a": 2, "b": 10**12})
+        message = "^ball exceeded cap of 100 elements at radius 1$"
+        with pytest.raises(ResourceCapError, match=message):
+            pres.enumerate_ball_info(3, cap=100)
+        assert pres.enumerate_ball_info(0, cap=100) == ({()}, False)
+        assert pres.enumerate_ball_info(3, cap=100, subset="a") == ({(), (Syllable("a", 1),)}, True)
+
+    def test_cap_met_by_the_generators_inserts_nothing(self):
+        """Z9 * Z has 8 + 2 = 10 generators, so cap 10 is exceeded at radius 1
+        before any of them is built or inserted."""
+        pres = Presentation(SimpleGraph("ab"), {"a": 9, "b": INFINITY})
+        calls = []
+        insert = pres._insert
+        pres._insert = lambda g, s: calls.append(s) or insert(g, s)
+        with pytest.raises(ResourceCapError, match="at radius 1$"):
+            pres.enumerate_ball(2, cap=10)
+        assert not calls
+
+    @pytest.mark.parametrize("cap", [9, 10, 11])
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    def test_generator_count_meets_the_cap_as_the_oracle_does(self, cap, radius):
+        """Z9 * Z has 8 + 2 = 10 generators: caps just below, at and above
+        that count, with the ball and its flag or the cap message compared
+        to the whole-word oracle's."""
+        pres = Presentation(SimpleGraph("ab"), {"a": 9, "b": INFINITY})
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except ResourceCapError as exc:
+                return str(exc)
+
+        assert outcome(pres.enumerate_ball_info, radius, cap) == outcome(
+            enumerate_ball_by_canonical, pres, radius, cap, {"a", "b"}
+        )
 
     def test_deterministic_contents(self, p3_raag):
         a = p3_raag.enumerate_ball(3)
