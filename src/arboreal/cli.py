@@ -242,9 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--tree-radius", type=int, default=5)
-    p.add_argument("--element-radius", type=int, default=6)
+    p.add_argument(
+        "--element-radius", type=int, default=6,
+        help="count stabilizer elements up to this length; sizes only the G_R balls",
+    )
     p.add_argument("--local-radius", type=int, default=2)
-    p.add_argument("--ball-cap", type=int, default=DEFAULT_BALL_CAP)
+    p.add_argument(
+        "--ball-cap", type=int, default=DEFAULT_BALL_CAP,
+        help="most tree-ball vertices and side or G_R ball elements; exit 5 past it",
+    )
     p.add_argument(
         "--all-pairs", action="store_true",
         help="audit every separated pair, not just the one classify picks",

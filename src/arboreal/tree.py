@@ -19,17 +19,18 @@ parabolic subgroup, read off two scans of the word joining its end edges
 
 What depends only on the splitting and the radii is enumerated once per
 tree ball or audit, not once per tree vertex or path: each side's subgroup
-ball, collapsed to its G_C cosets; the element ball, read only for its cap
-and saturation; and the ball of each G_R a path stabilizer is conjugate
-to, kept as length counts per support: the audit sizes f G_R f^-1 by
-|f x f^-1| = |x| + 2|f stripped of lk(supp x)|, x in G_R, and gives an
-empty R size 1. It inverts each first edge's representative once, and
-walks each path once, from its end listed first, cutting walks that can
-only end at an earlier-listed vertex (see ``_paths_of_length``).
+ball, collapsed to its G_C cosets, and the ball of each G_R a path
+stabilizer is conjugate to, kept as length counts per support: the audit
+sizes f G_R f^-1 by |f x f^-1| = |x| + 2|f stripped of lk(supp x)|, x in
+G_R, and gives an empty R size 1. No ball of the whole group is built. It
+inverts each first edge's representative once, and walks each path once,
+from its end listed first, cutting walks that can only end at an
+earlier-listed vertex (see ``_paths_of_length``).
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -360,7 +361,7 @@ def _stabilizer_scan(splitting: SplittingSpec, h: Word) -> tuple[Word, tuple[str
     for (v, _), p in zip(reversed(h), reversed(in_p)):
         if not (p or v in c_set and d_support <= adjacency[v]):
             d_support.add(v)
-    r = tuple(c for c in splitting.c_side if all(c in adjacency[v] for v in d_support))
+    r = tuple(c for c in splitting.c_side if d_support <= adjacency[c])
     return tuple(s for s, p in zip(h, in_p) if p), r
 
 
@@ -368,15 +369,20 @@ def _conjugate_counter(pres: Presentation, radius: int, cap: int, r: tuple[str, 
     """f -> the number of elements of length at most ``radius`` in f G_R f^-1,
     f with no R-syllable at its end, by the length rule of
     ``audit_acylindricity``: G_R's ball, enumerated once under ``cap``, kept
-    per support S as lk(S) and the number of its elements of length <= t."""
-    counts: dict[frozenset[str], list[int]] = {}
+    per support S as lk(S) and the number of its elements of length <= t,
+    for t up to the longest, not up to ``radius``, which may be huge."""
+    lengths: defaultdict[frozenset[str], Counter[int]] = defaultdict(Counter)
     for x in pres.enumerate_ball(radius, cap=cap, subset=r):
-        counts.setdefault(frozenset(v for v, _ in x), [0] * (radius + 1))[_length(pres, x)] += 1
+        lengths[frozenset(v for v, _ in x)][_length(pres, x)] += 1
     adjacency = pres.graph.adjacency
-    lks = {s: {u for u in pres.graph.vertices if s <= adjacency[u]} for s in counts}
-    table = [(lks[s], list(accumulate(c))) for s, c in counts.items()]
+    table = [
+        ({u for u in pres.graph.vertices if s <= adjacency[u]},
+         list(accumulate(c[t] for t in range(max(c) + 1))))
+        for s, c in lengths.items()
+    ]
     return lambda f: sum(
-        n[t] for lk, n in table if (t := radius - 2 * _length(pres, _strip(pres, f, lk))) >= 0
+        n[min(t, len(n) - 1)]
+        for lk, n in table if (t := radius - 2 * _length(pres, _strip(pres, f, lk))) >= 0
     )
 
 
@@ -470,8 +476,8 @@ def audit_acylindricity(
     """Empirical check of the (k, |G_N|) acylindricity bound.
 
     Enumerates every k-edge path in the bounded tree ball and counts the
-    elements of the element ball in its pointwise stabilizer f G_R f^-1 (see
-    ``path_stabilizer``), reporting the maximum against the bound |G_N|.
+    elements of length <= ``element_radius`` in its pointwise stabilizer
+    f G_R f^-1 (see ``path_stabilizer``), reporting the max against |G_N|.
     Each path is walked once (see ``_paths_of_length``). The canonical
     inverse of a first edge's representative g_1 is computed once per audit
     and shared by every path that starts with that edge: the word g_1^-1 g_k
@@ -482,16 +488,16 @@ def audit_acylindricity(
     ends f, so no sink of f_0 is in S or lk(S). So the size is the number
     of x with |x| <= r - 2|f_0|, read per support from the radius-r ball of
     G_R, enumerated once per distinct R (see ``_conjugate_counter``). An empty R
-    gives size 1, and f is then not formed. The element ball is enumerated
-    only for its cap and ``exhaustive_elements``.
-    Each side's ball is enumerated once too, collapsed to G_C cosets (see
-    ``tree_ball``).
+    gives size 1, and f is then not formed. ``element_radius`` sizes only
+    the G_R balls: no ball of the whole group is built, and
+    ``exhaustive_elements`` is always False. Each side's ball is enumerated
+    once, collapsed to G_C cosets (see ``tree_ball``). ``cap`` bounds the
+    tree ball's vertex count, the side balls and the G_R balls.
     Raises InputError for limits under which no path would be checked.
     """
     check_audit_limits(k, tree_radius, element_radius, local_radius, cap)
     pres = splitting.presentation
     ball = tree_ball(splitting, tree_radius, local_radius, cap)
-    _, exhaustive = pres.enumerate_ball_info(element_radius, cap=cap)
     inverses: dict[Word, Word] = {}
     counters: dict[tuple[str, ...], Callable[[Word], int]] = {}
     sizes: dict[tuple[Word, tuple[str, ...]], int] = {}
@@ -526,7 +532,7 @@ def audit_acylindricity(
         max_stabilizer_size=max_size,
         bound=bound,
         truncated=ball.truncated,
-        exhaustive_elements=exhaustive,
+        exhaustive_elements=False,  # no ball is all of G, which holds the infinite G_a * G_b
         violations=violations,
     )
 

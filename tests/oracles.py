@@ -342,12 +342,20 @@ def paths_by_edge_set(ball, k):
                     stack.append((w, edges + [edge]))
 
 
+# Cap of the element ball ``audit_by_scan`` scans for fixers. The audit
+# builds no such ball, so ``cap`` must not stop it; this one holds the
+# radius-3 ball of any group on ten generators (911 elements at most), and
+# five vertices of order 2, 3 or inf give at most ten.
+ELEMENT_BALL_CAP = 10_000
+
+
 def audit_by_scan(splitting, k, tree_radius, element_radius, local_radius, cap):
     """``audit_acylindricity`` on ``tree_ball_by_vertex``, ``paths_by_edge_set``
-    and ``edge_fixers_by_scan``."""
+    and ``edge_fixers_by_scan``; ``cap`` bounds the tree ball and the side
+    and G_C balls, ``ELEMENT_BALL_CAP`` the element ball."""
     pres = splitting.presentation
     ball = tree_ball_by_vertex(splitting, tree_radius, local_radius, cap)
-    elements, exhaustive = pres.enumerate_ball_info(element_radius, cap=cap)
+    elements, exhaustive = pres.enumerate_ball_info(element_radius, cap=ELEMENT_BALL_CAP)
     fixers = {}
     sizes = []
     violations = []

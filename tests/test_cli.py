@@ -189,6 +189,37 @@ class TestTreeAudit:
         assert not out
         assert "tree ball exceeded cap of 3000 vertices" in err
 
+    def test_element_radius_reaches_past_the_ball_cap(self, capsys, tmp_path):
+        """Z2*Z2*Z3*Z3*Z3, pair (a, b): the whole group's radius-3 ball has
+        more than 300 elements, but no such ball is built, so --ball-cap 300
+        prints the report of --ball-cap 3000 and exits 0."""
+        path = tmp_path / "z2_z2_z3_z3_z3.json"
+        orders = {"a": 2, "b": 2, "c": 3, "d": 3, "e": 3}
+        path.write_text(json.dumps(
+            {"vertices": [{"name": v, "order": n} for v, n in orders.items()]}
+        ))
+        audit = ["tree-audit", path, "--k", "3", "--tree-radius", "2", "--local-radius", "1",
+                 "--element-radius", "3", "--json", "--ball-cap"]
+        code, out, err = run(capsys, *audit, "300")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["splitting"]["pair"] == ["a", "b"]
+        assert run(capsys, *audit, "3000") == (0, out, "")
+
+    def test_huge_element_radius_is_sized_by_the_g_r_balls(self, capsys):
+        """P4 RACG: every G_R is finite, so --element-radius 10**9 runs as
+        fast as 50, which already counts all of each f G_R f^-1, and prints
+        the same reports for all three pairs."""
+        audit = ["tree-audit", FIXTURES / "p4_racg.json", "--all-pairs", "--json",
+                 "--tree-radius", "4", "--element-radius"]
+        results = [run(capsys, *audit, r) for r in (str(10**9), "50")]
+        reports = []
+        for code, out, err in results:
+            assert (code, err) == (0, "")
+            reports.append(json.loads(out))
+            for report in reports[-1]:
+                del report["element_radius"]
+        assert len(reports[0]) == 3
+        assert reports[0] == reports[1]
 
     def test_huge_vertex_order_stops_at_the_cap(self, capsys, tmp_path):
         """A vertex of order 10**12: its side ball's 10**12 - 1 generators are

@@ -27,7 +27,7 @@ from arboreal.tree import (
     tree_distance,
 )
 from arboreal.graphs import SimpleGraph
-from arboreal.words import Presentation, Syllable, parse_word
+from arboreal.words import DEFAULT_BALL_CAP, Presentation, Syllable, parse_word
 
 from conftest import FIXTURES
 from oracles import (
@@ -322,6 +322,57 @@ class TestAudit:
             sp, k=1, tree_radius=1, element_radius=1, local_radius=1, cap=100
         )
         assert report.max_stabilizer_size == 13
+
+    def test_element_radius_reaches_past_the_cap(self):
+        """Z2*Z2*Z3*Z3*Z3, pair (a, b): the whole group's radius-3 ball has
+        more than 300 elements, but the audit builds no such ball, so cap 300
+        gives the report of cap 3,000."""
+        pres = Presentation(SimpleGraph("abcde"), {"a": 2, "b": 2, "c": 3, "d": 3, "e": 3})
+        sp = build_splitting(pres, SeparatedPair("a", "b", (), 1))
+        limits = dict(k=3, tree_radius=2, element_radius=3, local_radius=1)
+        with pytest.raises(ResourceCapError):
+            pres.enumerate_ball(3, cap=300)
+        assert (
+            audit_acylindricity(sp, **limits, cap=300).to_dict()
+            == audit_acylindricity(sp, **limits, cap=3000).to_dict()
+        )
+
+    @pytest.mark.parametrize("pair", ["ac", "ad", "bd"])
+    def test_huge_element_radius_is_sized_by_the_g_r_balls(self, p4_racg, pair):
+        """P4 RACG's G_R are finite (G_b or G_{b, d}), so an element radius of
+        10**9 costs what radius 50 does, which already counts every element
+        of f G_R f^-1 here, and gives the same report."""
+        sp = build_splitting(
+            p4_racg, next(p for p in separated_pairs(p4_racg) if p.a + p.b == pair)
+        )
+        reports = [
+            audit_acylindricity(sp, k=3, tree_radius=4, element_radius=r).to_dict()
+            for r in (10**9, 50, 51)
+        ]
+        for report in reports:
+            del report["element_radius"]
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_no_ball_of_the_whole_group(self, monkeypatch):
+        """On every fixture splitting, every ball the audit enumerates is a
+        subgroup's: a side ball or a G_R ball."""
+        subsets = []
+        enumerate_ball_info = Presentation.enumerate_ball_info
+
+        def counted(pres, radius, cap=DEFAULT_BALL_CAP, subset=None):
+            subsets.append(subset)
+            return enumerate_ball_info(pres, radius, cap=cap, subset=subset)
+
+        monkeypatch.setattr(Presentation, "enumerate_ball_info", counted)
+        audits = 0
+        for path in sorted(FIXTURES.glob("*.json")):
+            pres, _ = load_presentation(path)
+            for pair in separated_pairs(pres):
+                sp = build_splitting(pres, pair)
+                audit_acylindricity(sp, k=3, tree_radius=3, element_radius=4, local_radius=2)
+                audits += 1
+        assert audits == 6
+        assert subsets and None not in subsets
 
     @pytest.mark.parametrize("pair", ["ac", "ad", "bd"])
     def test_length_count_matches_lookup_count(self, p4_racg, pair):
