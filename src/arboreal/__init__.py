@@ -28,16 +28,6 @@ from .graphs import (
     link,
     to_dot,
 )
-from .tree import (
-    act,
-    audit_acylindricity,
-    base_vertex,
-    element_action,
-    elliptic_generation_check,
-    path_stabilizer,
-    tree_ball,
-    tree_distance,
-)
 from .words import Presentation, Syllable, format_word, parse_word
 
 __all__ = [
@@ -77,3 +67,21 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The tree layer, the largest module, loads on first use: of the CLI commands
+# only tree-dist, tree-audit and export-dot --target tree-ball need it.
+_TREE_NAMES = frozenset({
+    "act", "audit_acylindricity", "base_vertex", "element_action",
+    "elliptic_generation_check", "path_stabilizer", "tree_ball", "tree_distance",
+})
+
+
+def __getattr__(name):
+    if name in _TREE_NAMES:
+        from . import tree
+        return getattr(tree, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

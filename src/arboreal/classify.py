@@ -24,6 +24,10 @@ from typing import Iterator, NamedTuple, Optional
 from .graphs import INFINITY, SimpleGraph, bit_indices, diameter, is_irreducible
 from .words import Presentation
 
+# The two kinds of vertex of a splitting's Bass-Serre tree: cosets of G_A, of G_B.
+SIDE_A = "A"
+SIDE_B = "B"
+
 
 class Arboreality(enum.Enum):
     ACYL_ARBOREAL = "AcylArboreal"

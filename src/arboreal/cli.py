@@ -13,6 +13,8 @@ import json
 import sys
 
 from .classify import (
+    SIDE_A,
+    SIDE_B,
     Arboreality,
     NoSeparatedPair,
     SeparatedPair,
@@ -24,17 +26,6 @@ from .classify import (
 from .errors import DegeneratePresentationError, InputError, ResourceCapError
 from .formats import load_presentation
 from .graphs import complement, to_dot
-from .tree import (
-    SIDE_A,
-    SIDE_B,
-    audit_acylindricity,
-    check_audit_limits,
-    check_tree_ball_limits,
-    make_vertex,
-    tree_ball,
-    tree_ball_to_dot,
-    tree_distance,
-)
 from .words import DEFAULT_BALL_CAP, format_word, parse_word
 
 EXIT_OK = 0
@@ -61,7 +52,7 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {args.out}: {exc.strerror}") from exc
@@ -142,6 +133,7 @@ def _require_splitting(pres):
 
 
 def cmd_tree_dist(args) -> int:
+    from .tree import make_vertex, tree_distance
     pres, named = load_presentation(args.file)
     splitting = _require_splitting(pres)
     v1 = make_vertex(splitting, _word(pres, named, args.word1), args.side1)
@@ -156,6 +148,7 @@ def cmd_tree_dist(args) -> int:
 
 
 def cmd_tree_audit(args) -> int:
+    from .tree import audit_acylindricity, check_audit_limits
     limits = dict(
         k=args.k, tree_radius=args.tree_radius, element_radius=args.element_radius,
         local_radius=args.local_radius, cap=args.ball_cap,
@@ -187,6 +180,7 @@ def cmd_tree_audit(args) -> int:
 
 def cmd_export_dot(args) -> int:
     if args.target == "tree-ball":
+        from .tree import check_tree_ball_limits, tree_ball, tree_ball_to_dot
         check_tree_ball_limits(args.tree_radius, args.local_radius, args.ball_cap, AUDIT_FLAGS)
     pres, _ = load_presentation(args.file)
     if args.target == "graph":

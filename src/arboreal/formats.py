@@ -81,7 +81,7 @@ def presentation_from_dict(data: dict) -> tuple[Presentation, dict[str, Word]]:
 def load_presentation(path: str | Path) -> tuple[Presentation, dict[str, Word]]:
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_bytes().decode("utf-8"))  # whatever the locale
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:

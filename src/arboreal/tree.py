@@ -34,13 +34,10 @@ from collections import Counter, defaultdict
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .classify import SplittingSpec
+from .classify import SIDE_A, SIDE_B, SplittingSpec
 from .errors import InputError, ResourceCapError
 from .graphs import INFINITY, dot_quoted
 from .words import DEFAULT_BALL_CAP, Presentation, Word, format_word
-
-SIDE_A = "A"
-SIDE_B = "B"
 
 
 class TreeVertex(NamedTuple):

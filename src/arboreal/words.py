@@ -151,10 +151,18 @@ class Presentation:
         return self.canonical(tuple(Syllable(v, -e) for v, e in reversed(tuple(word))))
 
     def power(self, word: Word, n: int) -> Word:
+        """word^n by repeated squaring: O(log |n|) products."""
         g = self.canonical(word)
         if n < 0:
             g, n = self.inverse(g), -n
-        return self.multiply(*([g] * n)) if n else ()
+        out: Word = ()
+        while n:
+            if n & 1:
+                out = self._extend(out, g)
+            n >>= 1
+            if n:
+                g = self._extend(g, g)
+        return out
 
     # --- supports ------------------------------------------------------------
 

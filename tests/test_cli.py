@@ -627,6 +627,10 @@ def test_package_exports_are_pinned():
     assert len(arboreal.__all__) == len(set(arboreal.__all__))
     assert set(arboreal.__all__) == exported
     assert all(hasattr(arboreal, name) for name in exported)
+    assert set(arboreal.__all__) <= set(dir(arboreal))
+    star = {}
+    exec("from arboreal import *", star)
+    assert set(arboreal.__all__) <= set(star)
     deleted = {"SubgroupVerdict", "ah_criterion", "full_subgroup_check", "edge_distance",
                "neighbourhood"}
     assert not deleted & set(vars(arboreal))
@@ -639,3 +643,79 @@ def test_cli_import_loads_no_dataclasses():
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+TREE_NAMES = ("act", "audit_acylindricity", "base_vertex", "element_action",
+              "elliptic_generation_check", "path_stabilizer", "tree_ball", "tree_distance")
+
+
+def test_package_tree_names_are_the_tree_layers():
+    import arboreal
+    import arboreal.tree
+    from arboreal import tree_ball
+
+    assert tree_ball is arboreal.tree.tree_ball
+    for name in TREE_NAMES:
+        assert getattr(arboreal, name) is getattr(arboreal.tree, name)
+    with pytest.raises(AttributeError, match="has no attribute 'frobnicate'"):
+        arboreal.frobnicate
+
+
+LOADS_TREE = """
+import contextlib, io, json, sys
+import arboreal
+from arboreal.cli import main
+out = [(None, "arboreal.tree" in sys.modules)]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    out.append((code, "arboreal.tree" in sys.modules))
+print(json.dumps(out))
+"""
+
+
+def test_only_tree_commands_load_the_tree_layer():
+    p4 = str(FIXTURES / "p4_racg.json")
+    argvs = [["classify", p4], ["classify", p4, "--json"], ["nf", p4, "b a c b"],
+             ["mul", p4, "a b", "b d"], ["export-dot", p4, "--target", "graph"],
+             ["export-dot", p4, "--target", "complement"], ["frobnicate", p4],
+             ["tree-audit", p4, "--tree-radius", "2"]]
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    # -S: no site hook of the machine running the test can import it either
+    result = subprocess.run([sys.executable, "-S", "-c", LOADS_TREE, json.dumps(argvs)],
+                            env=env, capture_output=True, text=True, check=True)
+    assert json.loads(result.stdout) == [[None, False]] + [[0, False]] * 6 + [
+        [2, False], [0, True]]
+
+
+# A locale whose preferred encoding is ASCII: no coercion to C.UTF-8, no UTF-8 mode.
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"), **ASCII_LOCALE)
+    encoding = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding())"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    if "utf" in encoding.lower():
+        pytest.skip(f"the C locale's encoding is {encoding.strip()} here")
+    path = tmp_path / "accent.json"
+    # the path é - b - c - d: the separated pair is (é, c)
+    path.write_text(
+        '{"vertices": [{"name": "é", "order": 2}, {"name": "b", "order": 2}, '
+        '{"name": "c", "order": 2}, {"name": "d", "order": 2}], '
+        '"edges": [["é", "b"], ["b", "c"], ["c", "d"]]}',
+        encoding="utf-8",
+    )
+    cli = [sys.executable, "-m", "arboreal.cli", "classify", str(path)]
+    result = subprocess.run(cli + ["--json"], env=env, capture_output=True)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert json.loads(result.stdout)["splitting"]["pair"] == ["é", "c"]
+    target = tmp_path / "verdict.txt"
+    result = subprocess.run(cli + ["--out", str(target)], env=env, capture_output=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+    assert "separated pair (é, c) found" in target.read_text(encoding="utf-8")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arboreal.errors import DegeneratePresentationError, InputError, ResourceCapError
 from arboreal.graphs import INFINITY, SimpleGraph
@@ -157,6 +158,21 @@ class TestGroupLaws:
         assert p4_racg.power(ad, 2) == parse_word(p4_racg, "a d a d")
         assert p4_racg.power(ad, 0) == ()
         assert p4_racg.power(ad, -1) == p4_racg.inverse(ad)
+
+    @settings(max_examples=150, deadline=None)
+    @given(presentations(), st.integers(0, 2**32), st.integers(-12, 12))
+    def test_power_matches_repeated_multiply(self, pres, seed, n):
+        g = random_word(random.Random(seed), pres)
+        factor = pres.inverse(g) if n < 0 else g
+        assert pres.power(g, n) == pres.multiply(*[factor] * abs(n))
+
+    def test_power_takes_logarithmically_many_products(self, p4_racg):
+        # a and b commute and have order 2, so a b has order 2
+        ab = parse_word(p4_racg, "a b")
+        assert p4_racg.power(ab, 10**18) == ()
+        assert p4_racg.power(ab, 10**18 + 1) == ab
+        free = Presentation(SimpleGraph("ab", []), {"a": INFINITY, "b": 2})
+        assert free.power((("a", 1),), 10**18) == (("a", 10**18),)
 
 
 class TestSupports:
