@@ -21,6 +21,7 @@ import enum
 from itertools import combinations
 from typing import Iterator, NamedTuple, Optional
 
+from .errors import InputError
 from .graphs import INFINITY, SimpleGraph, bit_indices, diameter, is_irreducible
 from .words import Presentation
 
@@ -77,25 +78,33 @@ class SplittingSpec(NamedTuple):
     """The witnessing amalgam G_A *_{G_C} G_B for a separated pair (a, b).
 
     A = V - {b}, B = V - {a}, C = V - {a, b}, N = link({a, b}); the action
-    on the Bass-Serre tree is (3, |G_N|)-acylindrical. Equality includes the
+    on the Bass-Serre tree is (3, |G_N|)-acylindrical. The sides are
+    frozensets, listed in vertex order by ``to_dict``. Equality includes the
     presentation: equal sides over different groups are different amalgams.
     """
 
     presentation: Presentation
     pair: tuple[str, str]
-    a_side: tuple[str, ...]
-    b_side: tuple[str, ...]
-    c_side: tuple[str, ...]
+    a_side: frozenset[str]
+    b_side: frozenset[str]
+    c_side: frozenset[str]
     n_set: tuple[str, ...]
     acyl_k: int
     acyl_c: int
 
+    def side(self, name: str) -> frozenset[str]:
+        """The vertex set of the tree-vertex side ``name``, SIDE_A or SIDE_B."""
+        if name not in (SIDE_A, SIDE_B):
+            raise InputError(f"unknown side: {name}")
+        return self.a_side if name == SIDE_A else self.b_side
+
     def to_dict(self):
+        vertices = self.presentation.graph.vertices
         return {
             "pair": list(self.pair),
-            "A": list(self.a_side),
-            "B": list(self.b_side),
-            "C": list(self.c_side),
+            "A": [v for v in vertices if v in self.a_side],
+            "B": [v for v in vertices if v in self.b_side],
+            "C": [v for v in vertices if v in self.c_side],
             "N": list(self.n_set),
             "acyl_k": self.acyl_k,
             "acyl_C": self.acyl_c,
@@ -188,20 +197,28 @@ def _ah_criterion(graph: SimpleGraph, vc: VirtuallyCyclic) -> AHCriterion:
 
 
 def build_splitting(pres: Presentation, pair: SeparatedPair) -> SplittingSpec:
+    """The splitting of a separated pair. Raises InputError unless a and b
+    are distinct, non-adjacent vertices whose common link is ``link_set``, in
+    vertex order, spanning a finite subgroup of order ``link_order``."""
     graph = pres.graph
+    graph.check_vertices((pair.a, pair.b))
+    i, j = graph.index[pair.a], graph.index[pair.b]
+    common = graph.masks[i] & graph.masks[j]
+    link_set = tuple(graph.vertices[k] for k in bit_indices(common))
+    order = pres._mask_order(common)
+    separated = i != j and not graph.masks[i] >> j & 1 and order != INFINITY
+    if not separated or (link_set, order) != (tuple(pair.link_set), pair.link_order):
+        raise InputError(f"not a separated pair: {tuple(pair)}")
+    return _splitting(pres, pair)
+
+
+def _splitting(pres: Presentation, pair: SeparatedPair) -> SplittingSpec:
+    """``build_splitting`` for a pair known to be separated."""
     a, b = pair.a, pair.b
-    a_side = tuple(v for v in graph.vertices if v != b)
-    b_side = tuple(v for v in graph.vertices if v != a)
-    c_side = tuple(v for v in graph.vertices if v not in (a, b))
+    vertices = frozenset(pres.graph.vertices)
     return SplittingSpec(
-        presentation=pres,
-        pair=(a, b),
-        a_side=a_side,
-        b_side=b_side,
-        c_side=c_side,
-        n_set=pair.link_set,
-        acyl_k=3,
-        acyl_c=pair.link_order,
+        pres, (a, b), vertices - {b}, vertices - {a}, vertices - {a, b}, pair.link_set,
+        acyl_k=3, acyl_c=pair.link_order,
     )
 
 
@@ -222,7 +239,7 @@ def classify(pres: Presentation) -> Verdict:
         return Verdict(Arboreality.NOT_ACYL_ARBOREAL, vc, ah, cert, None, diam)
     first = next(_separated_pairs(pres), None)
     if first is not None:
-        splitting = build_splitting(pres, first)
+        splitting = _splitting(pres, first)
         return Verdict(Arboreality.ACYL_ARBOREAL, vc, ah, first, splitting, diam)
     cert = NoSeparatedPair(_non_adjacent_pair_count(pres))
     return Verdict(Arboreality.NOT_ACYL_ARBOREAL, vc, ah, cert, None, diam)

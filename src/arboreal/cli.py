@@ -3,13 +3,15 @@
 Exit codes: 0 success / audit clean, 2 parse or word error, bad option or
 unwritable output file, 3 degenerate presentation, 4 no splitting available
 to audit, 5 resource cap exceeded. Audit violations also exit nonzero (1).
-Exits 2 to 5 print one ``error: `` line on stderr.
+Exits 2 to 5 print one ``error: `` line on stderr. Text is UTF-8 whatever the
+locale: output, ``error: `` lines and word arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .classify import (
@@ -47,9 +49,24 @@ AUDIT_FLAGS = {
 }
 
 
+class NoSplittingError(Exception):
+    """The presentation has no splitting to audit."""
+
+
+def _print(stream, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``stream``'s byte buffer, whatever the locale
+    (a lone surrogate as its escape), or as text to a stream with none, such
+    as io.StringIO."""
+    if hasattr(stream, "buffer"):
+        stream.flush()
+        stream, text = stream.buffer, text.encode("utf-8", "backslashreplace")
+    stream.write(text)
+    stream.flush()
+
+
 def _write(args, text: str) -> None:
     if not args.out:
-        sys.stdout.write(text)
+        _print(sys.stdout, text)
         return
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -85,8 +102,15 @@ def _describe(verdict) -> str:
     return cert.reason
 
 
-def _word(pres, named: dict, text: str):
-    """A named word of the presentation file, or else ``text`` parsed."""
+def _word(pres, named: dict, arg: str):
+    """A named word of the presentation file, or else the word argument parsed,
+    its bytes read as UTF-8 whatever encoding ``sys.argv`` decoded them with."""
+    try:
+        text = os.fsencode(arg).decode("utf-8")
+    except UnicodeEncodeError:  # no argv bytes: ``main`` was called from Python
+        text = arg
+    except UnicodeDecodeError:
+        raise InputError(f"word argument is not UTF-8: {os.fsencode(arg)!r}") from None
     return named[text] if text in named else parse_word(pres, text)
 
 
@@ -120,15 +144,11 @@ def cmd_mul(args) -> int:
     return EXIT_OK
 
 
-def _no_splitting(reason: str):
-    sys.stderr.write(f"error: no splitting to audit: {reason}\n")
-    raise SystemExit(EXIT_NO_SPLITTING)
-
-
 def _require_splitting(pres):
     verdict = classify(pres)
     if verdict.arboreality != Arboreality.ACYL_ARBOREAL:
-        _no_splitting(f"presentation is not acylindrically arboreal ({_describe(verdict)})")
+        reason = f"presentation is not acylindrically arboreal ({_describe(verdict)})"
+        raise NoSplittingError(reason)
     return verdict.splitting
 
 
@@ -148,17 +168,17 @@ def cmd_tree_dist(args) -> int:
 
 
 def cmd_tree_audit(args) -> int:
-    from .tree import audit_acylindricity, check_audit_limits
+    from .tree import audit_acylindricity, check_limits
     limits = dict(
         k=args.k, tree_radius=args.tree_radius, element_radius=args.element_radius,
         local_radius=args.local_radius, cap=args.ball_cap,
     )
-    check_audit_limits(**limits, names=AUDIT_FLAGS)
+    check_limits(AUDIT_FLAGS, **limits)
     pres, _ = load_presentation(args.file)
     if args.all_pairs:
         splittings = [build_splitting(pres, p) for p in separated_pairs(pres)]
         if not splittings:
-            _no_splitting("no separated pair")
+            raise NoSplittingError("no separated pair")
     else:
         splittings = [_require_splitting(pres)]
     reports = [audit_acylindricity(sp, **limits) for sp in splittings]
@@ -180,8 +200,9 @@ def cmd_tree_audit(args) -> int:
 
 def cmd_export_dot(args) -> int:
     if args.target == "tree-ball":
-        from .tree import check_tree_ball_limits, tree_ball, tree_ball_to_dot
-        check_tree_ball_limits(args.tree_radius, args.local_radius, args.ball_cap, AUDIT_FLAGS)
+        from .tree import check_limits, tree_ball, tree_ball_to_dot
+        check_limits(AUDIT_FLAGS, radius=args.tree_radius, local_radius=args.local_radius,
+                     cap=args.ball_cap)
     pres, _ = load_presentation(args.file)
     if args.target == "graph":
         text = to_dot(pres.graph)
@@ -273,11 +294,11 @@ def main(argv=None) -> int:
         message, code = f"degenerate presentation: {exc}", EXIT_DEGENERATE
     except InputError as exc:
         message, code = str(exc), EXIT_PARSE
+    except NoSplittingError as exc:
+        message, code = f"no splitting to audit: {exc}", EXIT_NO_SPLITTING
     except ResourceCapError as exc:
         message, code = f"resource cap exceeded: {exc}", EXIT_RESOURCE
-    except SystemExit as exc:
-        return exc.code
-    sys.stderr.write(f"error: {message}\n")
+    _print(sys.stderr, f"error: {message}\n")
     return code
 
 

@@ -3,6 +3,7 @@
 Vertices are cosets gG_A and gG_B, edges cosets gG_C, each held as the
 canonical minimal-length representative obtained by right-stripping. The
 tree is infinite; every exploration here is bounded and reports truncation.
+The vertex sets A, B and C are the splitting's frozensets, read as they are.
 
 Coset representatives, distances and stabilizers are questions about the
 dependency heap of a reduced word (see words.py), which is never built: a
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import AbstractSet, Callable, Iterable, NamedTuple, Optional
 
 from .classify import SIDE_A, SIDE_B, SplittingSpec
 from .errors import InputError, ResourceCapError
@@ -114,18 +115,6 @@ class AuditReport(NamedTuple):
         }
 
 
-def side_set(splitting: SplittingSpec, side: str) -> tuple[str, ...]:
-    if side == SIDE_A:
-        return splitting.a_side
-    if side == SIDE_B:
-        return splitting.b_side
-    raise InputError(f"unknown side: {side}")
-
-
-def other_side(side: str) -> str:
-    return SIDE_B if side == SIDE_A else SIDE_A
-
-
 def coset_canonical(pres: Presentation, word: Word, subset: Iterable[str]) -> Word:
     """Canonical minimal-length representative of the coset gG_S.
 
@@ -136,7 +125,7 @@ def coset_canonical(pres: Presentation, word: Word, subset: Iterable[str]) -> Wo
     return _strip(pres, pres.canonical(word), pres.graph.check_vertices(subset))
 
 
-def _strip(pres: Presentation, word: Word, subset: set[str]) -> Word:
+def _strip(pres: Presentation, word: Word, subset: AbstractSet[str]) -> Word:
     """``coset_canonical`` of the canonical word ``word``.
 
     One reverse scan drops the largest successor-closed set of S-labelled
@@ -161,12 +150,12 @@ def _strip(pres: Presentation, word: Word, subset: set[str]) -> Word:
 
 def make_vertex(splitting: SplittingSpec, word: Word, side: str) -> TreeVertex:
     pres = splitting.presentation
-    return TreeVertex(side, coset_canonical(pres, word, side_set(splitting, side)))
+    return TreeVertex(side, _strip(pres, pres.canonical(word), splitting.side(side)))
 
 
 def make_edge(splitting: SplittingSpec, word: Word) -> TreeEdge:
     pres = splitting.presentation
-    return TreeEdge(coset_canonical(pres, word, splitting.c_side))
+    return TreeEdge(_strip(pres, pres.canonical(word), splitting.c_side))
 
 
 def base_vertex(splitting: SplittingSpec) -> TreeVertex:
@@ -177,20 +166,6 @@ def act(splitting: SplittingSpec, g: Word, v: TreeVertex) -> TreeVertex:
     return make_vertex(splitting, tuple(g) + tuple(v.rep), v.side)
 
 
-def _side_cosets(
-    splitting: SplittingSpec, side: str, local_radius: int, cap: int
-) -> tuple[list[Word], bool]:
-    """Sorted distinct G_C-coset representatives of the side subgroup's ball of
-    radius ``local_radius``, and whether that ball may be truncated."""
-    pres = splitting.presentation
-    ball, saturated = pres.enumerate_ball_info(
-        local_radius, cap=cap, subset=side_set(splitting, side)
-    )
-    c_set = set(splitting.c_side)
-    reps = sorted({_strip(pres, s, c_set) for s in ball})
-    return reps, not saturated
-
-
 def _neighbors(
     splitting: SplittingSpec, v: TreeVertex, reps: list[Word]
 ) -> list[tuple[TreeEdge, TreeVertex]]:
@@ -199,8 +174,8 @@ def _neighbors(
     The canonical v.rep is extended by t once per incident edge, never
     canonicalized again, and both cosets are stripped from the result."""
     pres = splitting.presentation
-    opp = other_side(v.side)
-    c_set, opp_set = set(splitting.c_side), set(side_set(splitting, opp))
+    opp = SIDE_B if v.side == SIDE_A else SIDE_A
+    c_set, opp_set = splitting.c_side, splitting.side(opp)
     out = []
     for t in reps:
         g = pres._extend(v.rep, t)
@@ -228,9 +203,10 @@ def tree_ball(
     The ball is a tree, so the one neighbour of a frontier vertex already in
     the ball is its parent; every other neighbour is new.
     ``cap`` bounds the side balls and the ball's vertex count alike.
-    Raises InputError for limits ``check_tree_ball_limits`` rejects.
+    Raises InputError for limits ``check_limits`` rejects.
     """
-    check_tree_ball_limits(radius, local_radius, cap)
+    check_limits(radius=radius, local_radius=local_radius, cap=cap)
+    pres = splitting.presentation
     base = base_vertex(splitting)
     adjacency: dict[TreeVertex, list[tuple[TreeEdge, TreeVertex]]] = {base: []}
     edges: list[TreeEdge] = []
@@ -241,8 +217,11 @@ def tree_ball(
         new = []
         for v in frontier:
             if v.side not in cosets:
-                cosets[v.side], trunc = _side_cosets(splitting, v.side, local_radius, cap)
-                truncated = truncated or trunc
+                side_ball, saturated = pres.enumerate_ball_info(
+                    local_radius, cap=cap, subset=splitting.side(v.side)
+                )
+                cosets[v.side] = sorted({_strip(pres, s, splitting.c_side) for s in side_ball})
+                truncated = truncated or not saturated
             for edge, w in _neighbors(splitting, v, cosets[v.side]):
                 if w not in adjacency:
                     edges.append(edge)
@@ -278,12 +257,12 @@ def tree_distance(splitting: SplittingSpec, v1: TreeVertex, v2: TreeVertex) -> i
     round, plus one when that round's side is not v1's. O(L*|V|) beyond
     ``canonical``, whose output is reduced.
     """
-    side_set(splitting, v1.side)  # rejects an unknown side, as side_set(v2.side) below does
+    splitting.side(v1.side)  # rejects an unknown side, as side(v2.side) below does
     pres = splitting.presentation
     adjacency = pres.graph.adjacency
     sylls = pres.canonical(tuple((v, -e) for v, e in reversed(v1.rep)) + tuple(v2.rep))
-    sides = [v2.side, other_side(v2.side)]
-    vertex_sets = [set(side_set(splitting, side)) for side in sides]
+    sides = [v2.side, SIDE_B if v2.side == SIDE_A else SIDE_A]
+    vertex_sets = [splitting.side(side) for side in sides]
     rounds: dict[str, int] = {}
     for v, _ in reversed(sylls):
         lk = adjacency[v]
@@ -325,7 +304,7 @@ def path_stabilizer(
     if not path:
         raise InputError("path must contain at least one edge")
     pres = splitting.presentation
-    g1, gk = (coset_canonical(pres, e.rep, splitting.c_side) for e in (path[0], path[-1]))
+    g1, gk = (make_edge(splitting, e.rep).rep for e in (path[0], path[-1]))
     p, r = _stabilizer_scan(splitting, pres._extend(pres.inverse(g1), gk))
     return _strip(pres, pres._extend(g1, p), set(r)), r
 
@@ -346,8 +325,8 @@ def _stabilizer_scan(splitting: SplittingSpec, h: Word) -> tuple[Word, tuple[str
     A reverse scan finds q and supp d the same way; a later p-syllable lies
     in the link of any syllable outside p.
     """
-    adjacency = splitting.presentation.graph.adjacency
-    c_set = set(splitting.c_side)
+    graph = splitting.presentation.graph
+    adjacency, c_set = graph.adjacency, splitting.c_side
     in_p = []
     outside_p: set[str] = set()
     for v, _ in h:
@@ -358,7 +337,7 @@ def _stabilizer_scan(splitting: SplittingSpec, h: Word) -> tuple[Word, tuple[str
     for (v, _), p in zip(reversed(h), reversed(in_p)):
         if not (p or v in c_set and d_support <= adjacency[v]):
             d_support.add(v)
-    r = tuple(c for c in splitting.c_side if d_support <= adjacency[c])
+    r = tuple(c for c in graph.vertices if c in c_set and d_support <= adjacency[c])
     return tuple(s for s, p in zip(h, in_p) if p), r
 
 
@@ -420,45 +399,25 @@ def _paths_of_length(ball: TreeBall, k: int):
                     stack.append((w, v, edges + [edge]))
 
 
-def _check_at_least(least: int, limits: dict[str, int], names: dict[str, str]) -> None:
-    """Raise InputError for the first of ``limits`` (name: value) below
-    ``least``, named as ``names`` spells it."""
+# The least value of each limit of a tree ball or an audit.
+_LEAST_LIMITS = dict(k=1, radius=0, tree_radius=1, element_radius=1, local_radius=1, cap=1)
+
+
+def check_limits(names: Optional[dict[str, str]] = None, **limits: int) -> None:
+    """Raise InputError for the first of ``limits`` below its least value (0
+    for a tree ball's radius, else 1), or for k above 2 * tree_radius, the
+    longest path in the tree ball, under which nothing would be audited.
+    ``names`` maps a parameter name to how messages spell it."""
+    names = names or {}
     for key, value in limits.items():
+        least = _LEAST_LIMITS[key]
         if value < least:
             raise InputError(f"{names.get(key, key)} must be at least {least}, got {value}")
-
-
-def check_tree_ball_limits(
-    radius: int, local_radius: int, cap: int, names: Optional[dict[str, str]] = None
-) -> None:
-    """Raise InputError for a negative radius, or a local radius or cap below
-    1. ``names`` maps a parameter name to how messages spell it."""
-    names = names or {}
-    _check_at_least(0, {"radius": radius}, names)
-    _check_at_least(1, {"local_radius": local_radius, "cap": cap}, names)
-
-
-def check_audit_limits(
-    k: int,
-    tree_radius: int,
-    element_radius: int,
-    local_radius: int,
-    cap: int,
-    names: Optional[dict[str, str]] = None,
-) -> None:
-    """Raise InputError for audit limits under which nothing would be audited:
-    any of them below 1, or k above 2 * tree_radius, the longest path in the
-    tree ball. ``names`` maps a parameter name to how messages spell it."""
-    names = names or {}
-    _check_at_least(
-        1, {"k": k, "tree_radius": tree_radius, "element_radius": element_radius}, names
-    )
-    check_tree_ball_limits(tree_radius, local_radius, cap, names)
-    if k > 2 * tree_radius:
+    if "k" in limits and limits["k"] > 2 * limits["tree_radius"]:
         raise InputError(
-            f"{names.get('k', 'k')} {k} is more than twice "
-            f"{names.get('tree_radius', 'tree_radius')} {tree_radius}: no path of that "
-            "many edges fits in the tree ball, so nothing would be audited"
+            f"{names.get('k', 'k')} {limits['k']} is more than twice "
+            f"{names.get('tree_radius', 'tree_radius')} {limits['tree_radius']}: no path of "
+            "that many edges fits in the tree ball, so nothing would be audited"
         )
 
 
@@ -492,7 +451,8 @@ def audit_acylindricity(
     tree ball's vertex count, the side balls and the G_R balls.
     Raises InputError for limits under which no path would be checked.
     """
-    check_audit_limits(k, tree_radius, element_radius, local_radius, cap)
+    check_limits(k=k, tree_radius=tree_radius, element_radius=element_radius,
+                 local_radius=local_radius, cap=cap)
     pres = splitting.presentation
     ball = tree_ball(splitting, tree_radius, local_radius, cap)
     inverses: dict[Word, Word] = {}

@@ -21,7 +21,7 @@ from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
-from arboreal.classify import SeparatedPair
+from arboreal.classify import SIDE_A, SIDE_B, SeparatedPair
 from arboreal.errors import ResourceCapError
 from arboreal.graphs import SimpleGraph
 from arboreal.tree import (
@@ -33,8 +33,6 @@ from arboreal.tree import (
     coset_canonical,
     make_edge,
     make_vertex,
-    other_side,
-    side_set,
 )
 from arboreal.words import INFINITY, Presentation, Syllable
 
@@ -267,14 +265,17 @@ def separated_pairs_by_definition(pres):
     return out
 
 
+OTHER_SIDE = {SIDE_A: SIDE_B, SIDE_B: SIDE_A}
+
+
 def neighbors_by_side_ball(splitting, v, local_radius, cap):
     """Edges at v from its own enumeration of the side ball: v.rep * s for
     every s in it, first s per edge kept. Returns (pairs, truncated)."""
     pres = splitting.presentation
     reps, saturated = pres.enumerate_ball_info(
-        local_radius, cap=cap, subset=side_set(splitting, v.side)
+        local_radius, cap=cap, subset=splitting.side(v.side)
     )
-    opp = other_side(v.side)
+    opp = OTHER_SIDE[v.side]
     found = {}
     for s in sorted(reps):
         g = pres.multiply(v.rep, s)
@@ -416,11 +417,11 @@ def tree_distance_by_stripping(splitting, v1, v2):
     pres = splitting.presentation
     h = pres.multiply(pres.inverse(v1.rep), v2.rep)
     side = v2.side
-    h = coset_canonical(pres, h, side_set(splitting, side))
+    h = coset_canonical(pres, h, splitting.side(side))
     dist = 0
     while h:
-        side = other_side(side)
-        h = coset_canonical(pres, h, side_set(splitting, side))
+        side = OTHER_SIDE[side]
+        h = coset_canonical(pres, h, splitting.side(side))
         dist += 1
     return dist + (side != v1.side)
 

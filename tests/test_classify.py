@@ -18,6 +18,7 @@ from arboreal.classify import (
     separated_pairs,
 )
 from arboreal.cli import main
+from arboreal.errors import InputError
 from arboreal.formats import load_presentation
 from arboreal.graphs import INFINITY, SimpleGraph, diameter, link
 from arboreal.tree import audit_acylindricity
@@ -292,6 +293,32 @@ def test_splitting_equality_sees_the_group(fixtures_dir):
             assert build_splitting(pres, verdict.certificate) == verdict.splitting, path.name
             checked += 1
     assert checked
+
+
+
+@pytest.mark.parametrize(
+    "orders, pair",
+    [(2, SeparatedPair("a", "b", (), 1)), (2, SeparatedPair("a", "zz", (), 1)),
+     (2, SeparatedPair("a", "a", (), 1)), (2, SeparatedPair("a", "d", (), 999)),
+     (2, SeparatedPair("a", "c", (), 2)), (INFINITY, SeparatedPair("a", "c", ("b",), INFINITY))],
+    ids=["adjacent", "unknown-vertex", "same-vertex", "wrong-order", "wrong-link",
+         "infinite-link"],
+)
+def test_build_splitting_rejects_a_pair_that_is_not_separated(orders, pair):
+    """Each would give an audit that passes on a splitting of no separated pair."""
+    pres = Presentation(p4_graph(), dict.fromkeys("abcd", orders))
+    with pytest.raises(InputError):
+        build_splitting(pres, pair)
+
+
+def test_every_separated_pair_builds(fixtures_dir):
+    built = 0
+    for path in sorted(fixtures_dir.glob("*.json")):
+        pres, _ = load_presentation(path)
+        for pair in separated_pairs(pres):
+            assert build_splitting(pres, pair).pair == (pair.a, pair.b)
+            built += 1
+    assert built == 6
 
 
 class TestAHCriterion:

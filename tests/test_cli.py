@@ -695,7 +695,8 @@ def test_only_tree_commands_load_the_tree_layer():
 ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
 
-def test_files_are_utf8_whatever_the_locale(tmp_path):
+@pytest.fixture
+def ascii_env():
     env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"), **ASCII_LOCALE)
     encoding = subprocess.run(
         [sys.executable, "-c", "import locale; print(locale.getpreferredencoding())"],
@@ -703,6 +704,11 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
     ).stdout
     if "utf" in encoding.lower():
         pytest.skip(f"the C locale's encoding is {encoding.strip()} here")
+    return env
+
+
+@pytest.fixture
+def accent_file(tmp_path):
     path = tmp_path / "accent.json"
     # the path é - b - c - d: the separated pair is (é, c)
     path.write_text(
@@ -711,11 +717,47 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
         '"edges": [["é", "b"], ["b", "c"], ["c", "d"]]}',
         encoding="utf-8",
     )
-    cli = [sys.executable, "-m", "arboreal.cli", "classify", str(path)]
-    result = subprocess.run(cli + ["--json"], env=env, capture_output=True)
+    return path
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path, ascii_env, accent_file):
+    cli = [sys.executable, "-m", "arboreal.cli", "classify", str(accent_file)]
+    result = subprocess.run(cli + ["--json"], env=ascii_env, capture_output=True)
     assert (result.returncode, result.stderr) == (0, b"")
     assert json.loads(result.stdout)["splitting"]["pair"] == ["é", "c"]
     target = tmp_path / "verdict.txt"
-    result = subprocess.run(cli + ["--out", str(target)], env=env, capture_output=True)
+    result = subprocess.run(cli + ["--out", str(target)], env=ascii_env, capture_output=True)
     assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
     assert "separated pair (é, c) found" in target.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["classify"], "reason:           separated pair (é, c) found"),
+        (["tree-audit", "--tree-radius", "3"], "pair:           ('é', 'c')\n"),
+        (["export-dot", "--target", "tree-ball"], '  v3 [label="B:é"];\n'),
+        (["nf", "b é"], "é b\n"),
+        (["mul", "b", "é"], "é b\n"),
+        (["tree-dist", "1", "é c"], "d(A:1, A:é c) = 2\n"),
+    ],
+    ids=["classify", "tree-audit", "export-dot", "nf", "mul", "tree-dist"],
+)
+def test_text_is_utf8_whatever_the_locale(ascii_env, accent_file, argv, expected):
+    """Human output and word arguments are UTF-8 under an ASCII locale."""
+    cli = [sys.executable, "-m", "arboreal.cli", argv[0], str(accent_file), *argv[1:]]
+    result = subprocess.run(cli, env=ascii_env, capture_output=True)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert expected in result.stdout.decode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "word, error",
+    [("éé", "error: unknown vertex: éé\n"),
+     (b"b \xff", "error: word argument is not UTF-8: b'b \\xff'\n")],
+    ids=["unknown-vertex", "not-utf8"],
+)
+def test_error_lines_are_utf8_whatever_the_locale(ascii_env, accent_file, word, error):
+    cli = [sys.executable, "-m", "arboreal.cli", "nf", str(accent_file), word]
+    result = subprocess.run(cli, env=ascii_env, capture_output=True)
+    assert (result.returncode, result.stdout, result.stderr.decode("utf-8")) == (2, b"", error)

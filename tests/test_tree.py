@@ -21,7 +21,6 @@ from arboreal.tree import (
     make_edge,
     make_vertex,
     path_stabilizer,
-    side_set,
     tree_ball,
     tree_ball_to_dot,
     tree_distance,
@@ -206,7 +205,18 @@ class TestElementAction:
 class TestStabilizers:
     def test_base_edge_stabilized_by_edge_group(self, p4_splitting):
         base = make_edge(p4_splitting, ())
-        assert path_stabilizer(p4_splitting, [base]) == ((), p4_splitting.c_side)
+        assert path_stabilizer(p4_splitting, [base]) == ((), ("b", "c"))
+
+    def test_sides_and_r_follow_vertex_order(self):
+        """The path d - c - b - a lists its vertices out of alphabetical
+        order: the verdict's sides and R keep it."""
+        graph = SimpleGraph("dcba", [("d", "c"), ("c", "b"), ("b", "a")])
+        verdict = classify(Presentation(graph, dict.fromkeys("dcba", 2)))
+        sides = verdict.to_dict()["splitting"]
+        assert [sides[key] for key in ("pair", "A", "B", "C")] == [
+            ["d", "b"], ["d", "c", "a"], ["c", "b", "a"], ["c", "a"]]
+        sp = verdict.splitting
+        assert path_stabilizer(sp, [make_edge(sp, ())]) == ((), ("c", "a"))
 
     def test_three_edge_paths_trivial_stabilizer(self, p4_splitting):
         ball = tree_ball(p4_splitting, 3, local_radius=2)
@@ -453,7 +463,7 @@ class TestTreeBallExport:
     def test_vertex_reps_are_minimal(self, p4_racg, p4_splitting):
         ball = tree_ball(p4_splitting, 3, local_radius=2)
         for v in ball.vertices:
-            s = side_set(p4_splitting, v.side)
+            s = p4_splitting.side(v.side)
             assert coset_canonical(p4_racg, v.rep, s) == v.rep
 
     @pytest.mark.parametrize(
