@@ -68,16 +68,12 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-# The tree layer, the largest module, loads on first use: of the CLI commands
-# only tree-dist, tree-audit and export-dot --target tree-ball need it.
-_TREE_NAMES = frozenset({
-    "act", "audit_acylindricity", "base_vertex", "element_action",
-    "elliptic_generation_check", "path_stabilizer", "tree_ball", "tree_distance",
-})
-
 
 def __getattr__(name):
-    if name in _TREE_NAMES:
+    # The names of __all__ not bound above are the tree layer's: that layer,
+    # the largest module, loads on first use (of the CLI commands only
+    # tree-dist, tree-audit and export-dot --target tree-ball need it).
+    if name in __all__:
         from . import tree
         return getattr(tree, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

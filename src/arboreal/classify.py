@@ -159,9 +159,7 @@ def _non_adjacent_pair_count(pres: Presentation) -> int:
 
 
 def _complete_minus_one_edge(pres: Presentation):
-    """The missing edge if the graph is complete minus exactly one edge."""
-    if _non_adjacent_pair_count(pres) != 1:
-        return None
+    """The missing edge of a graph that is complete minus exactly one edge."""
     adjacency = pres.graph.adjacency
     return next((u, v) for u, v in combinations(pres.graph.vertices, 2) if v not in adjacency[u])
 
@@ -233,13 +231,13 @@ def classify(pres: Presentation) -> Verdict:
             "finite, virtually cyclic, or a product of two infinite groups, "
             "none of which act acylindrically non-elementarily on a tree"
         )
-        return Verdict(Arboreality.NOT_ACYL_ARBOREAL, vc, ah, cert, None, diam)
-    if vc == VirtuallyCyclic.YES:
+    elif vc == VirtuallyCyclic.YES:
         cert = VirtuallyCyclicWitness(_complete_minus_one_edge(pres))
-        return Verdict(Arboreality.NOT_ACYL_ARBOREAL, vc, ah, cert, None, diam)
-    first = next(_separated_pairs(pres), None)
-    if first is not None:
-        splitting = _splitting(pres, first)
-        return Verdict(Arboreality.ACYL_ARBOREAL, vc, ah, first, splitting, diam)
-    cert = NoSeparatedPair(_non_adjacent_pair_count(pres))
-    return Verdict(Arboreality.NOT_ACYL_ARBOREAL, vc, ah, cert, None, diam)
+    else:
+        cert = next(_separated_pairs(pres), None) or NoSeparatedPair(
+            _non_adjacent_pair_count(pres))
+    separated = isinstance(cert, SeparatedPair)
+    return Verdict(
+        Arboreality.ACYL_ARBOREAL if separated else Arboreality.NOT_ACYL_ARBOREAL,
+        vc, ah, cert, _splitting(pres, cert) if separated else None, diam,
+    )

@@ -26,7 +26,7 @@ from .classify import (
     separated_pairs,
 )
 from .errors import DegeneratePresentationError, InputError, ResourceCapError
-from .formats import load_presentation
+from .formats import load_presentation, shown_path
 from .graphs import complement, to_dot
 from .words import DEFAULT_BALL_CAP, format_word, parse_word
 
@@ -72,7 +72,7 @@ def _write(args, text: str) -> None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise InputError(f"cannot write {args.out}: {exc.strerror}") from exc
+        raise InputError(f"cannot write {shown_path(args.out)}: {exc.strerror}") from exc
 
 
 def _emit(args, payload, human: str) -> None:

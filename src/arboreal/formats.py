@@ -12,6 +12,7 @@ Format:
 from __future__ import annotations
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -19,9 +20,10 @@ from .errors import InputError
 from .graphs import INFINITY, SimpleGraph
 from .words import Presentation, Word, parse_word
 
-# Names that parse_word and format_word round-trip: not empty, not the
-# identity "1", and free of whitespace and "^".
-_VERTEX_NAME = re.compile(r"(?!1\Z)[^\s^]+")
+# Names that parse_word and format_word round-trip and that UTF-8 can
+# write: not empty, not the identity "1", and free of whitespace, "^" and
+# surrogates (which JSON can spell as escapes such as "\ud800").
+_VERTEX_NAME = re.compile(r"(?!1\Z)[^\s^\ud800-\udfff]+")
 
 
 def _parse_order(name: str, raw) -> int | float:
@@ -54,7 +56,7 @@ def presentation_from_dict(data: dict) -> tuple[Presentation, dict[str, Word]]:
         if not _VERTEX_NAME.fullmatch(name):
             raise InputError(
                 f"vertices[{i}]: name {name!r} cannot be written in a word; names must be "
-                "non-empty, not \"1\", and contain no whitespace or \"^\""
+                "non-empty, not \"1\", and contain no whitespace, \"^\" or surrogate"
             )
         names.append(name)
         orders[name] = _parse_order(name, entry["order"])
@@ -78,20 +80,29 @@ def presentation_from_dict(data: dict) -> tuple[Presentation, dict[str, Word]]:
     return pres, words
 
 
+def shown_path(path: str | Path) -> str:
+    """``path`` for messages: its bytes read as UTF-8 whatever encoding the
+    locale decoded them with, bytes that are not UTF-8 as escapes."""
+    try:
+        return os.fsencode(path).decode("utf-8", "backslashreplace")
+    except UnicodeEncodeError:  # a str the locale cannot encode: not from argv
+        return str(path)
+
+
 def load_presentation(path: str | Path) -> tuple[Presentation, dict[str, Word]]:
     path = Path(path)
     try:
         data = json.loads(path.read_bytes().decode("utf-8"))  # whatever the locale
     except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise InputError(f"{shown_path(path)}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        raise InputError(f"{shown_path(path)}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:
         # bytes that are not UTF-8, nesting deeper than the decoder recurses,
         # or an integer longer than Python converts from a string
-        raise InputError(f"{path}: {exc}") from exc
+        raise InputError(f"{shown_path(path)}: {exc}") from exc
     try:
         return presentation_from_dict(data)
     except InputError as exc:
         # preserve the subtype so degeneracy keeps its own exit code
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise type(exc)(f"{shown_path(path)}: {exc}") from exc

@@ -32,8 +32,9 @@ earlier-listed vertex (see ``_paths_of_length``).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from itertools import accumulate
-from typing import AbstractSet, Callable, Iterable, NamedTuple, Optional
+from functools import cache
+from itertools import accumulate, chain, combinations
+from typing import AbstractSet, Iterable, NamedTuple, Optional
 
 from .classify import SIDE_A, SIDE_B, SplittingSpec
 from .errors import InputError, ResourceCapError
@@ -434,47 +435,39 @@ def audit_acylindricity(
     Enumerates every k-edge path in the bounded tree ball and counts the
     elements of length <= ``element_radius`` in its pointwise stabilizer
     f G_R f^-1 (see ``path_stabilizer``), reporting the max against |G_N|.
-    Each path is walked once (see ``_paths_of_length``). The canonical
-    inverse of a first edge's representative g_1 is computed once per audit
-    and shared by every path that starts with that edge: the word g_1^-1 g_k
-    joining the end edges is that inverse extended by g_k.
-    Each distinct (f, R) is sized once, from word lengths (see ``_length``):
-    for x in G_R with support S, |f x f^-1| = |x| + 2|f_0|, f_0 = f stripped
-    of lk(S). f_0 x f_0^-1 is the same element, and reduced: no R-syllable
-    ends f, so no sink of f_0 is in S or lk(S). So the size is the number
-    of x with |x| <= r - 2|f_0|, read per support from the radius-r ball of
-    G_R, enumerated once per distinct R (see ``_conjugate_counter``). An empty R
-    gives size 1, and f is then not formed. ``element_radius`` sizes only
-    the G_R balls: no ball of the whole group is built, and
-    ``exhaustive_elements`` is always False. Each side's ball is enumerated
-    once, collapsed to G_C cosets (see ``tree_ball``). ``cap`` bounds the
-    tree ball's vertex count, the side balls and the G_R balls.
+    Each path is walked once (see ``_paths_of_length``). Three memoized
+    functions, local to the call, keep what paths share. ``inverse`` gives
+    the canonical inverse of each distinct first edge's representative g_1
+    once: the word g_1^-1 g_k joining the end edges is that inverse extended
+    by g_k. ``size_of`` sizes each distinct (f, R) once, from word lengths
+    (see ``_length``): for x in G_R with support S, |f x f^-1| = |x| + 2|f_0|,
+    f_0 = f stripped of lk(S). f_0 x f_0^-1 is the same element, and reduced:
+    no R-syllable ends f, so no sink of f_0 is in S or lk(S). So the size is
+    the number of x with |x| <= r - 2|f_0|, read per support from the
+    radius-r ball of G_R, which ``counter`` enumerates once per distinct R
+    (see ``_conjugate_counter``). An empty R gives size 1, and f is then not
+    formed. ``element_radius`` sizes only the G_R balls: no ball of the
+    whole group is built, and ``exhaustive_elements`` is always False. Each
+    side's ball is enumerated once, collapsed to G_C cosets (see
+    ``tree_ball``). ``cap`` bounds the tree ball's vertex count, the side
+    balls and the G_R balls.
     Raises InputError for limits under which no path would be checked.
     """
     check_limits(k=k, tree_radius=tree_radius, element_radius=element_radius,
                  local_radius=local_radius, cap=cap)
     pres = splitting.presentation
     ball = tree_ball(splitting, tree_radius, local_radius, cap)
-    inverses: dict[Word, Word] = {}
-    counters: dict[tuple[str, ...], Callable[[Word], int]] = {}
-    sizes: dict[tuple[Word, tuple[str, ...]], int] = {}
+    inverse = cache(pres.inverse)
+    counter = cache(lambda r: _conjugate_counter(pres, element_radius, cap, r))
+    size_of = cache(lambda f, r: counter(r)(f))
     bound = splitting.acyl_c
     max_size = 0
     paths_checked = 0
     violations = []
     for path in _paths_of_length(ball, k):
         g1 = path[0].rep
-        if g1 not in inverses:
-            inverses[g1] = pres.inverse(g1)
-        p, r = _stabilizer_scan(splitting, pres._extend(inverses[g1], path[-1].rep))
-        size = 1
-        if r:
-            f = _strip(pres, pres._extend(g1, p), set(r))
-            if (f, r) not in sizes:
-                if r not in counters:
-                    counters[r] = _conjugate_counter(pres, element_radius, cap, r)
-                sizes[f, r] = counters[r](f)
-            size = sizes[f, r]
+        p, r = _stabilizer_scan(splitting, pres._extend(inverse(g1), path[-1].rep))
+        size = size_of(_strip(pres, pres._extend(g1, p), set(r)), r) if r else 1
         paths_checked += 1
         max_size = max(max_size, size)
         if size > bound:
@@ -496,14 +489,10 @@ def audit_acylindricity(
 
 def elliptic_generation_check(splitting: SplittingSpec, generators: list[Word]) -> bool:
     """True iff every s_i, s_j and s_i s_j acts elliptically."""
-    for g in generators:
-        if element_action(splitting, g).is_loxodromic:
-            return False
-    for i, g in enumerate(generators):
-        for h in generators[i + 1:]:
-            if element_action(splitting, tuple(g) + tuple(h)).is_loxodromic:
-                return False
-    return True
+    products = (tuple(g) + tuple(h) for g, h in combinations(generators, 2))
+    return not any(
+        element_action(splitting, g).is_loxodromic for g in chain(generators, products)
+    )
 
 
 def tree_ball_to_dot(ball: TreeBall) -> str:

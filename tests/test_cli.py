@@ -464,14 +464,18 @@ def test_tree_audit_all_pairs_exit_codes(capsys, tmp_path, contents, argv, expec
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("name", ["", "1", "a b", "a^2"])
+# "\ud800": a lone surrogate, which JSON spells as an escape and UTF-8 cannot write
+@pytest.mark.parametrize("name", ["", "1", "a b", "a^2", "\ud800"])
 def test_vertex_name_that_cannot_round_trip_exits_2(capsys, tmp_path, name):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"vertices": [{"name": name, "order": 2}, *TWO_VERTICES]}))
-    code, out, err = run(capsys, "classify", path)
+    target = tmp_path / "verdict.txt"
+    code, out, err = run(capsys, "classify", path, "--out", target)
     assert code == 2
     assert not out
     assert f"name {name!r} cannot be written in a word" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_non_string_vertex_names_exit_2(capsys, tmp_path):
@@ -661,6 +665,24 @@ def test_package_tree_names_are_the_tree_layers():
         arboreal.frobnicate
 
 
+UNBOUND_NAMES = """
+import json, sys
+import arboreal
+unbound = sorted(set(arboreal.__all__) - set(vars(arboreal)))
+print(json.dumps([unbound, "arboreal.tree" in sys.modules]))
+"""
+
+
+def test_only_tree_names_of_all_are_loaded_on_first_use():
+    """``__getattr__`` serves every name of ``__all__`` that import leaves
+    unbound, and those are exactly the tree layer's."""
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    # -S: no site hook of the machine running the test can import the tree layer
+    result = subprocess.run([sys.executable, "-S", "-c", UNBOUND_NAMES],
+                            env=env, capture_output=True, text=True, check=True)
+    assert json.loads(result.stdout) == [list(TREE_NAMES), False]
+
+
 LOADS_TREE = """
 import contextlib, io, json, sys
 import arboreal
@@ -761,3 +783,24 @@ def test_error_lines_are_utf8_whatever_the_locale(ascii_env, accent_file, word, 
     cli = [sys.executable, "-m", "arboreal.cli", "nf", str(accent_file), word]
     result = subprocess.run(cli, env=ascii_env, capture_output=True)
     assert (result.returncode, result.stdout, result.stderr.decode("utf-8")) == (2, b"", error)
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [(["{dir}/bad.json"], "error: {dir}/bad.json:1:14: Expecting value\n"),
+     (["{dir}/accent.json", "--out", "{dir}/missing/x.txt"],
+      "error: cannot write {dir}/missing/x.txt: No such file or directory\n")],
+    ids=["malformed-file", "unwritable-out"],
+)
+def test_error_paths_are_utf8_whatever_the_locale(tmp_path, ascii_env, accent_file, argv, error):
+    """A path in an ``error:`` line is shown as its UTF-8 bytes, not as the
+    surrogates the ASCII locale decoded them to."""
+    directory = tmp_path / "é"
+    directory.mkdir()
+    (directory / "bad.json").write_text('{"vertices": }')
+    (directory / "accent.json").write_bytes(accent_file.read_bytes())
+    argv = [arg.format(dir=directory) for arg in argv]
+    cli = [sys.executable, "-m", "arboreal.cli", "classify", *argv]
+    result = subprocess.run(cli, env=ascii_env, capture_output=True)
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr.decode("utf-8") == error.format(dir=directory)

@@ -443,6 +443,10 @@ class TestEllipticGeneration:
     def test_empty_passes(self, p4_splitting):
         assert elliptic_generation_check(p4_splitting, [])
 
+    def test_loxodromic_generator_fails(self, p4_racg, p4_splitting):
+        # a d is loxodromic itself, so no product of two generators is needed
+        assert not elliptic_generation_check(p4_splitting, [parse_word(p4_racg, "a d")])
+
 
 class TestTreeBallExport:
     def test_dot_contains_labels(self, p4_splitting):

@@ -238,6 +238,15 @@ class TestFullSubgroups:
     def test_order_of_empty_set(self, p4_racg):
         assert p4_racg.full_subgroup_order(set()) == 1
 
+    def test_induced_keeps_vertex_order_edges_and_orders(self):
+        pres = Presentation(p4_graph(), {"a": 2, "b": 3, "c": 5, "d": INFINITY})
+        sub = pres.induced({"c", "a"})
+        assert sub.graph.vertices == ("a", "c")
+        assert not sub.graph.edges
+        assert sub.orders == {"a": 2, "c": 5}
+        with pytest.raises(InputError, match="zz"):
+            pres.induced({"a", "zz"})
+
     def test_order_of_adjacent_pair(self):
         pres = Presentation(SimpleGraph("ab", [("a", "b")]), {"a": 2, "b": 3})
         assert pres.full_subgroup_order({"a", "b"}) == 6
