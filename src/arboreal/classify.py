@@ -18,7 +18,7 @@ is the frontier-mask search for its ``diameter`` field.
 from __future__ import annotations
 
 import enum
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import InputError
@@ -130,20 +130,22 @@ class Verdict(NamedTuple):
         }
 
 
-def _separated_pairs(pres: Presentation) -> Iterator[SeparatedPair]:
-    """Separated pairs in vertex order, lazily: non-adjacent pairs whose
-    common link ``masks[i] & masks[j]`` spans a finite full subgroup."""
+def _separated_row(pres: Presentation, i: int, columns) -> Iterator[SeparatedPair]:
+    """Separated pairs (vertices[i], vertices[j]) for j in ``columns``, in order: j is
+    not adjacent to i and the common link ``masks[i] & masks[j]`` spans a finite subgroup."""
     vertices, masks = pres.graph.vertices, pres.graph.masks
-    for i, a in enumerate(vertices):
-        mask_a = masks[i]
-        for j in range(i + 1, len(vertices)):
-            if mask_a >> j & 1:
-                continue
-            common = mask_a & masks[j]
-            order = pres._mask_order(common)
-            if order != INFINITY:
-                link_set = tuple(vertices[k] for k in bit_indices(common))
-                yield SeparatedPair(a, vertices[j], link_set, order)
+    mask_a = masks[i]
+    for j in columns:
+        common = mask_a & masks[j]
+        if not mask_a >> j & 1 and (order := pres._mask_order(common)) != INFINITY:
+            link_set = tuple(vertices[k] for k in bit_indices(common))
+            yield SeparatedPair(vertices[i], vertices[j], link_set, order)
+
+
+def _separated_pairs(pres: Presentation) -> Iterator[SeparatedPair]:
+    """Separated pairs in vertex order, lazily, one row of the pair search at a time."""
+    n = len(pres.graph.vertices)
+    return chain.from_iterable(_separated_row(pres, i, range(i + 1, n)) for i in range(n))
 
 
 def separated_pairs(pres: Presentation) -> list[SeparatedPair]:
@@ -195,17 +197,14 @@ def _ah_criterion(graph: SimpleGraph, vc: VirtuallyCyclic) -> AHCriterion:
 
 
 def build_splitting(pres: Presentation, pair: SeparatedPair) -> SplittingSpec:
-    """The splitting of a separated pair. Raises InputError unless a and b
-    are distinct, non-adjacent vertices whose common link is ``link_set``, in
-    vertex order, spanning a finite subgroup of order ``link_order``."""
+    """The splitting of a separated pair, in either order. Raises InputError
+    unless a and b are distinct, non-adjacent vertices whose common link is
+    ``link_set``, in vertex order, spanning a finite subgroup of order ``link_order``."""
     graph = pres.graph
     graph.check_vertices((pair.a, pair.b))
     i, j = graph.index[pair.a], graph.index[pair.b]
-    common = graph.masks[i] & graph.masks[j]
-    link_set = tuple(graph.vertices[k] for k in bit_indices(common))
-    order = pres._mask_order(common)
-    separated = i != j and not graph.masks[i] >> j & 1 and order != INFINITY
-    if not separated or (link_set, order) != (tuple(pair.link_set), pair.link_order):
+    found = next(_separated_row(pres, i, (j,)), None) if i != j else None
+    if found is None or found[2:] != (tuple(pair.link_set), pair.link_order):
         raise InputError(f"not a separated pair: {tuple(pair)}")
     return _splitting(pres, pair)
 

@@ -3,15 +3,17 @@
 Exit codes: 0 success / audit clean, 2 parse or word error, bad option or
 unwritable output file, 3 degenerate presentation, 4 no splitting available
 to audit, 5 resource cap exceeded. Audit violations also exit nonzero (1).
-Exits 2 to 5 print one ``error: `` line on stderr. Text is UTF-8 whatever the
-locale: output, ``error: `` lines and word arguments.
+Exits 2 to 5 print one ``error: `` line on stderr, except a usage error (a
+missing argument, an unknown command or option, or an option value of the
+wrong type): it exits 2 after argparse's usage text and a line such as
+``arboreal tree-audit: error: ``. Text is UTF-8 whatever the locale: output,
+``error: `` lines and word arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .classify import (
@@ -26,7 +28,7 @@ from .classify import (
     separated_pairs,
 )
 from .errors import DegeneratePresentationError, InputError, ResourceCapError
-from .formats import load_presentation, shown_path
+from .formats import argv_text, load_presentation
 from .graphs import complement, to_dot
 from .words import DEFAULT_BALL_CAP, format_word, parse_word
 
@@ -72,7 +74,8 @@ def _write(args, text: str) -> None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise InputError(f"cannot write {shown_path(args.out)}: {exc.strerror}") from exc
+        shown = argv_text(args.out, "backslashreplace")
+        raise InputError(f"cannot write {shown}: {exc.strerror}") from exc
 
 
 def _emit(args, payload, human: str) -> None:
@@ -106,11 +109,9 @@ def _word(pres, named: dict, arg: str):
     """A named word of the presentation file, or else the word argument parsed,
     its bytes read as UTF-8 whatever encoding ``sys.argv`` decoded them with."""
     try:
-        text = os.fsencode(arg).decode("utf-8")
-    except UnicodeEncodeError:  # no argv bytes: ``main`` was called from Python
-        text = arg
-    except UnicodeDecodeError:
-        raise InputError(f"word argument is not UTF-8: {os.fsencode(arg)!r}") from None
+        text = argv_text(arg, "strict")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"word argument is not UTF-8: {exc.object!r}") from None
     return named[text] if text in named else parse_word(pres, text)
 
 
@@ -210,9 +211,7 @@ def cmd_export_dot(args) -> int:
         text = to_dot(complement(pres.graph))
     else:
         splitting = _require_splitting(pres)
-        ball = tree_ball(
-            splitting, args.tree_radius, args.local_radius, args.ball_cap
-        )
+        ball = tree_ball(splitting, args.tree_radius, args.local_radius, args.ball_cap)
         text = tree_ball_to_dot(ball)
     _write(args, text)
     return EXIT_OK
@@ -229,6 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="presentation JSON file")
         p.add_argument("--json", action="store_true", help="emit JSON output")
         p.add_argument("--out", help="write output to this path instead of stdout")
+
+    def tree_limits(p, tree_radius: int):
+        p.add_argument("--tree-radius", type=int, default=tree_radius)
+        p.add_argument("--local-radius", type=int, default=2)
+        p.add_argument(
+            "--ball-cap", type=int, default=DEFAULT_BALL_CAP,
+            help="most tree-ball vertices and side or G_R ball elements; exit 5 past it",
+        )
 
     p = sub.add_parser("classify", help="run the classification theorem")
     common(p)
@@ -256,15 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree-audit", help="empirical (k, |G_N|) acylindricity audit")
     common(p)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--tree-radius", type=int, default=5)
+    tree_limits(p, 5)
     p.add_argument(
         "--element-radius", type=int, default=6,
         help="count stabilizer elements up to this length; sizes only the G_R balls",
-    )
-    p.add_argument("--local-radius", type=int, default=2)
-    p.add_argument(
-        "--ball-cap", type=int, default=DEFAULT_BALL_CAP,
-        help="most tree-ball vertices and side or G_R ball elements; exit 5 past it",
     )
     p.add_argument(
         "--all-pairs", action="store_true",
@@ -273,13 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tree_audit)
 
     p = sub.add_parser("export-dot", help="DOT export of graph, complement or tree ball")
-    common(p)
-    p.add_argument(
-        "--target", choices=["graph", "complement", "tree-ball"], default="graph"
-    )
-    p.add_argument("--tree-radius", type=int, default=2)
-    p.add_argument("--local-radius", type=int, default=2)
-    p.add_argument("--ball-cap", type=int, default=DEFAULT_BALL_CAP)
+    p.add_argument("file", help="presentation JSON file")
+    p.add_argument("--out", help="write output to this path instead of stdout")
+    p.add_argument("--target", choices=["graph", "complement", "tree-ball"], default="graph")
+    tree_limits(p, 2)
     p.set_defaults(func=cmd_export_dot)
 
     return parser

@@ -80,29 +80,30 @@ def presentation_from_dict(data: dict) -> tuple[Presentation, dict[str, Word]]:
     return pres, words
 
 
-def shown_path(path: str | Path) -> str:
-    """``path`` for messages: its bytes read as UTF-8 whatever encoding the
-    locale decoded them with, bytes that are not UTF-8 as escapes."""
+def argv_text(arg: str | Path, errors: str) -> str:
+    """``arg``'s bytes read as UTF-8 with the ``errors`` handler, whatever
+    encoding the locale decoded ``sys.argv`` with."""
     try:
-        return os.fsencode(path).decode("utf-8", "backslashreplace")
+        return os.fsencode(arg).decode("utf-8", errors)
     except UnicodeEncodeError:  # a str the locale cannot encode: not from argv
-        return str(path)
+        return str(arg)
 
 
 def load_presentation(path: str | Path) -> tuple[Presentation, dict[str, Word]]:
     path = Path(path)
+    shown = argv_text(path, "backslashreplace")  # bytes that are not UTF-8 as escapes
     try:
         data = json.loads(path.read_bytes().decode("utf-8"))  # whatever the locale
     except OSError as exc:
-        raise InputError(f"{shown_path(path)}: {exc}") from exc
+        raise InputError(f"{shown}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{shown_path(path)}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        raise InputError(f"{shown}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:
         # bytes that are not UTF-8, nesting deeper than the decoder recurses,
         # or an integer longer than Python converts from a string
-        raise InputError(f"{shown_path(path)}: {exc}") from exc
+        raise InputError(f"{shown}: {exc}") from exc
     try:
         return presentation_from_dict(data)
     except InputError as exc:
         # preserve the subtype so degeneracy keeps its own exit code
-        raise type(exc)(f"{shown_path(path)}: {exc}") from exc
+        raise type(exc)(f"{shown}: {exc}") from exc

@@ -248,17 +248,17 @@ class Presentation:
         holds them all, so ``cap`` is checked there before any is built.
         """
         allowed = self.graph.check_vertices(self.graph.vertices if subset is None else subset)
-        count = sum(2 if self.orders[v] == INFINITY else self.orders[v] - 1 for v in allowed)
+        # vertex -> (generator count, exponents); len() fails past sys.maxsize
+        exponents = {
+            v: (2, (1, -1)) if n == INFINITY else (n - 1, range(1, n))
+            for v, n in self.orders.items() if v in allowed
+        }
+        count = sum(c for c, _ in exponents.values())
         if count and radius < 1:
             return {()}, False
         if count and count >= cap:
             raise ResourceCapError(f"ball exceeded cap of {cap} elements at radius 1")
-        gens = [
-            Syllable(v, e)
-            for v in self.graph.vertices
-            if v in allowed
-            for e in ((1, -1) if self.orders[v] == INFINITY else range(1, self.orders[v]))
-        ]
+        gens = [Syllable(v, e) for v, (_, es) in exponents.items() for e in es]
 
         seen = {()}
         frontier = [()]

@@ -317,6 +317,8 @@ def test_every_separated_pair_builds(fixtures_dir):
         pres, _ = load_presentation(path)
         for pair in separated_pairs(pres):
             assert build_splitting(pres, pair).pair == (pair.a, pair.b)
+            # and in reverse, such as (c, a) on P4
+            assert build_splitting(pres, pair._replace(a=pair.b, b=pair.a)).pair == (pair.b, pair.a)
             built += 1
     assert built == 6
 

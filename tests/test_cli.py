@@ -222,17 +222,19 @@ class TestTreeAudit:
         assert reports[0] == reports[1]
 
     def test_huge_vertex_order_stops_at_the_cap(self, capsys, tmp_path):
-        """A vertex of order 10**12: its side ball's 10**12 - 1 generators are
-        counted, not built, so --ball-cap 100 ends the audit at radius 1."""
+        """A vertex of order 10**12, or 2**64 past sys.maxsize: its side ball's
+        order - 1 generators are counted, not built, so --ball-cap 100 ends
+        the audit at radius 1."""
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps(
-            {"vertices": [{"name": "a", "order": 2}, {"name": "b", "order": 10**12}]}
-        ))
-        code, out, err = run(capsys, "tree-audit", path, "--ball-cap", "100")
-        assert (code, out) == (5, "")
-        assert err == (
-            "error: resource cap exceeded: ball exceeded cap of 100 elements at radius 1\n"
-        )
+        for order in (10**12, 2**64):
+            path.write_text(json.dumps(
+                {"vertices": [{"name": "a", "order": 2}, {"name": "b", "order": order}]}
+            ))
+            code, out, err = run(capsys, "tree-audit", path, "--ball-cap", "100")
+            assert (code, out) == (5, "")
+            assert err == (
+                "error: resource cap exceeded: ball exceeded cap of 100 elements at radius 1\n"
+            )
 
 
 class TestExportDot:
@@ -304,6 +306,16 @@ class TestExportDot:
         assert code == 0
         assert not out
         assert target.read_text().startswith("graph")
+
+    def test_json_is_a_usage_error(self, capsys):
+        """DOT is the only output, so there is no --json to ignore."""
+        with pytest.raises(SystemExit) as exc:
+            main(["export-dot", str(FIXTURES / "p4_racg.json"), "--json"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert not captured.out
+        assert captured.err.startswith("usage: ")
+        assert "unrecognized arguments: --json" in captured.err
 
 
 def test_classify_out_file(capsys, tmp_path):
@@ -789,8 +801,10 @@ def test_error_lines_are_utf8_whatever_the_locale(ascii_env, accent_file, word, 
     "argv, error",
     [(["{dir}/bad.json"], "error: {dir}/bad.json:1:14: Expecting value\n"),
      (["{dir}/accent.json", "--out", "{dir}/missing/x.txt"],
-      "error: cannot write {dir}/missing/x.txt: No such file or directory\n")],
-    ids=["malformed-file", "unwritable-out"],
+      "error: cannot write {dir}/missing/x.txt: No such file or directory\n"),
+     (["{dir}/missing.json"], "error: {dir}/missing.json: No such file or directory\n"),
+     (["{dir}"], "error: {dir}: Is a directory\n")],
+    ids=["malformed-file", "unwritable-out", "missing-file", "directory"],
 )
 def test_error_paths_are_utf8_whatever_the_locale(tmp_path, ascii_env, accent_file, argv, error):
     """A path in an ``error:`` line is shown as its UTF-8 bytes, not as the

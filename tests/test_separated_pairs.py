@@ -1,27 +1,36 @@
 """Property tests of the graph layer's fast paths against the definitions.
 
 Presentations have at most nine vertices with orders in {2, 3, inf}. Pair
-search, the certificate ``classify`` picks, irreducibility and the
-virtually-cyclic witness are each checked against a brute-force oracle.
+search, the pairs ``build_splitting`` accepts, the certificate ``classify``
+picks, irreducibility and the virtually-cyclic witness are each checked
+against a brute-force oracle.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arboreal.classify import (
     Arboreality,
+    SeparatedPair,
     VirtuallyCyclic,
     VirtuallyCyclicWitness,
+    build_splitting,
     classify,
     separated_pairs,
 )
+from arboreal.errors import InputError
 from arboreal.graphs import INFINITY, SimpleGraph, complement, is_irreducible
 from arboreal.words import Presentation
 
 from conftest import presentations
-from oracles import is_connected_by_bfs, separated_pairs_by_definition
+from oracles import (
+    full_subgroup_order_by_definition,
+    is_connected_by_bfs,
+    separated_pairs_by_definition,
+)
 
 
 @st.composite
@@ -40,6 +49,22 @@ class TestAgainstDefinition:
     @given(presentations(max_vertices=9))
     def test_separated_pairs_match_definition(self, pres):
         assert separated_pairs(pres) == separated_pairs_by_definition(pres)
+
+    @settings(max_examples=200, deadline=None)
+    @given(presentations(max_vertices=9))
+    def test_build_splitting_accepts_exactly_the_separated_pairs(self, pres):
+        """Every ordered pair, given the definition's common link and its
+        order: accepted iff distinct and separated in either order."""
+        graph = pres.graph
+        separated = {(p.a, p.b) for p in separated_pairs_by_definition(pres)}
+        for u, v in product(graph.vertices, repeat=2):
+            common = tuple(w for w in graph.vertices if {u, v} <= graph.adjacency[w])
+            pair = SeparatedPair(u, v, common, full_subgroup_order_by_definition(pres, common))
+            if u != v and {(u, v), (v, u)} & separated:
+                assert build_splitting(pres, pair).pair == (u, v)
+            else:
+                with pytest.raises(InputError):
+                    build_splitting(pres, pair)
 
     @settings(max_examples=300, deadline=None)
     @given(presentations(max_vertices=9))

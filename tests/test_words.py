@@ -322,15 +322,17 @@ class TestEnumerateBall:
         assert len(calls) == 6
 
     def test_huge_order_stops_at_the_cap_before_building_generators(self):
-        """A vertex of order 10**12 has 10**12 - 1 generators: they are
-        counted, not built, so cap 100 stops the ball at radius 1, and
-        radius 0 needs none of them."""
-        pres = Presentation(SimpleGraph("ab"), {"a": 2, "b": 10**12})
+        """A vertex of order 10**12, or 2**64 past sys.maxsize, has order - 1
+        generators: they are counted, not built, so cap 100 stops the ball
+        at radius 1, and radius 0 needs none of them."""
         message = "^ball exceeded cap of 100 elements at radius 1$"
-        with pytest.raises(ResourceCapError, match=message):
-            pres.enumerate_ball_info(3, cap=100)
-        assert pres.enumerate_ball_info(0, cap=100) == ({()}, False)
-        assert pres.enumerate_ball_info(3, cap=100, subset="a") == ({(), (Syllable("a", 1),)}, True)
+        for order in (10**12, 2**64):
+            pres = Presentation(SimpleGraph("ab"), {"a": 2, "b": order})
+            with pytest.raises(ResourceCapError, match=message):
+                pres.enumerate_ball_info(3, cap=100)
+            assert pres.enumerate_ball_info(0, cap=100) == ({()}, False)
+            subgroup = pres.enumerate_ball_info(3, cap=100, subset="a")
+            assert subgroup == ({(), (Syllable("a", 1),)}, True)
 
     def test_cap_met_by_the_generators_inserts_nothing(self):
         """Z9 * Z has 8 + 2 = 10 generators, so cap 10 is exceeded at radius 1
