@@ -281,12 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
     tree_limits(p, 2)
     p.set_defaults(func=cmd_export_dot)
 
+    for p in sub.choices.values():
+        p.set_defaults(subparser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    """The subcommand's exit code, or an error's code and ``error: `` line."""
-    args = build_parser().parse_args(argv)
+    """The subcommand's exit code, or an error's code and ``error: `` line.
+    An argument the subcommand does not know gets the subcommand's usage."""
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except DegeneratePresentationError as exc:

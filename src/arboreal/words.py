@@ -14,21 +14,22 @@ lexicographic minimum. The heap is a proof device only and is never built: a
 later syllable whose vertex is outside lk(v), or is v, is a descendant of a
 v-syllable, so every heap query is a scan with per-vertex state.
 
-One primitive gives every normal form: ``_insert`` is the insertion step of
-heaps of pieces (Viennot), canonical(g + [s]) from a canonical g, in place.
-Its one entry point is ``_extend(g, sylls)``, canonical(g + sylls) for a
-canonical g: ``canonical`` extends the empty word, ball enumeration extends
-each ball element by one syllable, and the tree layer extends canonical
-words instead of canonicalizing their concatenation again. Cost: O(|sylls|*b)
-beyond copying g, b the length of the trailing block that commutes with each
-new syllable; O(L^2) at worst for L syllables, with no word copied per
-syllable. ``_insert`` alone joins syllables. ``first_vertices``/
-``last_vertices`` are the heap's sources and sinks.
+One loop gives every normal form: ``_extend(g, pairs)``, canonical(g + pairs)
+for a canonical g, normalizes each (vertex, exponent) pair and runs the
+insertion step of heaps of pieces (Viennot) on a copy of g. ``canonical`` and
+``multiply`` extend the empty word, ``inverse`` canonicalizes the negated
+pairs, ball enumeration extends each ball element by one syllable, and the
+tree layer extends canonical words instead of canonicalizing their
+concatenation again. Cost: O(|pairs|*b) beyond copying g, b the length of the
+trailing block that commutes with each new syllable; O(L^2) at worst for L
+syllables. ``_extend`` alone joins syllables.
+``first_vertices``/``last_vertices`` are the heap's sources and sinks.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .errors import DegeneratePresentationError, InputError, ResourceCapError
@@ -83,8 +84,8 @@ class Presentation:
     # --- words and canonical form ----------------------------------------
 
     def make_word(self, pairs: Iterable[tuple[str, int]]) -> Word:
-        """Word from (vertex, exponent) pairs: exponents reduced into
-        {1,...,n-1} at a vertex of finite order n, identity syllables dropped."""
+        """Word from (vertex, exponent) pairs, normalized as ``_extend`` does:
+        exponents into {1,...,n-1} at a finite order n, identities dropped."""
         orders = self.orders
         out = []
         for v, e in pairs:
@@ -101,54 +102,57 @@ class Presentation:
         """Lexicographically least member of the reduced word's shuffle orbit:
         the syllables inserted one at a time into the empty word (see
         ``_extend``)."""
-        return self._extend((), self.make_word(word))
+        return self._extend((), word)
 
-    def _extend(self, g: Word, sylls: Iterable[Syllable]) -> Word:
-        """canonical(g + sylls) for a canonical g and normalized syllables,
-        each inserted in turn into a copy of g (see ``_insert``): the entry
-        point of the normal-form engine, O(|sylls|*b) beyond copying g."""
+    def _extend(self, g: Word, pairs: Iterable[tuple[str, int]]) -> Word:
+        """canonical(g + make_word(pairs)) for a canonical g, O(|pairs|*b)
+        beyond copying g: each pair is normalized as ``make_word`` does and
+        inserted into a copy of g. The insertion scans back over syllables in
+        link(v); a v-syllable met there absorbs the new one, or goes when the
+        exponent vanishes: it is a heap sink, so the others keep their order.
+        Otherwise the new syllable is a sink whose last predecessor is the
+        scan's stop, and Kahn's algorithm takes it at the first later position
+        whose vertex index is larger than v's."""
+        orders, adjacency, index = self.orders, self.graph.adjacency, self.graph.index
         h = list(g)
-        for s in sylls:
-            self._insert(h, s)
-        return tuple(h)
-
-    def _insert(self, g: list[Syllable], s: Syllable) -> None:
-        """Turn the canonical word ``g`` into canonical(g + [s]) in place, for
-        a normalized syllable s. Called through ``_extend`` only.
-
-        Scan back over syllables in link(v), v = s.vertex. A v-syllable met
-        there absorbs s, or goes when the exponent vanishes: it is a sink of
-        g's heap, so the others keep their order. Otherwise s is a new sink
-        whose last predecessor is the scan's stop, and Kahn's algorithm takes
-        it at the first later position whose vertex index is larger than v's."""
-        v = s.vertex
-        lk = self.graph.adjacency[v]
-        i = len(g) - 1
-        while i >= 0 and g[i].vertex in lk:
-            i -= 1
-        if i >= 0 and g[i].vertex == v:
-            e = g[i].exponent + s.exponent
-            if (n := self.orders[v]) != INFINITY:
+        for s in pairs:
+            v, e = s
+            n = orders.get(v)
+            if n is None:
+                raise InputError(f"unknown vertex: {v}")
+            if n != INFINITY:
                 e %= n
-            if e:
-                g[i] = Syllable(v, e)
-            else:
-                del g[i]
-            return
-        index = self.graph.index
-        rank = index[v]
-        j = i + 1
-        while j < len(g) and index[g[j].vertex] < rank:
-            j += 1
-        g.insert(j, s)
+            if not e:
+                continue
+            lk = adjacency[v]
+            i = len(h) - 1
+            while i >= 0 and h[i][0] in lk:
+                i -= 1
+            if i >= 0 and h[i][0] == v:
+                e += h[i][1]
+                if n != INFINITY:
+                    e %= n
+                if e:
+                    h[i] = tuple.__new__(Syllable, (v, e))
+                else:
+                    del h[i]
+                continue
+            rank = index[v]
+            j = i + 1
+            while j < len(h) and index[h[j][0]] < rank:
+                j += 1
+            if type(s) is not Syllable or e != s[1]:
+                s = tuple.__new__(Syllable, (v, e))
+            h.insert(j, s)
+        return tuple(h)
 
     # --- group operations --------------------------------------------------
 
     def multiply(self, *words: Word) -> Word:
-        return self.canonical(tuple(s for w in words for s in w))
+        return self._extend((), chain.from_iterable(words))
 
     def inverse(self, word: Word) -> Word:
-        return self.canonical(tuple(Syllable(v, -e) for v, e in reversed(tuple(word))))
+        return self.canonical([(v, -e) for v, e in reversed(tuple(word))])
 
     def power(self, word: Word, n: int) -> Word:
         """word^n by repeated squaring: O(log |n|) products."""

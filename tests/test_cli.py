@@ -64,6 +64,14 @@ class TestClassify:
         code, _, _ = run(capsys, "classify", path)
         assert code == 2
 
+    def test_unknown_option_gets_the_subcommand_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", str(FIXTURES / "p4_racg.json"), "--bogus"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage: arboreal classify")
+        assert "arboreal classify: error: unrecognized arguments: --bogus" in err
+
     def test_json_deterministic(self, capsys):
         _, out1, _ = run(capsys, "classify", FIXTURES / "p4_racg.json", "--json")
         _, out2, _ = run(capsys, "classify", FIXTURES / "p4_racg.json", "--json")

@@ -7,11 +7,12 @@ Balls go up to radius 3 under caps low enough that cap errors are compared
 too.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arboreal.classify import build_splitting, separated_pairs
-from arboreal.errors import ResourceCapError
+from arboreal.errors import InputError, ResourceCapError
 from arboreal.tree import coset_canonical
 from arboreal.words import Syllable
 
@@ -94,9 +95,7 @@ class TestEngine:
         steps = ball_generators(pres, pres.graph.vertices) + list(
             pres.make_word((v, -e) for v, e in g))
         for s in steps:
-            h = list(g)
-            pres._insert(h, s)
-            assert tuple(h) == canonical_by_heap(pres, w + (s,))
+            assert pres._extend(g, (s,)) == canonical_by_heap(pres, w + (s,))
 
     @settings(max_examples=150, deadline=None)
     @given(presentations_and_words(), st.data())
@@ -112,7 +111,36 @@ class TestEngine:
         u = tuple(data.draw(st.lists(syllable, max_size=10)))
         if data.draw(st.booleans()):
             u = tuple(inverses) + u
-        assert pres._extend(g, pres.make_word(u)) == canonical_by_heap(pres, w + u)
+        assert pres._extend(g, u) == canonical_by_heap(pres, w + u)
+
+    @settings(max_examples=150, deadline=None)
+    @given(presentations_and_words(), st.data())
+    def test_extend_normalizes_raw_pairs_as_make_word_does(self, case, data):
+        """Pairs or Syllables with exponents 0, multiples of the order, past
+        it and negative, and sometimes the unknown vertex z: ``_extend``,
+        ``multiply`` and ``inverse`` take them as ``make_word`` does."""
+        pres, w = case
+        g = canonical_by_heap(pres, w)
+        vertex = st.sampled_from(pres.graph.vertices)
+        if data.draw(st.booleans()):
+            vertex |= st.just("z")
+        exponent = st.integers(-7, 7) | st.sampled_from((12, -12, 2**64))
+        u = tuple(data.draw(st.lists(st.tuples(vertex, exponent), max_size=10)))
+        if data.draw(st.booleans()):
+            u = tuple(Syllable(v, e) for v, e in u)
+        if any(v == "z" for v, _ in u):
+            with pytest.raises(InputError) as made:
+                pres.make_word(u)
+            assert str(made.value) == "unknown vertex: z"
+            for call in (lambda: pres._extend(g, u), lambda: pres.multiply(w, u),
+                         lambda: pres.inverse(u)):
+                with pytest.raises(InputError) as got:
+                    call()
+                assert str(got.value) == str(made.value)
+            return
+        assert pres._extend(g, u) == canonical_by_heap(pres, w + pres.make_word(u))
+        assert pres.multiply(w, u) == canonical_by_heap(pres, w + u)
+        assert pres.inverse(u) == canonical_by_heap(pres, tuple((v, -e) for v, e in reversed(u)))
 
     @settings(max_examples=100, deadline=None)
     @given(presentations(), st.integers(0, 3), st.sampled_from((4, 30, 1000)), st.data())

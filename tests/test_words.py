@@ -313,10 +313,10 @@ class TestEnumerateBall:
 
     def test_cap_stops_at_the_insert_that_passes_it(self, p4_racg):
         # radius 1 holds 5 elements; the first new element of radius 2 is
-        # the 6th, found by the 6th insertion step
+        # the 6th, found by the 6th insertion step, one ``_extend`` call each
         calls = []
-        insert = p4_racg._insert
-        p4_racg._insert = lambda g, s: calls.append(s) or insert(g, s)
+        extend = p4_racg._extend
+        p4_racg._extend = lambda g, sylls: calls.append(sylls) or extend(g, sylls)
         with pytest.raises(ResourceCapError, match="at radius 2$"):
             p4_racg.enumerate_ball(10, cap=5)
         assert len(calls) == 6
@@ -339,8 +339,8 @@ class TestEnumerateBall:
         before any of them is built or inserted."""
         pres = Presentation(SimpleGraph("ab"), {"a": 9, "b": INFINITY})
         calls = []
-        insert = pres._insert
-        pres._insert = lambda g, s: calls.append(s) or insert(g, s)
+        extend = pres._extend
+        pres._extend = lambda g, sylls: calls.append(sylls) or extend(g, sylls)
         with pytest.raises(ResourceCapError, match="at radius 1$"):
             pres.enumerate_ball(2, cap=10)
         assert not calls
