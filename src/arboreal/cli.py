@@ -132,8 +132,7 @@ def cmd_classify(args) -> int:
 
 def cmd_nf(args) -> int:
     pres, named = load_presentation(args.file)
-    word = _word(pres, named, args.word)
-    text = format_word(pres.canonical(word))
+    text = format_word(_word(pres, named, args.word))
     _emit(args, {"canonical": text}, text + "\n")
     return EXIT_OK
 

@@ -76,7 +76,7 @@ def presentation_from_dict(data: dict) -> tuple[Presentation, dict[str, Word]]:
     for key, text in data.get("words", {}).items():
         if not isinstance(text, str):
             raise InputError(f"words[{key!r}]: expected a word string")
-        words[str(key)] = pres.canonical(parse_word(pres, text))
+        words[str(key)] = parse_word(pres, text)
     return pres, words
 
 

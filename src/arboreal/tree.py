@@ -38,7 +38,7 @@ from typing import AbstractSet, Iterable, NamedTuple, Optional
 
 from .classify import SIDE_A, SIDE_B, SplittingSpec
 from .errors import InputError, ResourceCapError
-from .graphs import INFINITY, dot_quoted
+from .graphs import dot_quoted
 from .words import DEFAULT_BALL_CAP, Presentation, Word, format_word
 
 
@@ -256,12 +256,12 @@ def tree_distance(splitting: SplittingSpec, v1: TreeVertex, v2: TreeVertex) -> i
     so r is the largest round held by a vertex outside the link, each vertex
     holding the round of its latest syllable. The distance is the largest
     round, plus one when that round's side is not v1's. O(L*|V|) beyond
-    ``canonical``, whose output is reduced.
+    ``inverse`` and ``_extend``, which give h reduced.
     """
     splitting.side(v1.side)  # rejects an unknown side, as side(v2.side) below does
     pres = splitting.presentation
     adjacency = pres.graph.adjacency
-    sylls = pres.canonical(tuple((v, -e) for v, e in reversed(v1.rep)) + tuple(v2.rep))
+    sylls = pres._extend(pres.inverse(v1.rep), v2.rep)
     sides = [v2.side, SIDE_B if v2.side == SIDE_A else SIDE_A]
     vertex_sets = [splitting.side(side) for side in sides]
     rounds: dict[str, int] = {}
@@ -350,7 +350,7 @@ def _conjugate_counter(pres: Presentation, radius: int, cap: int, r: tuple[str, 
     for t up to the longest, not up to ``radius``, which may be huge."""
     lengths: defaultdict[frozenset[str], Counter[int]] = defaultdict(Counter)
     for x in pres.enumerate_ball(radius, cap=cap, subset=r):
-        lengths[frozenset(v for v, _ in x)][_length(pres, x)] += 1
+        lengths[frozenset(v for v, _ in x)][pres._length(x)] += 1
     adjacency = pres.graph.adjacency
     table = [
         ({u for u in pres.graph.vertices if s <= adjacency[u]},
@@ -359,14 +359,8 @@ def _conjugate_counter(pres: Presentation, radius: int, cap: int, r: tuple[str, 
     ]
     return lambda f: sum(
         n[min(t, len(n) - 1)]
-        for lk, n in table if (t := radius - 2 * _length(pres, _strip(pres, f, lk))) >= 0
+        for lk, n in table if (t := radius - 2 * pres._length(_strip(pres, f, lk))) >= 0
     )
-
-
-def _length(pres: Presentation, word: Word) -> int:
-    """Length of a reduced word in the ball's generators, for which it is
-    geodesic (Hermiller-Meier): 1 per finite syllable, |e| per infinite one."""
-    return sum(1 if pres.orders[v] != INFINITY else abs(e) for v, e in word)
 
 
 def _paths_of_length(ball: TreeBall, k: int):
@@ -436,19 +430,19 @@ def audit_acylindricity(
     elements of length <= ``element_radius`` in its pointwise stabilizer
     f G_R f^-1 (see ``path_stabilizer``), reporting the max against |G_N|.
     Each path is walked once (see ``_paths_of_length``). Three memoized
-    functions, local to the call, keep what paths share. ``inverse`` gives
-    the canonical inverse of each distinct first edge's representative g_1
-    once: the word g_1^-1 g_k joining the end edges is that inverse extended
-    by g_k. ``size_of`` sizes each distinct (f, R) once, from word lengths
-    (see ``_length``): for x in G_R with support S, |f x f^-1| = |x| + 2|f_0|,
-    f_0 = f stripped of lk(S). f_0 x f_0^-1 is the same element, and reduced:
-    no R-syllable ends f, so no sink of f_0 is in S or lk(S). So the size is
-    the number of x with |x| <= r - 2|f_0|, read per support from the
-    radius-r ball of G_R, which ``counter`` enumerates once per distinct R
-    (see ``_conjugate_counter``). An empty R gives size 1, and f is then not
-    formed. ``element_radius`` sizes only the G_R balls: no ball of the
-    whole group is built, and ``exhaustive_elements`` is always False. Each
-    side's ball is enumerated once, collapsed to G_C cosets (see
+    functions, local to the call, keep what paths share. ``inverse`` gives the
+    canonical inverse of each distinct first edge's representative g_1 once:
+    the word g_1^-1 g_k joining the end edges is that inverse extended by g_k.
+    ``size_of`` sizes each distinct (f, R) once, from word lengths (see
+    ``Presentation._length``): for x in G_R with support S,
+    |f x f^-1| = |x| + 2|f_0|, f_0 = f stripped of lk(S). f_0 x f_0^-1 is the
+    same element, and reduced: no R-syllable ends f, so no sink of f_0 is in S
+    or lk(S). So the size is the number of x with |x| <= r - 2|f_0|, read per
+    support from the radius-r ball of G_R, which ``counter`` enumerates once
+    per distinct R (see ``_conjugate_counter``). An empty R gives size 1, and
+    f is then not formed. ``element_radius`` sizes only the G_R balls: no ball
+    of the whole group is built, and ``exhaustive_elements`` is always False.
+    Each side's ball is enumerated once, collapsed to G_C cosets (see
     ``tree_ball``). ``cap`` bounds the tree ball's vertex count, the side
     balls and the G_R balls.
     Raises InputError for limits under which no path would be checked.

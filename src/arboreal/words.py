@@ -22,7 +22,8 @@ pairs, ball enumeration extends each ball element by one syllable, and the
 tree layer extends canonical words instead of canonicalizing their
 concatenation again. Cost: O(|pairs|*b) beyond copying g, b the length of the
 trailing block that commutes with each new syllable; O(L^2) at worst for L
-syllables. ``_extend`` alone joins syllables.
+syllables. ``_extend`` alone reduces exponents and joins syllables:
+``make_word`` is ``canonical``, and ``parse_word`` returns the normal form.
 ``first_vertices``/``last_vertices`` are the heap's sources and sinks.
 """
 
@@ -83,36 +84,24 @@ class Presentation:
 
     # --- words and canonical form ----------------------------------------
 
-    def make_word(self, pairs: Iterable[tuple[str, int]]) -> Word:
-        """Word from (vertex, exponent) pairs, normalized as ``_extend`` does:
-        exponents into {1,...,n-1} at a finite order n, identities dropped."""
-        orders = self.orders
-        out = []
-        for v, e in pairs:
-            n = orders.get(v)
-            if n is None:
-                raise InputError(f"unknown vertex: {v}")
-            if n != INFINITY:
-                e %= n
-            if e:
-                out.append(Syllable(v, e))
-        return tuple(out)
-
     def canonical(self, word: Word) -> Word:
         """Lexicographically least member of the reduced word's shuffle orbit:
-        the syllables inserted one at a time into the empty word (see
-        ``_extend``)."""
+        the (vertex, exponent) pairs normalized and inserted one at a time
+        into the empty word (see ``_extend``). Also bound as ``make_word``."""
         return self._extend((), word)
 
+    make_word = canonical
+
     def _extend(self, g: Word, pairs: Iterable[tuple[str, int]]) -> Word:
-        """canonical(g + make_word(pairs)) for a canonical g, O(|pairs|*b)
-        beyond copying g: each pair is normalized as ``make_word`` does and
-        inserted into a copy of g. The insertion scans back over syllables in
-        link(v); a v-syllable met there absorbs the new one, or goes when the
-        exponent vanishes: it is a heap sink, so the others keep their order.
-        Otherwise the new syllable is a sink whose last predecessor is the
-        scan's stop, and Kahn's algorithm takes it at the first later position
-        whose vertex index is larger than v's."""
+        """canonical(g + pairs) for a canonical g, O(|pairs|*b) beyond copying
+        g. Here alone an exponent is reduced into {1,...,n-1} at a finite order
+        n, an identity dropped and an unknown vertex rejected; each pair is
+        then inserted into a copy of g. The insertion scans back over syllables
+        in link(v); a v-syllable met there absorbs the new one, or goes when
+        the exponent vanishes: it is a heap sink, so the others keep their
+        order. Otherwise the new syllable is a sink whose last predecessor is
+        the scan's stop, and Kahn's algorithm takes it at the first later
+        position whose vertex index is larger than v's."""
         orders, adjacency, index = self.orders, self.graph.adjacency, self.graph.index
         h = list(g)
         for s in pairs:
@@ -227,7 +216,7 @@ class Presentation:
             {v: self.orders[v] for v in subset},
         )
 
-    # --- bounded enumeration ------------------------------------------------
+    # --- bounded enumeration and generator length ----------------------------
 
     def enumerate_ball(
         self,
@@ -287,6 +276,11 @@ class Presentation:
             frontier = new
         return seen, True
 
+    def _length(self, word: Word) -> int:
+        """Length of a reduced word, a geodesic (Hermiller-Meier), in the generators
+        of ``enumerate_ball_info``: 1 per finite syllable, |e| per infinite one."""
+        return sum(1 if self.orders[v] != INFINITY else abs(e) for v, e in word)
+
 
 # --- compact word syntax ------------------------------------------------------
 
@@ -294,9 +288,10 @@ _SYLLABLE_RE = re.compile(r"^(?P<vertex>[^\s^]+?)(\^(?P<exp>-?\d+))?$")
 
 
 def parse_word(pres: Presentation, text: str) -> Word:
-    """Parse ``a^2 b c^-1`` style text into a word over ``pres``.
+    """Parse ``a^2 b c^-1`` style text into its normal form over ``pres``.
 
-    ``1`` (alone) denotes the identity. Zero exponents are rejected.
+    ``1`` (alone) denotes the identity. Zero exponents and unknown vertices
+    are rejected token by token, so the first bad token is the one reported.
     """
     text = text.strip()
     if text in ("", "1"):
@@ -317,11 +312,11 @@ def parse_word(pres: Presentation, text: str) -> Word:
         if vertex not in pres.graph.index:
             raise InputError(f"unknown vertex: {vertex}")
         pairs.append((vertex, exp))
-    return pres.make_word(pairs)
+    return pres.canonical(pairs)
 
 
 def format_word(word: Word) -> str:
-    """Inverse of parse_word on canonical forms; identity prints as ``1``.
+    """Inverse of parse_word, whose output is canonical; identity prints as ``1``.
     Raises InputError for an exponent with more digits than Python prints."""
     if not word:
         return "1"

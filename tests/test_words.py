@@ -379,10 +379,27 @@ class TestWordSyntax:
         assert parse_word(p3_raag, "") == ()
         assert format_word(()) == "1"
 
+    # the first bad token is the one reported
     def test_zero_exponent_rejected(self, p3_raag):
-        with pytest.raises(InputError):
-            parse_word(p3_raag, "a^0")
+        for text in ("a^0", "a^0 z"):
+            with pytest.raises(InputError, match="^zero exponent in syllable 'a\\^0'$"):
+                parse_word(p3_raag, text)
 
     def test_unknown_vertex_rejected(self, p3_raag):
-        with pytest.raises(InputError):
-            parse_word(p3_raag, "z")
+        for text in ("z", "z a^0"):
+            with pytest.raises(InputError, match="^unknown vertex: z$"):
+                parse_word(p3_raag, text)
+
+    def test_parse_word_and_make_word_give_the_normal_form(self, p3_raag):
+        ab = (Syllable("a", 1), Syllable("b", 1))
+        assert parse_word(p3_raag, "b a") == ab
+        assert p3_raag.make_word([("b", 1), ("a", 1)]) == ab
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_parse_word_make_word_and_canonical_agree(self, data):
+        pres = data.draw(presentations())
+        exponent = st.integers(-3, 3).filter(bool)
+        syllable = st.tuples(st.sampled_from(pres.graph.vertices), exponent)
+        w = tuple(data.draw(st.lists(syllable, max_size=10)))
+        assert parse_word(pres, format_word(w)) == pres.make_word(w) == pres.canonical(w)
