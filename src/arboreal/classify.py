@@ -155,15 +155,17 @@ def separated_pairs(pres: Presentation) -> list[SeparatedPair]:
 
 
 def _non_adjacent_pair_count(pres: Presentation) -> int:
-    graph = pres.graph
-    n = len(graph.vertices)
-    return n * (n - 1) // 2 - len(graph.edges)
+    """n(n-1)/2 minus the edges, each counted at both ends of the masks."""
+    masks = pres.graph.masks
+    n = len(masks)
+    return n * (n - 1) // 2 - sum(map(int.bit_count, masks)) // 2
 
 
 def _complete_minus_one_edge(pres: Presentation):
     """The missing edge of a graph that is complete minus exactly one edge."""
-    adjacency = pres.graph.adjacency
-    return next((u, v) for u, v in combinations(pres.graph.vertices, 2) if v not in adjacency[u])
+    vertices, masks = pres.graph.vertices, pres.graph.masks
+    return next((vertices[i], vertices[j]) for i, j in combinations(range(len(masks)), 2)
+                if not masks[i] >> j & 1)
 
 
 def is_virtually_cyclic(pres: Presentation) -> VirtuallyCyclic:
@@ -177,13 +179,11 @@ def is_virtually_cyclic(pres: Presentation) -> VirtuallyCyclic:
     """
     orders = pres.orders
     infinite = sum(n == INFINITY for n in orders.values())
-    missing = _non_adjacent_pair_count(pres)
-    if not missing:
-        yes = infinite <= 1
-    else:
-        yes = missing == 1 and not infinite and all(
-            orders[v] == 2 for v in _complete_minus_one_edge(pres)
-        )
+    # two infinite factors rule out both cases, so the non-edges go uncounted
+    missing = _non_adjacent_pair_count(pres) if infinite < 2 else None
+    yes = missing == 0 or missing == 1 and not infinite and all(
+        orders[v] == 2 for v in _complete_minus_one_edge(pres)
+    )
     return VirtuallyCyclic.YES if yes else VirtuallyCyclic.NO
 
 

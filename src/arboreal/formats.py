@@ -60,8 +60,8 @@ def presentation_from_dict(data: dict) -> tuple[Presentation, dict[str, Word]]:
             )
         names.append(name)
         orders[name] = _parse_order(name, entry["order"])
-    edges = []
-    for i, pair in enumerate(data.get("edges", [])):
+    edges = data.get("edges", [])
+    for i, pair in enumerate(edges):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InputError(f"edges[{i}]: expected a two-element list")
         for end in pair:
@@ -69,9 +69,7 @@ def presentation_from_dict(data: dict) -> tuple[Presentation, dict[str, Word]]:
                 raise InputError(
                     f"edges[{i}]: endpoints must be JSON strings, got {type(end).__name__}"
                 )
-        edges.append(tuple(pair))
-    graph = SimpleGraph(names, edges)
-    pres = Presentation(graph, orders)
+    pres = Presentation(SimpleGraph(names, edges), orders)
     words = {}
     for key, text in data.get("words", {}).items():
         if not isinstance(text, str):

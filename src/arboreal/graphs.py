@@ -3,9 +3,11 @@
 Vertices are strings with a fixed total order given by input order; that
 order is the universal tie-breaker for all canonical choices made elsewhere.
 
-Besides its ``adjacency`` sets, a graph holds one int bitmask per vertex,
-``masks[i]``, with bit j set iff vertices i and j are adjacent; a vertex set
-is a mask with bit i for ``vertices[i]``, so its bits are in vertex order.
+A graph is its int bitmasks, one per vertex: ``masks[i]`` has bit j set iff
+vertices i and j are adjacent; a vertex set is a mask with bit i for
+``vertices[i]``, so its bits are in vertex order. The constructor builds
+``index`` and ``masks`` in one pass over the edges; the ``adjacency`` sets and
+the ``edges`` frozenset are derived from the masks on first use and cached.
 ``diameter``, ``is_irreducible`` and the separated-pair search run on the
 masks: a set operation is one int operation on n bits, n/64 machine words.
 """
@@ -13,6 +15,7 @@ masks: a set operation is one int operation on n bits, n/64 machine words.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -22,41 +25,47 @@ INFINITY = math.inf
 
 
 class SimpleGraph:
-    """Undirected simple graph: no loops, no multi-edges, ordered vertices."""
+    """Undirected simple graph: no loops, no multi-edges, ordered vertices. Built
+    eagerly: ``index`` and ``masks``; from ``masks`` on first use: ``adjacency``, ``edges``."""
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         self.vertices = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        self.index = index = {v: i for i, v in enumerate(self.vertices)}
+        if len(index) != len(self.vertices):
             raise InputError("duplicate vertex identifiers")
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        edge_set = set()
+        masks = [0] * len(index)
         for u, v in edges:
-            if u not in self.index or v not in self.index:
-                raise InputError(f"edge ({u}, {v}) has an endpoint outside the vertex list")
-            if u == v:
+            try:
+                i, j = index[u], index[v]
+            except KeyError:
+                raise InputError(
+                    f"edge ({u}, {v}) has an endpoint outside the vertex list") from None
+            if i == j:
                 raise InputError(f"loop at vertex {u}")
-            edge_set.add(frozenset((u, v)))
-        self.edges = frozenset(edge_set)
-        self.adjacency = {v: set() for v in self.vertices}
-        masks = [0] * len(self.vertices)
-        for e in self.edges:
-            u, v = tuple(e)
-            self.adjacency[u].add(v)
-            self.adjacency[v].add(u)
-            i, j = self.index[u], self.index[v]
             masks[i] |= 1 << j
             masks[j] |= 1 << i
         self.masks = tuple(masks)
+
+    @cached_property
+    def adjacency(self) -> dict[str, set[str]]:
+        vertices = self.vertices
+        return {v: {vertices[j] for j in bit_indices(m)} for v, m in zip(vertices, self.masks)}
+
+    @cached_property
+    def edges(self) -> frozenset[frozenset[str]]:
+        vertices = self.vertices
+        return frozenset(frozenset((vertices[i], vertices[j])) for i, m in enumerate(self.masks)
+                         for j in bit_indices(m) if i < j)
 
     def __eq__(self, other):
         return (
             isinstance(other, SimpleGraph)
             and self.vertices == other.vertices
-            and self.edges == other.edges
+            and self.masks == other.masks
         )
 
     def __hash__(self):
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, self.masks))
 
     def __repr__(self):
         edges = sorted(tuple(sorted(e, key=self.index.get)) for e in self.edges)

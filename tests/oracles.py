@@ -6,7 +6,8 @@ exhaustive BFS over adjacent commuting swaps, the first/last-vertex and
 coset oracles read the answer off the whole orbit, canonical forms also come
 from linearizing the dependency heap of the whole reduced word, balls grow
 by those whole-word forms rather than by inserting a syllable, separated
-pairs come from BFS distances and pairwise adjacency, full-subgroup orders
+pairs come from BFS distances and pairwise adjacency, a graph's adjacency
+and edge sets are built straight from its edge list, full-subgroup orders
 from pairwise adjacency on the adjacency sets, exponents are reduced
 here rather than by the library, the tree ball and the audit
 enumerate a side ball at every tree vertex and scan the whole element ball
@@ -22,7 +23,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from arboreal.classify import SIDE_A, SIDE_B, SeparatedPair
-from arboreal.errors import ResourceCapError
+from arboreal.errors import InputError, ResourceCapError
 from arboreal.graphs import SimpleGraph
 from arboreal.tree import (
     AuditReport,
@@ -221,6 +222,27 @@ def reduce_randomized(pres, word, rng: random.Random):
             del sylls[i]
         else:
             sylls[i] = Syllable(v, e)
+
+
+def graph_by_edge_sets(vertices, edges):
+    """(adjacency, edges) of a graph built straight from its edge list: a
+    frozenset per edge and a set per vertex, no masks. Raises InputError for
+    duplicate vertices, else for the first edge with an endpoint outside the
+    vertex list or with both endpoints equal, in that order."""
+    vertices = list(vertices)
+    if len(set(vertices)) != len(vertices):
+        raise InputError("duplicate vertex identifiers")
+    adjacency = {v: set() for v in vertices}
+    edge_set = set()
+    for u, v in edges:
+        if u not in adjacency or v not in adjacency:
+            raise InputError(f"edge ({u}, {v}) has an endpoint outside the vertex list")
+        if u == v:
+            raise InputError(f"loop at vertex {u}")
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+        edge_set.add(frozenset((u, v)))
+    return adjacency, frozenset(edge_set)
 
 
 def graph_distances(graph, source):

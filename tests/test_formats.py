@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arboreal.classify import classify
 from arboreal.errors import DegeneratePresentationError, InputError
 from arboreal.formats import load_presentation, presentation_from_dict
 from arboreal.graphs import INFINITY
@@ -23,6 +24,21 @@ FIXTURE_NAMES = [
     "z2_z3.json",
     "z2_z5.json",
 ]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_classify_path_derives_no_adjacency_or_edges(fixtures_dir, name):
+    """Loading and classifying a product reads only the graph's masks: its
+    ``adjacency`` and ``edges`` are first built by a word operation, once."""
+    pres, _ = presentation_from_dict(json.loads((fixtures_dir / name).read_text()))
+    classify(pres).to_dict()
+    assert not {"adjacency", "edges"} & vars(pres.graph).keys()
+    word = [(v, 1) for v in reversed(pres.graph.vertices)]
+    pres.canonical(word)
+    adjacency = vars(pres.graph)["adjacency"]
+    pres.canonical(word)
+    assert vars(pres.graph)["adjacency"] is adjacency
+    assert "edges" not in vars(pres.graph)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -1,10 +1,12 @@
 import random
+import re
 from itertools import chain, combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from arboreal.classify import _non_adjacent_pair_count
 from arboreal.errors import InputError
 from arboreal.graphs import (
     INFINITY,
@@ -16,9 +18,10 @@ from arboreal.graphs import (
     link,
     to_dot,
 )
+from arboreal.words import Presentation
 
 from conftest import fig2_graph, p3_graph, p4_graph
-from oracles import graph_distances, is_connected_by_bfs
+from oracles import graph_by_edge_sets, graph_distances, is_connected_by_bfs
 
 
 def complete_graph(n):
@@ -45,6 +48,21 @@ def graphs(draw, max_vertices=10):
     return SimpleGraph(names, [p for p, keep in zip(pairs, mask) if keep])
 
 
+@st.composite
+def edge_lists(draw, max_vertices=7):
+    """(vertices, edges): names in any order, at times with a duplicate; edges
+    repeated and in either orientation, at times a loop or an endpoint "z"
+    outside the vertex list."""
+    names = draw(st.permutations("abcdefg"[: draw(st.integers(1, max_vertices))]))
+    if draw(st.integers(0, 9)) == 0:
+        names = names + [draw(st.sampled_from(names))]
+    pairs = [(u, v) for u in names for v in names if u != v]
+    edge = st.sampled_from(pairs)
+    if draw(st.integers(0, 4)) == 0:
+        edge = edge | st.tuples(st.sampled_from(names + ["z"]), st.sampled_from(names + ["z"]))
+    return names, draw(st.lists(edge, max_size=25)) if pairs else []
+
+
 class TestConstruction:
     def test_rejects_loops(self):
         with pytest.raises(InputError):
@@ -61,6 +79,37 @@ class TestConstruction:
     def test_multi_edges_collapse(self):
         g = SimpleGraph("ab", [("a", "b"), ("b", "a")])
         assert len(g.edges) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists())
+    @example((["a", "b", "a"], [("a", "z")]))
+    @example((["a", "b"], [("a", "b"), ("a", "z"), ("b", "b")]))
+    @example((["a", "b"], [("b", "a"), ("b", "b"), ("z", "a")]))
+    @example((["a", "b"], [("a", "b"), ("z", "z")]))  # an outside endpoint before a loop
+    def test_matches_edge_sets(self, drawn):
+        """The adjacency and edges derived from the masks, ``==`` and ``hash``
+        match a graph built straight from the edge list, as does the count of
+        non-adjacent pairs; a bad input raises the oracle's message."""
+        vertices, edges = drawn
+        try:
+            adjacency, edge_set = graph_by_edge_sets(vertices, edges)
+        except InputError as exc:
+            with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
+                SimpleGraph(vertices, edges)
+            return
+        g = SimpleGraph(vertices, edges)
+        assert g.adjacency == adjacency
+        assert g.edges == edge_set
+        plain = SimpleGraph(vertices, sorted(tuple(sorted(e)) for e in edge_set))
+        assert g == plain and hash(g) == hash(plain)
+        fewer = edges[1:]
+        same = graph_by_edge_sets(vertices, fewer)[1] == edge_set
+        assert (g == SimpleGraph(vertices, fewer)) == same
+        if len(vertices) > 1:
+            pres = Presentation(g, dict.fromkeys(vertices, 2))
+            assert _non_adjacent_pair_count(pres) == sum(
+                v not in adjacency[u] for u, v in combinations(vertices, 2)
+            )
 
 
 class TestLink:

@@ -3,12 +3,14 @@ enumerations against the per-vertex and per-edge ones, the audit's path walk
 against the one that keeps the first walk over each edge set, each path's
 stabilizer formula against the per-edge fixer scan, the length rule that
 sizes stabilizers against the lengths of canonical conjugates, and the
-one-pass tree distance against re-canonicalizing stripping and BFS; and that
-the tree ball is a tree.
+one-pass tree distance against re-canonicalizing stripping and BFS; that
+the tree ball is a tree whose vertices list their children in edge order,
+and that no R-syllable ends the f of a path stabilizer f G_R f^-1.
 
-Presentations have at most five vertices with orders in {2, 3, inf}; every
-separated-pair splitting is checked at tree and element radii up to 3 under
-a low ball cap, so that cap errors are compared too.
+Presentations have at most five vertices (six for the child order), with
+orders in {2, 3, inf}; every separated-pair splitting is checked at tree and
+element radii up to 3 under a low ball cap, so that cap errors are compared
+too.
 """
 
 from hypothesis import given, settings
@@ -170,6 +172,22 @@ def test_path_stabilizer_is_the_conjugate_of_its_parabolic(pres, radii, element_
                 assert set.intersection(*(fixers[e.rep] for e in path)) == conjugates[f, r]
 
 
+@settings(max_examples=60, deadline=None)
+@given(presentations(max_vertices=6), st.sampled_from([(2, 2), (3, 2)]))
+def test_tree_ball_lists_children_in_edge_order(pres, radii):
+    """On random products, each vertex of a tree ball lists the edge to its
+    parent first (the base has none), then the edges to its children, in
+    edge-representative order."""
+    for pair in separated_pairs(pres):
+        try:
+            ball = tree_ball(build_splitting(pres, pair), *radii, CAP)
+        except ResourceCapError:
+            continue
+        for v in ball.vertices:
+            reps = [e.rep for e, _ in ball.adjacency[v][v != ball.base:]]
+            assert reps == sorted(reps)
+
+
 def word_length(pres, word):
     """Generator count of a reduced word: 1 per syllable at a finite vertex,
     |e| per syllable at an infinite one."""
@@ -194,7 +212,8 @@ def test_word_length_is_the_ball_radius(pres, radius):
 @given(presentations(), small_balls(), st.integers(1, 4))
 def test_conjugate_length_rule(pres, radii, radius):
     """For (f, R) = path_stabilizer on every k-edge path, k 1 to 3, of a small
-    tree ball, and x in the G_R ball of radius up to 4:
+    tree ball, f is the canonical representative of f G_R (no R-syllable ends
+    it), and for x in the G_R ball of radius up to 4:
     |canonical(f x f^-1)| = |x| + 2 |f stripped of lk(supp x)|."""
     tree_radius, local_radius = radii
     adjacency = pres.graph.adjacency
@@ -210,6 +229,7 @@ def test_conjugate_length_rule(pres, radii, radius):
             for path in _paths_of_length(ball, k)
         }
         for f, r in stabilizers:
+            assert pres.last_vertices(f).isdisjoint(r)
             try:
                 xs = pres.enumerate_ball(radius, cap=CAP, subset=r)
             except ResourceCapError:
