@@ -72,9 +72,12 @@ def presentation_from_dict(data: dict) -> tuple[Presentation, dict[str, Word]]:
     pres = Presentation(SimpleGraph(names, edges), orders)
     words = {}
     for key, text in data.get("words", {}).items():
-        if not isinstance(text, str):
-            raise InputError(f"words[{key!r}]: expected a word string")
-        words[str(key)] = parse_word(pres, text)
+        try:
+            if not isinstance(text, str):
+                raise InputError("expected a word string")
+            words[str(key)] = parse_word(pres, text)
+        except InputError as exc:
+            raise type(exc)(f"words[{key!r}]: {exc}") from exc
     return pres, words
 
 

@@ -21,11 +21,10 @@ parabolic subgroup, read off two scans of the word joining its end edges
 What depends only on the splitting and the radii is enumerated once per
 tree ball or audit, not once per tree vertex or path: each side's subgroup
 ball, collapsed to its G_C cosets, and the ball of each G_R a path
-stabilizer is conjugate to, kept as length counts per support: the audit
-sizes f G_R f^-1 by |f x f^-1| = |x| + 2|f stripped of lk(supp x)|, x in
-G_R, and gives an empty R size 1. No ball of the whole group is built. It
-inverts each first edge's representative once, and walks each path once,
-from its end listed first, cutting walks that can only end at an
+stabilizer is conjugate to, kept as length counts per support, from which
+the audit sizes f G_R f^-1, R empty or not (see ``audit_acylindricity``).
+The audit inverts each first edge's representative once, and walks each
+path once, from its end listed first, cutting walks that can only end at an
 earlier-listed vertex (see ``_paths_of_length``).
 """
 
@@ -292,42 +291,40 @@ def element_action(splitting: SplittingSpec, g: Word) -> ElementAction:
 def path_stabilizer(
     splitting: SplittingSpec, path: list[TreeEdge]
 ) -> tuple[Word, tuple[str, ...]]:
-    """(f, R) with the pointwise stabilizer of the path equal to f G_R f^-1.
-
-    An element fixing the end edges g_1G_C and g_kG_C of a tree path fixes
-    every edge between them, so the stabilizer is g_1(G_C ∩ hG_Ch^-1)g_1^-1
-    for h = g_1^-1 g_k, which the canonical inverse of g_1 extended by g_k
-    gives (see ``_stabilizer_scan``). The end edges' representatives may be
-    any words: each is read as its coset's canonical one, as ``make_edge``
-    builds it.
-    Raises InputError for an empty path.
-    """
+    """(f, R) with the path's pointwise stabilizer f G_R f^-1 (see
+    ``_stabilizer_scan``), whatever words represent its end edges.
+    Raises InputError for an empty path."""
     if not path:
         raise InputError("path must contain at least one edge")
-    pres = splitting.presentation
     g1, gk = (make_edge(splitting, e.rep).rep for e in (path[0], path[-1]))
-    p, r = _stabilizer_scan(splitting, pres._extend(pres.inverse(g1), gk))
-    return _strip(pres, pres._extend(g1, p), set(r)), r
+    return _stabilizer_scan(splitting, g1, splitting.presentation.inverse(g1), gk)
 
 
-def _stabilizer_scan(splitting: SplittingSpec, h: Word) -> tuple[Word, tuple[str, ...]]:
-    """(p, R) for the path from the edge g_1G_C to g_1hG_C, h canonical: its
-    stabilizer is f G_R f^-1 for f the canonical representative of g_1 p G_R.
+def _stabilizer_scan(splitting: SplittingSpec, g1: Word, g1_inv: Word, gk: Word):
+    """(f, R) for the path from the edge g_1G_C to g_kG_C, g_1 and g_k canonical
+    edge representatives and g1_inv the canonical inverse of g_1: the path's
+    pointwise stabilizer is f G_R f^-1, and no R-syllable ends f.
 
-    Split h's heap as p d q: p the largest predecessor-closed set of
-    C-syllables, q the largest successor-closed set of the other C-syllables.
-    Then d has no source or sink in C, and G_C ∩ dG_Cd^-1 = G_R for
-    R = C ∩ lk(supp d), a parabolic intersection (Antolín-Minasyan, J. reine
-    angew. Math. 2015). f is g_1 extended by p, not canonicalized again, and
-    stripped of R, so no R-syllable ends f.
-    Every earlier (later) syllable outside a syllable's link is an ancestor
-    (descendant), so a forward scan over h, a reduced word, finds p: a
-    C-syllable joins it iff every earlier syllable outside p lies in its link.
-    A reverse scan finds q and supp d the same way; a later p-syllable lies
-    in the link of any syllable outside p.
+    An element fixing both end edges fixes the path, so the stabilizer is
+    g_1(G_C ∩ hG_Ch^-1)g_1^-1 for h = g_1^-1 g_k. Split h's heap as p d q: p
+    the largest predecessor-closed set of C-syllables, q the largest
+    successor-closed set of the other C-syllables. Then d has no source or
+    sink in C, and G_C ∩ dG_Cd^-1 = G_R for R = C ∩ lk(supp d), a parabolic
+    intersection (Antolín-Minasyan, J. reine angew. Math. 2015); f = g_1 p.
+    A forward scan over the reduced h finds p: a C-syllable joins it iff
+    every earlier syllable outside p lies in its link. A reverse scan finds q
+    and supp d the same way, skipping p: each earlier syllable outside p lies
+    in a p-syllable's link.
+    No R-syllable ends f: g_1 and g_k are C-stripped, so neither has a sink
+    in C, and each p-syllable comes from g_k, not from g_1^-1 or a merge, and
+    has a descendant outside C in h. A p-sink at r in R would have all its
+    successors in q, as r is in lk(supp d); q is successor-closed and inside
+    C, so p has no R-sink. g_1 p is reduced, as no C-sink of g_1 meets p ⊂ C,
+    and its sinks are p's or g_1's, none of them in R.
     """
-    graph = splitting.presentation.graph
-    adjacency, c_set = graph.adjacency, splitting.c_side
+    pres = splitting.presentation
+    adjacency, c_set = pres.graph.adjacency, splitting.c_side
+    h = pres._extend(g1_inv, gk)
     in_p = []
     outside_p: set[str] = set()
     for v, _ in h:
@@ -338,13 +335,13 @@ def _stabilizer_scan(splitting: SplittingSpec, h: Word) -> tuple[Word, tuple[str
     for (v, _), p in zip(reversed(h), reversed(in_p)):
         if not (p or v in c_set and d_support <= adjacency[v]):
             d_support.add(v)
-    r = tuple(c for c in graph.vertices if c in c_set and d_support <= adjacency[c])
-    return tuple(s for s, p in zip(h, in_p) if p), r
+    r = tuple(c for c in pres.graph.vertices if c in c_set and d_support <= adjacency[c])
+    return pres._extend(g1, (s for s, p in zip(h, in_p) if p)), r
 
 
 def _conjugate_counter(pres: Presentation, radius: int, cap: int, r: tuple[str, ...]):
     """f -> the number of elements of length at most ``radius`` in f G_R f^-1,
-    f with no R-syllable at its end, by the length rule of
+    f with no R-syllable at its end (1 for an empty R), by the length rule of
     ``audit_acylindricity``: G_R's ball, enumerated once under ``cap``, kept
     per support S as lk(S) and the number of its elements of length <= t,
     for t up to the longest, not up to ``radius``, which may be huge."""
@@ -431,17 +428,17 @@ def audit_acylindricity(
     f G_R f^-1 (see ``path_stabilizer``), reporting the max against |G_N|.
     Each path is walked once (see ``_paths_of_length``). Three memoized
     functions, local to the call, keep what paths share. ``inverse`` gives the
-    canonical inverse of each distinct first edge's representative g_1 once:
-    the word g_1^-1 g_k joining the end edges is that inverse extended by g_k.
+    canonical inverse of each distinct first edge's representative g_1 once,
+    and one ``_stabilizer_scan`` per path extends it by g_k to find (f, R).
     ``size_of`` sizes each distinct (f, R) once, from word lengths (see
     ``Presentation._length``): for x in G_R with support S,
     |f x f^-1| = |x| + 2|f_0|, f_0 = f stripped of lk(S). f_0 x f_0^-1 is the
     same element, and reduced: no R-syllable ends f, so no sink of f_0 is in S
     or lk(S). So the size is the number of x with |x| <= r - 2|f_0|, read per
     support from the radius-r ball of G_R, which ``counter`` enumerates once
-    per distinct R (see ``_conjugate_counter``). An empty R gives size 1, and
-    f is then not formed. ``element_radius`` sizes only the G_R balls: no ball
-    of the whole group is built, and ``exhaustive_elements`` is always False.
+    per distinct R (see ``_conjugate_counter``), an empty one too: G_∅'s ball
+    is {()} and f stripped of lk(∅) = V is (), so the size is 1. No ball of
+    the whole group is built, and ``exhaustive_elements`` is always False.
     Each side's ball is enumerated once, collapsed to G_C cosets (see
     ``tree_ball``). ``cap`` bounds the tree ball's vertex count, the side
     balls and the G_R balls.
@@ -460,8 +457,7 @@ def audit_acylindricity(
     violations = []
     for path in _paths_of_length(ball, k):
         g1 = path[0].rep
-        p, r = _stabilizer_scan(splitting, pres._extend(inverse(g1), path[-1].rep))
-        size = size_of(_strip(pres, pres._extend(g1, p), set(r)), r) if r else 1
+        size = size_of(*_stabilizer_scan(splitting, g1, inverse(g1), path[-1].rep))
         paths_checked += 1
         max_size = max(max_size, size)
         if size > bound:

@@ -5,7 +5,8 @@ rewriting rules in a random order, the shuffle-closure oracle works by
 exhaustive BFS over adjacent commuting swaps, the first/last-vertex and
 coset oracles read the answer off the whole orbit, canonical forms also come
 from linearizing the dependency heap of the whole reduced word, balls grow
-by those whole-word forms rather than by inserting a syllable, separated
+by those whole-word forms rather than by inserting a syllable, ball counts
+per length come from the growth series of the product, separated
 pairs come from BFS distances and pairwise adjacency, a graph's adjacency
 and edge sets are built straight from its edge list, full-subgroup orders
 from pairwise adjacency on the adjacency sets, exponents are reduced
@@ -270,6 +271,39 @@ def full_subgroup_order_by_definition(pres, subset):
     finite = all(orders[v] != INFINITY for v in subset)
     clique = all(v in adjacency[u] for u, v in combinations(subset, 2))
     return math.prod(orders[v] for v in subset) if finite and clique else INFINITY
+
+
+def growth_coefficients(pres, radius, subset=None):
+    """[W_0, ..., W_radius]: the number of elements of G_S (S all vertices by
+    default) of each length in the generators of ``enumerate_ball_info``, as
+    integer power series from Chiswell's formula (Bull. London Math. Soc. 26,
+    1994): 1/W(z) = sum over cliques K of S, the empty one included, of
+    prod_{v in K} (1/f_v(z) - 1). For Z_n, f_v = 1 + (n-1)z and
+    1/f_v - 1 = sum_{k>=1} (1-n)^k z^k; for Z, f_v = (1+z)/(1-z) and
+    1/f_v - 1 = sum_{k>=1} 2(-1)^k z^k. Cliques come from pairwise adjacency."""
+    vertices = list(pres.graph.vertices if subset is None else subset)
+    adjacency = pres.graph.adjacency
+
+    def times(a, b):
+        return [sum(a[i] * b[t - i] for i in range(t + 1)) for t in range(radius + 1)]
+
+    def term(v):
+        n = pres.orders[v]
+        return [0] + [2 * (-1) ** k if n == INFINITY else (1 - n) ** k
+                      for k in range(1, radius + 1)]
+
+    inverse_w = [0] * (radius + 1)
+    for size in range(len(vertices) + 1):
+        for clique in combinations(vertices, size):
+            if all(v in adjacency[u] for u, v in combinations(clique, 2)):
+                series = [1] + [0] * radius
+                for v in clique:
+                    series = times(series, term(v))
+                inverse_w = [x + y for x, y in zip(inverse_w, series)]
+    w = [1]  # inverse_w[0] == 1, from the empty clique alone
+    for t in range(1, radius + 1):
+        w.append(-sum(inverse_w[i] * w[t - i] for i in range(1, t + 1)))
+    return w
 
 
 def separated_pairs_by_definition(pres):

@@ -585,7 +585,17 @@ def test_long_exponent_in_file_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "classify", path)
     assert code == 2
     assert not out
-    assert err.startswith(f"error: {path}: exponent at vertex a is too long")
+    assert err.startswith(f"error: {path}: words['g']: exponent at vertex a is too long")
+
+
+def test_bad_named_word_is_named_exits_2(capsys, tmp_path):
+    """Of two named words, the bad second one is the one the error names."""
+    path = tmp_path / "words.json"
+    path.write_text(json.dumps({"vertices": TWO_VERTICES, "words": {"g": "a b", "h": "b z"}}))
+    code, out, err = run(capsys, "classify", path)
+    assert code == 2
+    assert not out
+    assert err == f"error: {path}: words['h']: unknown vertex: z\n"
 
 
 HUGE_POWER = "a^" + "9" * 4300

@@ -4,8 +4,11 @@ Presentations have at most five vertices with orders in {2, 3, inf}; words
 have at most ten syllables, given as plain ``(vertex, exponent)`` tuples,
 except against the heap oracle, which takes words of 20 to 200.
 Balls go up to radius 3 under caps low enough that cap errors are compared
-too.
+too; their counts per length, on up to six vertices, go up to radius 5
+against the growth series.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from oracles import (
     coset_canonical_by_stripping,
     enumerate_ball_by_canonical,
     first_vertices_brute,
+    growth_coefficients,
     last_vertices_brute,
     lex_min_of_orbit,
     reduce_exponent,
@@ -162,3 +166,17 @@ class TestEngine:
         assert outcome(pres.enumerate_ball_info, radius, cap, subset) == outcome(
             enumerate_ball_by_canonical, pres, radius, cap, subset
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(presentations(max_vertices=6), st.integers(2, 5), st.data())
+    def test_ball_counts_by_length_are_the_growth_series(self, pres, radius, data):
+        """Per ``_length``, the ball of G_S counts what Chiswell's growth series
+        of G_S gives: one normal form per element, and ``_length`` the word
+        metric, as the audit's size rule needs."""
+        subset = data.draw(st.sets(st.sampled_from(pres.graph.vertices)))
+        try:
+            ball = pres.enumerate_ball(radius, cap=3000, subset=subset)
+        except ResourceCapError:
+            return
+        lengths = Counter(map(pres._length, ball))
+        assert [lengths[t] for t in range(radius + 1)] == growth_coefficients(pres, radius, subset)

@@ -5,12 +5,14 @@ stabilizer formula against the per-edge fixer scan, the length rule that
 sizes stabilizers against the lengths of canonical conjugates, and the
 one-pass tree distance against re-canonicalizing stripping and BFS; that
 the tree ball is a tree whose vertices list their children in edge order,
-and that no R-syllable ends the f of a path stabilizer f G_R f^-1.
+and that no R-syllable ends the f of a path stabilizer f G_R f^-1, also
+between end edges far outside any tree ball, where f v f^-1 fixes both ends
+iff v is in R.
 
-Presentations have at most five vertices (six for the child order), with
-orders in {2, 3, inf}; every separated-pair splitting is checked at tree and
-element radii up to 3 under a low ball cap, so that cap errors are compared
-too.
+Presentations have at most five vertices (six for the child order, seven for
+the far end edges), with orders in {2, 3, inf}; every separated-pair
+splitting is checked at tree and element radii up to 3 under a low ball cap,
+so that cap errors are compared too.
 """
 
 from hypothesis import given, settings
@@ -18,15 +20,17 @@ from hypothesis import strategies as st
 
 from arboreal.classify import build_splitting, separated_pairs
 from arboreal.errors import ResourceCapError
-from arboreal.words import INFINITY
+from arboreal.words import INFINITY, Syllable
 from arboreal.tree import (
     SIDE_A,
     SIDE_B,
+    TreeEdge,
     TreeVertex,
     _paths_of_length,
     audit_acylindricity,
     coset_canonical,
     element_action,
+    make_edge,
     path_stabilizer,
     tree_ball,
     tree_distance,
@@ -241,6 +245,27 @@ def test_conjugate_length_rule(pres, radii, radius):
                 assert word_length(pres, pres.multiply(f, x, f_inv)) == word_length(
                     pres, x
                 ) + 2 * word_length(pres, coset_canonical(pres, f, lk))
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(max_vertices=7), st.randoms(use_true_random=False))
+def test_path_stabilizer_between_far_end_edges(pres, rng):
+    """For end edges given by raw words of up to 20 syllables, far outside any
+    tree ball, (f, R) = path_stabilizer has R inside C and no R-syllable at
+    the end of f, and f v f^-1 fixes both end edges iff v is in R: a vertex
+    generator lies in G_R iff it is in R."""
+    for pair in separated_pairs(pres):
+        sp = build_splitting(pres, pair)
+        for _ in range(5):
+            ends = [TreeEdge(random_word(rng, pres, max_len=20)) for _ in range(2)]
+            f, r = path_stabilizer(sp, ends)
+            assert set(r) <= sp.c_side
+            assert pres.last_vertices(f).isdisjoint(r)
+            f_inv = pres.inverse(f)
+            for v in pres.graph.vertices:
+                conjugate = f + (Syllable(v, 1),) + f_inv
+                fixed = [make_edge(sp, conjugate + e.rep) == make_edge(sp, e.rep) for e in ends]
+                assert all(fixed) == (v in r)
 
 
 @settings(max_examples=60, deadline=None)
