@@ -1,0 +1,203 @@
+#!/usr/bin/env python3
+"""Mutant gate: the tier-1 tests must fail on each of a fixed list of
+one-line faults in src/ (mutation analysis: DeMillo, Lipton and Sayward,
+*Hints on test data selection*, IEEE Computer 1978).
+
+Each mutant is (file, old text, new text, reason). Every old text must occur
+exactly once in its file, which is checked before any test runs, so a
+refactor that moves the code fails the gate loudly and the list is updated
+with it. Equivalent mutants are not listed.
+
+The repository's src/, tests/, fixtures/ and scripts/ are copied to a
+temporary directory once. Each mutant in turn is applied there,
+
+    python3 -m pytest -x -q tests --hypothesis-profile mutants
+
+runs against the copy, and the file is restored. The ``mutants`` profile
+(tests/conftest.py) skips hypothesis's shrink phase, so a failing property
+is reported as soon as it is found. No bytecode is written, so a mutant as
+long as its old text is never shadowed by a cached module.
+
+A mutant is killed when pytest exits 1, a failed test. Any other exit (a
+collection or usage error, a run past the timeout) counts as a survival, so
+an unknown profile cannot pass the gate. The unmutated tests must pass, as
+the tier-1 step checks before this one in CI.
+
+Exit status: 0 if every mutant is killed, 1 naming each survivor, 2 if an
+old text is missing or not unique. Run from anywhere:
+
+    python3 scripts/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "fixtures", "scripts")
+TIMEOUT_S = 900
+PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests",
+          "--hypothesis-profile", "mutants"]
+
+WORDS = "src/arboreal/words.py"
+TREE = "src/arboreal/tree.py"
+CLASSIFY = "src/arboreal/classify.py"
+CLI = "src/arboreal/cli.py"
+FORMATS = "src/arboreal/formats.py"
+
+MUTANTS = [
+    # word layer
+    (WORDS, "if i >= 0 and h[i][0] == v:", "if i > 0 and h[i][0] == v:",
+     "_extend never joins with the first syllable"),
+    (WORDS, "while j < len(h) and index[h[j][0]] < rank:",
+     "while j < len(h) and index[h[j][0]] > rank:",
+     "_extend inserts a new sink at the wrong place in Kahn's order"),
+    (WORDS, "                e += h[i][1]\n                if n != INFINITY:\n                    e %= n\n",
+     "                e += h[i][1]\n",
+     "a joined exponent is not reduced mod the order"),
+    (WORDS, "[(v, -e) for v, e in reversed(tuple(word))]", "[(v, e) for v, e in reversed(tuple(word))]",
+     "inverse keeps the exponents' signs"),
+    (WORDS, "            if seen <= adjacency[v]:\n                out.add(v)",
+     "            if not seen:\n                out.add(v)",
+     "heap sources are only the first syllable"),
+    (WORDS, "                        if depth > radius:", "                        if depth > radius + 1:",
+     "ball enumeration runs one layer past its radius"),
+    (WORDS, "1 if self.orders[v] != INFINITY else abs(e) for v, e in word",
+     "1 if self.orders[v] != INFINITY else e for v, e in word",
+     "generator length counts a negative power negatively"),
+    (WORDS, "if n == INFINITY or mask & ~masks[i] != 1 << i:", "if n == INFINITY:",
+     "a full subgroup on finite vertices is finite even when they are not a clique"),
+    (WORDS, 'if text in ("", "1"):', 'if text == "":',
+     'parse_word does not read "1" as the identity'),
+    (WORDS, 'parts.append(v if e == 1 else f"{v}^{e}")', 'parts.append(f"{v}^{e}")',
+     "format_word writes exponent 1"),
+    # tree layer
+    (TREE, "w = TreeVertex(opp, _strip(pres, g, splitting.side(opp)))",
+     "w = TreeVertex(opp, _strip(pres, g, splitting.c_side))",
+     "tree_ball strips the far vertex by C, not by its side"),
+    (TREE, "cosets[v.side] = {_strip(pres, s, splitting.c_side) for s in side_ball}",
+     "cosets[v.side] = set(side_ball)",
+     "tree_ball extends by the side ball's elements, not its G_C cosets"),
+    (TREE, "for g in sorted(pres._extend(v.rep, t) for t in cosets[v.side]):",
+     "for g in (pres._extend(v.rep, t) for t in cosets[v.side]):",
+     "tree_ball lists children in coset-set order, not edge order"),
+    (TREE, "return TreeVertex(side, _strip(pres, pres.canonical(word), splitting.side(side)))",
+     "return TreeVertex(side, _strip(pres, pres.canonical(word), splitting.c_side))",
+     "make_vertex strips C instead of the vertex's side"),
+    (TREE, "if s.vertex in subset and kept_vertices <= adjacency[s.vertex]:",
+     "if s.vertex in subset:",
+     "_strip drops an S-syllable that a kept later syllable depends on"),
+    (TREE, "if s.vertex in c_set and rest_vertices <= adjacency[s.vertex]:",
+     "if s.vertex in c_set:",
+     "the stabilizer's p takes C-syllables with a predecessor outside p"),
+    (TREE, "d_support = {v for v, _ in _strip(pres, rest, c_set)}",
+     "d_support = {v for v, _ in h if v not in c_set}",
+     "the stabilizer's d is h minus C"),
+    (TREE, "return last + (sides[last % 2] != v1.side)", "return last",
+     "tree_distance misses the last round when it ends on the other side"),
+    (TREE, "if d2 > d1:", "if d2 >= d1:",
+     "element_action calls an elliptic element loxodromic"),
+    (TREE, "(t := radius - 2 * pres._length(_strip(pres, f, lk)))",
+     "(t := radius - pres._length(_strip(pres, f, lk)))",
+     "a conjugate's length counts f once, not twice"),
+    (TREE, "if w != prev and level[w] + to_go >= floor:", "if w != prev and level[w] + to_go > floor:",
+     "the path walk cuts walks that can still climb back to their start's level"),
+    (TREE, "        if size > bound:", "        if size >= bound:",
+     "the audit reports a stabilizer of exactly |G_N| as a violation"),
+    # classification layer
+    (CLASSIFY, "if not mask_a >> j & 1 and (order := pres._mask_order(common)) != INFINITY:",
+     "if (order := pres._mask_order(common)) != INFINITY:",
+     "an adjacent pair counts as separated"),
+    (CLASSIFY, "orders[v] == 2 for v in _complete_minus_one_edge(pres)",
+     "orders[v] <= 3 for v in _complete_minus_one_edge(pres)",
+     "complete minus an edge is virtually cyclic with an endpoint of order 3"),
+    (CLASSIFY, "    if diam <= 1:", "    if diam < 1:",
+     "a complete graph is not given the complete-graph certificate"),
+    (CLASSIFY, "return n * (n - 1) // 2 - sum(map(int.bit_count, masks)) // 2",
+     "return n * (n - 1) // 2 - sum(map(int.bit_count, masks))",
+     "non-adjacent pairs are counted with each edge subtracted twice"),
+    # CLI exit mapping and word arguments
+    (CLI, 'message, code = f"resource cap exceeded: {exc}", EXIT_RESOURCE',
+     'message, code = f"resource cap exceeded: {exc}", EXIT_PARSE',
+     "a cap error exits 2, not 5"),
+    (CLI, 'message, code = f"degenerate presentation: {exc}", EXIT_DEGENERATE',
+     'message, code = f"degenerate presentation: {exc}", EXIT_PARSE',
+     "a degenerate presentation exits 2, not 3"),
+    (CLI, 'message, code = f"no splitting to audit: {exc}", EXIT_NO_SPLITTING',
+     'message, code = f"no splitting to audit: {exc}", EXIT_VIOLATION',
+     "no splitting to audit exits 1, not 4"),
+    (CLI, "return EXIT_OK if all(report.passed for report in reports) else EXIT_VIOLATION",
+     "return EXIT_OK",
+     "an audit with violations exits 0"),
+    (CLI, "return named[text] if text in named else parse_word(pres, text)",
+     "return parse_word(pres, text)",
+     "word arguments never resolve the file's named words"),
+    # loader
+    (FORMATS, 'raise InputError(f"words[{key!r}]: name {key!r} is itself a word")', "pass",
+     "a named word may shadow a word"),
+    (FORMATS, "if isinstance(raw, int) and not isinstance(raw, bool):", "if isinstance(raw, int):",
+     "a JSON true is read as the order 1"),
+    (FORMATS, r'_VERTEX_NAME = re.compile(r"(?!1\Z)[^\s^\ud800-\udfff]+")',
+     r'_VERTEX_NAME = re.compile(r"[^\s^\ud800-\udfff]+")',
+     'a vertex may be named "1", which reads as the identity'),
+    (FORMATS, "            if not isinstance(end, str):", "            if False:",
+     "a non-string edge endpoint is passed on to the graph"),
+]
+
+
+def check_mutants() -> list[str]:
+    """A line for each mutant whose old text does not occur exactly once."""
+    problems = []
+    for path, old, _, reason in MUTANTS:
+        count = (ROOT / path).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            problems.append(f"{path}: old text occurs {count} times ({reason}): {old!r}")
+    return problems
+
+
+def main() -> int:
+    problems = check_mutants()
+    if problems:
+        print("mutant list out of date:", *problems, sep="\n", file=sys.stderr)
+        return 2
+    survivors = []
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    with tempfile.TemporaryDirectory(prefix="arboreal-mutants-") as tmp:
+        copy = Path(tmp)
+        for name in COPIED:
+            shutil.copytree(ROOT / name, copy / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        env["PYTHONPATH"] = str(copy / "src")
+        for n, (path, old, new, reason) in enumerate(MUTANTS, 1):
+            target = copy / path
+            original = target.read_text(encoding="utf-8")
+            target.write_text(original.replace(old, new), encoding="utf-8")
+            started = time.perf_counter()
+            try:
+                code = subprocess.run(PYTEST, cwd=copy, env=env, capture_output=True,
+                                      timeout=TIMEOUT_S).returncode
+                # 1: a test failed; any other code (an error, no tests) kills nothing
+                killed = code == 1
+                verdict = "killed" if killed else f"SURVIVED (pytest exit {code})"
+            except subprocess.TimeoutExpired:
+                killed, verdict = False, f"SURVIVED past {TIMEOUT_S} s"
+            finally:
+                target.write_text(original, encoding="utf-8")
+            print(f"{n:2}/{len(MUTANTS)} {verdict} in {time.perf_counter() - started:.1f} s: "
+                  f"{path}: {reason}", flush=True)
+            if not killed:
+                survivors.append(f"{path}: {reason}")
+    if survivors:
+        print(f"{len(survivors)} of {len(MUTANTS)} mutants survived the tests:",
+              *survivors, sep="\n", file=sys.stderr)
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -73,6 +73,12 @@ def presentation_from_dict(data: dict) -> tuple[Presentation, dict[str, Word]]:
     words = {}
     for key, text in data.get("words", {}).items():
         try:
+            parse_word(pres, str(key))
+        except InputError:
+            pass
+        else:  # the CLI would read the name, not the word it parses as
+            raise InputError(f"words[{key!r}]: name {key!r} is itself a word")
+        try:
             if not isinstance(text, str):
                 raise InputError("expected a word string")
             words[str(key)] = parse_word(pres, text)

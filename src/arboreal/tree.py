@@ -1,8 +1,10 @@
 """Bounded simulation of the action on the Bass-Serre tree of an amalgam.
 
 Vertices are cosets gG_A and gG_B, edges cosets gG_C, each held as the
-canonical minimal-length representative obtained by right-stripping. The
-tree is infinite; every exploration here is bounded and reports truncation.
+canonical minimal-length representative obtained by right-stripping; an
+edge at a vertex is the vertex's representative extended by a coset
+representative, already stripped (see ``tree_ball``). The tree is infinite;
+every exploration here is bounded and reports truncation.
 The vertex sets A, B and C are the splitting's frozensets, read as they are.
 
 Coset representatives, distances and stabilizers are questions about the
@@ -15,8 +17,8 @@ that measure one are rounds of a single reverse pass over the relative word
 (see ``tree_distance``).
 
 The pointwise stabilizer of a path is one conjugate f G_R f^-1 of a
-parabolic subgroup, read off two scans of the word joining its end edges
-(see ``path_stabilizer``).
+parabolic subgroup, read off a forward scan of the word joining its end
+edges and a strip of what that scan leaves (see ``_stabilizer_scan``).
 
 What depends only on the splitting and the radii is enumerated once per
 tree ball or audit, not once per tree vertex or path: each side's subgroup
@@ -126,7 +128,8 @@ def coset_canonical(pres: Presentation, word: Word, subset: Iterable[str]) -> Wo
 
 
 def _strip(pres: Presentation, word: Word, subset: AbstractSet[str]) -> Word:
-    """``coset_canonical`` of the canonical word ``word``.
+    """``coset_canonical`` of the canonical word ``word``, which also gives a
+    tree ball's far vertices and a stabilizer's d (see ``_stabilizer_scan``).
 
     One reverse scan drops the largest successor-closed set of S-labelled
     syllables of the word's heap (see words.py): a syllable goes iff its
@@ -154,8 +157,7 @@ def make_vertex(splitting: SplittingSpec, word: Word, side: str) -> TreeVertex:
 
 
 def make_edge(splitting: SplittingSpec, word: Word) -> TreeEdge:
-    pres = splitting.presentation
-    return TreeEdge(_strip(pres, pres.canonical(word), splitting.c_side))
+    return TreeEdge(coset_canonical(splitting.presentation, word, splitting.c_side))
 
 
 def base_vertex(splitting: SplittingSpec) -> TreeVertex:
@@ -166,24 +168,6 @@ def act(splitting: SplittingSpec, g: Word, v: TreeVertex) -> TreeVertex:
     return make_vertex(splitting, tuple(g) + tuple(v.rep), v.side)
 
 
-def _neighbors(
-    splitting: SplittingSpec, v: TreeVertex, reps: list[Word]
-) -> list[tuple[TreeEdge, TreeVertex]]:
-    """The (edge, opposite vertex) pairs v.rep*t*G_C, v.rep*t*G_opp for the
-    side cosets t*G_C, sorted by edge. Distinct cosets give distinct edges.
-    The canonical v.rep is extended by t once per incident edge, never
-    canonicalized again, and both cosets are stripped from the result."""
-    pres = splitting.presentation
-    opp = SIDE_B if v.side == SIDE_A else SIDE_A
-    c_set, opp_set = splitting.c_side, splitting.side(opp)
-    out = []
-    for t in reps:
-        g = pres._extend(v.rep, t)
-        out.append((TreeEdge(_strip(pres, g, c_set)), TreeVertex(opp, _strip(pres, g, opp_set))))
-    out.sort(key=lambda pair: pair[0].rep)
-    return out
-
-
 def tree_ball(
     splitting: SplittingSpec,
     radius: int,
@@ -192,14 +176,16 @@ def tree_ball(
 ) -> TreeBall:
     """BFS exploration of the tree around the base vertex G_A.
 
-    The edges at gG_A are gsG_C, and the far vertex of each is gsG_B, for s
-    in the side ball of G_A; both depend on s only through the coset sG_C,
-    because G_C <= G_B. So each side's ball is enumerated once, at the first
-    vertex of that side, and collapsed to its G_C-coset representatives by
-    stripping its canonical elements; a vertex then costs one extension of its
-    canonical representative per coset, from which both the edge and the far
-    vertex are stripped (see ``_neighbors``). No concatenation of canonical
-    words is canonicalized again.
+    The edges at a vertex gG_S are gtG_C, one for each coset tG_C of G_C in
+    G_S, and the far vertex of each is gt times the other side's subgroup.
+    Each side's ball is enumerated once, at the first vertex of that side,
+    and collapsed to its C-stripped coset representatives t. A vertex v then
+    costs one extension g = v.rep t per coset and one strip, of the far
+    vertex; g is the edge as it stands. v.rep has no sink in S and t none in
+    C, so nothing in v.rep t merges or cancels (that would take an S-sink of
+    v.rep), and g's sinks are t's, in S - C, or v.rep's, outside S ⊇ C: so
+    ``_strip(g, C)`` is g. Distinct cosets give distinct edges, listed in
+    order at each vertex.
     The ball is a tree, so the one neighbour of a frontier vertex already in
     the ball is its parent; every other neighbour is new.
     ``cap`` bounds the side balls and the ball's vertex count alike.
@@ -210,7 +196,7 @@ def tree_ball(
     base = base_vertex(splitting)
     adjacency: dict[TreeVertex, list[tuple[TreeEdge, TreeVertex]]] = {base: []}
     edges: list[TreeEdge] = []
-    cosets: dict[str, list[Word]] = {}
+    cosets: dict[str, set[Word]] = {}
     truncated = False
     frontier = [base]
     for _ in range(radius):
@@ -220,10 +206,13 @@ def tree_ball(
                 side_ball, saturated = pres.enumerate_ball_info(
                     local_radius, cap=cap, subset=splitting.side(v.side)
                 )
-                cosets[v.side] = sorted({_strip(pres, s, splitting.c_side) for s in side_ball})
+                cosets[v.side] = {_strip(pres, s, splitting.c_side) for s in side_ball}
                 truncated = truncated or not saturated
-            for edge, w in _neighbors(splitting, v, cosets[v.side]):
+            opp = SIDE_B if v.side == SIDE_A else SIDE_A
+            for g in sorted(pres._extend(v.rep, t) for t in cosets[v.side]):
+                w = TreeVertex(opp, _strip(pres, g, splitting.side(opp)))
                 if w not in adjacency:
+                    edge = TreeEdge(g)
                     edges.append(edge)
                     adjacency[v].append((edge, w))
                     adjacency[w] = [(edge, v)]
@@ -312,9 +301,8 @@ def _stabilizer_scan(splitting: SplittingSpec, g1: Word, g1_inv: Word, gk: Word)
     sink in C, and G_C ∩ dG_Cd^-1 = G_R for R = C ∩ lk(supp d), a parabolic
     intersection (Antolín-Minasyan, J. reine angew. Math. 2015); f = g_1 p.
     A forward scan over the reduced h finds p: a C-syllable joins it iff
-    every earlier syllable outside p lies in its link. A reverse scan finds q
-    and supp d the same way, skipping p: each earlier syllable outside p lies
-    in a p-syllable's link.
+    every earlier syllable outside p lies in its link. ``_strip`` of h's
+    other syllables, d q, by C drops q and keeps d, whose vertices are supp d.
     No R-syllable ends f: g_1 and g_k are C-stripped, so neither has a sink
     in C, and each p-syllable comes from g_k, not from g_1^-1 or a merge, and
     has a descendant outside C in h. A p-sink at r in R would have all its
@@ -325,18 +313,17 @@ def _stabilizer_scan(splitting: SplittingSpec, g1: Word, g1_inv: Word, gk: Word)
     pres = splitting.presentation
     adjacency, c_set = pres.graph.adjacency, splitting.c_side
     h = pres._extend(g1_inv, gk)
-    in_p = []
-    outside_p: set[str] = set()
-    for v, _ in h:
-        in_p.append(v in c_set and outside_p <= adjacency[v])
-        if not in_p[-1]:
-            outside_p.add(v)
-    d_support: set[str] = set()
-    for (v, _), p in zip(reversed(h), reversed(in_p)):
-        if not (p or v in c_set and d_support <= adjacency[v]):
-            d_support.add(v)
+    p, rest = [], []
+    rest_vertices: set[str] = set()
+    for s in h:
+        if s.vertex in c_set and rest_vertices <= adjacency[s.vertex]:
+            p.append(s)
+        else:
+            rest.append(s)
+            rest_vertices.add(s.vertex)
+    d_support = {v for v, _ in _strip(pres, rest, c_set)}
     r = tuple(c for c in pres.graph.vertices if c in c_set and d_support <= adjacency[c])
-    return pres._extend(g1, (s for s, p in zip(h, in_p) if p)), r
+    return pres._extend(g1, p), r
 
 
 def _conjugate_counter(pres: Presentation, radius: int, cap: int, r: tuple[str, ...]):

@@ -3,7 +3,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -18,6 +18,11 @@ FIXTURES = Path(__file__).parent.parent / "fixtures"
 # Same examples on every run, and nothing written into the checkout: no example
 # database, and hypothesis's cache of source constants goes to the temp dir.
 settings.register_profile("deterministic", derandomize=True, database=None)
+# The same without shrinking, for scripts/mutants.py (--hypothesis-profile
+# mutants): a failing example is reported as found, not after minutes of shrinking.
+settings.register_profile(
+    "mutants", settings.get_profile("deterministic"), phases=[Phase.explicit, Phase.generate]
+)
 settings.load_profile("deterministic")
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "arboreal-hypothesis")
 

@@ -598,6 +598,31 @@ def test_bad_named_word_is_named_exits_2(capsys, tmp_path):
     assert err == f"error: {path}: words['h']: unknown vertex: z\n"
 
 
+P4_VERTICES = [{"name": v, "order": 2} for v in "abcd"]
+P4_EDGES = [["a", "b"], ["b", "c"], ["c", "d"]]
+
+
+@pytest.mark.parametrize("name", ["a", "1", "a^2", "b a", "", " b"])
+def test_named_word_whose_name_is_a_word_exits_2(capsys, tmp_path, name):
+    """A name that parses as a word would shadow that word in every word
+    argument, so the file is rejected, after a well-named word."""
+    path = tmp_path / "words.json"
+    path.write_text(json.dumps({"vertices": P4_VERTICES, "edges": P4_EDGES,
+                                "words": {"g": "a", name: "b c"}}))
+    code, out, err = run(capsys, "nf", path, name)
+    assert code == 2
+    assert not out
+    assert err == f"error: {path}: words[{name!r}]: name {name!r} is itself a word\n"
+
+
+def test_named_word_resolves_beside_words(capsys, tmp_path):
+    path = tmp_path / "words.json"
+    path.write_text(json.dumps({"vertices": P4_VERTICES, "edges": P4_EDGES,
+                                "words": {"g": "c b"}}))
+    assert run(capsys, "nf", path, "g") == (0, "b c\n", "")
+    assert run(capsys, "mul", path, "a^-1", "g") == (0, "a b c\n", "")
+
+
 HUGE_POWER = "a^" + "9" * 4300
 
 

@@ -80,6 +80,17 @@ def test_bad_order_rejected():
         )
 
 
+@pytest.mark.parametrize("order", [True, False, 2.0, "2", None], ids=repr)
+def test_order_that_is_not_an_integer_rejected(order):
+    """A JSON true or false is not read as the order 1 or 0, which would make
+    the presentation degenerate (exit 3) instead of malformed (exit 2)."""
+    with pytest.raises(InputError, match="order must be an integer or \"inf\"") as info:
+        presentation_from_dict(
+            {"vertices": [{"name": "a", "order": order}, {"name": "b", "order": 2}]}
+        )
+    assert not isinstance(info.value, DegeneratePresentationError)
+
+
 def test_degenerate_order_has_own_type():
     with pytest.raises(DegeneratePresentationError):
         presentation_from_dict(

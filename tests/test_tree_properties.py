@@ -7,12 +7,14 @@ one-pass tree distance against re-canonicalizing stripping and BFS; that
 the tree ball is a tree whose vertices list their children in edge order,
 and that no R-syllable ends the f of a path stabilizer f G_R f^-1, also
 between end edges far outside any tree ball, where f v f^-1 fixes both ends
-iff v is in R.
+iff v is in R; and that a vertex's representative extended by a G_C-coset
+representative of its side is already its edge's representative, also far
+outside any tree ball.
 
 Presentations have at most five vertices (six for the child order, seven for
-the far end edges), with orders in {2, 3, inf}; every separated-pair
-splitting is checked at tree and element radii up to 3 under a low ball cap,
-so that cap errors are compared too.
+the far end edges and the far edge lemma), with orders in {2, 3, inf}; every
+separated-pair splitting is checked at tree and element radii up to 3 under a
+low ball cap, so that cap errors are compared too.
 """
 
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from arboreal.tree import (
     coset_canonical,
     element_action,
     make_edge,
+    make_vertex,
     path_stabilizer,
     tree_ball,
     tree_distance,
@@ -266,6 +269,24 @@ def test_path_stabilizer_between_far_end_edges(pres, rng):
                 conjugate = f + (Syllable(v, 1),) + f_inv
                 fixed = [make_edge(sp, conjugate + e.rep) == make_edge(sp, e.rep) for e in ends]
                 assert all(fixed) == (v in r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(max_vertices=7), st.randoms(use_true_random=False))
+def test_edge_at_a_far_vertex_is_its_extension(pres, rng):
+    """The edge lemma of ``tree_ball``, far outside any tree ball: for a vertex
+    rG_S of a raw word of up to 20 syllables and t the C-stripped
+    representative of a raw word over S, g = r t as ``_extend`` forms it is
+    the canonical representative of its edge gG_C: no C-syllable ends it."""
+    for pair in separated_pairs(pres):
+        sp = build_splitting(pres, pair)
+        for _ in range(5):
+            side = rng.choice((SIDE_A, SIDE_B))
+            r = make_vertex(sp, random_word(rng, pres, max_len=20), side).rep
+            u = [s for s in random_word(rng, pres, max_len=20) if s.vertex in sp.side(side)]
+            g = pres._extend(r, coset_canonical(pres, u, sp.c_side))
+            assert make_edge(sp, g).rep == g
+            assert pres.last_vertices(g).isdisjoint(sp.c_side)
 
 
 @settings(max_examples=60, deadline=None)
