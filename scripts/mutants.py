@@ -90,19 +90,19 @@ MUTANTS = [
      "make_vertex strips C instead of the vertex's side"),
     (TREE, "if s.vertex in subset and kept_vertices <= adjacency[s.vertex]:",
      "if s.vertex in subset:",
-     "_strip drops an S-syllable that a kept later syllable depends on"),
-    (TREE, "if s.vertex in c_set and rest_vertices <= adjacency[s.vertex]:",
-     "if s.vertex in c_set:",
-     "the stabilizer's p takes C-syllables with a predecessor outside p"),
-    (TREE, "d_support = {v for v, _ in _strip(pres, rest, c_set)}",
-     "d_support = {v for v, _ in h if v not in c_set}",
-     "the stabilizer's d is h minus C"),
+     "_peel peels an S-syllable that a kept syllable scanned before it depends on"),
+    (TREE, "p, rest = _peel(pres, h, c_set)", "p, rest = [], list(h)",
+     "the stabilizer's p is empty, so f is g_1 and q takes what p should"),
+    (TREE, "_peel(pres, reversed(rest), c_set)", "_peel(pres, rest, c_set)",
+     "the stabilizer's q is peeled forward, from the start of what p leaves"),
     (TREE, "return last + (sides[last % 2] != v1.side)", "return last",
      "tree_distance misses the last round when it ends on the other side"),
     (TREE, "if d2 > d1:", "if d2 >= d1:",
      "element_action calls an elliptic element loxodromic"),
-    (TREE, "(t := radius - 2 * pres._length(_strip(pres, f, lk)))",
-     "(t := radius - pres._length(_strip(pres, f, lk)))",
+    (TREE, "bisect_right(ls, radius", "bisect_left(ls, radius",
+     "a conjugate count misses the elements of exactly the bound's length"),
+    (TREE, "radius - 2 * pres._length(_strip(pres, f, lk))",
+     "radius - pres._length(_strip(pres, f, lk))",
      "a conjugate's length counts f once, not twice"),
     (TREE, "if w != prev and level[w] + to_go >= floor:", "if w != prev and level[w] + to_go > floor:",
      "the path walk cuts walks that can still climb back to their start's level"),

@@ -17,14 +17,14 @@ that measure one are rounds of a single reverse pass over the relative word
 (see ``tree_distance``).
 
 The pointwise stabilizer of a path is one conjugate f G_R f^-1 of a
-parabolic subgroup, read off a forward scan of the word joining its end
-edges and a strip of what that scan leaves (see ``_stabilizer_scan``).
+parabolic subgroup, read off a forward and a reverse peel of the word
+joining its end edges; a reverse peel alone strips a coset (see ``_peel``).
 
 What depends only on the splitting and the radii is enumerated once per
 tree ball or audit, not once per tree vertex or path: each side's subgroup
 ball, collapsed to its G_C cosets, and the ball of each G_R a path
-stabilizer is conjugate to, kept as length counts per support, from which
-the audit sizes f G_R f^-1, R empty or not (see ``audit_acylindricity``).
+stabilizer is conjugate to, kept as sorted lengths per support, which the
+audit bisects to size f G_R f^-1, R empty or not (see ``_conjugate_counter``).
 The audit inverts each first edge's representative once, and walks each
 path once, from its end listed first, cutting walks that can only end at an
 earlier-listed vertex (see ``_paths_of_length``).
@@ -32,15 +32,16 @@ earlier-listed vertex (see ``_paths_of_length``).
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from bisect import bisect_right
+from collections import defaultdict
 from functools import cache
-from itertools import accumulate, chain, combinations
+from itertools import chain, combinations
 from typing import AbstractSet, Iterable, NamedTuple, Optional
 
 from .classify import SIDE_A, SIDE_B, SplittingSpec
 from .errors import InputError, ResourceCapError
 from .graphs import dot_quoted
-from .words import DEFAULT_BALL_CAP, Presentation, Word, format_word
+from .words import DEFAULT_BALL_CAP, Presentation, Syllable, Word, format_word
 
 
 class TreeVertex(NamedTuple):
@@ -127,28 +128,31 @@ def coset_canonical(pres: Presentation, word: Word, subset: Iterable[str]) -> Wo
     return _strip(pres, pres.canonical(word), pres.graph.check_vertices(subset))
 
 
-def _strip(pres: Presentation, word: Word, subset: AbstractSet[str]) -> Word:
-    """``coset_canonical`` of the canonical word ``word``, which also gives a
-    tree ball's far vertices and a stabilizer's d (see ``_stabilizer_scan``).
-
-    One reverse scan drops the largest successor-closed set of S-labelled
-    syllables of the word's heap (see words.py): a syllable goes iff its
-    vertex is in S and all its successors go. Every later syllable outside
-    its link is a descendant, so that is: no kept later syllable lies outside
-    its link. That set is unique. The kept syllables are predecessor-closed,
-    and Kahn's choice among those ready never depends on the dropped ones, so
-    the kept subsequence is already canonical.
-    """
+def _peel(pres: Presentation, sylls: Iterable[Syllable], subset: AbstractSet[str]):
+    """(peeled, kept) in scan order, ``sylls`` a reduced word read forward or
+    in reverse: a syllable is peeled iff its vertex is in S and every kept
+    syllable scanned before it lies in its link. The earlier syllables outside
+    its link are its heap ancestors (see words.py), so the peeled ones are the
+    largest predecessor-closed (in reverse, successor-closed) set of
+    S-syllables, which is unique."""
     adjacency = pres.graph.adjacency
-    kept = []
+    peeled, kept = [], []
     kept_vertices: set[str] = set()
-    for s in reversed(word):
+    for s in sylls:
         if s.vertex in subset and kept_vertices <= adjacency[s.vertex]:
-            continue
-        kept.append(s)
-        kept_vertices.add(s.vertex)
-    kept.reverse()
-    return tuple(kept)
+            peeled.append(s)
+        else:
+            kept.append(s)
+            kept_vertices.add(s.vertex)
+    return peeled, kept
+
+
+def _strip(pres: Presentation, word: Word, subset: AbstractSet[str]) -> Word:
+    """``coset_canonical`` of the canonical word ``word``, also a tree ball's
+    far vertices: what the reverse peel by S keeps. That part is
+    predecessor-closed, and Kahn's choice among those ready never depends on
+    the peeled syllables, so it is already canonical."""
+    return tuple(reversed(_peel(pres, reversed(word), subset)[1]))
 
 
 def make_vertex(splitting: SplittingSpec, word: Word, side: str) -> TreeVertex:
@@ -300,9 +304,9 @@ def _stabilizer_scan(splitting: SplittingSpec, g1: Word, g1_inv: Word, gk: Word)
     successor-closed set of the other C-syllables. Then d has no source or
     sink in C, and G_C ∩ dG_Cd^-1 = G_R for R = C ∩ lk(supp d), a parabolic
     intersection (Antolín-Minasyan, J. reine angew. Math. 2015); f = g_1 p.
-    A forward scan over the reduced h finds p: a C-syllable joins it iff
-    every earlier syllable outside p lies in its link. ``_strip`` of h's
-    other syllables, d q, by C drops q and keeps d, whose vertices are supp d.
+    Two peels by C (see ``_peel``) find them: the forward peel of the reduced
+    h peels p, and the reverse peel of what it keeps, d q, a successor-closed
+    part of h's heap, peels q and keeps d, whose vertices are supp d.
     No R-syllable ends f: g_1 and g_k are C-stripped, so neither has a sink
     in C, and each p-syllable comes from g_k, not from g_1^-1 or a merge, and
     has a descendant outside C in h. A p-sink at r in R would have all its
@@ -313,15 +317,8 @@ def _stabilizer_scan(splitting: SplittingSpec, g1: Word, g1_inv: Word, gk: Word)
     pres = splitting.presentation
     adjacency, c_set = pres.graph.adjacency, splitting.c_side
     h = pres._extend(g1_inv, gk)
-    p, rest = [], []
-    rest_vertices: set[str] = set()
-    for s in h:
-        if s.vertex in c_set and rest_vertices <= adjacency[s.vertex]:
-            p.append(s)
-        else:
-            rest.append(s)
-            rest_vertices.add(s.vertex)
-    d_support = {v for v, _ in _strip(pres, rest, c_set)}
+    p, rest = _peel(pres, h, c_set)
+    d_support = {v for v, _ in _peel(pres, reversed(rest), c_set)[1]}
     r = tuple(c for c in pres.graph.vertices if c in c_set and d_support <= adjacency[c])
     return pres._extend(g1, p), r
 
@@ -330,20 +327,17 @@ def _conjugate_counter(pres: Presentation, radius: int, cap: int, r: tuple[str, 
     """f -> the number of elements of length at most ``radius`` in f G_R f^-1,
     f with no R-syllable at its end (1 for an empty R), by the length rule of
     ``audit_acylindricity``: G_R's ball, enumerated once under ``cap``, kept
-    per support S as lk(S) and the number of its elements of length <= t,
-    for t up to the longest, not up to ``radius``, which may be huge."""
-    lengths: defaultdict[frozenset[str], Counter[int]] = defaultdict(Counter)
+    per support S as lk(S) and the sorted lengths of its elements, of which
+    a bisection counts those of length at most radius - 2|f_0|, a bound that
+    may be negative or huge."""
+    lengths: defaultdict[frozenset[str], list[int]] = defaultdict(list)
     for x in pres.enumerate_ball(radius, cap=cap, subset=r):
-        lengths[frozenset(v for v, _ in x)][pres._length(x)] += 1
+        lengths[frozenset(v for v, _ in x)].append(pres._length(x))
     adjacency = pres.graph.adjacency
-    table = [
-        ({u for u in pres.graph.vertices if s <= adjacency[u]},
-         list(accumulate(c[t] for t in range(max(c) + 1))))
-        for s, c in lengths.items()
-    ]
+    table = [({u for u in pres.graph.vertices if s <= adjacency[u]}, sorted(ls))
+             for s, ls in lengths.items()]
     return lambda f: sum(
-        n[min(t, len(n) - 1)]
-        for lk, n in table if (t := radius - 2 * pres._length(_strip(pres, f, lk))) >= 0
+        bisect_right(ls, radius - 2 * pres._length(_strip(pres, f, lk))) for lk, ls in table
     )
 
 
@@ -421,11 +415,12 @@ def audit_acylindricity(
     ``Presentation._length``): for x in G_R with support S,
     |f x f^-1| = |x| + 2|f_0|, f_0 = f stripped of lk(S). f_0 x f_0^-1 is the
     same element, and reduced: no R-syllable ends f, so no sink of f_0 is in S
-    or lk(S). So the size is the number of x with |x| <= r - 2|f_0|, read per
-    support from the radius-r ball of G_R, which ``counter`` enumerates once
-    per distinct R (see ``_conjugate_counter``), an empty one too: G_∅'s ball
-    is {()} and f stripped of lk(∅) = V is (), so the size is 1. No ball of
-    the whole group is built, and ``exhaustive_elements`` is always False.
+    or lk(S). So the size is the number of x with |x| <= r - 2|f_0|, bisected
+    per support from the sorted lengths of the radius-r ball of G_R, which
+    ``counter`` enumerates once per distinct R (see ``_conjugate_counter``), an
+    empty one too: G_∅'s ball is {()} and f stripped of lk(∅) = V is (), so
+    the size is 1. No ball of the whole group is built, and
+    ``exhaustive_elements`` is always False.
     Each side's ball is enumerated once, collapsed to G_C cosets (see
     ``tree_ball``). ``cap`` bounds the tree ball's vertex count, the side
     balls and the G_R balls.

@@ -239,7 +239,10 @@ class Presentation:
         finite vertex, exponents +-1 at an infinite one. With ``subset`` given,
         only those of the full subgroup G_S, and the ball is G_S's. Radius 1
         holds them all, so ``cap`` is checked there before any is built.
+        Raises InputError for a negative radius, whose ball is empty.
         """
+        if radius < 0:
+            raise InputError(f"radius must be at least 0, got {radius}")
         allowed = self.graph.check_vertices(self.graph.vertices if subset is None else subset)
         # vertex -> (generator count, exponents); len() fails past sys.maxsize
         exponents = {

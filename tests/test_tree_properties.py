@@ -9,12 +9,14 @@ and that no R-syllable ends the f of a path stabilizer f G_R f^-1, also
 between end edges far outside any tree ball, where f v f^-1 fixes both ends
 iff v is in R; and that a vertex's representative extended by a G_C-coset
 representative of its side is already its edge's representative, also far
-outside any tree ball.
+outside any tree ball; and that the peel behind coset representatives and
+stabilizers, forward and in reverse, peels only S-syllables, keeps the
+element, and is maximal.
 
 Presentations have at most five vertices (six for the child order, seven for
-the far end edges and the far edge lemma), with orders in {2, 3, inf}; every
-separated-pair splitting is checked at tree and element radii up to 3 under a
-low ball cap, so that cap errors are compared too.
+the far end edges, the far edge lemma and the peel), with orders in
+{2, 3, inf}; every separated-pair splitting is checked at tree and element
+radii up to 3 under a low ball cap, so that cap errors are compared too.
 """
 
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from arboreal.tree import (
     TreeEdge,
     TreeVertex,
     _paths_of_length,
+    _peel,
     audit_acylindricity,
     coset_canonical,
     element_action,
@@ -312,3 +315,25 @@ def test_tree_distance_matches_stripping_and_bfs(pres, rng):
         for src in rng.sample(ball.vertices, min(4, len(ball.vertices))):
             for tgt, d in bfs_distances(ball, src).items():
                 assert tree_distance(sp, src, tgt) == d
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(max_vertices=7), st.randoms(use_true_random=False))
+def test_peel_forward_and_reverse(pres, rng):
+    """For a canonical word w of a raw word of up to 20 syllables and a random
+    subset S: the forward peel peels only S-syllables, peeled + kept is w
+    again, and no S-syllable begins the kept part, so the peel is maximal;
+    the reverse peel likewise, mirrored, and what it keeps is
+    ``coset_canonical(w, S)``."""
+    for _ in range(5):
+        w = pres.canonical(random_word(rng, pres, max_len=20))
+        subset = {v for v in pres.graph.vertices if rng.random() < 0.5}
+        peeled, kept = _peel(pres, w, subset)
+        assert all(s.vertex in subset for s in peeled)
+        assert pres.canonical(peeled + kept) == w
+        assert pres.first_vertices(kept).isdisjoint(subset)
+        peeled, kept = (tuple(reversed(part)) for part in _peel(pres, reversed(w), subset))
+        assert all(s.vertex in subset for s in peeled)
+        assert pres.canonical(kept + peeled) == w
+        assert pres.last_vertices(kept).isdisjoint(subset)
+        assert kept == coset_canonical(pres, w, subset)

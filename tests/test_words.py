@@ -299,6 +299,14 @@ class TestEnumerateBall:
     def test_radius_zero(self, p4_racg):
         assert p4_racg.enumerate_ball(0) == {()}
 
+    def test_negative_radius_rejected(self, p4_racg):
+        """No element is reached in -1 multiplications, not even the identity,
+        also in the trivial subgroup's ball, which has no generator."""
+        with pytest.raises(InputError, match="^radius must be at least 0, got -1$"):
+            p4_racg.enumerate_ball(-1)
+        with pytest.raises(InputError, match="^radius must be at least 0, got -3$"):
+            p4_racg.enumerate_ball_info(-3, subset=())
+
     def test_d_infinity_ball(self, o2_racg):
         assert len(o2_racg.enumerate_ball(3)) == 7
 
