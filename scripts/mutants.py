@@ -95,6 +95,13 @@ MUTANTS = [
      "the stabilizer's p is empty, so f is g_1 and q takes what p should"),
     (TREE, "_peel(pres, reversed(rest), c_set)", "_peel(pres, rest, c_set)",
      "the stabilizer's q is peeled forward, from the start of what p leaves"),
+    (TREE, "while n < m and g1[n] == gk[n]:", "while n < m and g1[n][0] == gk[n][0]:",
+     "the shared prefix of g_1 and g_k is cancelled by vertex, blind to exponents"),
+    (TREE, "counter(r)(pres._extend(g1, p))", "counter(r)(g1)",
+     "the audit sizes g_1 G_R g_1^-1, dropping p from f = g_1 p"),
+    (TREE, "sylls = pres._extend(pres.inverse(v1.rep), v2.rep)",
+     "sylls = _relative(pres, pres.inverse, v1.rep, v2.rep)",
+     "tree_distance cancels a shared prefix of any words unread, so an unknown vertex passes"),
     (TREE, "return last + (sides[last % 2] != v1.side)", "return last",
      "tree_distance misses the last round when it ends on the other side"),
     (TREE, "if d2 > d1:", "if d2 >= d1:",

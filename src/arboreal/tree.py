@@ -25,9 +25,8 @@ tree ball or audit, not once per tree vertex or path: each side's subgroup
 ball, collapsed to its G_C cosets, and the ball of each G_R a path
 stabilizer is conjugate to, kept as sorted lengths per support, which the
 audit bisects to size f G_R f^-1, R empty or not (see ``_conjugate_counter``).
-The audit inverts each first edge's representative once, and walks each
-path once, from its end listed first, cutting walks that can only end at an
-earlier-listed vertex (see ``_paths_of_length``).
+The audit walks each path once, from its end listed first, cutting walks that
+can only end at an earlier-listed vertex (see ``_paths_of_length``).
 """
 
 from __future__ import annotations
@@ -289,14 +288,25 @@ def path_stabilizer(
     Raises InputError for an empty path."""
     if not path:
         raise InputError("path must contain at least one edge")
+    pres = splitting.presentation
     g1, gk = (make_edge(splitting, e.rep).rep for e in (path[0], path[-1]))
-    return _stabilizer_scan(splitting, g1, splitting.presentation.inverse(g1), gk)
+    p, r = _stabilizer_scan(splitting, _relative(pres, pres.inverse, g1, gk))
+    return pres._extend(g1, p), r
 
 
-def _stabilizer_scan(splitting: SplittingSpec, g1: Word, g1_inv: Word, gk: Word):
-    """(f, R) for the path from the edge g_1G_C to g_kG_C, g_1 and g_k canonical
-    edge representatives and g1_inv the canonical inverse of g_1: the path's
-    pointwise stabilizer is f G_R f^-1, and no R-syllable ends f.
+def _relative(pres: Presentation, inverse, g1: Word, gk: Word) -> Word:
+    """g_1^-1 g_k = a^-1 b reduced, g_1 = c a and g_k = c b canonical with c their
+    longest common literal prefix, which goes unread: its vertices are known."""
+    n, m = 0, min(len(g1), len(gk))
+    while n < m and g1[n] == gk[n]:
+        n += 1
+    return pres._extend(inverse(g1[n:]), gk[n:])
+
+
+def _stabilizer_scan(splitting: SplittingSpec, h: Word):
+    """(p, R) of the reduced h (see ``_relative``) joining a path's end edges
+    g_1G_C and g_kG_C, g_1 and g_k canonical: the pointwise stabilizer is
+    f G_R f^-1, f = g_1 p, and no R-syllable ends f.
 
     An element fixing both end edges fixes the path, so the stabilizer is
     g_1(G_C ∩ hG_Ch^-1)g_1^-1 for h = g_1^-1 g_k. Split h's heap as p d q: p
@@ -316,11 +326,10 @@ def _stabilizer_scan(splitting: SplittingSpec, g1: Word, g1_inv: Word, gk: Word)
     """
     pres = splitting.presentation
     adjacency, c_set = pres.graph.adjacency, splitting.c_side
-    h = pres._extend(g1_inv, gk)
     p, rest = _peel(pres, h, c_set)
     d_support = {v for v, _ in _peel(pres, reversed(rest), c_set)[1]}
     r = tuple(c for c in pres.graph.vertices if c in c_set and d_support <= adjacency[c])
-    return pres._extend(g1, p), r
+    return tuple(p), r
 
 
 def _conjugate_counter(pres: Presentation, radius: int, cap: int, r: tuple[str, ...]):
@@ -407,11 +416,11 @@ def audit_acylindricity(
     Enumerates every k-edge path in the bounded tree ball and counts the
     elements of length <= ``element_radius`` in its pointwise stabilizer
     f G_R f^-1 (see ``path_stabilizer``), reporting the max against |G_N|.
-    Each path is walked once (see ``_paths_of_length``). Three memoized
-    functions, local to the call, keep what paths share. ``inverse`` gives the
-    canonical inverse of each distinct first edge's representative g_1 once,
-    and one ``_stabilizer_scan`` per path extends it by g_k to find (f, R).
-    ``size_of`` sizes each distinct (f, R) once, from word lengths (see
+    Each path is walked once (see ``_paths_of_length``). Four memoized
+    functions, local to the call, keep what paths share: ``inverse`` inverts
+    what g_1 does not share with g_k (see ``_relative``), ``scan`` splits each
+    distinct h = g_1^-1 g_k into (p, R) once, and ``size_of`` sizes each
+    distinct (g_1, p, R), f = g_1 p, once from word lengths (see
     ``Presentation._length``): for x in G_R with support S,
     |f x f^-1| = |x| + 2|f_0|, f_0 = f stripped of lk(S). f_0 x f_0^-1 is the
     same element, and reduced: no R-syllable ends f, so no sink of f_0 is in S
@@ -431,15 +440,16 @@ def audit_acylindricity(
     pres = splitting.presentation
     ball = tree_ball(splitting, tree_radius, local_radius, cap)
     inverse = cache(pres.inverse)
+    scan = cache(lambda h: _stabilizer_scan(splitting, h))
     counter = cache(lambda r: _conjugate_counter(pres, element_radius, cap, r))
-    size_of = cache(lambda f, r: counter(r)(f))
+    size_of = cache(lambda g1, p, r: counter(r)(pres._extend(g1, p)))
     bound = splitting.acyl_c
     max_size = 0
     paths_checked = 0
     violations = []
     for path in _paths_of_length(ball, k):
         g1 = path[0].rep
-        size = size_of(*_stabilizer_scan(splitting, g1, inverse(g1), path[-1].rep))
+        size = size_of(g1, *scan(_relative(pres, inverse, g1, path[-1].rep)))
         paths_checked += 1
         max_size = max(max_size, size)
         if size > bound:

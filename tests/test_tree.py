@@ -26,10 +26,11 @@ from arboreal.tree import (
     tree_distance,
 )
 from arboreal.graphs import SimpleGraph
-from arboreal.words import DEFAULT_BALL_CAP, Presentation, Syllable, parse_word
+from arboreal.words import DEFAULT_BALL_CAP, INFINITY, Presentation, Syllable, parse_word
 
 from conftest import FIXTURES
 from oracles import (
+    audit_by_scan,
     bfs_distances,
     conjugate_count_by_lookup,
     random_presentation,
@@ -282,6 +283,17 @@ class TestStabilizers:
                     sp, [make_edge(sp, w1), make_edge(sp, w2)]
                 ), (pair, w1, w2)
 
+    @pytest.mark.parametrize("ends", [("z a", "z b"), ("z", "z"), ("z", "z a"), ("z a", "z")])
+    def test_unknown_vertex_in_a_shared_prefix_rejected(self, p4_splitting, ends):
+        """z is no vertex of P4. Both representatives begin with it, so it lies
+        in the prefix they share, where it is still found, in tree_distance as
+        in path_stabilizer, whose end edges are read as any words."""
+        u, w = (tuple(Syllable(v, 1) for v in text.split()) for text in ends)
+        with pytest.raises(InputError, match="^unknown vertex: z$"):
+            tree_distance(p4_splitting, TreeVertex(SIDE_A, u), TreeVertex(SIDE_B, w))
+        with pytest.raises(InputError, match="^unknown vertex: z$"):
+            path_stabilizer(p4_splitting, [TreeEdge(u), TreeEdge(w)])
+
 
 class TestAudit:
     def test_p4_bound_holds(self, p4_splitting):
@@ -405,6 +417,20 @@ class TestAudit:
             count = counters[r](f) if r else 1
             assert count == conjugate_count_by_lookup(sp, f, r, elements, 6, cap)
         assert {bool(r) for _, r in stabilizers} == {False, True}
+
+    @pytest.mark.parametrize("element_radius", [1, 2])
+    def test_sizes_conjugate_by_the_whole_of_f(self, element_radius):
+        """Z3 * Z2 * (Z x Z2) over (a, c), C = {b, d}, local radius 2: on some
+        2-edge paths the joining word h begins with C-syllables, so p is not
+        empty, and sizing g_1 G_R g_1^-1 instead of f G_R f^-1, f = g_1 p,
+        would report 12 violations, not 10. The report is the oracle's."""
+        orders = {"a": 3, "b": 2, "c": INFINITY, "d": 2}
+        pres = Presentation(SimpleGraph("abcd", [("c", "d")]), orders)
+        sp = build_splitting(pres, SeparatedPair("a", "c", (), 1))
+        limits = (2, 2, element_radius, 2)
+        report = audit_acylindricity(sp, *limits)
+        assert len(report.violations) == 10
+        assert report.to_dict() == audit_by_scan(sp, *limits, DEFAULT_BALL_CAP).to_dict()
 
     @pytest.mark.parametrize(
         "limits, message",

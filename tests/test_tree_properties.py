@@ -11,12 +11,14 @@ iff v is in R; and that a vertex's representative extended by a G_C-coset
 representative of its side is already its edge's representative, also far
 outside any tree ball; and that the peel behind coset representatives and
 stabilizers, forward and in reverse, peels only S-syllables, keeps the
-element, and is maximal.
+element, and is maximal; and that the word joining two canonical words, formed
+from what they do not share, is the inverse of one extended by the other.
 
 Presentations have at most five vertices (six for the child order, seven for
-the far end edges, the far edge lemma and the peel), with orders in
-{2, 3, inf}; every separated-pair splitting is checked at tree and element
-radii up to 3 under a low ball cap, so that cap errors are compared too.
+the far end edges, the far edge lemma, the peel and the joining word), with
+orders in {2, 3, inf}; every separated-pair splitting is checked at tree and
+element radii up to 3 under a low ball cap, so that cap errors are compared
+too.
 """
 
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from arboreal.tree import (
     TreeVertex,
     _paths_of_length,
     _peel,
+    _relative,
     audit_acylindricity,
     coset_canonical,
     element_action,
@@ -337,3 +340,18 @@ def test_peel_forward_and_reverse(pres, rng):
         assert pres.canonical(kept + peeled) == w
         assert pres.last_vertices(kept).isdisjoint(subset)
         assert kept == coset_canonical(pres, w, subset)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(max_vertices=7), st.randoms(use_true_random=False))
+def test_relative_word_cancels_the_shared_prefix(pres, rng):
+    """For g_1 and g_k the canonical words of c a and c b, c, a and b raw
+    words of up to 20 syllables, ``_relative`` is g_1's inverse extended by
+    g_k; so it is for g_1 with itself, and with a prefix of it either way
+    round (a prefix of a canonical word is canonical)."""
+    for _ in range(5):
+        c, a, b = (random_word(rng, pres, max_len=20) for _ in range(3))
+        g1, gk = pres.canonical(c + a), pres.canonical(c + b)
+        n = rng.randint(0, len(g1))
+        for x, y in ((g1, gk), (g1, g1), (g1, g1[:n]), (g1[:n], g1)):
+            assert _relative(pres, pres.inverse, x, y) == pres._extend(pres.inverse(x), y)
