@@ -76,15 +76,18 @@ MUTANTS = [
     (WORDS, 'parts.append(v if e == 1 else f"{v}^{e}")', 'parts.append(f"{v}^{e}")',
      "format_word writes exponent 1"),
     # tree layer
-    (TREE, "w = TreeVertex(opp, _strip(pres, g, splitting.side(opp)))",
-     "w = TreeVertex(opp, _strip(pres, g, splitting.c_side))",
-     "tree_ball strips the far vertex by C, not by its side"),
-    (TREE, "cosets[v.side] = {_strip(pres, s, splitting.c_side) for s in side_ball}",
-     "cosets[v.side] = set(side_ball)",
-     "tree_ball extends by the side ball's elements, not its G_C cosets"),
-    (TREE, "for g in sorted(pres._extend(v.rep, t) for t in cosets[v.side]):",
-     "for g in (pres._extend(v.rep, t) for t in cosets[v.side]):",
-     "tree_ball lists children in coset-set order, not edge order"),
+    (TREE, "{_strip(pres, s, splitting.c_side) for s in side_ball}", "set(side_ball)",
+     "the tree ball extends by the side ball's elements, not its G_C cosets"),
+    (TREE, "for g, i in sorted((pres._extend(reps[x], t), i) for t, i in cosets[side] if i != back):",
+     "for g, i in ((pres._extend(reps[x], t), i) for t, i in cosets[side] if i != back):",
+     "the tree ball lists children in coset-set order, not edge order"),
+    (TREE, "back = nbrs[x][0][2] if x else -1", "back = -1",
+     "the tree ball never skips a vertex's parent, so it lists the parent again as a child"),
+    (TREE, "nbrs.append([(w, x, 0, i)])", "nbrs.append([(w, x, i, i)])",
+     "a child's coordinate of the edge to its parent is t, as at the parent, not ()"),
+    (TREE, "inner = key + (arrival, here) if edges else key",
+     "inner = key + (0, here) if edges else key",
+     "a path's key drops the coordinate it arrives by at each interior vertex"),
     (TREE, "return TreeVertex(side, _strip(pres, pres.canonical(word), splitting.side(side)))",
      "return TreeVertex(side, _strip(pres, pres.canonical(word), splitting.c_side))",
      "make_vertex strips C instead of the vertex's side"),
@@ -97,7 +100,7 @@ MUTANTS = [
      "the stabilizer's q is peeled forward, from the start of what p leaves"),
     (TREE, "while n < m and g1[n] == gk[n]:", "while n < m and g1[n][0] == gk[n][0]:",
      "the shared prefix of g_1 and g_k is cancelled by vertex, blind to exponents"),
-    (TREE, "counter(r)(pres._extend(g1, p))", "counter(r)(g1)",
+    (TREE, "counter(r)(pres._extend(reps[e], p))", "counter(r)(reps[e])",
      "the audit sizes g_1 G_R g_1^-1, dropping p from f = g_1 p"),
     (TREE, "sylls = pres._extend(pres.inverse(v1.rep), v2.rep)",
      "sylls = _relative(pres, pres.inverse, v1.rep, v2.rep)",
@@ -115,6 +118,8 @@ MUTANTS = [
      "the path walk cuts walks that can still climb back to their start's level"),
     (TREE, "        if size > bound:", "        if size >= bound:",
      "the audit reports a stabilizer of exactly |G_N| as a violation"),
+    (TREE, "if top(r) <= max_size and top(r) <= bound:", "if top(r) <= bound:",
+     "the audit skips a path that could raise the maximum, as long as it cannot violate"),
     # classification layer
     (CLASSIFY, "if not mask_a >> j & 1 and (order := pres._mask_order(common)) != INFINITY:",
      "if (order := pres._mask_order(common)) != INFINITY:",

@@ -3,8 +3,8 @@
 Vertices are cosets gG_A and gG_B, edges cosets gG_C, each held as the
 canonical minimal-length representative obtained by right-stripping; an
 edge at a vertex is the vertex's representative extended by a coset
-representative, already stripped (see ``tree_ball``). The tree is infinite;
-every exploration here is bounded and reports truncation.
+representative, its coordinate there, already stripped (see ``_ball``). The
+tree is infinite; every exploration here is bounded and reports truncation.
 The vertex sets A, B and C are the splitting's frozensets, read as they are.
 
 Coset representatives, distances and stabilizers are questions about the
@@ -25,8 +25,8 @@ tree ball or audit, not once per tree vertex or path: each side's subgroup
 ball, collapsed to its G_C cosets, and the ball of each G_R a path
 stabilizer is conjugate to, kept as sorted lengths per support, which the
 audit bisects to size f G_R f^-1, R empty or not (see ``_conjugate_counter``).
-The audit walks each path once, from its end listed first, cutting walks that
-can only end at an earlier-listed vertex (see ``_paths_of_length``).
+The audit walks the tree ball as index arrays, each path once, and joins its
+end edges through the coordinates at its interior vertices (see ``_walk``).
 """
 
 from __future__ import annotations
@@ -171,66 +171,75 @@ def act(splitting: SplittingSpec, g: Word, v: TreeVertex) -> TreeVertex:
     return make_vertex(splitting, tuple(g) + tuple(v.rep), v.side)
 
 
+def _ball(splitting: SplittingSpec, radius: int, local_radius: int, cap: int):
+    """``tree_ball`` as index arrays: (reps, sides, nbrs, words, truncated).
+
+    Vertex 0 is the base, the others follow by BFS level, and vertex n > 0
+    shares reps[n] with edge n, its edge to its parent. nbrs[x] lists
+    (edge, neighbour, u here, u there) in ``tree_ball``'s order, where the
+    coordinate u(x, e) = x.rep^-1 e.rep is an index into ``words``.
+    The edges at xG_S are xtG_C, one per coset tG_C of G_C in G_S, so u(x, e)
+    is t. Each side's ball is enumerated once, at its first vertex, and
+    collapsed to its C-stripped coset representatives t. A vertex x then
+    costs one extension g = x.rep t per coset but its parent's. x.rep has
+    no sink in S and t none in C, so nothing in x.rep t merges or cancels.
+    With S - C = {u} and T - C = {v} for the far side T (A = V - {b},
+    B = V - {a}), u and v are not adjacent, so a u-sink of t != () follows
+    the sinks of x.rep, all v-syllables: g's sinks are t's, outside T ⊇ C,
+    and g is both the edge and the far vertex, where u is (). So at every
+    vertex but the base, t = () is the parent, which is skipped, and every
+    other t gives a new vertex, in edge order. Each coordinate is the
+    canonical word its coset's transversal holds. ``cap`` bounds the side
+    balls and the vertex count alike.
+    """
+    pres = splitting.presentation
+    reps, sides, nbrs = [()], [SIDE_A], [[]]
+    ids: dict[Word, int] = {(): 0}  # coordinate -> index into words
+    cosets: dict[str, list[tuple[Word, int]]] = {}
+    truncated = False
+    start = 0
+    for _ in range(radius):
+        end = len(reps)
+        for x in range(start, end):
+            side = sides[x]
+            if side not in cosets:
+                side_ball, saturated = pres.enumerate_ball_info(
+                    local_radius, cap=cap, subset=splitting.side(side)
+                )
+                cosets[side] = [(t, ids.setdefault(t, len(ids))) for t in
+                                {_strip(pres, s, splitting.c_side) for s in side_ball}]
+                truncated = truncated or not saturated
+            back = nbrs[x][0][2] if x else -1
+            opp = SIDE_B if side == SIDE_A else SIDE_A
+            for g, i in sorted((pres._extend(reps[x], t), i) for t, i in cosets[side] if i != back):
+                w = len(reps)
+                reps.append(g)
+                sides.append(opp)
+                nbrs[x].append((w, w, i, 0))
+                nbrs.append([(w, x, 0, i)])
+            if len(reps) > cap:
+                raise ResourceCapError(f"tree ball exceeded cap of {cap} vertices")
+        start = end
+    return reps, sides, nbrs, list(ids), truncated
+
+
 def tree_ball(
     splitting: SplittingSpec,
     radius: int,
     local_radius: int = 2,
     cap: int = DEFAULT_BALL_CAP,
 ) -> TreeBall:
-    """BFS exploration of the tree around the base vertex G_A.
-
-    The edges at a vertex gG_S are gtG_C, one for each coset tG_C of G_C in
-    G_S, and the far vertex of each is gt times the other side's subgroup.
-    Each side's ball is enumerated once, at the first vertex of that side,
-    and collapsed to its C-stripped coset representatives t. A vertex v then
-    costs one extension g = v.rep t per coset and one strip, of the far
-    vertex; g is the edge as it stands. v.rep has no sink in S and t none in
-    C, so nothing in v.rep t merges or cancels (that would take an S-sink of
-    v.rep), and g's sinks are t's, in S - C, or v.rep's, outside S ⊇ C: so
-    ``_strip(g, C)`` is g. Distinct cosets give distinct edges, listed in
-    order at each vertex.
-    The ball is a tree, so the one neighbour of a frontier vertex already in
-    the ball is its parent; every other neighbour is new.
-    ``cap`` bounds the side balls and the ball's vertex count alike.
-    Raises InputError for limits ``check_limits`` rejects.
-    """
+    """BFS exploration of the tree around the base vertex G_A (see ``_ball``):
+    each vertex lists its edge to its parent first (the base has none), then
+    those to its children in representative order. Raises InputError for
+    limits ``check_limits`` rejects."""
     check_limits(radius=radius, local_radius=local_radius, cap=cap)
-    pres = splitting.presentation
-    base = base_vertex(splitting)
-    adjacency: dict[TreeVertex, list[tuple[TreeEdge, TreeVertex]]] = {base: []}
-    edges: list[TreeEdge] = []
-    cosets: dict[str, set[Word]] = {}
-    truncated = False
-    frontier = [base]
-    for _ in range(radius):
-        new = []
-        for v in frontier:
-            if v.side not in cosets:
-                side_ball, saturated = pres.enumerate_ball_info(
-                    local_radius, cap=cap, subset=splitting.side(v.side)
-                )
-                cosets[v.side] = {_strip(pres, s, splitting.c_side) for s in side_ball}
-                truncated = truncated or not saturated
-            opp = SIDE_B if v.side == SIDE_A else SIDE_A
-            for g in sorted(pres._extend(v.rep, t) for t in cosets[v.side]):
-                w = TreeVertex(opp, _strip(pres, g, splitting.side(opp)))
-                if w not in adjacency:
-                    edge = TreeEdge(g)
-                    edges.append(edge)
-                    adjacency[v].append((edge, w))
-                    adjacency[w] = [(edge, v)]
-                    new.append(w)
-            if len(adjacency) > cap:
-                raise ResourceCapError(f"tree ball exceeded cap of {cap} vertices")
-        frontier = new
-    return TreeBall(
-        base=base,
-        radius=radius,
-        vertices=list(adjacency),
-        edges=edges,
-        adjacency=adjacency,
-        truncated=truncated,
-    )
+    reps, sides, nbrs, _, truncated = _ball(splitting, radius, local_radius, cap)
+    vertices = [TreeVertex(side, rep) for side, rep in zip(sides, reps)]
+    edges = [TreeEdge(rep) for rep in reps]
+    adjacency = {v: [(edges[e], vertices[w]) for e, w, _, _ in out]
+                 for v, out in zip(vertices, nbrs)}
+    return TreeBall(vertices[0], radius, vertices, edges[1:], adjacency, truncated)
 
 
 def tree_distance(splitting: SplittingSpec, v1: TreeVertex, v2: TreeVertex) -> int:
@@ -350,35 +359,45 @@ def _conjugate_counter(pres: Presentation, radius: int, cap: int, r: tuple[str, 
     )
 
 
-def _paths_of_length(ball: TreeBall, k: int):
-    """Non-backtracking k-edge paths in the ball, each walked once, from the
-    end listed first in ``ball.vertices`` (a tree path has two distinct ends).
+def _walk(nbrs, k: int):
+    """(edges, key) of each non-backtracking k-edge path of a ``_ball``, each
+    walked once, from the end listed first (a tree path has two distinct
+    ends): its edge indices, and the coordinates at each interior vertex of
+    the edge it arrives by and the edge it leaves by (see ``_joining``).
 
-    The walk runs over vertex indices, with neighbour lists built once, and
-    hashes no vertex. ``ball.vertices`` is listed by BFS level, so a walk
-    that can no longer climb back to its start's level, at vertex v with j
-    edges to go and level(v) + j < level(start), can only end at a vertex
-    listed before its start; it is cut there.
+    Vertices are listed by BFS level, so a walk that can no longer climb back
+    to its start's level, at vertex v with j edges to go and level(v) + j <
+    level(start), can only end at a vertex listed before its start; it is
+    cut there.
     """
-    index = {v: i for i, v in enumerate(ball.vertices)}
-    nbrs = [[(edge, index[w]) for edge, w in ball.adjacency[v]] for v in ball.vertices]
     level = [0] * len(nbrs)
-    for v, out in enumerate(nbrs):
-        for _, w in out:
-            if w > v:
-                level[w] = level[v] + 1
+    for w in range(1, len(nbrs)):
+        level[w] = level[nbrs[w][0][1]] + 1
     for start, floor in enumerate(level):
-        stack = [(start, -1, [])]
+        stack = [(start, -1, 0, (), ())]
         while stack:
-            v, prev, edges = stack.pop()
+            v, prev, arrival, edges, key = stack.pop()
             if len(edges) == k:
                 if start < v:
-                    yield edges
+                    yield edges, key
                 continue
             to_go = k - len(edges) - 1
-            for edge, w in nbrs[v]:
+            for edge, w, here, there in nbrs[v]:
                 if w != prev and level[w] + to_go >= floor:
-                    stack.append((w, v, edges + [edge]))
+                    inner = key + (arrival, here) if edges else key
+                    stack.append((w, v, there, edges + (edge,), inner))
+
+
+def _joining(pres: Presentation, inverse, words: list[Word], key: tuple[int, ...]) -> Word:
+    """h = g_1^-1 g_k reduced, for a path whose interior coordinates are
+    ``key`` (see ``_walk``): at an interior vertex x between edges e and e',
+    g^-1 g' = u(x, e)^-1 u(x, e'), so h is the product of these over the
+    path, one extension of short words. ``inverse(i)`` is words[i]^-1."""
+    pairs: list[Syllable] = []
+    for n in range(0, len(key), 2):
+        pairs += inverse(key[n])
+        pairs += words[key[n + 1]]
+    return pres._extend((), pairs)
 
 
 # The least value of each limit of a tree ball or an audit.
@@ -416,44 +435,49 @@ def audit_acylindricity(
     Enumerates every k-edge path in the bounded tree ball and counts the
     elements of length <= ``element_radius`` in its pointwise stabilizer
     f G_R f^-1 (see ``path_stabilizer``), reporting the max against |G_N|.
-    Each path is walked once (see ``_paths_of_length``). Four memoized
-    functions, local to the call, keep what paths share: ``inverse`` inverts
-    what g_1 does not share with g_k (see ``_relative``), ``scan`` splits each
-    distinct h = g_1^-1 g_k into (p, R) once, and ``size_of`` sizes each
-    distinct (g_1, p, R), f = g_1 p, once from word lengths (see
-    ``Presentation._length``): for x in G_R with support S,
+    Each path of ``_ball`` is walked once (see ``_walk``). Memoized functions,
+    local to the call, keep what paths share: ``inverse`` inverts each
+    coordinate, ``scan`` forms h = g_1^-1 g_k from each distinct key of
+    interior coordinates (see ``_joining``) and splits it into (p, R) once,
+    and ``size_of`` sizes each distinct (g_1, p, R), f = g_1 p, once from word
+    lengths (see ``Presentation._length``): for x in G_R with support S,
     |f x f^-1| = |x| + 2|f_0|, f_0 = f stripped of lk(S). f_0 x f_0^-1 is the
     same element, and reduced: no R-syllable ends f, so no sink of f_0 is in S
     or lk(S). So the size is the number of x with |x| <= r - 2|f_0|, bisected
     per support from the sorted lengths of the radius-r ball of G_R, which
     ``counter`` enumerates once per distinct R (see ``_conjugate_counter``), an
     empty one too: G_∅'s ball is {()} and f stripped of lk(∅) = V is (), so
-    the size is 1. No ball of the whole group is built, and
-    ``exhaustive_elements`` is always False.
-    Each side's ball is enumerated once, collapsed to G_C cosets (see
-    ``tree_ball``). ``cap`` bounds the tree ball's vertex count, the side
-    balls and the G_R balls.
-    Raises InputError for limits under which no path would be checked.
+    the size is 1. ``top`` is that count at f = (), the size of the G_R ball,
+    and bounds every f G_R f^-1 count, as |f_0| >= 0: a path whose top(R) is
+    above neither the running maximum nor |G_N| changes neither and is not
+    sized, though ``top`` builds ``counter`` at the first path with its R, as
+    sizing it would. No ball of the whole group is built, and
+    ``exhaustive_elements`` is always False. ``cap`` bounds the tree ball's
+    vertex count, the side balls and the G_R balls. Raises InputError for
+    limits under which no path would be checked.
     """
     check_limits(k=k, tree_radius=tree_radius, element_radius=element_radius,
                  local_radius=local_radius, cap=cap)
     pres = splitting.presentation
-    ball = tree_ball(splitting, tree_radius, local_radius, cap)
-    inverse = cache(pres.inverse)
-    scan = cache(lambda h: _stabilizer_scan(splitting, h))
+    reps, _, nbrs, words, truncated = _ball(splitting, tree_radius, local_radius, cap)
+    inverse = cache(lambda i: pres.inverse(words[i]))
+    scan = cache(lambda key: _stabilizer_scan(splitting, _joining(pres, inverse, words, key)))
     counter = cache(lambda r: _conjugate_counter(pres, element_radius, cap, r))
-    size_of = cache(lambda g1, p, r: counter(r)(pres._extend(g1, p)))
+    top = cache(lambda r: counter(r)(()))
+    size_of = cache(lambda e, p, r: counter(r)(pres._extend(reps[e], p)))
     bound = splitting.acyl_c
     max_size = 0
     paths_checked = 0
     violations = []
-    for path in _paths_of_length(ball, k):
-        g1 = path[0].rep
-        size = size_of(g1, *scan(_relative(pres, inverse, g1, path[-1].rep)))
+    for edges, key in _walk(nbrs, k):
         paths_checked += 1
+        p, r = scan(key)
+        if top(r) <= max_size and top(r) <= bound:
+            continue
+        size = size_of(edges[0], p, r)
         max_size = max(max_size, size)
         if size > bound:
-            violations.append((list(path), size))
+            violations.append(([TreeEdge(reps[e]) for e in edges], size))
     return AuditReport(
         splitting=splitting,
         k=k,
@@ -463,7 +487,7 @@ def audit_acylindricity(
         paths_checked=paths_checked,
         max_stabilizer_size=max_size,
         bound=bound,
-        truncated=ball.truncated,
+        truncated=truncated,
         exhaustive_elements=False,  # no ball is all of G, which holds the infinite G_a * G_b
         violations=violations,
     )

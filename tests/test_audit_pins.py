@@ -9,6 +9,11 @@ outputs only by meaning, so a faster audit that changes a single byte of a
 report, a path label or the order of violations fails here. Violations occur
 at k = 1 and 2. A change that means to alter a report recomputes the digests
 and says why.
+
+The tree balls of the same splittings are pinned too: the SHA-256 of
+``tree_ball_to_dot``, which ``export-dot --target tree-ball`` prints, and
+``truncated``, at (radius, local radius) = (2, 1), (3, 2) and (4, 2), past
+the radii the oracle properties reach.
 """
 
 import hashlib
@@ -19,7 +24,7 @@ import pytest
 from arboreal.classify import build_splitting, separated_pairs
 from arboreal.formats import load_presentation
 from arboreal.graphs import SimpleGraph
-from arboreal.tree import audit_acylindricity
+from arboreal.tree import audit_acylindricity, tree_ball, tree_ball_to_dot
 from arboreal.words import Presentation
 
 from conftest import FIXTURES
@@ -111,6 +116,73 @@ PINNED = {
 }
 
 
+# (presentation, separated pair) -> (digest, truncated) at (radius, local radius)
+# = (2, 1), (3, 2), (4, 2)
+BALL_PINNED = {
+    ("p4_racg", "ac"): (
+        ("2af5a018df56e362f2f5276a2cac69c90ec71b7e6f053e09da17e4e1d0cee0e6", True),
+        ("e7454c5e743d7369f62724ba051762893570ca6db58b4a32613759b6c4bd3a7a", True),
+        ("4de72d8f061fe0ca7d5c125f00fec1b3cb5d180dee5d539400afbdffe4413982", True),
+    ),
+    ("p4_racg", "ad"): (
+        ("16c2ec1b99defcae18c0a1e8ebdacfc7dffddf927a5c42dae6243f29d671fa31", True),
+        ("5d943a4f8ac58e5c8e55a4e6166e9bb4e3383ecef3e50f6c4a09e5793291739b", True),
+        ("afca929e311159319e531d67e8bef240f6fda6736da3df433f1cebbe9de6d547", True),
+    ),
+    ("p4_racg", "bd"): (
+        ("89475946e92b5bb873fd2899c62a000eac695047421de6c721fd0110e4409c4a", True),
+        ("cf8f9426493d2288b405933994156bd6d462eec89aeac6eb77b77fe38008e0b7", True),
+        ("585c18691a1aa6961a6ee4fa45d709004587ba2229613f1631985163be9b4b35", True),
+    ),
+    ("z2_z3", "ab"): (
+        ("c3536a5dbda18c4d01d530574be4d8a8563ea2b54bbf1a2fa097ed4c2542d334", False),
+        ("cf574217ed03bae48ad13c57ad2bd844087b0214c458defb93ea992721134b20", False),
+        ("b377d18d7a93b0cb3801c8a4db33b7891ed5a2b6f90f41b6a7aa4a3424710e1c", False),
+    ),
+    ("z2_z5", "ab"): (
+        ("5abc14f14a7ff48aedf723cb0a0e931165b69ceaf7ad9ff050cba7084e31f1e8", False),
+        ("cf8c7f902b11a732a98fec33630acae2d9ba95118664c78e69a4b5c50616f868", False),
+        ("e99b82312157f8494909d1c0f3cf362d3cbb989636efa6f4b832cc1135eda0ca", False),
+    ),
+    ("o2_racg", "ab"): (
+        ("62508f4b1a57130b164f5c45d30b7497c4200cd3415490f8e7b9895609317737", False),
+        ("14c7b96a6f6408eb820fd8726140994b907e1f77d58b8e80e01a8e75d6a87c3a", False),
+        ("52018dc1bd3276111cc6d3f9bc673e285984dbbb918729cff275b2b94a4bdcfd", False),
+    ),
+    ("k13_racg", "bc"): (
+        ("fcca1f4419eb3ac723f561254255a39f91d161f8c0aa2131cb822b4cd661c207", True),
+        ("66f80243994cccecfe717489a04e8222834e26a6ad636f6076c8d1d77451058e", True),
+        ("ef3a409aa1a1b71f966b5c796a5071fe8d4e185e199f2c685dc144677dc2c5a7", True),
+    ),
+    ("k13_racg", "bd"): (
+        ("89475946e92b5bb873fd2899c62a000eac695047421de6c721fd0110e4409c4a", True),
+        ("0201c0dc7a259a5dc29a6904c5a5a0c55bac5588fe3a79ce8bf277ca14243bf8", True),
+        ("ac39abe7978147742eec801241f05961a2dbcb6a1ad606dc8beb9768786eb610", True),
+    ),
+    ("k13_racg", "cd"): (
+        ("602aaa5eb6796ae02fa24fec20b4c73a45bdc25f472865d7a40644c5a8404f04", True),
+        ("51abf05d1ea7b059a6cfb6ed7031e53f2de0d679df308dfee7c2ed1c2b0a9be7", True),
+        ("f3ae89c45b8b70713c24dcfe7209ae7acadb7dd7cd7a605d74c95ee395cfb2ce", True),
+    ),
+    ("p4_3232", "ac"): (
+        ("46a623ddd0f8950e2d28b4504b6010aa2d77a60d70b29c174b4b32c713178aff", True),
+        ("d6d4a9396a52d3dd1343d030cae13c0f9cbad20f2eb0c40b7c54e1d23fb85417", True),
+        ("e32035e1a2e32eb0837aa81155aa6917aa43a223c5de238579cd9a814e5797dd", True),
+    ),
+    ("p4_3232", "ad"): (
+        ("8c56f9589e9c60461e8a1ac062c412879335d8bf73b223d223bd8813cb5137b5", True),
+        ("2e09b5b0cb2f835e2e481c1c5a0e92654eeb381dbba1bc81771f0618bfeebddf", True),
+        ("524d61914884c49645223509378c5c82e9277a8448eb4bba2c428176917756e7", True),
+    ),
+    ("p4_3232", "bd"): (
+        ("89475946e92b5bb873fd2899c62a000eac695047421de6c721fd0110e4409c4a", True),
+        ("fd66cc0f00c3bad73753d845b54c43771e644183ab2b92ec600a34feeec410d8", True),
+        ("2a4ac08223adf7658693c5961988bc859f18f5595d85d1f1e097186c6661e571", True),
+    ),
+}
+BALL_RADII = ((2, 1), (3, 2), (4, 2))
+
+
 def digest(report):
     return hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
 
@@ -129,9 +201,21 @@ def test_audit_reports_are_pinned(name, pair):
     assert tuple(map(digest, reports)) == PINNED[name, pair]
 
 
+@pytest.mark.parametrize("name, pair", list(BALL_PINNED))
+def test_tree_balls_are_pinned(name, pair):
+    pres = presentation(name)
+    sp = build_splitting(pres, next(p for p in separated_pairs(pres) if p.a + p.b == pair))
+    balls = (tree_ball(sp, *radii) for radii in BALL_RADII)
+    assert tuple(
+        (hashlib.sha256(tree_ball_to_dot(ball).encode()).hexdigest(), ball.truncated)
+        for ball in balls
+    ) == BALL_PINNED[name, pair]
+
+
 def test_every_separated_pair_is_pinned():
     for name in {name for name, _ in PINNED}:
         pres = presentation(name)
         assert {p.a + p.b for p in separated_pairs(pres)} == {
             pair for n, pair in PINNED if n == name
         }
+    assert set(BALL_PINNED) == set(PINNED)

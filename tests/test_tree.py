@@ -10,8 +10,9 @@ from arboreal.tree import (
     SIDE_B,
     TreeEdge,
     TreeVertex,
+    _ball,
     _conjugate_counter,
-    _paths_of_length,
+    _walk,
     act,
     audit_acylindricity,
     base_vertex,
@@ -406,9 +407,10 @@ class TestAudit:
         )
         cap = 10_000
         elements = p4_racg.enumerate_ball(6, cap=cap)
-        ball = tree_ball(sp, 5, 2, cap)
+        reps, _, nbrs, _, _ = _ball(sp, 5, 2, cap)
         stabilizers = {
-            path_stabilizer(sp, path) for k in (1, 2, 3) for path in _paths_of_length(ball, k)
+            path_stabilizer(sp, [TreeEdge(reps[e]) for e in edges])
+            for k in (1, 2, 3) for edges, _ in _walk(nbrs, k)
         }
         counters = {}
         for f, r in stabilizers:

@@ -12,10 +12,12 @@ representative of its side is already its edge's representative, also far
 outside any tree ball; and that the peel behind coset representatives and
 stabilizers, forward and in reverse, peels only S-syllables, keeps the
 element, and is maximal; and that the word joining two canonical words, formed
-from what they do not share, is the inverse of one extended by the other.
+from what they do not share, is the inverse of one extended by the other, and
+so is the one formed from the coset coordinates along a tree-ball path.
 
 Presentations have at most five vertices (six for the child order, seven for
-the far end edges, the far edge lemma, the peel and the joining word), with
+the far end edges, the far edge lemma, the peel, the joining word and the
+coordinates), with
 orders in {2, 3, inf}; every separated-pair splitting is checked at tree and
 element radii up to 3 under a low ball cap, so that cap errors are compared
 too.
@@ -32,9 +34,11 @@ from arboreal.tree import (
     SIDE_B,
     TreeEdge,
     TreeVertex,
-    _paths_of_length,
+    _ball,
+    _joining,
     _peel,
     _relative,
+    _walk,
     audit_acylindricity,
     coset_canonical,
     element_action,
@@ -141,13 +145,42 @@ def test_path_walk_matches_first_walk_per_edge_set(pres, radii):
     from its end listed first, and no path lost to the level cut."""
     tree_radius, local_radius = radii
     for pair in separated_pairs(pres):
+        sp = build_splitting(pres, pair)
         try:
-            ball = tree_ball(build_splitting(pres, pair), tree_radius, local_radius, CAP)
+            ball = tree_ball(sp, tree_radius, local_radius, CAP)
         except ResourceCapError:
             continue
+        reps, _, nbrs, _, _ = _ball(sp, tree_radius, local_radius, CAP)
         for k in range(1, 2 * tree_radius + 1):
-            walked = [[e.rep for e in path] for path in _paths_of_length(ball, k)]
+            walked = [[reps[e] for e in edges] for edges, _ in _walk(nbrs, k)]
             assert walked == [[e.rep for e in path] for path in paths_by_edge_set(ball, k)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(max_vertices=7), st.integers(1, 3), st.integers(1, 3))
+def test_coordinates_give_edges_and_joining_words(pres, radius, local_radius):
+    """For every half-edge (x, e) of ``_ball``, x's representative extended
+    by its coordinate is e's, and the coordinate is canonical and C-stripped;
+    for every k-edge path, k 1 to 4, the word formed from its interior
+    coordinates is the one ``_relative`` forms from its end edges."""
+    for pair in separated_pairs(pres):
+        sp = build_splitting(pres, pair)
+        try:
+            reps, _, nbrs, words, _ = _ball(sp, radius, local_radius, CAP)
+        except ResourceCapError:
+            continue
+        for u in words:
+            assert u == pres.canonical(u) == coset_canonical(pres, u, sp.c_side)
+        for x, out in enumerate(nbrs):
+            for e, w, here, there in out:
+                assert pres._extend(reps[x], words[here]) == reps[e]
+                assert pres._extend(reps[w], words[there]) == reps[e]
+        inverses = [pres.inverse(u) for u in words]
+        for k in range(1, min(4, 2 * radius) + 1):
+            for edges, key in _walk(nbrs, k):
+                assert _joining(pres, inverses.__getitem__, words, key) == _relative(
+                    pres, pres.inverse, reps[edges[0]], reps[edges[-1]]
+                )
 
 
 @st.composite
@@ -233,13 +266,13 @@ def test_conjugate_length_rule(pres, radii, radius):
     for pair in separated_pairs(pres):
         sp = build_splitting(pres, pair)
         try:
-            ball = tree_ball(sp, tree_radius, local_radius, CAP)
+            reps, _, nbrs, _, _ = _ball(sp, tree_radius, local_radius, CAP)
         except ResourceCapError:
             continue
         stabilizers = {
-            path_stabilizer(sp, path)
+            path_stabilizer(sp, [TreeEdge(reps[e]) for e in edges])
             for k in range(1, min(3, 2 * tree_radius) + 1)
-            for path in _paths_of_length(ball, k)
+            for edges, _ in _walk(nbrs, k)
         }
         for f, r in stabilizers:
             assert pres.last_vertices(f).isdisjoint(r)
