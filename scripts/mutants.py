@@ -78,16 +78,13 @@ MUTANTS = [
     # tree layer
     (TREE, "{_strip(pres, s, splitting.c_side) for s in side_ball}", "set(side_ball)",
      "the tree ball extends by the side ball's elements, not its G_C cosets"),
-    (TREE, "for g, i in sorted((pres._extend(reps[x], t), i) for t, i in cosets[side] if i != back):",
-     "for g, i in ((pres._extend(reps[x], t), i) for t, i in cosets[side] if i != back):",
+    (TREE, "for g, i in sorted((pres._extend(reps[x], t), i) for t, i in cosets[sides[x]] if i != back):",
+     "for g, i in ((pres._extend(reps[x], t), i) for t, i in cosets[sides[x]] if i != back):",
      "the tree ball lists children in coset-set order, not edge order"),
     (TREE, "back = nbrs[x][0][2] if x else -1", "back = -1",
      "the tree ball never skips a vertex's parent, so it lists the parent again as a child"),
     (TREE, "nbrs.append([(w, x, 0, i)])", "nbrs.append([(w, x, i, i)])",
      "a child's coordinate of the edge to its parent is t, as at the parent, not ()"),
-    (TREE, "inner = key + (arrival, here) if edges else key",
-     "inner = key + (0, here) if edges else key",
-     "a path's key drops the coordinate it arrives by at each interior vertex"),
     (TREE, "return TreeVertex(side, _strip(pres, pres.canonical(word), splitting.side(side)))",
      "return TreeVertex(side, _strip(pres, pres.canonical(word), splitting.c_side))",
      "make_vertex strips C instead of the vertex's side"),
@@ -100,10 +97,11 @@ MUTANTS = [
      "the stabilizer's q is peeled forward, from the start of what p leaves"),
     (TREE, "while n < m and g1[n] == gk[n]:", "while n < m and g1[n][0] == gk[n][0]:",
      "the shared prefix of g_1 and g_k is cancelled by vertex, blind to exponents"),
-    (TREE, "counter(r)(pres._extend(reps[e], p))", "counter(r)(reps[e])",
+    (TREE, "size_of = cache(lambda g1, p, r: counter(r)(pres._extend(g1, p)))",
+     "size_of = cache(lambda g1, p, r: counter(r)(g1))",
      "the audit sizes g_1 G_R g_1^-1, dropping p from f = g_1 p"),
     (TREE, "sylls = pres._extend(pres.inverse(v1.rep), v2.rep)",
-     "sylls = _relative(pres, pres.inverse, v1.rep, v2.rep)",
+     "a, b = _relative(v1.rep, v2.rep); sylls = pres._extend(pres.inverse(a), b)",
      "tree_distance cancels a shared prefix of any words unread, so an unknown vertex passes"),
     (TREE, "return last + (sides[last % 2] != v1.side)", "return last",
      "tree_distance misses the last round when it ends on the other side"),
@@ -116,10 +114,17 @@ MUTANTS = [
      "a conjugate's length counts f once, not twice"),
     (TREE, "if w != prev and level[w] + to_go >= floor:", "if w != prev and level[w] + to_go > floor:",
      "the path walk cuts walks that can still climb back to their start's level"),
-    (TREE, "        if size > bound:", "        if size >= bound:",
+    (TREE, "(size := size_of(g1, p, r)) > bound:", "(size := size_of(g1, p, r)) >= bound:",
      "the audit reports a stabilizer of exactly |G_N| as a violation"),
-    (TREE, "if top(r) <= max_size and top(r) <= bound:", "if top(r) <= bound:",
-     "the audit skips a path that could raise the maximum, as long as it cannot violate"),
+    (TREE, "            if top(r) > max_size:", "            if top(r) > bound:",
+     "the audit skips a base path that could raise the maximum, as long as it cannot violate"),
+    (TREE, "count += prod(kids[:d]) * (n * below[k] + pairs // 2)",
+     "count += prod(kids[:d]) * (n * below[k] + pairs)",
+     "the path count counts a path with two branches twice, once from each end"),
+    (TREE, "        if size > cap:\n            raise ResourceCapError", "        if False:\n            raise ResourceCapError",
+     "the tree ball's vertex count, read from its level sizes, is never checked against the cap"),
+    (TREE, "        list(walked())  # raises the error of the first path in walk order\n", "",
+     "a G_R ball past the cap raises the base's first error, not the first in walk order"),
     # classification layer
     (CLASSIFY, "if not mask_a >> j & 1 and (order := pres._mask_order(common)) != INFINITY:",
      "if (order := pres._mask_order(common)) != INFINITY:",

@@ -25,16 +25,17 @@ tree ball or audit, not once per tree vertex or path: each side's subgroup
 ball, collapsed to its G_C cosets, and the ball of each G_R a path
 stabilizer is conjugate to, kept as sorted lengths per support, which the
 audit bisects to size f G_R f^-1, R empty or not (see ``_conjugate_counter``).
-The audit walks the tree ball as index arrays, each path once, and joins its
-end edges through the coordinates at its interior vertices (see ``_walk``).
+The audit sizes only the paths that turn at the base, and counts the rest
+of the tree ball from its level sizes (see ``audit_acylindricity``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import defaultdict
-from functools import cache
+from functools import cache, partial
 from itertools import chain, combinations
+from math import prod
 from typing import AbstractSet, Iterable, NamedTuple, Optional
 
 from .classify import SIDE_A, SIDE_B, SplittingSpec
@@ -171,6 +172,27 @@ def act(splitting: SplittingSpec, g: Word, v: TreeVertex) -> TreeVertex:
     return make_vertex(splitting, tuple(g) + tuple(v.rep), v.side)
 
 
+def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int):
+    """(cosets, kids, truncated) of ``_ball``: each side's C-stripped coset
+    representatives, sorted, from its ball; kids[d], the child count at depth
+    d, m_A at the base and m_S - 1 elsewhere on side S; whether a side ball is
+    cut. Raises the ball's cap errors in the order it met them."""
+    pres = splitting.presentation
+    cosets, kids, truncated, level, size = {}, [], False, 1, 1
+    for d in range(radius):
+        side = SIDE_B if d % 2 else SIDE_A
+        if d < 2:
+            side_ball, saturated = pres.enumerate_ball_info(local_radius, cap=cap,
+                                                            subset=splitting.side(side))
+            cosets[side] = sorted({_strip(pres, s, splitting.c_side) for s in side_ball})
+            truncated = truncated or not saturated
+        kids.append(len(cosets[side]) - (d > 0))
+        size += (level := level * kids[-1])
+        if size > cap:
+            raise ResourceCapError(f"tree ball exceeded cap of {cap} vertices")
+    return cosets, kids, truncated
+
+
 def _ball(splitting: SplittingSpec, radius: int, local_radius: int, cap: int):
     """``tree_ball`` as index arrays: (reps, sides, nbrs, words, truncated).
 
@@ -179,46 +201,35 @@ def _ball(splitting: SplittingSpec, radius: int, local_radius: int, cap: int):
     (edge, neighbour, u here, u there) in ``tree_ball``'s order, where the
     coordinate u(x, e) = x.rep^-1 e.rep is an index into ``words``.
     The edges at xG_S are xtG_C, one per coset tG_C of G_C in G_S, so u(x, e)
-    is t. Each side's ball is enumerated once, at its first vertex, and
-    collapsed to its C-stripped coset representatives t. A vertex x then
-    costs one extension g = x.rep t per coset but its parent's. x.rep has
-    no sink in S and t none in C, so nothing in x.rep t merges or cancels.
+    is t, a C-stripped representative from the side's ball (see ``_levels``),
+    and x costs one extension g = x.rep t per coset but its parent's: x.rep
+    has no sink in S and t none in C, so nothing in x.rep t merges or cancels.
     With S - C = {u} and T - C = {v} for the far side T (A = V - {b},
     B = V - {a}), u and v are not adjacent, so a u-sink of t != () follows
     the sinks of x.rep, all v-syllables: g's sinks are t's, outside T ⊇ C,
     and g is both the edge and the far vertex, where u is (). So at every
     vertex but the base, t = () is the parent, which is skipped, and every
     other t gives a new vertex, in edge order. Each coordinate is the
-    canonical word its coset's transversal holds. ``cap`` bounds the side
-    balls and the vertex count alike.
+    canonical word its coset's transversal holds.
     """
     pres = splitting.presentation
-    reps, sides, nbrs = [()], [SIDE_A], [[]]
+    side_cosets, _, truncated = _levels(splitting, radius, local_radius, cap)
     ids: dict[Word, int] = {(): 0}  # coordinate -> index into words
-    cosets: dict[str, list[tuple[Word, int]]] = {}
-    truncated = False
+    cosets = {side: [(t, ids.setdefault(t, len(ids))) for t in ts]
+              for side, ts in side_cosets.items()}
+    reps, sides, nbrs = [()], [SIDE_A], [[]]
     start = 0
     for _ in range(radius):
         end = len(reps)
         for x in range(start, end):
-            side = sides[x]
-            if side not in cosets:
-                side_ball, saturated = pres.enumerate_ball_info(
-                    local_radius, cap=cap, subset=splitting.side(side)
-                )
-                cosets[side] = [(t, ids.setdefault(t, len(ids))) for t in
-                                {_strip(pres, s, splitting.c_side) for s in side_ball}]
-                truncated = truncated or not saturated
             back = nbrs[x][0][2] if x else -1
-            opp = SIDE_B if side == SIDE_A else SIDE_A
-            for g, i in sorted((pres._extend(reps[x], t), i) for t, i in cosets[side] if i != back):
+            opp = SIDE_B if sides[x] == SIDE_A else SIDE_A
+            for g, i in sorted((pres._extend(reps[x], t), i) for t, i in cosets[sides[x]] if i != back):
                 w = len(reps)
                 reps.append(g)
                 sides.append(opp)
                 nbrs[x].append((w, w, i, 0))
                 nbrs.append([(w, x, 0, i)])
-            if len(reps) > cap:
-                raise ResourceCapError(f"tree ball exceeded cap of {cap} vertices")
         start = end
     return reps, sides, nbrs, list(ids), truncated
 
@@ -299,23 +310,24 @@ def path_stabilizer(
         raise InputError("path must contain at least one edge")
     pres = splitting.presentation
     g1, gk = (make_edge(splitting, e.rep).rep for e in (path[0], path[-1]))
-    p, r = _stabilizer_scan(splitting, _relative(pres, pres.inverse, g1, gk))
+    a, b = _relative(g1, gk)
+    p, r = _stabilizer_scan(splitting, pres._extend(pres.inverse(a), b))
     return pres._extend(g1, p), r
 
 
-def _relative(pres: Presentation, inverse, g1: Word, gk: Word) -> Word:
-    """g_1^-1 g_k = a^-1 b reduced, g_1 = c a and g_k = c b canonical with c their
-    longest common literal prefix, which goes unread: its vertices are known."""
+def _relative(g1: Word, gk: Word) -> tuple[Word, Word]:
+    """(a, b), g_1 = c a and g_k = c b canonical, c their longest common literal
+    prefix, unread as its vertices are known: g_1^-1 g_k is a^-1 extended by b."""
     n, m = 0, min(len(g1), len(gk))
     while n < m and g1[n] == gk[n]:
         n += 1
-    return pres._extend(inverse(g1[n:]), gk[n:])
+    return g1[n:], gk[n:]
 
 
 def _stabilizer_scan(splitting: SplittingSpec, h: Word):
-    """(p, R) of the reduced h (see ``_relative``) joining a path's end edges
-    g_1G_C and g_kG_C, g_1 and g_k canonical: the pointwise stabilizer is
-    f G_R f^-1, f = g_1 p, and no R-syllable ends f.
+    """(p, R) of the reduced h = g_1^-1 g_k (see ``_relative``) joining a
+    path's end edges g_1G_C and g_kG_C, g_1 and g_k canonical: the pointwise
+    stabilizer is f G_R f^-1, f = g_1 p, and no R-syllable ends f.
 
     An element fixing both end edges fixes the path, so the stabilizer is
     g_1(G_C ∩ hG_Ch^-1)g_1^-1 for h = g_1^-1 g_k. Split h's heap as p d q: p
@@ -360,44 +372,54 @@ def _conjugate_counter(pres: Presentation, radius: int, cap: int, r: tuple[str, 
 
 
 def _walk(nbrs, k: int):
-    """(edges, key) of each non-backtracking k-edge path of a ``_ball``, each
-    walked once, from the end listed first (a tree path has two distinct
-    ends): its edge indices, and the coordinates at each interior vertex of
-    the edge it arrives by and the edge it leaves by (see ``_joining``).
-
-    Vertices are listed by BFS level, so a walk that can no longer climb back
-    to its start's level, at vertex v with j edges to go and level(v) + j <
-    level(start), can only end at a vertex listed before its start; it is
-    cut there.
-    """
+    """The edge indices of each non-backtracking k-edge path of a ``_ball``,
+    walked once, from the end listed first. Vertices are listed by BFS level,
+    so a walk that can no longer climb back to its start's level, at vertex v
+    with j edges to go and level(v) + j < level(start), can only end at a
+    vertex listed before its start; it is cut there."""
     level = [0] * len(nbrs)
     for w in range(1, len(nbrs)):
         level[w] = level[nbrs[w][0][1]] + 1
     for start, floor in enumerate(level):
-        stack = [(start, -1, 0, (), ())]
+        stack = [(start, -1, ())]
         while stack:
-            v, prev, arrival, edges, key = stack.pop()
+            v, prev, edges = stack.pop()
             if len(edges) == k:
                 if start < v:
-                    yield edges, key
+                    yield edges
                 continue
             to_go = k - len(edges) - 1
-            for edge, w, here, there in nbrs[v]:
+            for edge, w, _, _ in nbrs[v]:
                 if w != prev and level[w] + to_go >= floor:
-                    inner = key + (arrival, here) if edges else key
-                    stack.append((w, v, there, edges + (edge,), inner))
+                    stack.append((w, v, edges + (edge,)))
 
 
-def _joining(pres: Presentation, inverse, words: list[Word], key: tuple[int, ...]) -> Word:
-    """h = g_1^-1 g_k reduced, for a path whose interior coordinates are
-    ``key`` (see ``_walk``): at an interior vertex x between edges e and e',
-    g^-1 g' = u(x, e)^-1 u(x, e'), so h is the product of these over the
-    path, one extension of short words. ``inverse(i)`` is words[i]^-1."""
-    pairs: list[Syllable] = []
-    for n in range(0, len(key), 2):
-        pairs += inverse(key[n])
-        pairs += words[key[n + 1]]
-    return pres._extend((), pairs)
+def _root_paths(pres: Presentation, cosets, k: int, radius: int):
+    """(g_1, g_k) of each k-edge path of the tree ball through the base and
+    below it. A child's rep is its parent's extended by a coset (see
+    ``_levels``), nonempty but at the base. A path runs k levels down, or a and
+    k - a down two branches, whose level-1 vertices (kept with each) differ."""
+    levels = [[(t, t) for t in cosets[SIDE_A]]]
+    for d in range(1, min(k, radius)):
+        ts = [t for t in cosets[SIDE_B if d % 2 else SIDE_A] if t]
+        levels.append([(pres._extend(x, t), b) for x, b in levels[-1] for t in ts])
+    if len(levels) == k:
+        yield from ((b, x) for x, b in levels[-1])
+    for a in range(max(1, k - len(levels)), k // 2 + 1):
+        yield from ((u, v) for u, bu in levels[a - 1] for v, bv in levels[k - a - 1]
+                    if (bu < bv if 2 * a == k else bu != bv))
+
+
+def _path_count(kids: list[int], k: int) -> int:
+    """The number of k-edge paths in a tree ball with kids[d] children at each
+    vertex of depth d (see ``_levels``), counted at their apex: one branch of
+    k levels, or two of a and k - a levels through distinct children."""
+    count = 0
+    for d, n in enumerate(kids):
+        below = [prod(kids[d + 1:d + j]) * (d + j <= len(kids)) for j in range(k + 1)]
+        pairs = sum(n * (n - 1) * below[a] * below[k - a] for a in range(1, k))
+        count += prod(kids[:d]) * (n * below[k] + pairs // 2)
+    return count
 
 
 # The least value of each limit of a tree ball or an audit.
@@ -432,59 +454,77 @@ def audit_acylindricity(
 ) -> AuditReport:
     """Empirical check of the (k, |G_N|) acylindricity bound.
 
-    Enumerates every k-edge path in the bounded tree ball and counts the
-    elements of length <= ``element_radius`` in its pointwise stabilizer
-    f G_R f^-1 (see ``path_stabilizer``), reporting the max against |G_N|.
-    Each path of ``_ball`` is walked once (see ``_walk``). Memoized functions,
-    local to the call, keep what paths share: ``inverse`` inverts each
-    coordinate, ``scan`` forms h = g_1^-1 g_k from each distinct key of
-    interior coordinates (see ``_joining``) and splits it into (p, R) once,
-    and ``size_of`` sizes each distinct (g_1, p, R), f = g_1 p, once from word
-    lengths (see ``Presentation._length``): for x in G_R with support S,
-    |f x f^-1| = |x| + 2|f_0|, f_0 = f stripped of lk(S). f_0 x f_0^-1 is the
-    same element, and reduced: no R-syllable ends f, so no sink of f_0 is in S
-    or lk(S). So the size is the number of x with |x| <= r - 2|f_0|, bisected
-    per support from the sorted lengths of the radius-r ball of G_R, which
-    ``counter`` enumerates once per distinct R (see ``_conjugate_counter``), an
-    empty one too: G_∅'s ball is {()} and f stripped of lk(∅) = V is (), so
-    the size is 1. ``top`` is that count at f = (), the size of the G_R ball,
-    and bounds every f G_R f^-1 count, as |f_0| >= 0: a path whose top(R) is
-    above neither the running maximum nor |G_N| changes neither and is not
-    sized, though ``top`` builds ``counter`` at the first path with its R, as
-    sizing it would. No ball of the whole group is built, and
-    ``exhaustive_elements`` is always False. ``cap`` bounds the tree ball's
-    vertex count, the side balls and the G_R balls. Raises InputError for
-    limits under which no path would be checked.
+    Counts the k-edge paths of the bounded tree ball and reports the most
+    elements of length <= ``element_radius`` in a path's pointwise stabilizer
+    f G_R f^-1 (see ``path_stabilizer``), against |G_N|, with the paths that
+    hold more. Only the base's paths are sized (see ``_root_paths``): at an
+    interior vertex of side S, S - C = {u}, a path's edges differ by a coset
+    of G_C in G_S, so the word joining them has a u-syllable in its middle,
+    and their stabilizer, which holds the path's, has its R in C ∩ lk(u). So
+    R lies in R_k: C for k = 1, C ∩ lk(a) or C ∩ lk(b) for k = 2, N = C ∩
+    lk(a) ∩ lk(b) for k >= 3, and each count is at most top(R_k) (see below).
+    A base path has R = R_k and f a word in a and b, which lk(R_k) strips
+    away, so its count is top(R_k): the edge G_C; G_C and aG_C, or G_C and
+    bG_C; or branches through these two of about k/2 edges, their coordinates
+    a and b in turn. So the ball's maximum is the base's, and a path violates
+    only if it is above |G_N|: ``paths_checked`` is counted (see
+    ``_path_count``), and the ball is built and walked (see ``_walk``) only
+    to list violations, in walk order.
+
+    Memoized per call: ``join`` forms h from what g_1 and g_k do not share
+    (see ``_relative``), ``scan`` splits it into (p, R), ``counter`` keeps the
+    radius-r ball of each G_R (see ``_conjugate_counter``), and ``size_of``
+    sizes f G_R f^-1, f = g_1 p: for x in G_R with support S, |f x f^-1| =
+    |x| + 2|f_0|, f_0 = f stripped of lk(S), as f_0 x f_0^-1 is the same
+    reduced element (no R-syllable ends f, so no sink of f_0 is in S or
+    lk(S)). ``top``, the count at f = (), bounds every count: a base path
+    whose top(R) is not above the running maximum is not sized, nor a walked
+    path whose top(R) is not above |G_N|.
+
+    ``cap`` bounds the tree ball's vertex count, the side balls and the G_R
+    balls. ``_levels`` raises the first errors, in the ball's order. Every G_R
+    ball lies in G_{R_k}'s, which the base builds, so one past the cap is met
+    there; the walk then raises the error of the first path in walk order
+    that meets one, whose radius may differ. No ball of the whole group is
+    built (``exhaustive_elements`` is False). Raises InputError for limits
+    under which no path would be checked.
     """
     check_limits(k=k, tree_radius=tree_radius, element_radius=element_radius,
                  local_radius=local_radius, cap=cap)
     pres = splitting.presentation
-    reps, _, nbrs, words, truncated = _ball(splitting, tree_radius, local_radius, cap)
-    inverse = cache(lambda i: pres.inverse(words[i]))
-    scan = cache(lambda key: _stabilizer_scan(splitting, _joining(pres, inverse, words, key)))
+    cosets, kids, truncated = _levels(splitting, tree_radius, local_radius, cap)
+    join = cache(lambda a, b: pres._extend(pres.inverse(a), b))
+    scan = cache(partial(_stabilizer_scan, splitting))
     counter = cache(lambda r: _conjugate_counter(pres, element_radius, cap, r))
     top = cache(lambda r: counter(r)(()))
-    size_of = cache(lambda e, p, r: counter(r)(pres._extend(reps[e], p)))
+    size_of = cache(lambda g1, p, r: counter(r)(pres._extend(g1, p)))
     bound = splitting.acyl_c
+
+    def walked():
+        reps, _, nbrs, _, _ = _ball(splitting, tree_radius, local_radius, cap)
+        for edges in _walk(nbrs, k):
+            g1 = reps[edges[0]]
+            p, r = scan(join(*_relative(g1, reps[edges[-1]])))
+            if top(r) > bound and (size := size_of(g1, p, r)) > bound:
+                yield [TreeEdge(reps[e]) for e in edges], size
+
     max_size = 0
-    paths_checked = 0
-    violations = []
-    for edges, key in _walk(nbrs, k):
-        paths_checked += 1
-        p, r = scan(key)
-        if top(r) <= max_size and top(r) <= bound:
-            continue
-        size = size_of(edges[0], p, r)
-        max_size = max(max_size, size)
-        if size > bound:
-            violations.append(([TreeEdge(reps[e]) for e in edges], size))
+    try:
+        for g1, gk in _root_paths(pres, cosets, k, tree_radius):
+            p, r = scan(join(*_relative(g1, gk)))
+            if top(r) > max_size:
+                max_size = max(max_size, size_of(g1, p, r))
+    except ResourceCapError:
+        list(walked())  # raises the error of the first path in walk order
+        raise
+    violations = list(walked()) if max_size > bound else []
     return AuditReport(
         splitting=splitting,
         k=k,
         tree_radius=tree_radius,
         element_radius=element_radius,
         local_radius=local_radius,
-        paths_checked=paths_checked,
+        paths_checked=_path_count(kids, k),
         max_stabilizer_size=max_size,
         bound=bound,
         truncated=truncated,

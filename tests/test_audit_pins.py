@@ -10,6 +10,10 @@ report, a path label or the order of violations fails here. Violations occur
 at k = 1 and 2. A change that means to alter a report recomputes the digests
 and says why.
 
+Deeper audits of the same splittings are pinned too, at (k, tree radius) =
+(3, 6), (3, 8) and (4, 7), element radius 6, where the paths that do not
+turn at the base far outnumber those that do.
+
 The tree balls of the same splittings are pinned too: the SHA-256 of
 ``tree_ball_to_dot``, which ``export-dot --target tree-ball`` prints, and
 ``truncated``, at (radius, local radius) = (2, 1), (3, 2) and (4, 2), past
@@ -115,6 +119,71 @@ PINNED = {
     ),
 }
 
+# (presentation, separated pair) -> digests at (k, tree radius) in DEEP_LIMITS
+DEEP_PINNED = {
+    ("p4_racg", "ac"): (
+        "2d9e86e0f27f0b29f9e2988903cab19625e835435dd7f1713fdbd01cccf9a963",
+        "e6333a67db6dd749aa8667df93ea34099f00f071727b26e360e4b6d0bcb950f4",
+        "d64d2f1fa0bc6454e53f5d252064b8a55dbd6d03d503461869bd84038c21d6ad",
+    ),
+    ("p4_racg", "ad"): (
+        "0b8feb3bd214b67f80ddd49f21a8cf06d7ef0ae9a04bccfaf84d478cdb9ac480",
+        "90618b43735398051131fd98da75c8b6c433daf764bb135bb1ba5c3ccf03474c",
+        "82efb6a0c9150123affacd2500ef0bf34173396471fd8f8792bd70c5b6e7a826",
+    ),
+    ("p4_racg", "bd"): (
+        "9be99f12eb0d8b42646e8627ed8b28f21ecb7633e9a7bfc170e658bbafb95af4",
+        "59a61f4291d5050dfde0bba1135afe5e1e57ad9d2c08e0669715e3d8086b1158",
+        "cc2c8310224f0853f34ab46d4a3241a3b63f08f0034405d8cc38dc7ba55c80ab",
+    ),
+    ("z2_z3", "ab"): (
+        "fbef97f2e211a5b128af647eac5c0223bcfd17d8cf6341c6b0adcdd415db3d50",
+        "bd62962b92ae8cdaccf7b1419413030dc80d2960f89a40283d3dd30bd9169c00",
+        "8b95ee33efdc491f3ecdd5f79dd9dca1b2c582ef2ac5f3202acdd341aee88149",
+    ),
+    ("z2_z5", "ab"): (
+        "0f5d79d04d83864b065b29fec228b6e93168486cfb3687a769d908e84ffa5af5",
+        "a164eef5d7143d2e5a433b27af7cb21fbdd25ea69861027cac2d496485a39d15",
+        "87ce9d62619cd90bacd788c5178ab11d6170bb379189a5f0121a7556e13bb18c",
+    ),
+    ("o2_racg", "ab"): (
+        "504233b25ba191e297ac2cfb88bb1985ea87e773a90d646c9e9c6d720e864e58",
+        "c286be2eec9d3eb0f50e762c95ce492f432762f1865a87493e0362101a9b64ed",
+        "fdbc850d0491a9232d8943c9ee770318dd04a6b3048db8e40cf27b0a57ae5391",
+    ),
+    ("k13_racg", "bc"): (
+        "8c0b5b4106cfe3131a049f6b01ecc1509e36189b6d0a4b3a13779d2ea7d42a0c",
+        "532d399665872089f85e5b0fbdcc36c296da71454edb5965f37b77d94c1bfb7a",
+        "ef9df9e5bdb5499518db78da94b7d25d50475b226e67cb362b3767053e3d1191",
+    ),
+    ("k13_racg", "bd"): (
+        "93021edd5a0b0e4bafe26165f5ff0c0a5fa0a11d8ef86df0975c8ba0f40e333c",
+        "3a255b9a55973c73db34c22ea61cf8293cd9926ea98c9c8e4e9de861f27b091c",
+        "a36f71a4e2d7c261ab292ee672e171ceece43889d5ca7fc98f6eb2f44ccbdd65",
+    ),
+    ("k13_racg", "cd"): (
+        "dbf10d3670e2aeb833484c9a5f9142ed2e8c83630e529543a3e69a8c254f681b",
+        "ebc3e7b71f580d52011daf402a6cc5136bb733a9615d26f47354d4c4d5cef227",
+        "8de91b06255f32b09573e31c02066c40f7cb89342f4908e427a624b6dd81ea34",
+    ),
+    ("p4_3232", "ac"): (
+        "ec0029b930d4936f740d60f0ec9fce4a6deba45be73944a0c47bce4cc762e96d",
+        "d437ed5dcfe2c3e2821f4da87380d689eeb9e7ecc97f9852fc1421c029f85f07",
+        "f8090ead793003d782fe2ccd3cb2d67977c1a8f98f6434afe92cc479023b0bf8",
+    ),
+    ("p4_3232", "ad"): (
+        "3ef5440e3e99e7478e4ce955e8f5c2618e47f23320196ef9200225570c5c9e1b",
+        "f5a867aa6091e47ee6ff74b5a74499377757acc52e1b404175b865a23f98a5a2",
+        "1f80233467e03a0323cb60ced9054135e621aafbe85f7648420b7a3b780a99e1",
+    ),
+    ("p4_3232", "bd"): (
+        "098c830a7c0ee403d6cb2826295d65a7754379bb3b7189e9fc8d9eaffa0241ad",
+        "7af7222c26d69ade6f79473d2d655c30406e74fc766733e6505b86579540907d",
+        "0c612dfe91be2e8b9eafdc8a713417b5967d2070c48dc1fe650680f4a688c0e2",
+    ),
+}
+DEEP_LIMITS = ((3, 6), (3, 8), (4, 7))
+
 
 # (presentation, separated pair) -> (digest, truncated) at (radius, local radius)
 # = (2, 1), (3, 2), (4, 2)
@@ -201,6 +270,17 @@ def test_audit_reports_are_pinned(name, pair):
     assert tuple(map(digest, reports)) == PINNED[name, pair]
 
 
+@pytest.mark.parametrize("name, pair", list(DEEP_PINNED))
+def test_deep_audit_reports_are_pinned(name, pair):
+    pres = presentation(name)
+    sp = build_splitting(pres, next(p for p in separated_pairs(pres) if p.a + p.b == pair))
+    reports = (
+        audit_acylindricity(sp, k=k, tree_radius=tree_radius, element_radius=6)
+        for k, tree_radius in DEEP_LIMITS
+    )
+    assert tuple(map(digest, reports)) == DEEP_PINNED[name, pair]
+
+
 @pytest.mark.parametrize("name, pair", list(BALL_PINNED))
 def test_tree_balls_are_pinned(name, pair):
     pres = presentation(name)
@@ -218,4 +298,4 @@ def test_every_separated_pair_is_pinned():
         assert {p.a + p.b for p in separated_pairs(pres)} == {
             pair for n, pair in PINNED if n == name
         }
-    assert set(BALL_PINNED) == set(PINNED)
+    assert set(BALL_PINNED) == set(DEEP_PINNED) == set(PINNED)

@@ -331,6 +331,14 @@ class TestAudit:
                 sp, k=2, tree_radius=3, element_radius=1, local_radius=3, cap=3000
             )
 
+    def test_cap_counts_the_whole_tree_ball(self, p4_splitting):
+        """The radius-12 ball over (a, d) has 12,286 vertices. The audit builds
+        only the first k levels below the base, and counts the rest of the
+        ball from its level sizes, which still exceed the cap."""
+        with pytest.raises(ResourceCapError, match="tree ball exceeded cap of 10000 vertices"):
+            audit_acylindricity(p4_splitting, k=3, tree_radius=12, element_radius=6, cap=10_000)
+        assert len(_ball(p4_splitting, 12, 2, 20_000)[0]) == 12_286
+
     def test_cap_counts_only_balls_within_the_element_radius(self):
         """G_C = Z5^3 has 125 elements, more than the cap of 100, but the audit
         needs only the radius-1 balls: 15 elements, 13 of them in G_C."""
@@ -345,6 +353,34 @@ class TestAudit:
             sp, k=1, tree_radius=1, element_radius=1, local_radius=1, cap=100
         )
         assert report.max_stabilizer_size == 13
+
+    def test_cap_bounds_the_g_r_balls(self):
+        """The same splitting at element radius 3: the tree ball has 3 vertices,
+        but the edge stabilizer G_C's radius-3 ball is all 125 elements."""
+        cs = ["c1", "c2", "c3"]
+        edges = [("c1", "c2"), ("c1", "c3"), ("c2", "c3")]
+        edges += [(x, c) for x in "ab" for c in cs]
+        pres = Presentation(
+            SimpleGraph(["a", "b"] + cs, edges), {"a": 2, "b": 2, "c1": 5, "c2": 5, "c3": 5}
+        )
+        sp = build_splitting(pres, SeparatedPair("a", "b", tuple(cs), 125))
+        with pytest.raises(ResourceCapError, match="ball exceeded cap of 100 elements at radius 3"):
+            audit_acylindricity(sp, k=1, tree_radius=1, element_radius=3, local_radius=1, cap=100)
+
+    def test_cap_error_is_the_first_in_walk_order(self):
+        """Z*Z*Z2*Z2*Z3 over a-e with edges a-c, a-e, b-e, pair (d, e): the
+        391-vertex ball fits the cap of 391. Its first path in walk order
+        joins dcdG_C to dcde^2ce^2G_C, R = {a}, and G_a = Z passes the cap at
+        radius 196; the base's first path joins G_C to b^-1ceG_C, R = {a, b},
+        and the free G_{a,b} passes it at radius 5. The audit reports the
+        walk's radius."""
+        pres = Presentation(
+            SimpleGraph(list("abcde"), [("a", "c"), ("a", "e"), ("b", "e")]),
+            {"a": INFINITY, "b": INFINITY, "c": 2, "d": 2, "e": 3},
+        )
+        sp = build_splitting(pres, SeparatedPair("d", "e", (), 1))
+        with pytest.raises(ResourceCapError, match="cap of 391 elements at radius 196$"):
+            audit_acylindricity(sp, k=2, tree_radius=2, element_radius=200, local_radius=3, cap=391)
 
     def test_element_radius_reaches_past_the_cap(self):
         """Z2*Z2*Z3*Z3*Z3, pair (a, b): the whole group's radius-3 ball has
@@ -410,7 +446,7 @@ class TestAudit:
         reps, _, nbrs, _, _ = _ball(sp, 5, 2, cap)
         stabilizers = {
             path_stabilizer(sp, [TreeEdge(reps[e]) for e in edges])
-            for k in (1, 2, 3) for edges, _ in _walk(nbrs, k)
+            for k in (1, 2, 3) for edges in _walk(nbrs, k)
         }
         counters = {}
         for f, r in stabilizers:

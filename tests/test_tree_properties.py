@@ -11,17 +11,21 @@ iff v is in R; and that a vertex's representative extended by a G_C-coset
 representative of its side is already its edge's representative, also far
 outside any tree ball; and that the peel behind coset representatives and
 stabilizers, forward and in reverse, peels only S-syllables, keeps the
-element, and is maximal; and that the word joining two canonical words, formed
-from what they do not share, is the inverse of one extended by the other, and
-so is the one formed from the coset coordinates along a tree-ball path.
+element, and is maximal; that the word joining two canonical words, formed
+from what they do not share, is the inverse of one extended by the other;
+that each coset coordinate of a tree ball extends its vertex to its edge; and
+that the level sizes the audit counts from give the tree ball's vertices and
+paths.
 
 Presentations have at most five vertices (six for the child order, seven for
-the far end edges, the far edge lemma, the peel, the joining word and the
-coordinates), with
-orders in {2, 3, inf}; every separated-pair splitting is checked at tree and
-element radii up to 3 under a low ball cap, so that cap errors are compared
-too.
+the far end edges, the far edge lemma, the peel, the joining word, the
+coordinates and the level sizes), with orders in {2, 3, inf}; every
+separated-pair splitting is checked at tree and element radii up to 3 under
+a low ball cap, so that cap errors are compared too; the level sizes reach
+tree radius 5 under a cap of 1,000 vertices.
 """
+
+from math import prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +39,8 @@ from arboreal.tree import (
     TreeEdge,
     TreeVertex,
     _ball,
-    _joining,
+    _levels,
+    _path_count,
     _peel,
     _relative,
     _walk,
@@ -63,6 +68,7 @@ from oracles import (
 )
 
 CAP = 300
+LEVELS_CAP = 1_000
 
 
 @st.composite
@@ -152,7 +158,7 @@ def test_path_walk_matches_first_walk_per_edge_set(pres, radii):
             continue
         reps, _, nbrs, _, _ = _ball(sp, tree_radius, local_radius, CAP)
         for k in range(1, 2 * tree_radius + 1):
-            walked = [[reps[e] for e in edges] for edges, _ in _walk(nbrs, k)]
+            walked = [[reps[e] for e in edges] for edges in _walk(nbrs, k)]
             assert walked == [[e.rep for e in path] for path in paths_by_edge_set(ball, k)]
 
 
@@ -160,9 +166,7 @@ def test_path_walk_matches_first_walk_per_edge_set(pres, radii):
 @given(presentations(max_vertices=7), st.integers(1, 3), st.integers(1, 3))
 def test_coordinates_give_edges_and_joining_words(pres, radius, local_radius):
     """For every half-edge (x, e) of ``_ball``, x's representative extended
-    by its coordinate is e's, and the coordinate is canonical and C-stripped;
-    for every k-edge path, k 1 to 4, the word formed from its interior
-    coordinates is the one ``_relative`` forms from its end edges."""
+    by its coordinate is e's, and the coordinate is canonical and C-stripped."""
     for pair in separated_pairs(pres):
         sp = build_splitting(pres, pair)
         try:
@@ -175,12 +179,25 @@ def test_coordinates_give_edges_and_joining_words(pres, radius, local_radius):
             for e, w, here, there in out:
                 assert pres._extend(reps[x], words[here]) == reps[e]
                 assert pres._extend(reps[w], words[there]) == reps[e]
-        inverses = [pres.inverse(u) for u in words]
-        for k in range(1, min(4, 2 * radius) + 1):
-            for edges, key in _walk(nbrs, k):
-                assert _joining(pres, inverses.__getitem__, words, key) == _relative(
-                    pres, pres.inverse, reps[edges[0]], reps[edges[-1]]
-                )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    presentations(max_vertices=7), st.integers(1, 4), st.integers(1, 5), st.integers(1, 3)
+)
+def test_level_sizes_count_vertices_and_paths(pres, k, radius, local_radius):
+    """The tree ball's vertex count and its number of k-edge paths, from the
+    level sizes of ``_levels`` alone, are the number of vertices ``_ball``
+    builds and of paths ``_walk`` yields."""
+    for pair in separated_pairs(pres):
+        sp = build_splitting(pres, pair)
+        try:
+            reps, _, nbrs, _, _ = _ball(sp, radius, local_radius, LEVELS_CAP)
+        except ResourceCapError:
+            continue
+        kids = _levels(sp, radius, local_radius, LEVELS_CAP)[1]
+        assert sum(prod(kids[:d]) for d in range(radius + 1)) == len(reps)
+        assert _path_count(kids, k) == sum(1 for _ in _walk(nbrs, k))
 
 
 @st.composite
@@ -272,7 +289,7 @@ def test_conjugate_length_rule(pres, radii, radius):
         stabilizers = {
             path_stabilizer(sp, [TreeEdge(reps[e]) for e in edges])
             for k in range(1, min(3, 2 * tree_radius) + 1)
-            for edges, _ in _walk(nbrs, k)
+            for edges in _walk(nbrs, k)
         }
         for f, r in stabilizers:
             assert pres.last_vertices(f).isdisjoint(r)
@@ -379,12 +396,14 @@ def test_peel_forward_and_reverse(pres, rng):
 @given(presentations(max_vertices=7), st.randoms(use_true_random=False))
 def test_relative_word_cancels_the_shared_prefix(pres, rng):
     """For g_1 and g_k the canonical words of c a and c b, c, a and b raw
-    words of up to 20 syllables, ``_relative`` is g_1's inverse extended by
-    g_k; so it is for g_1 with itself, and with a prefix of it either way
-    round (a prefix of a canonical word is canonical)."""
+    words of up to 20 syllables, the inverse of a extended by b, (a, b) from
+    ``_relative``, is g_1's inverse extended by g_k; so it is for g_1 with
+    itself, and with a prefix of it either way round (a prefix of a canonical
+    word is canonical)."""
     for _ in range(5):
         c, a, b = (random_word(rng, pres, max_len=20) for _ in range(3))
         g1, gk = pres.canonical(c + a), pres.canonical(c + b)
         n = rng.randint(0, len(g1))
         for x, y in ((g1, gk), (g1, g1), (g1, g1[:n]), (g1[:n], g1)):
-            assert _relative(pres, pres.inverse, x, y) == pres._extend(pres.inverse(x), y)
+            a, b = _relative(x, y)
+            assert pres._extend(pres.inverse(a), b) == pres._extend(pres.inverse(x), y)
