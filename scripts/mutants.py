@@ -116,15 +116,19 @@ MUTANTS = [
      "the path walk cuts walks that can still climb back to their start's level"),
     (TREE, "(size := size_of(g1, p, r)) > bound:", "(size := size_of(g1, p, r)) >= bound:",
      "the audit reports a stabilizer of exactly |G_N| as a violation"),
-    (TREE, "            if top(r) > max_size:", "            if top(r) > bound:",
-     "the audit skips a base path that could raise the maximum, as long as it cannot violate"),
+    (TREE, "2: [(a,), (b,)] if tree_radius >= 2 else [(a,)]}", "2: [(a,)]}",
+     "the two-edge maximum misses C ∩ lk(b), whose path turns at G_B"),
+    (TREE, "if tree_radius >= 2 else [(a,)]}", "if tree_radius >= 1 else [(a,)]}",
+     "the two-edge maximum takes C ∩ lk(b) at tree radius 1, where no path turns at G_B"),
+    (TREE, ".get(k, [(a, b)])", ".get(k, [(a,)])",
+     "the maximum past two edges sizes C ∩ lk(a), not N"),
     (TREE, "count += prod(kids[:d]) * (n * below[k] + pairs // 2)",
      "count += prod(kids[:d]) * (n * below[k] + pairs)",
      "the path count counts a path with two branches twice, once from each end"),
     (TREE, "        if size > cap:\n            raise ResourceCapError", "        if False:\n            raise ResourceCapError",
      "the tree ball's vertex count, read from its level sizes, is never checked against the cap"),
     (TREE, "        list(walked())  # raises the error of the first path in walk order\n", "",
-     "a G_R ball past the cap raises the base's first error, not the first in walk order"),
+     "a G_R ball past the cap raises the R_k ball's error, not the first in walk order"),
     # classification layer
     (CLASSIFY, "if not mask_a >> j & 1 and (order := pres._mask_order(common)) != INFINITY:",
      "if (order := pres._mask_order(common)) != INFINITY:",

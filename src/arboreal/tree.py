@@ -25,8 +25,8 @@ tree ball or audit, not once per tree vertex or path: each side's subgroup
 ball, collapsed to its G_C cosets, and the ball of each G_R a path
 stabilizer is conjugate to, kept as sorted lengths per support, which the
 audit bisects to size f G_R f^-1, R empty or not (see ``_conjugate_counter``).
-The audit sizes only the paths that turn at the base, and counts the rest
-of the tree ball from its level sizes (see ``audit_acylindricity``).
+The audit builds no path but to list violations: its maximum is a G_R ball's
+count, and its path count comes from level sizes (see ``audit_acylindricity``).
 """
 
 from __future__ import annotations
@@ -173,10 +173,10 @@ def act(splitting: SplittingSpec, g: Word, v: TreeVertex) -> TreeVertex:
 
 
 def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int):
-    """(cosets, kids, truncated) of ``_ball``: each side's C-stripped coset
-    representatives, sorted, from its ball; kids[d], the child count at depth
-    d, m_A at the base and m_S - 1 elsewhere on side S; whether a side ball is
-    cut. Raises the ball's cap errors in the order it met them."""
+    """(cosets, kids, truncated) of ``_ball``: each side's set of C-stripped
+    coset representatives from its ball; kids[d], the child count at depth
+    d, m_A at the base and m_S - 1 elsewhere on side S; whether a side ball
+    is cut. Raises the ball's cap errors in the order it met them."""
     pres = splitting.presentation
     cosets, kids, truncated, level, size = {}, [], False, 1, 1
     for d in range(radius):
@@ -184,7 +184,7 @@ def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int):
         if d < 2:
             side_ball, saturated = pres.enumerate_ball_info(local_radius, cap=cap,
                                                             subset=splitting.side(side))
-            cosets[side] = sorted({_strip(pres, s, splitting.c_side) for s in side_ball})
+            cosets[side] = {_strip(pres, s, splitting.c_side) for s in side_ball}
             truncated = truncated or not saturated
         kids.append(len(cosets[side]) - (d > 0))
         size += (level := level * kids[-1])
@@ -394,22 +394,6 @@ def _walk(nbrs, k: int):
                     stack.append((w, v, edges + (edge,)))
 
 
-def _root_paths(pres: Presentation, cosets, k: int, radius: int):
-    """(g_1, g_k) of each k-edge path of the tree ball through the base and
-    below it. A child's rep is its parent's extended by a coset (see
-    ``_levels``), nonempty but at the base. A path runs k levels down, or a and
-    k - a down two branches, whose level-1 vertices (kept with each) differ."""
-    levels = [[(t, t) for t in cosets[SIDE_A]]]
-    for d in range(1, min(k, radius)):
-        ts = [t for t in cosets[SIDE_B if d % 2 else SIDE_A] if t]
-        levels.append([(pres._extend(x, t), b) for x, b in levels[-1] for t in ts])
-    if len(levels) == k:
-        yield from ((b, x) for x, b in levels[-1])
-    for a in range(max(1, k - len(levels)), k // 2 + 1):
-        yield from ((u, v) for u, bu in levels[a - 1] for v, bv in levels[k - a - 1]
-                    if (bu < bv if 2 * a == k else bu != bv))
-
-
 def _path_count(kids: list[int], k: int) -> int:
     """The number of k-edge paths in a tree ball with kids[d] children at each
     vertex of depth d (see ``_levels``), counted at their apex: one branch of
@@ -420,6 +404,16 @@ def _path_count(kids: list[int], k: int) -> int:
         pairs = sum(n * (n - 1) * below[a] * below[k - a] for a in range(1, k))
         count += prod(kids[:d]) * (n * below[k] + pairs // 2)
     return count
+
+
+def _path_groups(splitting: SplittingSpec, k: int, tree_radius: int) -> list[tuple[str, ...]]:
+    """The R_k of ``audit_acylindricity``, C ∩ lk(U) in vertex order: U = () at
+    k = 1; {a}, and {b} once G_B has children, at k = 2; {a, b} at k >= 3."""
+    a, b = splitting.pair
+    turns = {1: [()], 2: [(a,), (b,)] if tree_radius >= 2 else [(a,)]}.get(k, [(a, b)])
+    graph = splitting.presentation.graph
+    return [tuple(c for c in graph.vertices if c in splitting.c_side
+                  and graph.adjacency[c].issuperset(us)) for us in turns]
 
 
 # The least value of each limit of a tree ball or an audit.
@@ -454,66 +448,71 @@ def audit_acylindricity(
 ) -> AuditReport:
     """Empirical check of the (k, |G_N|) acylindricity bound.
 
-    Counts the k-edge paths of the bounded tree ball and reports the most
-    elements of length <= ``element_radius`` in a path's pointwise stabilizer
-    f G_R f^-1 (see ``path_stabilizer``), against |G_N|, with the paths that
-    hold more. Only the base's paths are sized (see ``_root_paths``): at an
-    interior vertex of side S, S - C = {u}, a path's edges differ by a coset
-    of G_C in G_S, so the word joining them has a u-syllable in its middle,
-    and their stabilizer, which holds the path's, has its R in C ∩ lk(u). So
-    R lies in R_k: C for k = 1, C ∩ lk(a) or C ∩ lk(b) for k = 2, N = C ∩
-    lk(a) ∩ lk(b) for k >= 3, and each count is at most top(R_k) (see below).
-    A base path has R = R_k and f a word in a and b, which lk(R_k) strips
-    away, so its count is top(R_k): the edge G_C; G_C and aG_C, or G_C and
-    bG_C; or branches through these two of about k/2 edges, their coordinates
-    a and b in turn. So the ball's maximum is the base's, and a path violates
-    only if it is above |G_N|: ``paths_checked`` is counted (see
-    ``_path_count``), and the ball is built and walked (see ``_walk``) only
-    to list violations, in walk order.
+    Counts the k-edge paths of the bounded tree ball from its level sizes
+    (see ``_path_count``) and reports the most elements of length <=
+    ``element_radius`` in a path's pointwise stabilizer f G_R f^-1 (see
+    ``path_stabilizer``), against |G_N|, with the paths that hold more.
 
-    Memoized per call: ``join`` forms h from what g_1 and g_k do not share
-    (see ``_relative``), ``scan`` splits it into (p, R), ``counter`` keeps the
-    radius-r ball of each G_R (see ``_conjugate_counter``), and ``size_of``
-    sizes f G_R f^-1, f = g_1 p: for x in G_R with support S, |f x f^-1| =
-    |x| + 2|f_0|, f_0 = f stripped of lk(S), as f_0 x f_0^-1 is the same
-    reduced element (no R-syllable ends f, so no sink of f_0 is in S or
-    lk(S)). ``top``, the count at f = (), bounds every count: a base path
-    whose top(R) is not above the running maximum is not sized, nor a walked
-    path whose top(R) is not above |G_N|.
+    The most is top(R_k), the count of G_{R_k}'s radius-r ball, largest over
+    the R_k of ``_path_groups``. At an interior vertex of side S, S - C =
+    {u}, a path's edges differ by a coset of G_C in G_S, so the word joining
+    them has a u-syllable in its middle, and their stabilizer, which holds
+    the path's, has its R in C ∩ lk(u). So R lies in R_k: C for k = 1, C ∩
+    lk(a) or C ∩ lk(b) for k = 2, N for k >= 3, and each count is at most
+    top(R_k) (see below). A base path reaches it, its R being R_k and f a
+    word in a and b, which lk(R_k) strips away: the edge G_C; G_C and aG_C,
+    or G_C and bG_C, which needs ``tree_radius`` >= 2; or branches through
+    these two of about k/2 edges, which k <= 2 ``tree_radius`` fits.
+
+    Only when the most is above |G_N| is the ball built and walked (see
+    ``_walk``) to list violations in walk order. Memoized per walk: ``join``
+    forms h (see ``_relative``), ``scan`` splits it into (p, R), and
+    ``size_of`` sizes f G_R f^-1, f = g_1 p: for x in G_R with support S,
+    |f x f^-1| = |x| + 2|f_0|, f_0 = f stripped of lk(S), as f_0 x f_0^-1 is
+    the same reduced element (no R-syllable ends f, so no sink of f_0 is in
+    S or lk(S)). So ``top``, the count at f = (), bounds every count, and a
+    path is sized only if its top(R) is above |G_N|. ``counter`` builds each
+    G_R's ball once per call (see ``_conjugate_counter``), cap error or not.
 
     ``cap`` bounds the tree ball's vertex count, the side balls and the G_R
     balls. ``_levels`` raises the first errors, in the ball's order. Every G_R
-    ball lies in G_{R_k}'s, which the base builds, so one past the cap is met
-    there; the walk then raises the error of the first path in walk order
-    that meets one, whose radius may differ. No ball of the whole group is
-    built (``exhaustive_elements`` is False). Raises InputError for limits
-    under which no path would be checked.
+    ball lies in an R_k's, so one past the cap is met there; the walk then
+    raises the error of the first path in walk order that meets one, whose
+    radius may differ. No ball of the whole group is built
+    (``exhaustive_elements`` is False). Raises InputError for limits under
+    which no path would be checked.
     """
     check_limits(k=k, tree_radius=tree_radius, element_radius=element_radius,
                  local_radius=local_radius, cap=cap)
     pres = splitting.presentation
-    cosets, kids, truncated = _levels(splitting, tree_radius, local_radius, cap)
-    join = cache(lambda a, b: pres._extend(pres.inverse(a), b))
-    scan = cache(partial(_stabilizer_scan, splitting))
-    counter = cache(lambda r: _conjugate_counter(pres, element_radius, cap, r))
+    _, kids, truncated = _levels(splitting, tree_radius, local_radius, cap)
+    counters, bound = {}, splitting.acyl_c
+
+    def counter(r):
+        if r not in counters:
+            try:
+                counters[r] = _conjugate_counter(pres, element_radius, cap, r)
+            except ResourceCapError as error:
+                counters[r] = error
+        if isinstance(counters[r], ResourceCapError):
+            raise counters[r]
+        return counters[r]
+
     top = cache(lambda r: counter(r)(()))
-    size_of = cache(lambda g1, p, r: counter(r)(pres._extend(g1, p)))
-    bound = splitting.acyl_c
 
     def walked():
         reps, _, nbrs, _, _ = _ball(splitting, tree_radius, local_radius, cap)
+        join = cache(lambda a, b: pres._extend(pres.inverse(a), b))
+        scan = cache(partial(_stabilizer_scan, splitting))
+        size_of = cache(lambda g1, p, r: counter(r)(pres._extend(g1, p)))
         for edges in _walk(nbrs, k):
             g1 = reps[edges[0]]
             p, r = scan(join(*_relative(g1, reps[edges[-1]])))
             if top(r) > bound and (size := size_of(g1, p, r)) > bound:
                 yield [TreeEdge(reps[e]) for e in edges], size
 
-    max_size = 0
     try:
-        for g1, gk in _root_paths(pres, cosets, k, tree_radius):
-            p, r = scan(join(*_relative(g1, gk)))
-            if top(r) > max_size:
-                max_size = max(max_size, size_of(g1, p, r))
+        max_size = max(map(top, _path_groups(splitting, k, tree_radius)))
     except ResourceCapError:
         list(walked())  # raises the error of the first path in walk order
         raise

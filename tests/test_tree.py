@@ -333,8 +333,8 @@ class TestAudit:
 
     def test_cap_counts_the_whole_tree_ball(self, p4_splitting):
         """The radius-12 ball over (a, d) has 12,286 vertices. The audit builds
-        only the first k levels below the base, and counts the rest of the
-        ball from its level sizes, which still exceed the cap."""
+        none of it, and counts it from its level sizes, which still exceed
+        the cap."""
         with pytest.raises(ResourceCapError, match="tree ball exceeded cap of 10000 vertices"):
             audit_acylindricity(p4_splitting, k=3, tree_radius=12, element_radius=6, cap=10_000)
         assert len(_ball(p4_splitting, 12, 2, 20_000)[0]) == 12_286
@@ -381,6 +381,48 @@ class TestAudit:
         sp = build_splitting(pres, SeparatedPair("d", "e", (), 1))
         with pytest.raises(ResourceCapError, match="cap of 391 elements at radius 196$"):
             audit_acylindricity(sp, k=2, tree_radius=2, element_radius=200, local_radius=3, cap=391)
+
+    @pytest.mark.parametrize("element_radius, radius", [(200, 196), (10, 5)])
+    def test_each_g_r_ball_is_enumerated_once(self, monkeypatch, element_radius, radius):
+        """The product above: the maximum meets the cap in G_{a, b}'s ball,
+        and the walk then raises the first error in walk order, from G_a at
+        element radius 200 and from G_{a, b} itself at 10. Each G_R ball, R
+        in C, is enumerated once, its cap error kept for the walk."""
+        pres = Presentation(
+            SimpleGraph(list("abcde"), [("a", "c"), ("a", "e"), ("b", "e")]),
+            {"a": INFINITY, "b": INFINITY, "c": 2, "d": 2, "e": 3},
+        )
+        sp = build_splitting(pres, SeparatedPair("d", "e", (), 1))
+        calls = {}
+        enumerate_ball_info = Presentation.enumerate_ball_info
+
+        def counted(pres, radius, cap=DEFAULT_BALL_CAP, subset=None):
+            key = frozenset(subset)
+            calls[key] = calls.get(key, 0) + 1
+            return enumerate_ball_info(pres, radius, cap=cap, subset=subset)
+
+        monkeypatch.setattr(Presentation, "enumerate_ball_info", counted)
+        with pytest.raises(ResourceCapError, match=f"cap of 391 elements at radius {radius}$"):
+            audit_acylindricity(sp, k=2, tree_radius=2, element_radius=element_radius,
+                                local_radius=3, cap=391)
+        g_r_calls = {"".join(sorted(s)): n for s, n in calls.items() if s <= sp.c_side}
+        assert {"a", "ab"} <= g_r_calls.keys() and set(g_r_calls.values()) == {1}
+
+    @pytest.mark.parametrize("tree_radius, most", [(1, 2), (2, 14)])
+    def test_two_edge_paths_turn_at_g_b_from_tree_radius_2(self, tree_radius, most):
+        """Z2*Z2*Z2*Z3 over a-d with edges a-c, b-c, b-d, pair (a, b), C = {c, d}:
+        a two-edge path turning at the base has R in C ∩ lk(a) = {c}, one
+        turning at G_B, which needs tree radius 2, has R = C ∩ lk(b) = {c, d},
+        and Z2*Z3 has 14 elements of length at most 3."""
+        pres = Presentation(
+            SimpleGraph(list("abcd"), [("a", "c"), ("b", "c"), ("b", "d")]),
+            {"a": 2, "b": 2, "c": 2, "d": 3},
+        )
+        sp = build_splitting(pres, SeparatedPair("a", "b", ("c",), 2))
+        limits = (2, tree_radius, 3, 1)
+        report = audit_acylindricity(sp, *limits)
+        assert report.max_stabilizer_size == most
+        assert report.to_dict() == audit_by_scan(sp, *limits, DEFAULT_BALL_CAP).to_dict()
 
     def test_element_radius_reaches_past_the_cap(self):
         """Z2*Z2*Z3*Z3*Z3, pair (a, b): the whole group's radius-3 ball has
