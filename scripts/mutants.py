@@ -71,6 +71,13 @@ MUTANTS = [
      "generator length counts a negative power negatively"),
     (WORDS, "if n == INFINITY or mask & ~masks[i] != 1 << i:", "if n == INFINITY:",
      "a full subgroup on finite vertices is finite even when they are not a clique"),
+    (WORDS, "y, x = (1, 2) if n == INFINITY", "y, x = (1, 1) if n == INFINITY",
+     "the growth series takes an infinite vertex's series as 1 + z, Z2's, not (1 + z)/(1 - z)"),
+    (WORDS, "if joinable >> i & 1:", "if True:",
+     "the growth series sums over every subset of S, clique or not"),
+    (WORDS, "            if len(sums) * len(d) > cap:\n                return None",
+     "            if False:\n                return None",
+     "the growth series' clique sum is never cut at the cap"),
     (WORDS, 'if text in ("", "1"):', 'if text == "":',
      'parse_word does not read "1" as the identity'),
     (WORDS, 'parts.append(v if e == 1 else f"{v}^{e}")', 'parts.append(f"{v}^{e}")',
@@ -122,11 +129,18 @@ MUTANTS = [
      "the two-edge maximum takes C ∩ lk(b) at tree radius 1, where no path turns at G_B"),
     (TREE, ".get(k, [(a, b)])", ".get(k, [(a,)])",
      "the maximum past two edges sizes C ∩ lk(a), not N"),
-    (TREE, "count += prod(kids[:d]) * (n * below[k] + pairs // 2)",
-     "count += prod(kids[:d]) * (n * below[k] + pairs)",
+    (TREE, "count += width * (n * below[k] + n * (n - 1) // 2 * pairs)",
+     "count += width * (n * below[k] + n * (n - 1) * pairs)",
      "the path count counts a path with two branches twice, once from each end"),
     (TREE, "        if size > cap:\n            raise ResourceCapError", "        if False:\n            raise ResourceCapError",
      "the tree ball's vertex count, read from its level sizes, is never checked against the cap"),
+    (TREE, "        if size > cap:\n            return None", "        if False:\n            return None",
+     "the level sizes read from growth series never check the tree ball's vertex count against the cap"),
+    (TREE, "truncated = truncated or len(totals) > local_radius + 1",
+     "truncated = truncated or len(totals) > local_radius",
+     "the series reads truncation from the sphere of radius local_radius, not local_radius + 1"),
+    (TREE, "y = sum(d_s) // sum(d_c) - 1", "y = 1",
+     "the coset series takes the factor 1 + y_u z of S - C = {u} as 1 + z at any order"),
     (TREE, "        list(walked())  # raises the error of the first path in walk order\n", "",
      "a G_R ball past the cap raises the R_k ball's error, not the first in walk order"),
     # classification layer

@@ -27,6 +27,9 @@ stabilizer is conjugate to, kept as sorted lengths per support, which the
 audit bisects to size f G_R f^-1, R empty or not (see ``_conjugate_counter``).
 The audit builds no path but to list violations: its maximum is a G_R ball's
 count, and its path count comes from level sizes (see ``audit_acylindricity``).
+It reads those counts from growth series, so a passing audit enumerates no
+ball; it enumerates only to walk the tree ball, to raise a cap error, or
+where a series' clique sum passes the cap.
 """
 
 from __future__ import annotations
@@ -35,13 +38,13 @@ from bisect import bisect_right
 from collections import defaultdict
 from functools import cache, partial
 from itertools import chain, combinations
-from math import prod
 from typing import AbstractSet, Iterable, NamedTuple, Optional
 
 from .classify import SIDE_A, SIDE_B, SplittingSpec
 from .errors import InputError, ResourceCapError
 from .graphs import dot_quoted
-from .words import DEFAULT_BALL_CAP, Presentation, Syllable, Word, format_word
+from .words import (DEFAULT_BALL_CAP, Presentation, Syllable, Word, cumulative_counts,
+                    format_word)
 
 
 class TreeVertex(NamedTuple):
@@ -176,7 +179,9 @@ def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int):
     """(cosets, kids, truncated) of ``_ball``: each side's set of C-stripped
     coset representatives from its ball; kids[d], the child count at depth
     d, m_A at the base and m_S - 1 elsewhere on side S; whether a side ball
-    is cut. Raises the ball's cap errors in the order it met them."""
+    is cut. Raises the ball's cap errors in the order it met them. The audit
+    reads kids and truncated from growth series (see ``_level_sizes``) and
+    calls this only to raise those errors, or where a clique sum is cut."""
     pres = splitting.presentation
     cosets, kids, truncated, level, size = {}, [], False, 1, 1
     for d in range(radius):
@@ -191,6 +196,41 @@ def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int):
         if size > cap:
             raise ResourceCapError(f"tree ball exceeded cap of {cap} vertices")
     return cosets, kids, truncated
+
+
+def _level_sizes(splitting: SplittingSpec, radius: int, local_radius: int, cap: int):
+    """(kids, truncated) of ``_levels`` from growth series, with no ball
+    built; or None where ``_levels`` raises a cap error, a side ball or the
+    tree ball past ``cap``, and where a series' clique sum passes ``cap``
+    (see ``Presentation.growth_series``), as ``_levels`` is then the one
+    way to them. The side S's ball is cut iff its sphere of radius
+    ``local_radius`` + 1 is not empty, and m_S counts the C-stripped
+    representatives of length at most ``local_radius``, whose series is
+    W_S/W_C = (1 + y_u z) P_C/P_S for S - C = {u} (see
+    ``audit_acylindricity``), where D_S = D_C (1 + y_u z) gives y_u."""
+    pres = splitting.presentation
+    sides = (SIDE_A, SIDE_B)[:radius]
+    series = [pres.growth_series(s, cap) for s in
+              (splitting.c_side, *map(splitting.side, sides))]
+    if None in series:
+        return None
+    (d_c, p_c), *series = series
+    coset_counts, truncated = {}, False
+    for side, (d_s, p_s) in zip(sides, series):
+        totals = cumulative_counts(d_s, p_s, local_radius + 1, cap)
+        if totals[min(local_radius, len(totals) - 1)] > cap:
+            return None
+        truncated = truncated or len(totals) > local_radius + 1
+        y = sum(d_s) // sum(d_c) - 1
+        cosets = [a + y * b for a, b in zip(p_c + [0], [0] + p_c)]
+        coset_counts[side] = cumulative_counts(cosets, p_s, local_radius, cap)[-1]
+    kids, level, size = [], 1, 1
+    for d in range(radius):
+        kids.append(coset_counts[SIDE_B if d % 2 else SIDE_A] - (d > 0))
+        size += (level := level * kids[-1])
+        if size > cap:
+            return None
+    return kids, truncated
 
 
 def _ball(splitting: SplittingSpec, radius: int, local_radius: int, cap: int):
@@ -397,12 +437,18 @@ def _walk(nbrs, k: int):
 def _path_count(kids: list[int], k: int) -> int:
     """The number of k-edge paths in a tree ball with kids[d] children at each
     vertex of depth d (see ``_levels``), counted at their apex: one branch of
-    k levels, or two of a and k - a levels through distinct children."""
-    count = 0
+    k levels, or two of a and k - a levels through distinct children.
+    below[j] counts the j-level branches through one child, width the
+    vertices at depth d; both are running products."""
+    count, width = 0, 1
     for d, n in enumerate(kids):
-        below = [prod(kids[d + 1:d + j]) * (d + j <= len(kids)) for j in range(k + 1)]
-        pairs = sum(n * (n - 1) * below[a] * below[k - a] for a in range(1, k))
-        count += prod(kids[:d]) * (n * below[k] + pairs // 2)
+        below = [0, 1]
+        for m in kids[d + 1:d + k]:
+            below.append(below[-1] * m)
+        below += [0] * (k + 1 - len(below))
+        pairs = sum(below[a] * below[k - a] for a in range(1, k))
+        count += width * (n * below[k] + n * (n - 1) // 2 * pairs)
+        width *= n
     return count
 
 
@@ -474,18 +520,32 @@ def audit_acylindricity(
     path is sized only if its top(R) is above |G_N|. ``counter`` builds each
     G_R's ball once per call (see ``_conjugate_counter``), cap error or not.
 
+    No ball is enumerated for a count: top(R) is the total of G_R's growth
+    series W_R up to ``element_radius`` (see ``Presentation.growth_series``),
+    and ``_level_sizes`` reads the level sizes and ``truncated`` from the
+    side series. The children per level count cosets: m_S is the number of
+    C-stripped representatives t of G_C's cosets in G_S of length at most
+    ``local_radius``. Each g in G_S is t c for one such t and one c in G_C; t
+    has no C-sink, so t c is reduced and |g| = |t| + |c|, as normal forms are
+    geodesic. So W_S = T W_C for the series T of the representatives, and T =
+    W_S/W_C = (1 + y_u z) P_C/P_S. As |t| <= |g|, the side's radius-r ball
+    strips by C to the representatives of length at most r, the set
+    ``_levels`` counts.
+
     ``cap`` bounds the tree ball's vertex count, the side balls and the G_R
-    balls. ``_levels`` raises the first errors, in the ball's order. Every G_R
-    ball lies in an R_k's, so one past the cap is met there; the walk then
-    raises the error of the first path in walk order that meets one, whose
-    radius may differ. No ball of the whole group is built
-    (``exhaustive_elements`` is False). Raises InputError for limits under
-    which no path would be checked.
+    balls, and the clique sums of the series. Where a predicted count or a
+    clique sum passes it, the audit takes the enumerating path: ``_levels``
+    raises the first errors, in the ball's order. Every G_R ball lies in an R_k's, so one past the cap is met there,
+    in ``counter``; the walk then raises the error of the first path in walk
+    order that meets one, whose radius may differ. No ball of the whole
+    group is built (``exhaustive_elements`` is False). Raises InputError for
+    limits under which no path would be checked.
     """
     check_limits(k=k, tree_radius=tree_radius, element_radius=element_radius,
                  local_radius=local_radius, cap=cap)
     pres = splitting.presentation
-    _, kids, truncated = _levels(splitting, tree_radius, local_radius, cap)
+    kids, truncated = (_level_sizes(splitting, tree_radius, local_radius, cap)
+                       or _levels(splitting, tree_radius, local_radius, cap)[1:])
     counters, bound = {}, splitting.acyl_c
 
     def counter(r):
@@ -498,7 +558,11 @@ def audit_acylindricity(
             raise counters[r]
         return counters[r]
 
-    top = cache(lambda r: counter(r)(()))
+    @cache
+    def top(r):
+        series = pres.growth_series(r, cap)
+        count = cumulative_counts(*series, element_radius, cap)[-1] if series else cap + 1
+        return count if count <= cap else counter(r)(())  # enumerated, or its cap error
 
     def walked():
         reps, _, nbrs, _, _ = _ball(splitting, tree_radius, local_radius, cap)

@@ -25,12 +25,14 @@ trailing block that commutes with each new syllable; O(L^2) at worst for L
 syllables. ``_extend`` alone reduces exponents and joins syllables:
 ``make_word`` is ``canonical``, and ``parse_word`` returns the normal form.
 ``first_vertices``/``last_vertices`` are the heap's sources and sinks.
+``growth_series`` counts G_S's elements by length without building any.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import chain
+from operator import mul
 from typing import Iterable, NamedTuple
 
 from .errors import DegeneratePresentationError, InputError, ResourceCapError
@@ -283,6 +285,60 @@ class Presentation:
         """Length of a reduced word, a geodesic (Hermiller-Meier), in the generators
         of ``enumerate_ball_info``: 1 per finite syllable, |e| per infinite one."""
         return sum(1 if self.orders[v] != INFINITY else abs(e) for v, e in word)
+
+    def growth_series(self, subset: Iterable[str],
+                      cap: int = DEFAULT_BALL_CAP) -> tuple[list[int], list[int]] | None:
+        """(D, P), integer coefficients of degree <= |S|, with G_S's growth
+        series in the generators of ``enumerate_ball_info`` W_S = D/P: 1/W_S is
+        the sum over the cliques K of S, the empty one included, of the product
+        over K of 1/W_v - 1 (Chiswell, Bull. London Math. Soc. 26, 1994). With
+        W_v = 1 + y_v z, y_v = n - 1, at order n and (1 + z)/(1 - z), y_v = 1,
+        at an infinite vertex, 1/W_v - 1 = -x_v z/(1 + y_v z), x_v = y_v or 2,
+        so D = prod (1 + y_v z) and P = sum over K of prod_K (-x_v z) times
+        prod_{S-K} (1 + y_v z); P = 1 when S is a clique of finite orders.
+        The cliques are summed one vertex of S at a time, in vertex order,
+        grouped by the unvisited vertices that can still join them, none at
+        the end. Those groups can number 2^(|S|/2), so the sum stops,
+        returning None, once it holds more than ``cap`` coefficients."""
+        index, masks = self.graph.index, self.graph.masks
+        chosen = self.graph.check_vertices(subset)
+        d = [1] + [0] * len(chosen)
+        sums = {sum(1 << index[v] for v in chosen): d}
+        for v in [v for v in self.graph.vertices if v in chosen]:
+            i, n = index[v], self.orders[v]
+            y, x = (1, 2) if n == INFINITY else (n - 1, n - 1)
+            d = [a + y * b for a, b in zip(d, [0] + d)]
+            grown: dict[int, list[int]] = {}
+            for joinable, p in sums.items():
+                terms = [(joinable & ~(1 << i), [a + y * b for a, b in zip(p, [0] + p)])]
+                if joinable >> i & 1:  # v is in every member's link: K + v is a clique
+                    terms.append((joinable & masks[i], [0] + [-x * b for b in p[:-1]]))
+                for key, q in terms:
+                    grown[key] = [a + b for a, b in zip(grown[key], q)] if key in grown else q
+            sums = grown
+            if len(sums) * len(d) > cap:
+                return None
+        return d, sums[0]
+
+
+def cumulative_counts(numerator: list[int], denominator: list[int], radius: int,
+                      cap: int) -> list[int]:
+    """[t_0, ..., t_radius], t_j the sum of the coefficients of z^0 to z^j in
+    the series numerator/denominator, denominator[0] = 1, whose coefficients
+    are w_j = numerator_j - sum_{i>=1} denominator_i w_{j-i}. The list ends
+    sooner at the first total past ``cap``, or before the first coefficient
+    0: in a growth series (see ``growth_series``), or one of coset
+    representatives, an empty sphere has only empty spheres after it."""
+    tail, w, totals, total = denominator[1:], [], [], 0
+    for j in range(radius + 1):
+        c = (numerator[j] if j < len(numerator) else 0) - sum(map(mul, tail, reversed(w)))
+        if not c:
+            break
+        w.append(c)
+        totals.append(total := total + c)
+        if total > cap:
+            break
+    return totals
 
 
 # --- compact word syntax ------------------------------------------------------

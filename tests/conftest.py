@@ -114,6 +114,18 @@ def fig2_graph():
     )
 
 
+def crowded_links(m):
+    """The RACG on a clique x0..x{m-1} and m vertices y0..y{m-1}, each y_i
+    joined to every x_j with j != i. Any two y's are a separated pair. Once
+    the clique sum of C = V - {y0, y1} (see ``Presentation.growth_series``)
+    has visited the x's, a clique K of x's can still be joined by the y_j of
+    C with x_j not in K, so its 2^(m - 2) groups differ in those y's."""
+    xs, ys = [f"x{i}" for i in range(m)], [f"y{i}" for i in range(m)]
+    edges = [(u, v) for i, u in enumerate(xs) for v in xs[i + 1:]]
+    edges += [(x, y) for i, x in enumerate(xs) for j, y in enumerate(ys) if i != j]
+    return Presentation(SimpleGraph(xs + ys, edges), dict.fromkeys(xs + ys, 2))
+
+
 @pytest.fixture
 def p3_raag():
     g = p3_graph()

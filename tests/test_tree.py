@@ -29,7 +29,7 @@ from arboreal.tree import (
 from arboreal.graphs import SimpleGraph
 from arboreal.words import DEFAULT_BALL_CAP, INFINITY, Presentation, Syllable, parse_word
 
-from conftest import FIXTURES
+from conftest import FIXTURES, crowded_links
 from oracles import (
     audit_by_scan,
     bfs_distances,
@@ -408,6 +408,41 @@ class TestAudit:
         g_r_calls = {"".join(sorted(s)): n for s, n in calls.items() if s <= sp.c_side}
         assert {"a", "ab"} <= g_r_calls.keys() and set(g_r_calls.values()) == {1}
 
+    def test_a_failing_audit_enumerates_each_side_ball_once(self, monkeypatch):
+        """Z3 * Z2 * (Z x Z2) over (a, c), as below: the audit fails, so it
+        walks the tree ball, and enumerates G_A and G_B once each, for the
+        walk, and each G_R ball at most once; its sizes come from series."""
+        orders = {"a": 3, "b": 2, "c": INFINITY, "d": 2}
+        pres = Presentation(SimpleGraph("abcd", [("c", "d")]), orders)
+        sp = build_splitting(pres, SeparatedPair("a", "c", (), 1))
+        calls = {}
+        enumerate_ball_info = Presentation.enumerate_ball_info
+
+        def counted(pres, radius, cap=DEFAULT_BALL_CAP, subset=None):
+            key = frozenset(subset)
+            calls[key] = calls.get(key, 0) + 1
+            return enumerate_ball_info(pres, radius, cap=cap, subset=subset)
+
+        monkeypatch.setattr(Presentation, "enumerate_ball_info", counted)
+        assert not audit_acylindricity(sp, 2, 2, 2, 2).passed
+        assert calls[sp.a_side] == calls[sp.b_side] == 1
+        assert set(calls.values()) == {1}
+
+    def test_a_clique_sum_past_the_cap_is_left_to_enumeration(self):
+        """The clique sum of C = V - {y0, y1} holds 2^(m - 2) groups of
+        2m - 1 coefficients on ``crowded_links(m)``: past the default cap at
+        m = 16, and at m = 30 too large to build. Cut at the cap, the audit
+        enumerates the balls it needs instead, and passes, or raises the G_C
+        ball's cap error."""
+        for m in (16, 30):
+            pres = crowded_links(m)
+            sp = build_splitting(pres, SeparatedPair("y0", "y1", pres.graph.vertices[2:m],
+                                                     2 ** (m - 2)))
+            assert pres.growth_series(sp.c_side) is None
+        assert audit_acylindricity(sp, 3, 2, 2, 2).passed
+        with pytest.raises(ResourceCapError, match="cap of 20000 elements at radius 3$"):
+            audit_acylindricity(sp, 1, 1, 4, 1, cap=20000)
+
     @pytest.mark.parametrize("tree_radius, most", [(1, 2), (2, 14)])
     def test_two_edge_paths_turn_at_g_b_from_tree_radius_2(self, tree_radius, most):
         """Z2*Z2*Z2*Z3 over a-d with edges a-c, b-c, b-d, pair (a, b), C = {c, d}:
@@ -454,9 +489,11 @@ class TestAudit:
             del report["element_radius"]
         assert reports[0] == reports[1] == reports[2]
 
-    def test_no_ball_of_the_whole_group(self, monkeypatch):
-        """On every fixture splitting, every ball the audit enumerates is a
-        subgroup's: a side ball or a G_R ball."""
+    def test_no_ball_of_the_whole_group(self, monkeypatch, p4_racg):
+        """The six passing fixture audits enumerate no ball: they read their
+        sizes from growth series. The P4 RACG's two-edge audits fail, and
+        walk the tree ball, and every ball they enumerate is a subgroup's: a
+        side ball or a G_R ball."""
         subsets = []
         enumerate_ball_info = Presentation.enumerate_ball_info
 
@@ -470,9 +507,15 @@ class TestAudit:
             pres, _ = load_presentation(path)
             for pair in separated_pairs(pres):
                 sp = build_splitting(pres, pair)
-                audit_acylindricity(sp, k=3, tree_radius=3, element_radius=4, local_radius=2)
+                assert audit_acylindricity(sp, k=3, tree_radius=3, element_radius=4,
+                                           local_radius=2).passed
                 audits += 1
         assert audits == 6
+        assert subsets == []
+        for pair in separated_pairs(p4_racg):
+            sp = build_splitting(p4_racg, pair)
+            assert not audit_acylindricity(sp, k=2, tree_radius=3, element_radius=4,
+                                           local_radius=2).passed
         assert subsets and None not in subsets
 
     @pytest.mark.parametrize("pair", ["ac", "ad", "bd"])

@@ -15,7 +15,7 @@ element, and is maximal; that the word joining two canonical words, formed
 from what they do not share, is the inverse of one extended by the other;
 that each coset coordinate of a tree ball extends its vertex to its edge; and
 that the level sizes the audit counts from give the tree ball's vertices and
-paths.
+paths, and that their growth-series form matches the side balls.
 
 Presentations have at most five vertices (six for the child order, seven for
 the far end edges, the far edge lemma, the peel, the joining word, the
@@ -39,6 +39,7 @@ from arboreal.tree import (
     TreeEdge,
     TreeVertex,
     _ball,
+    _level_sizes,
     _levels,
     _path_count,
     _peel,
@@ -198,6 +199,25 @@ def test_level_sizes_count_vertices_and_paths(pres, k, radius, local_radius):
         kids = _levels(sp, radius, local_radius, LEVELS_CAP)[1]
         assert sum(prod(kids[:d]) for d in range(radius + 1)) == len(reps)
         assert _path_count(kids, k) == sum(1 for _ in _walk(nbrs, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(max_vertices=7), st.integers(1, 5), st.integers(1, 3),
+       st.sampled_from([30, 300, 3000]))
+def test_level_sizes_from_series_are_the_enumerated_ones(pres, radius, local_radius, cap):
+    """``_level_sizes`` reads from growth series the child counts and the
+    truncation flag that ``_levels`` takes from the side balls, and returns
+    None exactly where ``_levels`` raises a cap error or the clique sum of
+    C or of a side it reads passes the cap."""
+    for pair in separated_pairs(pres):
+        sp = build_splitting(pres, pair)
+        try:
+            expected = _levels(sp, radius, local_radius, cap)[1:]
+        except ResourceCapError:
+            expected = None
+        if None in (pres.growth_series(s, cap) for s in (sp.c_side, sp.a_side, sp.b_side)[:radius + 1]):
+            expected = None
+        assert _level_sizes(sp, radius, local_radius, cap) == expected
 
 
 @st.composite

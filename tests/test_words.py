@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,14 +7,16 @@ from hypothesis import strategies as st
 
 from arboreal.errors import DegeneratePresentationError, InputError, ResourceCapError
 from arboreal.graphs import INFINITY, SimpleGraph
+from arboreal.tree import coset_canonical
 from arboreal.words import (
     Presentation,
     Syllable,
+    cumulative_counts,
     format_word,
     parse_word,
 )
 
-from conftest import p4_graph, presentations
+from conftest import crowded_links, p4_graph, presentations
 from oracles import (
     enumerate_ball_by_canonical,
     first_vertices_brute,
@@ -375,6 +378,73 @@ class TestEnumerateBall:
         a = p3_raag.enumerate_ball(3)
         b = p3_raag.enumerate_ball(3)
         assert a == b
+
+
+class TestGrowthSeries:
+    @staticmethod
+    def check_ball(pres, subset, radius, cap):
+        """The radius ball of G_S against its growth series W_S = D/P: its
+        size, its saturation flag (the sphere of radius + 1 is empty), and
+        for each C = S - {u} the G_C cosets it meets, by W_S/W_C =
+        (1 + y_u z) P_C/P_S; or the radius a cap error names, the first whose
+        total passes ``cap``."""
+        d, p = pres.growth_series(subset)
+        totals = cumulative_counts(d, p, radius + 1, cap)
+        try:
+            ball, saturated = pres.enumerate_ball_info(radius, cap=cap, subset=subset)
+        except ResourceCapError as error:
+            passed = next(j for j, total in enumerate(totals) if total > cap)
+            assert str(error) == f"ball exceeded cap of {cap} elements at radius {passed}"
+            return
+        assert totals[min(radius, len(totals) - 1)] == len(ball)
+        assert saturated == (len(totals) <= radius + 1)
+        for u in subset:
+            c = subset - {u}
+            (_, y), _ = pres.growth_series({u})
+            p_c = pres.growth_series(c)[1]
+            cosets = [a + y * b for a, b in zip(p_c + [0], [0] + p_c)]
+            assert cumulative_counts(cosets, p, radius, cap)[-1] == len(
+                {coset_canonical(pres, g, c) for g in ball})
+
+    @settings(max_examples=50, deadline=None)
+    @given(presentations(max_vertices=7).filter(lambda p: len(p.graph.vertices) >= 3),
+           st.sampled_from([40, 200]), st.booleans())
+    def test_series_counts_the_enumerated_balls(self, pres, cap, linked):
+        """Every S ⊆ V at radii 1 to 4 (see ``check_ball``); and with a vertex
+        z of order 10**12 added, linked to the first vertex or not, the
+        balls that hold z pass the cap at radius 1."""
+        verts = pres.graph.vertices
+        for mask in range(2 ** len(verts)):
+            subset = frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
+            for radius in range(1, 5):
+                self.check_ball(pres, subset, radius, cap)
+        edges = [tuple(e) for e in pres.graph.edges] + [("z", verts[0])] * linked
+        huge = Presentation(SimpleGraph(verts + ("z",), edges), {**pres.orders, "z": 10**12})
+        for subset in ({"z"}, {"z", verts[0]}, {"z", *verts}):
+            self.check_ball(huge, frozenset(subset), 1, cap)
+
+    @pytest.mark.parametrize("radius", [1, 4, 10**9])
+    def test_series_stops_at_an_empty_sphere_or_the_cap(self, radius):
+        """Z2 x Z3 has 6 elements, the last at length 2, so its totals end
+        there at any radius; Z's reach 2r + 1, and stop at the first past
+        the cap, not at radius 10**9."""
+        pres = Presentation(SimpleGraph("abc", [("a", "b")]), {"a": 2, "b": 3, "c": INFINITY})
+        assert pres.growth_series("ab") == ([1, 3, 2], [1, 0, 0])
+        assert cumulative_counts(*pres.growth_series("ab"), radius, 100) == [1, 4, 6][:radius + 1]
+        assert cumulative_counts(*pres.growth_series("c"), radius, 100) == list(
+            range(1, min(2 * radius + 2, 103), 2))
+
+
+    def test_clique_sum_stops_past_the_cap(self):
+        """On ``crowded_links(10)`` the sum over all 20 vertices holds 2^10
+        groups of 21 coefficients at its widest: it returns None under a cap
+        of 1,000 coefficients, and under the default cap the series of
+        D = (1 + z)^20, whose ball of radius 1 has 21 elements."""
+        pres = crowded_links(10)
+        assert pres.growth_series(pres.graph.vertices, cap=1000) is None
+        d, p = pres.growth_series(pres.graph.vertices)
+        assert d == [math.comb(20, j) for j in range(21)]
+        assert cumulative_counts(d, p, 1, 100) == [1, 21]
 
 
 class TestWordSyntax:
