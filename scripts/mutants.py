@@ -71,13 +71,14 @@ MUTANTS = [
      "generator length counts a negative power negatively"),
     (WORDS, "if n == INFINITY or mask & ~masks[i] != 1 << i:", "if n == INFINITY:",
      "a full subgroup on finite vertices is finite even when they are not a clique"),
-    (WORDS, "y, x = (1, 2) if n == INFINITY", "y, x = (1, 1) if n == INFINITY",
+    (WORDS, "((1, 2) if n == INFINITY else", "((1, 1) if n == INFINITY else",
      "the growth series takes an infinite vertex's series as 1 + z, Z2's, not (1 + z)/(1 - z)"),
-    (WORDS, "if joinable >> i & 1:", "if True:",
-     "the growth series sums over every subset of S, clique or not"),
-    (WORDS, "            if len(sums) * len(d) > cap:\n                return None",
-     "            if False:\n                return None",
-     "the growth series' clique sum is never cut at the cap"),
+    (WORDS, "(link := table(rest & masks[i]))", "(link := table(rest))",
+     "the growth table joins v to the cliques of S - v, not of S - v ∩ lk v: cliques or not"),
+    (WORDS, "for u in bit_indices(rest & ~masks[i]):", "for u in bit_indices(0):",
+     "the growth table's cliques with v lack the factor D of S - v outside lk v"),
+    (WORDS, " or len(memo) * 2 * (degree + 1) > cap:", ":",
+     "the growth table is never cut at the cap"),
     (WORDS, 'if text in ("", "1"):', 'if text == "":',
      'parse_word does not read "1" as the identity'),
     (WORDS, 'parts.append(v if e == 1 else f"{v}^{e}")', 'parts.append(f"{v}^{e}")',
@@ -139,8 +140,11 @@ MUTANTS = [
     (TREE, "truncated = truncated or len(totals) > local_radius + 1",
      "truncated = truncated or len(totals) > local_radius",
      "the series reads truncation from the sphere of radius local_radius, not local_radius + 1"),
-    (TREE, "y = sum(d_s) // sum(d_c) - 1", "y = 1",
+    (TREE, "y = d_s[1] - d_c[1]", "y = 1",
      "the coset series takes the factor 1 + y_u z of S - C = {u} as 1 + z at any order"),
+    (TREE, "growth_table(max(local_radius + 1, element_radius), cap)",
+     "growth_table(max(local_radius, element_radius), cap)",
+     "the audit's growth table is cut at local_radius, under the sphere that shows truncation"),
     (TREE, "        list(walked())  # raises the error of the first path in walk order\n", "",
      "a G_R ball past the cap raises the R_k ball's error, not the first in walk order"),
     # classification layer

@@ -29,7 +29,7 @@ The audit builds no path but to list violations: its maximum is a G_R ball's
 count, and its path count comes from level sizes (see ``audit_acylindricity``).
 It reads those counts from growth series, so a passing audit enumerates no
 ball; it enumerates only to walk the tree ball, to raise a cap error, or
-where a series' clique sum passes the cap.
+where its growth table passes the cap.
 """
 
 from __future__ import annotations
@@ -198,30 +198,29 @@ def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int):
     return cosets, kids, truncated
 
 
-def _level_sizes(splitting: SplittingSpec, radius: int, local_radius: int, cap: int):
-    """(kids, truncated) of ``_levels`` from growth series, with no ball
+def _level_sizes(splitting: SplittingSpec, radius: int, local_radius: int, cap: int, series):
+    """(kids, truncated) of ``_levels`` from the growth series the table
+    ``series`` holds (see ``Presentation.growth_table``), with no ball
     built; or None where ``_levels`` raises a cap error, a side ball or the
-    tree ball past ``cap``, and where a series' clique sum passes ``cap``
-    (see ``Presentation.growth_series``), as ``_levels`` is then the one
-    way to them. The side S's ball is cut iff its sphere of radius
-    ``local_radius`` + 1 is not empty, and m_S counts the C-stripped
-    representatives of length at most ``local_radius``, whose series is
-    W_S/W_C = (1 + y_u z) P_C/P_S for S - C = {u} (see
-    ``audit_acylindricity``), where D_S = D_C (1 + y_u z) gives y_u."""
-    pres = splitting.presentation
+    tree ball past ``cap``, and where the table passes ``cap``, as
+    ``_levels`` is then the one way to them. The side S's ball is cut iff
+    its sphere of radius ``local_radius`` + 1 is not empty, and m_S counts
+    the C-stripped representatives of length at most ``local_radius``,
+    whose series is W_S/W_C = (1 + y_u z) P_C/P_S for S - C = {u} (see
+    ``audit_acylindricity``); y_u is D_S's z-coefficient, the sum of y_v
+    over S, less D_C's."""
     sides = (SIDE_A, SIDE_B)[:radius]
-    series = [pres.growth_series(s, cap) for s in
-              (splitting.c_side, *map(splitting.side, sides))]
-    if None in series:
+    read = [series(s) for s in (splitting.c_side, *map(splitting.side, sides))]
+    if None in read:
         return None
-    (d_c, p_c), *series = series
+    (d_c, p_c), *read = read
     coset_counts, truncated = {}, False
-    for side, (d_s, p_s) in zip(sides, series):
+    for side, (d_s, p_s) in zip(sides, read):
         totals = cumulative_counts(d_s, p_s, local_radius + 1, cap)
         if totals[min(local_radius, len(totals) - 1)] > cap:
             return None
         truncated = truncated or len(totals) > local_radius + 1
-        y = sum(d_s) // sum(d_c) - 1
+        y = d_s[1] - d_c[1]
         cosets = [a + y * b for a, b in zip(p_c + [0], [0] + p_c)]
         coset_counts[side] = cumulative_counts(cosets, p_s, local_radius, cap)[-1]
     kids, level, size = [], 1, 1
@@ -517,14 +516,17 @@ def audit_acylindricity(
     |f x f^-1| = |x| + 2|f_0|, f_0 = f stripped of lk(S), as f_0 x f_0^-1 is
     the same reduced element (no R-syllable ends f, so no sink of f_0 is in
     S or lk(S)). So ``top``, the count at f = (), bounds every count, and a
-    path is sized only if its top(R) is above |G_N|. ``counter`` builds each
-    G_R's ball once per call (see ``_conjugate_counter``), cap error or not.
+    path is sized only if its top(R) is above |G_N|, tested by ``large`` once
+    per R. ``counter`` builds each G_R's ball once per call (see
+    ``_conjugate_counter``), cap error or not.
 
     No ball is enumerated for a count: top(R) is the total of G_R's growth
-    series W_R up to ``element_radius`` (see ``Presentation.growth_series``),
-    and ``_level_sizes`` reads the level sizes and ``truncated`` from the
-    side series. The children per level count cosets: m_S is the number of
-    C-stripped representatives t of G_C's cosets in G_S of length at most
+    series W_R up to ``element_radius``, and ``_level_sizes`` reads the level
+    sizes and ``truncated`` from the side series. All come from one growth
+    table per call (see ``Presentation.growth_table``), cut at the highest
+    degree read, max(``local_radius`` + 1, ``element_radius``). The
+    children per level count cosets: m_S is the number of C-stripped
+    representatives t of G_C's cosets in G_S of length at most
     ``local_radius``. Each g in G_S is t c for one such t and one c in G_C; t
     has no C-sink, so t c is reduced and |g| = |t| + |c|, as normal forms are
     geodesic. So W_S = T W_C for the series T of the representatives, and T =
@@ -533,10 +535,11 @@ def audit_acylindricity(
     ``_levels`` counts.
 
     ``cap`` bounds the tree ball's vertex count, the side balls and the G_R
-    balls, and the clique sums of the series. Where a predicted count or a
-    clique sum passes it, the audit takes the enumerating path: ``_levels``
-    raises the first errors, in the ball's order. Every G_R ball lies in an R_k's, so one past the cap is met there,
-    in ``counter``; the walk then raises the error of the first path in walk
+    balls, and the coefficients of the growth table. Where a predicted
+    count or the table passes it, the audit takes the enumerating path:
+    ``_levels`` raises the first errors, in the ball's order. Every G_R
+    ball lies in an R_k's, so one past the cap is met there, in
+    ``counter``; the walk then raises the error of the first path in walk
     order that meets one, whose radius may differ. No ball of the whole
     group is built (``exhaustive_elements`` is False). Raises InputError for
     limits under which no path would be checked.
@@ -544,7 +547,8 @@ def audit_acylindricity(
     check_limits(k=k, tree_radius=tree_radius, element_radius=element_radius,
                  local_radius=local_radius, cap=cap)
     pres = splitting.presentation
-    kids, truncated = (_level_sizes(splitting, tree_radius, local_radius, cap)
+    series = pres.growth_table(max(local_radius + 1, element_radius), cap)
+    kids, truncated = (_level_sizes(splitting, tree_radius, local_radius, cap, series)
                        or _levels(splitting, tree_radius, local_radius, cap)[1:])
     counters, bound = {}, splitting.acyl_c
 
@@ -558,10 +562,9 @@ def audit_acylindricity(
             raise counters[r]
         return counters[r]
 
-    @cache
     def top(r):
-        series = pres.growth_series(r, cap)
-        count = cumulative_counts(*series, element_radius, cap)[-1] if series else cap + 1
+        read = series(r)
+        count = cumulative_counts(*read, element_radius, cap)[-1] if read else cap + 1
         return count if count <= cap else counter(r)(())  # enumerated, or its cap error
 
     def walked():
@@ -569,10 +572,11 @@ def audit_acylindricity(
         join = cache(lambda a, b: pres._extend(pres.inverse(a), b))
         scan = cache(partial(_stabilizer_scan, splitting))
         size_of = cache(lambda g1, p, r: counter(r)(pres._extend(g1, p)))
+        large = cache(lambda r: top(r) > bound)
         for edges in _walk(nbrs, k):
             g1 = reps[edges[0]]
             p, r = scan(join(*_relative(g1, reps[edges[-1]])))
-            if top(r) > bound and (size := size_of(g1, p, r)) > bound:
+            if large(r) and (size := size_of(g1, p, r)) > bound:
                 yield [TreeEdge(reps[e]) for e in edges], size
 
     try:

@@ -25,7 +25,7 @@ trailing block that commutes with each new syllable; O(L^2) at worst for L
 syllables. ``_extend`` alone reduces exponents and joins syllables:
 ``make_word`` is ``canonical``, and ``parse_word`` returns the normal form.
 ``first_vertices``/``last_vertices`` are the heap's sources and sinks.
-``growth_series`` counts G_S's elements by length without building any.
+``growth_table`` counts each G_S's elements by length without building any.
 """
 
 from __future__ import annotations
@@ -288,37 +288,48 @@ class Presentation:
 
     def growth_series(self, subset: Iterable[str],
                       cap: int = DEFAULT_BALL_CAP) -> tuple[list[int], list[int]] | None:
-        """(D, P), integer coefficients of degree <= |S|, with G_S's growth
-        series in the generators of ``enumerate_ball_info`` W_S = D/P: 1/W_S is
-        the sum over the cliques K of S, the empty one included, of the product
-        over K of 1/W_v - 1 (Chiswell, Bull. London Math. Soc. 26, 1994). With
-        W_v = 1 + y_v z, y_v = n - 1, at order n and (1 + z)/(1 - z), y_v = 1,
-        at an infinite vertex, 1/W_v - 1 = -x_v z/(1 + y_v z), x_v = y_v or 2,
-        so D = prod (1 + y_v z) and P = sum over K of prod_K (-x_v z) times
-        prod_{S-K} (1 + y_v z); P = 1 when S is a clique of finite orders.
-        The cliques are summed one vertex of S at a time, in vertex order,
-        grouped by the unvisited vertices that can still join them, none at
-        the end. Those groups can number 2^(|S|/2), so the sum stops,
-        returning None, once it holds more than ``cap`` coefficients."""
-        index, masks = self.graph.index, self.graph.masks
+        """(D, P) of degree <= |S|, G_S's growth series in the generators of
+        ``enumerate_ball_info`` being W_S = D/P (Chiswell, Bull. London Math.
+        Soc. 26, 1994): D = prod (1 + y_v z), y_v = n - 1 at order n, W_v = 1 +
+        y_v z, and 1 at an infinite vertex, W_v = (1 + z)/(1 - z); P sums over
+        the cliques K of S, the empty one included, prod_K (-x_v z) prod_{S-K}
+        (1 + y_v z), x_v = y_v or 2. ``growth_table`` for one S; None past cap."""
         chosen = self.graph.check_vertices(subset)
-        d = [1] + [0] * len(chosen)
-        sums = {sum(1 << index[v] for v in chosen): d}
-        for v in [v for v in self.graph.vertices if v in chosen]:
-            i, n = index[v], self.orders[v]
-            y, x = (1, 2) if n == INFINITY else (n - 1, n - 1)
-            d = [a + y * b for a, b in zip(d, [0] + d)]
-            grown: dict[int, list[int]] = {}
-            for joinable, p in sums.items():
-                terms = [(joinable & ~(1 << i), [a + y * b for a, b in zip(p, [0] + p)])]
-                if joinable >> i & 1:  # v is in every member's link: K + v is a clique
-                    terms.append((joinable & masks[i], [0] + [-x * b for b in p[:-1]]))
-                for key, q in terms:
-                    grown[key] = [a + b for a, b in zip(grown[key], q)] if key in grown else q
-            sums = grown
-            if len(sums) * len(d) > cap:
-                return None
-        return d, sums[0]
+        return self.growth_table(len(chosen), cap)(chosen)
+
+    def growth_table(self, degree: int, cap: int = DEFAULT_BALL_CAP):
+        """S -> ``growth_series`` of S mod z^(t + 1), t = min(degree, |V|), for
+        any number of subsets S; None once the table holds more than ``cap``
+        coefficients. The series are kept per vertex mask, each from that of
+        S' = S - v, v the last vertex of S: D_S = (1 + y_v z) D_S', and P_S
+        sums the cliques without v, (1 + y_v z) P_S', and those with it,
+        -x_v z P_L D_{S'-L}, L = S' ∩ lk v: 1/W_S = 1/W_S' + (1/W_v - 1)/W_L.
+        L's series is memoized as it is met, so no clique sum is done twice.
+        As D and P have degree <= |S| <= |V|, a cut at |V| cuts nothing."""
+        index, masks = self.graph.index, self.graph.masks
+        ys, xs = zip(*((1, 2) if n == INFINITY else (n - 1, n - 1)
+                       for n in self.orders.values()))
+        degree = min(degree, len(ys))
+        memo = {0: ([1] + [0] * degree,) * 2}  # mask -> (D, P) mod z^(degree + 1)
+
+        def table(mask):
+            chain, s = [], mask
+            while s not in memo:
+                chain.append(s)
+                s ^= 1 << s.bit_length() - 1
+            for s in reversed(chain):
+                i = s.bit_length() - 1
+                rest, y = s ^ 1 << i, ys[i]
+                if (link := table(rest & masks[i])) is None or len(memo) * 2 * (degree + 1) > cap:
+                    return None
+                (d, p), q = memo[rest], link[1]
+                for u in bit_indices(rest & ~masks[i]):  # q = P_L D_{S'-L}
+                    q = [a + ys[u] * b for a, b in zip(q, [0] + q)]
+                memo[s] = ([a + y * b for a, b in zip(d, [0] + d)],
+                           [a + y * b - xs[i] * c for a, b, c in zip(p, [0] + p, [0] + q)])
+            return memo[mask]
+
+        return lambda subset: table(sum(1 << index[v] for v in subset))
 
 
 def cumulative_counts(numerator: list[int], denominator: list[int], radius: int,

@@ -1,3 +1,4 @@
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -116,14 +117,28 @@ def fig2_graph():
 
 def crowded_links(m):
     """The RACG on a clique x0..x{m-1} and m vertices y0..y{m-1}, each y_i
-    joined to every x_j with j != i. Any two y's are a separated pair. Once
-    the clique sum of C = V - {y0, y1} (see ``Presentation.growth_series``)
-    has visited the x's, a clique K of x's can still be joined by the y_j of
-    C with x_j not in K, so its 2^(m - 2) groups differ in those y's."""
+    joined to every x_j with j != i. Any two y's are a separated pair, and so
+    are x_i and y_i. C = V - {y0, y1} has more than 2^m cliques, yet its
+    growth table (see ``Presentation.growth_table``) meets about m^2/2
+    vertex masks: the prefixes of C and, for each y_j in C, the prefixes of
+    its link, the x's but x_j (437 masks at m = 30). So a passing audit of
+    (y0, y1) reads every count from series."""
     xs, ys = [f"x{i}" for i in range(m)], [f"y{i}" for i in range(m)]
     edges = [(u, v) for i, u in enumerate(xs) for v in xs[i + 1:]]
     edges += [(x, y) for i, x in enumerate(xs) for j, y in enumerate(ys) if i != j]
     return Presentation(SimpleGraph(xs + ys, edges), dict.fromkeys(xs + ys, 2))
+
+
+def dense_plus_pair():
+    """The RACG on a seeded G(60, 0.8) over v0..v59, plus two isolated
+    vertices a and b: a separated pair with an empty common link. The growth
+    table of C = {v0..v59} at degree 3 meets about 139,000 vertex masks, 1.1
+    million coefficients, past the default cap, so an audit of (a, b)
+    enumerates its balls instead."""
+    rng = random.Random(0)
+    vs = [f"v{i}" for i in range(60)]
+    edges = [(u, w) for i, u in enumerate(vs) for w in vs[i + 1:] if rng.random() < 0.8]
+    return Presentation(SimpleGraph(vs + ["a", "b"], edges), dict.fromkeys(vs + ["a", "b"], 2))
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from arboreal.tree import (
 from arboreal.graphs import SimpleGraph
 from arboreal.words import DEFAULT_BALL_CAP, INFINITY, Presentation, Syllable, parse_word
 
-from conftest import FIXTURES, crowded_links
+from conftest import FIXTURES, crowded_links, dense_plus_pair
 from oracles import (
     audit_by_scan,
     bfs_distances,
@@ -428,20 +428,41 @@ class TestAudit:
         assert calls[sp.a_side] == calls[sp.b_side] == 1
         assert set(calls.values()) == {1}
 
-    def test_a_clique_sum_past_the_cap_is_left_to_enumeration(self):
-        """The clique sum of C = V - {y0, y1} holds 2^(m - 2) groups of
-        2m - 1 coefficients on ``crowded_links(m)``: past the default cap at
-        m = 16, and at m = 30 too large to build. Cut at the cap, the audit
-        enumerates the balls it needs instead, and passes, or raises the G_C
-        ball's cap error."""
-        for m in (16, 30):
-            pres = crowded_links(m)
-            sp = build_splitting(pres, SeparatedPair("y0", "y1", pres.graph.vertices[2:m],
-                                                     2 ** (m - 2)))
-            assert pres.growth_series(sp.c_side) is None
-        assert audit_acylindricity(sp, 3, 2, 2, 2).passed
+    def test_a_clique_sum_past_the_cap_is_left_to_enumeration(self, monkeypatch):
+        """The growth table of C = V - {a, b} on ``dense_plus_pair()`` passes
+        the default cap at the audit's degree, 3 or 4: the audit enumerates
+        the balls it needs instead, and passes, or raises the G_C ball's cap
+        error."""
+        pres = dense_plus_pair()
+        sp = build_splitting(pres, SeparatedPair("a", "b", (), 1))
+        assert pres.growth_table(3)(sp.c_side) is None
+        calls = []
+        enumerate_ball_info = Presentation.enumerate_ball_info
+        monkeypatch.setattr(Presentation, "enumerate_ball_info",
+                            lambda *args, **kw: calls.append(1) or enumerate_ball_info(*args, **kw))
+        report = audit_acylindricity(sp, 3, 2, 2, 2)
+        assert report.passed and report.max_stabilizer_size == 1 and calls
         with pytest.raises(ResourceCapError, match="cap of 20000 elements at radius 3$"):
             audit_acylindricity(sp, 1, 1, 4, 1, cap=20000)
+
+    @pytest.mark.parametrize("m", [16, 30])
+    def test_crowded_links_read_every_count_from_series(self, m, monkeypatch):
+        """On ``crowded_links(m)``, pair (y0, y1), whose table meets about
+        m^2/2 masks, the audit enumerates no ball and gives the report of the
+        enumerating path, taken where no growth series is read."""
+        pres = crowded_links(m)
+        sp = build_splitting(pres, SeparatedPair("y0", "y1", pres.graph.vertices[2:m],
+                                                 2 ** (m - 2)))
+        calls = []
+        enumerate_ball_info = Presentation.enumerate_ball_info
+        monkeypatch.setattr(Presentation, "enumerate_ball_info",
+                            lambda *args, **kw: calls.append(1) or enumerate_ball_info(*args, **kw))
+        limits = [(1, 1, 1, 1), (1, 1, 2, 1), (3, 2, 2, 2)]
+        reports = [audit_acylindricity(sp, *limit).to_dict() for limit in limits]
+        assert not calls and not any(report["violations"] for report in reports)
+        monkeypatch.setattr(Presentation, "growth_table", lambda *_: lambda _: None)
+        assert reports == [audit_acylindricity(sp, *limit).to_dict() for limit in limits]
+        assert calls
 
     @pytest.mark.parametrize("tree_radius, most", [(1, 2), (2, 14)])
     def test_two_edge_paths_turn_at_g_b_from_tree_radius_2(self, tree_radius, most):

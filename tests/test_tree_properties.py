@@ -207,17 +207,19 @@ def test_level_sizes_count_vertices_and_paths(pres, k, radius, local_radius):
 def test_level_sizes_from_series_are_the_enumerated_ones(pres, radius, local_radius, cap):
     """``_level_sizes`` reads from growth series the child counts and the
     truncation flag that ``_levels`` takes from the side balls, and returns
-    None exactly where ``_levels`` raises a cap error or the clique sum of
-    C or of a side it reads passes the cap."""
+    None exactly where ``_levels`` raises a cap error or the growth table,
+    read for C and the sides in that order, passes the cap."""
     for pair in separated_pairs(pres):
         sp = build_splitting(pres, pair)
         try:
             expected = _levels(sp, radius, local_radius, cap)[1:]
         except ResourceCapError:
             expected = None
-        if None in (pres.growth_series(s, cap) for s in (sp.c_side, sp.a_side, sp.b_side)[:radius + 1]):
+        table = pres.growth_table(local_radius + 1, cap)
+        if None in [table(s) for s in (sp.c_side, sp.a_side, sp.b_side)[:radius + 1]]:
             expected = None
-        assert _level_sizes(sp, radius, local_radius, cap) == expected
+        table = pres.growth_table(local_radius + 1, cap)
+        assert _level_sizes(sp, radius, local_radius, cap, table) == expected
 
 
 @st.composite

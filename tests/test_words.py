@@ -16,7 +16,7 @@ from arboreal.words import (
     parse_word,
 )
 
-from conftest import crowded_links, p4_graph, presentations
+from conftest import crowded_links, dense_plus_pair, p4_graph, presentations
 from oracles import (
     enumerate_ball_by_canonical,
     first_vertices_brute,
@@ -436,15 +436,34 @@ class TestGrowthSeries:
 
 
     def test_clique_sum_stops_past_the_cap(self):
-        """On ``crowded_links(10)`` the sum over all 20 vertices holds 2^10
-        groups of 21 coefficients at its widest: it returns None under a cap
-        of 1,000 coefficients, and under the default cap the series of
-        D = (1 + z)^20, whose ball of radius 1 has 21 elements."""
+        """The table of C = {v0..v59} on ``dense_plus_pair()`` at degree 3
+        passes the default cap, so it returns None. ``crowded_links(10)``'s
+        table over all 20 vertices holds 66 masks of 2 x 21 coefficients:
+        None under a cap of 1,000, and under the default cap the series of D =
+        (1 + z)^20, whose ball of radius 1 has 21 elements."""
+        pres = dense_plus_pair()
+        assert pres.growth_table(3)(pres.graph.vertices[:60]) is None
         pres = crowded_links(10)
         assert pres.growth_series(pres.graph.vertices, cap=1000) is None
         d, p = pres.growth_series(pres.graph.vertices)
         assert d == [math.comb(20, j) for j in range(21)]
         assert cumulative_counts(d, p, 1, 100) == [1, 21]
+
+    @settings(max_examples=60, deadline=None)
+    @given(presentations(max_vertices=7), st.integers(1, 8), st.data())
+    def test_one_table_serves_every_subset_and_cuts_at_its_degree(self, pres, degree, data):
+        """One table read for subsets in any order gives what a fresh table
+        gives each, and its series cut at degree t = min(degree, |V|) are the
+        uncut ones up to z^t."""
+        verts = pres.graph.vertices
+        subsets = data.draw(st.lists(st.frozensets(st.sampled_from(verts)), min_size=1,
+                                     max_size=8))
+        shared, t = pres.growth_table(degree), min(degree, len(verts))
+        for subset in subsets:
+            series = shared(subset)
+            assert series == pres.growth_table(degree)(subset)
+            for cut, uncut in zip(series, pres.growth_series(subset)):
+                assert cut == (uncut + [0] * t)[:t + 1]
 
 
 class TestWordSyntax:
