@@ -53,17 +53,20 @@ MUTANTS = [
     # word layer
     (WORDS, "if i >= 0 and h[i][0] == v:", "if i > 0 and h[i][0] == v:",
      "_extend never joins with the first syllable"),
-    (WORDS, "while j < len(h) and index[h[j][0]] < rank:",
-     "while j < len(h) and index[h[j][0]] > rank:",
+    (WORDS, "while j < end and h[j][0] in below:",
+     "while j < end and h[j][0] not in below:",
      "_extend inserts a new sink at the wrong place in Kahn's order"),
-    (WORDS, "                e += h[i][1]\n                if n != INFINITY:\n                    e %= n\n",
+    (WORDS, "graph.masks[i] & (1 << i) - 1", "graph.masks[i]",
+     "_steps takes the whole link as the part before v, so a new sink goes to the end of "
+     "the block that commutes with it"),
+    (WORDS, "                e += h[i][1]\n                if n:\n                    e %= n\n",
      "                e += h[i][1]\n",
      "a joined exponent is not reduced mod the order"),
+    (WORDS, "steps[v] = (0 if n == INFINITY else n, graph.adjacency[v],",
+     "steps[v] = (n, graph.adjacency[v],",
+     "_steps keeps INFINITY as an infinite vertex's order, so e %= inf makes 3 a float 3.0"),
     (WORDS, "[(v, -e) for v, e in reversed(tuple(word))]", "[(v, e) for v, e in reversed(tuple(word))]",
      "inverse keeps the exponents' signs"),
-    (WORDS, "            if seen <= adjacency[v]:\n                out.add(v)",
-     "            if not seen:\n                out.add(v)",
-     "heap sources are only the first syllable"),
     (WORDS, "                        if depth > radius:", "                        if depth > radius + 1:",
      "ball enumeration runs one layer past its radius"),
     (WORDS, "1 if self.orders[v] != INFINITY else abs(e) for v, e in word",
@@ -96,9 +99,14 @@ MUTANTS = [
     (TREE, "return TreeVertex(side, _strip(pres, pres.canonical(word), splitting.side(side)))",
      "return TreeVertex(side, _strip(pres, pres.canonical(word), splitting.c_side))",
      "make_vertex strips C instead of the vertex's side"),
-    (TREE, "if s.vertex in subset and kept_vertices <= adjacency[s.vertex]:",
-     "if s.vertex in subset:",
-     "_peel peels an S-syllable that a kept syllable scanned before it depends on"),
+    (TREE, "            peelable &= masks[i]\n", "",
+     "_peel never narrows its peelable mask, so it peels an S-syllable that a kept one "
+     "scanned before it depends on"),
+    (TREE, "peelable &= masks[i]", "peelable &= ~(1 << i)",
+     "_peel cuts only a kept syllable's own vertex from its peelable mask, not every vertex "
+     "outside its link"),
+    (TREE, "                kept.extend(sylls)\n", "",
+     "_peel drops what follows once nothing more can be peeled"),
     (TREE, "p, rest = _peel(pres, h, c_set)", "p, rest = [], list(h)",
      "the stabilizer's p is empty, so f is g_1 and q takes what p should"),
     (TREE, "_peel(pres, reversed(rest), c_set)", "_peel(pres, rest, c_set)",

@@ -137,16 +137,23 @@ def _peel(pres: Presentation, sylls: Iterable[Syllable], subset: AbstractSet[str
     syllable scanned before it lies in its link. The earlier syllables outside
     its link are its heap ancestors (see words.py), so the peeled ones are the
     largest predecessor-closed (in reverse, successor-closed) set of
-    S-syllables, which is unique."""
-    adjacency = pres.graph.adjacency
+    S-syllables, which is unique. The vertices still peelable, S ∩ lk(u) for
+    every kept u, are an int mask, cut by each kept vertex's mask; once it is
+    empty, the rest is kept unread."""
+    index, masks = pres.graph.index, pres.graph.masks
+    peelable = sum(1 << index[v] for v in subset)
     peeled, kept = [], []
-    kept_vertices: set[str] = set()
+    sylls = iter(sylls)
     for s in sylls:
-        if s.vertex in subset and kept_vertices <= adjacency[s.vertex]:
+        i = index[s.vertex]
+        if peelable >> i & 1:
             peeled.append(s)
         else:
             kept.append(s)
-            kept_vertices.add(s.vertex)
+            peelable &= masks[i]
+            if not peelable:
+                kept.extend(sylls)
+                break
     return peeled, kept
 
 

@@ -24,13 +24,13 @@ concatenation again. Cost: O(|pairs|*b) beyond copying g, b the length of the
 trailing block that commutes with each new syllable; O(L^2) at worst for L
 syllables. ``_extend`` alone reduces exponents and joins syllables:
 ``make_word`` is ``canonical``, and ``parse_word`` returns the normal form.
-``first_vertices``/``last_vertices`` are the heap's sources and sinks.
 ``growth_table`` counts each G_S's elements by length without building any.
 """
 
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from itertools import chain
 from operator import mul
 from typing import Iterable, NamedTuple
@@ -94,46 +94,60 @@ class Presentation:
 
     make_word = canonical
 
+    @cached_property
+    def _steps(self) -> dict[str, tuple[int, set[str], set[str]]]:
+        """vertex -> (its order, 0 if infinite; its link; the link's vertices
+        before it in vertex order): what ``_extend`` reads of a syllable's
+        vertex, in one lookup."""
+        graph, steps = self.graph, {}
+        for i, v in enumerate(graph.vertices):
+            n, below = self.orders[v], graph.masks[i] & (1 << i) - 1
+            steps[v] = (0 if n == INFINITY else n, graph.adjacency[v],
+                        {graph.vertices[j] for j in bit_indices(below)})
+        return steps
+
     def _extend(self, g: Word, pairs: Iterable[tuple[str, int]]) -> Word:
         """canonical(g + pairs) for a canonical g, O(|pairs|*b) beyond copying
-        g. Here alone an exponent is reduced into {1,...,n-1} at a finite order
-        n, an identity dropped and an unknown vertex rejected; each pair is
-        then inserted into a copy of g. The insertion scans back over syllables
-        in link(v); a v-syllable met there absorbs the new one, or goes when
-        the exponent vanishes: it is a heap sink, so the others keep their
-        order. Otherwise the new syllable is a sink whose last predecessor is
-        the scan's stop, and Kahn's algorithm takes it at the first later
-        position whose vertex index is larger than v's."""
-        orders, adjacency, index = self.orders, self.graph.adjacency, self.graph.index
+        g; each pair costs one ``_steps`` lookup. Here alone an exponent is
+        reduced into {1,...,n-1} at a finite order n, an identity dropped and
+        an unknown vertex rejected; each pair is then inserted into a copy of
+        g. The insertion scans back over syllables in link(v); a v-syllable
+        met there absorbs the new one, or goes when the exponent vanishes: it
+        is a heap sink, so the others keep their order. Otherwise the new
+        syllable is a sink whose last predecessor is the scan's stop, and
+        Kahn's algorithm takes it at the first later position whose vertex
+        index is larger than v's: as every later syllable is in link(v), the
+        first whose vertex is not in the link's part before v."""
+        steps, new, syllable = self._steps, tuple.__new__, Syllable
         h = list(g)
         for s in pairs:
             v, e = s
-            n = orders.get(v)
-            if n is None:
-                raise InputError(f"unknown vertex: {v}")
-            if n != INFINITY:
+            try:
+                n, lk, below = steps[v]
+            except KeyError:
+                raise InputError(f"unknown vertex: {v}") from None
+            if n:
                 e %= n
             if not e:
                 continue
-            lk = adjacency[v]
-            i = len(h) - 1
+            end = len(h)
+            i = end - 1
             while i >= 0 and h[i][0] in lk:
                 i -= 1
             if i >= 0 and h[i][0] == v:
                 e += h[i][1]
-                if n != INFINITY:
+                if n:
                     e %= n
                 if e:
-                    h[i] = tuple.__new__(Syllable, (v, e))
+                    h[i] = new(syllable, (v, e))
                 else:
                     del h[i]
                 continue
-            rank = index[v]
             j = i + 1
-            while j < len(h) and index[h[j][0]] < rank:
+            while j < end and h[j][0] in below:
                 j += 1
-            if type(s) is not Syllable or e != s[1]:
-                s = tuple.__new__(Syllable, (v, e))
+            if type(s) is not syllable or e != s[1]:
+                s = new(syllable, (v, e))
             h.insert(j, s)
         return tuple(h)
 
@@ -163,27 +177,6 @@ class Presentation:
 
     def support(self, word: Word) -> set[str]:
         return {s.vertex for s in self.canonical(word)}
-
-    def first_vertices(self, word: Word) -> set[str]:
-        """Vertices that can begin a reduced word for the element: heap sources."""
-        return self._sources(self.canonical(word))
-
-    def last_vertices(self, word: Word) -> set[str]:
-        """Vertices that can end a reduced word for the element: heap sinks,
-        the sources of the reversed word."""
-        return self._sources(reversed(self.canonical(word)))
-
-    def _sources(self, sylls: Iterable[Syllable]) -> set[str]:
-        """Vertices of the syllables of a reduced word with no earlier
-        syllable outside their link: the heap's sources."""
-        adjacency = self.graph.adjacency
-        seen: set[str] = set()
-        out = set()
-        for v, _ in sylls:
-            if seen <= adjacency[v]:
-                out.add(v)
-            seen.add(v)
-        return out
 
     # --- full subgroups --------------------------------------------------------
 

@@ -29,13 +29,14 @@ set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "arboreal-hypothesis")
 
 
 @st.composite
-def presentations(draw, max_vertices=5):
-    """Graph products on 2..max_vertices (at most 9) vertices, orders in {2, 3, inf}."""
+def presentations(draw, max_vertices=5, orders=(2, 3, INFINITY)):
+    """Graph products on 2..max_vertices (at most 9) vertices, orders drawn
+    from ``orders``."""
     names = "abcdefghi"[: draw(st.integers(2, max_vertices))]
     pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
     edges = [p for p in pairs if draw(st.booleans())]
-    orders = {v: draw(st.sampled_from((2, 3, INFINITY))) for v in names}
-    return Presentation(SimpleGraph(names, edges), orders)
+    return Presentation(SimpleGraph(names, edges),
+                        {v: draw(st.sampled_from(orders)) for v in names})
 
 
 JSON_SCALARS = (

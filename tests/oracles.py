@@ -3,9 +3,11 @@
 These deliberately avoid the code paths they verify: reduction applies the
 rewriting rules in a random order, the shuffle-closure oracle works by
 exhaustive BFS over adjacent commuting swaps, the first/last-vertex and
-coset oracles read the answer off the whole orbit, canonical forms also come
-from linearizing the dependency heap of the whole reduced word, balls grow
-by those whole-word forms rather than by inserting a syllable, ball counts
+coset oracles read the answer off the whole orbit (the one-scan heap
+sources they check, ``first_vertices`` and ``last_vertices``, are here too,
+as only tests use them), canonical forms also come from linearizing the
+dependency heap of the whole reduced word, balls grow by those whole-word
+forms rather than by inserting a syllable, ball counts
 per length come from the growth series of the product, separated
 pairs come from BFS distances and pairwise adjacency, a graph's adjacency
 and edge sets are built straight from its edge list, full-subgroup orders
@@ -66,6 +68,30 @@ def word_key(pres, word):
 def lex_min_of_orbit(pres, reduced_word):
     """Lexicographically smallest member of the shuffle orbit."""
     return min(shuffle_closure(pres, reduced_word), key=lambda w: word_key(pres, w))
+
+
+def heap_sources(pres, sylls):
+    """Vertices of the syllables of a reduced word with no earlier syllable
+    outside their link: the heap's sources, in one scan with the set of
+    vertices seen."""
+    adjacency = pres.graph.adjacency
+    seen, out = set(), set()
+    for v, _ in sylls:
+        if seen <= adjacency[v]:
+            out.add(v)
+        seen.add(v)
+    return out
+
+
+def first_vertices(pres, word):
+    """Vertices that can begin a reduced word for the element: heap sources."""
+    return heap_sources(pres, pres.canonical(word))
+
+
+def last_vertices(pres, word):
+    """Vertices that can end a reduced word for the element: heap sinks, the
+    sources of the reversed word."""
+    return heap_sources(pres, reversed(pres.canonical(word)))
 
 
 def first_vertices_brute(pres, word, rng: random.Random):

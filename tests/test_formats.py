@@ -29,15 +29,18 @@ FIXTURE_NAMES = [
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_classify_path_derives_no_adjacency_or_edges(fixtures_dir, name):
     """Loading and classifying a product reads only the graph's masks: its
-    ``adjacency`` and ``edges`` are first built by a word operation, once."""
+    ``adjacency`` and ``edges``, and the presentation's ``_steps``, are first
+    built by a word operation, once."""
     pres, _ = presentation_from_dict(json.loads((fixtures_dir / name).read_text()))
     classify(pres).to_dict()
     assert not {"adjacency", "edges"} & vars(pres.graph).keys()
+    assert "_steps" not in vars(pres)
     word = [(v, 1) for v in reversed(pres.graph.vertices)]
     pres.canonical(word)
-    adjacency = vars(pres.graph)["adjacency"]
+    adjacency, steps = vars(pres.graph)["adjacency"], vars(pres)["_steps"]
     pres.canonical(word)
     assert vars(pres.graph)["adjacency"] is adjacency
+    assert vars(pres)["_steps"] is steps
     assert "edges" not in vars(pres.graph)
 
 

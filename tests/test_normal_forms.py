@@ -1,7 +1,8 @@
 """Property tests of the normal-form engine against the brute-force oracles.
 
-Presentations have at most five vertices with orders in {2, 3, inf}; words
-have at most ten syllables, given as plain ``(vertex, exponent)`` tuples,
+Presentations have at most five vertices with orders in {2, 3, inf}, and
+also 10^12 where exponent types are checked; words have at most ten
+syllables, given as plain ``(vertex, exponent)`` tuples,
 except against the heap oracle, which takes words of 20 to 200.
 Balls go up to radius 3 under caps low enough that cap errors are compared
 too; their counts per length, on up to six vertices, go up to radius 5
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from arboreal.classify import build_splitting, separated_pairs
 from arboreal.errors import InputError, ResourceCapError
 from arboreal.tree import coset_canonical
-from arboreal.words import Syllable
+from arboreal.words import INFINITY, Syllable
 
 from conftest import presentations
 from oracles import (
@@ -25,8 +26,10 @@ from oracles import (
     canonical_by_heap,
     coset_canonical_by_stripping,
     enumerate_ball_by_canonical,
+    first_vertices,
     first_vertices_brute,
     growth_coefficients,
+    last_vertices,
     last_vertices_brute,
     lex_min_of_orbit,
     reduce_exponent,
@@ -76,8 +79,8 @@ class TestEngine:
     @given(presentations_and_words(), randoms)
     def test_first_last_vertices_match_orbit(self, case, rng):
         pres, w = case
-        assert pres.first_vertices(w) == first_vertices_brute(pres, w, rng)
-        assert pres.last_vertices(w) == last_vertices_brute(pres, w, rng)
+        assert first_vertices(pres, w) == first_vertices_brute(pres, w, rng)
+        assert last_vertices(pres, w) == last_vertices_brute(pres, w, rng)
 
     @settings(max_examples=100, deadline=None)
     @given(presentations_and_words())
@@ -86,6 +89,19 @@ class TestEngine:
         outputs = [pres.canonical(w), pres.multiply(w, w), pres.inverse(w)]
         outputs += [coset_canonical(pres, w, pres.graph.vertices[:k]) for k in range(3)]
         assert all(type(s) is Syllable for out in outputs for s in out)
+
+    @settings(max_examples=150, deadline=None)
+    @given(presentations(orders=(2, 3, 10**12, INFINITY)), st.data())
+    def test_output_exponents_are_ints(self, pres, data):
+        """At orders 2, 3, 10^12 and inf, with exponents up to +-10^6: every
+        syllable that ``canonical``, ``multiply``, ``inverse`` and ``power``
+        give is a Syllable whose exponent is an int."""
+        syllable = st.tuples(st.sampled_from(pres.graph.vertices), st.integers(-10**6, 10**6))
+        w, u = (tuple(data.draw(st.lists(syllable, max_size=10))) for _ in range(2))
+        outputs = [pres.canonical(w), pres.multiply(w, u), pres.inverse(w),
+                   pres.power(w, data.draw(st.integers(-5, 5)))]
+        assert all(type(s) is Syllable and type(s.exponent) is int
+                   for out in outputs for s in out)
 
     @settings(max_examples=150, deadline=None)
     @given(presentations_and_words(), randoms)

@@ -62,6 +62,8 @@ from oracles import (
     edge_fixers_by_scan,
     element_action_by_stripping,
     enumerate_ball_by_canonical,
+    first_vertices,
+    last_vertices,
     paths_by_edge_set,
     random_word,
     tree_ball_by_vertex,
@@ -314,7 +316,7 @@ def test_conjugate_length_rule(pres, radii, radius):
             for edges in _walk(nbrs, k)
         }
         for f, r in stabilizers:
-            assert pres.last_vertices(f).isdisjoint(r)
+            assert last_vertices(pres, f).isdisjoint(r)
             try:
                 xs = pres.enumerate_ball(radius, cap=CAP, subset=r)
             except ResourceCapError:
@@ -341,7 +343,7 @@ def test_path_stabilizer_between_far_end_edges(pres, rng):
             ends = [TreeEdge(random_word(rng, pres, max_len=20)) for _ in range(2)]
             f, r = path_stabilizer(sp, ends)
             assert set(r) <= sp.c_side
-            assert pres.last_vertices(f).isdisjoint(r)
+            assert last_vertices(pres, f).isdisjoint(r)
             f_inv = pres.inverse(f)
             for v in pres.graph.vertices:
                 conjugate = f + (Syllable(v, 1),) + f_inv
@@ -364,7 +366,7 @@ def test_edge_at_a_far_vertex_is_its_extension(pres, rng):
             u = [s for s in random_word(rng, pres, max_len=20) if s.vertex in sp.side(side)]
             g = pres._extend(r, coset_canonical(pres, u, sp.c_side))
             assert make_edge(sp, g).rep == g
-            assert pres.last_vertices(g).isdisjoint(sp.c_side)
+            assert last_vertices(pres, g).isdisjoint(sp.c_side)
 
 
 @settings(max_examples=60, deadline=None)
@@ -406,11 +408,11 @@ def test_peel_forward_and_reverse(pres, rng):
         peeled, kept = _peel(pres, w, subset)
         assert all(s.vertex in subset for s in peeled)
         assert pres.canonical(peeled + kept) == w
-        assert pres.first_vertices(kept).isdisjoint(subset)
+        assert first_vertices(pres, kept).isdisjoint(subset)
         peeled, kept = (tuple(reversed(part)) for part in _peel(pres, reversed(w), subset))
         assert all(s.vertex in subset for s in peeled)
         assert pres.canonical(kept + peeled) == w
-        assert pres.last_vertices(kept).isdisjoint(subset)
+        assert last_vertices(pres, kept).isdisjoint(subset)
         assert kept == coset_canonical(pres, w, subset)
 
 

@@ -19,8 +19,10 @@ from arboreal.words import (
 from conftest import crowded_links, dense_plus_pair, p4_graph, presentations
 from oracles import (
     enumerate_ball_by_canonical,
+    first_vertices,
     first_vertices_brute,
     full_subgroup_order_by_definition,
+    last_vertices,
     last_vertices_brute,
     lex_min_of_orbit,
     random_presentation,
@@ -118,6 +120,23 @@ class TestCanonical:
             w = pres.canonical(random_word(rng, pres, max_len=6))
             assert {len(u) for u in shuffle_closure(pres, w)} <= {len(w)}
 
+    def test_unknown_vertex_in_a_generator_stops_the_read(self, p3_raag):
+        """Pairs given as a generator: the first unknown vertex raises, and no
+        later pair is read."""
+        read = []
+
+        def pairs():
+            for s in (("a", 2), ("b", -1), ("z", 1), ("y", 1), ("a", 1)):
+                read.append(s)
+                yield s
+
+        for call in (p3_raag.canonical, p3_raag.multiply,
+                     lambda g: p3_raag._extend((Syllable("a", 1),), g)):
+            read.clear()
+            with pytest.raises(InputError, match="^unknown vertex: z$"):
+                call(pairs())
+            assert read == [("a", 2), ("b", -1), ("z", 1)]
+
 
 class TestGroupLaws:
     def test_trivial_product(self, p3_raag):
@@ -181,8 +200,8 @@ class TestGroupLaws:
 class TestSupports:
     def test_empty(self, p3_raag):
         assert p3_raag.support(()) == set()
-        assert p3_raag.first_vertices(()) == set()
-        assert p3_raag.last_vertices(()) == set()
+        assert first_vertices(p3_raag, ()) == set()
+        assert last_vertices(p3_raag, ()) == set()
 
     def test_read_off(self, p3_raag):
         assert p3_raag.support(parse_word(p3_raag, "a^2 b")) == {"a", "b"}
@@ -196,21 +215,21 @@ class TestSupports:
 
     def test_first_last_p3(self, p3_raag):
         g = parse_word(p3_raag, "a b")
-        assert p3_raag.first_vertices(g) == {"a", "b"}
-        assert p3_raag.last_vertices(g) == {"a", "b"}
+        assert first_vertices(p3_raag, g) == {"a", "b"}
+        assert last_vertices(p3_raag, g) == {"a", "b"}
 
     def test_first_last_p4(self, p4_racg):
         g = parse_word(p4_racg, "a d")
-        assert p4_racg.first_vertices(g) == {"a"}
-        assert p4_racg.last_vertices(g) == {"d"}
+        assert first_vertices(p4_racg, g) == {"a"}
+        assert last_vertices(p4_racg, g) == {"d"}
 
     def test_first_last_against_orbit_brute_force(self):
         rng, order_rng = random.Random(19), random.Random(20)
         for _ in range(80):
             pres = random_presentation(rng)
             w = random_word(rng, pres, max_len=6)
-            assert pres.first_vertices(w) == first_vertices_brute(pres, w, order_rng)
-            assert pres.last_vertices(w) == last_vertices_brute(pres, w, order_rng)
+            assert first_vertices(pres, w) == first_vertices_brute(pres, w, order_rng)
+            assert last_vertices(pres, w) == last_vertices_brute(pres, w, order_rng)
 
 
 class TestFullSubgroups:
