@@ -72,6 +72,9 @@ MUTANTS = [
     (WORDS, "1 if self.orders[v] != INFINITY else abs(e) for v, e in word",
      "1 if self.orders[v] != INFINITY else e for v, e in word",
      "generator length counts a negative power negatively"),
+    (WORDS, "return sum(1 << index[v] for v in subset)",
+     "return sum(1 << index[v] for v in subset if index[v])",
+     "a vertex set's mask leaves out the first vertex in vertex order"),
     (WORDS, "if n == INFINITY or mask & ~masks[i] != 1 << i:", "if n == INFINITY:",
      "a full subgroup on finite vertices is finite even when they are not a clique"),
     (WORDS, "((1, 2) if n == INFINITY else", "((1, 1) if n == INFINITY else",
@@ -87,17 +90,18 @@ MUTANTS = [
     (WORDS, 'parts.append(v if e == 1 else f"{v}^{e}")', 'parts.append(f"{v}^{e}")',
      "format_word writes exponent 1"),
     # tree layer
-    (TREE, "{_strip(pres, s, splitting.c_side) for s in side_ball}", "set(side_ball)",
+    (TREE, "{_strip(pres, s, c_mask) for s in side_ball}", "set(side_ball)",
      "the tree ball extends by the side ball's elements, not its G_C cosets"),
-    (TREE, "for g, i in sorted((pres._extend(reps[x], t), i) for t, i in cosets[sides[x]] if i != back):",
-     "for g, i in ((pres._extend(reps[x], t), i) for t, i in cosets[sides[x]] if i != back):",
+    (TREE, "for g in sorted(pres._extend(reps[x], t) for t in cosets[sides[x]] if t or not x):",
+     "for g in (pres._extend(reps[x], t) for t in cosets[sides[x]] if t or not x):",
      "the tree ball lists children in coset-set order, not edge order"),
-    (TREE, "back = nbrs[x][0][2] if x else -1", "back = -1",
+    (TREE, "for t in cosets[sides[x]] if t or not x)", "for t in cosets[sides[x]])",
      "the tree ball never skips a vertex's parent, so it lists the parent again as a child"),
-    (TREE, "nbrs.append([(w, x, 0, i)])", "nbrs.append([(w, x, i, i)])",
-     "a child's coordinate of the edge to its parent is t, as at the parent, not ()"),
-    (TREE, "return TreeVertex(side, _strip(pres, pres.canonical(word), splitting.side(side)))",
-     "return TreeVertex(side, _strip(pres, pres.canonical(word), splitting.c_side))",
+    (TREE, "stack.append((w, v, edges + (max(v, w),)))", "stack.append((w, v, edges + (min(v, w),)))",
+     "the path walk names each step by the edge above the nearer-the-base vertex, not the "
+     "edge it crosses"),
+    (TREE, "_strip(pres, pres.canonical(word), pres._mask(splitting.side(side)))",
+     "_strip(pres, pres.canonical(word), pres._mask(splitting.c_side))",
      "make_vertex strips C instead of the vertex's side"),
     (TREE, "            peelable &= masks[i]\n", "",
      "_peel never narrows its peelable mask, so it peels an S-syllable that a kept one "
@@ -107,9 +111,9 @@ MUTANTS = [
      "outside its link"),
     (TREE, "                kept.extend(sylls)\n", "",
      "_peel drops what follows once nothing more can be peeled"),
-    (TREE, "p, rest = _peel(pres, h, c_set)", "p, rest = [], list(h)",
+    (TREE, "p, rest = _peel(pres, h, c_mask)", "p, rest = [], list(h)",
      "the stabilizer's p is empty, so f is g_1 and q takes what p should"),
-    (TREE, "_peel(pres, reversed(rest), c_set)", "_peel(pres, rest, c_set)",
+    (TREE, "_peel(pres, reversed(rest), c_mask)", "_peel(pres, rest, c_mask)",
      "the stabilizer's q is peeled forward, from the start of what p leaves"),
     (TREE, "while n < m and g1[n] == gk[n]:", "while n < m and g1[n][0] == gk[n][0]:",
      "the shared prefix of g_1 and g_k is cancelled by vertex, blind to exponents"),
@@ -153,8 +157,6 @@ MUTANTS = [
     (TREE, "growth_table(max(local_radius + 1, element_radius), cap)",
      "growth_table(max(local_radius, element_radius), cap)",
      "the audit's growth table is cut at local_radius, under the sphere that shows truncation"),
-    (TREE, "        list(walked())  # raises the error of the first path in walk order\n", "",
-     "a G_R ball past the cap raises the R_k ball's error, not the first in walk order"),
     # classification layer
     (CLASSIFY, "if not mask_a >> j & 1 and (order := pres._mask_order(common)) != INFINITY:",
      "if (order := pres._mask_order(common)) != INFINITY:",

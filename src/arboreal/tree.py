@@ -3,9 +3,9 @@
 Vertices are cosets gG_A and gG_B, edges cosets gG_C, each held as the
 canonical minimal-length representative obtained by right-stripping; an
 edge at a vertex is the vertex's representative extended by a coset
-representative, its coordinate there, already stripped (see ``_ball``). The
-tree is infinite; every exploration here is bounded and reports truncation.
-The vertex sets A, B and C are the splitting's frozensets, read as they are.
+representative, already stripped (see ``_ball``). The tree is infinite;
+every exploration here is bounded and reports truncation. The vertex sets A,
+B and C are the splitting's frozensets, read as they are.
 
 Coset representatives, distances and stabilizers are questions about the
 dependency heap of a reduced word (see words.py), which is never built: a
@@ -28,8 +28,8 @@ audit bisects to size f G_R f^-1, R empty or not (see ``_conjugate_counter``).
 The audit builds no path but to list violations: its maximum is a G_R ball's
 count, and its path count comes from level sizes (see ``audit_acylindricity``).
 It reads those counts from growth series, so a passing audit enumerates no
-ball; it enumerates only to walk the tree ball, to raise a cap error, or
-where its growth table passes the cap.
+ball; it enumerates only to walk the tree ball, or where a count or its
+growth table passes the cap.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from functools import cache, partial
 from itertools import chain, combinations
-from typing import AbstractSet, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .classify import SIDE_A, SIDE_B, SplittingSpec
 from .errors import InputError, ResourceCapError
@@ -128,20 +128,20 @@ def coset_canonical(pres: Presentation, word: Word, subset: Iterable[str]) -> Wo
     stripping S-labelled last syllables until none is left. O(L*|V|) beyond
     ``canonical``.
     """
-    return _strip(pres, pres.canonical(word), pres.graph.check_vertices(subset))
+    return _strip(pres, pres.canonical(word), pres._mask(pres.graph.check_vertices(subset)))
 
 
-def _peel(pres: Presentation, sylls: Iterable[Syllable], subset: AbstractSet[str]):
+def _peel(pres: Presentation, sylls: Iterable[Syllable], peelable: int):
     """(peeled, kept) in scan order, ``sylls`` a reduced word read forward or
-    in reverse: a syllable is peeled iff its vertex is in S and every kept
-    syllable scanned before it lies in its link. The earlier syllables outside
-    its link are its heap ancestors (see words.py), so the peeled ones are the
-    largest predecessor-closed (in reverse, successor-closed) set of
-    S-syllables, which is unique. The vertices still peelable, S ∩ lk(u) for
-    every kept u, are an int mask, cut by each kept vertex's mask; once it is
-    empty, the rest is kept unread."""
+    in reverse, S the vertex set of the int mask ``peelable`` (see
+    ``Presentation._mask``): a syllable is peeled iff its vertex is in S and
+    every kept syllable scanned before it lies in its link. The earlier
+    syllables outside its link are its heap ancestors (see words.py), so the
+    peeled ones are the largest predecessor-closed (in reverse,
+    successor-closed) set of S-syllables, which is unique. The vertices still
+    peelable, S ∩ lk(u) for every kept u, are cut by each kept vertex's mask;
+    once none is left, the rest is kept unread."""
     index, masks = pres.graph.index, pres.graph.masks
-    peelable = sum(1 << index[v] for v in subset)
     peeled, kept = [], []
     sylls = iter(sylls)
     for s in sylls:
@@ -157,17 +157,17 @@ def _peel(pres: Presentation, sylls: Iterable[Syllable], subset: AbstractSet[str
     return peeled, kept
 
 
-def _strip(pres: Presentation, word: Word, subset: AbstractSet[str]) -> Word:
-    """``coset_canonical`` of the canonical word ``word``, also a tree ball's
-    far vertices: what the reverse peel by S keeps. That part is
-    predecessor-closed, and Kahn's choice among those ready never depends on
-    the peeled syllables, so it is already canonical."""
-    return tuple(reversed(_peel(pres, reversed(word), subset)[1]))
+def _strip(pres: Presentation, word: Word, mask: int) -> Word:
+    """``coset_canonical`` of the canonical word ``word`` by the S of ``mask``,
+    also a tree ball's far vertices: what the reverse peel by S keeps. That
+    part is predecessor-closed, and Kahn's choice among those ready never
+    depends on the peeled syllables, so it is already canonical."""
+    return tuple(reversed(_peel(pres, reversed(word), mask)[1]))
 
 
 def make_vertex(splitting: SplittingSpec, word: Word, side: str) -> TreeVertex:
     pres = splitting.presentation
-    return TreeVertex(side, _strip(pres, pres.canonical(word), splitting.side(side)))
+    return TreeVertex(side, _strip(pres, pres.canonical(word), pres._mask(splitting.side(side))))
 
 
 def make_edge(splitting: SplittingSpec, word: Word) -> TreeEdge:
@@ -188,15 +188,17 @@ def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int):
     d, m_A at the base and m_S - 1 elsewhere on side S; whether a side ball
     is cut. Raises the ball's cap errors in the order it met them. The audit
     reads kids and truncated from growth series (see ``_level_sizes``) and
-    calls this only to raise those errors, or where a clique sum is cut."""
+    calls this only to raise those errors, or where the growth table is
+    cut."""
     pres = splitting.presentation
+    c_mask = pres._mask(splitting.c_side)
     cosets, kids, truncated, level, size = {}, [], False, 1, 1
     for d in range(radius):
         side = SIDE_B if d % 2 else SIDE_A
         if d < 2:
             side_ball, saturated = pres.enumerate_ball_info(local_radius, cap=cap,
                                                             subset=splitting.side(side))
-            cosets[side] = {_strip(pres, s, splitting.c_side) for s in side_ball}
+            cosets[side] = {_strip(pres, s, c_mask) for s in side_ball}
             truncated = truncated or not saturated
         kids.append(len(cosets[side]) - (d > 0))
         size += (level := level * kids[-1])
@@ -240,44 +242,39 @@ def _level_sizes(splitting: SplittingSpec, radius: int, local_radius: int, cap: 
 
 
 def _ball(splitting: SplittingSpec, radius: int, local_radius: int, cap: int):
-    """``tree_ball`` as index arrays: (reps, sides, nbrs, words, truncated).
+    """``tree_ball`` as index arrays: (reps, sides, nbrs, truncated).
 
     Vertex 0 is the base, the others follow by BFS level, and vertex n > 0
-    shares reps[n] with edge n, its edge to its parent. nbrs[x] lists
-    (edge, neighbour, u here, u there) in ``tree_ball``'s order, where the
-    coordinate u(x, e) = x.rep^-1 e.rep is an index into ``words``.
-    The edges at xG_S are xtG_C, one per coset tG_C of G_C in G_S, so u(x, e)
-    is t, a C-stripped representative from the side's ball (see ``_levels``),
-    and x costs one extension g = x.rep t per coset but its parent's: x.rep
-    has no sink in S and t none in C, so nothing in x.rep t merges or cancels.
-    With S - C = {u} and T - C = {v} for the far side T (A = V - {b},
-    B = V - {a}), u and v are not adjacent, so a u-sink of t != () follows
-    the sinks of x.rep, all v-syllables: g's sinks are t's, outside T ⊇ C,
-    and g is both the edge and the far vertex, where u is (). So at every
+    shares reps[n] with edge n, its edge to its parent, so the edge between
+    neighbours x and w is max(x, w). nbrs[x] lists x's neighbours in
+    ``tree_ball``'s order: its parent, then its children in representative
+    order. The edges at xG_S are xtG_C, one per coset tG_C of G_C in G_S, t
+    a C-stripped representative from the side's ball (see ``_levels``), and
+    x costs one extension g = x.rep t per coset but its parent's: x.rep has
+    no sink in S and t none in C, so nothing in x.rep t merges or cancels.
+    With S - C = {u} and T - C = {v} for the far side T (A = V - {b}, B = V
+    - {a}), u and v are not adjacent, so a u-sink of t != () follows the
+    sinks of x.rep, all v-syllables: g's sinks are t's, outside T ⊇ C, and
+    g is both the edge and the far vertex, where u is (). So at every
     vertex but the base, t = () is the parent, which is skipped, and every
-    other t gives a new vertex, in edge order. Each coordinate is the
-    canonical word its coset's transversal holds.
+    other t gives a new vertex, in edge order.
     """
     pres = splitting.presentation
-    side_cosets, _, truncated = _levels(splitting, radius, local_radius, cap)
-    ids: dict[Word, int] = {(): 0}  # coordinate -> index into words
-    cosets = {side: [(t, ids.setdefault(t, len(ids))) for t in ts]
-              for side, ts in side_cosets.items()}
+    cosets, _, truncated = _levels(splitting, radius, local_radius, cap)
     reps, sides, nbrs = [()], [SIDE_A], [[]]
     start = 0
     for _ in range(radius):
         end = len(reps)
         for x in range(start, end):
-            back = nbrs[x][0][2] if x else -1
             opp = SIDE_B if sides[x] == SIDE_A else SIDE_A
-            for g, i in sorted((pres._extend(reps[x], t), i) for t, i in cosets[sides[x]] if i != back):
+            for g in sorted(pres._extend(reps[x], t) for t in cosets[sides[x]] if t or not x):
                 w = len(reps)
                 reps.append(g)
                 sides.append(opp)
-                nbrs[x].append((w, w, i, 0))
-                nbrs.append([(w, x, 0, i)])
+                nbrs[x].append(w)
+                nbrs.append([x])
         start = end
-    return reps, sides, nbrs, list(ids), truncated
+    return reps, sides, nbrs, truncated
 
 
 def tree_ball(
@@ -291,11 +288,11 @@ def tree_ball(
     those to its children in representative order. Raises InputError for
     limits ``check_limits`` rejects."""
     check_limits(radius=radius, local_radius=local_radius, cap=cap)
-    reps, sides, nbrs, _, truncated = _ball(splitting, radius, local_radius, cap)
+    reps, sides, nbrs, truncated = _ball(splitting, radius, local_radius, cap)
     vertices = [TreeVertex(side, rep) for side, rep in zip(sides, reps)]
     edges = [TreeEdge(rep) for rep in reps]
-    adjacency = {v: [(edges[e], vertices[w]) for e, w, _, _ in out]
-                 for v, out in zip(vertices, nbrs)}
+    adjacency = {vertices[x]: [(edges[max(x, w)], vertices[w]) for w in out]
+                 for x, out in enumerate(nbrs)}
     return TreeBall(vertices[0], radius, vertices, edges[1:], adjacency, truncated)
 
 
@@ -393,8 +390,9 @@ def _stabilizer_scan(splitting: SplittingSpec, h: Word):
     """
     pres = splitting.presentation
     adjacency, c_set = pres.graph.adjacency, splitting.c_side
-    p, rest = _peel(pres, h, c_set)
-    d_support = {v for v, _ in _peel(pres, reversed(rest), c_set)[1]}
+    c_mask = pres._mask(c_set)
+    p, rest = _peel(pres, h, c_mask)
+    d_support = {v for v, _ in _peel(pres, reversed(rest), c_mask)[1]}
     r = tuple(c for c in pres.graph.vertices if c in c_set and d_support <= adjacency[c])
     return tuple(p), r
 
@@ -410,7 +408,7 @@ def _conjugate_counter(pres: Presentation, radius: int, cap: int, r: tuple[str, 
     for x in pres.enumerate_ball(radius, cap=cap, subset=r):
         lengths[frozenset(v for v, _ in x)].append(pres._length(x))
     adjacency = pres.graph.adjacency
-    table = [({u for u in pres.graph.vertices if s <= adjacency[u]}, sorted(ls))
+    table = [(pres._mask(u for u in pres.graph.vertices if s <= adjacency[u]), sorted(ls))
              for s, ls in lengths.items()]
     return lambda f: sum(
         bisect_right(ls, radius - 2 * pres._length(_strip(pres, f, lk))) for lk, ls in table
@@ -425,7 +423,7 @@ def _walk(nbrs, k: int):
     vertex listed before its start; it is cut there."""
     level = [0] * len(nbrs)
     for w in range(1, len(nbrs)):
-        level[w] = level[nbrs[w][0][1]] + 1
+        level[w] = level[nbrs[w][0]] + 1
     for start, floor in enumerate(level):
         stack = [(start, -1, ())]
         while stack:
@@ -435,9 +433,9 @@ def _walk(nbrs, k: int):
                     yield edges
                 continue
             to_go = k - len(edges) - 1
-            for edge, w, _, _ in nbrs[v]:
+            for w in nbrs[v]:
                 if w != prev and level[w] + to_go >= floor:
-                    stack.append((w, v, edges + (edge,)))
+                    stack.append((w, v, edges + (max(v, w),)))
 
 
 def _path_count(kids: list[int], k: int) -> int:
@@ -524,8 +522,8 @@ def audit_acylindricity(
     the same reduced element (no R-syllable ends f, so no sink of f_0 is in
     S or lk(S)). So ``top``, the count at f = (), bounds every count, and a
     path is sized only if its top(R) is above |G_N|, tested by ``large`` once
-    per R. ``counter`` builds each G_R's ball once per call (see
-    ``_conjugate_counter``), cap error or not.
+    per R. ``counter`` builds each G_R's ball at most once per call (see
+    ``_conjugate_counter``).
 
     No ball is enumerated for a count: top(R) is the total of G_R's growth
     series W_R up to ``element_radius``, and ``_level_sizes`` reads the level
@@ -545,11 +543,11 @@ def audit_acylindricity(
     balls, and the coefficients of the growth table. Where a predicted
     count or the table passes it, the audit takes the enumerating path:
     ``_levels`` raises the first errors, in the ball's order. Every G_R
-    ball lies in an R_k's, so one past the cap is met there, in
-    ``counter``; the walk then raises the error of the first path in walk
-    order that meets one, whose radius may differ. No ball of the whole
-    group is built (``exhaustive_elements`` is False). Raises InputError for
-    limits under which no path would be checked.
+    ball lies in an R_k's, so one past the cap is met there, by the
+    maximum, which raises the error of the first R_k, in ``_path_groups``
+    order, whose ball passes the cap; no tree ball is built for it. No
+    ball of the whole group is built (``exhaustive_elements`` is False).
+    Raises InputError for limits under which no path would be checked.
     """
     check_limits(k=k, tree_radius=tree_radius, element_radius=element_radius,
                  local_radius=local_radius, cap=cap)
@@ -561,12 +559,7 @@ def audit_acylindricity(
 
     def counter(r):
         if r not in counters:
-            try:
-                counters[r] = _conjugate_counter(pres, element_radius, cap, r)
-            except ResourceCapError as error:
-                counters[r] = error
-        if isinstance(counters[r], ResourceCapError):
-            raise counters[r]
+            counters[r] = _conjugate_counter(pres, element_radius, cap, r)
         return counters[r]
 
     def top(r):
@@ -575,7 +568,7 @@ def audit_acylindricity(
         return count if count <= cap else counter(r)(())  # enumerated, or its cap error
 
     def walked():
-        reps, _, nbrs, _, _ = _ball(splitting, tree_radius, local_radius, cap)
+        reps, _, nbrs, _ = _ball(splitting, tree_radius, local_radius, cap)
         join = cache(lambda a, b: pres._extend(pres.inverse(a), b))
         scan = cache(partial(_stabilizer_scan, splitting))
         size_of = cache(lambda g1, p, r: counter(r)(pres._extend(g1, p)))
@@ -586,11 +579,7 @@ def audit_acylindricity(
             if large(r) and (size := size_of(g1, p, r)) > bound:
                 yield [TreeEdge(reps[e]) for e in edges], size
 
-    try:
-        max_size = max(map(top, _path_groups(splitting, k, tree_radius)))
-    except ResourceCapError:
-        list(walked())  # raises the error of the first path in walk order
-        raise
+    max_size = max(map(top, _path_groups(splitting, k, tree_radius)))
     violations = list(walked()) if max_size > bound else []
     return AuditReport(
         splitting=splitting,

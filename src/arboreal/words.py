@@ -17,7 +17,7 @@ v-syllable, so every heap query is a scan with per-vertex state.
 One loop gives every normal form: ``_extend(g, pairs)``, canonical(g + pairs)
 for a canonical g, normalizes each (vertex, exponent) pair and runs the
 insertion step of heaps of pieces (Viennot) on a copy of g. ``canonical`` and
-``multiply`` extend the empty word, ``inverse`` canonicalizes the negated
+``multiply`` extend the empty word, ``inverse`` extends it by the negated
 pairs, ball enumeration extends each ball element by one syllable, and the
 tree layer extends canonical words instead of canonicalizing their
 concatenation again. Cost: O(|pairs|*b) beyond copying g, b the length of the
@@ -157,7 +157,7 @@ class Presentation:
         return self._extend((), chain.from_iterable(words))
 
     def inverse(self, word: Word) -> Word:
-        return self.canonical([(v, -e) for v, e in reversed(tuple(word))])
+        return self._extend((), [(v, -e) for v, e in reversed(tuple(word))])
 
     def power(self, word: Word, n: int) -> Word:
         """word^n by repeated squaring: O(log |n|) products."""
@@ -187,8 +187,12 @@ class Presentation:
     def full_subgroup_order(self, subset: Iterable[str]) -> int | float:
         """|G_S|: finite iff S is a clique of finite-order vertices, and then
         the product of their orders (see ``_mask_order``)."""
+        return self._mask_order(self._mask(self.graph.check_vertices(subset)))
+
+    def _mask(self, subset: Iterable[str]) -> int:
+        """The int mask of a set of known vertices, bit i for graph.vertices[i]."""
         index = self.graph.index
-        return self._mask_order(sum(1 << index[v] for v in self.graph.check_vertices(subset)))
+        return sum(1 << index[v] for v in subset)
 
     def _mask_order(self, mask: int) -> int | float:
         """``full_subgroup_order`` of the vertex set with mask ``mask``. S is
@@ -299,7 +303,7 @@ class Presentation:
         -x_v z P_L D_{S'-L}, L = S' ∩ lk v: 1/W_S = 1/W_S' + (1/W_v - 1)/W_L.
         L's series is memoized as it is met, so no clique sum is done twice.
         As D and P have degree <= |S| <= |V|, a cut at |V| cuts nothing."""
-        index, masks = self.graph.index, self.graph.masks
+        masks = self.graph.masks
         ys, xs = zip(*((1, 2) if n == INFINITY else (n - 1, n - 1)
                        for n in self.orders.values()))
         degree = min(degree, len(ys))
@@ -322,7 +326,7 @@ class Presentation:
                            [a + y * b - xs[i] * c for a, b, c in zip(p, [0] + p, [0] + q)])
             return memo[mask]
 
-        return lambda subset: table(sum(1 << index[v] for v in subset))
+        return lambda subset: table(self._mask(subset))
 
 
 def cumulative_counts(numerator: list[int], denominator: list[int], radius: int,

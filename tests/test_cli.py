@@ -598,6 +598,13 @@ def test_bad_named_word_is_named_exits_2(capsys, tmp_path):
     assert err == f"error: {path}: words['h']: unknown vertex: z\n"
 
 
+def test_non_string_named_word_exits_2(capsys, tmp_path):
+    path = tmp_path / "words.json"
+    path.write_text(json.dumps({"vertices": TWO_VERTICES, "words": {"g": 3}}))
+    assert run(capsys, "nf", path, "g") == (
+        2, "", f"error: {path}: words['g']: expected a word string\n")
+
+
 P4_VERTICES = [{"name": v, "order": 2} for v in "abcd"]
 P4_EDGES = [["a", "b"], ["b", "c"], ["c", "d"]]
 

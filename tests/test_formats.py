@@ -117,6 +117,15 @@ def test_non_string_vertex_name_rejected(name):
         )
 
 
+@pytest.mark.parametrize("word", [3, None, ["a"]], ids=repr)
+def test_non_string_named_word_rejected(word):
+    with pytest.raises(InputError, match=r"^words\['g'\]: expected a word string$"):
+        presentation_from_dict(
+            {"vertices": [{"name": "a", "order": 2}, {"name": "b", "order": 2}],
+             "words": {"g": word}}
+        )
+
+
 @pytest.mark.parametrize("end", [None, True, 1.5, 5, []], ids=repr)
 def test_non_string_edge_endpoint_rejected(end):
     """A non-string endpoint is rejected, not matched to the vertex that its

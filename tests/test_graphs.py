@@ -143,8 +143,8 @@ class TestDiameter:
         assert diameter(SimpleGraph("ab")) == INFINITY
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(InputError):
-            diameter(SimpleGraph(""))
+        with pytest.raises(InputError, match="diameter of the empty graph"):
+            diameter(SimpleGraph([]))
 
     def test_p4(self):
         assert diameter(p4_graph()) == 3
@@ -172,6 +172,10 @@ class TestIrreducibility:
 
     def test_p3_not(self):
         assert not is_irreducible(p3_graph())
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(InputError, match="connectivity of the empty graph"):
+            is_irreducible(SimpleGraph([]))
 
 
 class TestInducedSubgraph:

@@ -13,13 +13,13 @@ outside any tree ball; and that the peel behind coset representatives and
 stabilizers, forward and in reverse, peels only S-syllables, keeps the
 element, and is maximal; that the word joining two canonical words, formed
 from what they do not share, is the inverse of one extended by the other;
-that each coset coordinate of a tree ball extends its vertex to its edge; and
+that each tree-ball vertex extends its parent by a coset representative; and
 that the level sizes the audit counts from give the tree ball's vertices and
 paths, and that their growth-series form matches the side balls.
 
 Presentations have at most five vertices (six for the child order, seven for
 the far end edges, the far edge lemma, the peel, the joining word, the
-coordinates and the level sizes), with orders in {2, 3, inf}; every
+children and the level sizes), with orders in {2, 3, inf}; every
 separated-pair splitting is checked at tree and element radii up to 3 under
 a low ball cap, so that cap errors are compared too; the level sizes reach
 tree radius 5 under a cap of 1,000 vertices.
@@ -159,7 +159,7 @@ def test_path_walk_matches_first_walk_per_edge_set(pres, radii):
             ball = tree_ball(sp, tree_radius, local_radius, CAP)
         except ResourceCapError:
             continue
-        reps, _, nbrs, _, _ = _ball(sp, tree_radius, local_radius, CAP)
+        reps, _, nbrs, _ = _ball(sp, tree_radius, local_radius, CAP)
         for k in range(1, 2 * tree_radius + 1):
             walked = [[reps[e] for e in edges] for edges in _walk(nbrs, k)]
             assert walked == [[e.rep for e in path] for path in paths_by_edge_set(ball, k)]
@@ -167,21 +167,27 @@ def test_path_walk_matches_first_walk_per_edge_set(pres, radii):
 
 @settings(max_examples=60, deadline=None)
 @given(presentations(max_vertices=7), st.integers(1, 3), st.integers(1, 3))
-def test_coordinates_give_edges_and_joining_words(pres, radius, local_radius):
-    """For every half-edge (x, e) of ``_ball``, x's representative extended
-    by its coordinate is e's, and the coordinate is canonical and C-stripped."""
+def test_children_extend_their_parent_by_a_coset_representative(pres, radius, local_radius):
+    """Each vertex of ``_ball`` but the base is listed after its parent, its
+    first neighbour, and its representative is the parent's extended by t =
+    parent^-1 vertex, with no syllable merged or cancelled: t is a
+    canonical, C-stripped representative of a G_C coset in the parent's
+    side, nonempty but at vertex 1, the base's child across the edge G_C."""
     for pair in separated_pairs(pres):
         sp = build_splitting(pres, pair)
         try:
-            reps, _, nbrs, words, _ = _ball(sp, radius, local_radius, CAP)
+            reps, sides, nbrs, _ = _ball(sp, radius, local_radius, CAP)
         except ResourceCapError:
             continue
-        for u in words:
-            assert u == pres.canonical(u) == coset_canonical(pres, u, sp.c_side)
-        for x, out in enumerate(nbrs):
-            for e, w, here, there in out:
-                assert pres._extend(reps[x], words[here]) == reps[e]
-                assert pres._extend(reps[w], words[there]) == reps[e]
+        for w in range(1, len(reps)):
+            x = nbrs[w][0]
+            assert x < w and w in nbrs[x]
+            t = pres._extend(pres.inverse(reps[x]), reps[w])
+            assert pres._extend(reps[x], t) == reps[w]
+            assert len(reps[w]) == len(reps[x]) + len(t)
+            assert bool(t) == (w > 1)
+            assert t == pres.canonical(t) == coset_canonical(pres, t, sp.c_side)
+            assert {v for v, _ in t} <= sp.side(sides[x])
 
 
 @settings(max_examples=60, deadline=None)
@@ -195,7 +201,7 @@ def test_level_sizes_count_vertices_and_paths(pres, k, radius, local_radius):
     for pair in separated_pairs(pres):
         sp = build_splitting(pres, pair)
         try:
-            reps, _, nbrs, _, _ = _ball(sp, radius, local_radius, LEVELS_CAP)
+            reps, _, nbrs, _ = _ball(sp, radius, local_radius, LEVELS_CAP)
         except ResourceCapError:
             continue
         kids = _levels(sp, radius, local_radius, LEVELS_CAP)[1]
@@ -307,7 +313,7 @@ def test_conjugate_length_rule(pres, radii, radius):
     for pair in separated_pairs(pres):
         sp = build_splitting(pres, pair)
         try:
-            reps, _, nbrs, _, _ = _ball(sp, tree_radius, local_radius, CAP)
+            reps, _, nbrs, _ = _ball(sp, tree_radius, local_radius, CAP)
         except ResourceCapError:
             continue
         stabilizers = {
@@ -405,11 +411,12 @@ def test_peel_forward_and_reverse(pres, rng):
     for _ in range(5):
         w = pres.canonical(random_word(rng, pres, max_len=20))
         subset = {v for v in pres.graph.vertices if rng.random() < 0.5}
-        peeled, kept = _peel(pres, w, subset)
+        mask = pres._mask(subset)
+        peeled, kept = _peel(pres, w, mask)
         assert all(s.vertex in subset for s in peeled)
         assert pres.canonical(peeled + kept) == w
         assert first_vertices(pres, kept).isdisjoint(subset)
-        peeled, kept = (tuple(reversed(part)) for part in _peel(pres, reversed(w), subset))
+        peeled, kept = (tuple(reversed(part)) for part in _peel(pres, reversed(w), mask))
         assert all(s.vertex in subset for s in peeled)
         assert pres.canonical(kept + peeled) == w
         assert last_vertices(pres, kept).isdisjoint(subset)
