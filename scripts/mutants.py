@@ -85,6 +85,8 @@ MUTANTS = [
      "the growth table's cliques with v lack the factor D of S - v outside lk v"),
     (WORDS, " or len(memo) * 2 * (degree + 1) > cap:", ":",
      "the growth table is never cut at the cap"),
+    (WORDS, "raise _ball_cap_error(cap, len(totals) - 1)", "raise _ball_cap_error(cap, len(totals))",
+     "a cap error read from growth series names the radius after the first past the cap"),
     (WORDS, 'if text in ("", "1"):', 'if text == "":',
      'parse_word does not read "1" as the identity'),
     (WORDS, 'parts.append(v if e == 1 else f"{v}^{e}")', 'parts.append(f"{v}^{e}")',
@@ -147,13 +149,18 @@ MUTANTS = [
      "the path count counts a path with two branches twice, once from each end"),
     (TREE, "        if size > cap:\n            raise ResourceCapError", "        if False:\n            raise ResourceCapError",
      "the tree ball's vertex count, read from its level sizes, is never checked against the cap"),
-    (TREE, "        if size > cap:\n            return None", "        if False:\n            return None",
-     "the level sizes read from growth series never check the tree ball's vertex count against the cap"),
     (TREE, "truncated = truncated or len(totals) > local_radius + 1",
      "truncated = truncated or len(totals) > local_radius",
      "the series reads truncation from the sphere of radius local_radius, not local_radius + 1"),
     (TREE, "y = d_s[1] - d_c[1]", "y = 1",
      "the coset series takes the factor 1 + y_u z of S - C = {u} as 1 + z at any order"),
+    (TREE, "            _ball_count(totals, local_radius, cap)\n", "",
+     "a side ball past the cap is never raised from its series"),
+    (TREE, "_ball_count(totals, local_radius, cap)", "_ball_count(totals, local_radius + 1, cap)",
+     "the truncation read at local_radius + 1 raises a cap error for a ball within the cap"),
+    (TREE, "        if size > cap:\n", "        if size > cap and (d or radius == 1):\n",
+     "the tree's depth-0 vertex count is checked only after side B is read, so side B's "
+     "cap error comes before the tree ball's"),
     (TREE, "growth_table(max(local_radius + 1, element_radius), cap)",
      "growth_table(max(local_radius, element_radius), cap)",
      "the audit's growth table is cut at local_radius, under the sphere that shows truncation"),

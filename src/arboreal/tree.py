@@ -27,9 +27,9 @@ stabilizer is conjugate to, kept as sorted lengths per support, which the
 audit bisects to size f G_R f^-1, R empty or not (see ``_conjugate_counter``).
 The audit builds no path but to list violations: its maximum is a G_R ball's
 count, and its path count comes from level sizes (see ``audit_acylindricity``).
-It reads those counts from growth series, so a passing audit enumerates no
-ball; it enumerates only to walk the tree ball, or where a count or its
-growth table passes the cap.
+It reads those counts, and any cap error they raise, from growth series, so
+a passing audit enumerates no ball; it enumerates only to walk the tree
+ball, or where its growth table is cut.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from typing import Iterable, NamedTuple, Optional
 from .classify import SIDE_A, SIDE_B, SplittingSpec
 from .errors import InputError, ResourceCapError
 from .graphs import dot_quoted
-from .words import (DEFAULT_BALL_CAP, Presentation, Syllable, Word, cumulative_counts,
-                    format_word)
+from .words import (DEFAULT_BALL_CAP, Presentation, Syllable, Word, _ball_count,
+                    cumulative_counts, format_word)
 
 
 class TreeVertex(NamedTuple):
@@ -182,63 +182,46 @@ def act(splitting: SplittingSpec, g: Word, v: TreeVertex) -> TreeVertex:
     return make_vertex(splitting, tuple(g) + tuple(v.rep), v.side)
 
 
-def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int):
-    """(cosets, kids, truncated) of ``_ball``: each side's set of C-stripped
-    coset representatives from its ball; kids[d], the child count at depth
-    d, m_A at the base and m_S - 1 elsewhere on side S; whether a side ball
-    is cut. Raises the ball's cap errors in the order it met them. The audit
-    reads kids and truncated from growth series (see ``_level_sizes``) and
-    calls this only to raise those errors, or where the growth table is
-    cut."""
+def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int,
+            series=None):
+    """(cosets, kids, truncated) of ``_ball``: kids[d], the child count at
+    depth d, m_A at the base and m_S - 1 elsewhere on side S; whether a side
+    ball is cut; and the set of C-stripped coset representatives of each
+    side whose ball is enumerated. A side is read from the growth table
+    ``series`` (see ``Presentation.growth_table``) where one is given and not
+    cut, and enumerated otherwise. From the series, m_S counts the
+    C-stripped representatives of length at most ``local_radius``, whose
+    series is W_S/W_C = (1 + y_u z) P_C/P_S for S - C = {u} (see
+    ``audit_acylindricity``), y_u being D_S's z-coefficient, the sum of y_v
+    over S, less D_C's; the side's ball is cut iff its sphere of radius
+    ``local_radius`` + 1 is not empty. Read or enumerated, the cap errors
+    come in BFS order: side A's ball, the tree at depth 0, side B's ball,
+    the tree at each deeper depth."""
     pres = splitting.presentation
     c_mask = pres._mask(splitting.c_side)
-    cosets, kids, truncated, level, size = {}, [], False, 1, 1
+    read_c = series and series(splitting.c_side)
+    cosets, counts, kids, truncated, level, size = {}, {}, [], False, 1, 1
     for d in range(radius):
         side = SIDE_B if d % 2 else SIDE_A
-        if d < 2:
+        if d < 2 and (read := read_c and series(splitting.side(side))):
+            (d_s, p_s), (d_c, p_c) = read, read_c
+            totals = cumulative_counts(d_s, p_s, local_radius + 1, cap)
+            _ball_count(totals, local_radius, cap)
+            truncated = truncated or len(totals) > local_radius + 1
+            y = d_s[1] - d_c[1]
+            reps = [a + y * b for a, b in zip(p_c + [0], [0] + p_c)]
+            counts[side] = cumulative_counts(reps, p_s, local_radius, cap)[-1]
+        elif d < 2:
             side_ball, saturated = pres.enumerate_ball_info(local_radius, cap=cap,
                                                             subset=splitting.side(side))
             cosets[side] = {_strip(pres, s, c_mask) for s in side_ball}
+            counts[side] = len(cosets[side])
             truncated = truncated or not saturated
-        kids.append(len(cosets[side]) - (d > 0))
+        kids.append(counts[side] - (d > 0))
         size += (level := level * kids[-1])
         if size > cap:
             raise ResourceCapError(f"tree ball exceeded cap of {cap} vertices")
     return cosets, kids, truncated
-
-
-def _level_sizes(splitting: SplittingSpec, radius: int, local_radius: int, cap: int, series):
-    """(kids, truncated) of ``_levels`` from the growth series the table
-    ``series`` holds (see ``Presentation.growth_table``), with no ball
-    built; or None where ``_levels`` raises a cap error, a side ball or the
-    tree ball past ``cap``, and where the table passes ``cap``, as
-    ``_levels`` is then the one way to them. The side S's ball is cut iff
-    its sphere of radius ``local_radius`` + 1 is not empty, and m_S counts
-    the C-stripped representatives of length at most ``local_radius``,
-    whose series is W_S/W_C = (1 + y_u z) P_C/P_S for S - C = {u} (see
-    ``audit_acylindricity``); y_u is D_S's z-coefficient, the sum of y_v
-    over S, less D_C's."""
-    sides = (SIDE_A, SIDE_B)[:radius]
-    read = [series(s) for s in (splitting.c_side, *map(splitting.side, sides))]
-    if None in read:
-        return None
-    (d_c, p_c), *read = read
-    coset_counts, truncated = {}, False
-    for side, (d_s, p_s) in zip(sides, read):
-        totals = cumulative_counts(d_s, p_s, local_radius + 1, cap)
-        if totals[min(local_radius, len(totals) - 1)] > cap:
-            return None
-        truncated = truncated or len(totals) > local_radius + 1
-        y = d_s[1] - d_c[1]
-        cosets = [a + y * b for a, b in zip(p_c + [0], [0] + p_c)]
-        coset_counts[side] = cumulative_counts(cosets, p_s, local_radius, cap)[-1]
-    kids, level, size = [], 1, 1
-    for d in range(radius):
-        kids.append(coset_counts[SIDE_B if d % 2 else SIDE_A] - (d > 0))
-        size += (level := level * kids[-1])
-        if size > cap:
-            return None
-    return kids, truncated
 
 
 def _ball(splitting: SplittingSpec, radius: int, local_radius: int, cap: int):
@@ -526,7 +509,7 @@ def audit_acylindricity(
     ``_conjugate_counter``).
 
     No ball is enumerated for a count: top(R) is the total of G_R's growth
-    series W_R up to ``element_radius``, and ``_level_sizes`` reads the level
+    series W_R up to ``element_radius``, and ``_levels`` reads the level
     sizes and ``truncated`` from the side series. All come from one growth
     table per call (see ``Presentation.growth_table``), cut at the highest
     degree read, max(``local_radius`` + 1, ``element_radius``). The
@@ -540,21 +523,22 @@ def audit_acylindricity(
     ``_levels`` counts.
 
     ``cap`` bounds the tree ball's vertex count, the side balls and the G_R
-    balls, and the coefficients of the growth table. Where a predicted
-    count or the table passes it, the audit takes the enumerating path:
-    ``_levels`` raises the first errors, in the ball's order. Every G_R
-    ball lies in an R_k's, so one past the cap is met there, by the
-    maximum, which raises the error of the first R_k, in ``_path_groups``
-    order, whose ball passes the cap; no tree ball is built for it. No
-    ball of the whole group is built (``exhaustive_elements`` is False).
+    balls, and the coefficients of the growth table. A ball the series puts
+    past it raises its enumeration's error, at the same radius (see
+    ``words._ball_count``), and only where the table is cut is a ball
+    enumerated for a count. ``_levels`` raises the first errors, in the
+    tree ball's BFS order. Every G_R ball lies in an R_k's, so one past the
+    cap is met there, by the maximum, which raises the error of the first
+    R_k, in ``_path_groups`` order, whose ball passes the cap; no tree ball
+    is built for it. No ball of the whole group is built
+    (``exhaustive_elements`` is False).
     Raises InputError for limits under which no path would be checked.
     """
     check_limits(k=k, tree_radius=tree_radius, element_radius=element_radius,
                  local_radius=local_radius, cap=cap)
     pres = splitting.presentation
     series = pres.growth_table(max(local_radius + 1, element_radius), cap)
-    kids, truncated = (_level_sizes(splitting, tree_radius, local_radius, cap, series)
-                       or _levels(splitting, tree_radius, local_radius, cap)[1:])
+    _, kids, truncated = _levels(splitting, tree_radius, local_radius, cap, series)
     counters, bound = {}, splitting.acyl_c
 
     def counter(r):
@@ -562,10 +546,10 @@ def audit_acylindricity(
             counters[r] = _conjugate_counter(pres, element_radius, cap, r)
         return counters[r]
 
-    def top(r):
-        read = series(r)
-        count = cumulative_counts(*read, element_radius, cap)[-1] if read else cap + 1
-        return count if count <= cap else counter(r)(())  # enumerated, or its cap error
+    def top(r):  # from the series, else enumerated where the table is cut
+        if read := series(r):
+            return _ball_count(cumulative_counts(*read, element_radius, cap), element_radius, cap)
+        return counter(r)(())
 
     def walked():
         reps, _, nbrs, _ = _ball(splitting, tree_radius, local_radius, cap)

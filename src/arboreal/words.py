@@ -252,7 +252,7 @@ class Presentation:
         if count and radius < 1:
             return {()}, False
         if count and count >= cap:
-            raise ResourceCapError(f"ball exceeded cap of {cap} elements at radius 1")
+            raise _ball_cap_error(cap, 1)
         gens = [Syllable(v, e) for v, (_, es) in exponents.items() for e in es]
 
         seen = {()}
@@ -271,9 +271,7 @@ class Presentation:
                             return seen, False
                         seen.add(h)
                         if len(seen) > cap:
-                            raise ResourceCapError(
-                                f"ball exceeded cap of {cap} elements at radius {depth}"
-                            )
+                            raise _ball_cap_error(cap, depth)
                         new.append(h)
             frontier = new
         return seen, True
@@ -347,6 +345,20 @@ def cumulative_counts(numerator: list[int], denominator: list[int], radius: int,
         if total > cap:
             break
     return totals
+
+
+def _ball_count(totals: list[int], radius: int, cap: int) -> int:
+    """totals[radius], ``totals`` the ``cumulative_counts`` of a ball's growth
+    series to ``radius`` or past it; or the ball's ``enumerate_ball_info``
+    error, at the first radius whose total passes ``cap``, the list's last."""
+    count = totals[min(radius, len(totals) - 1)]
+    if count > cap:
+        raise _ball_cap_error(cap, len(totals) - 1)
+    return count
+
+
+def _ball_cap_error(cap: int, radius: int) -> ResourceCapError:
+    return ResourceCapError(f"ball exceeded cap of {cap} elements at radius {radius}")
 
 
 # --- compact word syntax ------------------------------------------------------

@@ -81,6 +81,10 @@ class TestCosetCanonical:
                 assert pres.support(rel) <= s_set
 
 
+def no_enumeration(*args, **kwargs):
+    raise AssertionError("a ball was enumerated")
+
+
 def base_neighbors(splitting, local_radius):
     """The base vertex's (edge, vertex) pairs and truncation, from the radius-1 ball."""
     ball = tree_ball(splitting, 1, local_radius=local_radius)
@@ -391,27 +395,40 @@ class TestAudit:
     @pytest.mark.parametrize("element_radius, radius", [(200, 5), (10, 5)])
     def test_each_g_r_ball_is_enumerated_once(self, monkeypatch, element_radius, radius):
         """The product above: the maximum meets the cap in G_{a, b}'s ball,
-        at radius 5 at either element radius, and raises that error. It
-        enumerates that ball alone, once, and no side ball, whose counts
-        come from growth series."""
+        at radius 5 at either element radius, and raises that error from its
+        growth series. Each G_R ball is enumerated at most once, and here no
+        ball is: neither G_{a, b}'s nor a side's."""
         pres = Presentation(
             SimpleGraph(list("abcde"), [("a", "c"), ("a", "e"), ("b", "e")]),
             {"a": INFINITY, "b": INFINITY, "c": 2, "d": 2, "e": 3},
         )
         sp = build_splitting(pres, SeparatedPair("d", "e", (), 1))
-        calls = {}
-        enumerate_ball_info = Presentation.enumerate_ball_info
-
-        def counted(pres, radius, cap=DEFAULT_BALL_CAP, subset=None):
-            key = frozenset(subset)
-            calls[key] = calls.get(key, 0) + 1
-            return enumerate_ball_info(pres, radius, cap=cap, subset=subset)
-
-        monkeypatch.setattr(Presentation, "enumerate_ball_info", counted)
+        monkeypatch.setattr(Presentation, "enumerate_ball_info", no_enumeration)
         with pytest.raises(ResourceCapError, match=f"cap of 391 elements at radius {radius}$"):
             audit_acylindricity(sp, k=2, tree_radius=2, element_radius=element_radius,
                                 local_radius=3, cap=391)
-        assert calls == {frozenset("ab"): 1}
+
+    def test_huge_element_radius_cap_error_is_read_from_series(self, monkeypatch):
+        """Z2 * (Z2 x Z) over (a, b), the cap step of the CLI checks: G_C = Z
+        passes the default cap at radius 100,000, of 10^9, and the audit
+        raises that error from its growth series, enumerating no ball."""
+        pres = Presentation(SimpleGraph("abd", [("a", "d")]), {"a": 2, "b": 2, "d": INFINITY})
+        sp = build_splitting(pres, SeparatedPair("a", "b", (), 1))
+        monkeypatch.setattr(Presentation, "enumerate_ball_info", no_enumeration)
+        with pytest.raises(ResourceCapError,
+                           match="^ball exceeded cap of 200000 elements at radius 100000$"):
+            audit_acylindricity(sp, k=1, tree_radius=1, element_radius=10**9)
+
+    @pytest.mark.parametrize("series", [True, False])
+    def test_tree_ball_error_comes_before_side_b_error(self, monkeypatch, z2_z5, series):
+        """Z2 * Z5 at local radius 1 and cap 2: the base and its two children
+        pass the cap at depth 0, before side B's ball, whose five elements
+        pass it too, is read; from the growth table or, cut, by enumeration."""
+        sp = build_splitting(z2_z5, SeparatedPair("a", "b", (), 1))
+        if not series:
+            monkeypatch.setattr(Presentation, "growth_table", lambda *_: lambda _: None)
+        with pytest.raises(ResourceCapError, match="^tree ball exceeded cap of 2 vertices$"):
+            audit_acylindricity(sp, k=1, tree_radius=2, element_radius=1, local_radius=1, cap=2)
 
     def test_a_failing_audit_enumerates_each_side_ball_once(self, monkeypatch):
         """Z3 * Z2 * (Z x Z2) over (a, c), as below: the audit fails, so it

@@ -39,7 +39,6 @@ from arboreal.tree import (
     TreeEdge,
     TreeVertex,
     _ball,
-    _level_sizes,
     _levels,
     _path_count,
     _peel,
@@ -213,21 +212,19 @@ def test_level_sizes_count_vertices_and_paths(pres, k, radius, local_radius):
 @given(presentations(max_vertices=7), st.integers(1, 5), st.integers(1, 3),
        st.sampled_from([30, 300, 3000]))
 def test_level_sizes_from_series_are_the_enumerated_ones(pres, radius, local_radius, cap):
-    """``_level_sizes`` reads from growth series the child counts and the
-    truncation flag that ``_levels`` takes from the side balls, and returns
-    None exactly where ``_levels`` raises a cap error or the growth table,
-    read for C and the sides in that order, passes the cap."""
+    """``_levels`` reads from growth series the child counts and the
+    truncation flag it takes from the side balls without them, and raises
+    the same cap error, whether a count passes the cap or the table, cut,
+    leaves a side to enumeration."""
+    def levels(sp, *series):
+        try:
+            return _levels(sp, radius, local_radius, cap, *series)[1:]
+        except ResourceCapError as error:
+            return str(error)
+
     for pair in separated_pairs(pres):
         sp = build_splitting(pres, pair)
-        try:
-            expected = _levels(sp, radius, local_radius, cap)[1:]
-        except ResourceCapError:
-            expected = None
-        table = pres.growth_table(local_radius + 1, cap)
-        if None in [table(s) for s in (sp.c_side, sp.a_side, sp.b_side)[:radius + 1]]:
-            expected = None
-        table = pres.growth_table(local_radius + 1, cap)
-        assert _level_sizes(sp, radius, local_radius, cap, table) == expected
+        assert levels(sp, pres.growth_table(local_radius + 1, cap)) == levels(sp)
 
 
 @st.composite
