@@ -85,7 +85,9 @@ MUTANTS = [
      "the growth table's cliques with v lack the factor D of S - v outside lk v"),
     (WORDS, " or len(memo) * 2 * (degree + 1) > cap:", ":",
      "the growth table is never cut at the cap"),
-    (WORDS, "raise _ball_cap_error(cap, len(totals) - 1)", "raise _ball_cap_error(cap, len(totals))",
+    (WORDS, "w = deque(maxlen=len(tail))", "w = deque(maxlen=len(tail) - 1)",
+     "the series recurrence keeps one coefficient fewer than the denominator's degree"),
+    (WORDS, "raise _ball_cap_error(cap, reached)", "raise _ball_cap_error(cap, reached + 1)",
      "a cap error read from growth series names the radius after the first past the cap"),
     (WORDS, 'if text in ("", "1"):', 'if text == "":',
      'parse_word does not read "1" as the identity'),
@@ -149,14 +151,14 @@ MUTANTS = [
      "the path count counts a path with two branches twice, once from each end"),
     (TREE, "        if size > cap:\n            raise ResourceCapError", "        if False:\n            raise ResourceCapError",
      "the tree ball's vertex count, read from its level sizes, is never checked against the cap"),
-    (TREE, "truncated = truncated or len(totals) > local_radius + 1",
-     "truncated = truncated or len(totals) > local_radius",
+    (TREE, "truncated = truncated or ball[0] > local_radius",
+     "truncated = truncated or ball[0] >= local_radius",
      "the series reads truncation from the sphere of radius local_radius, not local_radius + 1"),
     (TREE, "y = d_s[1] - d_c[1]", "y = 1",
      "the coset series takes the factor 1 + y_u z of S - C = {u} as 1 + z at any order"),
-    (TREE, "            _ball_count(totals, local_radius, cap)\n", "",
+    (TREE, "            _ball_count(ball, local_radius, cap)\n", "",
      "a side ball past the cap is never raised from its series"),
-    (TREE, "_ball_count(totals, local_radius, cap)", "_ball_count(totals, local_radius + 1, cap)",
+    (TREE, "_ball_count(ball, local_radius, cap)", "_ball_count(ball, local_radius + 1, cap)",
      "the truncation read at local_radius + 1 raises a cap error for a ball within the cap"),
     (TREE, "        if size > cap:\n", "        if size > cap and (d or radius == 1):\n",
      "the tree's depth-0 vertex count is checked only after side B is read, so side B's "
@@ -176,7 +178,13 @@ MUTANTS = [
     (CLASSIFY, "return n * (n - 1) // 2 - sum(map(int.bit_count, masks)) // 2",
      "return n * (n - 1) // 2 - sum(map(int.bit_count, masks))",
      "non-adjacent pairs are counted with each edge subtracted twice"),
-    # CLI exit mapping and word arguments
+    # CLI parser, exit mapping and word arguments
+    (CLI, "        if name == command:\n", "        if False:\n",
+     "the parser adds arguments to no subcommand"),
+    (CLI, 'command = next((arg for arg in argv if not arg.startswith("-")), None)',
+     "command = argv[0] if argv else None",
+     "the parser takes the first argument as the subcommand, so an option before the "
+     "subcommand builds no subcommand's arguments"),
     (CLI, 'message, code = f"resource cap exceeded: {exc}", EXIT_RESOURCE',
      'message, code = f"resource cap exceeded: {exc}", EXIT_PARSE',
      "a cap error exits 2, not 5"),

@@ -25,7 +25,6 @@ from .graphs import (
     diameter,
     induced_subgraph,
     is_irreducible,
-    link,
     to_dot,
 )
 from .words import Presentation, Syllable, format_word, parse_word
@@ -60,7 +59,6 @@ __all__ = [
     "induced_subgraph",
     "is_irreducible",
     "is_virtually_cyclic",
-    "link",
     "parse_word",
     "separated_pairs",
     "to_dot",

@@ -15,8 +15,6 @@ as ``Presentation.full_subgroup_order``. A verdict's only search over paths
 is the frontier-mask search for its ``diameter`` field.
 """
 
-from __future__ import annotations
-
 import enum
 from itertools import chain, combinations
 from typing import Iterator, NamedTuple, Optional

@@ -10,8 +10,6 @@ wrong type): it exits 2 after argparse's usage text and a line such as
 ``error: `` lines and word arguments.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -153,9 +151,9 @@ def _require_splitting(pres):
 
 
 def cmd_tree_dist(args) -> int:
-    from .tree import make_vertex, tree_distance
     pres, named = load_presentation(args.file)
     splitting = _require_splitting(pres)
+    from .tree import make_vertex, tree_distance
     v1 = make_vertex(splitting, _word(pres, named, args.word1), args.side1)
     v2 = make_vertex(splitting, _word(pres, named, args.word2), args.side2)
     dist = tree_distance(splitting, v1, v2)
@@ -216,7 +214,10 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``arboreal`` parser: every subcommand with its help, which is all
+    the top-level help and errors print, and the arguments of ``command``
+    alone, as a run parses only the subcommand it names (see ``main``)."""
     parser = argparse.ArgumentParser(
         prog="arboreal",
         description="Acylindrical arboreality of graph products of cyclic groups.",
@@ -236,59 +237,63 @@ def build_parser() -> argparse.ArgumentParser:
             help="most tree-ball vertices and side or G_R ball elements; exit 5 past it",
         )
 
-    p = sub.add_parser("classify", help="run the classification theorem")
-    common(p)
-    p.set_defaults(func=cmd_classify)
+    def add(name, help_text, func):
+        """The subparser ``name``, unless the run names another subcommand."""
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            p.set_defaults(func=func, subparser=p)
+            return p
+        return None
 
-    p = sub.add_parser("nf", help="canonical normal form of a word")
-    common(p)
-    p.add_argument("word", help="word in compact syntax, e.g. 'a^2 b c^-1'")
-    p.set_defaults(func=cmd_nf)
+    if p := add("classify", "run the classification theorem", cmd_classify):
+        common(p)
 
-    p = sub.add_parser("mul", help="multiply two words")
-    common(p)
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p.set_defaults(func=cmd_mul)
+    if p := add("nf", "canonical normal form of a word", cmd_nf):
+        common(p)
+        p.add_argument("word", help="word in compact syntax, e.g. 'a^2 b c^-1'")
 
-    p = sub.add_parser("tree-dist", help="distance between two tree vertices")
-    common(p)
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p.add_argument("--side1", choices=[SIDE_A, SIDE_B], default=SIDE_A)
-    p.add_argument("--side2", choices=[SIDE_A, SIDE_B], default=SIDE_A)
-    p.set_defaults(func=cmd_tree_dist)
+    if p := add("mul", "multiply two words", cmd_mul):
+        common(p)
+        p.add_argument("word1")
+        p.add_argument("word2")
 
-    p = sub.add_parser("tree-audit", help="empirical (k, |G_N|) acylindricity audit")
-    common(p)
-    p.add_argument("--k", type=int, default=3)
-    tree_limits(p, 5)
-    p.add_argument(
-        "--element-radius", type=int, default=6,
-        help="count stabilizer elements up to this length; sizes only the G_R balls",
-    )
-    p.add_argument(
-        "--all-pairs", action="store_true",
-        help="audit every separated pair, not just the one classify picks",
-    )
-    p.set_defaults(func=cmd_tree_audit)
+    if p := add("tree-dist", "distance between two tree vertices", cmd_tree_dist):
+        common(p)
+        p.add_argument("word1")
+        p.add_argument("word2")
+        p.add_argument("--side1", choices=[SIDE_A, SIDE_B], default=SIDE_A)
+        p.add_argument("--side2", choices=[SIDE_A, SIDE_B], default=SIDE_A)
 
-    p = sub.add_parser("export-dot", help="DOT export of graph, complement or tree ball")
-    p.add_argument("file", help="presentation JSON file")
-    p.add_argument("--out", help="write output to this path instead of stdout")
-    p.add_argument("--target", choices=["graph", "complement", "tree-ball"], default="graph")
-    tree_limits(p, 2)
-    p.set_defaults(func=cmd_export_dot)
+    if p := add("tree-audit", "empirical (k, |G_N|) acylindricity audit", cmd_tree_audit):
+        common(p)
+        p.add_argument("--k", type=int, default=3)
+        tree_limits(p, 5)
+        p.add_argument(
+            "--element-radius", type=int, default=6,
+            help="count stabilizer elements up to this length; sizes only the G_R balls",
+        )
+        p.add_argument(
+            "--all-pairs", action="store_true",
+            help="audit every separated pair, not just the one classify picks",
+        )
 
-    for p in sub.choices.values():
-        p.set_defaults(subparser=p)
+    if p := add("export-dot", "DOT export of graph, complement or tree ball", cmd_export_dot):
+        p.add_argument("file", help="presentation JSON file")
+        p.add_argument("--out", help="write output to this path instead of stdout")
+        p.add_argument("--target", choices=["graph", "complement", "tree-ball"], default="graph")
+        tree_limits(p, 2)
+
     return parser
 
 
 def main(argv=None) -> int:
     """The subcommand's exit code, or an error's code and ``error: `` line.
-    An argument the subcommand does not know gets the subcommand's usage."""
-    args, extra = build_parser().parse_known_args(argv)
+    An argument the subcommand does not know gets the subcommand's usage.
+    The subcommand is the first argument that does not start with "-", as
+    the top-level parser, whose only option is -h, reads it."""
+    argv = sys.argv[1:] if argv is None else argv
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args, extra = build_parser(command).parse_known_args(argv)
     if extra:
         args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:

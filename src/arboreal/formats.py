@@ -9,8 +9,6 @@ Format:
     }
 """
 
-from __future__ import annotations
-
 import json
 import os
 import re

@@ -12,8 +12,6 @@ the ``edges`` frozenset are derived from the masks on first use and cached.
 masks: a set operation is one int operation on n bits, n/64 machine words.
 """
 
-from __future__ import annotations
-
 import math
 from functools import cached_property
 from itertools import combinations
@@ -77,19 +75,6 @@ class SimpleGraph:
         if unknown:
             raise InputError(f"unknown vertices: {sorted(unknown)}")
         return subset
-
-
-def link(graph: SimpleGraph, subset: Iterable[str]) -> set[str]:
-    """Common link: vertices adjacent to every vertex of ``subset``.
-
-    The link of a singleton is the ordinary link; the result is always
-    disjoint from ``subset``. The empty subset is rejected (we do not adopt
-    the whole-vertex-set convention).
-    """
-    subset = graph.check_vertices(subset)
-    if not subset:
-        raise InputError("link of the empty set is not defined")
-    return set.intersection(*(graph.adjacency[v] for v in subset)) - subset
 
 
 def bit_indices(mask: int) -> Iterator[int]:

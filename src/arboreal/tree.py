@@ -32,8 +32,6 @@ a passing audit enumerates no ball; it enumerates only to walk the tree
 ball, or where its growth table is cut.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from collections import defaultdict
 from functools import cache, partial
@@ -205,12 +203,12 @@ def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int,
         side = SIDE_B if d % 2 else SIDE_A
         if d < 2 and (read := read_c and series(splitting.side(side))):
             (d_s, p_s), (d_c, p_c) = read, read_c
-            totals = cumulative_counts(d_s, p_s, local_radius + 1, cap)
-            _ball_count(totals, local_radius, cap)
-            truncated = truncated or len(totals) > local_radius + 1
+            ball = cumulative_counts(d_s, p_s, local_radius + 1, cap)
+            _ball_count(ball, local_radius, cap)
+            truncated = truncated or ball[0] > local_radius  # a sphere past it
             y = d_s[1] - d_c[1]
             reps = [a + y * b for a, b in zip(p_c + [0], [0] + p_c)]
-            counts[side] = cumulative_counts(reps, p_s, local_radius, cap)[-1]
+            counts[side] = cumulative_counts(reps, p_s, local_radius, cap)[1]
         elif d < 2:
             side_ball, saturated = pres.enumerate_ball_info(local_radius, cap=cap,
                                                             subset=splitting.side(side))

@@ -27,9 +27,8 @@ syllables. ``_extend`` alone reduces exponents and joins syllables:
 ``growth_table`` counts each G_S's elements by length without building any.
 """
 
-from __future__ import annotations
-
 import re
+from collections import deque
 from functools import cached_property
 from itertools import chain
 from operator import mul
@@ -159,30 +158,7 @@ class Presentation:
     def inverse(self, word: Word) -> Word:
         return self._extend((), [(v, -e) for v, e in reversed(tuple(word))])
 
-    def power(self, word: Word, n: int) -> Word:
-        """word^n by repeated squaring: O(log |n|) products."""
-        g = self.canonical(word)
-        if n < 0:
-            g, n = self.inverse(g), -n
-        out: Word = ()
-        while n:
-            if n & 1:
-                out = self._extend(out, g)
-            n >>= 1
-            if n:
-                g = self._extend(g, g)
-        return out
-
-    # --- supports ------------------------------------------------------------
-
-    def support(self, word: Word) -> set[str]:
-        return {s.vertex for s in self.canonical(word)}
-
     # --- full subgroups --------------------------------------------------------
-
-    def in_full_subgroup(self, word: Word, subset: Iterable[str]) -> bool:
-        """Membership in G_S, decided by support containment."""
-        return self.support(word) <= self.graph.check_vertices(subset)
 
     def full_subgroup_order(self, subset: Iterable[str]) -> int | float:
         """|G_S|: finite iff S is a clique of finite-order vertices, and then
@@ -281,26 +257,20 @@ class Presentation:
         of ``enumerate_ball_info``: 1 per finite syllable, |e| per infinite one."""
         return sum(1 if self.orders[v] != INFINITY else abs(e) for v, e in word)
 
-    def growth_series(self, subset: Iterable[str],
-                      cap: int = DEFAULT_BALL_CAP) -> tuple[list[int], list[int]] | None:
-        """(D, P) of degree <= |S|, G_S's growth series in the generators of
-        ``enumerate_ball_info`` being W_S = D/P (Chiswell, Bull. London Math.
-        Soc. 26, 1994): D = prod (1 + y_v z), y_v = n - 1 at order n, W_v = 1 +
-        y_v z, and 1 at an infinite vertex, W_v = (1 + z)/(1 - z); P sums over
-        the cliques K of S, the empty one included, prod_K (-x_v z) prod_{S-K}
-        (1 + y_v z), x_v = y_v or 2. ``growth_table`` for one S; None past cap."""
-        chosen = self.graph.check_vertices(subset)
-        return self.growth_table(len(chosen), cap)(chosen)
-
     def growth_table(self, degree: int, cap: int = DEFAULT_BALL_CAP):
-        """S -> ``growth_series`` of S mod z^(t + 1), t = min(degree, |V|), for
-        any number of subsets S; None once the table holds more than ``cap``
-        coefficients. The series are kept per vertex mask, each from that of
-        S' = S - v, v the last vertex of S: D_S = (1 + y_v z) D_S', and P_S
-        sums the cliques without v, (1 + y_v z) P_S', and those with it,
-        -x_v z P_L D_{S'-L}, L = S' ∩ lk v: 1/W_S = 1/W_S' + (1/W_v - 1)/W_L.
-        L's series is memoized as it is met, so no clique sum is done twice.
-        As D and P have degree <= |S| <= |V|, a cut at |V| cuts nothing."""
+        """S -> (D, P) mod z^(t + 1), t = min(degree, |V|), for any number of
+        subsets S; None once the table holds more than ``cap`` coefficients.
+        G_S's growth series in the generators of ``enumerate_ball_info`` is
+        W_S = D/P (Chiswell, Bull. London Math. Soc. 26, 1994): D = prod (1 +
+        y_v z), y_v = n - 1 at order n, W_v = 1 + y_v z, and 1 at an infinite
+        vertex, W_v = (1 + z)/(1 - z); P sums over the cliques K of S, the
+        empty one included, prod_K (-x_v z) prod_{S-K} (1 + y_v z), x_v = y_v
+        or 2. The series are kept per vertex mask, each from that of S' = S -
+        v, v the last vertex of S: D_S = (1 + y_v z) D_S', and P_S sums the
+        cliques without v, (1 + y_v z) P_S', and those with it, -x_v z P_L
+        D_{S'-L}, L = S' ∩ lk v: 1/W_S = 1/W_S' + (1/W_v - 1)/W_L. L's series
+        is memoized as it is met, so no clique sum is done twice. As D and P
+        have degree <= |S| <= |V|, a cut at |V| cuts nothing."""
         masks = self.graph.masks
         ys, xs = zip(*((1, 2) if n == INFINITY else (n - 1, n - 1)
                        for n in self.orders.values()))
@@ -328,32 +298,38 @@ class Presentation:
 
 
 def cumulative_counts(numerator: list[int], denominator: list[int], radius: int,
-                      cap: int) -> list[int]:
-    """[t_0, ..., t_radius], t_j the sum of the coefficients of z^0 to z^j in
-    the series numerator/denominator, denominator[0] = 1, whose coefficients
-    are w_j = numerator_j - sum_{i>=1} denominator_i w_{j-i}. The list ends
-    sooner at the first total past ``cap``, or before the first coefficient
-    0: in a growth series (see ``growth_series``), or one of coset
-    representatives, an empty sphere has only empty spheres after it."""
-    tail, w, totals, total = denominator[1:], [], [], 0
+                      cap: int) -> tuple[int, int, int]:
+    """(j, t_j, w_j) for the series numerator/denominator, denominator[0] = 1,
+    whose coefficients are w_j = numerator_j - sum_{i>=1} denominator_i
+    w_{j-i}, and t_j = w_0 + ... + w_j. j is ``radius``, or sooner the first
+    radius whose total passes ``cap``, or the last before the first
+    coefficient 0: in a growth series (see ``Presentation.growth_table``), or
+    one of coset representatives, an empty sphere has only empty spheres
+    after it. Only the last len(denominator) - 1 coefficients are kept."""
+    tail = denominator[1:]
+    w = deque(maxlen=len(tail))  # latest first
+    reached = total = sphere = 0
     for j in range(radius + 1):
-        c = (numerator[j] if j < len(numerator) else 0) - sum(map(mul, tail, reversed(w)))
+        c = (numerator[j] if j < len(numerator) else 0) - sum(map(mul, tail, w))
         if not c:
             break
-        w.append(c)
-        totals.append(total := total + c)
+        w.appendleft(c)
+        reached, total, sphere = j, total + c, c
         if total > cap:
             break
-    return totals
+    return reached, total, sphere
 
 
-def _ball_count(totals: list[int], radius: int, cap: int) -> int:
-    """totals[radius], ``totals`` the ``cumulative_counts`` of a ball's growth
-    series to ``radius`` or past it; or the ball's ``enumerate_ball_info``
-    error, at the first radius whose total passes ``cap``, the list's last."""
-    count = totals[min(radius, len(totals) - 1)]
+def _ball_count(counts: tuple[int, int, int], radius: int, cap: int) -> int:
+    """The size of a ball of radius ``radius`` from the ``cumulative_counts``
+    (j, t_j, w_j) of its growth series to ``radius`` or ``radius`` + 1: t_j,
+    less the sphere w_j when j passes ``radius``; or the ball's
+    ``enumerate_ball_info`` error, at j, the first radius whose total passes
+    ``cap``."""
+    reached, total, sphere = counts
+    count = total - sphere if reached > radius else total
     if count > cap:
-        raise _ball_cap_error(cap, len(totals) - 1)
+        raise _ball_cap_error(cap, reached)
     return count
 
 

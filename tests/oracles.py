@@ -5,7 +5,9 @@ rewriting rules in a random order, the shuffle-closure oracle works by
 exhaustive BFS over adjacent commuting swaps, the first/last-vertex and
 coset oracles read the answer off the whole orbit (the one-scan heap
 sources they check, ``first_vertices`` and ``last_vertices``, are here too,
-as only tests use them), canonical forms also come from linearizing the
+as only tests use them, as are the word helpers ``power``, ``support``,
+``in_full_subgroup`` and ``growth_series`` and the graph helper ``link``),
+canonical forms also come from linearizing the
 dependency heap of the whole reduced word, balls grow by those whole-word
 forms rather than by inserting a syllable, ball counts
 per length come from the growth series of the product, separated
@@ -38,7 +40,7 @@ from arboreal.tree import (
     make_edge,
     make_vertex,
 )
-from arboreal.words import INFINITY, Presentation, Syllable
+from arboreal.words import DEFAULT_BALL_CAP, INFINITY, Presentation, Syllable
 
 
 def shuffle_closure(pres, word):
@@ -289,6 +291,50 @@ def is_connected_by_bfs(graph):
     return len(graph_distances(graph, graph.vertices[0])) == len(graph.vertices)
 
 
+def link(graph, subset):
+    """Common link: vertices adjacent to every vertex of ``subset``.
+
+    The link of a singleton is the ordinary link; the result is always
+    disjoint from ``subset``. The empty subset is rejected (we do not adopt
+    the whole-vertex-set convention).
+    """
+    subset = graph.check_vertices(subset)
+    if not subset:
+        raise InputError("link of the empty set is not defined")
+    return set.intersection(*(graph.adjacency[v] for v in subset)) - subset
+
+
+def power(pres, word, n):
+    """word^n by repeated squaring: O(log |n|) products."""
+    g = pres.canonical(word)
+    if n < 0:
+        g, n = pres.inverse(g), -n
+    out = ()
+    while n:
+        if n & 1:
+            out = pres.multiply(out, g)
+        n >>= 1
+        if n:
+            g = pres.multiply(g, g)
+    return out
+
+
+def support(pres, word):
+    return {s.vertex for s in pres.canonical(word)}
+
+
+def in_full_subgroup(pres, word, subset):
+    """Membership in G_S, decided by support containment."""
+    return support(pres, word) <= pres.graph.check_vertices(subset)
+
+
+def growth_series(pres, subset, cap=DEFAULT_BALL_CAP):
+    """(D, P) of degree <= |S|, G_S's growth series being W_S = D/P (see
+    ``Presentation.growth_table``), from a table for S alone; None past cap."""
+    chosen = pres.graph.check_vertices(subset)
+    return pres.growth_table(len(chosen), cap)(chosen)
+
+
 def full_subgroup_order_by_definition(pres, subset):
     """|G_S|: the product of the orders when S induces a complete graph of
     finite-order vertices, checked pair by pair on the adjacency sets, else
@@ -403,7 +449,7 @@ def edge_fixers_by_scan(splitting, edge, ball, cap):
     if c_order != INFINITY:
         elements, _ = pres.enumerate_ball_info(c_order, cap=cap, subset=c_set)
         return {pres.multiply(g, x, g_inv) for x in elements} & ball
-    return {s for s in ball if pres.support(pres.multiply(g_inv, s, g)) <= c_set}
+    return {s for s in ball if support(pres, pres.multiply(g_inv, s, g)) <= c_set}
 
 
 def paths_by_edge_set(ball, k):

@@ -31,7 +31,15 @@ from arboreal.tree import (
 from arboreal.words import Presentation, format_word, parse_word
 
 from conftest import FIXTURES
-from oracles import lex_min_of_orbit, random_presentation, random_word, reduce_randomized
+from oracles import (
+    in_full_subgroup,
+    lex_min_of_orbit,
+    power,
+    random_presentation,
+    random_word,
+    reduce_randomized,
+    support,
+)
 from arboreal.formats import load_presentation
 
 
@@ -159,11 +167,11 @@ def test_criterion_6_dynamics():
     x = base_vertex(splitting)
     g = parse_word(pres, "a d")
     d1 = tree_distance(splitting, x, act(splitting, g, x))
-    d2 = tree_distance(splitting, x, act(splitting, pres.power(g, 2), x))
+    d2 = tree_distance(splitting, x, act(splitting, power(pres, g, 2), x))
     assert (d1, d2) == (2, 4)
     a_set = set(splitting.a_side)
     for g in sorted(pres.enumerate_ball(5)):
-        if pres.support(g) <= a_set:
+        if support(pres, g) <= a_set:
             assert element_action(splitting, g).kind == "Elliptic"
     report(6, "loxodromic/elliptic dynamics in the P4 splitting", started)
 
@@ -180,8 +188,8 @@ def test_criterion_7_property_suites():
         s = {v for v in verts if rng.random() < 0.5}
         t = {v for v in verts if rng.random() < 0.5}
         for g in ball4:
-            both = pres.in_full_subgroup(g, s) and pres.in_full_subgroup(g, t)
-            assert both == pres.in_full_subgroup(g, s & t)
+            both = in_full_subgroup(pres, g, s) and in_full_subgroup(pres, g, t)
+            assert both == in_full_subgroup(pres, g, s & t)
 
     # group axioms on random samples
     for _ in range(200):

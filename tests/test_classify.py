@@ -20,12 +20,12 @@ from arboreal.classify import (
 from arboreal.cli import main
 from arboreal.errors import InputError
 from arboreal.formats import load_presentation
-from arboreal.graphs import INFINITY, SimpleGraph, diameter, link
+from arboreal.graphs import INFINITY, SimpleGraph, diameter
 from arboreal.tree import audit_acylindricity
 from arboreal.words import Presentation
 
 from conftest import fig2_graph, p4_graph
-from oracles import random_presentation
+from oracles import link, random_presentation
 
 
 def raag(graph):

@@ -326,6 +326,67 @@ class TestExportDot:
         assert "unrecognized arguments: --json" in captured.err
 
 
+# Each subcommand's help, as the top-level help lists it, and its own
+# positionals and options (with -h, --help beside them). Checked by name, not
+# by layout, which argparse changes between Python versions.
+COMMANDS = {
+    "classify": ("run the classification theorem", ["file"], {"--json", "--out"}),
+    "nf": ("canonical normal form of a word", ["file", "word"], {"--json", "--out"}),
+    "mul": ("multiply two words", ["file", "word1", "word2"], {"--json", "--out"}),
+    "tree-dist": ("distance between two tree vertices", ["file", "word1", "word2"],
+                  {"--json", "--out", "--side1", "--side2"}),
+    "tree-audit": ("empirical (k, |G_N|) acylindricity audit", ["file"],
+                   {"--json", "--out", "--k", "--tree-radius", "--local-radius", "--ball-cap",
+                    "--element-radius", "--all-pairs"}),
+    "export-dot": ("DOT export of graph, complement or tree ball", ["file"],
+                   {"--out", "--target", "--tree-radius", "--local-radius", "--ball-cap"}),
+}
+
+
+def help_text(capsys, argv):
+    """``arboreal *argv``'s help, which exits 0, with its whitespace runs as
+    single spaces."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.err) == (0, "")
+    return " ".join(captured.out.split())
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    text = help_text(capsys, ["-h"])
+    assert text.startswith("usage: arboreal ")
+    assert "{" + ",".join(COMMANDS) + "}" in text
+    for name, (help_line, _, _) in COMMANDS.items():
+        assert f" {name} {help_line} " in f"{text} "
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_subcommand_help_lists_its_own_arguments(capsys, command):
+    """Only the named subcommand's arguments are built, and those are whole."""
+    _, positionals, options = COMMANDS[command]
+    text = help_text(capsys, [command, "-h"])
+    assert text.startswith(f"usage: arboreal {command} ")
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", text)) == options | {"--help"}
+    words = text.split()
+    assert all(p in words for p in positionals)
+
+
+@pytest.mark.parametrize("argv, unknown", [
+    (["--json", "classify", "FILE"], "--json"),
+    (["classify", "FILE", "--json", "--bogus"], "--bogus"),
+])
+def test_an_argument_out_of_place_gets_the_subcommand_usage(capsys, argv, unknown):
+    """An option before the subcommand, which the top-level parser lacks, or
+    one the subcommand lacks, is the named subcommand's usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main([str(FIXTURES / "p4_racg.json") if a == "FILE" else a for a in argv])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.startswith("usage: arboreal classify ")
+    assert captured.err.endswith(f"arboreal classify: error: unrecognized arguments: {unknown}\n")
+
+
 def test_classify_out_file(capsys, tmp_path):
     target = tmp_path / "verdict.json"
     code, out, _ = run(
@@ -687,7 +748,7 @@ def test_package_exports_are_pinned():
         "Syllable", "Verdict", "VirtuallyCyclic", "act", "audit_acylindricity", "base_vertex",
         "build_splitting", "classify", "complement", "diameter", "element_action",
         "elliptic_generation_check", "format_word", "induced_subgraph", "is_irreducible",
-        "is_virtually_cyclic", "link", "parse_word", "path_stabilizer", "separated_pairs",
+        "is_virtually_cyclic", "parse_word", "path_stabilizer", "separated_pairs",
         "to_dot", "tree_ball", "tree_distance",
     }
     assert len(arboreal.__all__) == len(set(arboreal.__all__))
@@ -698,7 +759,7 @@ def test_package_exports_are_pinned():
     exec("from arboreal import *", star)
     assert set(arboreal.__all__) <= set(star)
     deleted = {"SubgroupVerdict", "ah_criterion", "full_subgroup_check", "edge_distance",
-               "neighbourhood"}
+               "neighbourhood", "link"}
     assert not deleted & set(vars(arboreal))
 
 
@@ -709,6 +770,17 @@ def test_cli_import_loads_no_dataclasses():
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_cli_import_loads_no_future_module():
+    """No module of the package postpones its annotations, so a process
+    compiles no annotation strings and never imports ``__future__``."""
+    code = "import sys, arboreal.cli; print('__future__' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    # -S: no site hook of the machine running the test can import it either
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
 
 
 TREE_NAMES = ("act", "audit_acylindricity", "base_vertex", "element_action",
@@ -766,13 +838,15 @@ def test_only_tree_commands_load_the_tree_layer():
     argvs = [["classify", p4], ["classify", p4, "--json"], ["nf", p4, "b a c b"],
              ["mul", p4, "a b", "b d"], ["export-dot", p4, "--target", "graph"],
              ["export-dot", p4, "--target", "complement"], ["frobnicate", p4],
+             # tree-dist loads it only once the file has a splitting
+             ["tree-dist", str(FIXTURES / "fig2_raag.json"), "1", "a"], ["tree-dist", "-h"],
              ["tree-audit", p4, "--tree-radius", "2"]]
     env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
     # -S: no site hook of the machine running the test can import it either
     result = subprocess.run([sys.executable, "-S", "-c", LOADS_TREE, json.dumps(argvs)],
                             env=env, capture_output=True, text=True, check=True)
     assert json.loads(result.stdout) == [[None, False]] + [[0, False]] * 6 + [
-        [2, False], [0, True]]
+        [2, False], [4, False], [0, False], [0, True]]
 
 
 # A locale whose preferred encoding is ASCII: no coercion to C.UTF-8, no UTF-8 mode.

@@ -15,13 +15,12 @@ from arboreal.graphs import (
     diameter,
     induced_subgraph,
     is_irreducible,
-    link,
     to_dot,
 )
 from arboreal.words import Presentation
 
 from conftest import fig2_graph, p3_graph, p4_graph
-from oracles import graph_by_edge_sets, graph_distances, is_connected_by_bfs
+from oracles import graph_by_edge_sets, graph_distances, is_connected_by_bfs, link
 
 
 def complete_graph(n):

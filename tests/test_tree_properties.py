@@ -65,6 +65,7 @@ from oracles import (
     last_vertices,
     paths_by_edge_set,
     random_word,
+    support,
     tree_ball_by_vertex,
     tree_distance_by_stripping,
 )
@@ -257,7 +258,7 @@ def test_path_stabilizer_is_the_conjugate_of_its_parabolic(pres, radii, element_
                 if (f, r) not in conjugates:
                     f_inv = pres.inverse(f)
                     conjugates[f, r] = {
-                        s for s in elements if pres.support(f_inv + s + f) <= set(r)
+                        s for s in elements if support(pres, f_inv + s + f) <= set(r)
                     }
                 assert set.intersection(*(fixers[e.rep] for e in path)) == conjugates[f, r]
 
