@@ -69,9 +69,6 @@ MUTANTS = [
      "inverse keeps the exponents' signs"),
     (WORDS, "                        if depth > radius:", "                        if depth > radius + 1:",
      "ball enumeration runs one layer past its radius"),
-    (WORDS, "1 if self.orders[v] != INFINITY else abs(e) for v, e in word",
-     "1 if self.orders[v] != INFINITY else e for v, e in word",
-     "generator length counts a negative power negatively"),
     (WORDS, "return sum(1 << index[v] for v in subset)",
      "return sum(1 << index[v] for v in subset if index[v])",
      "a vertex set's mask leaves out the first vertex in vertex order"),
@@ -96,14 +93,11 @@ MUTANTS = [
     # tree layer
     (TREE, "{_strip(pres, s, c_mask) for s in side_ball}", "set(side_ball)",
      "the tree ball extends by the side ball's elements, not its G_C cosets"),
-    (TREE, "for g in sorted(pres._extend(reps[x], t) for t in cosets[sides[x]] if t or not x):",
-     "for g in (pres._extend(reps[x], t) for t in cosets[sides[x]] if t or not x):",
+    (TREE, "for g in sorted(pres._extend(x.rep, t) for t in cosets[x.side] if t or x == base):",
+     "for g in (pres._extend(x.rep, t) for t in cosets[x.side] if t or x == base):",
      "the tree ball lists children in coset-set order, not edge order"),
-    (TREE, "for t in cosets[sides[x]] if t or not x)", "for t in cosets[sides[x]])",
+    (TREE, "for t in cosets[x.side] if t or x == base)", "for t in cosets[x.side])",
      "the tree ball never skips a vertex's parent, so it lists the parent again as a child"),
-    (TREE, "stack.append((w, v, edges + (max(v, w),)))", "stack.append((w, v, edges + (min(v, w),)))",
-     "the path walk names each step by the edge above the nearer-the-base vertex, not the "
-     "edge it crosses"),
     (TREE, "_strip(pres, pres.canonical(word), pres._mask(splitting.side(side)))",
      "_strip(pres, pres.canonical(word), pres._mask(splitting.c_side))",
      "make_vertex strips C instead of the vertex's side"),
@@ -121,9 +115,6 @@ MUTANTS = [
      "the stabilizer's q is peeled forward, from the start of what p leaves"),
     (TREE, "while n < m and g1[n] == gk[n]:", "while n < m and g1[n][0] == gk[n][0]:",
      "the shared prefix of g_1 and g_k is cancelled by vertex, blind to exponents"),
-    (TREE, "size_of = cache(lambda g1, p, r: counter(r)(pres._extend(g1, p)))",
-     "size_of = cache(lambda g1, p, r: counter(r)(g1))",
-     "the audit sizes g_1 G_R g_1^-1, dropping p from f = g_1 p"),
     (TREE, "sylls = pres._extend(pres.inverse(v1.rep), v2.rep)",
      "a, b = _relative(v1.rep, v2.rep); sylls = pres._extend(pres.inverse(a), b)",
      "tree_distance cancels a shared prefix of any words unread, so an unknown vertex passes"),
@@ -131,15 +122,11 @@ MUTANTS = [
      "tree_distance misses the last round when it ends on the other side"),
     (TREE, "if d2 > d1:", "if d2 >= d1:",
      "element_action calls an elliptic element loxodromic"),
-    (TREE, "bisect_right(ls, radius", "bisect_left(ls, radius",
-     "a conjugate count misses the elements of exactly the bound's length"),
-    (TREE, "radius - 2 * pres._length(_strip(pres, f, lk))",
-     "radius - pres._length(_strip(pres, f, lk))",
-     "a conjugate's length counts f once, not twice"),
-    (TREE, "if w != prev and level[w] + to_go >= floor:", "if w != prev and level[w] + to_go > floor:",
-     "the path walk cuts walks that can still climb back to their start's level"),
-    (TREE, "(size := size_of(g1, p, r)) > bound:", "(size := size_of(g1, p, r)) >= bound:",
-     "the audit reports a stabilizer of exactly |G_N| as a violation"),
+    (TREE, "for us, size in tops if size > bound]", "for us, size in tops if size >= bound]",
+     "the audit names a witness whose stabilizer has exactly |G_N| elements"),
+    (TREE, "return [(us, tuple(c for c in graph.vertices",
+     "return [(tuple({a: b, b: a}[u] for u in us), tuple(c for c in graph.vertices",
+     "a two-edge witness turns at the other side's vertex, G_C, bG_C for R = C ∩ lk(a)"),
     (TREE, "2: [(a,), (b,)] if tree_radius >= 2 else [(a,)]}", "2: [(a,)]}",
      "the two-edge maximum misses C ∩ lk(b), whose path turns at G_B"),
     (TREE, "if tree_radius >= 2 else [(a,)]}", "if tree_radius >= 1 else [(a,)]}",

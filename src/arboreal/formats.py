@@ -12,7 +12,6 @@ Format:
 import json
 import os
 import re
-from pathlib import Path
 
 from .errors import InputError
 from .graphs import INFINITY, SimpleGraph
@@ -85,7 +84,7 @@ def presentation_from_dict(data: dict) -> tuple[Presentation, dict[str, Word]]:
     return pres, words
 
 
-def argv_text(arg: str | Path, errors: str) -> str:
+def argv_text(arg: str | os.PathLike, errors: str) -> str:
     """``arg``'s bytes read as UTF-8 with the ``errors`` handler, whatever
     encoding the locale decoded ``sys.argv`` with."""
     try:
@@ -94,11 +93,11 @@ def argv_text(arg: str | Path, errors: str) -> str:
         return str(arg)
 
 
-def load_presentation(path: str | Path) -> tuple[Presentation, dict[str, Word]]:
-    path = Path(path)
+def load_presentation(path: str | os.PathLike) -> tuple[Presentation, dict[str, Word]]:
     shown = argv_text(path, "backslashreplace")  # bytes that are not UTF-8 as escapes
     try:
-        data = json.loads(path.read_bytes().decode("utf-8"))  # whatever the locale
+        with open(path, "rb") as file:
+            data = json.loads(file.read().decode("utf-8"))  # whatever the locale
     except OSError as exc:
         raise InputError(f"{shown}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:

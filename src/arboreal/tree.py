@@ -3,7 +3,7 @@
 Vertices are cosets gG_A and gG_B, edges cosets gG_C, each held as the
 canonical minimal-length representative obtained by right-stripping; an
 edge at a vertex is the vertex's representative extended by a coset
-representative, already stripped (see ``_ball``). The tree is infinite;
+representative, already stripped (see ``tree_ball``). The tree is infinite;
 every exploration here is bounded and reports truncation. The vertex sets A,
 B and C are the splitting's frozensets, read as they are.
 
@@ -21,20 +21,14 @@ parabolic subgroup, read off a forward and a reverse peel of the word
 joining its end edges; a reverse peel alone strips a coset (see ``_peel``).
 
 What depends only on the splitting and the radii is enumerated once per
-tree ball or audit, not once per tree vertex or path: each side's subgroup
-ball, collapsed to its G_C cosets, and the ball of each G_R a path
-stabilizer is conjugate to, kept as sorted lengths per support, which the
-audit bisects to size f G_R f^-1, R empty or not (see ``_conjugate_counter``).
-The audit builds no path but to list violations: its maximum is a G_R ball's
-count, and its path count comes from level sizes (see ``audit_acylindricity``).
-It reads those counts, and any cap error they raise, from growth series, so
-a passing audit enumerates no ball; it enumerates only to walk the tree
-ball, or where its growth table is cut.
+tree ball, not once per tree vertex: each side's subgroup ball, collapsed to
+its G_C cosets. The audit builds no path: its maximum is a G_R ball's count,
+its path count comes from level sizes, and a failing audit names the base
+paths that reach its maximum (see ``audit_acylindricity``). It reads those
+counts, and any cap error they raise, from growth series, so it enumerates
+a ball only where its growth table is cut.
 """
 
-from bisect import bisect_right
-from collections import defaultdict
-from functools import cache, partial
 from itertools import chain, combinations
 from typing import Iterable, NamedTuple, Optional
 
@@ -182,7 +176,7 @@ def act(splitting: SplittingSpec, g: Word, v: TreeVertex) -> TreeVertex:
 
 def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int,
             series=None):
-    """(cosets, kids, truncated) of ``_ball``: kids[d], the child count at
+    """(cosets, kids, truncated) of ``tree_ball``: kids[d], the child count at
     depth d, m_A at the base and m_S - 1 elsewhere on side S; whether a side
     ball is cut; and the set of C-stripped coset representatives of each
     side whose ball is enumerated. A side is read from the growth table
@@ -222,59 +216,46 @@ def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int,
     return cosets, kids, truncated
 
 
-def _ball(splitting: SplittingSpec, radius: int, local_radius: int, cap: int):
-    """``tree_ball`` as index arrays: (reps, sides, nbrs, truncated).
-
-    Vertex 0 is the base, the others follow by BFS level, and vertex n > 0
-    shares reps[n] with edge n, its edge to its parent, so the edge between
-    neighbours x and w is max(x, w). nbrs[x] lists x's neighbours in
-    ``tree_ball``'s order: its parent, then its children in representative
-    order. The edges at xG_S are xtG_C, one per coset tG_C of G_C in G_S, t
-    a C-stripped representative from the side's ball (see ``_levels``), and
-    x costs one extension g = x.rep t per coset but its parent's: x.rep has
-    no sink in S and t none in C, so nothing in x.rep t merges or cancels.
-    With S - C = {u} and T - C = {v} for the far side T (A = V - {b}, B = V
-    - {a}), u and v are not adjacent, so a u-sink of t != () follows the
-    sinks of x.rep, all v-syllables: g's sinks are t's, outside T ⊇ C, and
-    g is both the edge and the far vertex, where u is (). So at every
-    vertex but the base, t = () is the parent, which is skipped, and every
-    other t gives a new vertex, in edge order.
-    """
-    pres = splitting.presentation
-    cosets, _, truncated = _levels(splitting, radius, local_radius, cap)
-    reps, sides, nbrs = [()], [SIDE_A], [[]]
-    start = 0
-    for _ in range(radius):
-        end = len(reps)
-        for x in range(start, end):
-            opp = SIDE_B if sides[x] == SIDE_A else SIDE_A
-            for g in sorted(pres._extend(reps[x], t) for t in cosets[sides[x]] if t or not x):
-                w = len(reps)
-                reps.append(g)
-                sides.append(opp)
-                nbrs[x].append(w)
-                nbrs.append([x])
-        start = end
-    return reps, sides, nbrs, truncated
-
-
 def tree_ball(
     splitting: SplittingSpec,
     radius: int,
     local_radius: int = 2,
     cap: int = DEFAULT_BALL_CAP,
 ) -> TreeBall:
-    """BFS exploration of the tree around the base vertex G_A (see ``_ball``):
-    each vertex lists its edge to its parent first (the base has none), then
-    those to its children in representative order. Raises InputError for
-    limits ``check_limits`` rejects."""
+    """BFS exploration of the tree around the base vertex G_A: each vertex
+    lists its edge to its parent first (the base has none), then those to
+    its children in representative order. Raises InputError for limits
+    ``check_limits`` rejects.
+
+    The edges at xG_S are xtG_C, one per coset tG_C of G_C in G_S, t a
+    C-stripped representative from the side's ball (see ``_levels``), and x
+    costs one extension g = x.rep t per coset but its parent's: x.rep has no
+    sink in S and t none in C, so nothing in x.rep t merges or cancels. With
+    S - C = {u} and T - C = {v} for the far side T (A = V - {b}, B = V -
+    {a}), u and v are not adjacent, so a u-sink of t != () follows the sinks
+    of x.rep, all v-syllables: g's sinks are t's, outside T ⊇ C, and g is
+    both the edge and the far vertex, where u is (). So at every vertex but
+    the base, t = () is the parent, which is skipped, and every other t
+    gives a new vertex, in edge order.
+    """
     check_limits(radius=radius, local_radius=local_radius, cap=cap)
-    reps, sides, nbrs, truncated = _ball(splitting, radius, local_radius, cap)
-    vertices = [TreeVertex(side, rep) for side, rep in zip(sides, reps)]
-    edges = [TreeEdge(rep) for rep in reps]
-    adjacency = {vertices[x]: [(edges[max(x, w)], vertices[w]) for w in out]
-                 for x, out in enumerate(nbrs)}
-    return TreeBall(vertices[0], radius, vertices, edges[1:], adjacency, truncated)
+    pres = splitting.presentation
+    cosets, _, truncated = _levels(splitting, radius, local_radius, cap)
+    base = base_vertex(splitting)
+    vertices, edges, adjacency, level = [base], [], {base: []}, [base]
+    for _ in range(radius):
+        below = []
+        for x in level:
+            opp = SIDE_B if x.side == SIDE_A else SIDE_A
+            for g in sorted(pres._extend(x.rep, t) for t in cosets[x.side] if t or x == base):
+                e, w = TreeEdge(g), TreeVertex(opp, g)
+                adjacency[x].append((e, w))
+                adjacency[w] = [(e, x)]
+                edges.append(e)
+                below.append(w)
+        vertices += below
+        level = below
+    return TreeBall(base, radius, vertices, edges, adjacency, truncated)
 
 
 def tree_distance(splitting: SplittingSpec, v1: TreeVertex, v2: TreeVertex) -> int:
@@ -378,47 +359,6 @@ def _stabilizer_scan(splitting: SplittingSpec, h: Word):
     return tuple(p), r
 
 
-def _conjugate_counter(pres: Presentation, radius: int, cap: int, r: tuple[str, ...]):
-    """f -> the number of elements of length at most ``radius`` in f G_R f^-1,
-    f with no R-syllable at its end (1 for an empty R), by the length rule of
-    ``audit_acylindricity``: G_R's ball, enumerated once under ``cap``, kept
-    per support S as lk(S) and the sorted lengths of its elements, of which
-    a bisection counts those of length at most radius - 2|f_0|, a bound that
-    may be negative or huge."""
-    lengths: defaultdict[frozenset[str], list[int]] = defaultdict(list)
-    for x in pres.enumerate_ball(radius, cap=cap, subset=r):
-        lengths[frozenset(v for v, _ in x)].append(pres._length(x))
-    adjacency = pres.graph.adjacency
-    table = [(pres._mask(u for u in pres.graph.vertices if s <= adjacency[u]), sorted(ls))
-             for s, ls in lengths.items()]
-    return lambda f: sum(
-        bisect_right(ls, radius - 2 * pres._length(_strip(pres, f, lk))) for lk, ls in table
-    )
-
-
-def _walk(nbrs, k: int):
-    """The edge indices of each non-backtracking k-edge path of a ``_ball``,
-    walked once, from the end listed first. Vertices are listed by BFS level,
-    so a walk that can no longer climb back to its start's level, at vertex v
-    with j edges to go and level(v) + j < level(start), can only end at a
-    vertex listed before its start; it is cut there."""
-    level = [0] * len(nbrs)
-    for w in range(1, len(nbrs)):
-        level[w] = level[nbrs[w][0]] + 1
-    for start, floor in enumerate(level):
-        stack = [(start, -1, ())]
-        while stack:
-            v, prev, edges = stack.pop()
-            if len(edges) == k:
-                if start < v:
-                    yield edges
-                continue
-            to_go = k - len(edges) - 1
-            for w in nbrs[v]:
-                if w != prev and level[w] + to_go >= floor:
-                    stack.append((w, v, edges + (max(v, w),)))
-
-
 def _path_count(kids: list[int], k: int) -> int:
     """The number of k-edge paths in a tree ball with kids[d] children at each
     vertex of depth d (see ``_levels``), counted at their apex: one branch of
@@ -437,14 +377,15 @@ def _path_count(kids: list[int], k: int) -> int:
     return count
 
 
-def _path_groups(splitting: SplittingSpec, k: int, tree_radius: int) -> list[tuple[str, ...]]:
-    """The R_k of ``audit_acylindricity``, C ∩ lk(U) in vertex order: U = () at
-    k = 1; {a}, and {b} once G_B has children, at k = 2; {a, b} at k >= 3."""
+def _path_groups(splitting: SplittingSpec, k: int, tree_radius: int):
+    """(U, R_k) for the R_k of ``audit_acylindricity``, C ∩ lk(U) in vertex
+    order, U the turn of its base path: U = () at k = 1; {a}, and {b} once G_B
+    has children, at k = 2; {a, b} at k >= 3."""
     a, b = splitting.pair
     turns = {1: [()], 2: [(a,), (b,)] if tree_radius >= 2 else [(a,)]}.get(k, [(a, b)])
     graph = splitting.presentation.graph
-    return [tuple(c for c in graph.vertices if c in splitting.c_side
-                  and graph.adjacency[c].issuperset(us)) for us in turns]
+    return [(us, tuple(c for c in graph.vertices if c in splitting.c_side
+                       and graph.adjacency[c].issuperset(us))) for us in turns]
 
 
 # The least value of each limit of a tree ball or an audit.
@@ -482,29 +423,31 @@ def audit_acylindricity(
     Counts the k-edge paths of the bounded tree ball from its level sizes
     (see ``_path_count``) and reports the most elements of length <=
     ``element_radius`` in a path's pointwise stabilizer f G_R f^-1 (see
-    ``path_stabilizer``), against |G_N|, with the paths that hold more.
+    ``path_stabilizer``), against |G_N|, with witnesses of any excess.
 
     The most is top(R_k), the count of G_{R_k}'s radius-r ball, largest over
     the R_k of ``_path_groups``. At an interior vertex of side S, S - C =
     {u}, a path's edges differ by a coset of G_C in G_S, so the word joining
     them has a u-syllable in its middle, and their stabilizer, which holds
     the path's, has its R in C ∩ lk(u). So R lies in R_k: C for k = 1, C ∩
-    lk(a) or C ∩ lk(b) for k = 2, N for k >= 3, and each count is at most
-    top(R_k) (see below). A base path reaches it, its R being R_k and f a
-    word in a and b, which lk(R_k) strips away: the edge G_C; G_C and aG_C,
-    or G_C and bG_C, which needs ``tree_radius`` >= 2; or branches through
-    these two of about k/2 edges, which k <= 2 ``tree_radius`` fits.
+    lk(a) or C ∩ lk(b) for k = 2, N for k >= 3. Each count is at most
+    top(R_k): for x in G_R with support S, |f x f^-1| = |x| + 2|f_0|, f_0 =
+    f stripped of lk(S), as f_0 x f_0^-1 is the same reduced element (no
+    R-syllable ends f, so no sink of f_0 is in S or lk(S)); so the count is
+    at most top(R), its value at f = (). A base path reaches top(R_k), its R
+    being R_k and f a word in a and b, which lk(R_k) strips away: the edge
+    G_C; G_C and aG_C, or G_C and bG_C, which needs ``tree_radius`` >= 2; or
+    branches through these two of about k/2 edges, which k <= 2
+    ``tree_radius`` fits.
 
-    Only when the most is above |G_N| is the ball built and walked (see
-    ``_walk``) to list violations in walk order. Memoized per walk: ``join``
-    forms h (see ``_relative``), ``scan`` splits it into (p, R), and
-    ``size_of`` sizes f G_R f^-1, f = g_1 p: for x in G_R with support S,
-    |f x f^-1| = |x| + 2|f_0|, f_0 = f stripped of lk(S), as f_0 x f_0^-1 is
-    the same reduced element (no R-syllable ends f, so no sink of f_0 is in
-    S or lk(S)). So ``top``, the count at f = (), bounds every count, and a
-    path is sized only if its top(R) is above |G_N|, tested by ``large`` once
-    per R. ``counter`` builds each G_R's ball at most once per call (see
-    ``_conjugate_counter``).
+    So the audit fails iff some top(R_k) is above |G_N|, and it names one
+    witness per such R_k, the base path of its turn U with top(R_k): [G_C]
+    at k = 1, [G_C, uG_C] at k = 2 for U = {u}, u = a or b; there f = () and
+    R = R_k (see ``path_stabilizer``). Every violating path's stabilizer is
+    conjugate into a witness's, and G translates each witness to infinitely
+    many violating paths, so the ones that a ball of some radius holds are
+    not listed. No audit with k >= 3 fails: R_k = N there, and G_N has
+    |G_N| elements.
 
     No ball is enumerated for a count: top(R) is the total of G_R's growth
     series W_R up to ``element_radius``, and ``_levels`` reads the level
@@ -525,11 +468,9 @@ def audit_acylindricity(
     past it raises its enumeration's error, at the same radius (see
     ``words._ball_count``), and only where the table is cut is a ball
     enumerated for a count. ``_levels`` raises the first errors, in the
-    tree ball's BFS order. Every G_R ball lies in an R_k's, so one past the
-    cap is met there, by the maximum, which raises the error of the first
-    R_k, in ``_path_groups`` order, whose ball passes the cap; no tree ball
-    is built for it. No ball of the whole group is built
-    (``exhaustive_elements`` is False).
+    tree ball's BFS order, and then the maximum the error of the first R_k,
+    in ``_path_groups`` order, whose ball passes the cap. Neither a tree ball
+    nor a ball of the whole group is built (``exhaustive_elements`` is False).
     Raises InputError for limits under which no path would be checked.
     """
     check_limits(k=k, tree_radius=tree_radius, element_radius=element_radius,
@@ -537,32 +478,16 @@ def audit_acylindricity(
     pres = splitting.presentation
     series = pres.growth_table(max(local_radius + 1, element_radius), cap)
     _, kids, truncated = _levels(splitting, tree_radius, local_radius, cap, series)
-    counters, bound = {}, splitting.acyl_c
-
-    def counter(r):
-        if r not in counters:
-            counters[r] = _conjugate_counter(pres, element_radius, cap, r)
-        return counters[r]
+    bound = splitting.acyl_c
 
     def top(r):  # from the series, else enumerated where the table is cut
         if read := series(r):
             return _ball_count(cumulative_counts(*read, element_radius, cap), element_radius, cap)
-        return counter(r)(())
+        return len(pres.enumerate_ball(element_radius, cap=cap, subset=r))
 
-    def walked():
-        reps, _, nbrs, _ = _ball(splitting, tree_radius, local_radius, cap)
-        join = cache(lambda a, b: pres._extend(pres.inverse(a), b))
-        scan = cache(partial(_stabilizer_scan, splitting))
-        size_of = cache(lambda g1, p, r: counter(r)(pres._extend(g1, p)))
-        large = cache(lambda r: top(r) > bound)
-        for edges in _walk(nbrs, k):
-            g1 = reps[edges[0]]
-            p, r = scan(join(*_relative(g1, reps[edges[-1]])))
-            if large(r) and (size := size_of(g1, p, r)) > bound:
-                yield [TreeEdge(reps[e]) for e in edges], size
-
-    max_size = max(map(top, _path_groups(splitting, k, tree_radius)))
-    violations = list(walked()) if max_size > bound else []
+    tops = [(us, top(r)) for us, r in _path_groups(splitting, k, tree_radius)]
+    witnesses = [([TreeEdge(())] + [TreeEdge((Syllable(u, 1),)) for u in us], size)
+                 for us, size in tops if size > bound]
     return AuditReport(
         splitting=splitting,
         k=k,
@@ -570,11 +495,11 @@ def audit_acylindricity(
         element_radius=element_radius,
         local_radius=local_radius,
         paths_checked=_path_count(kids, k),
-        max_stabilizer_size=max_size,
+        max_stabilizer_size=max(size for _, size in tops),
         bound=bound,
         truncated=truncated,
         exhaustive_elements=False,  # no ball is all of G, which holds the infinite G_a * G_b
-        violations=violations,
+        violations=witnesses,
     )
 
 

@@ -191,7 +191,7 @@ class Presentation:
             {v: self.orders[v] for v in subset},
         )
 
-    # --- bounded enumeration and generator length ----------------------------
+    # --- bounded enumeration and growth series -------------------------------
 
     def enumerate_ball(
         self,
@@ -251,11 +251,6 @@ class Presentation:
                         new.append(h)
             frontier = new
         return seen, True
-
-    def _length(self, word: Word) -> int:
-        """Length of a reduced word, a geodesic (Hermiller-Meier), in the generators
-        of ``enumerate_ball_info``: 1 per finite syllable, |e| per infinite one."""
-        return sum(1 if self.orders[v] != INFINITY else abs(e) for v, e in word)
 
     def growth_table(self, degree: int, cap: int = DEFAULT_BALL_CAP):
         """S -> (D, P) mod z^(t + 1), t = min(degree, |V|), for any number of

@@ -5,8 +5,9 @@ rewriting rules in a random order, the shuffle-closure oracle works by
 exhaustive BFS over adjacent commuting swaps, the first/last-vertex and
 coset oracles read the answer off the whole orbit (the one-scan heap
 sources they check, ``first_vertices`` and ``last_vertices``, are here too,
-as only tests use them, as are the word helpers ``power``, ``support``,
-``in_full_subgroup`` and ``growth_series`` and the graph helper ``link``),
+as only tests use them, as are the word helpers ``power``, ``word_length``,
+``support``, ``in_full_subgroup`` and ``growth_series`` and the graph helper
+``link``),
 canonical forms also come from linearizing the
 dependency heap of the whole reduced word, balls grow by those whole-word
 forms rather than by inserting a syllable, ball counts
@@ -16,8 +17,7 @@ and edge sets are built straight from its edge list, full-subgroup orders
 from pairwise adjacency on the adjacency sets, exponents are reduced
 here rather than by the library, the tree ball and the audit
 enumerate a side ball at every tree vertex and scan the whole element ball
-(or enumerate G_C) at every tree edge, stabilizer sizes come from looking
-conjugates up in the element ball, and tree distances come from
+(or enumerate G_C) at every tree edge, and tree distances come from
 re-canonicalizing stripping rounds or from BFS on a materialized ball.
 """
 
@@ -319,6 +319,12 @@ def power(pres, word, n):
     return out
 
 
+def word_length(pres, word):
+    """Generator count of a reduced word: 1 per syllable at a finite vertex,
+    |e| per syllable at an infinite one."""
+    return sum(1 if pres.orders[v] != INFINITY else abs(e) for v, e in word)
+
+
 def support(pres, word):
     return {s.vertex for s in pres.canonical(word)}
 
@@ -509,19 +515,6 @@ def audit_by_scan(splitting, k, tree_radius, element_radius, local_radius, cap):
         truncated=ball.truncated,
         exhaustive_elements=exhaustive,
         violations=violations,
-    )
-
-
-def conjugate_count_by_lookup(splitting, f, r, elements, element_radius, cap):
-    """Members of the element ball ``elements`` among f x f^-1, x in the
-    radius-``element_radius`` ball of G_R: f extended by x, then by f^-1,
-    looked up in the ball. No R-syllable ends f, so |x| <= |f x f^-1| and
-    that ball holds every x that counts."""
-    pres = splitting.presentation
-    f_inv = pres.inverse(f)
-    return sum(
-        pres._extend(pres._extend(f, x), f_inv) in elements
-        for x in pres.enumerate_ball(element_radius, cap=cap, subset=r)
     )
 
 

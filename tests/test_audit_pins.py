@@ -6,9 +6,10 @@ right-angled Coxeter group on K_{1,3} and P4 with orders (3, 2, 3, 2).
 
 The oracle properties stop at tree radius 3, and the benchmark checks audit
 outputs only by meaning, so a faster audit that changes a single byte of a
-report, a path label or the order of violations fails here. Violations occur
-at k = 1 and 2. A change that means to alter a report recomputes the digests
-and says why.
+report, a witness's path label or the order of witnesses fails here. Audits
+fail only at k = 1 and 2, and a failing one names one witness per failing
+R_k, the base path of that R_k (see ``audit_acylindricity``). A change that
+means to alter a report recomputes the digests and says why.
 
 Deeper audits of the same splittings are pinned too, at (k, tree radius) =
 (3, 6), (3, 8) and (4, 7), element radius 6, where the paths that do not
@@ -46,20 +47,20 @@ PRESENTATIONS = {
 # (presentation, separated pair) -> digests at k = 1, 2, 3, 4
 PINNED = {
     ("p4_racg", "ac"): (
-        "26c3b5de8c3201cae1f5f9c3dbc84cd1445cce80bc3f6d67e32ea78790e931ba",
-        "b605f5d6d1a870906b26453f37432862caba34c0a50ad89189ca8d4045a58428",
+        "f69fb2e443f938abf8838eae8dde3b38bd4678c9b2f52ba18ea6abb78fb6b096",
+        "97c6d100b7de3f2015b933dbc5380768d47cc3ce19ac7f1b0e5229f18befa3c9",
         "501c428887ac3b5bfc76d53a2bbc60edccbcb01b2da2c2c543461b2e1476eeb4",
         "cf78b0e60e2108739a4738a015d93fab803ea2aef14de7aeebc594d795509297",
     ),
     ("p4_racg", "ad"): (
-        "10283a01857056632563cc8b73768eb66539f6cd8b49da3fe650e36a50dccf8a",
-        "2cd1a9394b82ba827a9184317d588ff76c5dc61ec05d7a9a19dd2cdbe17cd813",
+        "3c3f9da98974643fb8601eda860cff47e2b80626b090b465e18c9c6fe4e045f6",
+        "030fe2bd2da0bf7d29812010e00e3e53b89ea0ba2868fd186520c100a6ea67b0",
         "d1a6b551c5113f6eeecff32b51936fba5b78f6db3bc42e0d76e95ed7119c904a",
         "75ec069ad59cbc35050565b66ea6c929c6b4b374bbc1311b99521bac9718bad0",
     ),
     ("p4_racg", "bd"): (
-        "e56a02dbe4a5c8aa11cb99f8ed755178f03bd3977e0e8e43becdeacdcf306ba8",
-        "5481c0272bcb9313ef8f368f78de1f398877e65a01dee863357d25e56de86e9e",
+        "fd141bdb5eef008331685c813b34652190c2ec9d8d4ddc2ef241707a462d68eb",
+        "7bdd68b025377541cfdac5a10a882e20d226b655ed12b89950b6ce8708601e5c",
         "b8e349262152aae3ce57142bef1b6c50618189f0b74b9c47540b4a30850fe14f",
         "671c2759aa18cde95b5e0b2ef7489d05b37b565544329f5164a7e5681043f2d7",
     ),
@@ -82,38 +83,38 @@ PINNED = {
         "96212f6607c60f5b5d5cf92ccccb0c040366fdc22fa3ab5dbb8bcbaa64473916",
     ),
     ("k13_racg", "bc"): (
-        "4c9790ae4f39f39123083b59def59a37b289e136fc6ea90d6307680812601868",
+        "44f9613046f0fc83b50f0f737b7610f85d7e2c004e4a07a0c49e1133d03a5bde",
         "7086da2d47223bc02fe8fb42a32e820b18666146992252b664388e4ee30c8c19",
         "c61a5069bd0d7a18780ebeb269074d87015988d9b1fce5f8125d4fedbbe92b02",
         "4cc19bc0b0915e1aebf6f0b2e93d970de844332acbce93deb4312580c87b0104",
     ),
     ("k13_racg", "bd"): (
-        "066c07cd5d08a382b7f20ddf085f406d9b4b3e2792965e73e465d1f195d5a33d",
+        "ee8efff68c072cbbf0b4b2bc6247577d948343466ce039326649e1d49fd23572",
         "72ffb41f494077d45fbc608aa86163d9a8a4199377229976a37ea188aee7bbe5",
         "c5e11cb2fe1fb2fd30a7d5dde0b3e301755dd6bd3c6a981e5af211616ec58daf",
         "431c9bc682a89ace6f89c7d1e55174b0d5f6c04f23e9691518eeb4b5296d1867",
     ),
     ("k13_racg", "cd"): (
-        "0fe790f33a8305bb4056f4a26658f9135f3cdd5692fed71f2295a7da195dc0b6",
+        "3b6163d6e50d144ebee742cf44c7f5d19051c22d97f8dcef4dd5a6ba18a63488",
         "07043cde47f7dc3d857ada13ec26965af567bb96098905e3d6088c9b358e63c1",
         "3335cfa04d2760ef0ca607cc22deb18b36e1b8e7a6bf8b8f7d4d59096a6bf550",
         "371765d01907cb7df31cf7e9bf548dd10a1ada543a277b513f4892e10c4d3ff9",
     ),
     ("p4_3232", "ac"): (
-        "19687b771996e12b417d19ab89f80b069aedb58df5bb8eedb5e3f8a07e50c980",
-        "c3432cecc73c97b67de7db1ebcb56fae7f8a0a184ac78d0023bf1bc96a4a6a3f",
+        "9903297a4cd263fcdd5ef13ed1ac335ec9bee81835aa9e67b0250f5902c82545",
+        "aede7d69802ebd31c2016ae1364466d9829b175e33023e20a6e635ad67be2cca",
         "3dadb703f1d0488ea3e908089741ec0a00f07a2201ca8bc3fa766aa28c90b8e3",
         "10906ce40a87b4413fd77ae2be5b366cad1914d734407e7d59c942135d00b242",
     ),
     ("p4_3232", "ad"): (
-        "616719252717687fb7a83a9e07af45690b1452fc5453bb694bbcd1476ed369da",
-        "91ba9dc2508ec6dbc397f2e9a731bcf50a9c7bf83e384ed0de7ac2ad957b9a10",
+        "fafb6f01d2fbc835c182501def0f7a7e9d536f3bedaf94632ea2d8c052c38015",
+        "86314df4ac870e8861ff8939fa36523cf17d04cc5c83ec48e7ca09f216fe474e",
         "59ee31be8d47854bcceb4c47c89403a54a47e29aea9f2d3d2f0d9d93a9a74d09",
         "bcfa413d0a55981d78f5809e2236871559876a4d5b25e7c28a259700203e8984",
     ),
     ("p4_3232", "bd"): (
-        "5139dfd9abdea4c7fffcd16502721518074c504d2cdf44f165805023a03fd58a",
-        "56f1cd103c474a632bcb0dd0c0495cbb06dd2482981e26ae9cb3242a5a2b1b5e",
+        "03c1459a32e5492f454f8fece0cbfe39221588226087bd332730427d11c74c78",
+        "c1d3ea4b42d5f5ca41294e1754e885106c825f244b3626d5b886ff330e2e7957",
         "498ebcd98325c9606595d5a3ea3cf622793c88a786d39edc0b8bced2d833b598",
         "df9d8ebbed46129dbdb853e8a3d269e5ed1b3f984f613cdbf5e3c080098d5739",
     ),

@@ -247,14 +247,13 @@ def test_verdict_json_is_pinned(fixtures_dir, name):
 
 # The exact audit JSON and human block for p4_racg's first splitting at k = 1.
 # A single edge's stabilizer is a conjugate of the infinite G_C = <b, d>, so
-# the audit has violations and pins their format too.
+# the audit fails and pins the format of its one witness, the edge G_C.
 AUDIT_JSON = (
     '{"splitting": {"pair": ["a", "c"], "A": ["a", "b", "d"], "B": ["b", "c", "d"], '
     '"C": ["b", "d"], "N": ["b"], "acyl_k": 3, "acyl_C": 2}, "k": 1, "tree_radius": 2, '
     '"element_radius": 3, "local_radius": 2, "paths_checked": 6, "max_stabilizer_size": 7, '
     '"bound": 2, "tree_truncated": true, "exhaustive_elements": false, "violations": '
-    '[{"path": ["C:a"], "stabilizer_size": 3}, {"path": ["C:1"], "stabilizer_size": 7}, '
-    '{"path": ["C:c"], "stabilizer_size": 7}, {"path": ["C:a c"], "stabilizer_size": 3}]}'
+    '[{"path": ["C:1"], "stabilizer_size": 7}]}'
 )
 AUDIT_HUMAN = (
     "pair:           ('a', 'c')\n"
@@ -264,7 +263,7 @@ AUDIT_HUMAN = (
     "bound |G_N|:    2\n"
     "truncated:      True\n"
     "exhaustive:     False\n"
-    "violations:     4\n"
+    "violations:     1\n"
 )
 
 

@@ -1,8 +1,8 @@
 """Property tests of the tree layer against its oracles: the once-per-audit
-enumerations against the per-vertex and per-edge ones, the audit's path walk
-against the one that keeps the first walk over each edge set, each path's
-stabilizer formula against the per-edge fixer scan, the length rule that
-sizes stabilizers against the lengths of canonical conjugates, and the
+enumerations against the per-vertex and per-edge ones, the audit's witnesses
+against the violations of the oracle's walk over each edge set, each path's
+stabilizer formula against the per-edge fixer scan, the length rule behind
+the audit's bound against the lengths of canonical conjugates, and the
 one-pass tree distance against re-canonicalizing stripping and BFS; that
 the tree ball is a tree whose vertices list their children in edge order,
 and that no R-syllable ends the f of a path stabilizer f G_R f^-1, also
@@ -32,18 +32,16 @@ from hypothesis import strategies as st
 
 from arboreal.classify import build_splitting, separated_pairs
 from arboreal.errors import ResourceCapError
-from arboreal.words import INFINITY, Syllable
+from arboreal.words import Syllable
 from arboreal.tree import (
     SIDE_A,
     SIDE_B,
     TreeEdge,
     TreeVertex,
-    _ball,
     _levels,
     _path_count,
     _peel,
     _relative,
-    _walk,
     audit_acylindricity,
     coset_canonical,
     element_action,
@@ -68,6 +66,7 @@ from oracles import (
     support,
     tree_ball_by_vertex,
     tree_distance_by_stripping,
+    word_length,
 )
 
 CAP = 300
@@ -85,7 +84,7 @@ def ball_radii(draw):
 @st.composite
 def limits(draw):
     """(k, tree_radius, element_radius, local_radius), the radii from
-    ``ball_radii``. k reaches 4, where the path walk cuts most of its walks."""
+    ``ball_radii``. k reaches 4, where no audit fails."""
     tree_radius, local_radius = draw(ball_radii())
     k = draw(st.integers(1, min(4, 2 * tree_radius)))
     return k, tree_radius, draw(st.integers(1, 3)), local_radius
@@ -110,7 +109,11 @@ def ball_shape(ball):
 
 
 def report_dict(report):
-    return report if isinstance(report, str) else report.to_dict()
+    """A report's ``to_dict()`` but its violations, which the oracle lists
+    per path and the audit per witness; a cap error's text."""
+    if isinstance(report, str):
+        return report
+    return {key: value for key, value in report.to_dict().items() if key != "violations"}
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,48 +149,75 @@ def test_tree_ball_is_a_tree(pres, radius, local_radius):
             assert sum(order[w] < order[v] for _, w in ball.adjacency[v]) == 1
 
 
+def base_paths(sp, k, tree_radius):
+    """(edge set, R) of each base path whose R is an R_k of the audit: the
+    edge G_C, R = C, at k = 1; at k = 2, the edges G_C and uG_C, R = C ∩
+    lk(u), for u = a, and for u = b, which turns at G_B, from tree radius 2."""
+    a, b = sp.pair
+    turns = {1: [()], 2: [(a,), (b,)] if tree_radius >= 2 else [(a,)]}.get(k, [])
+    adjacency = sp.presentation.graph.adjacency
+    return [
+        (frozenset([()] + [(Syllable(u, 1),) for u in us]),
+         tuple(c for c in sp.presentation.graph.vertices
+               if c in sp.c_side and adjacency[c].issuperset(us)))
+        for us in turns
+    ]
+
+
 @settings(max_examples=60, deadline=None)
-@given(presentations(), ball_radii())
-def test_path_walk_matches_first_walk_per_edge_set(pres, radii):
-    """For every k from 1 to 2 * tree_radius, the audit's walk yields the same
-    paths as the oracle, in the same order and orientation: each path once,
-    from its end listed first, and no path lost to the level cut."""
-    tree_radius, local_radius = radii
+@given(presentations(), limits())
+def test_audit_witnesses_are_oracle_violations(pres, lims):
+    """A failing audit lists, in place of the oracle's violations, its
+    witnesses: the base paths, G_C at k = 1 and G_C, aG_C then G_C, bG_C at
+    k = 2, that are oracle violations, with the oracle's size, so it has
+    witnesses iff the oracle has violations. Each witness's stabilizer is
+    G_R, f = (), for its R_k; and no audit with k >= 3 fails."""
+    k, tree_radius, element_radius, local_radius = lims
     for pair in separated_pairs(pres):
         sp = build_splitting(pres, pair)
+        args = (sp, k, tree_radius, element_radius, local_radius, CAP)
         try:
-            ball = tree_ball(sp, tree_radius, local_radius, CAP)
+            report, oracle = audit_acylindricity(*args), audit_by_scan(*args)
         except ResourceCapError:
             continue
-        reps, _, nbrs, _ = _ball(sp, tree_radius, local_radius, CAP)
-        for k in range(1, 2 * tree_radius + 1):
-            walked = [[reps[e] for e in edges] for edges in _walk(nbrs, k)]
-            assert walked == [[e.rep for e in path] for path in paths_by_edge_set(ball, k)]
+        found = {frozenset(e.rep for e in path): size for path, size in oracle.violations}
+        paths = base_paths(sp, k, tree_radius)
+        assert [(frozenset(e.rep for e in path), size) for path, size in report.violations] == [
+            (edges, found[edges]) for edges, _ in paths if edges in found
+        ]
+        assert bool(report.violations) == bool(oracle.violations)
+        assert report.passed or k <= 2
+        groups = dict(paths)
+        for path, _ in report.violations:
+            assert path_stabilizer(sp, path) == ((), groups[frozenset(e.rep for e in path)])
 
 
 @settings(max_examples=60, deadline=None)
 @given(presentations(max_vertices=7), st.integers(1, 3), st.integers(1, 3))
 def test_children_extend_their_parent_by_a_coset_representative(pres, radius, local_radius):
-    """Each vertex of ``_ball`` but the base is listed after its parent, its
-    first neighbour, and its representative is the parent's extended by t =
-    parent^-1 vertex, with no syllable merged or cancelled: t is a
-    canonical, C-stripped representative of a G_C coset in the parent's
-    side, nonempty but at vertex 1, the base's child across the edge G_C."""
+    """Each vertex of ``tree_ball`` but the base is listed after its parent,
+    its first neighbour, shares its representative with its edge to it, and
+    its representative is the parent's extended by t = parent^-1 vertex,
+    with no syllable merged or cancelled: t is a canonical, C-stripped
+    representative of a G_C coset in the parent's side, nonempty but at
+    vertex 1, the base's child across the edge G_C."""
     for pair in separated_pairs(pres):
         sp = build_splitting(pres, pair)
         try:
-            reps, sides, nbrs, _ = _ball(sp, radius, local_radius, CAP)
+            ball = tree_ball(sp, radius, local_radius, CAP)
         except ResourceCapError:
             continue
-        for w in range(1, len(reps)):
-            x = nbrs[w][0]
-            assert x < w and w in nbrs[x]
-            t = pres._extend(pres.inverse(reps[x]), reps[w])
-            assert pres._extend(reps[x], t) == reps[w]
-            assert len(reps[w]) == len(reps[x]) + len(t)
-            assert bool(t) == (w > 1)
+        order = {v: i for i, v in enumerate(ball.vertices)}
+        for w in ball.vertices[1:]:
+            edge, x = ball.adjacency[w][0]
+            assert order[x] < order[w] and (edge, w) in ball.adjacency[x]
+            assert edge.rep == w.rep
+            t = pres._extend(pres.inverse(x.rep), w.rep)
+            assert pres._extend(x.rep, t) == w.rep
+            assert len(w.rep) == len(x.rep) + len(t)
+            assert bool(t) == (order[w] > 1)
             assert t == pres.canonical(t) == coset_canonical(pres, t, sp.c_side)
-            assert {v for v, _ in t} <= sp.side(sides[x])
+            assert {v for v, _ in t} <= sp.side(x.side)
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,17 +226,17 @@ def test_children_extend_their_parent_by_a_coset_representative(pres, radius, lo
 )
 def test_level_sizes_count_vertices_and_paths(pres, k, radius, local_radius):
     """The tree ball's vertex count and its number of k-edge paths, from the
-    level sizes of ``_levels`` alone, are the number of vertices ``_ball``
-    builds and of paths ``_walk`` yields."""
+    level sizes of ``_levels`` alone, are the number of vertices ``tree_ball``
+    builds and of paths ``paths_by_edge_set`` finds in it."""
     for pair in separated_pairs(pres):
         sp = build_splitting(pres, pair)
         try:
-            reps, _, nbrs, _ = _ball(sp, radius, local_radius, LEVELS_CAP)
+            ball = tree_ball(sp, radius, local_radius, LEVELS_CAP)
         except ResourceCapError:
             continue
         kids = _levels(sp, radius, local_radius, LEVELS_CAP)[1]
-        assert sum(prod(kids[:d]) for d in range(radius + 1)) == len(reps)
-        assert _path_count(kids, k) == sum(1 for _ in _walk(nbrs, k))
+        assert sum(prod(kids[:d]) for d in range(radius + 1)) == len(ball.vertices)
+        assert _path_count(kids, k) == sum(1 for _ in paths_by_edge_set(ball, k))
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,12 +309,6 @@ def test_tree_ball_lists_children_in_edge_order(pres, radii):
             assert reps == sorted(reps)
 
 
-def word_length(pres, word):
-    """Generator count of a reduced word: 1 per syllable at a finite vertex,
-    |e| per syllable at an infinite one."""
-    return sum(1 if pres.orders[v] != INFINITY else abs(e) for v, e in word)
-
-
 @settings(max_examples=40, deadline=None)
 @given(presentations(), st.integers(0, 3))
 def test_word_length_is_the_ball_radius(pres, radius):
@@ -311,13 +335,13 @@ def test_conjugate_length_rule(pres, radii, radius):
     for pair in separated_pairs(pres):
         sp = build_splitting(pres, pair)
         try:
-            reps, _, nbrs, _ = _ball(sp, tree_radius, local_radius, CAP)
+            ball = tree_ball(sp, tree_radius, local_radius, CAP)
         except ResourceCapError:
             continue
         stabilizers = {
-            path_stabilizer(sp, [TreeEdge(reps[e]) for e in edges])
+            path_stabilizer(sp, path)
             for k in range(1, min(3, 2 * tree_radius) + 1)
-            for edges in _walk(nbrs, k)
+            for path in paths_by_edge_set(ball, k)
         }
         for f, r in stabilizers:
             assert last_vertices(pres, f).isdisjoint(r)
