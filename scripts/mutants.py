@@ -98,8 +98,8 @@ MUTANTS = [
      "the tree ball lists children in coset-set order, not edge order"),
     (TREE, "for t in cosets[x.side] if t or x == base)", "for t in cosets[x.side])",
      "the tree ball never skips a vertex's parent, so it lists the parent again as a child"),
-    (TREE, "_strip(pres, pres.canonical(word), pres._mask(splitting.side(side)))",
-     "_strip(pres, pres.canonical(word), pres._mask(splitting.c_side))",
+    (TREE, "_strip(pres, pres.canonical(word), splitting.side(side))",
+     "_strip(pres, pres.canonical(word), splitting.c_side)",
      "make_vertex strips C instead of the vertex's side"),
     (TREE, "            peelable &= masks[i]\n", "",
      "_peel never narrows its peelable mask, so it peels an S-syllable that a kept one "
@@ -109,10 +109,12 @@ MUTANTS = [
      "outside its link"),
     (TREE, "                kept.extend(sylls)\n", "",
      "_peel drops what follows once nothing more can be peeled"),
-    (TREE, "p, rest = _peel(pres, h, c_mask)", "p, rest = [], list(h)",
+    (TREE, "p, rest = _peel(pres, h, c)", "p, rest = [], list(h)",
      "the stabilizer's p is empty, so f is g_1 and q takes what p should"),
-    (TREE, "_peel(pres, reversed(rest), c_mask)", "_peel(pres, rest, c_mask)",
+    (TREE, "_peel(pres, reversed(rest), c)", "_peel(pres, rest, c)",
      "the stabilizer's q is peeled forward, from the start of what p leaves"),
+    (TREE, "reduce(and_, (masks[index[v]] for v, _ in d), c)", "c",
+     "the stabilizer's R is C, uncut by the links of d's vertices"),
     (TREE, "while n < m and g1[n] == gk[n]:", "while n < m and g1[n][0] == gk[n][0]:",
      "the shared prefix of g_1 and g_k is cancelled by vertex, blind to exponents"),
     (TREE, "sylls = pres._extend(pres.inverse(v1.rep), v2.rep)",
@@ -120,12 +122,17 @@ MUTANTS = [
      "tree_distance cancels a shared prefix of any words unread, so an unknown vertex passes"),
     (TREE, "return last + (sides[last % 2] != v1.side)", "return last",
      "tree_distance misses the last round when it ends on the other side"),
+    (TREE, "r, out = len(held) - 1, ~masks[i]", "r, out = len(held) - 1, masks[i]",
+     "tree_distance takes a syllable's round from the vertices in its link, not outside it"),
+    (TREE, "r += not on[r % 2] >> i & 1", "r += not on[0] >> i & 1",
+     "tree_distance reads every round's side as v2's, so a vertex on the other side only "
+     "raises an odd round and one on v2's side only stays in it"),
     (TREE, "if d2 > d1:", "if d2 >= d1:",
      "element_action calls an elliptic element loxodromic"),
     (TREE, "for us, size in tops if size > bound]", "for us, size in tops if size >= bound]",
      "the audit names a witness whose stabilizer has exactly |G_N| elements"),
-    (TREE, "return [(us, tuple(c for c in graph.vertices",
-     "return [(tuple({a: b, b: a}[u] for u in us), tuple(c for c in graph.vertices",
+    (TREE, "return [(us, reduce(",
+     "return [(tuple({a: b, b: a}[u] for u in us), reduce(",
      "a two-edge witness turns at the other side's vertex, G_C, bG_C for R = C ∩ lk(a)"),
     (TREE, "2: [(a,), (b,)] if tree_radius >= 2 else [(a,)]}", "2: [(a,)]}",
      "the two-edge maximum misses C ∩ lk(b), whose path turns at G_B"),
@@ -160,6 +167,9 @@ MUTANTS = [
     (CLASSIFY, "orders[v] == 2 for v in _complete_minus_one_edge(pres)",
      "orders[v] <= 3 for v in _complete_minus_one_edge(pres)",
      "complete minus an edge is virtually cyclic with an endpoint of order 3"),
+    (CLASSIFY, "every ^ 1 << index[pair.b], every ^ 1 << index[pair.a]",
+     "every ^ 1 << index[pair.a], every ^ 1 << index[pair.b]",
+     "the splitting swaps a and b: A = V - {a} and B = V - {b}"),
     (CLASSIFY, "    if diam <= 1:", "    if diam < 1:",
      "a complete graph is not given the complete-graph certificate"),
     (CLASSIFY, "return n * (n - 1) // 2 - sum(map(int.bit_count, masks)) // 2",

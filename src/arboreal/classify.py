@@ -76,33 +76,35 @@ class SplittingSpec(NamedTuple):
     """The witnessing amalgam G_A *_{G_C} G_B for a separated pair (a, b).
 
     A = V - {b}, B = V - {a}, C = V - {a, b}, N = link({a, b}); the action
-    on the Bass-Serre tree is (3, |G_N|)-acylindrical. The sides are
-    frozensets, listed in vertex order by ``to_dict``. Equality includes the
-    presentation: equal sides over different groups are different amalgams.
+    on the Bass-Serre tree is (3, |G_N|)-acylindrical. The sides are int
+    vertex masks, bit i for ``graph.vertices[i]`` (see
+    ``Presentation._mask``), listed by name in vertex order by ``to_dict``.
+    Equality includes the presentation: equal sides over different groups
+    are different amalgams.
     """
 
     presentation: Presentation
     pair: tuple[str, str]
-    a_side: frozenset[str]
-    b_side: frozenset[str]
-    c_side: frozenset[str]
+    a_side: int
+    b_side: int
+    c_side: int
     n_set: tuple[str, ...]
     acyl_k: int
     acyl_c: int
 
-    def side(self, name: str) -> frozenset[str]:
-        """The vertex set of the tree-vertex side ``name``, SIDE_A or SIDE_B."""
+    def side(self, name: str) -> int:
+        """The vertex mask of the tree-vertex side ``name``, SIDE_A or SIDE_B."""
         if name not in (SIDE_A, SIDE_B):
             raise InputError(f"unknown side: {name}")
         return self.a_side if name == SIDE_A else self.b_side
 
     def to_dict(self):
-        vertices = self.presentation.graph.vertices
+        names = self.presentation._names
         return {
             "pair": list(self.pair),
-            "A": [v for v in vertices if v in self.a_side],
-            "B": [v for v in vertices if v in self.b_side],
-            "C": [v for v in vertices if v in self.c_side],
+            "A": names(self.a_side),
+            "B": names(self.b_side),
+            "C": names(self.c_side),
             "N": list(self.n_set),
             "acyl_k": self.acyl_k,
             "acyl_C": self.acyl_c,
@@ -209,12 +211,11 @@ def build_splitting(pres: Presentation, pair: SeparatedPair) -> SplittingSpec:
 
 def _splitting(pres: Presentation, pair: SeparatedPair) -> SplittingSpec:
     """``build_splitting`` for a pair known to be separated."""
-    a, b = pair.a, pair.b
-    vertices = frozenset(pres.graph.vertices)
-    return SplittingSpec(
-        pres, (a, b), vertices - {b}, vertices - {a}, vertices - {a, b}, pair.link_set,
-        acyl_k=3, acyl_c=pair.link_order,
-    )
+    index = pres.graph.index
+    every = (1 << len(index)) - 1
+    a_side, b_side = every ^ 1 << index[pair.b], every ^ 1 << index[pair.a]
+    return SplittingSpec(pres, (pair.a, pair.b), a_side, b_side, a_side & b_side, pair.link_set,
+                         acyl_k=3, acyl_c=pair.link_order)
 
 
 def classify(pres: Presentation) -> Verdict:

@@ -4,8 +4,9 @@ Vertices are cosets gG_A and gG_B, edges cosets gG_C, each held as the
 canonical minimal-length representative obtained by right-stripping; an
 edge at a vertex is the vertex's representative extended by a coset
 representative, already stripped (see ``tree_ball``). The tree is infinite;
-every exploration here is bounded and reports truncation. The vertex sets A,
-B and C are the splitting's frozensets, read as they are.
+every exploration here is bounded and reports truncation. Vertex sets (A, B,
+C and each R) are int masks, bit i for ``graph.vertices[i]``, named only
+where ``path_stabilizer`` returns an R and where a ball is enumerated.
 
 Coset representatives, distances and stabilizers are questions about the
 dependency heap of a reduced word (see words.py), which is never built: a
@@ -29,7 +30,9 @@ counts, and any cap error they raise, from growth series, so it enumerates
 a ball only where its growth table is cut.
 """
 
+from functools import reduce
 from itertools import chain, combinations
+from operator import and_
 from typing import Iterable, NamedTuple, Optional
 
 from .classify import SIDE_A, SIDE_B, SplittingSpec
@@ -113,26 +116,15 @@ class AuditReport(NamedTuple):
         }
 
 
-def coset_canonical(pres: Presentation, word: Word, subset: Iterable[str]) -> Word:
-    """Canonical minimal-length representative of the coset gG_S.
-
-    Strips S from ``canonical(word)`` (see ``_strip``), which equals
-    stripping S-labelled last syllables until none is left. O(L*|V|) beyond
-    ``canonical``.
-    """
-    return _strip(pres, pres.canonical(word), pres._mask(pres.graph.check_vertices(subset)))
-
-
 def _peel(pres: Presentation, sylls: Iterable[Syllable], peelable: int):
     """(peeled, kept) in scan order, ``sylls`` a reduced word read forward or
-    in reverse, S the vertex set of the int mask ``peelable`` (see
-    ``Presentation._mask``): a syllable is peeled iff its vertex is in S and
-    every kept syllable scanned before it lies in its link. The earlier
-    syllables outside its link are its heap ancestors (see words.py), so the
-    peeled ones are the largest predecessor-closed (in reverse,
-    successor-closed) set of S-syllables, which is unique. The vertices still
-    peelable, S ∩ lk(u) for every kept u, are cut by each kept vertex's mask;
-    once none is left, the rest is kept unread."""
+    in reverse and S the vertex set of ``peelable``: a syllable is peeled iff
+    its vertex is in S and every kept syllable scanned before it lies in its
+    link. The earlier syllables outside its link are its heap ancestors (see
+    words.py), so the peeled ones are the largest predecessor-closed (in
+    reverse, successor-closed) set of S-syllables, which is unique. The
+    vertices still peelable, S ∩ lk(u) for every kept u, are cut by each kept
+    vertex's mask; once none is left, the rest is kept unread."""
     index, masks = pres.graph.index, pres.graph.masks
     peeled, kept = [], []
     sylls = iter(sylls)
@@ -150,20 +142,21 @@ def _peel(pres: Presentation, sylls: Iterable[Syllable], peelable: int):
 
 
 def _strip(pres: Presentation, word: Word, mask: int) -> Word:
-    """``coset_canonical`` of the canonical word ``word`` by the S of ``mask``,
-    also a tree ball's far vertices: what the reverse peel by S keeps. That
-    part is predecessor-closed, and Kahn's choice among those ready never
-    depends on the peeled syllables, so it is already canonical."""
+    """The canonical minimal-length representative of gG_S, g the canonical
+    ``word`` and S the vertex set of ``mask``: what the reverse peel by S
+    keeps. That part is predecessor-closed, and Kahn's choice among those
+    ready never depends on the peeled syllables, so it is already canonical."""
     return tuple(reversed(_peel(pres, reversed(word), mask)[1]))
 
 
 def make_vertex(splitting: SplittingSpec, word: Word, side: str) -> TreeVertex:
     pres = splitting.presentation
-    return TreeVertex(side, _strip(pres, pres.canonical(word), pres._mask(splitting.side(side))))
+    return TreeVertex(side, _strip(pres, pres.canonical(word), splitting.side(side)))
 
 
 def make_edge(splitting: SplittingSpec, word: Word) -> TreeEdge:
-    return TreeEdge(coset_canonical(splitting.presentation, word, splitting.c_side))
+    pres = splitting.presentation
+    return TreeEdge(_strip(pres, pres.canonical(word), splitting.c_side))
 
 
 def base_vertex(splitting: SplittingSpec) -> TreeVertex:
@@ -189,9 +182,8 @@ def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int,
     ``local_radius`` + 1 is not empty. Read or enumerated, the cap errors
     come in BFS order: side A's ball, the tree at depth 0, side B's ball,
     the tree at each deeper depth."""
-    pres = splitting.presentation
-    c_mask = pres._mask(splitting.c_side)
-    read_c = series and series(splitting.c_side)
+    pres, c_mask = splitting.presentation, splitting.c_side
+    read_c = series and series(c_mask)
     cosets, counts, kids, truncated, level, size = {}, {}, [], False, 1, 1
     for d in range(radius):
         side = SIDE_B if d % 2 else SIDE_A
@@ -204,8 +196,8 @@ def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int,
             reps = [a + y * b for a, b in zip(p_c + [0], [0] + p_c)]
             counts[side] = cumulative_counts(reps, p_s, local_radius, cap)[1]
         elif d < 2:
-            side_ball, saturated = pres.enumerate_ball_info(local_radius, cap=cap,
-                                                            subset=splitting.side(side))
+            side_ball, saturated = pres.enumerate_ball_info(
+                local_radius, cap=cap, subset=pres._names(splitting.side(side)))
             cosets[side] = {_strip(pres, s, c_mask) for s in side_ball}
             counts[side] = len(cosets[side])
             truncated = truncated or not saturated
@@ -270,22 +262,31 @@ def tree_distance(splitting: SplittingSpec, v1: TreeVertex, v2: TreeVertex) -> i
     because every vertex is on side A or B. Rounds never increase along heap
     arcs, and every later syllable outside a syllable's link is a descendant,
     so r is the largest round held by a vertex outside the link, each vertex
-    holding the round of its latest syllable. The distance is the largest
-    round, plus one when that round's side is not v1's. O(L*|V|) beyond
-    ``inverse`` and ``_extend``, which give h reduced.
+    holding the round of its latest syllable: the top mask held[r] of the
+    vertices that have held round r that meets the link's complement. A
+    vertex is outside its own link, so its rounds only grow along the scan,
+    and a stale bit in a lower mask never changes the maximum; no bit is
+    cleared. The distance is the largest round, plus one when that round's
+    side is not v1's. O(L*D) beyond ``inverse`` and ``_extend``, which give h
+    reduced.
     """
     splitting.side(v1.side)  # rejects an unknown side, as side(v2.side) below does
     pres = splitting.presentation
-    adjacency = pres.graph.adjacency
+    index, masks = pres.graph.index, pres.graph.masks
     sylls = pres._extend(pres.inverse(v1.rep), v2.rep)
     sides = [v2.side, SIDE_B if v2.side == SIDE_A else SIDE_A]
-    vertex_sets = [splitting.side(side) for side in sides]
-    rounds: dict[str, int] = {}
+    on = [splitting.side(side) for side in sides]
+    held = [0]
     for v, _ in reversed(sylls):
-        lk = adjacency[v]
-        r = max((ru for u, ru in rounds.items() if u not in lk), default=0)
-        rounds[v] = r if v in vertex_sets[r % 2] else r + 1
-    last = max(rounds.values(), default=0)
+        i = index[v]
+        r, out = len(held) - 1, ~masks[i]
+        while r and not held[r] & out:
+            r -= 1
+        r += not on[r % 2] >> i & 1  # off round r's side, it opens the next round
+        if r == len(held):
+            held.append(0)
+        held[r] |= 1 << i
+    last = len(held) - 1
     return last + (sides[last % 2] != v1.side)
 
 
@@ -317,7 +318,7 @@ def path_stabilizer(
     g1, gk = (make_edge(splitting, e.rep).rep for e in (path[0], path[-1]))
     a, b = _relative(g1, gk)
     p, r = _stabilizer_scan(splitting, pres._extend(pres.inverse(a), b))
-    return pres._extend(g1, p), r
+    return pres._extend(g1, p), tuple(pres._names(r))
 
 
 def _relative(g1: Word, gk: Word) -> tuple[Word, Word]:
@@ -332,7 +333,8 @@ def _relative(g1: Word, gk: Word) -> tuple[Word, Word]:
 def _stabilizer_scan(splitting: SplittingSpec, h: Word):
     """(p, R) of the reduced h = g_1^-1 g_k (see ``_relative``) joining a
     path's end edges g_1G_C and g_kG_C, g_1 and g_k canonical: the pointwise
-    stabilizer is f G_R f^-1, f = g_1 p, and no R-syllable ends f.
+    stabilizer is f G_R f^-1, f = g_1 p, and no R-syllable ends f. R is a
+    mask, C's cut by the link mask of each vertex of d.
 
     An element fixing both end edges fixes the path, so the stabilizer is
     g_1(G_C ∩ hG_Ch^-1)g_1^-1 for h = g_1^-1 g_k. Split h's heap as p d q: p
@@ -350,13 +352,11 @@ def _stabilizer_scan(splitting: SplittingSpec, h: Word):
     C, so p has no R-sink. g_1 p is reduced, as no C-sink of g_1 meets p ⊂ C,
     and its sinks are p's or g_1's, none of them in R.
     """
-    pres = splitting.presentation
-    adjacency, c_set = pres.graph.adjacency, splitting.c_side
-    c_mask = pres._mask(c_set)
-    p, rest = _peel(pres, h, c_mask)
-    d_support = {v for v, _ in _peel(pres, reversed(rest), c_mask)[1]}
-    r = tuple(c for c in pres.graph.vertices if c in c_set and d_support <= adjacency[c])
-    return tuple(p), r
+    pres, c = splitting.presentation, splitting.c_side
+    index, masks = pres.graph.index, pres.graph.masks
+    p, rest = _peel(pres, h, c)
+    d = _peel(pres, reversed(rest), c)[1]
+    return tuple(p), reduce(and_, (masks[index[v]] for v, _ in d), c)
 
 
 def _path_count(kids: list[int], k: int) -> int:
@@ -378,14 +378,14 @@ def _path_count(kids: list[int], k: int) -> int:
 
 
 def _path_groups(splitting: SplittingSpec, k: int, tree_radius: int):
-    """(U, R_k) for the R_k of ``audit_acylindricity``, C ∩ lk(U) in vertex
-    order, U the turn of its base path: U = () at k = 1; {a}, and {b} once G_B
-    has children, at k = 2; {a, b} at k >= 3."""
+    """(U, R_k) for the R_k of ``audit_acylindricity``, the mask of C ∩ lk(U),
+    U the turn of its base path: U = () at k = 1; {a}, and {b} once G_B has
+    children, at k = 2; {a, b} at k >= 3."""
     a, b = splitting.pair
     turns = {1: [()], 2: [(a,), (b,)] if tree_radius >= 2 else [(a,)]}.get(k, [(a, b)])
     graph = splitting.presentation.graph
-    return [(us, tuple(c for c in graph.vertices if c in splitting.c_side
-                       and graph.adjacency[c].issuperset(us))) for us in turns]
+    return [(us, reduce(and_, (graph.masks[graph.index[u]] for u in us), splitting.c_side))
+            for us in turns]
 
 
 # The least value of each limit of a tree ball or an audit.
@@ -483,7 +483,7 @@ def audit_acylindricity(
     def top(r):  # from the series, else enumerated where the table is cut
         if read := series(r):
             return _ball_count(cumulative_counts(*read, element_radius, cap), element_radius, cap)
-        return len(pres.enumerate_ball(element_radius, cap=cap, subset=r))
+        return len(pres.enumerate_ball_info(element_radius, cap=cap, subset=pres._names(r))[0])
 
     tops = [(us, top(r)) for us, r in _path_groups(splitting, k, tree_radius)]
     witnesses = [([TreeEdge(())] + [TreeEdge((Syllable(u, 1),)) for u in us], size)

@@ -170,6 +170,10 @@ class Presentation:
         index = self.graph.index
         return sum(1 << index[v] for v in subset)
 
+    def _names(self, mask: int) -> list[str]:
+        """The vertices of the int mask ``mask`` (see ``_mask``), in vertex order."""
+        return [v for i, v in enumerate(self.graph.vertices) if mask >> i & 1]
+
     def _mask_order(self, mask: int) -> int | float:
         """``full_subgroup_order`` of the vertex set with mask ``mask``. S is
         a clique iff ``S & ~masks[v]`` is v's own bit for every v in S, since
@@ -192,15 +196,6 @@ class Presentation:
         )
 
     # --- bounded enumeration and growth series -------------------------------
-
-    def enumerate_ball(
-        self,
-        radius: int,
-        cap: int = DEFAULT_BALL_CAP,
-        subset: Iterable[str] | None = None,
-    ) -> set[Word]:
-        """Canonical forms reachable in <= radius generator multiplications."""
-        return self.enumerate_ball_info(radius, cap=cap, subset=subset)[0]
 
     def enumerate_ball_info(
         self,
@@ -253,8 +248,9 @@ class Presentation:
         return seen, True
 
     def growth_table(self, degree: int, cap: int = DEFAULT_BALL_CAP):
-        """S -> (D, P) mod z^(t + 1), t = min(degree, |V|), for any number of
-        subsets S; None once the table holds more than ``cap`` coefficients.
+        """The int mask of S (see ``_mask``) -> (D, P) mod z^(t + 1), t =
+        min(degree, |V|), for any number of vertex sets S; None once the table
+        holds more than ``cap`` coefficients.
         G_S's growth series in the generators of ``enumerate_ball_info`` is
         W_S = D/P (Chiswell, Bull. London Math. Soc. 26, 1994): D = prod (1 +
         y_v z), y_v = n - 1 at order n, W_v = 1 + y_v z, and 1 at an infinite
@@ -289,7 +285,7 @@ class Presentation:
                            [a + y * b - xs[i] * c for a, b, c in zip(p, [0] + p, [0] + q)])
             return memo[mask]
 
-        return lambda subset: table(self._mask(subset))
+        return table
 
 
 def cumulative_counts(numerator: list[int], denominator: list[int], radius: int,

@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Output digests: one sha256 per layer over seeded random graph products.
+
+Product i (seed i) has 4 to 7 vertices, orders drawn from 2, 3, 5 and inf,
+and edges drawn with a probability of its own. Each layer hashes, one line
+per case, what the public API returns, or the error it raises:
+
+- ``classify``: the verdict's JSON and that of each separated pair's
+  splitting, in both orders of the pair;
+- ``make_vertex``: both sides' vertices and the edge of raw words, for the
+  first order of each of the first three pairs, as in every layer below;
+- ``distance``: ``tree_distance`` between vertices with raw representatives,
+  and ``element_action`` of raw words;
+- ``stabilizer``: ``path_stabilizer`` of paths whose end edges are raw words;
+- ``tree_ball``: DOT and truncation of small tree balls, or the cap error;
+- ``audit``: the report's ``to_dict()`` (k = 1 to 4) or its error, under
+  caps low enough that cap errors and failing audits are common.
+
+A raw word has up to 120 syllables with exponents from -7 to 7, 0 included.
+A refactor that keeps every output keeps every digest; ``digests.json``
+holds them for the counts that tests/test_digests.py and CI run. Run from
+the repository's root:
+
+    PYTHONPATH=src python3 tests/digests.py [COUNT] [--record]
+
+prints each layer's digest for products 0..COUNT-1 (default
+``FULL_COUNT``) and exits 1 if one differs from the recorded digest for that
+count; ``--record`` writes them to ``digests.json`` instead.
+"""
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+from arboreal.classify import SIDE_A, SIDE_B, build_splitting, classify, separated_pairs
+from arboreal.errors import InputError, ResourceCapError
+from arboreal.graphs import SimpleGraph
+from arboreal.tree import (TreeEdge, TreeVertex, audit_acylindricity, element_action,
+                           make_edge, make_vertex, path_stabilizer, tree_ball, tree_ball_to_dot,
+                           tree_distance)
+from arboreal.words import INFINITY, Presentation
+
+RECORDED = Path(__file__).with_name("digests.json")
+FULL_COUNT = 300
+QUICK_COUNT = 40
+LAYERS = ("classify", "make_vertex", "distance", "stabilizer", "tree_ball", "audit")
+
+
+def random_product(rng: random.Random) -> Presentation:
+    names = "abcdefg"[:rng.randint(4, 7)]
+    p = rng.uniform(0.2, 0.7)
+    edges = [(u, v) for i, u in enumerate(names) for v in names[i + 1:] if rng.random() < p]
+    return Presentation(SimpleGraph(names, edges),
+                        {v: rng.choice((2, 3, 5, INFINITY)) for v in names})
+
+
+def raw_word(rng: random.Random, pres: Presentation, max_len: int = 120):
+    vertices = pres.graph.vertices
+    return tuple((rng.choice(vertices), rng.randint(-7, 7))
+                 for _ in range(rng.randint(0, max_len)))
+
+
+def outcome(call, *args):
+    """repr of ``call(*args)``, or the InputError or ResourceCapError it raises."""
+    try:
+        return repr(call(*args))
+    except (InputError, ResourceCapError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def dot_and_truncated(*args):
+    ball = tree_ball(*args)
+    return tree_ball_to_dot(ball), ball.truncated
+
+
+def product_lines(seed: int):
+    """(layer, line) for every case of product ``seed``."""
+    rng = random.Random(seed)
+    pres = random_product(rng)
+    yield "classify", json.dumps(classify(pres).to_dict())
+    splittings = []
+    for pair in separated_pairs(pres)[:3]:
+        for a, b in ((pair.a, pair.b), (pair.b, pair.a)):
+            splittings.append(build_splitting(pres, pair._replace(a=a, b=b)))
+            yield "classify", json.dumps(splittings[-1].to_dict())
+    for sp in splittings[::2]:
+        for _ in range(4):
+            w1, w2 = raw_word(rng, pres), raw_word(rng, pres)
+            s1, s2 = rng.choice((SIDE_A, SIDE_B)), rng.choice((SIDE_A, SIDE_B))
+            yield "make_vertex", repr([make_vertex(sp, w1, SIDE_A), make_vertex(sp, w1, SIDE_B),
+                                       make_edge(sp, w1)])
+            yield "distance", repr(tree_distance(sp, TreeVertex(s1, w1), TreeVertex(s2, w2)))
+            yield "distance", repr(element_action(sp, w2[:rng.randint(0, 30)]))
+            path = [TreeEdge(w1)] + [TreeEdge(raw_word(rng, pres, 8))] * rng.randint(0, 1)
+            yield "stabilizer", repr(path_stabilizer(sp, path + [TreeEdge(w2)]))
+        for _ in range(3):
+            radius, local, cap = rng.randint(0, 3), rng.randint(1, 3), rng.choice((8, 40, 400))
+            yield "tree_ball", outcome(dot_and_truncated, sp, radius, local, cap)
+        for k in (1, 2, 3, 4) * 4:
+            limits = dict(tree_radius=rng.randint(1, 3), element_radius=rng.randint(1, 5),
+                          local_radius=rng.randint(1, 3), cap=rng.choice((10, 100, 2000)))
+            yield "audit", outcome(lambda: audit_acylindricity(sp, k, **limits).to_dict())
+
+
+def digests(count: int) -> dict[str, str]:
+    """Each layer's sha256 over products 0..count-1."""
+    hashes = {layer: hashlib.sha256() for layer in LAYERS}
+    for seed in range(count):
+        for layer, line in product_lines(seed):
+            hashes[layer].update(line.encode() + b"\n")
+    return {layer: h.hexdigest() for layer, h in hashes.items()}
+
+
+def main(argv: list[str]) -> int:
+    record = "--record" in argv
+    args = [a for a in argv if a != "--record"]
+    count = int(args[0]) if args else FULL_COUNT
+    found = digests(count)
+    for layer, digest in found.items():
+        print(f"{layer:12} {digest}")
+    recorded = json.loads(RECORDED.read_text()) if RECORDED.exists() else {}
+    if record:
+        recorded[str(count)] = found
+        RECORDED.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
+        return 0
+    expected = recorded.get(str(count))
+    if expected is None:
+        print(f"no digests recorded for {count} products", file=sys.stderr)
+        return 1
+    changed = [layer for layer in LAYERS if found[layer] != expected[layer]]
+    if changed:
+        print(f"digests differ from {RECORDED.name}: {', '.join(changed)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -6,8 +6,8 @@ exhaustive BFS over adjacent commuting swaps, the first/last-vertex and
 coset oracles read the answer off the whole orbit (the one-scan heap
 sources they check, ``first_vertices`` and ``last_vertices``, are here too,
 as only tests use them, as are the word helpers ``power``, ``word_length``,
-``support``, ``in_full_subgroup`` and ``growth_series`` and the graph helper
-``link``),
+``support``, ``in_full_subgroup``, ``enumerate_ball`` and ``growth_series``,
+the coset helper ``coset_canonical`` and the graph helper ``link``),
 canonical forms also come from linearizing the
 dependency heap of the whole reduced word, balls grow by those whole-word
 forms rather than by inserting a syllable, ball counts
@@ -35,8 +35,8 @@ from arboreal.tree import (
     ElementAction,
     TreeBall,
     act,
+    _strip,
     base_vertex,
-    coset_canonical,
     make_edge,
     make_vertex,
 )
@@ -105,6 +105,12 @@ def first_vertices_brute(pres, word, rng: random.Random):
 def last_vertices_brute(pres, word, rng: random.Random):
     orbit = shuffle_closure(pres, reduce_randomized(pres, word, rng))
     return {w[-1].vertex for w in orbit if w}
+
+
+def coset_canonical(pres, word, subset):
+    """Canonical minimal-length representative of the coset gG_S: the tree
+    layer's strip (see ``tree._strip``) of ``canonical(word)`` by S's mask."""
+    return _strip(pres, pres.canonical(word), pres._mask(pres.graph.check_vertices(subset)))
 
 
 def coset_canonical_by_stripping(pres, word, subset, rng: random.Random):
@@ -329,6 +335,11 @@ def support(pres, word):
     return {s.vertex for s in pres.canonical(word)}
 
 
+def enumerate_ball(pres, radius, cap=DEFAULT_BALL_CAP, subset=None):
+    """Canonical forms reachable in <= radius generator multiplications."""
+    return pres.enumerate_ball_info(radius, cap=cap, subset=subset)[0]
+
+
 def in_full_subgroup(pres, word, subset):
     """Membership in G_S, decided by support containment."""
     return support(pres, word) <= pres.graph.check_vertices(subset)
@@ -338,7 +349,7 @@ def growth_series(pres, subset, cap=DEFAULT_BALL_CAP):
     """(D, P) of degree <= |S|, G_S's growth series being W_S = D/P (see
     ``Presentation.growth_table``), from a table for S alone; None past cap."""
     chosen = pres.graph.check_vertices(subset)
-    return pres.growth_table(len(chosen), cap)(chosen)
+    return pres.growth_table(len(chosen), cap)(pres._mask(chosen))
 
 
 def full_subgroup_order_by_definition(pres, subset):
@@ -407,7 +418,7 @@ def neighbors_by_side_ball(splitting, v, local_radius, cap):
     every s in it, first s per edge kept. Returns (pairs, truncated)."""
     pres = splitting.presentation
     reps, saturated = pres.enumerate_ball_info(
-        local_radius, cap=cap, subset=splitting.side(v.side)
+        local_radius, cap=cap, subset=pres._names(splitting.side(v.side))
     )
     opp = OTHER_SIDE[v.side]
     found = {}
@@ -448,7 +459,7 @@ def edge_fixers_by_scan(splitting, edge, ball, cap):
     afresh and intersected with the ball; else every ball element s with
     g^-1 s g supported in C."""
     pres = splitting.presentation
-    c_set = set(splitting.c_side)
+    c_set = set(pres._names(splitting.c_side))
     c_order = pres.full_subgroup_order(c_set)
     g = edge.rep
     g_inv = pres.inverse(g)
@@ -538,11 +549,11 @@ def tree_distance_by_stripping(splitting, v1, v2):
     pres = splitting.presentation
     h = pres.multiply(pres.inverse(v1.rep), v2.rep)
     side = v2.side
-    h = coset_canonical(pres, h, splitting.side(side))
+    h = coset_canonical(pres, h, pres._names(splitting.side(side)))
     dist = 0
     while h:
         side = OTHER_SIDE[side]
-        h = coset_canonical(pres, h, splitting.side(side))
+        h = coset_canonical(pres, h, pres._names(splitting.side(side)))
         dist += 1
     return dist + (side != v1.side)
 

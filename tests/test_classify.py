@@ -3,8 +3,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from arboreal.classify import (
+    SIDE_A,
+    SIDE_B,
     AHCriterion,
     Arboreality,
     CompleteGraphCase,
@@ -24,7 +27,7 @@ from arboreal.graphs import INFINITY, SimpleGraph, diameter
 from arboreal.tree import audit_acylindricity
 from arboreal.words import Presentation
 
-from conftest import fig2_graph, p4_graph
+from conftest import fig2_graph, p4_graph, presentations
 from oracles import link, random_presentation
 
 
@@ -153,14 +156,32 @@ class TestClassify:
         assert isinstance(v.certificate, CompleteGraphCase)
         assert v.splitting is None
 
-    def test_splitting_shape(self, p4_racg):
-        sp = classify(p4_racg).splitting
-        a, b = sp.pair
-        assert set(sp.a_side) | set(sp.b_side) == set(p4_racg.graph.vertices)
-        assert set(sp.a_side) & set(sp.b_side) == set(sp.c_side)
-        assert a in sp.a_side and a not in sp.c_side
-        assert b in sp.b_side and b not in sp.c_side
-        assert p4_racg.full_subgroup_order(set(sp.n_set)) == sp.acyl_c
+    @settings(max_examples=100, deadline=None)
+    @given(presentations(max_vertices=7))
+    def test_splitting_sides_are_masks(self, pres):
+        """For each separated pair (a, b), in either order, the sides are the
+        int masks, bit i for vertex i, of A = V - {b} and B = V - {a}, and C =
+        A & B; ``to_dict`` lists them by name and N spans G_N of order
+        acyl_C. ``classify``'s splitting is that of the first pair."""
+        vertices = pres.graph.vertices
+
+        def mask(subset):
+            return sum(1 << i for i, v in enumerate(vertices) if v in subset)
+
+        pairs = separated_pairs(pres)
+        for pair in pairs:
+            for a, b in ((pair.a, pair.b), (pair.b, pair.a)):
+                sp = build_splitting(pres, pair._replace(a=a, b=b))
+                assert sp.pair == (a, b)
+                assert sp.a_side == sp.side(SIDE_A) == mask(set(vertices) - {b})
+                assert sp.b_side == sp.side(SIDE_B) == mask(set(vertices) - {a})
+                assert sp.c_side == sp.a_side & sp.b_side
+                sides = sp.to_dict()
+                for name, excluded in (("A", {b}), ("B", {a}), ("C", {a, b})):
+                    assert sides[name] == [v for v in vertices if v not in excluded]
+                assert pres.full_subgroup_order(set(sp.n_set)) == sp.acyl_c
+        if pairs and classify(pres).arboreality == Arboreality.ACYL_ARBOREAL:
+            assert classify(pres).splitting == build_splitting(pres, pairs[0])
 
     def test_never_arboreal_and_virtually_cyclic(self):
         rng = random.Random(43)

@@ -17,14 +17,15 @@ from hypothesis import strategies as st
 
 from arboreal.classify import build_splitting, separated_pairs
 from arboreal.errors import InputError, ResourceCapError
-from arboreal.tree import coset_canonical
 from arboreal.words import INFINITY, Syllable
 
 from conftest import presentations
 from oracles import (
     ball_generators,
     canonical_by_heap,
+    coset_canonical,
     coset_canonical_by_stripping,
+    enumerate_ball,
     enumerate_ball_by_canonical,
     first_vertices,
     first_vertices_brute,
@@ -111,7 +112,7 @@ class TestEngine:
         pres, w = case
         for pair in separated_pairs(pres):
             sp = build_splitting(pres, pair)
-            for side in (sp.a_side, sp.b_side, sp.c_side):
+            for side in map(pres._names, (sp.a_side, sp.b_side, sp.c_side)):
                 expected = coset_canonical_by_stripping(pres, w, side, rng)
                 assert coset_canonical(pres, w, side) == expected
 
@@ -193,7 +194,7 @@ class TestEngine:
         the word metric, as the audit's size rule needs."""
         subset = data.draw(st.sets(st.sampled_from(pres.graph.vertices)))
         try:
-            ball = pres.enumerate_ball(radius, cap=3000, subset=subset)
+            ball = enumerate_ball(pres, radius, cap=3000, subset=subset)
         except ResourceCapError:
             return
         lengths = Counter(word_length(pres, w) for w in ball)

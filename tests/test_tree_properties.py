@@ -43,7 +43,6 @@ from arboreal.tree import (
     _peel,
     _relative,
     audit_acylindricity,
-    coset_canonical,
     element_action,
     make_edge,
     make_vertex,
@@ -56,8 +55,10 @@ from conftest import presentations
 from oracles import (
     audit_by_scan,
     bfs_distances,
+    coset_canonical,
     edge_fixers_by_scan,
     element_action_by_stripping,
+    enumerate_ball,
     enumerate_ball_by_canonical,
     first_vertices,
     last_vertices,
@@ -155,11 +156,11 @@ def base_paths(sp, k, tree_radius):
     lk(u), for u = a, and for u = b, which turns at G_B, from tree radius 2."""
     a, b = sp.pair
     turns = {1: [()], 2: [(a,), (b,)] if tree_radius >= 2 else [(a,)]}.get(k, [])
-    adjacency = sp.presentation.graph.adjacency
+    pres = sp.presentation
+    adjacency, c_set = pres.graph.adjacency, set(pres._names(sp.c_side))
     return [
         (frozenset([()] + [(Syllable(u, 1),) for u in us]),
-         tuple(c for c in sp.presentation.graph.vertices
-               if c in sp.c_side and adjacency[c].issuperset(us)))
+         tuple(c for c in pres.graph.vertices if c in c_set and adjacency[c].issuperset(us)))
         for us in turns
     ]
 
@@ -216,8 +217,8 @@ def test_children_extend_their_parent_by_a_coset_representative(pres, radius, lo
             assert pres._extend(x.rep, t) == w.rep
             assert len(w.rep) == len(x.rep) + len(t)
             assert bool(t) == (order[w] > 1)
-            assert t == pres.canonical(t) == coset_canonical(pres, t, sp.c_side)
-            assert {v for v, _ in t} <= sp.side(x.side)
+            assert t == pres.canonical(t) == coset_canonical(pres, t, pres._names(sp.c_side))
+            assert {v for v, _ in t} <= set(pres._names(sp.side(x.side)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -277,7 +278,7 @@ def test_path_stabilizer_is_the_conjugate_of_its_parabolic(pres, radii, element_
         sp = build_splitting(pres, pair)
         try:
             ball = tree_ball_by_vertex(sp, tree_radius, local_radius, CAP)
-            elements = pres.enumerate_ball(element_radius, cap=CAP)
+            elements = enumerate_ball(pres, element_radius, cap=CAP)
         except ResourceCapError:
             continue
         fixers = {e.rep: edge_fixers_by_scan(sp, e, elements, CAP) for e in ball.edges}
@@ -318,7 +319,7 @@ def test_word_length_is_the_ball_radius(pres, radius):
         ball = enumerate_ball_by_canonical(pres, 3, CAP, set(pres.graph.vertices))[0]
     except ResourceCapError:
         return
-    assert pres.enumerate_ball(radius, cap=CAP) == {
+    assert enumerate_ball(pres, radius, cap=CAP) == {
         w for w in ball if word_length(pres, w) <= radius
     }
 
@@ -346,7 +347,7 @@ def test_conjugate_length_rule(pres, radii, radius):
         for f, r in stabilizers:
             assert last_vertices(pres, f).isdisjoint(r)
             try:
-                xs = pres.enumerate_ball(radius, cap=CAP, subset=r)
+                xs = enumerate_ball(pres, radius, cap=CAP, subset=r)
             except ResourceCapError:
                 continue
             f_inv = pres.inverse(f)
@@ -370,7 +371,7 @@ def test_path_stabilizer_between_far_end_edges(pres, rng):
         for _ in range(5):
             ends = [TreeEdge(random_word(rng, pres, max_len=20)) for _ in range(2)]
             f, r = path_stabilizer(sp, ends)
-            assert set(r) <= sp.c_side
+            assert set(r) <= set(pres._names(sp.c_side))
             assert last_vertices(pres, f).isdisjoint(r)
             f_inv = pres.inverse(f)
             for v in pres.graph.vertices:
@@ -388,30 +389,33 @@ def test_edge_at_a_far_vertex_is_its_extension(pres, rng):
     the canonical representative of its edge gG_C: no C-syllable ends it."""
     for pair in separated_pairs(pres):
         sp = build_splitting(pres, pair)
+        c_set = pres._names(sp.c_side)
         for _ in range(5):
             side = rng.choice((SIDE_A, SIDE_B))
             r = make_vertex(sp, random_word(rng, pres, max_len=20), side).rep
-            u = [s for s in random_word(rng, pres, max_len=20) if s.vertex in sp.side(side)]
-            g = pres._extend(r, coset_canonical(pres, u, sp.c_side))
+            s_set = pres._names(sp.side(side))
+            u = [s for s in random_word(rng, pres, max_len=20) if s.vertex in s_set]
+            g = pres._extend(r, coset_canonical(pres, u, c_set))
             assert make_edge(sp, g).rep == g
-            assert last_vertices(pres, g).isdisjoint(sp.c_side)
+            assert last_vertices(pres, g).isdisjoint(c_set)
 
 
 @settings(max_examples=60, deadline=None)
 @given(presentations(), st.randoms(use_true_random=False))
 def test_tree_distance_matches_stripping_and_bfs(pres, rng):
     """On raw, unreduced representatives of up to 20 syllables on either side,
-    the one-pass distance and the element action equal the stripping oracles;
-    on a radius-2 tree ball, distances equal BFS distances."""
+    and of up to 200, whose distances take tens of rounds, the one-pass
+    distance and the element action equal the stripping oracles; on a
+    radius-2 tree ball, distances equal BFS distances."""
     for pair in separated_pairs(pres):
         sp = build_splitting(pres, pair)
-        for _ in range(5):
+        for max_len in [20] * 5 + [200] * 2:
             v1, v2 = (
-                TreeVertex(rng.choice((SIDE_A, SIDE_B)), random_word(rng, pres, max_len=20))
+                TreeVertex(rng.choice((SIDE_A, SIDE_B)), random_word(rng, pres, max_len=max_len))
                 for _ in range(2)
             )
             assert tree_distance(sp, v1, v2) == tree_distance_by_stripping(sp, v1, v2)
-            g = random_word(rng, pres, max_len=20)
+            g = random_word(rng, pres, max_len=max_len)
             assert element_action(sp, g) == element_action_by_stripping(sp, g)
         try:
             ball = tree_ball(sp, 2, 1, CAP)
