@@ -14,9 +14,16 @@ per case, what the public API returns, or the error it raises:
 - ``stabilizer``: ``path_stabilizer`` of paths whose end edges are raw words;
 - ``tree_ball``: DOT and truncation of small tree balls, or the cap error;
 - ``audit``: the report's ``to_dict()`` (k = 1 to 4) or its error, under
-  caps low enough that cap errors and failing audits are common.
+  caps low enough that cap errors and failing audits are common;
+- ``words``: ``canonical``, ``multiply`` and ``inverse`` of raw words, and
+  ``parse_word`` of raw text, whose zero exponents, unknown vertices and bad
+  syntax raise InputError;
+- ``ball``: ``enumerate_ball_info``'s size and saturation flag, or its cap
+  error, for random vertex subsets at radii 0 to 4 and caps 8, 40 and 400.
 
 A raw word has up to 120 syllables with exponents from -7 to 7, 0 included.
+The ``words`` and ``ball`` cases are drawn from a random stream of their
+own, so that adding them moved no other layer's cases.
 A refactor that keeps every output keeps every digest; ``digests.json``
 holds them for the counts that tests/test_digests.py and CI run. Run from
 the repository's root:
@@ -40,12 +47,13 @@ from arboreal.graphs import SimpleGraph
 from arboreal.tree import (TreeEdge, TreeVertex, audit_acylindricity, element_action,
                            make_edge, make_vertex, path_stabilizer, tree_ball, tree_ball_to_dot,
                            tree_distance)
-from arboreal.words import INFINITY, Presentation
+from arboreal.words import INFINITY, Presentation, parse_word
 
 RECORDED = Path(__file__).with_name("digests.json")
 FULL_COUNT = 300
 QUICK_COUNT = 40
-LAYERS = ("classify", "make_vertex", "distance", "stabilizer", "tree_ball", "audit")
+LAYERS = ("classify", "make_vertex", "distance", "stabilizer", "tree_ball", "audit", "words",
+          "ball")
 
 
 def random_product(rng: random.Random) -> Presentation:
@@ -75,6 +83,11 @@ def dot_and_truncated(*args):
     return tree_ball_to_dot(ball), ball.truncated
 
 
+def size_and_flag(pres: Presentation, *args):
+    ball, saturated = pres.enumerate_ball_info(*args)
+    return len(ball), saturated
+
+
 def product_lines(seed: int):
     """(layer, line) for every case of product ``seed``."""
     rng = random.Random(seed)
@@ -102,6 +115,24 @@ def product_lines(seed: int):
             limits = dict(tree_radius=rng.randint(1, 3), element_radius=rng.randint(1, 5),
                           local_radius=rng.randint(1, 3), cap=rng.choice((10, 100, 2000)))
             yield "audit", outcome(lambda: audit_acylindricity(sp, k, **limits).to_dict())
+    yield from word_lines(random.Random(f"{seed} words"), pres)
+
+
+def word_lines(rng: random.Random, pres: Presentation):
+    """(layer, line) for the ``words`` and ``ball`` cases of ``pres``."""
+    for _ in range(4):
+        w1, w2 = raw_word(rng, pres), raw_word(rng, pres)
+        yield "words", repr([pres.canonical(w1), pres.multiply(w1, w2), pres.inverse(w1)])
+        tokens = [f"{v}^{e}" for v, e in raw_word(rng, pres, 12)]
+        if rng.random() < 0.5:
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(("z", "a^x", "^2", "a^-", "1")))
+        yield "words", outcome(parse_word, pres, " ".join(tokens))
+        cut = rng.randint(0, len(w1))
+        yield "words", outcome(pres.canonical, w1[:cut] + (("z", 1),) + w1[cut:])
+    for _ in range(6):
+        subset = [v for v in pres.graph.vertices if rng.random() < 0.5]
+        radius, cap = rng.randint(0, 4), rng.choice((8, 40, 400))
+        yield "ball", outcome(size_and_flag, pres, radius, cap, subset)
 
 
 def digests(count: int) -> dict[str, str]:
@@ -129,7 +160,7 @@ def main(argv: list[str]) -> int:
     if expected is None:
         print(f"no digests recorded for {count} products", file=sys.stderr)
         return 1
-    changed = [layer for layer in LAYERS if found[layer] != expected[layer]]
+    changed = [layer for layer in LAYERS if found[layer] != expected.get(layer)]
     if changed:
         print(f"digests differ from {RECORDED.name}: {', '.join(changed)}", file=sys.stderr)
         return 1
