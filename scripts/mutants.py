@@ -67,8 +67,12 @@ MUTANTS = [
      "_steps keeps INFINITY as an infinite vertex's order, so e %= inf makes 3 a float 3.0"),
     (WORDS, "[(v, -e) for v, e in reversed(tuple(word))]", "[(v, e) for v, e in reversed(tuple(word))]",
      "inverse keeps the exponents' signs"),
-    (WORDS, "                        if depth > radius:", "                        if depth > radius + 1:",
-     "ball enumeration runs one layer past its radius"),
+    (WORDS, "while frontier and depth < radius:", "while frontier and depth <= radius:",
+     "ball enumeration builds one layer past its radius"),
+    (WORDS, "return mask.bit_count() <= radius and", "return mask.bit_count() < radius and",
+     "a finite G_S's ball is saturated only past radius |S|, not at it"),
+    (WORDS, " and self._mask_order(mask) != INFINITY", "",
+     "any G_S's ball of radius at least |S| is saturated, finite or not"),
     (WORDS, "return sum(1 << index[v] for v in subset)",
      "return sum(1 << index[v] for v in subset if index[v])",
      "a vertex set's mask leaves out the first vertex in vertex order"),
@@ -145,21 +149,22 @@ MUTANTS = [
      "the path count counts a path with two branches twice, once from each end"),
     (TREE, "        if size > cap:\n            raise ResourceCapError", "        if False:\n            raise ResourceCapError",
      "the tree ball's vertex count, read from its level sizes, is never checked against the cap"),
-    (TREE, "truncated = truncated or ball[0] > local_radius",
-     "truncated = truncated or ball[0] >= local_radius",
-     "the series reads truncation from the sphere of radius local_radius, not local_radius + 1"),
+    (TREE, "truncated = truncated or not pres._saturates(",
+     "truncated = not pres._saturates(",
+     "side B's saturation overwrites side A's truncation"),
     (TREE, "y = d_s[1] - d_c[1]", "y = 1",
      "the coset series takes the factor 1 + y_u z of S - C = {u} as 1 + z at any order"),
-    (TREE, "            _ball_count(ball, local_radius, cap)\n", "",
+    (TREE, "                _ball_count(cumulative_counts(d_s, p_s, local_radius, cap), cap)\n", "",
      "a side ball past the cap is never raised from its series"),
-    (TREE, "_ball_count(ball, local_radius, cap)", "_ball_count(ball, local_radius + 1, cap)",
-     "the truncation read at local_radius + 1 raises a cap error for a ball within the cap"),
+    (TREE, "cumulative_counts(d_s, p_s, local_radius, cap)",
+     "cumulative_counts(d_s, p_s, local_radius + 1, cap)",
+     "a side ball's series is read one radius past it, so a ball within the cap raises"),
     (TREE, "        if size > cap:\n", "        if size > cap and (d or radius == 1):\n",
      "the tree's depth-0 vertex count is checked only after side B is read, so side B's "
      "cap error comes before the tree ball's"),
-    (TREE, "growth_table(max(local_radius + 1, element_radius), cap)",
-     "growth_table(max(local_radius, element_radius), cap)",
-     "the audit's growth table is cut at local_radius, under the sphere that shows truncation"),
+    (TREE, "growth_table(max(local_radius, element_radius), cap)",
+     "growth_table(element_radius, cap)",
+     "the audit's growth table is cut at element_radius, under the side series' degree"),
     # classification layer
     (CLASSIFY, "if not mask_a >> j & 1 and (order := pres._mask_order(common)) != INFINITY:",
      "if (order := pres._mask_order(common)) != INFINITY:",

@@ -171,36 +171,36 @@ def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int,
             series=None):
     """(cosets, kids, truncated) of ``tree_ball``: kids[d], the child count at
     depth d, m_A at the base and m_S - 1 elsewhere on side S; whether a side
-    ball is cut; and the set of C-stripped coset representatives of each
-    side whose ball is enumerated. A side is read from the growth table
-    ``series`` (see ``Presentation.growth_table``) where one is given and not
-    cut, and enumerated otherwise. From the series, m_S counts the
-    C-stripped representatives of length at most ``local_radius``, whose
-    series is W_S/W_C = (1 + y_u z) P_C/P_S for S - C = {u} (see
+    ball is cut, not all of G_S (see ``Presentation._saturates``); and the
+    set of C-stripped coset representatives of each side whose ball is
+    enumerated. A side is read from the growth table ``series`` (see
+    ``Presentation.growth_table``) where one is given and not cut, and
+    enumerated otherwise. From the series, m_S counts the C-stripped
+    representatives of length at most ``local_radius``, whose series is
+    W_S/W_C = (1 + y_u z) P_C/P_S for S - C = {u} (see
     ``audit_acylindricity``), y_u being D_S's z-coefficient, the sum of y_v
-    over S, less D_C's; the side's ball is cut iff its sphere of radius
-    ``local_radius`` + 1 is not empty. Read or enumerated, the cap errors
-    come in BFS order: side A's ball, the tree at depth 0, side B's ball,
-    the tree at each deeper depth."""
+    over S, less D_C's. Read or enumerated, the cap errors come in BFS
+    order: side A's ball, the tree at depth 0, side B's ball, the tree at
+    each deeper depth."""
     pres, c_mask = splitting.presentation, splitting.c_side
     read_c = series and series(c_mask)
     cosets, counts, kids, truncated, level, size = {}, {}, [], False, 1, 1
     for d in range(radius):
         side = SIDE_B if d % 2 else SIDE_A
-        if d < 2 and (read := read_c and series(splitting.side(side))):
-            (d_s, p_s), (d_c, p_c) = read, read_c
-            ball = cumulative_counts(d_s, p_s, local_radius + 1, cap)
-            _ball_count(ball, local_radius, cap)
-            truncated = truncated or ball[0] > local_radius  # a sphere past it
-            y = d_s[1] - d_c[1]
-            reps = [a + y * b for a, b in zip(p_c + [0], [0] + p_c)]
-            counts[side] = cumulative_counts(reps, p_s, local_radius, cap)[1]
-        elif d < 2:
-            side_ball, saturated = pres.enumerate_ball_info(
-                local_radius, cap=cap, subset=pres._names(splitting.side(side)))
-            cosets[side] = {_strip(pres, s, c_mask) for s in side_ball}
-            counts[side] = len(cosets[side])
-            truncated = truncated or not saturated
+        if d < 2:
+            s_mask = splitting.side(side)
+            truncated = truncated or not pres._saturates(s_mask, local_radius)
+            if read := read_c and series(s_mask):
+                (d_s, p_s), (d_c, p_c) = read, read_c
+                _ball_count(cumulative_counts(d_s, p_s, local_radius, cap), cap)
+                y = d_s[1] - d_c[1]
+                reps = [a + y * b for a, b in zip(p_c + [0], [0] + p_c)]
+                counts[side] = cumulative_counts(reps, p_s, local_radius, cap)[1]
+            else:
+                side_ball = pres.enumerate_ball_info(local_radius, cap=cap,
+                                                     subset=pres._names(s_mask))[0]
+                cosets[side] = {_strip(pres, s, c_mask) for s in side_ball}
+                counts[side] = len(cosets[side])
         kids.append(counts[side] - (d > 0))
         size += (level := level * kids[-1])
         if size > cap:
@@ -451,9 +451,9 @@ def audit_acylindricity(
 
     No ball is enumerated for a count: top(R) is the total of G_R's growth
     series W_R up to ``element_radius``, and ``_levels`` reads the level
-    sizes and ``truncated`` from the side series. All come from one growth
-    table per call (see ``Presentation.growth_table``), cut at the highest
-    degree read, max(``local_radius`` + 1, ``element_radius``). The
+    sizes from the side series. All come from one growth table per call (see
+    ``Presentation.growth_table``), cut at the highest degree read,
+    max(``local_radius``, ``element_radius``). The
     children per level count cosets: m_S is the number of C-stripped
     representatives t of G_C's cosets in G_S of length at most
     ``local_radius``. Each g in G_S is t c for one such t and one c in G_C; t
@@ -476,13 +476,13 @@ def audit_acylindricity(
     check_limits(k=k, tree_radius=tree_radius, element_radius=element_radius,
                  local_radius=local_radius, cap=cap)
     pres = splitting.presentation
-    series = pres.growth_table(max(local_radius + 1, element_radius), cap)
+    series = pres.growth_table(max(local_radius, element_radius), cap)
     _, kids, truncated = _levels(splitting, tree_radius, local_radius, cap, series)
     bound = splitting.acyl_c
 
     def top(r):  # from the series, else enumerated where the table is cut
         if read := series(r):
-            return _ball_count(cumulative_counts(*read, element_radius, cap), element_radius, cap)
+            return _ball_count(cumulative_counts(*read, element_radius, cap), cap)
         return len(pres.enumerate_ball_info(element_radius, cap=cap, subset=pres._names(r))[0])
 
     tops = [(us, top(r)) for us, r in _path_groups(splitting, k, tree_radius)]

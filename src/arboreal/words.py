@@ -187,6 +187,12 @@ class Presentation:
             total *= n
         return total
 
+    def _saturates(self, mask: int, radius: int) -> bool:
+        """Whether G_S's ball of radius ``radius`` is all of G_S, S the vertex set
+        of ``mask``: iff G_S is finite (see ``_mask_order``) and |S| <= radius,
+        as its longest element has one syllable, one generator, per vertex."""
+        return mask.bit_count() <= radius and self._mask_order(mask) != INFINITY
+
     def induced(self, subset: Iterable[str]) -> "Presentation":
         """Sub-presentation on ``subset`` with inherited orders."""
         subset = self.graph.check_vertices(subset)
@@ -203,7 +209,7 @@ class Presentation:
         cap: int = DEFAULT_BALL_CAP,
         subset: Iterable[str] | None = None,
     ) -> tuple[set[Word], bool]:
-        """Ball plus a saturation flag (True iff the whole subgroup was reached).
+        """Ball plus a flag, True iff it is the whole subgroup (see ``_saturates``).
 
         The generators are the single syllables: every nontrivial exponent at a
         finite vertex, exponents +-1 at an infinite one. With ``subset`` given,
@@ -229,23 +235,19 @@ class Presentation:
         seen = {()}
         frontier = [()]
         depth = 0
-        # a depth that adds nothing ends the loop with the ball saturated; a
-        # new element past the radius shows that it is not
-        while frontier:
+        while frontier and depth < radius:
             depth += 1
             new = []
             for g in frontier:
                 for s in gens:
                     h = self._extend(g, (s,))
                     if h not in seen:
-                        if depth > radius:
-                            return seen, False
                         seen.add(h)
                         if len(seen) > cap:
                             raise _ball_cap_error(cap, depth)
                         new.append(h)
             frontier = new
-        return seen, True
+        return seen, self._saturates(self._mask(allowed), radius)
 
     def growth_table(self, degree: int, cap: int = DEFAULT_BALL_CAP):
         """The int mask of S (see ``_mask``) -> (D, P) mod z^(t + 1), t =
@@ -289,8 +291,8 @@ class Presentation:
 
 
 def cumulative_counts(numerator: list[int], denominator: list[int], radius: int,
-                      cap: int) -> tuple[int, int, int]:
-    """(j, t_j, w_j) for the series numerator/denominator, denominator[0] = 1,
+                      cap: int) -> tuple[int, int]:
+    """(j, t_j) for the series numerator/denominator, denominator[0] = 1,
     whose coefficients are w_j = numerator_j - sum_{i>=1} denominator_i
     w_{j-i}, and t_j = w_0 + ... + w_j. j is ``radius``, or sooner the first
     radius whose total passes ``cap``, or the last before the first
@@ -299,29 +301,26 @@ def cumulative_counts(numerator: list[int], denominator: list[int], radius: int,
     after it. Only the last len(denominator) - 1 coefficients are kept."""
     tail = denominator[1:]
     w = deque(maxlen=len(tail))  # latest first
-    reached = total = sphere = 0
+    reached = total = 0
     for j in range(radius + 1):
         c = (numerator[j] if j < len(numerator) else 0) - sum(map(mul, tail, w))
         if not c:
             break
         w.appendleft(c)
-        reached, total, sphere = j, total + c, c
+        reached, total = j, total + c
         if total > cap:
             break
-    return reached, total, sphere
+    return reached, total
 
 
-def _ball_count(counts: tuple[int, int, int], radius: int, cap: int) -> int:
-    """The size of a ball of radius ``radius`` from the ``cumulative_counts``
-    (j, t_j, w_j) of its growth series to ``radius`` or ``radius`` + 1: t_j,
-    less the sphere w_j when j passes ``radius``; or the ball's
-    ``enumerate_ball_info`` error, at j, the first radius whose total passes
-    ``cap``."""
-    reached, total, sphere = counts
-    count = total - sphere if reached > radius else total
-    if count > cap:
+def _ball_count(counts: tuple[int, int], cap: int) -> int:
+    """The size t_j of a ball from the ``cumulative_counts`` (j, t_j) of its
+    growth series to its radius, or the ball's ``enumerate_ball_info`` error,
+    at j, the first radius whose total passes ``cap``."""
+    reached, total = counts
+    if total > cap:
         raise _ball_cap_error(cap, reached)
-    return count
+    return total
 
 
 def _ball_cap_error(cap: int, radius: int) -> ResourceCapError:

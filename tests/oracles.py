@@ -17,7 +17,8 @@ and edge sets are built straight from its edge list, full-subgroup orders
 from pairwise adjacency on the adjacency sets, exponents are reduced
 here rather than by the library, the tree ball and the audit
 enumerate a side ball at every tree vertex and scan the whole element ball
-(or enumerate G_C) at every tree edge, and tree distances come from
+(or enumerate G_C) at every tree edge, a ball is saturated iff it is closed
+under the generators, and tree distances come from
 re-canonicalizing stripping rounds or from BFS on a materialized ball.
 """
 
@@ -167,6 +168,14 @@ def ball_generators(pres, subset):
         if v in subset
         for e in ((1, -1) if pres.orders[v] == INFINITY else range(1, pres.orders[v]))
     ]
+
+
+def closed_under_generators(pres, ball, subset):
+    """Whether ``ball`` is closed under right multiplication by every
+    generator of G_S (see ``ball_generators``), and so is all of G_S: a
+    saturation flag that reads neither the radius nor the vertex set."""
+    gens = ball_generators(pres, subset)
+    return all(pres.multiply(g, (s,)) in ball for g in ball for s in gens)
 
 
 def enumerate_ball_by_canonical(pres, radius, cap, subset):
@@ -415,11 +424,11 @@ OTHER_SIDE = {SIDE_A: SIDE_B, SIDE_B: SIDE_A}
 
 def neighbors_by_side_ball(splitting, v, local_radius, cap):
     """Edges at v from its own enumeration of the side ball: v.rep * s for
-    every s in it, first s per edge kept. Returns (pairs, truncated)."""
+    every s in it, first s per edge kept. Returns (pairs, truncated), the
+    ball truncated iff it is not closed under the side's generators."""
     pres = splitting.presentation
-    reps, saturated = pres.enumerate_ball_info(
-        local_radius, cap=cap, subset=pres._names(splitting.side(v.side))
-    )
+    side = pres._names(splitting.side(v.side))
+    reps = enumerate_ball(pres, local_radius, cap, side)
     opp = OTHER_SIDE[v.side]
     found = {}
     for s in sorted(reps):
@@ -427,7 +436,8 @@ def neighbors_by_side_ball(splitting, v, local_radius, cap):
         edge = make_edge(splitting, g)
         if edge.rep not in found:
             found[edge.rep] = (edge, make_vertex(splitting, g, opp))
-    return sorted(found.values(), key=lambda pair: pair[0].rep), not saturated
+    return (sorted(found.values(), key=lambda pair: pair[0].rep),
+            not closed_under_generators(pres, reps, side))
 
 
 def tree_ball_by_vertex(splitting, radius, local_radius, cap):
@@ -464,7 +474,7 @@ def edge_fixers_by_scan(splitting, edge, ball, cap):
     g = edge.rep
     g_inv = pres.inverse(g)
     if c_order != INFINITY:
-        elements, _ = pres.enumerate_ball_info(c_order, cap=cap, subset=c_set)
+        elements = enumerate_ball(pres, c_order, cap, c_set)
         return {pres.multiply(g, x, g_inv) for x in elements} & ball
     return {s for s in ball if support(pres, pres.multiply(g_inv, s, g)) <= c_set}
 
@@ -498,10 +508,11 @@ ELEMENT_BALL_CAP = 10_000
 def audit_by_scan(splitting, k, tree_radius, element_radius, local_radius, cap):
     """``audit_acylindricity`` on ``tree_ball_by_vertex``, ``paths_by_edge_set``
     and ``edge_fixers_by_scan``; ``cap`` bounds the tree ball and the side
-    and G_C balls, ``ELEMENT_BALL_CAP`` the element ball."""
+    and G_C balls, ``ELEMENT_BALL_CAP`` the element ball, exhaustive iff it
+    is closed under every generator."""
     pres = splitting.presentation
     ball = tree_ball_by_vertex(splitting, tree_radius, local_radius, cap)
-    elements, exhaustive = pres.enumerate_ball_info(element_radius, cap=ELEMENT_BALL_CAP)
+    elements = enumerate_ball(pres, element_radius, ELEMENT_BALL_CAP)
     fixers = {}
     sizes = []
     violations = []
@@ -524,7 +535,7 @@ def audit_by_scan(splitting, k, tree_radius, element_radius, local_radius, cap):
         max_stabilizer_size=max(sizes, default=0),
         bound=splitting.acyl_c,
         truncated=ball.truncated,
-        exhaustive_elements=exhaustive,
+        exhaustive_elements=closed_under_generators(pres, elements, pres.graph.vertices),
         violations=violations,
     )
 

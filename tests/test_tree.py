@@ -113,6 +113,20 @@ class TestNeighbors:
         assert not truncated
         assert len(nbrs) == 2  # [Z2 : 1] cosets
 
+    @pytest.mark.parametrize("a, b", [("a", "b"), ("b", "a")])
+    def test_each_side_read_at_depth_below_two_is_checked(self, a, b):
+        """Z2^3 with one edge b - c: of the sides V - {b} and V - {a}, {a, c}
+        is infinite and {b, c} = Z2 x Z2 is whole at local radius 2. So a
+        ball, or an audit, is truncated iff it reads the infinite side: side
+        A at radius 1 only when a is the pair's first vertex, and always at
+        radius 2, whichever side is A."""
+        pres = Presentation(SimpleGraph("abc", [("b", "c")]), dict.fromkeys("abc", 2))
+        sp = build_splitting(pres, SeparatedPair(a, b, (), 1))
+        assert tree_ball(sp, 1, local_radius=2).truncated == (a == "a")
+        assert tree_ball(sp, 2, local_radius=2).truncated
+        assert audit_acylindricity(sp, 1, tree_radius=1, local_radius=2).truncated == (a == "a")
+        assert audit_acylindricity(sp, 1, tree_radius=2, local_radius=2).truncated
+
 
 class TestTreeDistance:
     def test_zero_on_equal(self, p4_splitting):

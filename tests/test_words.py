@@ -35,6 +35,7 @@ from oracles import (
     reduce_randomized,
     shuffle_closure,
     support,
+    word_length,
 )
 
 
@@ -399,6 +400,41 @@ class TestEnumerateBall:
             enumerate_ball_by_canonical, pres, radius, cap, {"a", "b"}
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(presentations(), st.integers(0, 4), st.sampled_from([50, 2000]), st.data())
+    def test_no_element_is_built_past_the_radius(self, pres, radius, cap, data):
+        """Every word ``_extend`` builds for a ball of G_S, whether it ends
+        saturated, cut at its radius or at the cap, has at most ``radius``
+        generators: the flag needs no probe of the next sphere."""
+        subset = data.draw(st.frozensets(st.sampled_from(pres.graph.vertices)))
+        built = []
+        extend = pres._extend
+        pres._extend = lambda g, sylls: built.append(extend(g, sylls)) or built[-1]
+        try:
+            pres.enumerate_ball_info(radius, cap=cap, subset=subset)
+        except ResourceCapError:
+            pass
+        assert all(word_length(pres, h) <= radius for h in built)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_saturation_is_read_from_the_vertex_set(self, m):
+        """A clique of m finite vertices, Z2 x Z3 x Z5 cut to m factors, is
+        all of its ball at radius m and not at m - 1; the infinite vertex z,
+        alone or with the clique, never saturates; at radius 0 only the empty
+        subset does."""
+        clique = "abc"[:m]
+        edges = [(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]]
+        pres = Presentation(SimpleGraph(clique + "z", edges),
+                            {**dict(zip(clique, (2, 3, 5))), "z": INFINITY})
+        ball, saturated = pres.enumerate_ball_info(m, subset=clique)
+        assert saturated and len(ball) == pres.full_subgroup_order(clique)
+        assert not pres.enumerate_ball_info(m - 1, subset=clique)[1]
+        for radius in range(m + 3):
+            assert not pres.enumerate_ball_info(radius, subset="z")[1]
+            assert not pres.enumerate_ball_info(radius, subset=clique + "z")[1]
+        assert pres.enumerate_ball_info(0, subset=())[1]
+        assert not any(pres.enumerate_ball_info(0, subset=s)[1] for s in (clique, "z"))
+
     def test_deterministic_contents(self, p3_raag):
         a = enumerate_ball(p3_raag, 3)
         b = enumerate_ball(p3_raag, 3)
@@ -409,20 +445,20 @@ class TestGrowthSeries:
     @staticmethod
     def check_ball(pres, subset, radius, cap):
         """The radius ball of G_S against its growth series W_S = D/P: its
-        size, its saturation flag (the sphere of radius + 1 is empty), and
-        for each C = S - {u} the G_C cosets it meets, by W_S/W_C =
-        (1 + y_u z) P_C/P_S; or the radius a cap error names, the first whose
-        total passes ``cap``."""
+        size, its saturation flag (the series read to radius + 1 stops at
+        radius, an empty sphere past it), and for each C = S - {u} the G_C
+        cosets it meets, by W_S/W_C = (1 + y_u z) P_C/P_S; or the radius a
+        cap error names, the first whose total passes ``cap``."""
         d, p = growth_series(pres, subset)
-        reached, total, sphere = cumulative_counts(d, p, radius + 1, cap)
+        reached, total = cumulative_counts(d, p, radius, cap)
         try:
             ball, saturated = pres.enumerate_ball_info(radius, cap=cap, subset=subset)
         except ResourceCapError as error:
             assert total > cap
             assert str(error) == f"ball exceeded cap of {cap} elements at radius {reached}"
             return
-        assert (total - sphere if reached > radius else total) == len(ball)
-        assert saturated == (reached <= radius)
+        assert total == len(ball)
+        assert saturated == (cumulative_counts(d, p, radius + 1, cap)[0] <= radius)
         for u in subset:
             c = subset - {u}
             (_, y), _ = growth_series(pres, {u})
@@ -457,10 +493,10 @@ class TestGrowthSeries:
         assert growth_series(pres, "ab") == ([1, 3, 2], [1, 0, 0])
         reached = min(radius, 2)
         assert cumulative_counts(*growth_series(pres, "ab"), radius, 100) == (
-            reached, [1, 4, 6][reached], [1, 3, 2][reached])
+            reached, [1, 4, 6][reached])
         reached = min(radius, 50)
         assert cumulative_counts(*growth_series(pres, "c"), radius, 100) == (
-            reached, 2 * reached + 1, 2)
+            reached, 2 * reached + 1)
 
     def test_counts_keep_only_the_coefficients_the_recurrence_reads(self):
         """Z's ball passes a cap of 200,000 at radius 100,000: a list of every
@@ -474,7 +510,7 @@ class TestGrowthSeries:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert counts == (100_000, 200_001, 2)
+        assert counts == (100_000, 200_001)
         assert peak < 64 * 1024
 
 
@@ -490,7 +526,7 @@ class TestGrowthSeries:
         assert growth_series(pres, pres.graph.vertices, cap=1000) is None
         d, p = growth_series(pres, pres.graph.vertices)
         assert d == [math.comb(20, j) for j in range(21)]
-        assert cumulative_counts(d, p, 1, 100) == (1, 21, 20)
+        assert cumulative_counts(d, p, 1, 100) == (1, 21)
 
     @settings(max_examples=60, deadline=None)
     @given(presentations(max_vertices=7), st.integers(1, 8), st.data())
