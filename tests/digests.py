@@ -19,11 +19,15 @@ per case, what the public API returns, or the error it raises:
   ``parse_word`` of raw text, whose zero exponents, unknown vertices and bad
   syntax raise InputError;
 - ``ball``: ``enumerate_ball_info``'s size and saturation flag, or its cap
-  error, for random vertex subsets at radii 0 to 4 and caps 8, 40 and 400.
+  error, for random vertex subsets at radii 0 to 4 and caps 8, 40 and 400;
+- ``cli``: the exit code and stdout and stderr bytes of ``arboreal.cli.main``,
+  run in-process from the repository's root on a fixed list of argvs (see
+  ``cli_argvs``), the same at every count.
 
 A raw word has up to 120 syllables with exponents from -7 to 7, 0 included.
 The ``words`` and ``ball`` cases are drawn from a random stream of their
-own, so that adding them moved no other layer's cases.
+own, and so are the ``cli`` layer's long words, so that adding them moved
+no other layer's cases.
 A refactor that keeps every output keeps every digest; ``digests.json``
 holds them for the counts that tests/test_digests.py and CI run. Run from
 the repository's root:
@@ -36,11 +40,15 @@ count; ``--record`` writes them to ``digests.json`` instead.
 """
 
 import hashlib
+import io
 import json
+import os
 import random
 import sys
+from itertools import chain
 from pathlib import Path
 
+from arboreal.cli import main as cli_main
 from arboreal.classify import SIDE_A, SIDE_B, build_splitting, classify, separated_pairs
 from arboreal.errors import InputError, ResourceCapError
 from arboreal.graphs import SimpleGraph
@@ -50,10 +58,11 @@ from arboreal.tree import (TreeEdge, TreeVertex, audit_acylindricity, element_ac
 from arboreal.words import INFINITY, Presentation, parse_word
 
 RECORDED = Path(__file__).with_name("digests.json")
+ROOT = RECORDED.parent.parent
 FULL_COUNT = 300
 QUICK_COUNT = 40
 LAYERS = ("classify", "make_vertex", "distance", "stabilizer", "tree_ball", "audit", "words",
-          "ball")
+          "ball", "cli")
 
 
 def random_product(rng: random.Random) -> Presentation:
@@ -135,12 +144,66 @@ def word_lines(rng: random.Random, pres: Presentation):
         yield "ball", outcome(size_and_flag, pres, radius, cap, subset)
 
 
+def cli_argvs():
+    """The ``cli`` layer's argvs, paths relative to the repository's root: the
+    byte steps of CI (audits, tree-ball DOT, long-word ``nf``, ``mul`` and
+    ``tree-dist``) and one run per error exit. No ``-h``, usage error or
+    ``--out``: argparse's text differs between Python versions."""
+    rng = random.Random("cli")
+
+    def long_word(fixture, length):
+        vertices = [v["name"] for v in json.loads((ROOT / fixture).read_text())["vertices"]]
+        return " ".join(f"{rng.choice(vertices)}^{rng.choice((-3, -2, -1, 1, 2, 3))}"
+                        for _ in range(length))
+
+    fig2, p4, z2_z5 = "fixtures/fig2_raag.json", "fixtures/p4_racg.json", "fixtures/z2_z5.json"
+    return [
+        ["tree-audit", p4, "--k", "4", "--tree-radius", "4", "--element-radius", "5", "--json"],
+        ["tree-audit", p4, "--all-pairs", "--tree-radius", "12", "--json"],
+        ["tree-audit", p4, "--all-pairs", "--k", "2", "--tree-radius", "1", "--json"],
+        ["tree-audit", p4, "--all-pairs", "--k", "2", "--tree-radius", "2", "--json"],
+        ["export-dot", p4, "--target", "tree-ball", "--tree-radius", "3"],
+        ["export-dot", p4, "--target", "tree-ball", "--tree-radius", "4", "--local-radius", "3"],
+        ["nf", fig2, long_word(fig2, 400), "--json"],
+        ["mul", fig2, long_word(fig2, 200), long_word(fig2, 200), "--json"],
+        ["tree-dist", p4, "1", long_word(p4, 80), "--json"],
+        ["nf", p4, "a z"],
+        ["nf", p4, "a^0 b"],
+        ["tree-audit", p4, "--k", "5", "--tree-radius", "2"],
+        ["tree-audit", z2_z5, "--k", "1", "--tree-radius", "2", "--local-radius", "1",
+         "--element-radius", "1", "--ball-cap", "2"],
+        ["tree-audit", "fixtures/c5_raag.json"],
+        ["classify", "fixtures/missing.json"],
+    ]
+
+
+def cli_lines():
+    """(``cli``, line) for each of ``cli_argvs``: the argv, exit code, stdout
+    and stderr bytes of ``arboreal.cli.main``, whose ``_print`` writes to
+    each stream's byte buffer."""
+    cwd, streams = os.getcwd(), (sys.stdout, sys.stderr)
+    os.chdir(ROOT)
+    try:
+        for argv in cli_argvs():
+            out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
+            sys.stdout, sys.stderr = out, err
+            try:
+                code = cli_main(argv)
+            finally:
+                sys.stdout, sys.stderr = streams
+            out.flush()
+            err.flush()
+            yield "cli", repr([argv, code, out.buffer.getvalue(), err.buffer.getvalue()])
+    finally:
+        os.chdir(cwd)
+
+
 def digests(count: int) -> dict[str, str]:
-    """Each layer's sha256 over products 0..count-1."""
+    """Each layer's sha256 over products 0..count-1, and the ``cli`` layer's."""
     hashes = {layer: hashlib.sha256() for layer in LAYERS}
-    for seed in range(count):
-        for layer, line in product_lines(seed):
-            hashes[layer].update(line.encode() + b"\n")
+    cases = chain.from_iterable(map(product_lines, range(count)))
+    for layer, line in chain(cases, cli_lines()):
+        hashes[layer].update(line.encode() + b"\n")
     return {layer: h.hexdigest() for layer, h in hashes.items()}
 
 
