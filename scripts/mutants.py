@@ -88,8 +88,11 @@ MUTANTS = [
      "the growth table is never cut at the cap"),
     (WORDS, "w = deque(maxlen=len(tail))", "w = deque(maxlen=len(tail) - 1)",
      "the series recurrence keeps one coefficient fewer than the denominator's degree"),
-    (WORDS, "raise _ball_cap_error(cap, reached)", "raise _ball_cap_error(cap, reached + 1)",
+    (WORDS, "raise _ball_cap_error(cap, j)", "raise _ball_cap_error(cap, j + 1)",
      "a cap error read from growth series names the radius after the first past the cap"),
+    (WORDS, "if total > cap:", "if total >= cap:",
+     "a series total equal to the cap raises, though a ball of exactly cap elements is "
+     "within it"),
     (WORDS, 'if text in ("", "1"):', 'if text == "":',
      'parse_word does not read "1" as the identity'),
     (WORDS, 'parts.append(v if e == 1 else f"{v}^{e}")', 'parts.append(f"{v}^{e}")',
@@ -119,10 +122,10 @@ MUTANTS = [
      "the stabilizer's q is peeled forward, from the start of what p leaves"),
     (TREE, "reduce(and_, (masks[index[v]] for v, _ in d), c)", "c",
      "the stabilizer's R is C, uncut by the links of d's vertices"),
-    (TREE, "while n < m and g1[n] == gk[n]:", "while n < m and g1[n][0] == gk[n][0]:",
-     "the shared prefix of g_1 and g_k is cancelled by vertex, blind to exponents"),
     (TREE, "sylls = pres._extend(pres.inverse(v1.rep), v2.rep)",
-     "a, b = _relative(v1.rep, v2.rep); sylls = pres._extend(pres.inverse(a), b)",
+     "n = next((i for i, (x, y) in enumerate(zip(v1.rep, v2.rep)) if x != y), "
+     "min(len(v1.rep), len(v2.rep))); "
+     "sylls = pres._extend(pres.inverse(v1.rep[n:]), v2.rep[n:])",
      "tree_distance cancels a shared prefix of any words unread, so an unknown vertex passes"),
     (TREE, "return last + (sides[last % 2] != v1.side)", "return last",
      "tree_distance misses the last round when it ends on the other side"),
@@ -154,7 +157,8 @@ MUTANTS = [
      "side B's saturation overwrites side A's truncation"),
     (TREE, "y = d_s[1] - d_c[1]", "y = 1",
      "the coset series takes the factor 1 + y_u z of S - C = {u} as 1 + z at any order"),
-    (TREE, "                _ball_count(cumulative_counts(d_s, p_s, local_radius, cap), cap)\n", "",
+    (TREE, "                cumulative_counts(d_s, p_s, local_radius, cap)"
+     "  # the side ball's cap error\n", "",
      "a side ball past the cap is never raised from its series"),
     (TREE, "cumulative_counts(d_s, p_s, local_radius, cap)",
      "cumulative_counts(d_s, p_s, local_radius + 1, cap)",

@@ -38,8 +38,8 @@ from typing import Iterable, NamedTuple, Optional
 from .classify import SIDE_A, SIDE_B, SplittingSpec
 from .errors import InputError, ResourceCapError
 from .graphs import dot_quoted
-from .words import (DEFAULT_BALL_CAP, Presentation, Syllable, Word, _ball_count,
-                    cumulative_counts, format_word)
+from .words import (DEFAULT_BALL_CAP, Presentation, Syllable, Word, cumulative_counts,
+                    format_word)
 
 
 class TreeVertex(NamedTuple):
@@ -179,9 +179,10 @@ def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int,
     representatives of length at most ``local_radius``, whose series is
     W_S/W_C = (1 + y_u z) P_C/P_S for S - C = {u} (see
     ``audit_acylindricity``), y_u being D_S's z-coefficient, the sum of y_v
-    over S, less D_C's. Read or enumerated, the cap errors come in BFS
-    order: side A's ball, the tree at depth 0, side B's ball, the tree at
-    each deeper depth."""
+    over S, less D_C's; their count never passes the cap, as the side ball's
+    count, read first, is at least as large. Read or enumerated, the cap
+    errors come in BFS order: side A's ball, the tree at depth 0, side B's
+    ball, the tree at each deeper depth."""
     pres, c_mask = splitting.presentation, splitting.c_side
     read_c = series and series(c_mask)
     cosets, counts, kids, truncated, level, size = {}, {}, [], False, 1, 1
@@ -192,10 +193,10 @@ def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int,
             truncated = truncated or not pres._saturates(s_mask, local_radius)
             if read := read_c and series(s_mask):
                 (d_s, p_s), (d_c, p_c) = read, read_c
-                _ball_count(cumulative_counts(d_s, p_s, local_radius, cap), cap)
+                cumulative_counts(d_s, p_s, local_radius, cap)  # the side ball's cap error
                 y = d_s[1] - d_c[1]
                 reps = [a + y * b for a, b in zip(p_c + [0], [0] + p_c)]
-                counts[side] = cumulative_counts(reps, p_s, local_radius, cap)[1]
+                counts[side] = cumulative_counts(reps, p_s, local_radius, cap)
             else:
                 side_ball = pres.enumerate_ball_info(local_radius, cap=cap,
                                                      subset=pres._names(s_mask))[0]
@@ -316,25 +317,15 @@ def path_stabilizer(
         raise InputError("path must contain at least one edge")
     pres = splitting.presentation
     g1, gk = (make_edge(splitting, e.rep).rep for e in (path[0], path[-1]))
-    a, b = _relative(g1, gk)
-    p, r = _stabilizer_scan(splitting, pres._extend(pres.inverse(a), b))
+    p, r = _stabilizer_scan(splitting, pres._extend(pres.inverse(g1), gk))
     return pres._extend(g1, p), tuple(pres._names(r))
 
 
-def _relative(g1: Word, gk: Word) -> tuple[Word, Word]:
-    """(a, b), g_1 = c a and g_k = c b canonical, c their longest common literal
-    prefix, unread as its vertices are known: g_1^-1 g_k is a^-1 extended by b."""
-    n, m = 0, min(len(g1), len(gk))
-    while n < m and g1[n] == gk[n]:
-        n += 1
-    return g1[n:], gk[n:]
-
-
 def _stabilizer_scan(splitting: SplittingSpec, h: Word):
-    """(p, R) of the reduced h = g_1^-1 g_k (see ``_relative``) joining a
-    path's end edges g_1G_C and g_kG_C, g_1 and g_k canonical: the pointwise
-    stabilizer is f G_R f^-1, f = g_1 p, and no R-syllable ends f. R is a
-    mask, C's cut by the link mask of each vertex of d.
+    """(p, R) of h, the normal form of g_1^-1 g_k, for a path's end edges
+    g_1G_C and g_kG_C, g_1 and g_k canonical: the pointwise stabilizer is f
+    G_R f^-1, f = g_1 p, and no R-syllable ends f. R is a mask, C's cut by
+    the link mask of each vertex of d.
 
     An element fixing both end edges fixes the path, so the stabilizer is
     g_1(G_C ∩ hG_Ch^-1)g_1^-1 for h = g_1^-1 g_k. Split h's heap as p d q: p
@@ -345,12 +336,14 @@ def _stabilizer_scan(splitting: SplittingSpec, h: Word):
     Two peels by C (see ``_peel``) find them: the forward peel of the reduced
     h peels p, and the reverse peel of what it keeps, d q, a successor-closed
     part of h's heap, peels q and keeps d, whose vertices are supp d.
-    No R-syllable ends f: g_1 and g_k are C-stripped, so neither has a sink
-    in C, and each p-syllable comes from g_k, not from g_1^-1 or a merge, and
-    has a descendant outside C in h. A p-sink at r in R would have all its
-    successors in q, as r is in lk(supp d); q is successor-closed and inside
-    C, so p has no R-sink. g_1 p is reduced, as no C-sink of g_1 meets p ⊂ C,
-    and its sinks are p's or g_1's, none of them in R.
+    No R-syllable ends f. Write g_1 = c a and g_k = c b, c their longest
+    common prefix; h is also a^-1 b's normal form, as normal forms are unique
+    (the code never splits them). g_1 and g_k are C-stripped, so neither has
+    a sink in C, and each p-syllable comes from b, not from a^-1 or a merge,
+    and has a descendant outside C in h. A p-sink at r in R would have all
+    its successors in q, as r is in lk(supp d); q is successor-closed and
+    inside C, so p has no R-sink. g_1 p is reduced, as no C-sink of g_1
+    meets p ⊂ C, and its sinks are p's or g_1's, none of them in R.
     """
     pres, c = splitting.presentation, splitting.c_side
     index, masks = pres.graph.index, pres.graph.masks
@@ -466,7 +459,7 @@ def audit_acylindricity(
     ``cap`` bounds the tree ball's vertex count, the side balls and the G_R
     balls, and the coefficients of the growth table. A ball the series puts
     past it raises its enumeration's error, at the same radius (see
-    ``words._ball_count``), and only where the table is cut is a ball
+    ``cumulative_counts``), and only where the table is cut is a ball
     enumerated for a count. ``_levels`` raises the first errors, in the
     tree ball's BFS order, and then the maximum the error of the first R_k,
     in ``_path_groups`` order, whose ball passes the cap. Neither a tree ball
@@ -482,7 +475,7 @@ def audit_acylindricity(
 
     def top(r):  # from the series, else enumerated where the table is cut
         if read := series(r):
-            return _ball_count(cumulative_counts(*read, element_radius, cap), cap)
+            return cumulative_counts(*read, element_radius, cap)
         return len(pres.enumerate_ball_info(element_radius, cap=cap, subset=pres._names(r))[0])
 
     tops = [(us, top(r)) for us, r in _path_groups(splitting, k, tree_radius)]

@@ -291,35 +291,25 @@ class Presentation:
 
 
 def cumulative_counts(numerator: list[int], denominator: list[int], radius: int,
-                      cap: int) -> tuple[int, int]:
-    """(j, t_j) for the series numerator/denominator, denominator[0] = 1,
-    whose coefficients are w_j = numerator_j - sum_{i>=1} denominator_i
-    w_{j-i}, and t_j = w_0 + ... + w_j. j is ``radius``, or sooner the first
-    radius whose total passes ``cap``, or the last before the first
-    coefficient 0: in a growth series (see ``Presentation.growth_table``), or
-    one of coset representatives, an empty sphere has only empty spheres
-    after it. Only the last len(denominator) - 1 coefficients are kept."""
+                      cap: int) -> int:
+    """The total w_0 + ... + w_j of the series numerator/denominator,
+    denominator[0] = 1, w_j = numerator_j - sum_{i>=1} denominator_i w_{j-i},
+    at j = ``radius`` or the last j before the first w_j = 0: in a growth
+    series (see ``Presentation.growth_table``), or one of coset
+    representatives, an empty sphere has only empty spheres after it. Raises
+    ``enumerate_ball_info``'s error at the first j whose total passes ``cap``.
+    Only the last len(denominator) - 1 coefficients are kept."""
     tail = denominator[1:]
     w = deque(maxlen=len(tail))  # latest first
-    reached = total = 0
+    total = 0
     for j in range(radius + 1):
         c = (numerator[j] if j < len(numerator) else 0) - sum(map(mul, tail, w))
         if not c:
             break
         w.appendleft(c)
-        reached, total = j, total + c
+        total += c
         if total > cap:
-            break
-    return reached, total
-
-
-def _ball_count(counts: tuple[int, int], cap: int) -> int:
-    """The size t_j of a ball from the ``cumulative_counts`` (j, t_j) of its
-    growth series to its radius, or the ball's ``enumerate_ball_info`` error,
-    at j, the first radius whose total passes ``cap``."""
-    reached, total = counts
-    if total > cap:
-        raise _ball_cap_error(cap, reached)
+            raise _ball_cap_error(cap, j)
     return total
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from arboreal.classify import classify
 from arboreal.errors import DegeneratePresentationError, InputError
-from arboreal.formats import load_presentation, presentation_from_dict
+from arboreal.formats import argv_text, load_presentation, presentation_from_dict
 from arboreal.graphs import INFINITY
 from arboreal.words import Presentation, format_word, parse_word
 
@@ -92,6 +92,12 @@ def test_order_that_is_not_an_integer_rejected(order):
             {"vertices": [{"name": "a", "order": order}, {"name": "b", "order": 2}]}
         )
     assert not isinstance(info.value, DegeneratePresentationError)
+
+
+def test_argv_text_returns_a_str_the_file_system_encoding_cannot_encode():
+    """A lone high surrogate is no byte that argv decoding escaped, so the str
+    never came from argv and is returned as it is."""
+    assert argv_text("\ud800x", "strict") == "\ud800x"
 
 
 def test_degenerate_order_has_own_type():

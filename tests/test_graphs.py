@@ -88,7 +88,8 @@ class TestConstruction:
     def test_matches_edge_sets(self, drawn):
         """The adjacency and edges derived from the masks, ``==`` and ``hash``
         match a graph built straight from the edge list, as does the count of
-        non-adjacent pairs; a bad input raises the oracle's message."""
+        non-adjacent pairs, and ``repr`` evaluates to an equal graph; a bad
+        input raises the oracle's message."""
         vertices, edges = drawn
         try:
             adjacency, edge_set = graph_by_edge_sets(vertices, edges)
@@ -101,6 +102,7 @@ class TestConstruction:
         assert g.edges == edge_set
         plain = SimpleGraph(vertices, sorted(tuple(sorted(e)) for e in edge_set))
         assert g == plain and hash(g) == hash(plain)
+        assert eval(repr(g), {"SimpleGraph": SimpleGraph}) == g
         fewer = edges[1:]
         same = graph_by_edge_sets(vertices, fewer)[1] == edge_set
         assert (g == SimpleGraph(vertices, fewer)) == same

@@ -41,7 +41,6 @@ from arboreal.tree import (
     _levels,
     _path_count,
     _peel,
-    _relative,
     audit_acylindricity,
     element_action,
     make_edge,
@@ -448,20 +447,3 @@ def test_peel_forward_and_reverse(pres, rng):
         assert pres.canonical(kept + peeled) == w
         assert last_vertices(pres, kept).isdisjoint(subset)
         assert kept == coset_canonical_by_stripping(pres, w, subset, rng)
-
-
-@settings(max_examples=100, deadline=None)
-@given(presentations(max_vertices=7), st.randoms(use_true_random=False))
-def test_relative_word_cancels_the_shared_prefix(pres, rng):
-    """For g_1 and g_k the canonical words of c a and c b, c, a and b raw
-    words of up to 20 syllables, the inverse of a extended by b, (a, b) from
-    ``_relative``, is g_1's inverse extended by g_k; so it is for g_1 with
-    itself, and with a prefix of it either way round (a prefix of a canonical
-    word is canonical)."""
-    for _ in range(5):
-        c, a, b = (random_word(rng, pres, max_len=20) for _ in range(3))
-        g1, gk = pres.canonical(c + a), pres.canonical(c + b)
-        n = rng.randint(0, len(g1))
-        for x, y in ((g1, gk), (g1, g1), (g1, g1[:n]), (g1[:n], g1)):
-            a, b = _relative(x, y)
-            assert pres._extend(pres.inverse(a), b) == pres._extend(pres.inverse(x), y)

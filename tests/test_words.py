@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arboreal.classify import build_splitting, separated_pairs
 from arboreal.errors import DegeneratePresentationError, InputError, ResourceCapError
 from arboreal.graphs import INFINITY, SimpleGraph
 from arboreal.words import (
@@ -56,6 +57,29 @@ class TestPresentationValidation:
         assert p4_racg.make_word([("a", 3)]) == (Syllable("a", 1),)
         assert p4_racg.make_word([("a", -1)]) == (Syllable("a", 1),)
         assert p4_racg.make_word([("a", 4)]) == ()
+
+    @settings(max_examples=50, deadline=None)
+    @given(presentations(max_vertices=6, orders=(2, 3, 5, INFINITY)))
+    def test_repr_round_trips(self, pres):
+        """``repr`` evaluates to an equal presentation with SimpleGraph,
+        Presentation and inf in scope."""
+        scope = {"SimpleGraph": SimpleGraph, "Presentation": Presentation, "inf": INFINITY}
+        assert eval(repr(pres), scope) == pres
+
+    def test_equal_presentations_hash_equal(self):
+        """Two presentations of one P4 product, built apart with edges and
+        orders listed the other way round, are equal and hash equal, so a
+        splitting of one is a dict key that finds the other's entry; a
+        changed order makes a different presentation."""
+        graph = SimpleGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+        orders = {"a": 2, "b": 3, "c": INFINITY, "d": 2}
+        one = Presentation(graph, orders)
+        two = Presentation(SimpleGraph("abcd", [("d", "c"), ("c", "b"), ("b", "a")]),
+                           dict(reversed(orders.items())))
+        assert one == two and hash(one) == hash(two)
+        table = {build_splitting(one, separated_pairs(one)[0]): "one"}
+        assert table[build_splitting(two, separated_pairs(two)[0])] == "one"
+        assert one != Presentation(graph, {**orders, "d": 3})
 
 
 class TestReduce:
@@ -445,26 +469,28 @@ class TestGrowthSeries:
     @staticmethod
     def check_ball(pres, subset, radius, cap):
         """The radius ball of G_S against its growth series W_S = D/P: its
-        size, its saturation flag (the series read to radius + 1 stops at
-        radius, an empty sphere past it), and for each C = S - {u} the G_C
-        cosets it meets, by W_S/W_C = (1 + y_u z) P_C/P_S; or the radius a
-        cap error names, the first whose total passes ``cap``."""
+        size, its saturation flag (under a cap that never raises, the totals
+        at radius and radius + 1 are equal iff the sphere at radius + 1 is
+        empty), and for each C = S - {u} the G_C cosets it meets, by W_S/W_C
+        = (1 + y_u z) P_C/P_S; or the series' cap error, which names the
+        same radius, the first whose total passes ``cap``."""
         d, p = growth_series(pres, subset)
-        reached, total = cumulative_counts(d, p, radius, cap)
         try:
             ball, saturated = pres.enumerate_ball_info(radius, cap=cap, subset=subset)
         except ResourceCapError as error:
-            assert total > cap
-            assert str(error) == f"ball exceeded cap of {cap} elements at radius {reached}"
+            with pytest.raises(ResourceCapError) as series_error:
+                cumulative_counts(d, p, radius, cap)
+            assert str(series_error.value) == str(error)
             return
-        assert total == len(ball)
-        assert saturated == (cumulative_counts(d, p, radius + 1, cap)[0] <= radius)
+        assert cumulative_counts(d, p, radius, cap) == len(ball)
+        assert saturated == (cumulative_counts(d, p, radius, math.inf)
+                             == cumulative_counts(d, p, radius + 1, math.inf))
         for u in subset:
             c = subset - {u}
             (_, y), _ = growth_series(pres, {u})
             p_c = growth_series(pres, c)[1]
             cosets = [a + y * b for a, b in zip(p_c + [0], [0] + p_c)]
-            assert cumulative_counts(cosets, p, radius, cap)[1] == len(
+            assert cumulative_counts(cosets, p, radius, cap) == len(
                 {coset_canonical(pres, g, c) for g in ball})
 
     @settings(max_examples=50, deadline=None)
@@ -488,15 +514,17 @@ class TestGrowthSeries:
     def test_series_stops_at_an_empty_sphere_or_the_cap(self, radius):
         """Z2 x Z3 has 6 elements, the last at length 2, so its totals end
         there at any radius; Z's reach 2r + 1, and stop at the first past
-        the cap, 101 at radius 50, not at radius 10**9."""
+        the cap, 101 at radius 50, whose cap error the series raises, not at
+        radius 10**9."""
         pres = Presentation(SimpleGraph("abc", [("a", "b")]), {"a": 2, "b": 3, "c": INFINITY})
         assert growth_series(pres, "ab") == ([1, 3, 2], [1, 0, 0])
-        reached = min(radius, 2)
-        assert cumulative_counts(*growth_series(pres, "ab"), radius, 100) == (
-            reached, [1, 4, 6][reached])
-        reached = min(radius, 50)
-        assert cumulative_counts(*growth_series(pres, "c"), radius, 100) == (
-            reached, 2 * reached + 1)
+        assert cumulative_counts(*growth_series(pres, "ab"), radius, 100) == [1, 4, 6][
+            min(radius, 2)]
+        if radius < 50:
+            assert cumulative_counts(*growth_series(pres, "c"), radius, 100) == 2 * radius + 1
+        else:
+            with pytest.raises(ResourceCapError, match="cap of 100 elements at radius 50$"):
+                cumulative_counts(*growth_series(pres, "c"), radius, 100)
 
     def test_counts_keep_only_the_coefficients_the_recurrence_reads(self):
         """Z's ball passes a cap of 200,000 at radius 100,000: a list of every
@@ -506,11 +534,11 @@ class TestGrowthSeries:
         series = growth_series(pres, "b")
         tracemalloc.start()
         try:
-            counts = cumulative_counts(*series, 10**9, 200_000)
+            with pytest.raises(ResourceCapError, match="cap of 200000 elements at radius 100000$"):
+                cumulative_counts(*series, 10**9, 200_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert counts == (100_000, 200_001)
         assert peak < 64 * 1024
 
 
@@ -526,7 +554,7 @@ class TestGrowthSeries:
         assert growth_series(pres, pres.graph.vertices, cap=1000) is None
         d, p = growth_series(pres, pres.graph.vertices)
         assert d == [math.comb(20, j) for j in range(21)]
-        assert cumulative_counts(d, p, 1, 100) == (1, 21)
+        assert cumulative_counts(d, p, 1, 100) == 21
 
     @settings(max_examples=60, deadline=None)
     @given(presentations(max_vertices=7), st.integers(1, 8), st.data())
