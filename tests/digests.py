@@ -22,7 +22,13 @@ per case, what the public API returns, or the error it raises:
   error, for random vertex subsets at radii 0 to 4 and caps 8, 40 and 400;
 - ``cli``: the exit code and stdout and stderr bytes of ``arboreal.cli.main``,
   run in-process from the repository's root on a fixed list of argvs (see
-  ``cli_argvs``), the same at every count.
+  ``cli_argvs``), the same at every count;
+- ``pins``: audits and tree balls of every separated pair of six small
+  presentations (see ``pins_lines``), also the same at every count. The
+  oracle properties stop at tree radius 3, and ``bench/checks.py:check_audit``
+  checks audits only by meaning, so this layer is what fails when a faster
+  audit changes one byte of a report, a witness's path label or the order of
+  witnesses.
 
 A raw word has up to 120 syllables with exponents from -7 to 7, 0 included.
 The ``words`` and ``ball`` cases are drawn from a random stream of their
@@ -51,6 +57,7 @@ from pathlib import Path
 from arboreal.cli import main as cli_main
 from arboreal.classify import SIDE_A, SIDE_B, build_splitting, classify, separated_pairs
 from arboreal.errors import InputError, ResourceCapError
+from arboreal.formats import load_presentation
 from arboreal.graphs import SimpleGraph
 from arboreal.tree import (TreeEdge, TreeVertex, audit_acylindricity, element_action,
                            make_edge, make_vertex, path_stabilizer, tree_ball, tree_ball_to_dot,
@@ -62,7 +69,7 @@ ROOT = RECORDED.parent.parent
 FULL_COUNT = 300
 QUICK_COUNT = 40
 LAYERS = ("classify", "make_vertex", "distance", "stabilizer", "tree_ball", "audit", "words",
-          "ball", "cli")
+          "ball", "cli", "pins")
 
 
 def random_product(rng: random.Random) -> Presentation:
@@ -198,11 +205,38 @@ def cli_lines():
         os.chdir(cwd)
 
 
+def pinned_presentations():
+    """(name, presentation) for the ``pins`` layer: four fixtures, and the
+    right-angled Coxeter group on K_{1,3} and P4 with orders (3, 2, 3, 2)."""
+    for name in ("p4_racg", "z2_z3", "z2_z5", "o2_racg"):
+        yield name, load_presentation(ROOT / "fixtures" / f"{name}.json")[0]
+    yield "k13_racg", Presentation(SimpleGraph("abcd", [("a", "b"), ("a", "c"), ("a", "d")]),
+                                   dict.fromkeys("abcd", 2))
+    yield "p4_3232", Presentation(SimpleGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d")]),
+                                  {"a": 3, "b": 2, "c": 3, "d": 2})
+
+
+def pins_lines():
+    """(``pins``, line) for each separated pair of each pinned presentation: the
+    audit's ``to_dict()`` at element radius 6 and (k, tree radius) = (1..4, 5),
+    (3, 6), (3, 8) and (4, 7), then the DOT and truncation of the tree ball at
+    (radius, local radius) = (2, 1), (3, 2) and (4, 2)."""
+    for name, pres in pinned_presentations():
+        for pair in separated_pairs(pres):
+            sp, case = build_splitting(pres, pair), [name, pair.a, pair.b]
+            for k, radius in ((1, 5), (2, 5), (3, 5), (4, 5), (3, 6), (3, 8), (4, 7)):
+                report = audit_acylindricity(sp, k, tree_radius=radius, element_radius=6)
+                yield "pins", json.dumps([*case, k, radius, report.to_dict()])
+            for radii in ((2, 1), (3, 2), (4, 2)):
+                yield "pins", json.dumps([*case, *radii, *dot_and_truncated(sp, *radii)])
+
+
 def digests(count: int) -> dict[str, str]:
-    """Each layer's sha256 over products 0..count-1, and the ``cli`` layer's."""
+    """Each layer's sha256 over products 0..count-1, and the ``cli`` and
+    ``pins`` layers'."""
     hashes = {layer: hashlib.sha256() for layer in LAYERS}
     cases = chain.from_iterable(map(product_lines, range(count)))
-    for layer, line in chain(cases, cli_lines()):
+    for layer, line in chain(cases, cli_lines(), pins_lines()):
         hashes[layer].update(line.encode() + b"\n")
     return {layer: h.hexdigest() for layer, h in hashes.items()}
 
