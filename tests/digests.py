@@ -35,14 +35,19 @@ The ``words`` and ``ball`` cases are drawn from a random stream of their
 own, and so are the ``cli`` layer's long words, so that adding them moved
 no other layer's cases.
 A refactor that keeps every output keeps every digest; ``digests.json``
-holds them for the counts that tests/test_digests.py and CI run. Run from
-the repository's root:
+holds them for the counts that tests/test_digests.py and CI run. It is the
+one golden store of the tests; bench/expected.json is the benchmark's own.
+Run from the repository's root:
 
     PYTHONPATH=src python3 tests/digests.py [COUNT] [--record]
 
 prints each layer's digest for products 0..COUNT-1 (default
-``FULL_COUNT``) and exits 1 if one differs from the recorded digest for that
-count; ``--record`` writes them to ``digests.json`` instead.
+``FULL_COUNT``) and exits 1 naming the layers that moved: those whose digest
+differs from the one recorded for that count, and those recorded there that
+``LAYERS`` lacks. ``--record`` writes the digests to ``digests.json``
+instead and prints which layers moved, or that none did. A change that
+means to alter an output records both counts once, in a commit of its own,
+and names the moved layers in CHANGES.md.
 """
 
 import hashlib
@@ -152,10 +157,10 @@ def word_lines(rng: random.Random, pres: Presentation):
 
 
 def cli_argvs():
-    """The ``cli`` layer's argvs, paths relative to the repository's root: the
-    byte steps of CI (audits, tree-ball DOT, long-word ``nf``, ``mul`` and
-    ``tree-dist``) and one run per error exit. No ``-h``, usage error or
-    ``--out``: argparse's text differs between Python versions."""
+    """The ``cli`` layer's argvs, paths relative to the repository's root:
+    audits, tree-ball DOT, long-word ``nf``, ``mul`` and ``tree-dist``, and
+    one run per error exit. No ``-h``, usage error or ``--out``: argparse's
+    text differs between Python versions."""
     rng = random.Random("cli")
 
     def long_word(fixture, length):
@@ -249,17 +254,19 @@ def main(argv: list[str]) -> int:
     for layer, digest in found.items():
         print(f"{layer:12} {digest}")
     recorded = json.loads(RECORDED.read_text()) if RECORDED.exists() else {}
+    if not record and str(count) not in recorded:
+        print(f"no digests recorded for {count} products", file=sys.stderr)
+        return 1
+    expected = recorded.get(str(count), {})
+    moved = [layer for layer in (*LAYERS, *sorted(set(expected) - set(LAYERS)))
+             if found.get(layer) != expected.get(layer)]
     if record:
         recorded[str(count)] = found
         RECORDED.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
+        print(f"moved at {count} products: {', '.join(moved) or 'none'}")
         return 0
-    expected = recorded.get(str(count))
-    if expected is None:
-        print(f"no digests recorded for {count} products", file=sys.stderr)
-        return 1
-    changed = [layer for layer in LAYERS if found[layer] != expected.get(layer)]
-    if changed:
-        print(f"digests differ from {RECORDED.name}: {', '.join(changed)}", file=sys.stderr)
+    if moved:
+        print(f"digests differ from {RECORDED.name}: {', '.join(moved)}", file=sys.stderr)
         return 1
     return 0
 
