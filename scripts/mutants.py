@@ -43,6 +43,7 @@ TIMEOUT_S = 900
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests",
           "--hypothesis-profile", "mutants"]
 
+GRAPHS = "src/arboreal/graphs.py"
 WORDS = "src/arboreal/words.py"
 TREE = "src/arboreal/tree.py"
 CLASSIFY = "src/arboreal/classify.py"
@@ -50,6 +51,22 @@ CLI = "src/arboreal/cli.py"
 FORMATS = "src/arboreal/formats.py"
 
 MUTANTS = [
+    # graph layer
+    (GRAPHS, "spare = balls[:]", "spare = balls",
+     "the diameter's rounds write the balls they read, so a ball ORs in neighbours' balls "
+     "of the same round"),
+    (GRAPHS, "    if everything == 1:\n        return 0\n", "    if everything == 1:\n        return 1\n",
+     "a one-vertex graph's ball is taken as full at round 1, not round 0"),
+    (GRAPHS, "if balls.count(everything) == len(balls):", "if balls.count(everything):",
+     "a graph with a vertex joined to all others is taken as complete, of diameter 1"),
+    (GRAPHS, "            near.append(u)\n", "",
+     "round 2 lists no neighbours, so each ball it leaves short of everything stops growing"),
+    (GRAPHS, "            if ball == before:\n                return INFINITY\n"
+     "            if ball != everything:\n                still.append(item)",
+     "            if ball == balls[near[0]]:\n                return INFINITY\n"
+     "            if ball != everything:\n                still.append(item)",
+     "past round 2 the disconnection test compares a ball with its first neighbour's ball "
+     "of the round before, not with its own"),
     # word layer
     (WORDS, "if i >= 0 and h[i][0] == v:", "if i > 0 and h[i][0] == v:",
      "_extend never joins with the first syllable"),
@@ -211,10 +228,16 @@ MUTANTS = [
      "a named word may shadow a word"),
     (FORMATS, "if isinstance(raw, int) and not isinstance(raw, bool):", "if isinstance(raw, int):",
      "a JSON true is read as the order 1"),
+    (FORMATS, "raw if type(raw) is int else", "raw if isinstance(raw, int) else",
+     "the loader's fast test passes a JSON true as the order 1"),
+    (FORMATS, 'name.isalnum() and name != "1" or', "name.isalnum() or",
+     'the loader\'s fast test passes a vertex named "1", which reads as the identity'),
+    (FORMATS, "and type(pair[0]) is str and", "and",
+     "the loader's fast test passes an edge whose first endpoint is not a string"),
     (FORMATS, r'_VERTEX_NAME = re.compile(r"(?!1\Z)[^\s^\ud800-\udfff]+")',
      r'_VERTEX_NAME = re.compile(r"[^\s^\ud800-\udfff]+")',
      'a vertex may be named "1", which reads as the identity'),
-    (FORMATS, "            if not isinstance(end, str):", "            if False:",
+    (FORMATS, "        if not isinstance(end, str):", "        if False:",
      "a non-string edge endpoint is passed on to the graph"),
 ]
 

@@ -12,7 +12,8 @@ the first pair. The search runs on the graph's vertex masks: a pair is
 non-adjacent when bit j of ``masks[i]`` is clear, its common link is
 ``masks[i] & masks[j]``, and the link's order comes from the same clique test
 as ``Presentation.full_subgroup_order``. A verdict's only search over paths
-is the frontier-mask search for its ``diameter`` field.
+is ``graphs.diameter``, which grows every vertex's ball at once, for its
+``diameter`` field.
 """
 
 import enum
@@ -63,13 +64,31 @@ class CompleteGraphCase(NamedTuple):
     reason: str
 
 
+# The certificate of every complete graph: it names no vertex.
+_COMPLETE_GRAPH_CASE = CompleteGraphCase(
+    "complete graph of cyclic groups: direct product Z^k x finite is "
+    "finite, virtually cyclic, or a product of two infinite groups, "
+    "none of which act acylindrically non-elementarily on a tree"
+)
+
+
 def _certificate_dict(cert) -> dict:
     """``kind``, the certificate's class name, then each field in declaration
     order, tuples as lists."""
     out = {"kind": type(cert).__name__}
-    for key, value in cert._asdict().items():
+    for key, value in zip(cert._fields, cert):
         out[key] = list(value) if isinstance(value, tuple) else value
     return out
+
+
+def _side_names(vertices: tuple[str, ...], side: int) -> list[str]:
+    """The vertices of the vertex mask ``side``, in vertex order: all of them
+    less those outside the mask, deleted from the highest index down. A
+    splitting's side leaves out one or two vertices."""
+    names = list(vertices)
+    for i in reversed([*bit_indices((1 << len(names)) - 1 & ~side)]):
+        del names[i]
+    return names
 
 
 class SplittingSpec(NamedTuple):
@@ -99,12 +118,12 @@ class SplittingSpec(NamedTuple):
         return self.a_side if name == SIDE_A else self.b_side
 
     def to_dict(self):
-        names = self.presentation._names
+        vertices = self.presentation.graph.vertices
         return {
             "pair": list(self.pair),
-            "A": names(self.a_side),
-            "B": names(self.b_side),
-            "C": names(self.c_side),
+            "A": _side_names(vertices, self.a_side),
+            "B": _side_names(vertices, self.b_side),
+            "C": _side_names(vertices, self.c_side),
             "N": list(self.n_set),
             "acyl_k": self.acyl_k,
             "acyl_C": self.acyl_c,
@@ -178,7 +197,7 @@ def is_virtually_cyclic(pres: Presentation) -> VirtuallyCyclic:
     infinite.
     """
     orders = pres.orders
-    infinite = sum(n == INFINITY for n in orders.values())
+    infinite = [*orders.values()].count(INFINITY)
     # two infinite factors rule out both cases, so the non-edges go uncounted
     missing = _non_adjacent_pair_count(pres) if infinite < 2 else None
     yes = missing == 0 or missing == 1 and not infinite and all(
@@ -215,7 +234,7 @@ def _splitting(pres: Presentation, pair: SeparatedPair) -> SplittingSpec:
     every = (1 << len(index)) - 1
     a_side, b_side = every ^ 1 << index[pair.b], every ^ 1 << index[pair.a]
     return SplittingSpec(pres, (pair.a, pair.b), a_side, b_side, a_side & b_side, pair.link_set,
-                         acyl_k=3, acyl_c=pair.link_order)
+                         3, pair.link_order)
 
 
 def classify(pres: Presentation) -> Verdict:
@@ -224,11 +243,7 @@ def classify(pres: Presentation) -> Verdict:
     vc = is_virtually_cyclic(pres)
     ah = _ah_criterion(pres.graph, vc)
     if diam <= 1:
-        cert = CompleteGraphCase(
-            "complete graph of cyclic groups: direct product Z^k x finite is "
-            "finite, virtually cyclic, or a product of two infinite groups, "
-            "none of which act acylindrically non-elementarily on a tree"
-        )
+        cert = _COMPLETE_GRAPH_CASE
     elif vc == VirtuallyCyclic.YES:
         cert = VirtuallyCyclicWitness(_complete_minus_one_edge(pres))
     else:

@@ -59,16 +59,15 @@ class Presentation:
     def __init__(self, graph: SimpleGraph, orders: dict[str, int | float]):
         if len(graph.vertices) < 2:
             raise DegeneratePresentationError("a graph product needs at least two vertices")
+        self.graph, self.orders = graph, {}
         for v in graph.vertices:
             if v not in orders:
                 raise DegeneratePresentationError(f"vertex {v} has no order entry")
-            n = orders[v]
+            n = self.orders[v] = orders[v]
             if n != INFINITY and (not isinstance(n, int) or n < 2):
                 raise DegeneratePresentationError(
                     f"vertex {v} has order {n}; orders must be integers >= 2 or INFINITY"
                 )
-        self.graph = graph
-        self.orders = {v: orders[v] for v in graph.vertices}
 
     def __eq__(self, other):
         return (

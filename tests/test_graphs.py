@@ -48,6 +48,40 @@ def graphs(draw, max_vertices=10):
 
 
 @st.composite
+def sparse_graphs(draw, max_vertices=40):
+    """Graphs whose edge probability is drawn first, from sparse to dense, and
+    which are at times a random spanning tree plus those edges: connected
+    graphs of long diameter as well as many components. The tree hangs each
+    vertex from one of the ``reach`` before it, a path at reach 1. Vertex
+    order is random, so a ball's neighbours come before and after it."""
+    n = draw(st.integers(1, max_vertices))
+    rng = draw(st.randoms(use_true_random=False))
+    p = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3, 0.7, 0.95]))
+    names = [f"v{i}" for i in range(n)]
+    rng.shuffle(names)
+    edges = [e for e in combinations(names, 2) if rng.random() < p]
+    if reach := draw(st.sampled_from([0, 1, 2, 4, max_vertices])):
+        edges += [(names[i], names[rng.randrange(max(0, i - reach), i)]) for i in range(1, n)]
+    return SimpleGraph(names, edges)
+
+
+def bfs_diameter(g):
+    """The diameter from a breadth-first search per vertex, INFINITY if one
+    misses a vertex."""
+    dists = [graph_distances(g, v) for v in g.vertices]
+    if any(len(d) < len(g.vertices) for d in dists):
+        return INFINITY
+    return max(max(d.values()) for d in dists)
+
+
+def grid_graph(rows, columns):
+    names = [f"{i},{j}" for i in range(rows) for j in range(columns)]
+    edges = [(f"{i},{j}", f"{i},{j + 1}") for i in range(rows) for j in range(columns - 1)]
+    edges += [(f"{i},{j}", f"{i + 1},{j}") for i in range(rows - 1) for j in range(columns)]
+    return SimpleGraph(names, edges)
+
+
+@st.composite
 def edge_lists(draw, max_vertices=7):
     """(vertices, edges): names in any order, at times with a duplicate; edges
     repeated and in either orientation, at times a loop or an endpoint "z"
@@ -163,6 +197,28 @@ class TestDiameter:
         g = path_graph(130)
         assert diameter(SimpleGraph(g.vertices + ("0",), g.edges)) == INFINITY
 
+    def test_two_disjoint_paths_are_infinite(self):
+        # a middle vertex's ball stops growing first, at round 33, a path short of everything
+        names = [f"{side}{i}" for side in "xy" for i in range(65)]
+        edges = [(f"{side}{i}", f"{side}{i + 1}") for side in "xy" for i in range(64)]
+        g = SimpleGraph(names, edges)
+        assert diameter(g) == bfs_diameter(g) == INFINITY
+
+    def test_grid(self):
+        g = grid_graph(9, 9)
+        assert diameter(g) == bfs_diameter(g) == 16
+
+    def test_dense_balls_fill_partway_through_a_round(self):
+        # 40 vertices, all joined but for a perfect matching: each round-1 ball
+        # misses one vertex, and round 2 fills it at its first neighbour
+        names = [f"v{i}" for i in range(40)]
+        g = SimpleGraph(names, [(u, v) for (i, u), (j, v) in combinations(enumerate(names), 2)
+                                if i // 2 != j // 2])
+        assert diameter(g) == bfs_diameter(g) == 2
+        rng = random.Random(3)
+        g = SimpleGraph(names, [e for e in combinations(names, 2) if rng.random() < 0.7])
+        assert diameter(g) == bfs_diameter(g) == 2
+
 
 class TestIrreducibility:
     def test_fig2_is_irreducible(self):
@@ -222,11 +278,12 @@ class TestProperties:
     @settings(max_examples=150, deadline=None)
     @given(graphs(max_vertices=10))
     def test_diameter_matches_bfs_distances(self, g):
-        dists = [graph_distances(g, v) for v in g.vertices]
-        if any(len(d) < len(g.vertices) for d in dists):
-            assert diameter(g) == INFINITY
-        else:
-            assert diameter(g) == max(max(d.values()) for d in dists)
+        assert diameter(g) == bfs_diameter(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_graphs(max_vertices=40))
+    def test_diameter_matches_bfs_distances_up_to_40_vertices(self, g):
+        assert diameter(g) == bfs_diameter(g)
 
     @settings(max_examples=100, deadline=None)
     @given(graphs(max_vertices=10))
