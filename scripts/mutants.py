@@ -84,6 +84,14 @@ MUTANTS = [
      "_steps keeps INFINITY as an infinite vertex's order, so e %= inf makes 3 a float 3.0"),
     (WORDS, "[(v, -e) for v, e in reversed(tuple(word))]", "[(v, e) for v, e in reversed(tuple(word))]",
      "inverse keeps the exponents' signs"),
+    (WORDS, "return [vertices[i] for i in bit_indices(mask)]",
+     "return [vertices[i] for i in bit_indices(mask & mask - 1)]",
+     "_names drops a sparse mask's lowest vertex"),
+    (WORDS, "del names[i := clear.bit_length() - 1]", "del names[i := (clear & -clear).bit_length() - 1]",
+     "_names deletes a dense mask's clear bits from the lowest up, so each deletion shifts "
+     "the index of the next"),
+    (WORDS, "(2, (1, -1)) if n == INFINITY", "(2, (1,)) if n == INFINITY",
+     "ball enumeration gives an infinite vertex no generator of exponent -1"),
     (WORDS, "while frontier and depth < radius:", "while frontier and depth <= radius:",
      "ball enumeration builds one layer past its radius"),
     (WORDS, "return mask.bit_count() <= radius and", "return mask.bit_count() < radius and",
@@ -229,16 +237,21 @@ MUTANTS = [
     (FORMATS, "if isinstance(raw, int) and not isinstance(raw, bool):", "if isinstance(raw, int):",
      "a JSON true is read as the order 1"),
     (FORMATS, "raw if type(raw) is int else", "raw if isinstance(raw, int) else",
-     "the loader's fast test passes a JSON true as the order 1"),
+     "the loader's int test, before _parse_order, passes a JSON true as the order 1"),
     (FORMATS, 'name.isalnum() and name != "1" or', "name.isalnum() or",
-     'the loader\'s fast test passes a vertex named "1", which reads as the identity'),
-    (FORMATS, "and type(pair[0]) is str and", "and",
-     "the loader's fast test passes an edge whose first endpoint is not a string"),
+     'the loader\'s isalnum test, before the regex, passes a vertex named "1", which reads '
+     "as the identity"),
+    (FORMATS, "if not isinstance(entry, dict) or", "if type(entry) is not dict or",
+     "the loader rejects a dict subclass for a vertex entry"),
+    (FORMATS, " or isinstance(pair, tuple)", "",
+     "the loader rejects a tuple edge"),
+    (FORMATS, "not isinstance(end := pair[0], str) or ", "",
+     "the loader passes an edge whose first endpoint is not a string"),
     (FORMATS, r'_VERTEX_NAME = re.compile(r"(?!1\Z)[^\s^\ud800-\udfff]+")',
      r'_VERTEX_NAME = re.compile(r"[^\s^\ud800-\udfff]+")',
      'a vertex may be named "1", which reads as the identity'),
-    (FORMATS, "        if not isinstance(end, str):", "        if False:",
-     "a non-string edge endpoint is passed on to the graph"),
+    (FORMATS, "or not isinstance(end := pair[1], str):", ":",
+     "the loader passes an edge whose second endpoint is not a string"),
 ]
 
 

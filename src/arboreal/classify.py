@@ -21,7 +21,7 @@ from itertools import chain, combinations
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import InputError
-from .graphs import INFINITY, SimpleGraph, bit_indices, diameter, is_irreducible
+from .graphs import INFINITY, SimpleGraph, diameter, is_irreducible
 from .words import Presentation
 
 # The two kinds of vertex of a splitting's Bass-Serre tree: cosets of G_A, of G_B.
@@ -81,16 +81,6 @@ def _certificate_dict(cert) -> dict:
     return out
 
 
-def _side_names(vertices: tuple[str, ...], side: int) -> list[str]:
-    """The vertices of the vertex mask ``side``, in vertex order: all of them
-    less those outside the mask, deleted from the highest index down. A
-    splitting's side leaves out one or two vertices."""
-    names = list(vertices)
-    for i in reversed([*bit_indices((1 << len(names)) - 1 & ~side)]):
-        del names[i]
-    return names
-
-
 class SplittingSpec(NamedTuple):
     """The witnessing amalgam G_A *_{G_C} G_B for a separated pair (a, b).
 
@@ -108,8 +98,8 @@ class SplittingSpec(NamedTuple):
     b_side: int
     c_side: int
     n_set: tuple[str, ...]
-    acyl_k: int
     acyl_c: int
+    acyl_k = 3  # the paper's constant, the same for every separated pair
 
     def side(self, name: str) -> int:
         """The vertex mask of the tree-vertex side ``name``, SIDE_A or SIDE_B."""
@@ -118,12 +108,12 @@ class SplittingSpec(NamedTuple):
         return self.a_side if name == SIDE_A else self.b_side
 
     def to_dict(self):
-        vertices = self.presentation.graph.vertices
+        names = self.presentation._names
         return {
             "pair": list(self.pair),
-            "A": _side_names(vertices, self.a_side),
-            "B": _side_names(vertices, self.b_side),
-            "C": _side_names(vertices, self.c_side),
+            "A": names(self.a_side),
+            "B": names(self.b_side),
+            "C": names(self.c_side),
             "N": list(self.n_set),
             "acyl_k": self.acyl_k,
             "acyl_C": self.acyl_c,
@@ -157,8 +147,7 @@ def _separated_row(pres: Presentation, i: int, columns) -> Iterator[SeparatedPai
     for j in columns:
         common = mask_a & masks[j]
         if not mask_a >> j & 1 and (order := pres._mask_order(common)) != INFINITY:
-            link_set = tuple(vertices[k] for k in bit_indices(common))
-            yield SeparatedPair(vertices[i], vertices[j], link_set, order)
+            yield SeparatedPair(vertices[i], vertices[j], tuple(pres._names(common)), order)
 
 
 def _separated_pairs(pres: Presentation) -> Iterator[SeparatedPair]:
@@ -234,7 +223,7 @@ def _splitting(pres: Presentation, pair: SeparatedPair) -> SplittingSpec:
     every = (1 << len(index)) - 1
     a_side, b_side = every ^ 1 << index[pair.b], every ^ 1 << index[pair.a]
     return SplittingSpec(pres, (pair.a, pair.b), a_side, b_side, a_side & b_side, pair.link_set,
-                         3, pair.link_order)
+                         pair.link_order)
 
 
 def classify(pres: Presentation) -> Verdict:

@@ -31,39 +31,8 @@ def _parse_order(name: str, raw) -> int | float:
     raise InputError(f"vertex {name!r}: order must be an integer or \"inf\", got {raw!r}")
 
 
-def _checked_name(i: int, entry) -> str:
-    """The name of ``vertices[i]``, or the InputError naming what is wrong with the entry."""
-    if not isinstance(entry, dict) or "name" not in entry or "order" not in entry:
-        raise InputError(f"vertices[{i}]: expected {{\"name\", \"order\"}}")
-    name = entry["name"]
-    if not isinstance(name, str):
-        raise InputError(f"vertices[{i}]: name must be a JSON string, got {type(name).__name__}")
-    if not _VERTEX_NAME.fullmatch(name):
-        raise InputError(
-            f"vertices[{i}]: name {name!r} cannot be written in a word; names must be "
-            "non-empty, not \"1\", and contain no whitespace, \"^\" or surrogate"
-        )
-    return name
-
-
-def _check_edge(i: int, pair) -> None:
-    """Raise the InputError naming what is wrong with ``edges[i]``, if anything."""
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise InputError(f"edges[{i}]: expected a two-element list")
-    for end in pair:
-        if not isinstance(end, str):
-            raise InputError(
-                f"edges[{i}]: endpoints must be JSON strings, got {type(end).__name__}"
-            )
-
-
 def presentation_from_dict(data: dict) -> tuple[Presentation, dict[str, Word]]:
-    """Build a presentation (and any named words) from parsed JSON.
-
-    A well-typed vertex entry (a dict with a writable str name and an int
-    order) and a well-typed edge (a list of two str) pass one test each; the
-    checks that name what is wrong run only for an entry that fails it.
-    """
+    """Build a presentation (and any named words) from parsed JSON."""
     if not isinstance(data, dict):
         raise InputError("presentation file must be a JSON object")
     if "vertices" not in data:
@@ -74,18 +43,30 @@ def presentation_from_dict(data: dict) -> tuple[Presentation, dict[str, Word]]:
             raise InputError(f"\"{key}\" must be a JSON {name}, got {type(data[key]).__name__}")
     names, orders = [], {}
     for i, entry in enumerate(data["vertices"]):
+        if not isinstance(entry, dict) or "name" not in entry or "order" not in entry:
+            raise InputError(f"vertices[{i}]: expected {{\"name\", \"order\"}}")
+        name, raw = entry["name"], entry["order"]
+        if not isinstance(name, str):
+            raise InputError(
+                f"vertices[{i}]: name must be a JSON string, got {type(name).__name__}"
+            )
         # a letter or digit is never whitespace, "^" or a surrogate
-        if not (type(entry) is dict and type(name := entry.get("name")) is str and "order" in entry
-                and (name.isalnum() and name != "1" or _VERTEX_NAME.fullmatch(name))):
-            name = _checked_name(i, entry)
-        raw = entry["order"]
+        if not (name.isalnum() and name != "1" or _VERTEX_NAME.fullmatch(name)):
+            raise InputError(
+                f"vertices[{i}]: name {name!r} cannot be written in a word; names must be "
+                "non-empty, not \"1\", and contain no whitespace, \"^\" or surrogate"
+            )
         names.append(name)
         orders[name] = raw if type(raw) is int else _parse_order(name, raw)
     edges = data.get("edges", [])
     for i, pair in enumerate(edges):
-        if not (type(pair) is list and len(pair) == 2
-                and type(pair[0]) is str and type(pair[1]) is str):
-            _check_edge(i, pair)
+        # two isinstance calls: one with a tuple of types takes twice as long
+        if not (isinstance(pair, list) or isinstance(pair, tuple)) or len(pair) != 2:
+            raise InputError(f"edges[{i}]: expected a two-element list")
+        if not isinstance(end := pair[0], str) or not isinstance(end := pair[1], str):
+            raise InputError(
+                f"edges[{i}]: endpoints must be JSON strings, got {type(end).__name__}"
+            )
     pres = Presentation(SimpleGraph(names, edges), orders)
     words = {}
     for key, text in data.get("words", {}).items():

@@ -6,7 +6,7 @@ edge at a vertex is the vertex's representative extended by a coset
 representative, already stripped (see ``tree_ball``). The tree is infinite;
 every exploration here is bounded and reports truncation. Vertex sets (A, B,
 C and each R) are int masks, bit i for ``graph.vertices[i]``, named only
-where ``path_stabilizer`` returns an R and where a ball is enumerated.
+where ``path_stabilizer`` returns an R.
 
 Coset representatives, distances and stabilizers are questions about the
 dependency heap of a reduced word (see words.py), which is never built: a
@@ -175,11 +175,11 @@ def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int,
     set of C-stripped coset representatives of each side whose ball is
     enumerated. A side is read from the growth table ``series`` (see
     ``Presentation.growth_table``) where one is given and not cut, and
-    enumerated otherwise. From the series, m_S counts the C-stripped
-    representatives of length at most ``local_radius``, whose series is
-    W_S/W_C = (1 + y_u z) P_C/P_S for S - C = {u} (see
-    ``audit_acylindricity``), y_u being D_S's z-coefficient, the sum of y_v
-    over S, less D_C's; their count never passes the cap, as the side ball's
+    enumerated by ``Presentation._ball`` otherwise. From the series, m_S
+    counts the C-stripped representatives of length at most
+    ``local_radius``, whose series is W_S/W_C = (1 + y_u z) P_C/P_S for S -
+    C = {u} (see ``audit_acylindricity``), y_u being D_S's z-coefficient,
+    the sum of y_v over S, less D_C's; their count never passes the cap, as the side ball's
     count, read first, is at least as large. Read or enumerated, the cap
     errors come in BFS order: side A's ball, the tree at depth 0, side B's
     ball, the tree at each deeper depth."""
@@ -198,8 +198,7 @@ def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int,
                 reps = [a + y * b for a, b in zip(p_c + [0], [0] + p_c)]
                 counts[side] = cumulative_counts(reps, p_s, local_radius, cap)
             else:
-                side_ball = pres.enumerate_ball_info(local_radius, cap=cap,
-                                                     subset=pres._names(s_mask))[0]
+                side_ball = pres._ball(s_mask, local_radius, cap)
                 cosets[side] = {_strip(pres, s, c_mask) for s in side_ball}
                 counts[side] = len(cosets[side])
         kids.append(counts[side] - (d > 0))
@@ -476,7 +475,7 @@ def audit_acylindricity(
     def top(r):  # from the series, else enumerated where the table is cut
         if read := series(r):
             return cumulative_counts(*read, element_radius, cap)
-        return len(pres.enumerate_ball_info(element_radius, cap=cap, subset=pres._names(r))[0])
+        return len(pres._ball(r, element_radius, cap))
 
     tops = [(us, top(r)) for us, r in _path_groups(splitting, k, tree_radius)]
     witnesses = [([TreeEdge(())] + [TreeEdge((Syllable(u, 1),)) for u in us], size)

@@ -170,8 +170,17 @@ class Presentation:
         return sum(1 << index[v] for v in subset)
 
     def _names(self, mask: int) -> list[str]:
-        """The vertices of the int mask ``mask`` (see ``_mask``), in vertex order."""
-        return [v for i, v in enumerate(self.graph.vertices) if mask >> i & 1]
+        """The vertices of the int mask ``mask`` (see ``_mask``), in vertex
+        order: those of its set bits if under half are set, else every vertex
+        less those of its clear bits, deleted from the highest index down."""
+        vertices = self.graph.vertices
+        if mask.bit_count() * 2 < len(vertices):
+            return [vertices[i] for i in bit_indices(mask)]
+        names, clear = list(vertices), (1 << len(vertices)) - 1 & ~mask
+        while clear:
+            del names[i := clear.bit_length() - 1]
+            clear ^= 1 << i
+        return names
 
     def _mask_order(self, mask: int) -> int | float:
         """``full_subgroup_order`` of the vertex set with mask ``mask``. S is
@@ -212,21 +221,27 @@ class Presentation:
 
         The generators are the single syllables: every nontrivial exponent at a
         finite vertex, exponents +-1 at an infinite one. With ``subset`` given,
-        only those of the full subgroup G_S, and the ball is G_S's. Radius 1
-        holds them all, so ``cap`` is checked there before any is built.
+        only those of the full subgroup G_S, and the ball is G_S's (see ``_ball``).
         Raises InputError for a negative radius, whose ball is empty.
         """
         if radius < 0:
             raise InputError(f"radius must be at least 0, got {radius}")
-        allowed = self.graph.check_vertices(self.graph.vertices if subset is None else subset)
-        # vertex -> (generator count, exponents); len() fails past sys.maxsize
-        exponents = {
-            v: (2, (1, -1)) if n == INFINITY else (n - 1, range(1, n))
-            for v, n in self.orders.items() if v in allowed
-        }
+        graph = self.graph
+        mask = self._mask(graph.check_vertices(graph.vertices if subset is None else subset))
+        return self._ball(mask, radius, cap), self._saturates(mask, radius)
+
+    def _ball(self, mask: int, radius: int, cap: int) -> set[Word]:
+        """``enumerate_ball_info``'s ball of G_S, S the vertex set of ``mask``.
+        Radius 1 holds every generator, so ``cap`` is checked there before
+        any is built."""
+        if not radius:
+            return {()}
+        vertices, orders = self.graph.vertices, self.orders
+        exponents = {}  # vertex -> (generator count, exponents); len() fails past sys.maxsize
+        for i in bit_indices(mask):
+            n = orders[v := vertices[i]]
+            exponents[v] = (2, (1, -1)) if n == INFINITY else (n - 1, range(1, n))
         count = sum(c for c, _ in exponents.values())
-        if count and radius < 1:
-            return {()}, False
         if count and count >= cap:
             raise _ball_cap_error(cap, 1)
         gens = [Syllable(v, e) for v, (_, es) in exponents.items() for e in es]
@@ -246,7 +261,7 @@ class Presentation:
                             raise _ball_cap_error(cap, depth)
                         new.append(h)
             frontier = new
-        return seen, self._saturates(self._mask(allowed), radius)
+        return seen
 
     def growth_table(self, degree: int, cap: int = DEFAULT_BALL_CAP):
         """The int mask of S (see ``_mask``) -> (D, P) mod z^(t + 1), t =
@@ -296,7 +311,7 @@ def cumulative_counts(numerator: list[int], denominator: list[int], radius: int,
     at j = ``radius`` or the last j before the first w_j = 0: in a growth
     series (see ``Presentation.growth_table``), or one of coset
     representatives, an empty sphere has only empty spheres after it. Raises
-    ``enumerate_ball_info``'s error at the first j whose total passes ``cap``.
+    ``Presentation._ball``'s error at the first j whose total passes ``cap``.
     Only the last len(denominator) - 1 coefficients are kept."""
     tail = denominator[1:]
     w = deque(maxlen=len(tail))  # latest first

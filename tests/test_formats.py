@@ -44,9 +44,14 @@ def test_classify_path_derives_no_adjacency_or_edges(fixtures_dir, name):
     assert "edges" not in vars(pres.graph)
 
 
+class Entry(dict):
+    """A dict subclass, as a caller may pass for a vertex entry."""
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_round_trip(fixtures_dir, name):
-    """The loaded presentation gives back what the file says."""
+    """The loaded presentation gives back what the file says, and the same
+    data loads with each vertex entry a dict subclass and each edge a tuple."""
     path = fixtures_dir / name
     data = json.loads(path.read_text())
     pres, words = load_presentation(path)
@@ -58,6 +63,9 @@ def test_fixture_round_trip(fixtures_dir, name):
     assert words == {
         key: pres.canonical(parse_word(pres, text)) for key, text in data.get("words", {}).items()
     }
+    data.update(vertices=[Entry(entry) for entry in data["vertices"]],
+                edges=[tuple(pair) for pair in data.get("edges", [])])
+    assert presentation_from_dict(data) == (pres, words)
 
 
 def test_infinite_orders_parse(fixtures_dir):
@@ -134,15 +142,17 @@ def test_non_string_named_word_rejected(word):
 
 @pytest.mark.parametrize("end", [None, True, 1.5, 5, []], ids=repr)
 def test_non_string_edge_endpoint_rejected(end):
-    """A non-string endpoint is rejected, not matched to the vertex that its
-    str() names."""
-    with pytest.raises(InputError, match=r"edges\[1\]: endpoints must be JSON strings"):
-        presentation_from_dict(
-            {
-                "vertices": [{"name": v, "order": 2} for v in ("a", "b", "None", "True")],
-                "edges": [["a", "b"], [end, "a"]],
-            }
-        )
+    """A non-string endpoint, first or second, is rejected, not matched to
+    the vertex that its str() names."""
+    for pair in [end, "a"], ["a", end]:
+        with pytest.raises(InputError, match=r"edges\[1\]: endpoints must be JSON strings, "
+                                             f"got {type(end).__name__}$"):
+            presentation_from_dict(
+                {
+                    "vertices": [{"name": v, "order": 2} for v in ("a", "b", "None", "True")],
+                    "edges": [["a", "b"], pair],
+                }
+            )
 
 
 def test_vertex_names_round_trip_through_words():

@@ -416,7 +416,7 @@ class TestAudit:
             {"a": INFINITY, "b": INFINITY, "c": 2, "d": 2, "e": 3},
         )
         sp = build_splitting(pres, SeparatedPair("d", "e", (), 1))
-        monkeypatch.setattr(Presentation, "enumerate_ball_info", no_enumeration)
+        monkeypatch.setattr(Presentation, "_ball", no_enumeration)
         with pytest.raises(ResourceCapError, match=f"cap of 391 elements at radius {radius}$"):
             audit_acylindricity(sp, k=2, tree_radius=2, element_radius=element_radius,
                                 local_radius=3, cap=391)
@@ -427,7 +427,7 @@ class TestAudit:
         raises that error from its growth series, enumerating no ball."""
         pres = Presentation(SimpleGraph("abd", [("a", "d")]), {"a": 2, "b": 2, "d": INFINITY})
         sp = build_splitting(pres, SeparatedPair("a", "b", (), 1))
-        monkeypatch.setattr(Presentation, "enumerate_ball_info", no_enumeration)
+        monkeypatch.setattr(Presentation, "_ball", no_enumeration)
         with pytest.raises(ResourceCapError,
                            match="^ball exceeded cap of 200000 elements at radius 100000$"):
             audit_acylindricity(sp, k=1, tree_radius=1, element_radius=10**9)
@@ -451,7 +451,7 @@ class TestAudit:
         orders = {"a": 3, "b": 2, "c": INFINITY, "d": 2}
         pres = Presentation(SimpleGraph("abcd", [("c", "d")]), orders)
         sp = build_splitting(pres, SeparatedPair("a", "c", (), 1))
-        monkeypatch.setattr(Presentation, "enumerate_ball_info", no_enumeration)
+        monkeypatch.setattr(Presentation, "_ball", no_enumeration)
         report = audit_acylindricity(sp, 2, 2, 2, 2)
         assert report.to_dict()["violations"] == [{"path": ["C:1", "C:c"], "stabilizer_size": 2}]
 
@@ -464,9 +464,8 @@ class TestAudit:
         sp = build_splitting(pres, SeparatedPair("a", "b", (), 1))
         assert pres.growth_table(3)(sp.c_side) is None
         calls = []
-        enumerate_ball_info = Presentation.enumerate_ball_info
-        monkeypatch.setattr(Presentation, "enumerate_ball_info",
-                            lambda *args, **kw: calls.append(1) or enumerate_ball_info(*args, **kw))
+        ball = Presentation._ball
+        monkeypatch.setattr(Presentation, "_ball", lambda *args: calls.append(1) or ball(*args))
         report = audit_acylindricity(sp, 3, 2, 2, 2)
         assert report.passed and report.max_stabilizer_size == 1 and calls
         with pytest.raises(ResourceCapError, match="cap of 20000 elements at radius 3$"):
@@ -481,9 +480,8 @@ class TestAudit:
         sp = build_splitting(pres, SeparatedPair("y0", "y1", pres.graph.vertices[2:m],
                                                  2 ** (m - 2)))
         calls = []
-        enumerate_ball_info = Presentation.enumerate_ball_info
-        monkeypatch.setattr(Presentation, "enumerate_ball_info",
-                            lambda *args, **kw: calls.append(1) or enumerate_ball_info(*args, **kw))
+        ball = Presentation._ball
+        monkeypatch.setattr(Presentation, "_ball", lambda *args: calls.append(1) or ball(*args))
         limits = [(1, 1, 1, 1), (1, 1, 2, 1), (3, 2, 2, 2)]
         reports = [audit_acylindricity(sp, *limit).to_dict() for limit in limits]
         assert not calls and not any(report["violations"] for report in reports)
@@ -546,14 +544,14 @@ class TestAudit:
         sizes from growth series. The P4 RACG's two-edge audits fail, and
         name their witnesses from the same series, enumerating no ball
         either."""
-        subsets = []
-        enumerate_ball_info = Presentation.enumerate_ball_info
+        masks = []
+        ball = Presentation._ball
 
-        def counted(pres, radius, cap=DEFAULT_BALL_CAP, subset=None):
-            subsets.append(subset)
-            return enumerate_ball_info(pres, radius, cap=cap, subset=subset)
+        def counted(pres, mask, radius, cap):
+            masks.append(mask)
+            return ball(pres, mask, radius, cap)
 
-        monkeypatch.setattr(Presentation, "enumerate_ball_info", counted)
+        monkeypatch.setattr(Presentation, "_ball", counted)
         audits = 0
         for path in sorted(FIXTURES.glob("*.json")):
             pres, _ = load_presentation(path)
@@ -563,12 +561,12 @@ class TestAudit:
                                            local_radius=2).passed
                 audits += 1
         assert audits == 6
-        assert subsets == []
+        assert masks == []
         for pair in separated_pairs(p4_racg):
             sp = build_splitting(p4_racg, pair)
             assert not audit_acylindricity(sp, k=2, tree_radius=3, element_radius=4,
                                            local_radius=2).passed
-        assert subsets == []
+        assert masks == []
 
     @pytest.mark.parametrize("element_radius", [1, 2])
     def test_sizes_conjugate_by_the_whole_of_f(self, element_radius):

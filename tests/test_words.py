@@ -291,6 +291,25 @@ class TestFullSubgroups:
     def test_order_of_empty_set(self, p4_racg):
         assert p4_racg.full_subgroup_order(set()) == 1
 
+    def test_names_lists_a_masks_vertices_in_vertex_order(self):
+        """``_names`` reads a sparse mask's set bits and deletes a dense
+        mask's clear bits; both list the mask's vertices in vertex order. For
+        2 to 200 vertices, in shuffled order: the empty and full masks, one
+        bit set or clear, masks with set-bit counts on both sides of n/2, and
+        random masks."""
+        rng = random.Random(48)
+        for n in [*range(2, 12), 63, 64, 65, 101, 200]:
+            vertices = [f"v{i}" for i in rng.sample(range(n), n)]
+            pres = Presentation(SimpleGraph(vertices), dict.fromkeys(vertices, 2))
+            full = (1 << n) - 1
+            masks = [0, full, *(1 << i for i in range(n)), *(full ^ 1 << i for i in range(n))]
+            for count in range(max(n // 2 - 2, 0), min(n // 2 + 3, n + 1)):
+                masks += [sum(1 << i for i in rng.sample(range(n), count)) for _ in range(3)]
+            masks += [rng.getrandbits(n) for _ in range(20)]
+            for mask in masks:
+                assert pres._names(mask) == [v for i, v in enumerate(vertices) if mask >> i & 1]
+            assert pres._names(pres._mask(vertices[::2])) == vertices[::2]
+
     def test_induced_keeps_vertex_order_edges_and_orders(self):
         pres = Presentation(p4_graph(), {"a": 2, "b": 3, "c": 5, "d": INFINITY})
         sub = pres.induced({"c", "a"})
