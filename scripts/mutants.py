@@ -68,8 +68,10 @@ MUTANTS = [
      "past round 2 the disconnection test compares a ball with its first neighbour's ball "
      "of the round before, not with its own"),
     # word layer
-    (WORDS, "if i >= 0 and h[i][0] == v:", "if i > 0 and h[i][0] == v:",
+    (WORDS, "if i >= 0 and u == v:", "if i > 0 and u == v:",
      "_extend never joins with the first syllable"),
+    (WORDS, "if i >= 0 and u == v:", "if 0 <= i < end - 1 and u == v:",
+     "_extend never joins with the last syllable"),
     (WORDS, "while j < end and h[j][0] in below:",
      "while j < end and h[j][0] not in below:",
      "_extend inserts a new sink at the wrong place in Kahn's order"),
@@ -82,8 +84,8 @@ MUTANTS = [
     (WORDS, "steps[v] = (0 if n == INFINITY else n, graph.adjacency[v],",
      "steps[v] = (n, graph.adjacency[v],",
      "_steps keeps INFINITY as an infinite vertex's order, so e %= inf makes 3 a float 3.0"),
-    (WORDS, "[(v, -e) for v, e in reversed(tuple(word))]", "[(v, e) for v, e in reversed(tuple(word))]",
-     "inverse keeps the exponents' signs"),
+    (WORDS, "            if _negate:\n                e = -e\n", "",
+     "inverse keeps the exponents' signs: _extend reads its reversed word unnegated"),
     (WORDS, "return [vertices[i] for i in bit_indices(mask)]",
      "return [vertices[i] for i in bit_indices(mask & mask - 1)]",
      "_names drops a sparse mask's lowest vertex"),
@@ -147,12 +149,12 @@ MUTANTS = [
      "the stabilizer's q is peeled forward, from the start of what p leaves"),
     (TREE, "reduce(and_, (masks[index[v]] for v, _ in d), c)", "c",
      "the stabilizer's R is C, uncut by the links of d's vertices"),
-    (TREE, "sylls = pres._extend(pres.inverse(v1.rep), v2.rep)",
+    (TREE, "h = pres._extend(pres.inverse(v1.rep), v2.rep)",
      "n = next((i for i, (x, y) in enumerate(zip(v1.rep, v2.rep)) if x != y), "
      "min(len(v1.rep), len(v2.rep))); "
-     "sylls = pres._extend(pres.inverse(v1.rep[n:]), v2.rep[n:])",
+     "h = pres._extend(pres.inverse(v1.rep[n:]), v2.rep[n:])",
      "tree_distance cancels a shared prefix of any words unread, so an unknown vertex passes"),
-    (TREE, "return last + (sides[last % 2] != v1.side)", "return last",
+    (TREE, "return last + (sides[last % 2] != side1)", "return last",
      "tree_distance misses the last round when it ends on the other side"),
     (TREE, "r, out = len(held) - 1, ~masks[i]", "r, out = len(held) - 1, masks[i]",
      "tree_distance takes a syllable's round from the vertices in its link, not outside it"),
@@ -161,6 +163,9 @@ MUTANTS = [
      "raises an odd round and one on v2's side only stays in it"),
     (TREE, "if d2 > d1:", "if d2 >= d1:",
      "element_action calls an elliptic element loxodromic"),
+    (TREE, "_rounds(splitting, pres._extend(g, g), SIDE_A, SIDE_A)",
+     "_rounds(splitting, g, SIDE_A, SIDE_A)",
+     "element_action forms g^2 as g, so it calls every element elliptic"),
     (TREE, "for us, size in tops if size > bound]", "for us, size in tops if size >= bound]",
      "the audit names a witness whose stabilizer has exactly |G_N| elements"),
     (TREE, "return [(us, reduce(",

@@ -15,7 +15,7 @@ question is a scan over the word with per-vertex state.
 
 Distances need no representatives in normal form: the alternating strips
 that measure one are rounds of a single reverse pass over the relative word
-(see ``tree_distance``).
+(see ``_rounds``).
 
 The pointwise stabilizer of a path is one conjugate f G_R f^-1 of a
 parabolic subgroup, read off a forward and a reverse peel of the word
@@ -252,32 +252,39 @@ def tree_ball(
 
 def tree_distance(splitting: SplittingSpec, v1: TreeVertex, v2: TreeVertex) -> int:
     """Edge-metric distance between two vertices, whose representatives may
-    be any words.
-
-    Right-stripping h = v1.rep^-1 v2.rep through the sides in turn, v2's side
-    first, measures it: each round deletes the largest successor-closed set of
-    syllables of h's heap on that round's side. One reverse pass over the
-    reduced h gives every syllable its round: the largest round r of its
-    successors (0 if none) when its vertex is on round r's side, else r + 1,
-    because every vertex is on side A or B. Rounds never increase along heap
-    arcs, and every later syllable outside a syllable's link is a descendant,
-    so r is the largest round held by a vertex outside the link, each vertex
-    holding the round of its latest syllable: the top mask held[r] of the
-    vertices that have held round r that meets the link's complement. A
-    vertex is outside its own link, so its rounds only grow along the scan,
-    and a stale bit in a lower mask never changes the maximum; no bit is
-    cleared. The distance is the largest round, plus one when that round's
-    side is not v1's. O(L*D) beyond ``inverse`` and ``_extend``, which give h
-    reduced.
+    be any words: the rounds (see ``_rounds``) of h = v1.rep^-1 v2.rep,
+    which ``inverse`` and ``_extend`` give reduced.
     """
     splitting.side(v1.side)  # rejects an unknown side, as side(v2.side) below does
     pres = splitting.presentation
-    index, masks = pres.graph.index, pres.graph.masks
-    sylls = pres._extend(pres.inverse(v1.rep), v2.rep)
-    sides = [v2.side, SIDE_B if v2.side == SIDE_A else SIDE_A]
+    h = pres._extend(pres.inverse(v1.rep), v2.rep)
+    return _rounds(splitting, h, v1.side, v2.side)
+
+
+def _rounds(splitting: SplittingSpec, h: Word, side1: str, side2: str) -> int:
+    """The distance between vertices g_1G_side1 and g_2G_side2, h the reduced
+    g_1^-1 g_2 of L syllables, in O(L*D).
+
+    Right-stripping h through the sides in turn, side2 first, measures it:
+    each round deletes the largest successor-closed set of syllables of h's
+    heap on that round's side. One reverse pass over h gives every syllable
+    its round: the largest round r of its successors (0 if none) when its
+    vertex is on round r's side, else r + 1, because every vertex is on side
+    A or B. Rounds never increase along heap arcs, and every later syllable
+    outside a syllable's link is a descendant, so r is the largest round
+    held by a vertex outside the link, each vertex holding the round of its
+    latest syllable: the top mask held[r] of the vertices that have held
+    round r that meets the link's complement. A vertex is outside its own
+    link, so its rounds only grow along the scan, and a stale bit in a lower
+    mask never changes the maximum; no bit is cleared. The distance is the
+    largest round, plus one when that round's side is not side1.
+    """
+    graph = splitting.presentation.graph
+    index, masks = graph.index, graph.masks
+    sides = [side2, SIDE_B if side2 == SIDE_A else SIDE_A]
     on = [splitting.side(side) for side in sides]
     held = [0]
-    for v, _ in reversed(sylls):
+    for v, _ in reversed(h):
         i = index[v]
         r, out = len(held) - 1, ~masks[i]
         while r and not held[r] & out:
@@ -287,7 +294,7 @@ def tree_distance(splitting: SplittingSpec, v1: TreeVertex, v2: TreeVertex) -> i
             held.append(0)
         held[r] |= 1 << i
     last = len(held) - 1
-    return last + (sides[last % 2] != v1.side)
+    return last + (sides[last % 2] != side1)
 
 
 def element_action(splitting: SplittingSpec, g: Word) -> ElementAction:
@@ -295,12 +302,14 @@ def element_action(splitting: SplittingSpec, g: Word) -> ElementAction:
 
     For a simplicial tree isometry without inversion, d(x, g^2 x) exceeds
     d(x, gx) exactly by the translation length when g is loxodromic, and
-    never exceeds it when g is elliptic. gx and g^2 x are the vertices gG_A
-    and ggG_A, whatever words g and gg are.
+    never exceeds it when g is elliptic. With x = G_A, gx and g^2 x are gG_A
+    and ggG_A, whose relative words to x are g and gg: g is normalized once
+    and g^2 is its normal form extended by itself (see ``_rounds``).
     """
-    x, g = base_vertex(splitting), tuple(g)
-    d1 = tree_distance(splitting, x, TreeVertex(SIDE_A, g))
-    d2 = tree_distance(splitting, x, TreeVertex(SIDE_A, g + g))
+    pres = splitting.presentation
+    g = pres.canonical(g)
+    d1 = _rounds(splitting, g, SIDE_A, SIDE_A)
+    d2 = _rounds(splitting, pres._extend(g, g), SIDE_A, SIDE_A)
     if d2 > d1:
         return ElementAction("Loxodromic", d2 - d1)
     return ElementAction("Elliptic")

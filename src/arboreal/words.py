@@ -17,14 +17,15 @@ v-syllable, so every heap query is a scan with per-vertex state.
 One loop gives every normal form: ``_extend(g, pairs)``, canonical(g + pairs)
 for a canonical g, normalizes each (vertex, exponent) pair and runs the
 insertion step of heaps of pieces (Viennot) on a copy of g. ``canonical`` and
-``multiply`` extend the empty word, ``inverse`` extends it by the negated
-pairs, ball enumeration extends each ball element by one syllable, and the
-tree layer extends canonical words instead of canonicalizing their
-concatenation again. Cost: O(|pairs|*b) beyond copying g, b the length of the
-trailing block that commutes with each new syllable; O(L^2) at worst for L
-syllables. ``_extend`` alone reduces exponents and joins syllables:
-``make_word`` is ``canonical``, and ``parse_word`` returns the normal form.
-``growth_table`` counts each G_S's elements by length without building any.
+``multiply`` extend the empty word, ``inverse`` extends it by its word read
+in reverse, negating each exponent as it is read, ball enumeration extends
+each ball element by one syllable, and the tree layer extends canonical words
+instead of canonicalizing their concatenation again. Cost: O(|pairs|*b)
+beyond copying g, b the length of the trailing block that commutes with each
+new syllable; O(L^2) at worst for L syllables. ``_extend`` alone reduces
+exponents and joins syllables: ``make_word`` is ``canonical``, and
+``parse_word`` returns the normal form. ``growth_table`` counts each G_S's
+elements by length without building any.
 """
 
 import re
@@ -104,22 +105,26 @@ class Presentation:
                         {graph.vertices[j] for j in bit_indices(below)})
         return steps
 
-    def _extend(self, g: Word, pairs: Iterable[tuple[str, int]]) -> Word:
+    def _extend(self, g: Word, pairs: Iterable[tuple[str, int]], _negate: bool = False) -> Word:
         """canonical(g + pairs) for a canonical g, O(|pairs|*b) beyond copying
-        g; each pair costs one ``_steps`` lookup. Here alone an exponent is
-        reduced into {1,...,n-1} at a finite order n, an identity dropped and
-        an unknown vertex rejected; each pair is then inserted into a copy of
-        g. The insertion scans back over syllables in link(v); a v-syllable
-        met there absorbs the new one, or goes when the exponent vanishes: it
-        is a heap sink, so the others keep their order. Otherwise the new
-        syllable is a sink whose last predecessor is the scan's stop, and
-        Kahn's algorithm takes it at the first later position whose vertex
-        index is larger than v's: as every later syllable is in link(v), the
-        first whose vertex is not in the link's part before v."""
+        g; each pair costs one ``_steps`` lookup. With ``_negate`` each
+        exponent is negated as it is read, which is how ``inverse`` reads its
+        reversed word. Here alone an exponent is reduced into {1,...,n-1} at a
+        finite order n, an identity dropped and an unknown vertex rejected;
+        each pair is then inserted into a copy of g. The insertion scans back
+        over syllables in link(v), reading each once; a v-syllable met there
+        absorbs the new one, or goes when the exponent vanishes: it is a heap
+        sink, so the others keep their order. Otherwise the new syllable is a
+        sink whose last predecessor is the scan's stop, and Kahn's algorithm
+        takes it at the first later position whose vertex index is larger
+        than v's: as every later syllable is in link(v), the first whose
+        vertex is not in the link's part before v."""
         steps, new, syllable = self._steps, tuple.__new__, Syllable
         h = list(g)
         for s in pairs:
             v, e = s
+            if _negate:
+                e = -e
             try:
                 n, lk, below = steps[v]
             except KeyError:
@@ -130,9 +135,9 @@ class Presentation:
                 continue
             end = len(h)
             i = end - 1
-            while i >= 0 and h[i][0] in lk:
+            while i >= 0 and (u := h[i][0]) in lk:
                 i -= 1
-            if i >= 0 and h[i][0] == v:
+            if i >= 0 and u == v:
                 e += h[i][1]
                 if n:
                     e %= n
@@ -155,7 +160,7 @@ class Presentation:
         return self._extend((), chain.from_iterable(words))
 
     def inverse(self, word: Word) -> Word:
-        return self._extend((), [(v, -e) for v, e in reversed(tuple(word))])
+        return self._extend((), reversed(tuple(word)), True)
 
     # --- full subgroups --------------------------------------------------------
 

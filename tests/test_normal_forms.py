@@ -3,7 +3,8 @@
 Presentations have at most five vertices with orders in {2, 3, inf}, and
 also 10^12 where exponent types are checked; words have at most ten
 syllables, given as plain ``(vertex, exponent)`` tuples,
-except against the heap oracle, which takes words of 20 to 200.
+except against the heap oracle, which takes words of 20 to 400, as pairs or
+Syllables, with exponents up to 2**64 and also order 10^12.
 Balls go up to radius 3 under caps low enough that cap errors are compared
 too; their counts per length, on up to six vertices, go up to radius 5
 against the growth series.
@@ -40,14 +41,63 @@ from oracles import (
 )
 
 
-@st.composite
-def presentations_and_words(draw, min_size=0, max_size=10):
-    pres = draw(presentations())
-    syllable = st.tuples(st.sampled_from(pres.graph.vertices), st.integers(-3, 3))
-    return pres, tuple(draw(st.lists(syllable, min_size=min_size, max_size=max_size)))
-
-
 randoms = st.randoms(use_true_random=False)
+ORDERS = (2, 3, 10**12, INFINITY)
+EXPONENTS = st.sampled_from([*range(-7, 8), 12, -12, 2**64])
+
+
+@st.composite
+def presentations_and_words(draw, min_size=0, max_size=10, orders=(2, 3, INFINITY),
+                            exponents=st.integers(-3, 3)):
+    """(pres, w): w has between min_size and max_size syllables, a length
+    drawn from a seeded Random, as hypothesis' own list draws stay near
+    min_size."""
+    pres, rng = draw(presentations(orders=orders)), draw(randoms)
+    size = rng.randint(min_size, max_size)
+    syllable = st.tuples(st.sampled_from(pres.graph.vertices), exponents)
+    return pres, tuple(draw(st.lists(syllable, min_size=size, max_size=size)))
+
+
+@st.composite
+def cancelling_words(draw):
+    """(pres, w, cancels): a raw word w, as plain pairs or as Syllables,
+    with exponents 0, negative, past the order and 2**64, and a quarter of
+    the time the unknown vertex z. w is a word u of up to 200 syllables
+    followed by its inverse, so that it cancels to () (``cancels``); or holds
+    (v, e), syllables in link(v), then (v, -e) or (v, e + 1), so that the
+    last joins or cancels with the first across the link, before or after u.
+    Half the time the link syllables all come after v in vertex order, so
+    the v-syllable stays at index 0 while they are read."""
+    (pres, u), rng = draw(presentations_and_words(0, 200, ORDERS, EXPONENTS)), draw(randoms)
+    graph = pres.graph
+    cancels = draw(st.booleans())
+    if cancels:
+        w = [*u, *((v, -e) for v, e in reversed(u))]
+    else:
+        v, e = rng.choice(graph.vertices), draw(EXPONENTS)
+        link = [x for x in graph.vertices if x in graph.adjacency[v]]
+        if draw(st.booleans()):
+            link = [x for x in link if graph.index[x] > graph.index[v]]
+        inner = [(rng.choice(link), draw(EXPONENTS)) for _ in range(rng.randint(0, 50) if link else 0)]
+        core = [(v, e), *inner, (v, rng.choice((-e, e + 1)))]
+        w = core + list(u) if draw(st.booleans()) else list(u) + core
+    if not draw(st.integers(0, 3)):
+        w.insert(rng.randint(0, len(w)), ("z", 1))
+    if draw(st.booleans()):
+        w = [Syllable(v, e) for v, e in w]
+    return pres, tuple(w), cancels
+
+
+def inverse_identities(pres, w):
+    """``inverse`` reads the raw word reversed and negates each exponent as
+    it reads it: it gives the heap oracle's normal form of the negated
+    reversed pairs, whose product with w is () and whose inverse is w's
+    normal form."""
+    inverse = pres.inverse(w)
+    assert inverse == canonical_by_heap(pres, tuple((v, -e) for v, e in reversed(w)))
+    assert pres.multiply(w, inverse) == ()
+    assert pres.inverse(inverse) == pres.canonical(w)
+    return inverse
 
 
 def reduced_syllables(pres, pairs):
@@ -73,10 +123,13 @@ class TestEngine:
         assert pres.canonical(reduced) == reduced
 
     @settings(max_examples=150, deadline=None)
-    @given(presentations_and_words(min_size=20, max_size=200))
-    def test_canonical_matches_heap_on_long_words(self, case):
+    @given(presentations_and_words(20, 400, ORDERS, EXPONENTS), st.booleans())
+    def test_canonical_matches_heap_on_long_words(self, case, as_syllables):
         pres, w = case
+        if as_syllables:
+            w = tuple(Syllable(v, e) for v, e in w)
         assert pres.canonical(w) == canonical_by_heap(pres, w)
+        inverse_identities(pres, w)
 
     @settings(max_examples=150, deadline=None)
     @given(presentations_and_words(), randoms)
@@ -170,6 +223,24 @@ class TestEngine:
         assert pres._extend(g, u) == canonical_by_heap(pres, w + reduced_syllables(pres, u))
         assert pres.multiply(w, u) == canonical_by_heap(pres, w + u)
         assert pres.inverse(u) == canonical_by_heap(pres, tuple((v, -e) for v, e in reversed(u)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(cancelling_words())
+    def test_inverse_of_cancelling_words(self, case):
+        """The inverse identities where w's first syllable joins or cancels
+        at index 0, or w cancels to (); an unknown vertex is rejected by name,
+        as ``canonical`` and ``multiply`` reject it."""
+        pres, w, cancels = case
+        if any(v == "z" for v, _ in w):
+            for call in (lambda: pres.inverse(w), lambda: pres.canonical(w),
+                         lambda: pres.multiply(w, w)):
+                with pytest.raises(InputError) as got:
+                    call()
+                assert str(got.value) == "unknown vertex: z"
+            return
+        inverse = inverse_identities(pres, w)
+        if cancels:
+            assert inverse == ()
 
     @settings(max_examples=100, deadline=None)
     @given(presentations(), st.integers(0, 3), st.sampled_from((4, 30, 1000)), st.data())
