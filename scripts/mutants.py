@@ -72,8 +72,8 @@ MUTANTS = [
      "_extend never joins with the first syllable"),
     (WORDS, "if i >= 0 and u == v:", "if 0 <= i < end - 1 and u == v:",
      "_extend never joins with the last syllable"),
-    (WORDS, "while j < end and h[j][0] in below:",
-     "while j < end and h[j][0] not in below:",
+    (WORDS, "while i < end and h[i][0] in below:",
+     "while i < end and h[i][0] not in below:",
      "_extend inserts a new sink at the wrong place in Kahn's order"),
     (WORDS, "graph.masks[i] & (1 << i) - 1", "graph.masks[i]",
      "_steps takes the whole link as the part before v, so a new sink goes to the end of "
@@ -86,6 +86,27 @@ MUTANTS = [
      "_steps keeps INFINITY as an infinite vertex's order, so e %= inf makes 3 a float 3.0"),
     (WORDS, "            if _negate:\n                e = -e\n", "",
      "inverse keeps the exponents' signs: _extend reads its reversed word unnegated"),
+    (WORDS, "if type(e) is int and len(made) < _SYLLABLE_TABLE_LIMIT:",
+     "if len(made) < _SYLLABLE_TABLE_LIMIT:",
+     "the syllable tables keep a bool or float exponent's syllable and hand it to later int calls"),
+    (WORDS, "graph, steps = self.graph, {}\n        for i, v in enumerate(graph.vertices):\n"
+     "            n, below = self.orders[v], graph.masks[i] & (1 << i) - 1\n"
+     "            steps[v] = (0 if n == INFINITY else n, graph.adjacency[v],\n"
+     "                        {graph.vertices[j] for j in bit_indices(below)}, {})\n",
+     "graph, steps, made = self.graph, {}, {}\n        for i, v in enumerate(graph.vertices):\n"
+     "            n, below = self.orders[v], graph.masks[i] & (1 << i) - 1\n"
+     "            steps[v] = (0 if n == INFINITY else n, graph.adjacency[v],\n"
+     "                        {graph.vertices[j] for j in bit_indices(below)}, made)\n",
+     "one syllable table is shared by every vertex"),
+    (WORDS, "                e += h[i][1]\n                if n:\n                    e %= n\n",
+     "                e += h[i][1]\n                if (s := made.get(e)) is None:\n"
+     "                    made[e] = new(syllable, (v, e))\n                if n:\n                    e %= n\n",
+     "a join looks its syllable up before e %= n, so the table keeps unreduced exponents"),
+    (WORDS, "if type(e) is int and len(made) < _SYLLABLE_TABLE_LIMIT:", "if type(e) is int:",
+     "a syllable table has no limit"),
+    (WORDS, "if type(e) is int and len(made) < _SYLLABLE_TABLE_LIMIT:",
+     "if type(e) is int and len(made) >= _SYLLABLE_TABLE_LIMIT:",
+     "the limit test is inverted, so a syllable table never fills"),
     (WORDS, "return [vertices[i] for i in bit_indices(mask)]",
      "return [vertices[i] for i in bit_indices(mask & mask - 1)]",
      "_names drops a sparse mask's lowest vertex"),

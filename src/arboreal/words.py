@@ -23,7 +23,9 @@ each ball element by one syllable, and the tree layer extends canonical words
 instead of canonicalizing their concatenation again. Cost: O(|pairs|*b)
 beyond copying g, b the length of the trailing block that commutes with each
 new syllable; O(L^2) at worst for L syllables. ``_extend`` alone reduces
-exponents and joins syllables: ``make_word`` is ``canonical``, and
+exponents, joins syllables and makes them: each syllable it writes comes from
+its vertex's table, which keeps those of int exponents up to a bound, so a
+syllable is built once per presentation. ``make_word`` is ``canonical``, and
 ``parse_word`` returns the normal form. ``growth_table`` counts each G_S's
 elements by length without building any.
 """
@@ -39,6 +41,7 @@ from .errors import DegeneratePresentationError, InputError, ResourceCapError
 from .graphs import INFINITY, SimpleGraph, bit_indices, induced_subgraph
 
 DEFAULT_BALL_CAP = 200_000
+_SYLLABLE_TABLE_LIMIT = 1024  # entries a vertex's syllable table (``_steps``) fills to
 
 
 class Syllable(NamedTuple):
@@ -94,15 +97,16 @@ class Presentation:
     make_word = canonical
 
     @cached_property
-    def _steps(self) -> dict[str, tuple[int, set[str], set[str]]]:
+    def _steps(self) -> dict[str, tuple[int, set[str], set[str], dict[int, Syllable]]]:
         """vertex -> (its order, 0 if infinite; its link; the link's vertices
-        before it in vertex order): what ``_extend`` reads of a syllable's
-        vertex, in one lookup."""
+        before it in vertex order; its syllables by reduced exponent, which
+        ``_extend`` fills): what ``_extend`` reads of a syllable's vertex, in
+        one lookup."""
         graph, steps = self.graph, {}
         for i, v in enumerate(graph.vertices):
             n, below = self.orders[v], graph.masks[i] & (1 << i) - 1
             steps[v] = (0 if n == INFINITY else n, graph.adjacency[v],
-                        {graph.vertices[j] for j in bit_indices(below)})
+                        {graph.vertices[j] for j in bit_indices(below)}, {})
         return steps
 
     def _extend(self, g: Word, pairs: Iterable[tuple[str, int]], _negate: bool = False) -> Word:
@@ -118,15 +122,18 @@ class Presentation:
         sink whose last predecessor is the scan's stop, and Kahn's algorithm
         takes it at the first later position whose vertex index is larger
         than v's: as every later syllable is in link(v), the first whose
-        vertex is not in the link's part before v."""
+        vertex is not in the link's part before v. The syllable written, new
+        or joined, is v's table entry for its exponent, built on a miss. Only
+        an int exponent is stored, so a bool or float one is never handed to
+        a later call, and a table stops filling at ``_SYLLABLE_TABLE_LIMIT``
+        entries, so memory stays bounded."""
         steps, new, syllable = self._steps, tuple.__new__, Syllable
         h = list(g)
-        for s in pairs:
-            v, e = s
+        for v, e in pairs:
             if _negate:
                 e = -e
             try:
-                n, lk, below = steps[v]
+                n, lk, below, made = steps[v]
             except KeyError:
                 raise InputError(f"unknown vertex: {v}") from None
             if n:
@@ -141,17 +148,19 @@ class Presentation:
                 e += h[i][1]
                 if n:
                     e %= n
-                if e:
-                    h[i] = new(syllable, (v, e))
-                else:
+                if not e:
                     del h[i]
-                continue
-            j = i + 1
-            while j < end and h[j][0] in below:
-                j += 1
-            if type(s) is not syllable or e != s[1]:
+                    continue
+            else:
+                i += 1
+                while i < end and h[i][0] in below:
+                    i += 1
+                h.insert(i, None)
+            if (s := made.get(e)) is None:
                 s = new(syllable, (v, e))
-            h.insert(j, s)
+                if type(e) is int and len(made) < _SYLLABLE_TABLE_LIMIT:
+                    made[e] = s
+            h[i] = s
         return tuple(h)
 
     # --- group operations --------------------------------------------------
@@ -249,7 +258,7 @@ class Presentation:
         count = sum(c for c, _ in exponents.values())
         if count and count >= cap:
             raise _ball_cap_error(cap, 1)
-        gens = [Syllable(v, e) for v, (_, es) in exponents.items() for e in es]
+        gens = [(v, e) for v, (_, es) in exponents.items() for e in es]
 
         seen = {()}
         frontier = [()]

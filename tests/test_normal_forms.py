@@ -4,7 +4,9 @@ Presentations have at most five vertices with orders in {2, 3, inf}, and
 also 10^12 where exponent types are checked; words have at most ten
 syllables, given as plain ``(vertex, exponent)`` tuples,
 except against the heap oracle, which takes words of 20 to 400, as pairs or
-Syllables, with exponents up to 2**64 and also order 10^12.
+Syllables, with exponents up to 2**64 and also order 10^12; there the
+syllable tables of ``Presentation._steps`` are checked to hold reduced
+exponents only and to stop filling at their limit.
 Balls go up to radius 3 under caps low enough that cap errors are compared
 too; their counts per length, on up to six vertices, go up to radius 5
 against the growth series.
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from arboreal.classify import build_splitting, separated_pairs
 from arboreal.errors import InputError, ResourceCapError
-from arboreal.words import INFINITY, Syllable
+from arboreal.words import _SYLLABLE_TABLE_LIMIT, INFINITY, Syllable
 
 from conftest import presentations
 from oracles import (
@@ -130,6 +132,14 @@ class TestEngine:
             w = tuple(Syllable(v, e) for v, e in w)
         assert pres.canonical(w) == canonical_by_heap(pres, w)
         inverse_identities(pres, w)
+        steps = pres._steps
+        for n, *_, made in steps.values():
+            assert len(made) <= (n - 1 if n else _SYLLABLE_TABLE_LIMIT)
+        infinite = [v for v, (n, *_) in steps.items() if not n]
+        if infinite:
+            a = infinite[0]
+            assert pres.multiply(*[((a, 1),)] * 5000) == ((a, 5000),)
+            assert len(steps[a][3]) == _SYLLABLE_TABLE_LIMIT
 
     @settings(max_examples=150, deadline=None)
     @given(presentations_and_words(), randoms)
@@ -151,11 +161,16 @@ class TestEngine:
     def test_output_exponents_are_ints(self, pres, data):
         """At orders 2, 3, 10^12 and inf, with exponents up to +-10^6: every
         syllable that ``canonical``, ``multiply``, ``inverse`` and ``power``
-        give is a Syllable whose exponent is an int."""
-        syllable = st.tuples(st.sampled_from(pres.graph.vertices), st.integers(-10**6, 10**6))
+        give is a Syllable whose exponent is an int, also after calls with
+        bool and float exponents, which the syllable tables must not keep."""
+        vertices = pres.graph.vertices
+        for e in (True, 2.0):
+            pres.canonical(tuple((v, e) for v in vertices))
+        syllable = st.tuples(st.sampled_from(vertices), st.integers(-10**6, 10**6))
         w, u = (tuple(data.draw(st.lists(syllable, max_size=10))) for _ in range(2))
         outputs = [pres.canonical(w), pres.multiply(w, u), pres.inverse(w),
                    power(pres, w, data.draw(st.integers(-5, 5)))]
+        outputs += [pres.canonical(tuple((v, e) for v in vertices)) for e in (1, 2)]
         assert all(type(s) is Syllable and type(s.exponent) is int
                    for out in outputs for s in out)
 
