@@ -49,6 +49,7 @@ TREE = "src/arboreal/tree.py"
 CLASSIFY = "src/arboreal/classify.py"
 CLI = "src/arboreal/cli.py"
 FORMATS = "src/arboreal/formats.py"
+PACKAGE = "src/arboreal/__init__.py"
 
 MUTANTS = [
     # graph layer
@@ -235,6 +236,13 @@ MUTANTS = [
     (CLASSIFY, "return n * (n - 1) // 2 - sum(map(int.bit_count, masks)) // 2",
      "return n * (n - 1) // 2 - sum(map(int.bit_count, masks))",
      "non-adjacent pairs are counted with each edge subtracted twice"),
+    # package exports
+    (PACKAGE, '"words": ("Presentation", "Syllable", "format_word", "parse_word"),\n'
+     '    "classify": (',
+     '"words": ("Syllable", "format_word", "parse_word"),\n    "classify": ("Presentation", ',
+     "arboreal.Presentation loads the classify layer, which imports the same class"),
+    (PACKAGE, "if not (name in _LAYER and isinstance(value, type(sys))):", "if True:",
+     "a submodule's first load sets arboreal.classify to the module"),
     # CLI parser, exit mapping and word arguments
     (CLI, "        if name == command:\n", "        if False:\n",
      "the parser adds arguments to no subcommand"),
@@ -273,8 +281,8 @@ MUTANTS = [
      "the loader rejects a tuple edge"),
     (FORMATS, "not isinstance(end := pair[0], str) or ", "",
      "the loader passes an edge whose first endpoint is not a string"),
-    (FORMATS, r'_VERTEX_NAME = re.compile(r"(?!1\Z)[^\s^\ud800-\udfff]+")',
-     r'_VERTEX_NAME = re.compile(r"[^\s^\ud800-\udfff]+")',
+    (FORMATS, r'_VERTEX_NAME = r"(?!1\Z)[^\s^\ud800-\udfff]+"',
+     r'_VERTEX_NAME = r"[^\s^\ud800-\udfff]+"',
      'a vertex may be named "1", which reads as the identity'),
     (FORMATS, "or not isinstance(end := pair[1], str):", ":",
      "the loader passes an edge whose second endpoint is not a string"),

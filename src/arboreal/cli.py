@@ -14,21 +14,7 @@ import argparse
 import json
 import sys
 
-from .classify import (
-    SIDE_A,
-    SIDE_B,
-    Arboreality,
-    NoSeparatedPair,
-    SeparatedPair,
-    VirtuallyCyclicWitness,
-    build_splitting,
-    classify,
-    separated_pairs,
-)
 from .errors import DegeneratePresentationError, InputError, ResourceCapError
-from .formats import argv_text, load_presentation
-from .graphs import complement, to_dot
-from .words import DEFAULT_BALL_CAP, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -72,6 +58,7 @@ def _write(args, text: str) -> None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
+        from .formats import argv_text
         shown = argv_text(args.out, "backslashreplace")
         raise InputError(f"cannot write {shown}: {exc.strerror}") from exc
 
@@ -81,6 +68,7 @@ def _emit(args, payload, human: str) -> None:
 
 
 def _describe(verdict) -> str:
+    from .classify import NoSeparatedPair, SeparatedPair, VirtuallyCyclicWitness
     cert = verdict.certificate
     if isinstance(cert, SeparatedPair):
         return (
@@ -106,6 +94,8 @@ def _describe(verdict) -> str:
 def _word(pres, named: dict, arg: str):
     """A named word of the presentation file, or else the word argument parsed,
     its bytes read as UTF-8 whatever encoding ``sys.argv`` decoded them with."""
+    from .formats import argv_text
+    from .words import parse_word
     try:
         text = argv_text(arg, "strict")
     except UnicodeDecodeError as exc:
@@ -114,7 +104,9 @@ def _word(pres, named: dict, arg: str):
 
 
 def cmd_classify(args) -> int:
+    from .formats import load_presentation
     pres, _ = load_presentation(args.file)
+    from .classify import classify
     verdict = classify(pres)
     payload = verdict.to_dict()
     human = (
@@ -129,6 +121,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_nf(args) -> int:
+    from .formats import load_presentation
+    from .words import format_word
     pres, named = load_presentation(args.file)
     text = format_word(_word(pres, named, args.word))
     _emit(args, {"canonical": text}, text + "\n")
@@ -136,6 +130,8 @@ def cmd_nf(args) -> int:
 
 
 def cmd_mul(args) -> int:
+    from .formats import load_presentation
+    from .words import format_word
     pres, named = load_presentation(args.file)
     product = pres.multiply(_word(pres, named, args.word1), _word(pres, named, args.word2))
     _emit(args, {"product": format_word(product)}, format_word(product) + "\n")
@@ -143,6 +139,7 @@ def cmd_mul(args) -> int:
 
 
 def _require_splitting(pres):
+    from .classify import Arboreality, classify
     verdict = classify(pres)
     if verdict.arboreality != Arboreality.ACYL_ARBOREAL:
         reason = f"presentation is not acylindrically arboreal ({_describe(verdict)})"
@@ -151,6 +148,7 @@ def _require_splitting(pres):
 
 
 def cmd_tree_dist(args) -> int:
+    from .formats import load_presentation
     pres, named = load_presentation(args.file)
     splitting = _require_splitting(pres)
     from .tree import make_vertex, tree_distance
@@ -172,6 +170,8 @@ def cmd_tree_audit(args) -> int:
         local_radius=args.local_radius, cap=args.ball_cap,
     )
     check_limits(AUDIT_FLAGS, **limits)
+    from .classify import build_splitting, separated_pairs
+    from .formats import load_presentation
     pres, _ = load_presentation(args.file)
     if args.all_pairs:
         splittings = [build_splitting(pres, p) for p in separated_pairs(pres)]
@@ -201,6 +201,8 @@ def cmd_export_dot(args) -> int:
         from .tree import check_limits, tree_ball, tree_ball_to_dot
         check_limits(AUDIT_FLAGS, radius=args.tree_radius, local_radius=args.local_radius,
                      cap=args.ball_cap)
+    from .formats import load_presentation
+    from .graphs import complement, to_dot
     pres, _ = load_presentation(args.file)
     if args.target == "graph":
         text = to_dot(pres.graph)
@@ -230,6 +232,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     def tree_limits(p, tree_radius: int):
+        from .words import DEFAULT_BALL_CAP
         p.add_argument("--tree-radius", type=int, default=tree_radius)
         p.add_argument("--local-radius", type=int, default=2)
         p.add_argument(
@@ -258,6 +261,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("word2")
 
     if p := add("tree-dist", "distance between two tree vertices", cmd_tree_dist):
+        from .classify import SIDE_A, SIDE_B
         common(p)
         p.add_argument("word1")
         p.add_argument("word2")

@@ -19,8 +19,9 @@ from .words import Presentation, Word, parse_word
 
 # Names that parse_word and format_word round-trip and that UTF-8 can
 # write: not empty, not the identity "1", and free of whitespace, "^" and
-# surrogates (which JSON can spell as escapes such as "\ud800").
-_VERTEX_NAME = re.compile(r"(?!1\Z)[^\s^\ud800-\udfff]+")
+# surrogates (which JSON can spell as escapes such as "\ud800"). A pattern
+# string, compiled by re's cache on first use.
+_VERTEX_NAME = r"(?!1\Z)[^\s^\ud800-\udfff]+"
 
 
 def _parse_order(name: str, raw) -> int | float:
@@ -51,7 +52,7 @@ def presentation_from_dict(data: dict) -> tuple[Presentation, dict[str, Word]]:
                 f"vertices[{i}]: name must be a JSON string, got {type(name).__name__}"
             )
         # a letter or digit is never whitespace, "^" or a surrogate
-        if not (name.isalnum() and name != "1" or _VERTEX_NAME.fullmatch(name)):
+        if not (name.isalnum() and name != "1" or re.fullmatch(_VERTEX_NAME, name)):
             raise InputError(
                 f"vertices[{i}]: name {name!r} cannot be written in a word; names must be "
                 "non-empty, not \"1\", and contain no whitespace, \"^\" or surrogate"

@@ -347,7 +347,7 @@ def _ball_cap_error(cap: int, radius: int) -> ResourceCapError:
 
 # --- compact word syntax ------------------------------------------------------
 
-_SYLLABLE_RE = re.compile(r"^(?P<vertex>[^\s^]+?)(\^(?P<exp>-?\d+))?$")
+_SYLLABLE_RE = r"^(?P<vertex>[^\s^]+?)(\^(?P<exp>-?\d+))?$"  # compiled by re's cache
 
 
 def parse_word(pres: Presentation, text: str) -> Word:
@@ -361,7 +361,7 @@ def parse_word(pres: Presentation, text: str) -> Word:
         return ()
     pairs = []
     for token in text.split():
-        m = _SYLLABLE_RE.match(token)
+        m = re.match(_SYLLABLE_RE, token)
         if not m:
             raise InputError(f"bad syllable syntax: {token!r}")
         vertex = m.group("vertex")

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -739,33 +740,50 @@ def test_small_graph_script_accepts_inf_and_integers(capsys, order):
     assert f"# graphs checked: 3 (order = {order})" in capsys.readouterr().err
 
 
+# The package's exports by the layer that defines them.
+LAYER_NAMES = {
+    "errors": ("DegeneratePresentationError", "InputError", "ResourceCapError"),
+    "graphs": ("INFINITY", "SimpleGraph", "complement", "diameter", "induced_subgraph",
+               "is_irreducible", "to_dot"),
+    "words": ("Presentation", "Syllable", "format_word", "parse_word"),
+    "classify": ("AHCriterion", "Arboreality", "SeparatedPair", "SplittingSpec", "Verdict",
+                 "VirtuallyCyclic", "build_splitting", "classify", "is_virtually_cyclic",
+                 "separated_pairs"),
+    "tree": ("act", "audit_acylindricity", "base_vertex", "element_action",
+             "elliptic_generation_check", "path_stabilizer", "tree_ball", "tree_distance"),
+}
+
+
 def test_package_exports_are_pinned():
     import arboreal
 
-    exported = {
-        "AHCriterion", "Arboreality", "DegeneratePresentationError", "INFINITY", "InputError",
-        "Presentation", "ResourceCapError", "SeparatedPair", "SimpleGraph", "SplittingSpec",
-        "Syllable", "Verdict", "VirtuallyCyclic", "act", "audit_acylindricity", "base_vertex",
-        "build_splitting", "classify", "complement", "diameter", "element_action",
-        "elliptic_generation_check", "format_word", "induced_subgraph", "is_irreducible",
-        "is_virtually_cyclic", "parse_word", "path_stabilizer", "separated_pairs",
-        "to_dot", "tree_ball", "tree_distance",
-    }
+    exported = {name for names in LAYER_NAMES.values() for name in names}
+    assert len(exported) == 32
     assert len(arboreal.__all__) == len(set(arboreal.__all__))
     assert set(arboreal.__all__) == exported
-    assert all(hasattr(arboreal, name) for name in exported)
-    assert set(arboreal.__all__) <= set(dir(arboreal))
-    star = {}
-    exec("from arboreal import *", star)
-    assert set(arboreal.__all__) <= set(star)
     deleted = {"SubgroupVerdict", "ah_criterion", "full_subgroup_check", "edge_distance",
                "neighbourhood", "link"}
     assert not deleted & set(vars(arboreal))
 
 
+def test_package_names_are_their_layers():
+    import arboreal
+
+    star = {}
+    exec("from arboreal import *", star)
+    for layer, names in LAYER_NAMES.items():
+        module = importlib.import_module(f"arboreal.{layer}")
+        for name in names:
+            assert getattr(arboreal, name) is getattr(module, name) is star[name], name
+    assert set(arboreal.__all__) <= set(dir(arboreal))
+    with pytest.raises(AttributeError, match="has no attribute 'frobnicate'"):
+        arboreal.frobnicate
+
+
 def test_cli_import_loads_no_dataclasses():
     # -S: no site hooks of the machine running the test can load them either
-    code = "import sys, arboreal.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = ("import sys, arboreal.cli, arboreal.formats, arboreal.tree; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                             capture_output=True, text=True, check=True)
@@ -775,7 +793,8 @@ def test_cli_import_loads_no_dataclasses():
 def test_cli_import_loads_no_future_module():
     """No module of the package postpones its annotations, so a process
     compiles no annotation strings and never imports ``__future__``."""
-    code = "import sys, arboreal.cli; print('__future__' in sys.modules)"
+    code = ("import sys, arboreal.cli, arboreal.formats, arboreal.tree; "
+            "print('__future__' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
     # -S: no site hook of the machine running the test can import it either
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
@@ -783,38 +802,97 @@ def test_cli_import_loads_no_future_module():
     assert result.stdout == "False\n"
 
 
-TREE_NAMES = ("act", "audit_acylindricity", "base_vertex", "element_action",
-              "elliptic_generation_check", "path_stabilizer", "tree_ball", "tree_distance")
+def _loads(*layers):
+    """The modules that loading ``layers`` imports: the package, each layer
+    and the layers it imports, and ``typing`` with graphs or words."""
+    closure = {"errors": (), "graphs": ("errors",), "words": ("graphs",),
+               "classify": ("words",), "tree": ("classify",), "formats": ("words",)}
+    loaded = {"arboreal"}
+    while layers:
+        loaded.add(f"arboreal.{layers[0]}")
+        layers = layers[1:] + closure[layers[0]]
+    return loaded | ({"typing"} if "arboreal.graphs" in loaded else set())
 
 
-def test_package_tree_names_are_the_tree_layers():
-    import arboreal
-    import arboreal.tree
-    from arboreal import tree_ball
+P4 = str(FIXTURES / "p4_racg.json")
+# (python arguments, exit code, the arboreal modules and typing it imports)
+LOADS = [
+    (["-c", "import arboreal"], 0, _loads()),
+    *((["-c", f"from arboreal import {', '.join(names)}"], 0, _loads(layer))
+      for layer, names in LAYER_NAMES.items()),
+    # usage errors import no layer
+    (["-m", "arboreal.cli", "-h"], 0, _loads("errors")),
+    (["-m", "arboreal.cli", "frobnicate", P4], 2, _loads("errors")),
+    (["-m", "arboreal.cli", "classify", str(FIXTURES / "missing.json")], 2, _loads("formats")),
+    (["-m", "arboreal.cli", "nf", P4, "b a c b"], 0, _loads("formats")),
+    (["-m", "arboreal.cli", "mul", P4, "a b", "b d"], 0, _loads("formats")),
+    (["-m", "arboreal.cli", "export-dot", P4, "--target", "graph"], 0, _loads("formats")),
+    (["-m", "arboreal.cli", "export-dot", P4, "--target", "complement"], 0, _loads("formats")),
+    (["-m", "arboreal.cli", "classify", P4], 0, _loads("formats", "classify")),
+    # tree-dist loads the tree layer only once the file has a splitting
+    (["-m", "arboreal.cli", "tree-dist", str(FIXTURES / "fig2_raag.json"), "1", "a"], 4,
+     _loads("formats", "classify")),
+    (["-m", "arboreal.cli", "tree-dist", P4, "1", "c a"], 0, _loads("formats", "tree")),
+    (["-m", "arboreal.cli", "tree-audit", P4, "--tree-radius", "2"], 0,
+     _loads("formats", "tree")),
+    (["-m", "arboreal.cli", "export-dot", P4, "--target", "tree-ball"], 0,
+     _loads("formats", "tree")),
+]
 
-    assert tree_ball is arboreal.tree.tree_ball
-    for name in TREE_NAMES:
-        assert getattr(arboreal, name) is getattr(arboreal.tree, name)
-    with pytest.raises(AttributeError, match="has no attribute 'frobnicate'"):
-        arboreal.frobnicate
+
+# Runs ``python -c CODE`` or ``python -m arboreal.cli ARGS`` (through runpy,
+# as -m does) and prints its exit code and the arboreal modules and typing
+# that the run imported.
+RUN_AND_LIST = """
+import runpy, sys
+code = 0
+try:
+    if sys.argv[1] == "-c":
+        exec(sys.argv[2])
+    else:
+        del sys.argv[1:3]
+        runpy.run_module("arboreal.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(m for m in sys.modules if m == "typing" or m.split(".")[0] == "arboreal"))
+"""
 
 
-UNBOUND_NAMES = """
+def test_each_command_loads_only_its_layers():
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    got, expected = [], []
+    for args, code, modules in LOADS:
+        # -S: no site hook of the machine running the test imports a module
+        run = subprocess.run([sys.executable, "-S", "-c", RUN_AND_LIST, *args], env=env,
+                             capture_output=True, text=True, timeout=60)
+        got.append((args[1:], run.stdout.splitlines()[-1]))
+        expected.append((args[1:], " ".join([str(code), *sorted(modules)])))
+    assert got == expected
+
+
+FIRST_USE_LOADS_TREE = """
 import json, sys
 import arboreal
-unbound = sorted(set(arboreal.__all__) - set(vars(arboreal)))
-print(json.dumps([unbound, "arboreal.tree" in sys.modules]))
+out = [sorted(set(arboreal.__all__) - set(vars(arboreal)))]
+for name in sys.argv[1:]:
+    getattr(arboreal, name)
+    out.append([name, "arboreal.tree" in sys.modules])
+print(json.dumps(out))
 """
 
 
 def test_only_tree_names_of_all_are_loaded_on_first_use():
-    """``__getattr__`` serves every name of ``__all__`` that import leaves
-    unbound, and those are exactly the tree layer's."""
+    """``import arboreal`` leaves every name of ``__all__`` unbound, and of
+    those only the tree layer's load ``arboreal.tree`` on first use."""
+    names = [name for layer, names in LAYER_NAMES.items() if layer != "tree" for name in names]
+    names += LAYER_NAMES["tree"]
     env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
     # -S: no site hook of the machine running the test can import the tree layer
-    result = subprocess.run([sys.executable, "-S", "-c", UNBOUND_NAMES],
+    result = subprocess.run([sys.executable, "-S", "-c", FIRST_USE_LOADS_TREE, *names],
                             env=env, capture_output=True, text=True, check=True)
-    assert json.loads(result.stdout) == [list(TREE_NAMES), False]
+    tree_names = set(LAYER_NAMES["tree"])
+    assert json.loads(result.stdout) == [sorted(names)] + [
+        [name, name in tree_names] for name in names]
 
 
 LOADS_TREE = """
@@ -834,19 +912,58 @@ print(json.dumps(out))
 
 
 def test_only_tree_commands_load_the_tree_layer():
-    p4 = str(FIXTURES / "p4_racg.json")
-    argvs = [["classify", p4], ["classify", p4, "--json"], ["nf", p4, "b a c b"],
-             ["mul", p4, "a b", "b d"], ["export-dot", p4, "--target", "graph"],
-             ["export-dot", p4, "--target", "complement"], ["frobnicate", p4],
+    """The same through ``cli.main`` in one process: the tree layer stays
+    unloaded until a tree command that has a splitting runs."""
+    argvs = [["classify", P4], ["classify", P4, "--json"], ["nf", P4, "b a c b"],
+             ["mul", P4, "a b", "b d"], ["export-dot", P4, "--target", "graph"],
+             ["export-dot", P4, "--target", "complement"], ["frobnicate", P4],
              # tree-dist loads it only once the file has a splitting
              ["tree-dist", str(FIXTURES / "fig2_raag.json"), "1", "a"], ["tree-dist", "-h"],
-             ["tree-audit", p4, "--tree-radius", "2"]]
+             ["tree-audit", P4, "--tree-radius", "2"]]
     env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
     # -S: no site hook of the machine running the test can import it either
     result = subprocess.run([sys.executable, "-S", "-c", LOADS_TREE, json.dumps(argvs)],
                             env=env, capture_output=True, text=True, check=True)
     assert json.loads(result.stdout) == [[None, False]] + [[0, False]] * 6 + [
         [2, False], [4, False], [0, False], [0, True]]
+
+
+CLASSIFY_FIRST_LOADED = {
+    "tree": "import arboreal.tree",
+    "classify": "import arboreal.classify",
+    "cli": "import contextlib, io\nfrom arboreal.cli import main\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n    main(['classify', sys.argv[1]])",
+}
+
+
+@pytest.mark.parametrize("by", sorted(CLASSIFY_FIRST_LOADED))
+def test_arboreal_classify_stays_the_verdict_function(by):
+    """The import system sets the submodule ``arboreal.classify`` on the
+    package when it first loads; the package's name stays the function."""
+    code = (f"import sys\n{CLASSIFY_FIRST_LOADED[by]}\nimport arboreal\n"
+            "from arboreal import classify\n"
+            "verdict = sys.modules['arboreal.classify'].classify\n"
+            "print(arboreal.classify is verdict, classify is verdict)")
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    result = subprocess.run([sys.executable, "-S", "-c", code, P4], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "True True\n"
+
+
+def test_a_package_name_can_be_monkeypatched(monkeypatch):
+    import arboreal
+    import arboreal.classify
+
+    verdict = arboreal.classify
+
+    def fake(pres):
+        return None
+
+    monkeypatch.setattr(arboreal, "classify", fake)
+    from arboreal import classify
+    assert arboreal.classify is classify is fake
+    monkeypatch.undo()
+    assert arboreal.classify is verdict is sys.modules["arboreal.classify"].classify
 
 
 # A locale whose preferred encoding is ASCII: no coercion to C.UTF-8, no UTF-8 mode.
