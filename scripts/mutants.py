@@ -129,6 +129,8 @@ MUTANTS = [
      "a full subgroup on finite vertices is finite even when they are not a clique"),
     (WORDS, "((1, 2) if n == INFINITY else", "((1, 1) if n == INFINITY else",
      "the growth series takes an infinite vertex's series as 1 + z, Z2's, not (1 + z)/(1 - z)"),
+    (WORDS, "(1, 2) if n == INFINITY", "(2, 1) if n == INFINITY",
+     "the cached growth weights swap y_v and x_v at an infinite vertex"),
     (WORDS, "(link := table(rest & masks[i]))", "(link := table(rest))",
      "the growth table joins v to the cliques of S - v, not of S - v ∩ lk v: cliques or not"),
     (WORDS, "for u in bit_indices(rest & ~masks[i]):", "for u in bit_indices(0):",
@@ -221,6 +223,10 @@ MUTANTS = [
     (TREE, "growth_table(max(local_radius, element_radius), cap)",
      "growth_table(element_radius, cap)",
      "the audit's growth table is cut at element_radius, under the side series' degree"),
+    (TREE, "(order := pres._mask_order(r)) <= cap:", "(order := pres._mask_order(r)) < cap:",
+     "a finite G_R of exactly cap elements is not counted from its vertex set"),
+    (TREE, "if r.bit_count() <= element_radius and (order", "if (order",
+     "a finite G_R is counted whole from its vertex set at a radius that cuts its ball"),
     # classification layer
     (CLASSIFY, "if not mask_a >> j & 1 and (order := pres._mask_order(common)) != INFINITY:",
      "if (order := pres._mask_order(common)) != INFINITY:",

@@ -174,8 +174,9 @@ def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int,
     ball is cut, not all of G_S (see ``Presentation._saturates``); and the
     set of C-stripped coset representatives of each side whose ball is
     enumerated. A side is read from the growth table ``series`` (see
-    ``Presentation.growth_table``) where one is given and not cut, and
-    enumerated by ``Presentation._ball`` otherwise. From the series, m_S
+    ``Presentation.growth_table``) where one is given and not cut, split on
+    u, S - C = {u}, so one step from C's series, read first; and enumerated
+    by ``Presentation._ball`` otherwise. From the series, m_S
     counts the C-stripped representatives of length at most
     ``local_radius``, whose series is W_S/W_C = (1 + y_u z) P_C/P_S for S -
     C = {u} (see ``audit_acylindricity``), y_u being D_S's z-coefficient,
@@ -191,7 +192,7 @@ def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int,
         if d < 2:
             s_mask = splitting.side(side)
             truncated = truncated or not pres._saturates(s_mask, local_radius)
-            if read := read_c and series(s_mask):
+            if read := read_c and series(s_mask, (s_mask ^ c_mask).bit_length() - 1):
                 (d_s, p_s), (d_c, p_c) = read, read_c
                 cumulative_counts(d_s, p_s, local_radius, cap)  # the side ball's cap error
                 y = d_s[1] - d_c[1]
@@ -454,7 +455,11 @@ def audit_acylindricity(
     series W_R up to ``element_radius``, and ``_levels`` reads the level
     sizes from the side series. All come from one growth table per call (see
     ``Presentation.growth_table``), cut at the highest degree read,
-    max(``local_radius``, ``element_radius``). The
+    max(``local_radius``, ``element_radius``), which sums C's chain and
+    puts each side one step from it. A finite G_R that the radius cannot
+    cut (see ``Presentation._saturates``) with |G_R| <= ``cap`` needs no
+    series: its ball is all of G_R, and no running total up to |G_R| passes
+    the cap, so top(R) is |G_R|, read from R's vertex set. The
     children per level count cosets: m_S is the number of C-stripped
     representatives t of G_C's cosets in G_S of length at most
     ``local_radius``. Each g in G_S is t c for one such t and one c in G_C; t
@@ -481,7 +486,9 @@ def audit_acylindricity(
     _, kids, truncated = _levels(splitting, tree_radius, local_radius, cap, series)
     bound = splitting.acyl_c
 
-    def top(r):  # from the series, else enumerated where the table is cut
+    def top(r):  # |G_R| where the radius cannot cut it, else from the series or the ball
+        if r.bit_count() <= element_radius and (order := pres._mask_order(r)) <= cap:
+            return order
         if read := series(r):
             return cumulative_counts(*read, element_radius, cap)
         return len(pres._ball(r, element_radius, cap))

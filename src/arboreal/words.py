@@ -225,29 +225,11 @@ class Presentation:
 
     # --- bounded enumeration and growth series -------------------------------
 
-    def enumerate_ball_info(
-        self,
-        radius: int,
-        cap: int = DEFAULT_BALL_CAP,
-        subset: Iterable[str] | None = None,
-    ) -> tuple[set[Word], bool]:
-        """Ball plus a flag, True iff it is the whole subgroup (see ``_saturates``).
-
-        The generators are the single syllables: every nontrivial exponent at a
-        finite vertex, exponents +-1 at an infinite one. With ``subset`` given,
-        only those of the full subgroup G_S, and the ball is G_S's (see ``_ball``).
-        Raises InputError for a negative radius, whose ball is empty.
-        """
-        if radius < 0:
-            raise InputError(f"radius must be at least 0, got {radius}")
-        graph = self.graph
-        mask = self._mask(graph.check_vertices(graph.vertices if subset is None else subset))
-        return self._ball(mask, radius, cap), self._saturates(mask, radius)
-
     def _ball(self, mask: int, radius: int, cap: int) -> set[Word]:
-        """``enumerate_ball_info``'s ball of G_S, S the vertex set of ``mask``.
-        Radius 1 holds every generator, so ``cap`` is checked there before
-        any is built."""
+        """G_S's ball of radius ``radius``, S the vertex set of ``mask``, in the
+        single syllables: every nontrivial exponent at a finite vertex, +-1 at
+        an infinite one. Radius 1 holds every generator, so ``cap`` is checked
+        there before any is built."""
         if not radius:
             return {()}
         vertices, orders = self.graph.vertices, self.orders
@@ -277,34 +259,44 @@ class Presentation:
             frontier = new
         return seen
 
+    @cached_property
+    def _weights(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(y_v, x_v) of ``growth_table`` per vertex, as two tuples in vertex order."""
+        return tuple(zip(*((1, 2) if n == INFINITY else (n - 1, n - 1)
+                           for n in self.orders.values())))
+
     def growth_table(self, degree: int, cap: int = DEFAULT_BALL_CAP):
-        """The int mask of S (see ``_mask``) -> (D, P) mod z^(t + 1), t =
-        min(degree, |V|), for any number of vertex sets S; None once the table
-        holds more than ``cap`` coefficients.
-        G_S's growth series in the generators of ``enumerate_ball_info`` is
-        W_S = D/P (Chiswell, Bull. London Math. Soc. 26, 1994): D = prod (1 +
-        y_v z), y_v = n - 1 at order n, W_v = 1 + y_v z, and 1 at an infinite
-        vertex, W_v = (1 + z)/(1 - z); P sums over the cliques K of S, the
-        empty one included, prod_K (-x_v z) prod_{S-K} (1 + y_v z), x_v = y_v
-        or 2. The series are kept per vertex mask, each from that of S' = S -
-        v, v the last vertex of S: D_S = (1 + y_v z) D_S', and P_S sums the
-        cliques without v, (1 + y_v z) P_S', and those with it, -x_v z P_L
-        D_{S'-L}, L = S' ∩ lk v: 1/W_S = 1/W_S' + (1/W_v - 1)/W_L. L's series
-        is memoized as it is met, so no clique sum is done twice. As D and P
-        have degree <= |S| <= |V|, a cut at |V| cuts nothing."""
-        masks = self.graph.masks
-        ys, xs = zip(*((1, 2) if n == INFINITY else (n - 1, n - 1)
-                       for n in self.orders.values()))
+        """table(mask, i=None): the int mask of S (see ``_mask``) -> (D, P)
+        mod z^(t + 1), t = min(degree, |V|), for any number of vertex sets S;
+        None once the table holds more than ``cap`` coefficients.
+        G_S's growth series in the generators of ``_ball`` is W_S = D/P
+        (Chiswell, Bull. London Math. Soc. 26, 1994): D = prod (1 + y_v z),
+        y_v = n - 1 at order n, W_v = 1 + y_v z, and 1 at an infinite vertex,
+        W_v = (1 + z)/(1 - z); P sums over the cliques K of S, the empty one
+        included, prod_K (-x_v z) prod_{S-K} (1 + y_v z), x_v = y_v or 2 (see
+        ``_weights``, computed once per presentation). The series are kept
+        per vertex mask, each from that of S' = S - v: D_S = (1 + y_v z) D_S',
+        and P_S sums the cliques without v, (1 + y_v z) P_S', and those with
+        it, -x_v z P_L D_{S'-L}, L = S' ∩ lk v: 1/W_S = 1/W_S' + (1/W_v -
+        1)/W_L. That holds for any v in S, so S is split on vertex index i
+        where one is given, as a side S = C + {u} is on u, one step from C,
+        and on its last vertex otherwise. Each series is memoized as it is
+        met, so no clique sum is done twice; the memo and its cut are this
+        table's alone.
+        As D and P have degree <= |S| <= |V|, a cut at |V| cuts nothing."""
+        masks, (ys, xs) = self.graph.masks, self._weights
         degree = min(degree, len(ys))
         memo = {0: ([1] + [0] * degree,) * 2}  # mask -> (D, P) mod z^(degree + 1)
 
-        def table(mask):
+        def table(mask, i=None):
             chain, s = [], mask
+            if i is not None and s not in memo:
+                chain.append((s, i))
+                s ^= 1 << i
             while s not in memo:
-                chain.append(s)
-                s ^= 1 << s.bit_length() - 1
-            for s in reversed(chain):
-                i = s.bit_length() - 1
+                chain.append((s, i := s.bit_length() - 1))
+                s ^= 1 << i
+            for s, i in reversed(chain):
                 rest, y = s ^ 1 << i, ys[i]
                 if (link := table(rest & masks[i])) is None or len(memo) * 2 * (degree + 1) > cap:
                     return None

@@ -30,9 +30,9 @@ set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "arboreal-hypothesis")
 
 @st.composite
 def presentations(draw, max_vertices=5, orders=(2, 3, INFINITY)):
-    """Graph products on 2..max_vertices (at most 9) vertices, orders drawn
+    """Graph products on 2..max_vertices (at most 10) vertices, orders drawn
     from ``orders``."""
-    names = "abcdefghi"[: draw(st.integers(2, max_vertices))]
+    names = "abcdefghij"[: draw(st.integers(2, max_vertices))]
     pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
     edges = [p for p in pairs if draw(st.booleans())]
     return Presentation(SimpleGraph(names, edges),

@@ -18,8 +18,9 @@ per case, what the public API returns, or the error it raises:
 - ``words``: ``canonical``, ``multiply`` and ``inverse`` of raw words, and
   ``parse_word`` of raw text, whose zero exponents, unknown vertices and bad
   syntax raise InputError;
-- ``ball``: ``enumerate_ball_info``'s size and saturation flag, or its cap
-  error, for random vertex subsets at radii 0 to 4 and caps 8, 40 and 400;
+- ``ball``: the size and saturation flag of ``enumerate_ball_info`` (in
+  oracles.py), or its cap error, for random vertex subsets at radii 0 to 4
+  and caps 8, 40 and 400;
 - ``cli``: the exit code and stdout and stderr bytes of ``arboreal.cli.main``,
   run in-process from the repository's root on a fixed list of argvs (see
   ``cli_argvs``), the same at every count;
@@ -68,6 +69,7 @@ from arboreal.tree import (TreeEdge, TreeVertex, audit_acylindricity, element_ac
                            make_edge, make_vertex, path_stabilizer, tree_ball, tree_ball_to_dot,
                            tree_distance)
 from arboreal.words import INFINITY, Presentation, parse_word
+from oracles import enumerate_ball_info
 
 RECORDED = Path(__file__).with_name("digests.json")
 ROOT = RECORDED.parent.parent
@@ -105,7 +107,7 @@ def dot_and_truncated(*args):
 
 
 def size_and_flag(pres: Presentation, *args):
-    ball, saturated = pres.enumerate_ball_info(*args)
+    ball, saturated = enumerate_ball_info(pres, *args)
     return len(ball), saturated
 
 

@@ -6,9 +6,9 @@ exhaustive BFS over adjacent commuting swaps, the first/last-vertex and
 coset oracles read the answer off the whole orbit (the one-scan heap
 sources they check, ``first_vertices`` and ``last_vertices``, are here too,
 as only tests use them, as are the word helpers ``power``, ``word_length``,
-``support``, ``in_full_subgroup``, ``enumerate_ball`` and ``growth_series``,
-the coset helper ``coset_canonical`` and the graph helper ``link``),
-canonical forms also come from linearizing the
+``support``, ``in_full_subgroup``, ``enumerate_ball``, ``enumerate_ball_info``
+and ``growth_series``, the coset helper ``coset_canonical`` and the graph
+helper ``link``), canonical forms also come from linearizing the
 dependency heap of the whole reduced word, balls grow by those whole-word
 forms rather than by inserting a syllable, ball counts
 per length come from the growth series of the product, separated
@@ -344,9 +344,21 @@ def support(pres, word):
     return {s.vertex for s in pres.canonical(word)}
 
 
+def enumerate_ball_info(pres, radius, cap=DEFAULT_BALL_CAP, subset=None):
+    """G_S's ball (``Presentation._ball``) plus a flag, True iff it is the
+    whole subgroup (``Presentation._saturates``), S all vertices by default.
+    Raises InputError for an unknown vertex, and for a negative radius, whose
+    ball is empty."""
+    if radius < 0:
+        raise InputError(f"radius must be at least 0, got {radius}")
+    graph = pres.graph
+    mask = pres._mask(graph.check_vertices(graph.vertices if subset is None else subset))
+    return pres._ball(mask, radius, cap), pres._saturates(mask, radius)
+
+
 def enumerate_ball(pres, radius, cap=DEFAULT_BALL_CAP, subset=None):
     """Canonical forms reachable in <= radius generator multiplications."""
-    return pres.enumerate_ball_info(radius, cap=cap, subset=subset)[0]
+    return enumerate_ball_info(pres, radius, cap=cap, subset=subset)[0]
 
 
 def in_full_subgroup(pres, word, subset):

@@ -30,6 +30,7 @@ from oracles import (
     coset_canonical_by_stripping,
     enumerate_ball,
     enumerate_ball_by_canonical,
+    enumerate_ball_info,
     first_vertices,
     first_vertices_brute,
     growth_coefficients,
@@ -268,7 +269,7 @@ class TestEngine:
             except ResourceCapError as exc:
                 return str(exc)
 
-        assert outcome(pres.enumerate_ball_info, radius, cap, subset) == outcome(
+        assert outcome(enumerate_ball_info, pres, radius, cap, subset) == outcome(
             enumerate_ball_by_canonical, pres, radius, cap, subset
         )
 

@@ -439,7 +439,7 @@ class TestAudit:
         pass it too, is read; from the growth table or, cut, by enumeration."""
         sp = build_splitting(z2_z5, SeparatedPair("a", "b", (), 1))
         if not series:
-            monkeypatch.setattr(Presentation, "growth_table", lambda *_: lambda _: None)
+            monkeypatch.setattr(Presentation, "growth_table", lambda *_: lambda *_: None)
         with pytest.raises(ResourceCapError, match="^tree ball exceeded cap of 2 vertices$"):
             audit_acylindricity(sp, k=1, tree_radius=2, element_radius=1, local_radius=1, cap=2)
 
@@ -485,9 +485,42 @@ class TestAudit:
         limits = [(1, 1, 1, 1), (1, 1, 2, 1), (3, 2, 2, 2)]
         reports = [audit_acylindricity(sp, *limit).to_dict() for limit in limits]
         assert not calls and not any(report["violations"] for report in reports)
-        monkeypatch.setattr(Presentation, "growth_table", lambda *_: lambda _: None)
+        monkeypatch.setattr(Presentation, "growth_table", lambda *_: lambda *_: None)
         assert reports == [audit_acylindricity(sp, *limit).to_dict() for limit in limits]
         assert calls
+
+    @pytest.mark.parametrize("element_radius", [1, 2, 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_a_finite_g_n_is_counted_from_its_vertex_set(self, monkeypatch, element_radius,
+                                                          offset):
+        """Z2*Z2*(Z5 x Z7) over (a, b), both joined to c and d, N = {c, d}:
+        at cap |G_N| - 1, |G_N| and |G_N| + 1 the three-edge audit gives the
+        report, or the cap error, of the enumerating path, taken where no
+        growth series is read. There G_N's ball is enumerated iff the count
+        cannot come from N's vertex set: unless |N| <= ``element_radius``
+        and |G_N| = 35 <= cap."""
+        pres = Presentation(
+            SimpleGraph("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]),
+            {"a": 2, "b": 2, "c": 5, "d": 7},
+        )
+        sp = build_splitting(pres, SeparatedPair("a", "b", ("c", "d"), 35))
+        limits = dict(k=3, tree_radius=2, element_radius=element_radius, local_radius=1,
+                      cap=35 + offset)
+
+        def outcome():
+            try:
+                return audit_acylindricity(sp, **limits).to_dict()
+            except ResourceCapError as error:
+                return str(error)
+
+        masks = []
+        ball = Presentation._ball
+        monkeypatch.setattr(Presentation, "_ball",
+                            lambda pres, mask, *args: masks.append(mask) or ball(pres, mask, *args))
+        read = outcome()
+        monkeypatch.setattr(Presentation, "growth_table", lambda *_: lambda *_: None)
+        assert read == outcome()
+        assert (sp.c_side in masks) == (element_radius < 2 or offset < 0)
 
     @pytest.mark.parametrize("tree_radius, most", [(1, 2), (2, 14)])
     def test_two_edge_paths_turn_at_g_b_from_tree_radius_2(self, tree_radius, most):

@@ -19,7 +19,7 @@ paths, and that their growth-series form matches the side balls.
 
 Presentations have at most five vertices (six for the child order, seven for
 the far end edges, the far edge lemma, the peel, the joining word, the
-children and the level sizes), with orders in {2, 3, inf}; every
+children and the level sizes, ten for the level sizes' series), with orders in {2, 3, inf}; every
 separated-pair splitting is checked at tree and element radii up to 3 under
 a low ball cap, so that cap errors are compared too; the level sizes reach
 tree radius 5 under a cap of 1,000 vertices.
@@ -241,13 +241,14 @@ def test_level_sizes_count_vertices_and_paths(pres, k, radius, local_radius):
 
 
 @settings(max_examples=60, deadline=None)
-@given(presentations(max_vertices=7), st.integers(1, 5), st.integers(1, 3),
+@given(presentations(max_vertices=10), st.integers(1, 5), st.integers(1, 3),
        st.sampled_from([30, 300, 3000]))
 def test_level_sizes_from_series_are_the_enumerated_ones(pres, radius, local_radius, cap):
     """``_levels`` reads from growth series the child counts and the
     truncation flag it takes from the side balls without them, and raises
     the same cap error, whether a count passes the cap or the table, cut,
-    leaves a side to enumeration."""
+    leaves a side to enumeration. A side S = C + {u} read one step from C's
+    series, split on u, has the series a fresh table gives S."""
     def levels(sp, *series):
         try:
             return _levels(sp, radius, local_radius, cap, *series)[1:]
@@ -257,6 +258,11 @@ def test_level_sizes_from_series_are_the_enumerated_ones(pres, radius, local_rad
     for pair in separated_pairs(pres):
         sp = build_splitting(pres, pair)
         assert levels(sp, pres.growth_table(local_radius, cap)) == levels(sp)
+        table, c_mask = pres.growth_table(local_radius), sp.c_side
+        table(c_mask)
+        for s_mask in map(sp.side, (SIDE_A, SIDE_B)):
+            u = (s_mask ^ c_mask).bit_length() - 1
+            assert table(s_mask, u) == pres.growth_table(local_radius)(s_mask)
 
 
 @st.composite

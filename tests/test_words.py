@@ -22,6 +22,7 @@ from oracles import (
     coset_canonical,
     enumerate_ball,
     enumerate_ball_by_canonical,
+    enumerate_ball_info,
     first_vertices,
     first_vertices_brute,
     full_subgroup_order_by_definition,
@@ -348,7 +349,7 @@ class TestFullSubgroups:
             for mask in range(1, 2 ** len(verts)):
                 s = {v for i, v in enumerate(verts) if mask >> i & 1}
                 order = pres.full_subgroup_order(s)
-                ball, saturated = pres.enumerate_ball_info(8, subset=s, cap=100_000)
+                ball, saturated = enumerate_ball_info(pres, 8, subset=s, cap=100_000)
                 if order != INFINITY:
                     assert saturated and len(ball) == order
                 else:
@@ -377,14 +378,14 @@ class TestEnumerateBall:
         with pytest.raises(InputError, match="^radius must be at least 0, got -1$"):
             enumerate_ball(p4_racg, -1)
         with pytest.raises(InputError, match="^radius must be at least 0, got -3$"):
-            p4_racg.enumerate_ball_info(-3, subset=())
+            enumerate_ball_info(p4_racg, -3, subset=())
 
     def test_d_infinity_ball(self, o2_racg):
         assert len(enumerate_ball(o2_racg, 3)) == 7
 
     def test_z2xz2_whole_group(self):
         pres = Presentation(SimpleGraph("ab", [("a", "b")]), {"a": 2, "b": 2})
-        ball, saturated = pres.enumerate_ball_info(2)
+        ball, saturated = enumerate_ball_info(pres, 2)
         assert len(ball) == 4 and saturated
 
     def test_cap_enforced(self, p4_racg):
@@ -409,9 +410,9 @@ class TestEnumerateBall:
         for order in (10**12, 2**64):
             pres = Presentation(SimpleGraph("ab"), {"a": 2, "b": order})
             with pytest.raises(ResourceCapError, match=message):
-                pres.enumerate_ball_info(3, cap=100)
-            assert pres.enumerate_ball_info(0, cap=100) == ({()}, False)
-            subgroup = pres.enumerate_ball_info(3, cap=100, subset="a")
+                enumerate_ball_info(pres, 3, cap=100)
+            assert enumerate_ball_info(pres, 0, cap=100) == ({()}, False)
+            subgroup = enumerate_ball_info(pres, 3, cap=100, subset="a")
             assert subgroup == ({(), (Syllable("a", 1),)}, True)
 
     def test_cap_met_by_the_generators_inserts_nothing(self):
@@ -439,7 +440,7 @@ class TestEnumerateBall:
             except ResourceCapError as exc:
                 return str(exc)
 
-        assert outcome(pres.enumerate_ball_info, radius, cap) == outcome(
+        assert outcome(enumerate_ball_info, pres, radius, cap) == outcome(
             enumerate_ball_by_canonical, pres, radius, cap, {"a", "b"}
         )
 
@@ -454,7 +455,7 @@ class TestEnumerateBall:
         extend = pres._extend
         pres._extend = lambda g, sylls: built.append(extend(g, sylls)) or built[-1]
         try:
-            pres.enumerate_ball_info(radius, cap=cap, subset=subset)
+            enumerate_ball_info(pres, radius, cap=cap, subset=subset)
         except ResourceCapError:
             pass
         assert all(word_length(pres, h) <= radius for h in built)
@@ -469,14 +470,14 @@ class TestEnumerateBall:
         edges = [(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]]
         pres = Presentation(SimpleGraph(clique + "z", edges),
                             {**dict(zip(clique, (2, 3, 5))), "z": INFINITY})
-        ball, saturated = pres.enumerate_ball_info(m, subset=clique)
+        ball, saturated = enumerate_ball_info(pres, m, subset=clique)
         assert saturated and len(ball) == pres.full_subgroup_order(clique)
-        assert not pres.enumerate_ball_info(m - 1, subset=clique)[1]
+        assert not enumerate_ball_info(pres, m - 1, subset=clique)[1]
         for radius in range(m + 3):
-            assert not pres.enumerate_ball_info(radius, subset="z")[1]
-            assert not pres.enumerate_ball_info(radius, subset=clique + "z")[1]
-        assert pres.enumerate_ball_info(0, subset=())[1]
-        assert not any(pres.enumerate_ball_info(0, subset=s)[1] for s in (clique, "z"))
+            assert not enumerate_ball_info(pres, radius, subset="z")[1]
+            assert not enumerate_ball_info(pres, radius, subset=clique + "z")[1]
+        assert enumerate_ball_info(pres, 0, subset=())[1]
+        assert not any(enumerate_ball_info(pres, 0, subset=s)[1] for s in (clique, "z"))
 
     def test_deterministic_contents(self, p3_raag):
         a = enumerate_ball(p3_raag, 3)
@@ -495,7 +496,7 @@ class TestGrowthSeries:
         same radius, the first whose total passes ``cap``."""
         d, p = growth_series(pres, subset)
         try:
-            ball, saturated = pres.enumerate_ball_info(radius, cap=cap, subset=subset)
+            ball, saturated = enumerate_ball_info(pres, radius, cap=cap, subset=subset)
         except ResourceCapError as error:
             with pytest.raises(ResourceCapError) as series_error:
                 cumulative_counts(d, p, radius, cap)
