@@ -87,9 +87,12 @@ MUTANTS = [
      "_steps keeps INFINITY as an infinite vertex's order, so e %= inf makes 3 a float 3.0"),
     (WORDS, "            if _negate:\n                e = -e\n", "",
      "inverse keeps the exponents' signs: _extend reads its reversed word unnegated"),
-    (WORDS, "if type(e) is int and len(made) < _SYLLABLE_TABLE_LIMIT:",
-     "if len(made) < _SYLLABLE_TABLE_LIMIT:",
-     "the syllable tables keep a bool or float exponent's syllable and hand it to later int calls"),
+    (WORDS, "            if type(e) is not int:\n                raise InputError(",
+     "            if False:\n                raise InputError(",
+     "_extend takes any exponent type, so 2.0 finds the table entry of 2 and a non-int "
+     "exponent's output depends on earlier calls"),
+    (WORDS, "if type(e) is not int:", "if type(e) not in (int, bool):",
+     "_extend takes a bool exponent, so True finds the table entry of 1"),
     (WORDS, "graph, steps = self.graph, {}\n        for i, v in enumerate(graph.vertices):\n"
      "            n, below = self.orders[v], graph.masks[i] & (1 << i) - 1\n"
      "            steps[v] = (0 if n == INFINITY else n, graph.adjacency[v],\n"
@@ -103,10 +106,9 @@ MUTANTS = [
      "                e += h[i][1]\n                if (s := made.get(e)) is None:\n"
      "                    made[e] = new(syllable, (v, e))\n                if n:\n                    e %= n\n",
      "a join looks its syllable up before e %= n, so the table keeps unreduced exponents"),
-    (WORDS, "if type(e) is int and len(made) < _SYLLABLE_TABLE_LIMIT:", "if type(e) is int:",
+    (WORDS, "if len(made) < _SYLLABLE_TABLE_LIMIT:", "if True:",
      "a syllable table has no limit"),
-    (WORDS, "if type(e) is int and len(made) < _SYLLABLE_TABLE_LIMIT:",
-     "if type(e) is int and len(made) >= _SYLLABLE_TABLE_LIMIT:",
+    (WORDS, "if len(made) < _SYLLABLE_TABLE_LIMIT:", "if len(made) >= _SYLLABLE_TABLE_LIMIT:",
      "the limit test is inverted, so a syllable table never fills"),
     (WORDS, "return [vertices[i] for i in bit_indices(mask)]",
      "return [vertices[i] for i in bit_indices(mask & mask - 1)]",
@@ -131,14 +133,22 @@ MUTANTS = [
      "the growth series takes an infinite vertex's series as 1 + z, Z2's, not (1 + z)/(1 - z)"),
     (WORDS, "(1, 2) if n == INFINITY", "(2, 1) if n == INFINITY",
      "the cached growth weights swap y_v and x_v at an infinite vertex"),
-    (WORDS, "(link := table(rest & masks[i]))", "(link := table(rest))",
-     "the growth table joins v to the cliques of S - v, not of S - v ∩ lk v: cliques or not"),
+    (WORDS, "or table(lk)", "or table(rest)",
+     "the growth table joins v to the cliques of S - v, not of S - v ∩ lk v, wherever the "
+     "link's series is not yet in the memo: cliques or not"),
+    (WORDS, "link = memo.get(lk := rest & masks[i]) or table(lk)",
+     "link = memo.get(rest) or table(lk := rest & masks[i])",
+     "the growth table reads a link's series from the memo under the key of S - v, which is "
+     "always there, so it never reads the link's own"),
     (WORDS, "for u in bit_indices(rest & ~masks[i]):", "for u in bit_indices(0):",
      "the growth table's cliques with v lack the factor D of S - v outside lk v"),
     (WORDS, " or len(memo) * 2 * (degree + 1) > cap:", ":",
      "the growth table is never cut at the cap"),
-    (WORDS, "w = deque(maxlen=len(tail))", "w = deque(maxlen=len(tail) - 1)",
+    (WORDS, "del w[keep:], t[keep:]", "del w[keep - 1:], t[keep - 1:]",
      "the series recurrence keeps one coefficient fewer than the denominator's degree"),
+    (WORDS, "r = (reps[j] if j < len(reps) else 0)", "r = (numerator[j] if j < len(numerator) else 0)",
+     "the coset recurrence of the fused pass reads the ball's numerator, so it counts the "
+     "side ball, not its G_C cosets"),
     (WORDS, "raise _ball_cap_error(cap, j)", "raise _ball_cap_error(cap, j + 1)",
      "a cap error read from growth series names the radius after the first past the cap"),
     (WORDS, "if total > cap:", "if total >= cap:",
@@ -190,20 +200,28 @@ MUTANTS = [
     (TREE, "_rounds(splitting, pres._extend(g, g), SIDE_A, SIDE_A)",
      "_rounds(splitting, g, SIDE_A, SIDE_A)",
      "element_action forms g^2 as g, so it calls every element elliptic"),
-    (TREE, "for us, size in tops if size > bound]", "for us, size in tops if size >= bound]",
+    (TREE, "        if size > bound:\n", "        if size >= bound:\n",
      "the audit names a witness whose stabilizer has exactly |G_N| elements"),
-    (TREE, "return [(us, reduce(",
-     "return [(tuple({a: b, b: a}[u] for u in us), reduce(",
+    (TREE, "        if size > most:\n            most = size\n", "        most = size\n",
+     "the audit's maximum is the last R_k's count, not the largest"),
+    (TREE, "return [((a,), c & lk_a), ((b,), c & lk_b)] if",
+     "return [((b,), c & lk_a), ((a,), c & lk_b)] if",
      "a two-edge witness turns at the other side's vertex, G_C, bG_C for R = C ∩ lk(a)"),
-    (TREE, "2: [(a,), (b,)] if tree_radius >= 2 else [(a,)]}", "2: [(a,)]}",
+    (TREE, "    a, b = splitting.pair\n    graph, c =", "    b, a = splitting.pair\n    graph, c =",
+     "_path_groups swaps a and b, so at tree radius 1 the two-edge maximum sizes C ∩ lk(b), "
+     "whose path turns at G_B, which has no children there"),
+    (TREE, "return [((a,), c & lk_a), ((b,), c & lk_b)] if", "return [((a,), c & lk_a)] if",
      "the two-edge maximum misses C ∩ lk(b), whose path turns at G_B"),
-    (TREE, "if tree_radius >= 2 else [(a,)]}", "if tree_radius >= 1 else [(a,)]}",
+    (TREE, "if tree_radius >= 2 else [((a,), c & lk_a)]", "if tree_radius >= 1 else [((a,), c & lk_a)]",
      "the two-edge maximum takes C ∩ lk(b) at tree radius 1, where no path turns at G_B"),
-    (TREE, ".get(k, [(a, b)])", ".get(k, [(a,)])",
+    (TREE, "return [((a, b), c & lk_a & lk_b)]", "return [((a, b), c & lk_a)]",
      "the maximum past two edges sizes C ∩ lk(a), not N"),
     (TREE, "count += width * (n * below[k] + n * (n - 1) // 2 * pairs)",
      "count += width * (n * below[k] + n * (n - 1) * pairs)",
      "the path count counts a path with two branches twice, once from each end"),
+    (TREE, "b = b * kids[d + j] if", "b = b * kids[d + j - 1] if",
+     "the path count's running product below a vertex is off by one depth: it starts with "
+     "the vertex's own child count"),
     (TREE, "        if size > cap:\n            raise ResourceCapError", "        if False:\n            raise ResourceCapError",
      "the tree ball's vertex count, read from its level sizes, is never checked against the cap"),
     (TREE, "truncated = truncated or not pres._saturates(",
@@ -211,12 +229,17 @@ MUTANTS = [
      "side B's saturation overwrites side A's truncation"),
     (TREE, "y = d_s[1] - d_c[1]", "y = 1",
      "the coset series takes the factor 1 + y_u z of S - C = {u} as 1 + z at any order"),
-    (TREE, "                cumulative_counts(d_s, p_s, local_radius, cap)"
-     "  # the side ball's cap error\n", "",
-     "a side ball past the cap is never raised from its series"),
-    (TREE, "cumulative_counts(d_s, p_s, local_radius, cap)",
-     "cumulative_counts(d_s, p_s, local_radius + 1, cap)",
-     "a side ball's series is read one radius past it, so a ball within the cap raises"),
+    (TREE, "cumulative_counts(d_s, p_s, local_radius, cap, reps)[1]",
+     "cumulative_counts(reps, p_s, local_radius, cap, reps)[1]",
+     "a side's pass checks its coset count against the cap, not its ball's, so a side ball "
+     "past the cap is raised only where its cosets pass it too"),
+    (TREE, "cumulative_counts(d_s, p_s, local_radius, cap, reps)",
+     "cumulative_counts(d_s, p_s, local_radius + 1, cap, reps)",
+     "a side's series are read one radius past it, so a ball within the cap raises and the "
+     "coset count takes one sphere more"),
+    (TREE, "cumulative_counts(d_s, p_s, local_radius, cap, reps)[1]",
+     "cumulative_counts(d_s, p_s, local_radius, cap, reps)[0]",
+     "a side's child count is its ball's size, not the number of its G_C cosets"),
     (TREE, "        if size > cap:\n", "        if size > cap and (d or radius == 1):\n",
      "the tree's depth-0 vertex count is checked only after side B is read, so side B's "
      "cap error comes before the tree ball's"),

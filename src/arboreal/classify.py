@@ -22,11 +22,8 @@ from typing import Iterator, NamedTuple, Optional
 
 from .errors import InputError
 from .graphs import INFINITY, SimpleGraph, diameter, is_irreducible
+from .params import SIDE_A, SIDE_B
 from .words import Presentation
-
-# The two kinds of vertex of a splitting's Bass-Serre tree: cosets of G_A, of G_B.
-SIDE_A = "A"
-SIDE_B = "B"
 
 
 class Arboreality(enum.Enum):

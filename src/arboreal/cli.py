@@ -164,15 +164,16 @@ def cmd_tree_dist(args) -> int:
 
 
 def cmd_tree_audit(args) -> int:
-    from .tree import audit_acylindricity, check_limits
+    from .params import check_limits
     limits = dict(
         k=args.k, tree_radius=args.tree_radius, element_radius=args.element_radius,
         local_radius=args.local_radius, cap=args.ball_cap,
     )
     check_limits(AUDIT_FLAGS, **limits)
-    from .classify import build_splitting, separated_pairs
     from .formats import load_presentation
     pres, _ = load_presentation(args.file)
+    from .classify import build_splitting, separated_pairs
+    from .tree import audit_acylindricity
     if args.all_pairs:
         splittings = [build_splitting(pres, p) for p in separated_pairs(pres)]
         if not splittings:
@@ -198,7 +199,7 @@ def cmd_tree_audit(args) -> int:
 
 def cmd_export_dot(args) -> int:
     if args.target == "tree-ball":
-        from .tree import check_limits, tree_ball, tree_ball_to_dot
+        from .params import check_limits
         check_limits(AUDIT_FLAGS, radius=args.tree_radius, local_radius=args.local_radius,
                      cap=args.ball_cap)
     from .formats import load_presentation
@@ -210,6 +211,7 @@ def cmd_export_dot(args) -> int:
         text = to_dot(complement(pres.graph))
     else:
         splitting = _require_splitting(pres)
+        from .tree import tree_ball, tree_ball_to_dot
         ball = tree_ball(splitting, args.tree_radius, args.local_radius, args.ball_cap)
         text = tree_ball_to_dot(ball)
     _write(args, text)
@@ -232,7 +234,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     def tree_limits(p, tree_radius: int):
-        from .words import DEFAULT_BALL_CAP
+        from .params import DEFAULT_BALL_CAP
         p.add_argument("--tree-radius", type=int, default=tree_radius)
         p.add_argument("--local-radius", type=int, default=2)
         p.add_argument(
@@ -261,7 +263,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("word2")
 
     if p := add("tree-dist", "distance between two tree vertices", cmd_tree_dist):
-        from .classify import SIDE_A, SIDE_B
+        from .params import SIDE_A, SIDE_B
         common(p)
         p.add_argument("word1")
         p.add_argument("word2")

@@ -33,13 +33,13 @@ a ball only where its growth table is cut.
 from functools import reduce
 from itertools import chain, combinations
 from operator import and_
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
-from .classify import SIDE_A, SIDE_B, SplittingSpec
+from .classify import SplittingSpec
 from .errors import InputError, ResourceCapError
 from .graphs import dot_quoted
-from .words import (DEFAULT_BALL_CAP, Presentation, Syllable, Word, cumulative_counts,
-                    format_word)
+from .params import DEFAULT_BALL_CAP, SIDE_A, SIDE_B, check_limits
+from .words import Presentation, Syllable, Word, cumulative_counts, format_word
 
 
 class TreeVertex(NamedTuple):
@@ -176,12 +176,13 @@ def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int,
     enumerated. A side is read from the growth table ``series`` (see
     ``Presentation.growth_table``) where one is given and not cut, split on
     u, S - C = {u}, so one step from C's series, read first; and enumerated
-    by ``Presentation._ball`` otherwise. From the series, m_S
-    counts the C-stripped representatives of length at most
-    ``local_radius``, whose series is W_S/W_C = (1 + y_u z) P_C/P_S for S -
-    C = {u} (see ``audit_acylindricity``), y_u being D_S's z-coefficient,
-    the sum of y_v over S, less D_C's; their count never passes the cap, as the side ball's
-    count, read first, is at least as large. Read or enumerated, the cap
+    by ``Presentation._ball`` otherwise. From the series, m_S counts the
+    C-stripped representatives of length at most ``local_radius``, whose
+    series is W_S/W_C = (1 + y_u z) P_C/P_S for S - C = {u} (see
+    ``audit_acylindricity``), y_u being D_S's z-coefficient, the sum of y_v
+    over S, less D_C's. One pass over P_S (see ``cumulative_counts``) gives
+    the side ball's total, checked against the cap, and the
+    representatives', which is no larger. Read or enumerated, the cap
     errors come in BFS order: side A's ball, the tree at depth 0, side B's
     ball, the tree at each deeper depth."""
     pres, c_mask = splitting.presentation, splitting.c_side
@@ -194,10 +195,9 @@ def _levels(splitting: SplittingSpec, radius: int, local_radius: int, cap: int,
             truncated = truncated or not pres._saturates(s_mask, local_radius)
             if read := read_c and series(s_mask, (s_mask ^ c_mask).bit_length() - 1):
                 (d_s, p_s), (d_c, p_c) = read, read_c
-                cumulative_counts(d_s, p_s, local_radius, cap)  # the side ball's cap error
                 y = d_s[1] - d_c[1]
                 reps = [a + y * b for a, b in zip(p_c + [0], [0] + p_c)]
-                counts[side] = cumulative_counts(reps, p_s, local_radius, cap)
+                counts[side] = cumulative_counts(d_s, p_s, local_radius, cap, reps)[1]
             else:
                 side_ball = pres._ball(s_mask, local_radius, cap)
                 cosets[side] = {_strip(pres, s, c_mask) for s in side_ball}
@@ -365,15 +365,18 @@ def _path_count(kids: list[int], k: int) -> int:
     """The number of k-edge paths in a tree ball with kids[d] children at each
     vertex of depth d (see ``_levels``), counted at their apex: one branch of
     k levels, or two of a and k - a levels through distinct children.
-    below[j] counts the j-level branches through one child, width the
-    vertices at depth d; both are running products."""
-    count, width = 0, 1
+    below[j] counts the j-level branches through one child, a running
+    product down from depth d, 0 past the ball; width, the vertices at depth
+    d, is a running product too."""
+    count, width, depth, below = 0, 1, len(kids), [0] * (k + 1)
     for d, n in enumerate(kids):
-        below = [0, 1]
-        for m in kids[d + 1:d + k]:
-            below.append(below[-1] * m)
-        below += [0] * (k + 1 - len(below))
-        pairs = sum(below[a] * below[k - a] for a in range(1, k))
+        b = 1
+        for j in range(1, k + 1):
+            below[j] = b
+            b = b * kids[d + j] if d + j < depth else 0
+        pairs = 0
+        for a in range(1, k):
+            pairs += below[a] * below[k - a]
         count += width * (n * below[k] + n * (n - 1) // 2 * pairs)
         width *= n
     return count
@@ -384,32 +387,13 @@ def _path_groups(splitting: SplittingSpec, k: int, tree_radius: int):
     U the turn of its base path: U = () at k = 1; {a}, and {b} once G_B has
     children, at k = 2; {a, b} at k >= 3."""
     a, b = splitting.pair
-    turns = {1: [()], 2: [(a,), (b,)] if tree_radius >= 2 else [(a,)]}.get(k, [(a, b)])
-    graph = splitting.presentation.graph
-    return [(us, reduce(and_, (graph.masks[graph.index[u]] for u in us), splitting.c_side))
-            for us in turns]
-
-
-# The least value of each limit of a tree ball or an audit.
-_LEAST_LIMITS = dict(k=1, radius=0, tree_radius=1, element_radius=1, local_radius=1, cap=1)
-
-
-def check_limits(names: Optional[dict[str, str]] = None, **limits: int) -> None:
-    """Raise InputError for the first of ``limits`` below its least value (0
-    for a tree ball's radius, else 1), or for k above 2 * tree_radius, the
-    longest path in the tree ball, under which nothing would be audited.
-    ``names`` maps a parameter name to how messages spell it."""
-    names = names or {}
-    for key, value in limits.items():
-        least = _LEAST_LIMITS[key]
-        if value < least:
-            raise InputError(f"{names.get(key, key)} must be at least {least}, got {value}")
-    if "k" in limits and limits["k"] > 2 * limits["tree_radius"]:
-        raise InputError(
-            f"{names.get('k', 'k')} {limits['k']} is more than twice "
-            f"{names.get('tree_radius', 'tree_radius')} {limits['tree_radius']}: no path of "
-            "that many edges fits in the tree ball, so nothing would be audited"
-        )
+    graph, c = splitting.presentation.graph, splitting.c_side
+    if k == 1:
+        return [((), c)]
+    lk_a, lk_b = graph.masks[graph.index[a]], graph.masks[graph.index[b]]
+    if k > 2:
+        return [((a, b), c & lk_a & lk_b)]
+    return [((a,), c & lk_a), ((b,), c & lk_b)] if tree_radius >= 2 else [((a,), c & lk_a)]
 
 
 def audit_acylindricity(
@@ -490,25 +474,19 @@ def audit_acylindricity(
         if r.bit_count() <= element_radius and (order := pres._mask_order(r)) <= cap:
             return order
         if read := series(r):
-            return cumulative_counts(*read, element_radius, cap)
+            return cumulative_counts(*read, element_radius, cap)[0]
         return len(pres._ball(r, element_radius, cap))
 
-    tops = [(us, top(r)) for us, r in _path_groups(splitting, k, tree_radius)]
-    witnesses = [([TreeEdge(())] + [TreeEdge((Syllable(u, 1),)) for u in us], size)
-                 for us, size in tops if size > bound]
-    return AuditReport(
-        splitting=splitting,
-        k=k,
-        tree_radius=tree_radius,
-        element_radius=element_radius,
-        local_radius=local_radius,
-        paths_checked=_path_count(kids, k),
-        max_stabilizer_size=max(size for _, size in tops),
-        bound=bound,
-        truncated=truncated,
-        exhaustive_elements=False,  # no ball is all of G, which holds the infinite G_a * G_b
-        violations=witnesses,
-    )
+    most, witnesses = 0, []
+    for us, r in _path_groups(splitting, k, tree_radius):
+        size = top(r)
+        if size > most:
+            most = size
+        if size > bound:
+            witnesses.append(([TreeEdge(())] + [TreeEdge((Syllable(u, 1),)) for u in us], size))
+    # exhaustive_elements is False: no ball is all of G, which holds the infinite G_a * G_b
+    return AuditReport(splitting, k, tree_radius, element_radius, local_radius,
+                       _path_count(kids, k), most, bound, truncated, False, witnesses)
 
 
 def elliptic_generation_check(splitting: SplittingSpec, generators: list[Word]) -> bool:

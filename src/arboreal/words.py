@@ -31,7 +31,6 @@ elements by length without building any.
 """
 
 import re
-from collections import deque
 from functools import cached_property
 from itertools import chain
 from operator import mul
@@ -39,8 +38,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import DegeneratePresentationError, InputError, ResourceCapError
 from .graphs import INFINITY, SimpleGraph, bit_indices, induced_subgraph
-
-DEFAULT_BALL_CAP = 200_000
+from .params import DEFAULT_BALL_CAP
 _SYLLABLE_TABLE_LIMIT = 1024  # entries a vertex's syllable table (``_steps``) fills to
 
 
@@ -123,13 +121,17 @@ class Presentation:
         takes it at the first later position whose vertex index is larger
         than v's: as every later syllable is in link(v), the first whose
         vertex is not in the link's part before v. The syllable written, new
-        or joined, is v's table entry for its exponent, built on a miss. Only
-        an int exponent is stored, so a bool or float one is never handed to
-        a later call, and a table stops filling at ``_SYLLABLE_TABLE_LIMIT``
-        entries, so memory stays bounded."""
+        or joined, is v's table entry for its exponent, built on a miss; a
+        table stops filling at ``_SYLLABLE_TABLE_LIMIT`` entries, so memory
+        stays bounded. An exponent whose type is not int, bool included, is
+        an InputError, checked before it is negated: 2.0 and True would find
+        the entries of 2 and 1, so their output would depend on earlier
+        calls."""
         steps, new, syllable = self._steps, tuple.__new__, Syllable
         h = list(g)
         for v, e in pairs:
+            if type(e) is not int:
+                raise InputError(f"exponent at vertex {v} must be an int, got {e!r}")
             if _negate:
                 e = -e
             try:
@@ -158,7 +160,7 @@ class Presentation:
                 h.insert(i, None)
             if (s := made.get(e)) is None:
                 s = new(syllable, (v, e))
-                if type(e) is int and len(made) < _SYLLABLE_TABLE_LIMIT:
+                if len(made) < _SYLLABLE_TABLE_LIMIT:
                     made[e] = s
             h[i] = s
         return tuple(h)
@@ -281,8 +283,9 @@ class Presentation:
         1)/W_L. That holds for any v in S, so S is split on vertex index i
         where one is given, as a side S = C + {u} is on u, one step from C,
         and on its last vertex otherwise. Each series is memoized as it is
-        met, so no clique sum is done twice; the memo and its cut are this
-        table's alone.
+        met, so no clique sum is done twice, and a link's series is read
+        from the memo before the table recurses for it; the memo and its cut
+        are this table's alone.
         As D and P have degree <= |S| <= |V|, a cut at |V| cuts nothing."""
         masks, (ys, xs) = self.graph.masks, self._weights
         degree = min(degree, len(ys))
@@ -298,7 +301,8 @@ class Presentation:
                 s ^= 1 << i
             for s, i in reversed(chain):
                 rest, y = s ^ 1 << i, ys[i]
-                if (link := table(rest & masks[i])) is None or len(memo) * 2 * (degree + 1) > cap:
+                link = memo.get(lk := rest & masks[i]) or table(lk)
+                if link is None or len(memo) * 2 * (degree + 1) > cap:
                     return None
                 (d, p), q = memo[rest], link[1]
                 for u in bit_indices(rest & ~masks[i]):  # q = P_L D_{S'-L}
@@ -311,26 +315,37 @@ class Presentation:
 
 
 def cumulative_counts(numerator: list[int], denominator: list[int], radius: int,
-                      cap: int) -> int:
-    """The total w_0 + ... + w_j of the series numerator/denominator,
-    denominator[0] = 1, w_j = numerator_j - sum_{i>=1} denominator_i w_{j-i},
-    at j = ``radius`` or the last j before the first w_j = 0: in a growth
-    series (see ``Presentation.growth_table``), or one of coset
-    representatives, an empty sphere has only empty spheres after it. Raises
-    ``Presentation._ball``'s error at the first j whose total passes ``cap``.
-    Only the last len(denominator) - 1 coefficients are kept."""
+                      cap: int, reps: list[int] = ()) -> tuple[int, int]:
+    """(the total w_0 + ... + w_j of the series numerator/denominator, that
+    of reps/denominator), denominator[0] = 1, w_j = numerator_j - sum_{i>=1}
+    denominator_i w_{j-i}, at j = ``radius`` or the last j before the first
+    w_j = 0: in a growth series (see ``Presentation.growth_table``) an empty
+    sphere has only empty spheres after it. ``reps`` is the numerator of a
+    series whose coefficients are at most the first's, such as the coset
+    representatives of a side ball (see tree.py's ``_levels``), so it ends
+    there too and one pass gives both totals; with no ``reps`` the second is
+    0. Raises ``Presentation._ball``'s error at the first j whose first
+    total passes ``cap``. Only the last len(denominator) - 1 coefficients of
+    each series are kept."""
     tail = denominator[1:]
-    w = deque(maxlen=len(tail))  # latest first
-    total = 0
+    keep = len(tail)
+    w, t = [], []  # latest first
+    total = reps_total = 0
     for j in range(radius + 1):
         c = (numerator[j] if j < len(numerator) else 0) - sum(map(mul, tail, w))
         if not c:
             break
-        w.appendleft(c)
         total += c
         if total > cap:
             raise _ball_cap_error(cap, j)
-    return total
+        w.insert(0, c)
+        if reps:
+            r = (reps[j] if j < len(reps) else 0) - sum(map(mul, tail, t))
+            t.insert(0, r)
+            reps_total += r
+        if j >= keep:
+            del w[keep:], t[keep:]
+    return total, reps_total
 
 
 def _ball_cap_error(cap: int, radius: int) -> ResourceCapError:

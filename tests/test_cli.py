@@ -805,8 +805,9 @@ def test_cli_import_loads_no_future_module():
 def _loads(*layers):
     """The modules that loading ``layers`` imports: the package, each layer
     and the layers it imports, and ``typing`` with graphs or words."""
-    closure = {"errors": (), "graphs": ("errors",), "words": ("graphs",),
-               "classify": ("words",), "tree": ("classify",), "formats": ("words",)}
+    closure = {"errors": (), "params": ("errors",), "graphs": ("errors",),
+               "words": ("graphs", "params"), "classify": ("words",), "tree": ("classify",),
+               "formats": ("words",)}
     loaded = {"arboreal"}
     while layers:
         loaded.add(f"arboreal.{layers[0]}")
@@ -823,6 +824,14 @@ LOADS = [
     # usage errors import no layer
     (["-m", "arboreal.cli", "-h"], 0, _loads("errors")),
     (["-m", "arboreal.cli", "frobnicate", P4], 2, _loads("errors")),
+    # a tree command's usage error or help reads its defaults and choices from params alone
+    (["-m", "arboreal.cli", "tree-audit"], 2, _loads("params")),
+    (["-m", "arboreal.cli", "tree-dist", "-h"], 0, _loads("params")),
+    # a tree command's missing file loads only the loader's layers, as classify's does
+    (["-m", "arboreal.cli", "tree-audit", str(FIXTURES / "missing.json")], 2,
+     _loads("formats")),
+    (["-m", "arboreal.cli", "export-dot", "--target", "tree-ball",
+      str(FIXTURES / "missing.json")], 2, _loads("formats")),
     (["-m", "arboreal.cli", "classify", str(FIXTURES / "missing.json")], 2, _loads("formats")),
     (["-m", "arboreal.cli", "nf", P4, "b a c b"], 0, _loads("formats")),
     (["-m", "arboreal.cli", "mul", P4, "a b", "b d"], 0, _loads("formats")),

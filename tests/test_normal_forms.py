@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from arboreal.classify import build_splitting, separated_pairs
 from arboreal.errors import InputError, ResourceCapError
-from arboreal.words import _SYLLABLE_TABLE_LIMIT, INFINITY, Syllable
+from arboreal.words import _SYLLABLE_TABLE_LIMIT, INFINITY, Presentation, Syllable
 
 from conftest import presentations
 from oracles import (
@@ -162,11 +162,16 @@ class TestEngine:
     def test_output_exponents_are_ints(self, pres, data):
         """At orders 2, 3, 10^12 and inf, with exponents up to +-10^6: every
         syllable that ``canonical``, ``multiply``, ``inverse`` and ``power``
-        give is a Syllable whose exponent is an int, also after calls with
-        bool and float exponents, which the syllable tables must not keep."""
+        give is a Syllable whose exponent is an int; a bool or float
+        exponent is an InputError, which leaves no entry in the syllable
+        tables."""
         vertices = pres.graph.vertices
         for e in (True, 2.0):
-            pres.canonical(tuple((v, e) for v in vertices))
+            word = tuple((v, e) for v in vertices)
+            for call in (pres.canonical, pres.inverse, lambda w: pres.multiply(w[:1], w)):
+                with pytest.raises(InputError, match=rf"^exponent at vertex \S+ must be an int, "
+                                                     rf"got {e!r}$"):
+                    call(word)
         syllable = st.tuples(st.sampled_from(vertices), st.integers(-10**6, 10**6))
         w, u = (tuple(data.draw(st.lists(syllable, max_size=10))) for _ in range(2))
         outputs = [pres.canonical(w), pres.multiply(w, u), pres.inverse(w),
@@ -174,6 +179,29 @@ class TestEngine:
         outputs += [pres.canonical(tuple((v, e) for v in vertices)) for e in (1, 2)]
         assert all(type(s) is Syllable and type(s.exponent) is int
                    for out in outputs for s in out)
+
+    @settings(max_examples=100, deadline=None)
+    @given(presentations(orders=ORDERS), st.data())
+    def test_a_call_gives_the_same_outcome_on_a_fresh_and_a_used_presentation(self, pres, data):
+        """History independence: over a random sequence of ``canonical``,
+        ``multiply`` and ``inverse`` calls, whose exponents are ints, bools
+        or floats, each call's result, by repr, so that 2 and 2.0 differ, or
+        its error is the same on the presentation that ran the calls before
+        it as on a fresh copy."""
+        exponent = st.one_of(EXPONENTS, st.booleans(), st.sampled_from([2.0, -1.0, 0.0]))
+        word = st.lists(st.tuples(st.sampled_from(pres.graph.vertices), exponent), max_size=6)
+        calls = data.draw(st.lists(st.tuples(st.sampled_from(["canonical", "multiply", "inverse"]),
+                                             word, word), min_size=1, max_size=8))
+
+        def outcome(p, name, w, u):
+            try:
+                return repr(p.multiply(w, u) if name == "multiply" else getattr(p, name)(w))
+            except InputError as exc:
+                return f"InputError: {exc}"
+
+        for name, w, u in calls:
+            fresh = Presentation(pres.graph, pres.orders)
+            assert outcome(pres, name, w, u) == outcome(fresh, name, w, u)
 
     @settings(max_examples=150, deadline=None)
     @given(presentations_and_words(), randoms)

@@ -313,6 +313,27 @@ class TestStabilizers:
         with pytest.raises(InputError, match="^unknown vertex: z$"):
             path_stabilizer(p4_splitting, [TreeEdge(u), TreeEdge(w)])
 
+    @pytest.mark.parametrize("e", [True, False, 2.0, 1.0])
+    def test_non_int_exponent_rejected(self, p4_splitting, e):
+        """Every tree function that takes a word rejects an exponent whose
+        type is not int, in either end of a pair of words."""
+        bad, good = (Syllable("a", 1), Syllable("c", e)), (Syllable("b", 1),)
+        calls = [
+            lambda w: make_vertex(p4_splitting, w, SIDE_B),
+            lambda w: make_edge(p4_splitting, w),
+            lambda w: act(p4_splitting, w, base_vertex(p4_splitting)),
+            lambda w: act(p4_splitting, good, TreeVertex(SIDE_A, w)),
+            lambda w: element_action(p4_splitting, w),
+            lambda w: elliptic_generation_check(p4_splitting, [good, w]),
+            lambda w: tree_distance(p4_splitting, TreeVertex(SIDE_A, w), TreeVertex(SIDE_B, good)),
+            lambda w: tree_distance(p4_splitting, TreeVertex(SIDE_A, good), TreeVertex(SIDE_B, w)),
+            lambda w: path_stabilizer(p4_splitting, [TreeEdge(w), TreeEdge(good)]),
+            lambda w: path_stabilizer(p4_splitting, [TreeEdge(good), TreeEdge(w)]),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match=f"^exponent at vertex c must be an int, got {e!r}$"):
+                call(bad)
+
 
 class TestAudit:
     def test_p4_bound_holds(self, p4_splitting):

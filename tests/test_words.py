@@ -491,27 +491,31 @@ class TestGrowthSeries:
         """The radius ball of G_S against its growth series W_S = D/P: its
         size, its saturation flag (under a cap that never raises, the totals
         at radius and radius + 1 are equal iff the sphere at radius + 1 is
-        empty), and for each C = S - {u} the G_C cosets it meets, by W_S/W_C
-        = (1 + y_u z) P_C/P_S; or the series' cap error, which names the
-        same radius, the first whose total passes ``cap``."""
+        empty), and for each C = S - {u} the pass that also sums W_S/W_C =
+        (1 + y_u z) P_C/P_S, as ``_levels`` does for a side: the ball's size
+        and the G_C cosets it meets; or, from both passes, the ball's cap
+        error, which names the same radius, the first whose total passes
+        ``cap``."""
         d, p = growth_series(pres, subset)
+        reps = {}
+        for u in subset:
+            (_, y), _ = growth_series(pres, {u})
+            p_c = growth_series(pres, subset - {u})[1]
+            reps[u] = [a + y * b for a, b in zip(p_c + [0], [0] + p_c)]
         try:
             ball, saturated = enumerate_ball_info(pres, radius, cap=cap, subset=subset)
         except ResourceCapError as error:
-            with pytest.raises(ResourceCapError) as series_error:
-                cumulative_counts(d, p, radius, cap)
-            assert str(series_error.value) == str(error)
+            for series in [()] + list(reps.values()):
+                with pytest.raises(ResourceCapError) as series_error:
+                    cumulative_counts(d, p, radius, cap, series)
+                assert str(series_error.value) == str(error)
             return
-        assert cumulative_counts(d, p, radius, cap) == len(ball)
+        assert cumulative_counts(d, p, radius, cap) == (len(ball), 0)
         assert saturated == (cumulative_counts(d, p, radius, math.inf)
                              == cumulative_counts(d, p, radius + 1, math.inf))
-        for u in subset:
-            c = subset - {u}
-            (_, y), _ = growth_series(pres, {u})
-            p_c = growth_series(pres, c)[1]
-            cosets = [a + y * b for a, b in zip(p_c + [0], [0] + p_c)]
-            assert cumulative_counts(cosets, p, radius, cap) == len(
-                {coset_canonical(pres, g, c) for g in ball})
+        for u, series in reps.items():
+            cosets = {coset_canonical(pres, g, subset - {u}) for g in ball}
+            assert cumulative_counts(d, p, radius, cap, series) == (len(ball), len(cosets))
 
     @settings(max_examples=50, deadline=None)
     @given(presentations(max_vertices=7).filter(lambda p: len(p.graph.vertices) >= 3),
@@ -538,10 +542,10 @@ class TestGrowthSeries:
         radius 10**9."""
         pres = Presentation(SimpleGraph("abc", [("a", "b")]), {"a": 2, "b": 3, "c": INFINITY})
         assert growth_series(pres, "ab") == ([1, 3, 2], [1, 0, 0])
-        assert cumulative_counts(*growth_series(pres, "ab"), radius, 100) == [1, 4, 6][
+        assert cumulative_counts(*growth_series(pres, "ab"), radius, 100)[0] == [1, 4, 6][
             min(radius, 2)]
         if radius < 50:
-            assert cumulative_counts(*growth_series(pres, "c"), radius, 100) == 2 * radius + 1
+            assert cumulative_counts(*growth_series(pres, "c"), radius, 100)[0] == 2 * radius + 1
         else:
             with pytest.raises(ResourceCapError, match="cap of 100 elements at radius 50$"):
                 cumulative_counts(*growth_series(pres, "c"), radius, 100)
@@ -549,13 +553,16 @@ class TestGrowthSeries:
     def test_counts_keep_only_the_coefficients_the_recurrence_reads(self):
         """Z's ball passes a cap of 200,000 at radius 100,000: a list of every
         coefficient or total to there would take megabytes, the last deg P
-        coefficients take bytes."""
+        coefficients take bytes, also with a second series (here D again)
+        summed in the same pass."""
         pres = Presentation(SimpleGraph("ab"), {"a": 2, "b": INFINITY})
-        series = growth_series(pres, "b")
+        d, p = growth_series(pres, "b")
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceCapError, match="cap of 200000 elements at radius 100000$"):
-                cumulative_counts(*series, 10**9, 200_000)
+            for reps in ((), d):
+                with pytest.raises(ResourceCapError,
+                                   match="cap of 200000 elements at radius 100000$"):
+                    cumulative_counts(d, p, 10**9, 200_000, reps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -574,7 +581,7 @@ class TestGrowthSeries:
         assert growth_series(pres, pres.graph.vertices, cap=1000) is None
         d, p = growth_series(pres, pres.graph.vertices)
         assert d == [math.comb(20, j) for j in range(21)]
-        assert cumulative_counts(d, p, 1, 100) == 21
+        assert cumulative_counts(d, p, 1, 100)[0] == 21
 
     @settings(max_examples=60, deadline=None)
     @given(presentations(max_vertices=7), st.integers(1, 8), st.data())
